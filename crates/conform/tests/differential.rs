@@ -9,17 +9,24 @@
 //! same windows, same teardown-free steady state. Any divergence means
 //! one substrate drives the engine differently than the other.
 //!
+//! The verbs layer above the engine is compared too: every completion
+//! either side pops, `visible_at` stripped, must form identical
+//! per-CQ streams — same QP and CQ ids, same WR ids, kinds, statuses
+//! and payloads, in the same order.
+//!
 //! The workload is lockstep (one message outstanding at a time, each
 //! acknowledged before the next is posted) so wall-clock scheduling on
 //! the live side cannot reorder protocol events relative to the
 //! deterministic simulation.
 
+use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use qpip::world::QpipWorld;
-use qpip::{CompletionKind, NicConfig, RecvWr, SendWr, ServiceType};
+use qpip::{Completion, CompletionKind, CompletionStatus, CqId, NicConfig, QpId, RecvWr};
+use qpip::{SendWr, ServiceType};
 use qpip_conform::differential::{first_divergence, normalize};
 use qpip_netstack::types::Endpoint;
 use qpip_trace::{FlightRecorder, Tracer};
@@ -51,13 +58,42 @@ fn workload() -> Vec<(Dir, usize)> {
     ]
 }
 
+/// One popped completion without its timestamp: the payload rides in
+/// the kind.
+type Popped = (QpId, u64, CompletionKind, CompletionStatus);
+
+/// Every completion a run popped, per (node, CQ), in pop order.
+type CqStreams = BTreeMap<(u32, CqId), Vec<Popped>>;
+
+fn record(streams: &mut CqStreams, node: u32, cq: CqId, c: &Completion) {
+    streams.entry((node, cq)).or_default().push((c.qp, c.wr_id, c.kind.clone(), c.status.clone()));
+}
+
 fn payload(i: usize, len: usize) -> Vec<u8> {
     (0..len).map(|b| (i.wrapping_mul(37).wrapping_add(b)) as u8).collect()
 }
 
+/// Waits on `cq` until `pred` matches, recording every completion
+/// popped on the way.
+fn des_wait(
+    w: &mut QpipWorld,
+    streams: &mut CqStreams,
+    node: qpip::world::NodeIdx,
+    cq: CqId,
+    pred: impl Fn(&Completion) -> bool,
+) -> Completion {
+    loop {
+        let c = w.wait(node, cq);
+        record(streams, node.0 as u32, cq, &c);
+        if pred(&c) {
+            return c;
+        }
+    }
+}
+
 /// Runs the workload through the DES world. Node 0 is the server,
 /// node 1 the client (matching the tracer scopes of the live run).
-fn des_run(script: &[(Dir, usize)]) -> Vec<qpip_trace::Rec> {
+fn des_run(script: &[(Dir, usize)]) -> (Vec<qpip_trace::Rec>, CqStreams) {
     let nic = NicConfig::paper_default();
     let mut w = QpipWorld::myrinet();
     let rec = Arc::new(FlightRecorder::new(65536));
@@ -78,8 +114,10 @@ fn des_run(script: &[(Dir, usize)]) -> Vec<qpip_trace::Rec> {
         w.post_recv(client, qp_c, RecvWr { wr_id: i as u64, capacity: RECV_CAP }).unwrap();
     }
     w.tcp_connect(client, qp_c, 4000, Endpoint::new(w.addr(server), PORT)).unwrap();
-    w.wait_matching(client, cq_c, |c| c.kind == CompletionKind::ConnectionEstablished);
-    w.wait_matching(server, cq_s, |c| c.kind == CompletionKind::ConnectionEstablished);
+    let mut streams = CqStreams::new();
+    let up = |c: &Completion| c.kind == CompletionKind::ConnectionEstablished;
+    des_wait(&mut w, &mut streams, client, cq_c, up);
+    des_wait(&mut w, &mut streams, server, cq_s, up);
 
     for (i, &(dir, len)) in script.iter().enumerate() {
         let (snode, sqp, scq, rnode, rcq) = match dir {
@@ -88,27 +126,31 @@ fn des_run(script: &[(Dir, usize)]) -> Vec<qpip_trace::Rec> {
         };
         w.post_send(snode, sqp, SendWr { wr_id: i as u64, payload: payload(i, len), dst: None })
             .unwrap();
-        let got = w.wait_matching(rnode, rcq, |c| matches!(c.kind, CompletionKind::Recv { .. }));
+        let recv = |c: &Completion| matches!(c.kind, CompletionKind::Recv { .. });
+        let got = des_wait(&mut w, &mut streams, rnode, rcq, recv);
         let CompletionKind::Recv { ref data, .. } = got.kind else { unreachable!() };
         assert_eq!(data, &payload(i, len), "DES message {i} corrupted");
-        w.wait_matching(snode, scq, |c| c.kind == CompletionKind::Send);
+        des_wait(&mut w, &mut streams, snode, scq, |c| c.kind == CompletionKind::Send);
     }
     w.run_until_idle();
-    rec.events()
+    (rec.events(), streams)
 }
 
 /// Polls `cq` on `target` until `pred` matches, pumping both nodes so
-/// each side's engine keeps making progress.
+/// each side's engine keeps making progress, and records the popped
+/// completion under the target's tracer scope `node`.
 fn poll_until(
-    target: &mut XportNode,
+    (target, node): (&mut XportNode, u32),
     other: &mut XportNode,
-    cq: qpip_nic::types::CqId,
-    pred: impl Fn(&qpip_nic::types::Completion) -> bool,
+    streams: &mut CqStreams,
+    cq: CqId,
+    pred: impl Fn(&Completion) -> bool,
     what: &str,
-) -> qpip_nic::types::Completion {
+) -> Completion {
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
         if let Some(c) = target.poll(cq).unwrap() {
+            record(streams, node, cq, &c);
             if pred(&c) {
                 return c;
             }
@@ -122,7 +164,7 @@ fn poll_until(
 
 /// Runs the workload over real loopback sockets. Tracer scopes match
 /// the DES run: node 0 server, node 1 client.
-fn live_run(script: &[(Dir, usize)]) -> Vec<qpip_trace::Rec> {
+fn live_run(script: &[(Dir, usize)]) -> (Vec<qpip_trace::Rec>, CqStreams) {
     const FABRIC_S: Ipv6Addr = Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, 1);
     const FABRIC_C: Ipv6Addr = Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, 2);
     let rec = Arc::new(FlightRecorder::new(65536));
@@ -151,20 +193,10 @@ fn live_run(script: &[(Dir, usize)]) -> Vec<qpip_trace::Rec> {
         client.post_recv(qp_c, RecvWr { wr_id: i as u64, capacity: RECV_CAP }).unwrap();
     }
     client.tcp_connect(qp_c, 4000, Endpoint::new(FABRIC_S, PORT)).unwrap();
-    poll_until(
-        &mut client,
-        &mut server,
-        cq_c,
-        |c| c.kind == CompletionKind::ConnectionEstablished,
-        "client established",
-    );
-    poll_until(
-        &mut server,
-        &mut client,
-        cq_s,
-        |c| c.kind == CompletionKind::ConnectionEstablished,
-        "server established",
-    );
+    let mut streams = CqStreams::new();
+    let up = |c: &Completion| c.kind == CompletionKind::ConnectionEstablished;
+    poll_until((&mut client, 1), &mut server, &mut streams, cq_c, up, "client established");
+    poll_until((&mut server, 0), &mut client, &mut streams, cq_s, up, "server established");
 
     for (i, &(dir, len)) in script.iter().enumerate() {
         let c2s = matches!(dir, ClientToServer);
@@ -175,27 +207,27 @@ fn live_run(script: &[(Dir, usize)]) -> Vec<qpip_trace::Rec> {
                 .post_send(snd_qp, SendWr { wr_id: i as u64, payload: payload(i, len), dst: None })
                 .unwrap();
         }
-        let (sender, receiver): (&mut XportNode, &mut XportNode) =
-            if c2s { (&mut client, &mut server) } else { (&mut server, &mut client) };
-        let got = poll_until(
-            receiver,
-            sender,
-            rcv_cq,
-            |c| matches!(c.kind, CompletionKind::Recv { .. }),
-            "message delivery",
-        );
+        let ((sender, snode), (receiver, rnode)) = if c2s {
+            ((&mut client, 1), (&mut server, 0))
+        } else {
+            ((&mut server, 0), (&mut client, 1))
+        };
+        let recv = |c: &Completion| matches!(c.kind, CompletionKind::Recv { .. });
+        let got =
+            poll_until((receiver, rnode), sender, &mut streams, rcv_cq, recv, "message delivery");
         let CompletionKind::Recv { ref data, .. } = got.kind else { unreachable!() };
         assert_eq!(data, &payload(i, len), "live message {i} corrupted");
-        poll_until(sender, receiver, snd_cq, |c| c.kind == CompletionKind::Send, "send completion");
+        let sent = |c: &Completion| c.kind == CompletionKind::Send;
+        poll_until((sender, snode), receiver, &mut streams, snd_cq, sent, "send completion");
     }
-    rec.events()
+    (rec.events(), streams)
 }
 
 #[test]
 fn des_and_live_transport_drive_the_engine_identically() {
     let script = workload();
-    let des = des_run(&script);
-    let live = live_run(&script);
+    let (des, _) = des_run(&script);
+    let (live, _) = live_run(&script);
 
     for node in 0..2u32 {
         let a = normalize(&des, node);
@@ -211,4 +243,18 @@ fn des_and_live_transport_drive_the_engine_identically() {
             &a[0]
         );
     }
+}
+
+#[test]
+fn des_and_live_transport_pop_identical_completion_streams() {
+    let script = workload();
+    let (_, des) = des_run(&script);
+    let (_, live) = live_run(&script);
+    // handshake + one send and one receive entry per message
+    let popped: usize = des.values().map(Vec::len).sum();
+    assert_eq!(popped, 2 + 2 * script.len(), "DES streams: {des:?}");
+    for (key, stream) in &des {
+        assert_eq!(live.get(key), Some(stream), "CQ stream {key:?} diverges");
+    }
+    assert_eq!(des.len(), live.len(), "live popped from CQs the DES never used");
 }

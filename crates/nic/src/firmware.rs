@@ -8,18 +8,18 @@
 //! PCI bus through a shared DMA pipe, and each stage execution is
 //! recorded in the [`Occupancy`] table that regenerates Tables 2 and 3.
 
-use std::collections::VecDeque;
 use std::net::Ipv6Addr;
 
 use qpip_netstack::engine::Engine;
 use qpip_netstack::hash::FxHashMap;
-use qpip_netstack::types::{ConnId, Emit, Endpoint, NetConfig, PacketKind, PacketOut, SendToken};
+use qpip_netstack::types::{ConnId, Emit, Endpoint, NetConfig, PacketKind, PacketOut};
 use qpip_sim::params;
 use qpip_sim::resource::{BandwidthPipe, SerialResource};
 use qpip_sim::time::{Clock, Cycles, SimDuration, SimTime};
 use qpip_trace::{Snapshot, TraceEvent, Tracer};
 
 use crate::occupancy::{Occupancy, PacketClass, Stage};
+use crate::qp_table::{CqEntry, Outcome, QpTable, TokenUse};
 use crate::rdma::{RdmaFrame, RdmaOpcode};
 use crate::types::{
     ChecksumMode, Completion, CompletionKind, CompletionStatus, CqId, MrKey, NicConfig, NicError,
@@ -84,48 +84,6 @@ impl NicStats {
     }
 }
 
-#[derive(Debug)]
-struct Qp {
-    service: ServiceType,
-    send_cq: CqId,
-    recv_cq: CqId,
-    conn: Option<ConnId>,
-    local_port: Option<u16>,
-    recv_queue: VecDeque<RecvWr>,
-    posted_bytes: u64,
-    /// In-order TCP messages waiting for the host to post a receive WR.
-    backlog: VecDeque<(Vec<u8>, Option<Endpoint>)>,
-    established: bool,
-}
-
-impl Qp {
-    fn new(service: ServiceType, send_cq: CqId, recv_cq: CqId) -> Qp {
-        Qp {
-            service,
-            send_cq,
-            recv_cq,
-            conn: None,
-            local_port: None,
-            recv_queue: VecDeque::new(),
-            posted_bytes: 0,
-            backlog: VecDeque::new(),
-            established: false,
-        }
-    }
-}
-
-/// What a netstack send token stands for, so ACK-driven completions
-/// dispatch to the right CQ entry kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TokenUse {
-    /// A send-receive WR: completes as [`CompletionKind::Send`].
-    Send(QpId, u64),
-    /// An RDMA Write WR: completes as [`CompletionKind::RdmaWrite`].
-    RdmaWrite(QpId, u64),
-    /// Firmware-internal traffic (read requests/responses): no CQ entry.
-    Internal,
-}
-
 /// How much preamble work precedes a packet transmission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TxOrigin {
@@ -152,16 +110,8 @@ pub struct QpipNic {
     /// Receive-side data placement (device writes to host memory).
     dma_write: BandwidthPipe,
     engine: Engine,
-    qps: FxHashMap<QpId, Qp>,
-    cq_count: u32,
-    qp_count: u32,
-    conn_to_qp: FxHashMap<ConnId, QpId>,
-    udp_port_to_qp: FxHashMap<u16, QpId>,
-    /// Idle QPs awaiting an incoming connection, per listening port (§3:
-    /// an incoming connection "mates … to an idle QP").
-    accept_pool: FxHashMap<u16, VecDeque<QpId>>,
-    next_token: u64,
-    tokens: FxHashMap<u64, TokenUse>,
+    /// QPs, CQ ids, accept pools and send tokens (the QP semantics).
+    qps: QpTable,
     /// Registered memory regions addressable by peers (rkey → bytes).
     mrs: FxHashMap<u32, Vec<u8>>,
     next_rkey: u32,
@@ -193,6 +143,7 @@ impl QpipNic {
         net.ecn = cfg.ecn;
         let mul_cycles =
             if cfg.hw_multiply { params::NIC_HW_MUL_CYCLES } else { params::NIC_SOFT_MUL_CYCLES };
+        let qps = QpTable::new(cfg.mtu);
         QpipNic {
             cfg,
             clock: params::nic_clock(),
@@ -200,14 +151,7 @@ impl QpipNic {
             dma_read: BandwidthPipe::new("pci-dma-rd", params::PCI_DMA_READ_BYTES_PER_SEC),
             dma_write: BandwidthPipe::new("pci-dma-wr", params::PCI_DMA_WRITE_BYTES_PER_SEC),
             engine: Engine::new(net, addr),
-            qps: FxHashMap::default(),
-            cq_count: 0,
-            qp_count: 0,
-            conn_to_qp: FxHashMap::default(),
-            udp_port_to_qp: FxHashMap::default(),
-            accept_pool: FxHashMap::default(),
-            next_token: 1,
-            tokens: FxHashMap::default(),
+            qps,
             mrs: FxHashMap::default(),
             next_rkey: 1,
             pending_reads: FxHashMap::default(),
@@ -241,7 +185,13 @@ impl QpipNic {
 
     /// Counters.
     pub fn stats(&self) -> NicStats {
-        self.stats
+        let c = self.qps.counters();
+        NicStats {
+            udp_no_wr_drops: c.udp_no_wr_drops,
+            tcp_backlogged: c.tcp_backlogged,
+            length_errors: c.length_errors,
+            ..self.stats
+        }
     }
 
     /// The per-stage occupancy table (Tables 2 & 3).
@@ -302,46 +252,19 @@ impl QpipNic {
     /// engine connections — for deadlock diagnostics ([`crate::QpipNic`]
     /// has no view of host-side CQ contents; the caller appends those).
     pub fn pending_summary(&self) -> String {
-        use core::fmt::Write as _;
-        let mut s = String::new();
-        let mut qps: Vec<_> = self.qps.iter().collect();
-        qps.sort_by_key(|(id, _)| id.0);
-        for (id, qp) in qps {
-            let conn = match qp.conn {
-                Some(c) => format!("{c}"),
-                None => "-".into(),
-            };
-            let _ = writeln!(
-                s,
-                "    {id}: {:?} conn={conn} established={} recv_wrs={} posted_bytes={} \
-                 backlog={} port={:?}",
-                qp.service,
-                qp.established,
-                qp.recv_queue.len(),
-                qp.posted_bytes,
-                qp.backlog.len(),
-                qp.local_port,
-            );
-        }
-        if s.is_empty() {
-            s.push_str("    (no QPs)\n");
-        }
-        let _ = writeln!(
-            s,
-            "    send tokens outstanding: {}, engine connections: {}, retransmissions: {}",
-            self.tokens.len(),
+        format!(
+            "{}, engine connections: {}, retransmissions: {}\n",
+            self.qps.summary(),
             self.engine.conn_count(),
             self.engine.retransmissions(),
-        );
-        s
+        )
     }
 
     // ----- management FSM ------------------------------------------------
 
     /// Creates a completion queue.
     pub fn create_cq(&mut self) -> CqId {
-        self.cq_count += 1;
-        CqId(self.cq_count)
+        self.qps.create_cq()
     }
 
     /// Creates a queue pair bound to send/receive CQs.
@@ -355,32 +278,16 @@ impl QpipNic {
         send_cq: CqId,
         recv_cq: CqId,
     ) -> Result<QpId, NicError> {
-        for cq in [send_cq, recv_cq] {
-            if cq.0 == 0 || cq.0 > self.cq_count {
-                return Err(NicError::UnknownCq(cq));
-            }
-        }
-        self.qp_count += 1;
-        let id = QpId(self.qp_count);
-        self.qps.insert(id, Qp::new(service, send_cq, recv_cq));
-        Ok(id)
+        self.qps.create_qp(service, send_cq, recv_cq)
     }
 
     /// Binds a UDP QP to a local port.
     ///
     /// # Errors
     ///
-    /// [`NicError::UnknownQp`], [`NicError::InvalidState`] for TCP QPs,
-    /// or an engine error if the port is taken.
+    /// As for [`QpTable::udp_bind`].
     pub fn udp_bind(&mut self, qp: QpId, port: u16) -> Result<(), NicError> {
-        let q = self.qps.get_mut(&qp).ok_or(NicError::UnknownQp(qp))?;
-        if q.service != ServiceType::UnreliableUdp {
-            return Err(NicError::InvalidState("udp_bind on a TCP QP"));
-        }
-        self.engine.udp_bind(port)?;
-        q.local_port = Some(port);
-        self.udp_port_to_qp.insert(port, qp);
-        Ok(())
+        self.qps.udp_bind(&mut self.engine, qp, port)
     }
 
     /// Starts monitoring a TCP port and queues `qp` to be mated to the
@@ -388,28 +295,17 @@ impl QpipNic {
     ///
     /// # Errors
     ///
-    /// [`NicError::UnknownQp`] / [`NicError::InvalidState`] as above.
+    /// As for [`QpTable::tcp_listen`].
     pub fn tcp_listen(&mut self, port: u16, qp: QpId) -> Result<(), NicError> {
-        let q = self.qps.get(&qp).ok_or(NicError::UnknownQp(qp))?;
-        if q.service != ServiceType::ReliableTcp {
-            return Err(NicError::InvalidState("tcp_listen on a UDP QP"));
-        }
-        match self.engine.tcp_listen(port) {
-            Ok(()) => {}
-            Err(qpip_netstack::engine::EngineError::PortInUse(_)) => {
-                // more QPs joining an existing accept pool
-            }
-            Err(e) => return Err(NicError::Engine(e)),
-        }
-        self.accept_pool.entry(port).or_default().push_back(qp);
-        Ok(())
+        self.qps.tcp_listen(&mut self.engine, qp, port)
     }
 
     /// Initiates a connection from `qp` (client side of the rendezvous).
     ///
     /// # Errors
     ///
-    /// [`NicError::UnknownQp`] / [`NicError::InvalidState`].
+    /// [`NicError::UnknownQp`] / [`NicError::InvalidState`] unless `qp`
+    /// is an idle TCP QP.
     pub fn tcp_connect(
         &mut self,
         now: SimTime,
@@ -417,11 +313,7 @@ impl QpipNic {
         local_port: u16,
         remote: Endpoint,
     ) -> Result<Vec<NicOutput>, NicError> {
-        let q = self.qps.get(&qp).ok_or(NicError::UnknownQp(qp))?;
-        if q.service != ServiceType::ReliableTcp || q.conn.is_some() {
-            return Err(NicError::InvalidState("connect on a bound or UDP QP"));
-        }
-        let posted = q.posted_bytes;
+        self.qps.check_connect(qp)?;
         let t = self.charge(
             now,
             Stage::DoorbellProcess,
@@ -429,10 +321,9 @@ impl QpipNic {
             Cycles(params::NIC_STAGE_DOORBELL_CYCLES),
         );
         let (conn, emits) = self.engine.tcp_connect(t, local_port, remote);
-        self.qps.get_mut(&qp).expect("checked").conn = Some(conn);
-        self.conn_to_qp.insert(conn, qp);
+        let window = self.qps.attach(qp, conn);
         // QPIP window semantics: advertise exactly the posted space
-        let upd = self.engine.set_recv_space(t, conn, posted).unwrap_or_default();
+        let upd = self.engine.set_recv_space(t, conn, window).unwrap_or_default();
         let mut outputs = Vec::new();
         self.process_emits(t, emits, &mut outputs);
         self.process_emits(t, upd, &mut outputs);
@@ -456,73 +347,33 @@ impl QpipNic {
         qp: QpId,
         wr: SendWr,
     ) -> Result<Vec<NicOutput>, NicError> {
-        let q = self.qps.get(&qp).ok_or(NicError::UnknownQp(qp))?;
-        let (service, local_port, conn, send_cq) = (q.service, q.local_port, q.conn, q.send_cq);
-        let class = match service {
-            ServiceType::ReliableTcp => PacketClass::DataSend,
-            ServiceType::UnreliableUdp => PacketClass::UdpSend,
-        };
-        // Doorbell FSM + scheduler + WR fetch (Table 2 rows 1–3)
-        let t = self.charge(
-            now,
-            Stage::DoorbellProcess,
-            class,
-            Cycles(params::NIC_STAGE_DOORBELL_CYCLES),
-        );
-        let t = self.charge(t, Stage::Schedule, class, Cycles(params::NIC_STAGE_SCHEDULE_CYCLES));
-        let t = self.charge(t, Stage::GetWr, class, Cycles(params::NIC_STAGE_GET_WR_CYCLES));
-
-        let mut outputs = Vec::new();
-        match service {
-            ServiceType::UnreliableUdp => {
-                let Some(port) = local_port else {
-                    return Err(NicError::InvalidState("send on unbound UDP QP"));
-                };
-                let Some(dst) = wr.dst else {
-                    return Err(NicError::InvalidState("UDP send WR without destination"));
-                };
-                let emit = self.engine.udp_send(port, dst, &wr.payload)?;
-                let _ = self.engine.take_ops();
-                let Emit::Packet(pkt) = emit else { unreachable!("udp_send emits a packet") };
-                let done = self.emit_one(t, pkt, TxOrigin::PostedWr, &mut outputs);
-                // UDP send WRs complete as soon as the message is sent (§3)
-                outputs.push(NicOutput::Complete(
-                    send_cq,
-                    Completion {
-                        qp,
-                        wr_id: wr.wr_id,
-                        kind: CompletionKind::Send,
-                        status: CompletionStatus::Success,
-                        visible_at: done,
-                    },
-                ));
-            }
-            ServiceType::ReliableTcp => {
-                let Some(conn) = conn else {
-                    return Err(NicError::InvalidState("send on unconnected TCP QP"));
-                };
-                let token = self.next_token;
-                self.next_token += 1;
-                self.tokens.insert(token, TokenUse::Send(qp, wr.wr_id));
-                let payload = if self.cfg.rdma_framing {
-                    let mut msg = RdmaFrame::send(wr.payload.len() as u32).encode();
-                    msg.extend_from_slice(&wr.payload);
-                    msg
-                } else {
-                    wr.payload
-                };
-                let emits = match self.engine.tcp_send(t, conn, payload, SendToken(token)) {
-                    Ok(e) => e,
-                    Err(e) => {
-                        self.tokens.remove(&token);
-                        return Err(e.into());
-                    }
-                };
-                let ops = self.engine.take_ops();
-                let t = self.charge_muls(t, ops.muls, PacketClass::DataSend);
-                self.process_emits_from(t, emits, TxOrigin::PostedWr, &mut outputs);
-            }
+        let service = self.qps.service(qp)?;
+        if service == ServiceType::ReliableTcp {
+            let t = self.tx_wr_preamble(now, PacketClass::DataSend);
+            let conn = self.qps.conn(qp)?;
+            let payload = if self.cfg.rdma_framing {
+                let mut msg = RdmaFrame::send(wr.payload.len() as u32).encode();
+                msg.extend_from_slice(&wr.payload);
+                msg
+            } else {
+                wr.payload
+            };
+            return self.send_posted(t, conn, payload, TokenUse::Send(qp, wr.wr_id));
         }
+        let t = self.tx_wr_preamble(now, PacketClass::UdpSend);
+        let port = self.qps.udp_port(qp)?;
+        let Some(dst) = wr.dst else {
+            return Err(NicError::InvalidState("UDP send WR without destination"));
+        };
+        let emit = self.engine.udp_send(port, dst, &wr.payload)?;
+        let _ = self.engine.take_ops();
+        let Emit::Packet(pkt) = emit else { unreachable!("udp_send emits a packet") };
+        let mut outputs = Vec::new();
+        let done = self.emit_one(t, pkt, TxOrigin::PostedWr, &mut outputs);
+        // UDP send WRs complete as soon as the message is sent (§3)
+        let entry =
+            self.qps.send_entry(qp, wr.wr_id, CompletionKind::Send, CompletionStatus::Success);
+        outputs.push(complete(entry, done));
         Ok(outputs)
     }
 
@@ -541,12 +392,7 @@ impl QpipNic {
         qp: QpId,
         wr: RecvWr,
     ) -> Result<Vec<NicOutput>, NicError> {
-        let q = self.qps.get_mut(&qp).ok_or(NicError::UnknownQp(qp))?;
-        let was_small = q.posted_bytes < self.cfg.mtu as u64;
-        q.recv_queue.push_back(wr);
-        q.posted_bytes += wr.capacity as u64;
-        let conn = q.conn;
-        let established = q.established;
+        let posted = self.qps.post_recv(qp, wr)?;
         let t = self.charge(
             now,
             Stage::DoorbellProcess,
@@ -556,19 +402,20 @@ impl QpipNic {
 
         let mut outputs = Vec::new();
         // drain any backlog now that a buffer exists
-        self.drain_backlog(t, qp, &mut outputs);
-        if let Some(conn) = conn {
+        let mut drained = t;
+        while let Some(entry) = self.qps.pop_backlog(qp) {
+            drained = self.place(drained, entry, &mut outputs);
+        }
+        if let Some(conn) = posted.conn {
             // read the posted space AFTER the drain: a backlogged message
             // may have consumed the WR just posted, and the advertised
             // window must equal the space actually available (§5.1)
-            let posted = self.qps[&qp].posted_bytes;
-            let emits = self.engine.set_recv_space(t, conn, posted).unwrap_or_default();
+            let emits =
+                self.engine.set_recv_space(t, conn, self.qps.window(qp)).unwrap_or_default();
             let _ = self.engine.take_ops();
-            if was_small && established {
+            if posted.announce {
                 self.process_emits(t, emits, &mut outputs);
             }
-            // otherwise: the window rides on normal ACKs; suppress the
-            // extra update packet
         }
         Ok(outputs)
     }
@@ -622,10 +469,7 @@ impl QpipNic {
         wr: RdmaWriteWr,
     ) -> Result<Vec<NicOutput>, NicError> {
         let conn = self.rdma_conn(qp)?;
-        let t = self.tx_wr_preamble(now);
-        let token = self.next_token;
-        self.next_token += 1;
-        self.tokens.insert(token, TokenUse::RdmaWrite(qp, wr.wr_id));
+        let t = self.tx_wr_preamble(now, PacketClass::DataSend);
         let mut msg = RdmaFrame {
             opcode: RdmaOpcode::Write,
             rkey: wr.rkey.0,
@@ -635,18 +479,7 @@ impl QpipNic {
         }
         .encode();
         msg.extend_from_slice(&wr.data);
-        let emits = match self.engine.tcp_send(t, conn, msg, SendToken(token)) {
-            Ok(e) => e,
-            Err(e) => {
-                self.tokens.remove(&token);
-                return Err(e.into());
-            }
-        };
-        let ops = self.engine.take_ops();
-        let t = self.charge_muls(t, ops.muls, PacketClass::DataSend);
-        let mut outputs = Vec::new();
-        self.process_emits_from(t, emits, TxOrigin::PostedWr, &mut outputs);
-        Ok(outputs)
+        self.send_posted(t, conn, msg, TokenUse::RdmaWrite(qp, wr.wr_id))
     }
 
     /// Posts an RDMA Read: asks the peer's NIC for `len` bytes of its
@@ -663,13 +496,10 @@ impl QpipNic {
         wr: RdmaReadWr,
     ) -> Result<Vec<NicOutput>, NicError> {
         let conn = self.rdma_conn(qp)?;
-        let t = self.tx_wr_preamble(now);
+        let t = self.tx_wr_preamble(now, PacketClass::DataSend);
         let ctx = self.next_read_ctx;
         self.next_read_ctx += 1;
         self.pending_reads.insert(ctx, (qp, wr.wr_id));
-        let token = self.next_token;
-        self.next_token += 1;
-        self.tokens.insert(token, TokenUse::Internal);
         let msg = RdmaFrame {
             opcode: RdmaOpcode::ReadRequest,
             rkey: wr.rkey.0,
@@ -678,14 +508,47 @@ impl QpipNic {
             context: ctx,
         }
         .encode();
-        let emits = match self.engine.tcp_send(t, conn, msg, SendToken(token)) {
-            Ok(e) => e,
-            Err(e) => {
-                self.tokens.remove(&token);
-                self.pending_reads.remove(&ctx);
-                return Err(e.into());
-            }
-        };
+        let sent = self.send_posted(t, conn, msg, TokenUse::Internal);
+        if sent.is_err() {
+            self.pending_reads.remove(&ctx);
+        }
+        sent
+    }
+
+    fn rdma_conn(&self, qp: QpId) -> Result<ConnId, NicError> {
+        if !self.cfg.rdma_framing {
+            return Err(NicError::InvalidState("RDMA verbs need rdma_framing"));
+        }
+        self.qps.conn(qp)
+    }
+
+    /// Doorbell + schedule + WR fetch for a host-posted work request
+    /// (Table 2 rows 1–3).
+    fn tx_wr_preamble(&mut self, now: SimTime, class: PacketClass) -> SimTime {
+        let t = self.charge(
+            now,
+            Stage::DoorbellProcess,
+            class,
+            Cycles(params::NIC_STAGE_DOORBELL_CYCLES),
+        );
+        let t = self.charge(t, Stage::Schedule, class, Cycles(params::NIC_STAGE_SCHEDULE_CYCLES));
+        self.charge(t, Stage::GetWr, class, Cycles(params::NIC_STAGE_GET_WR_CYCLES))
+    }
+
+    /// Hands one host-posted message to the engine under a fresh send
+    /// token and transmits what it emits.
+    fn send_posted(
+        &mut self,
+        t: SimTime,
+        conn: ConnId,
+        msg: Vec<u8>,
+        use_: TokenUse,
+    ) -> Result<Vec<NicOutput>, NicError> {
+        let token = self.qps.issue_token(use_);
+        let emits = self
+            .engine
+            .tcp_send(t, conn, msg, token)
+            .inspect_err(|_| self.qps.cancel_token(token))?;
         let ops = self.engine.take_ops();
         let t = self.charge_muls(t, ops.muls, PacketClass::DataSend);
         let mut outputs = Vec::new();
@@ -693,68 +556,25 @@ impl QpipNic {
         Ok(outputs)
     }
 
-    fn rdma_conn(&self, qp: QpId) -> Result<ConnId, NicError> {
-        if !self.cfg.rdma_framing {
-            return Err(NicError::InvalidState("RDMA verbs need rdma_framing"));
-        }
-        let q = self.qps.get(&qp).ok_or(NicError::UnknownQp(qp))?;
-        if q.service != ServiceType::ReliableTcp {
-            return Err(NicError::InvalidState("RDMA on a UDP QP"));
-        }
-        q.conn.ok_or(NicError::InvalidState("RDMA on an unconnected QP"))
-    }
-
-    /// Doorbell + schedule + WR fetch for a host-posted work request.
-    fn tx_wr_preamble(&mut self, now: SimTime) -> SimTime {
-        let t = self.charge(
-            now,
-            Stage::DoorbellProcess,
-            PacketClass::DataSend,
-            Cycles(params::NIC_STAGE_DOORBELL_CYCLES),
-        );
-        let t = self.charge(
-            t,
-            Stage::Schedule,
-            PacketClass::DataSend,
-            Cycles(params::NIC_STAGE_SCHEDULE_CYCLES),
-        );
-        self.charge(t, Stage::GetWr, PacketClass::DataSend, Cycles(params::NIC_STAGE_GET_WR_CYCLES))
-    }
-
     /// Dispatches one framed message (RDMA-enabled QPs).
     fn deliver_framed(
         &mut self,
         t: SimTime,
         conn: ConnId,
-        qp: QpId,
         data: Vec<u8>,
         outputs: &mut Vec<NicOutput>,
     ) -> SimTime {
+        if self.qps.qp_of(conn).is_none() {
+            return t;
+        }
         let parsed = RdmaFrame::parse(&data);
         let Ok((frame, payload)) = parsed else {
             return self.rdma_protection_error(t, conn, outputs);
         };
         match frame.opcode {
             RdmaOpcode::Send => {
-                let q = self.qps.get_mut(&qp).expect("mapped conn has a QP");
-                if let Some(wr) = q.recv_queue.pop_front() {
-                    q.posted_bytes = q.posted_bytes.saturating_sub(wr.capacity as u64);
-                    let recv_cq = q.recv_cq;
-                    self.place_message(
-                        t,
-                        qp,
-                        recv_cq,
-                        wr,
-                        payload.to_vec(),
-                        None,
-                        PacketClass::DataRecv,
-                        outputs,
-                    )
-                } else {
-                    q.backlog.push_back((payload.to_vec(), None));
-                    self.stats.tcp_backlogged += 1;
-                    t
-                }
+                let outcome = self.qps.handle(Emit::TcpDelivered { conn, data: payload.to_vec() });
+                self.apply(t, outcome, outputs)
             }
             RdmaOpcode::Write => {
                 let ok = self
@@ -808,9 +628,7 @@ impl QpipNic {
                 );
                 let _dma = self.dma_read.transfer(t, data.len() as u64)
                     + SimDuration::from_nanos(params::PCI_DMA_SETUP_NS);
-                let token = self.next_token;
-                self.next_token += 1;
-                self.tokens.insert(token, TokenUse::Internal);
+                let token = self.qps.issue_token(TokenUse::Internal);
                 let mut msg = RdmaFrame {
                     opcode: RdmaOpcode::ReadResponse,
                     rkey: frame.rkey,
@@ -820,7 +638,7 @@ impl QpipNic {
                 }
                 .encode();
                 msg.extend_from_slice(&data);
-                match self.engine.tcp_send(t, conn, msg, SendToken(token)) {
+                match self.engine.tcp_send(t, conn, msg, token) {
                     Ok(emits) => {
                         let _ = self.engine.take_ops();
                         self.process_emits_from(t, emits, TxOrigin::Deferred, outputs);
@@ -835,7 +653,7 @@ impl QpipNic {
                 let valid = self
                     .pending_reads
                     .get(&frame.context)
-                    .is_some_and(|(owner, _)| self.conn_to_qp.get(&conn) == Some(owner));
+                    .is_some_and(|&(owner, _)| self.qps.qp_of(conn) == Some(owner));
                 if !valid {
                     return t; // stale, duplicate, or cross-connection response
                 }
@@ -857,74 +675,11 @@ impl QpipNic {
                     PacketClass::DataRecv,
                     Cycles(params::NIC_STAGE_UPDATE_RX_CYCLES),
                 );
-                let send_cq = self.qps[&qp].send_cq;
-                outputs.push(NicOutput::Complete(
-                    send_cq,
-                    Completion {
-                        qp,
-                        wr_id,
-                        kind: CompletionKind::RdmaRead { data: payload.to_vec() },
-                        status: CompletionStatus::Success,
-                        visible_at: t.max(dma),
-                    },
-                ));
+                let kind = CompletionKind::RdmaRead { data: payload.to_vec() };
+                let entry = self.qps.send_entry(qp, wr_id, kind, CompletionStatus::Success);
+                outputs.push(complete(entry, t.max(dma)));
                 t
             }
-        }
-    }
-
-    /// Flushes a dead QP's outstanding work: every in-flight send/RDMA
-    /// WR completes with [`CompletionStatus::ConnectionError`] (the
-    /// Infiniband queue-flush semantic) and pending reads are failed.
-    fn flush_qp(&mut self, t: SimTime, qp: QpId, outputs: &mut Vec<NicOutput>) {
-        let Some(q) = self.qps.get(&qp) else { return };
-        let send_cq = q.send_cq;
-        let stale: Vec<u64> = self
-            .tokens
-            .iter()
-            .filter_map(|(&tok, use_)| match use_ {
-                TokenUse::Send(owner, _) | TokenUse::RdmaWrite(owner, _) if *owner == qp => {
-                    Some(tok)
-                }
-                _ => None,
-            })
-            .collect();
-        for tok in stale {
-            let Some(use_) = self.tokens.remove(&tok) else { continue };
-            let (wr_id, kind) = match use_ {
-                TokenUse::Send(_, wr_id) => (wr_id, CompletionKind::Send),
-                TokenUse::RdmaWrite(_, wr_id) => (wr_id, CompletionKind::RdmaWrite),
-                TokenUse::Internal => continue,
-            };
-            outputs.push(NicOutput::Complete(
-                send_cq,
-                Completion {
-                    qp,
-                    wr_id,
-                    kind,
-                    status: CompletionStatus::ConnectionError,
-                    visible_at: t,
-                },
-            ));
-        }
-        let stale_reads: Vec<u64> = self
-            .pending_reads
-            .iter()
-            .filter(|(_, (owner, _))| *owner == qp)
-            .map(|(&ctx, _)| ctx)
-            .collect();
-        for ctx in stale_reads {
-            let Some((_, wr_id)) = self.pending_reads.remove(&ctx) else { continue };
-            outputs.push(NicOutput::Complete(
-                send_cq,
-                Completion {
-                    qp,
-                    wr_id,
-                    kind: CompletionKind::RdmaRead { data: Vec::new() },
-                    status: CompletionStatus::ConnectionError,
-                    visible_at: t,
-                },
-            ));
         }
     }
 
@@ -937,32 +692,20 @@ impl QpipNic {
         outputs: &mut Vec<NicOutput>,
     ) -> SimTime {
         self.stats.rdma_protection_errors += 1;
-        if let Some(qp) = self.conn_to_qp.remove(&conn) {
-            if let Some(q) = self.qps.get_mut(&qp) {
-                q.conn = None;
-                q.established = false;
-                outputs.push(NicOutput::Complete(
-                    q.recv_cq,
-                    Completion {
-                        qp,
-                        wr_id: 0,
-                        kind: CompletionKind::PeerDisconnected,
-                        status: CompletionStatus::ConnectionError,
-                        visible_at: t,
-                    },
-                ));
-            }
-            self.flush_qp(t, qp, outputs);
-        }
-        let mut t2 = t;
-        if let Ok(emits) = self.engine.tcp_abort(t, conn) {
-            for e in emits {
-                if let Emit::Packet(p) = e {
-                    t2 = self.emit_one(t2, p, TxOrigin::Internal, outputs);
-                }
+        let down = self.qps.handle(Emit::TcpReset { conn });
+        let t = self.apply(t, down, outputs);
+        self.abort(t, conn, outputs)
+    }
+
+    /// Aborts `conn`, transmitting its RST as internal traffic.
+    fn abort(&mut self, t: SimTime, conn: ConnId, outputs: &mut Vec<NicOutput>) -> SimTime {
+        let mut t = t;
+        for e in self.engine.tcp_abort(t, conn).unwrap_or_default() {
+            if let Emit::Packet(p) = e {
+                t = self.emit_one(t, p, TxOrigin::Internal, outputs);
             }
         }
-        t2
+        t
     }
 
     // ----- receive FSM ------------------------------------------------------
@@ -1108,72 +851,74 @@ impl QpipNic {
     ) {
         let mut t = t;
         for emit in emits {
-            match emit {
+            t = match emit {
                 Emit::Packet(pkt) => {
                     let origin = match pkt.kind {
                         PacketKind::TcpData | PacketKind::Udp => data_origin,
                         _ => TxOrigin::Internal,
                     };
-                    t = self.emit_one(t, pkt, origin, outputs);
+                    self.emit_one(t, pkt, origin, outputs)
                 }
-                Emit::UdpDelivered { port, src, payload } => {
-                    t = self.deliver_udp(t, port, src, payload, outputs);
+                Emit::TcpDelivered { conn, data } if self.cfg.rdma_framing => {
+                    self.deliver_framed(t, conn, data, outputs)
                 }
-                Emit::TcpDelivered { conn, data } => {
-                    t = self.deliver_tcp(t, conn, data, outputs);
+                emit => {
+                    let outcome = self.qps.handle(emit);
+                    self.apply(t, outcome, outputs)
                 }
-                Emit::TcpSendComplete { token, .. } => {
-                    t = self.complete_send(t, token.0, outputs);
+            };
+        }
+    }
+
+    /// Does the firmware's work for one QP-table outcome: placement
+    /// DMA, the ACK-receive update, window announcements, refusals and
+    /// queue flushes. Returns when the processor is free again.
+    fn apply(&mut self, t: SimTime, outcome: Outcome, outputs: &mut Vec<NicOutput>) -> SimTime {
+        match outcome {
+            Outcome::Nothing | Outcome::Backlogged | Outcome::Dropped => t,
+            Outcome::Placed(entry) => self.place(t, entry, outputs),
+            Outcome::Retired(entry) => {
+                // Table 3, ACK-receive Update row: retire the WR, write
+                // the CQ entry and roll the QP/TCB state forward (9 µs).
+                let t = self.charge(
+                    t,
+                    Stage::UpdateRx,
+                    PacketClass::AckRecv,
+                    Cycles(params::NIC_STAGE_UPDATE_ACK_CYCLES),
+                );
+                outputs.push(complete(entry, t));
+                t
+            }
+            Outcome::Up { entry, conn, window } => {
+                outputs.push(complete(entry, t));
+                // announce the real (posted-WR) window now that we are
+                // connected
+                let emits = self.engine.set_recv_space(t, conn, window).unwrap_or_default();
+                let _ = self.engine.take_ops();
+                self.process_emits(t, emits, outputs);
+                t
+            }
+            Outcome::Refuse(conn) => self.abort(t, conn, outputs),
+            Outcome::PeerClosed(entry) => {
+                outputs.push(complete(entry, t));
+                t
+            }
+            Outcome::Down { qp, notice, flushed } => {
+                outputs.extend(notice.into_iter().chain(flushed).map(|e| complete(e, t)));
+                // pending reads of the dead QP fail too
+                let stale_reads: Vec<u64> = self
+                    .pending_reads
+                    .iter()
+                    .filter(|(_, (owner, _))| *owner == qp)
+                    .map(|(&ctx, _)| ctx)
+                    .collect();
+                for ctx in stale_reads {
+                    let Some((_, wr_id)) = self.pending_reads.remove(&ctx) else { continue };
+                    let kind = CompletionKind::RdmaRead { data: Vec::new() };
+                    let status = CompletionStatus::ConnectionError;
+                    outputs.push(complete(self.qps.send_entry(qp, wr_id, kind, status), t));
                 }
-                Emit::TcpConnected { conn } => {
-                    t = self.connection_up(t, conn, outputs);
-                }
-                Emit::TcpAccepted { listener_port, conn, .. } => {
-                    t = self.mate_connection(t, listener_port, conn, outputs);
-                }
-                Emit::TcpPeerClosed { conn } => {
-                    if let Some(&qp) = self.conn_to_qp.get(&conn) {
-                        let q = &self.qps[&qp];
-                        outputs.push(NicOutput::Complete(
-                            q.recv_cq,
-                            Completion {
-                                qp,
-                                wr_id: 0,
-                                kind: CompletionKind::PeerDisconnected,
-                                status: CompletionStatus::Success,
-                                visible_at: t,
-                            },
-                        ));
-                    }
-                }
-                Emit::TcpClosed { conn } => {
-                    if let Some(qp) = self.conn_to_qp.remove(&conn) {
-                        if let Some(q) = self.qps.get_mut(&qp) {
-                            q.conn = None;
-                            q.established = false;
-                        }
-                        self.flush_qp(t, qp, outputs);
-                    }
-                }
-                Emit::TcpReset { conn } => {
-                    if let Some(qp) = self.conn_to_qp.remove(&conn) {
-                        if let Some(q) = self.qps.get_mut(&qp) {
-                            q.conn = None;
-                            q.established = false;
-                            outputs.push(NicOutput::Complete(
-                                q.recv_cq,
-                                Completion {
-                                    qp,
-                                    wr_id: 0,
-                                    kind: CompletionKind::PeerDisconnected,
-                                    status: CompletionStatus::ConnectionError,
-                                    visible_at: t,
-                                },
-                            ));
-                        }
-                        self.flush_qp(t, qp, outputs);
-                    }
-                }
+                t
             }
         }
     }
@@ -1313,183 +1058,29 @@ impl QpipNic {
         self.charge(proc_done, Stage::UpdateTx, class, Cycles(params::NIC_STAGE_UPDATE_TX_CYCLES))
     }
 
-    fn deliver_udp(
-        &mut self,
-        t: SimTime,
-        port: u16,
-        src: Endpoint,
-        payload: Vec<u8>,
-        outputs: &mut Vec<NicOutput>,
-    ) -> SimTime {
-        let Some(&qp) = self.udp_port_to_qp.get(&port) else {
-            self.stats.udp_no_wr_drops += 1;
-            return t;
-        };
-        let q = self.qps.get_mut(&qp).expect("bound port has a QP");
-        let Some(wr) = q.recv_queue.pop_front() else {
-            // no WR posted: the datagram is dropped (unreliable service)
-            self.stats.udp_no_wr_drops += 1;
-            return t;
-        };
-        q.posted_bytes = q.posted_bytes.saturating_sub(wr.capacity as u64);
-        let recv_cq = q.recv_cq;
-        self.place_message(t, qp, recv_cq, wr, payload, Some(src), PacketClass::UdpRecv, outputs)
-    }
-
-    fn deliver_tcp(
-        &mut self,
-        t: SimTime,
-        conn: ConnId,
-        data: Vec<u8>,
-        outputs: &mut Vec<NicOutput>,
-    ) -> SimTime {
-        let Some(&qp) = self.conn_to_qp.get(&conn) else {
-            return t;
-        };
-        if self.cfg.rdma_framing {
-            return self.deliver_framed(t, conn, qp, data, outputs);
-        }
-        let q = self.qps.get_mut(&qp).expect("mapped conn has a QP");
-        if let Some(wr) = q.recv_queue.pop_front() {
-            q.posted_bytes = q.posted_bytes.saturating_sub(wr.capacity as u64);
-            let recv_cq = q.recv_cq;
-            self.place_message(t, qp, recv_cq, wr, data, None, PacketClass::DataRecv, outputs)
-        } else {
-            // reliable service: park in SRAM until the host posts a WR
-            q.backlog.push_back((data, None));
-            self.stats.tcp_backlogged += 1;
-            t
-        }
-    }
-
     /// GetWr + PutData(+DMA) + UpdateRx for one in-order message
     /// (Table 3's data-receive column).
-    #[allow(clippy::too_many_arguments)]
-    fn place_message(
-        &mut self,
-        t: SimTime,
-        qp: QpId,
-        recv_cq: CqId,
-        wr: RecvWr,
-        data: Vec<u8>,
-        src: Option<Endpoint>,
-        class: PacketClass,
-        outputs: &mut Vec<NicOutput>,
-    ) -> SimTime {
+    fn place(&mut self, t: SimTime, entry: CqEntry, outputs: &mut Vec<NicOutput>) -> SimTime {
+        let CompletionKind::Recv { data, src } = &entry.kind else {
+            unreachable!("placements are receive entries")
+        };
+        // only datagrams carry their sender
+        let class = if src.is_some() { PacketClass::UdpRecv } else { PacketClass::DataRecv };
+        let len = data.len() as u64;
         let t = self.charge(t, Stage::GetWr, class, Cycles(params::NIC_STAGE_GET_WR_CYCLES));
-        let status = if data.len() > wr.capacity {
-            self.stats.length_errors += 1;
-            CompletionStatus::LocalLengthError { len: data.len(), capacity: wr.capacity }
-        } else {
-            CompletionStatus::Success
-        };
         let t = self.charge(t, Stage::PutData, class, Cycles(params::NIC_STAGE_PUT_DATA_CYCLES));
-        let dma_done = self.dma_write.transfer(t, data.len() as u64)
-            + SimDuration::from_nanos(params::PCI_DMA_SETUP_NS);
+        let dma_done =
+            self.dma_write.transfer(t, len) + SimDuration::from_nanos(params::PCI_DMA_SETUP_NS);
         let t = self.charge(t, Stage::UpdateRx, class, Cycles(params::NIC_STAGE_UPDATE_RX_CYCLES));
-        let visible_at = t.max(dma_done);
-        outputs.push(NicOutput::Complete(
-            recv_cq,
-            Completion {
-                qp,
-                wr_id: wr.wr_id,
-                kind: CompletionKind::Recv { data, src },
-                status,
-                visible_at,
-            },
-        ));
+        outputs.push(complete(entry, t.max(dma_done)));
         t
     }
+}
 
-    fn complete_send(&mut self, t: SimTime, token: u64, outputs: &mut Vec<NicOutput>) -> SimTime {
-        let Some(use_) = self.tokens.remove(&token) else {
-            return t;
-        };
-        let (qp, wr_id, kind) = match use_ {
-            TokenUse::Send(qp, wr_id) => (qp, wr_id, CompletionKind::Send),
-            TokenUse::RdmaWrite(qp, wr_id) => (qp, wr_id, CompletionKind::RdmaWrite),
-            // internal traffic (read machinery) completes silently
-            TokenUse::Internal => return t,
-        };
-        // Table 3, ACK-receive Update row: retire the WR, write the CQ
-        // entry and roll the QP/TCB state forward (9 µs).
-        let t = self.charge(
-            t,
-            Stage::UpdateRx,
-            PacketClass::AckRecv,
-            Cycles(params::NIC_STAGE_UPDATE_ACK_CYCLES),
-        );
-        let send_cq = self.qps[&qp].send_cq;
-        outputs.push(NicOutput::Complete(
-            send_cq,
-            Completion { qp, wr_id, kind, status: CompletionStatus::Success, visible_at: t },
-        ));
-        t
-    }
-
-    fn connection_up(&mut self, t: SimTime, conn: ConnId, outputs: &mut Vec<NicOutput>) -> SimTime {
-        let Some(&qp) = self.conn_to_qp.get(&conn) else {
-            return t;
-        };
-        let q = self.qps.get_mut(&qp).expect("mapped");
-        q.established = true;
-        let posted = q.posted_bytes;
-        let recv_cq = q.recv_cq;
-        outputs.push(NicOutput::Complete(
-            recv_cq,
-            Completion {
-                qp,
-                wr_id: 0,
-                kind: CompletionKind::ConnectionEstablished,
-                status: CompletionStatus::Success,
-                visible_at: t,
-            },
-        ));
-        // announce the real (posted-WR) window now that we are connected
-        let emits = self.engine.set_recv_space(t, conn, posted).unwrap_or_default();
-        let _ = self.engine.take_ops();
-        self.process_emits(t, emits, outputs);
-        t
-    }
-
-    fn mate_connection(
-        &mut self,
-        t: SimTime,
-        listener_port: u16,
-        conn: ConnId,
-        outputs: &mut Vec<NicOutput>,
-    ) -> SimTime {
-        let Some(qp) = self.accept_pool.get_mut(&listener_port).and_then(VecDeque::pop_front)
-        else {
-            // no idle QP: refuse the connection
-            let emits = self.engine.tcp_abort(t, conn).unwrap_or_default();
-            let mut t2 = t;
-            for e in emits {
-                if let Emit::Packet(p) = e {
-                    t2 = self.emit_one(t2, p, TxOrigin::Internal, outputs);
-                }
-            }
-            return t2;
-        };
-        self.conn_to_qp.insert(conn, qp);
-        self.qps.get_mut(&qp).expect("pool QP exists").conn = Some(conn);
-        self.connection_up(t, conn, outputs)
-    }
-
-    fn drain_backlog(&mut self, t: SimTime, qp: QpId, outputs: &mut Vec<NicOutput>) {
-        let mut t = t;
-        loop {
-            let q = self.qps.get_mut(&qp).expect("caller checked");
-            if q.backlog.is_empty() || q.recv_queue.is_empty() {
-                break;
-            }
-            let (data, src) = q.backlog.pop_front().expect("nonempty");
-            let wr = q.recv_queue.pop_front().expect("nonempty");
-            q.posted_bytes = q.posted_bytes.saturating_sub(wr.capacity as u64);
-            let recv_cq = q.recv_cq;
-            t = self.place_message(t, qp, recv_cq, wr, data, src, PacketClass::DataRecv, outputs);
-        }
-    }
+/// A QP-table entry as a NIC output, visible at `at`.
+fn complete(entry: CqEntry, at: SimTime) -> NicOutput {
+    let (cq, c) = entry.stamp(at);
+    NicOutput::Complete(cq, c)
 }
 
 /// Cheap pre-classification of an incoming packet for occupancy

@@ -9,6 +9,10 @@
 //!   from `qpip-netstack`. Every stage charges cycles and is recorded in
 //!   a per-stage [`occupancy::Occupancy`] table, which is how Tables 2
 //!   and 3 are regenerated.
+//! * [`qp_table::QpTable`] — the QP semantics with no time or cost:
+//!   ids, receive queues, backlog, windows, accept pools and send
+//!   tokens. The firmware and the live-socket transport (`qpip-xport`)
+//!   both drive it.
 //! * [`conventional::ConventionalNic`] — the **dumb NICs** of the
 //!   baselines (Intel Pro/1000 GigE, Myrinet+GM as an IP link): frame
 //!   DMA, descriptor rings and interrupt moderation only; the protocol
@@ -25,6 +29,7 @@
 pub mod conventional;
 pub mod firmware;
 pub mod occupancy;
+pub mod qp_table;
 pub mod rdma;
 pub mod types;
 

@@ -25,8 +25,9 @@
 //! surface of `qpip::world::QpipWorld` (`create_cq`/`create_qp`/
 //! `udp_bind`/`tcp_listen`/`tcp_connect`/`post_send`/`post_recv`/
 //! `poll`/`wait`), reusing the `qpip-nic` work-request and completion
-//! types, so application code written against the simulated world ports
-//! by swapping the world handle for a node handle.
+//! types and the firmware's own [`QpTable`](qpip_nic::qp_table::QpTable),
+//! so application code written against the simulated world ports by
+//! swapping the world handle for a node handle.
 //!
 //! [`proxy::ImpairProxy`] is a deterministic (SplitMix64-seeded)
 //! drop/reorder/delay forwarder that sits between two nodes' sockets,

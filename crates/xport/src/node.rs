@@ -1,11 +1,14 @@
 //! The [`XportNode`] runtime: QPIP verbs over a live UDP socket.
 //!
 //! One node owns one nonblocking-with-timeout `UdpSocket`, one
-//! **unmodified** [`Engine`], and the same QP-multiplexing state machine
-//! the simulated NIC firmware runs (receive-WR queues, SRAM backlog,
+//! **unmodified** [`Engine`], and one [`QpTable`] — the very QP table
+//! the simulated NIC firmware drives (receive-WR queues, SRAM backlog,
 //! accept pools, send-token retirement, posted-WR receive windows —
-//! §3/§5.1 of the paper), minus the cycle cost model: on real hardware
-//! the cost model *is* the hardware.
+//! §3/§5.1 of the paper). The table decides; this driver adds only
+//! socket I/O, the wall clock, the peer table and CQ storage. Where the
+//! firmware wraps each table outcome in cycle charges, the node stamps
+//! it with the wall clock: on real hardware the cost model *is* the
+//! hardware.
 //!
 //! The event loop is [`XportNode::pump`]: fire due engine timers, block
 //! on the socket for at most `min(budget, time-to-next-deadline)`, feed
@@ -22,7 +25,8 @@ use std::time::{Duration, Instant};
 
 use crate::clock::WallClock;
 use qpip_netstack::engine::{Engine, EngineError};
-use qpip_netstack::types::{ConnId, Emit, Endpoint, NetConfig, PacketOut, SendToken};
+use qpip_netstack::types::{ConnId, Emit, Endpoint, NetConfig, PacketOut};
+use qpip_nic::qp_table::{CqEntry, Outcome, QpTable, TokenUse};
 use qpip_nic::types::{
     Completion, CompletionKind, CompletionStatus, CqId, NicError, QpId, RecvWr, SendWr, ServiceType,
 };
@@ -127,6 +131,8 @@ pub struct XportStats {
     pub udp_no_wr_drops: u64,
     /// TCP messages parked in the backlog awaiting a receive WR.
     pub tcp_backlogged: u64,
+    /// Receive completions flagged with a length error.
+    pub length_errors: u64,
 }
 
 impl XportStats {
@@ -137,24 +143,10 @@ impl XportStats {
             .push("datagrams_tx", self.datagrams_tx)
             .push("unroutable_drops", self.unroutable_drops)
             .push("udp_no_wr_drops", self.udp_no_wr_drops)
-            .push("tcp_backlogged", self.tcp_backlogged);
+            .push("tcp_backlogged", self.tcp_backlogged)
+            .push("length_errors", self.length_errors);
         s
     }
-}
-
-/// Per-QP multiplexing state (mirrors the simulated firmware's, minus
-/// the cycle accounting).
-#[derive(Debug)]
-struct Qp {
-    service: ServiceType,
-    send_cq: CqId,
-    recv_cq: CqId,
-    conn: Option<ConnId>,
-    local_port: u16,
-    recv_queue: VecDeque<RecvWr>,
-    posted_bytes: u64,
-    backlog: VecDeque<(Vec<u8>, Option<Endpoint>)>,
-    established: bool,
 }
 
 /// One live QPIP node: verbs in, UDP datagrams out.
@@ -169,15 +161,8 @@ pub struct XportNode {
     engine: Engine,
     clock: WallClock,
     peers: HashMap<Ipv6Addr, SocketAddr>,
-    qps: HashMap<QpId, Qp>,
+    qps: QpTable,
     cqs: HashMap<CqId, VecDeque<Completion>>,
-    conn_to_qp: HashMap<ConnId, QpId>,
-    udp_port_to_qp: HashMap<u16, QpId>,
-    accept_pool: HashMap<u16, VecDeque<QpId>>,
-    tokens: HashMap<u64, (QpId, u64)>,
-    next_qp: u32,
-    next_cq: u32,
-    next_token: u64,
     last_refresh: Instant,
     buf: Vec<u8>,
     stats: XportStats,
@@ -190,7 +175,6 @@ impl fmt::Debug for XportNode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("XportNode")
             .field("fabric_addr", &self.engine.local_addr())
-            .field("qps", &self.qps.len())
             .field("peers", &self.peers.len())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
@@ -209,21 +193,15 @@ impl XportNode {
         let sock = UdpSocket::bind(cfg.bind)?;
         sock.set_read_timeout(Some(Duration::from_millis(1)))?;
         let engine = Engine::new(cfg.net.clone(), fabric_addr);
+        let qps = QpTable::new(cfg.net.mtu);
         Ok(XportNode {
             cfg,
             sock,
             engine,
             clock: WallClock::start(),
             peers: HashMap::new(),
-            qps: HashMap::new(),
+            qps,
             cqs: HashMap::new(),
-            conn_to_qp: HashMap::new(),
-            udp_port_to_qp: HashMap::new(),
-            accept_pool: HashMap::new(),
-            tokens: HashMap::new(),
-            next_qp: 0,
-            next_cq: 0,
-            next_token: 1,
             last_refresh: Instant::now(),
             buf: vec![0; RECV_BUF],
             stats: XportStats::default(),
@@ -265,7 +243,13 @@ impl XportNode {
 
     /// Runtime counters.
     pub fn stats(&self) -> XportStats {
-        self.stats
+        let c = self.qps.counters();
+        XportStats {
+            udp_no_wr_drops: c.udp_no_wr_drops,
+            tcp_backlogged: c.tcp_backlogged,
+            length_errors: c.length_errors,
+            ..self.stats
+        }
     }
 
     /// The current instant on this node's wall-clock-backed simulation
@@ -295,8 +279,7 @@ impl XportNode {
 
     /// Creates a completion queue.
     pub fn create_cq(&mut self) -> CqId {
-        let id = CqId(self.next_cq);
-        self.next_cq += 1;
+        let id = self.qps.create_cq();
         self.cqs.insert(id, VecDeque::new());
         id
     }
@@ -312,28 +295,7 @@ impl XportNode {
         send_cq: CqId,
         recv_cq: CqId,
     ) -> Result<QpId, XportError> {
-        for cq in [send_cq, recv_cq] {
-            if !self.cqs.contains_key(&cq) {
-                return Err(NicError::UnknownCq(cq).into());
-            }
-        }
-        let id = QpId(self.next_qp);
-        self.next_qp += 1;
-        self.qps.insert(
-            id,
-            Qp {
-                service,
-                send_cq,
-                recv_cq,
-                conn: None,
-                local_port: 0,
-                recv_queue: VecDeque::new(),
-                posted_bytes: 0,
-                backlog: VecDeque::new(),
-                established: false,
-            },
-        );
-        Ok(id)
+        Ok(self.qps.create_qp(service, send_cq, recv_cq)?)
     }
 
     /// Binds a UDP QP to a local port.
@@ -343,16 +305,7 @@ impl XportNode {
     /// [`NicError::InvalidState`] for a TCP QP; engine errors (e.g.
     /// port in use) via [`NicError::Engine`].
     pub fn udp_bind(&mut self, qp: QpId, port: u16) -> Result<(), XportError> {
-        {
-            let q = self.qps.get(&qp).ok_or(NicError::UnknownQp(qp))?;
-            if q.service != ServiceType::UnreliableUdp {
-                return Err(NicError::InvalidState("udp_bind on a TCP QP").into());
-            }
-        }
-        self.engine.udp_bind(port).map_err(NicError::Engine)?;
-        self.qps.get_mut(&qp).expect("checked").local_port = port;
-        self.udp_port_to_qp.insert(port, qp);
-        Ok(())
+        Ok(self.qps.udp_bind(&mut self.engine, qp, port)?)
     }
 
     /// Adds a TCP QP to the accept pool for `port` (and starts the
@@ -361,28 +314,10 @@ impl XportNode {
     ///
     /// # Errors
     ///
-    /// [`NicError::InvalidState`] for a UDP or already-connected QP;
-    /// engine errors via [`NicError::Engine`].
+    /// [`NicError::InvalidState`] for a UDP QP or one already pooled or
+    /// connected.
     pub fn tcp_listen(&mut self, qp: QpId, port: u16) -> Result<(), XportError> {
-        {
-            let q = self.qps.get(&qp).ok_or(NicError::UnknownQp(qp))?;
-            if q.service != ServiceType::ReliableTcp {
-                return Err(NicError::InvalidState("tcp_listen on a UDP QP").into());
-            }
-            if q.conn.is_some() {
-                return Err(NicError::InvalidState("tcp_listen on a connected QP").into());
-            }
-        }
-        match self.engine.tcp_listen(port) {
-            Ok(()) => {}
-            // pooling more QPs behind one listening port is the normal
-            // multi-accept pattern
-            Err(EngineError::PortInUse(_)) if self.accept_pool.contains_key(&port) => {}
-            Err(e) => return Err(NicError::Engine(e).into()),
-        }
-        self.qps.get_mut(&qp).expect("checked").local_port = port;
-        self.accept_pool.entry(port).or_default().push_back(qp);
-        Ok(())
+        Ok(self.qps.tcp_listen(&mut self.engine, qp, port)?)
     }
 
     /// Opens a connection from a TCP QP to `remote` (a fabric
@@ -392,37 +327,22 @@ impl XportNode {
     ///
     /// # Errors
     ///
-    /// [`NicError::InvalidState`] for a UDP or already-connected QP.
+    /// [`NicError::InvalidState`] unless `qp` is an idle TCP QP.
     pub fn tcp_connect(
         &mut self,
         qp: QpId,
         local_port: u16,
         remote: Endpoint,
     ) -> Result<(), XportError> {
-        {
-            let q = self.qps.get(&qp).ok_or(NicError::UnknownQp(qp))?;
-            if q.service != ServiceType::ReliableTcp {
-                return Err(NicError::InvalidState("tcp_connect on a UDP QP").into());
-            }
-            if q.conn.is_some() {
-                return Err(NicError::InvalidState("tcp_connect on a connected QP").into());
-            }
-        }
+        self.qps.check_connect(qp)?;
         let now = self.clock.now();
         let (conn, emits) = self.engine.tcp_connect(now, local_port, remote);
-        let posted = {
-            let q = self.qps.get_mut(&qp).expect("checked");
-            q.conn = Some(conn);
-            q.local_port = local_port;
-            q.posted_bytes
-        };
-        self.conn_to_qp.insert(conn, qp);
-        self.dispatch(emits)?;
+        let window = self.qps.attach(qp, conn);
         // announce the posted-WR window so the SYN-ACK peer sees real
         // space as soon as the handshake completes (§5.1)
-        let upd = self.engine.set_recv_space(self.clock.now(), conn, posted)?;
-        self.dispatch(upd)?;
-        Ok(())
+        let upd = self.engine.set_recv_space(now, conn, window)?;
+        self.dispatch(emits)?;
+        self.dispatch(upd)
     }
 
     /// Posts a send work request. UDP sends complete immediately
@@ -435,45 +355,23 @@ impl XportNode {
     /// [`NicError::Engine`] for engine rejections (e.g. message larger
     /// than one segment in message-per-segment mode).
     pub fn post_send(&mut self, qp: QpId, wr: SendWr) -> Result<(), XportError> {
-        let (service, conn, local_port, send_cq) = {
-            let q = self.qps.get(&qp).ok_or(NicError::UnknownQp(qp))?;
-            (q.service, q.conn, q.local_port, q.send_cq)
-        };
-        match service {
-            ServiceType::UnreliableUdp => {
-                let dst = wr.dst.ok_or(NicError::InvalidState("UDP send needs a destination"))?;
-                let emit =
-                    self.engine.udp_send(local_port, dst, &wr.payload).map_err(NicError::Engine)?;
-                self.dispatch(vec![emit])?;
-                let now = self.clock.now();
-                self.complete(
-                    send_cq,
-                    Completion {
-                        qp,
-                        wr_id: wr.wr_id,
-                        kind: CompletionKind::Send,
-                        status: CompletionStatus::Success,
-                        visible_at: now,
-                    },
-                );
-                Ok(())
-            }
-            ServiceType::ReliableTcp => {
-                let conn =
-                    conn.ok_or(NicError::InvalidState("post_send on an unconnected TCP QP"))?;
-                let token = self.next_token;
-                self.next_token += 1;
-                self.tokens.insert(token, (qp, wr.wr_id));
-                let now = self.clock.now();
-                match self.engine.tcp_send(now, conn, wr.payload, SendToken(token)) {
-                    Ok(emits) => self.dispatch(emits),
-                    Err(e) => {
-                        self.tokens.remove(&token);
-                        Err(NicError::Engine(e).into())
-                    }
-                }
-            }
+        if self.qps.service(qp)? == ServiceType::ReliableTcp {
+            let conn = self.qps.conn(qp)?;
+            let token = self.qps.issue_token(TokenUse::Send(qp, wr.wr_id));
+            let now = self.clock.now();
+            let emits = self
+                .engine
+                .tcp_send(now, conn, wr.payload, token)
+                .inspect_err(|_| self.qps.cancel_token(token))?;
+            return self.dispatch(emits);
         }
+        let port = self.qps.udp_port(qp)?;
+        let dst = wr.dst.ok_or(NicError::InvalidState("UDP send needs a destination"))?;
+        let emit = self.engine.udp_send(port, dst, &wr.payload)?;
+        self.dispatch(vec![emit])?;
+        let kind = CompletionKind::Send;
+        self.complete(self.qps.send_entry(qp, wr.wr_id, kind, CompletionStatus::Success));
+        Ok(())
     }
 
     /// Posts a receive work request, draining any backlog it can now
@@ -484,25 +382,19 @@ impl XportNode {
     ///
     /// [`NicError::UnknownQp`] for a bad handle.
     pub fn post_recv(&mut self, qp: QpId, wr: RecvWr) -> Result<(), XportError> {
-        let (was_small, conn, established) = {
-            let q = self.qps.get_mut(&qp).ok_or(NicError::UnknownQp(qp))?;
-            let was_small = q.posted_bytes < self.cfg.net.mtu as u64;
-            q.posted_bytes += wr.capacity as u64;
-            q.recv_queue.push_back(wr);
-            (was_small, q.conn, q.established)
-        };
-        self.drain_backlog(qp);
-        if let Some(conn) = conn {
+        let posted = self.qps.post_recv(qp, wr)?;
+        while let Some(entry) = self.qps.pop_backlog(qp) {
+            self.complete(entry);
+        }
+        if let Some(conn) = posted.conn {
             // read the posted space AFTER the drain: a backlogged
             // message may have consumed the WR just posted, and the
             // advertised window must equal the space actually available
-            let posted = self.qps[&qp].posted_bytes;
-            let emits = self.engine.set_recv_space(self.clock.now(), conn, posted)?;
-            if was_small && established {
+            let window = self.qps.window(qp);
+            let emits = self.engine.set_recv_space(self.clock.now(), conn, window)?;
+            if posted.announce {
                 self.dispatch(emits)?;
             }
-            // otherwise: the window rides on normal ACKs; suppress the
-            // extra update packet
         }
         Ok(())
     }
@@ -516,10 +408,7 @@ impl XportNode {
     ///
     /// [`NicError::InvalidState`] if the QP has no connection.
     pub fn tcp_close(&mut self, qp: QpId) -> Result<(), XportError> {
-        let conn = {
-            let q = self.qps.get(&qp).ok_or(NicError::UnknownQp(qp))?;
-            q.conn.ok_or(NicError::InvalidState("tcp_close on an unconnected QP"))?
-        };
+        let conn = self.qps.conn(qp)?;
         let now = self.clock.now();
         let emits = self.engine.tcp_close(now, conn)?;
         self.dispatch(emits)
@@ -638,12 +527,7 @@ impl XportNode {
             return Ok(());
         }
         self.last_refresh = Instant::now();
-        let live: Vec<(ConnId, u64)> = self
-            .qps
-            .values()
-            .filter(|q| q.established)
-            .filter_map(|q| q.conn.map(|c| (c, q.posted_bytes)))
-            .collect();
+        let live: Vec<(ConnId, u64)> = self.qps.established().collect();
         for (conn, posted) in live {
             let now = self.clock.now();
             if let Ok(emits) = self.engine.set_recv_space(now, conn, posted) {
@@ -672,9 +556,9 @@ impl XportNode {
         }
     }
 
-    /// Processes engine emissions iteratively (an emission handler may
-    /// produce further emissions — e.g. an accepted connection with no
-    /// idle QP emits an abort RST).
+    /// Processes engine emissions in order, depth-first: a window
+    /// update or refusal an outcome triggers goes out before the rest
+    /// of the batch, exactly as in the simulated firmware.
     fn dispatch(&mut self, emits: Vec<Emit>) -> Result<(), XportError> {
         // debug-build oracle gate: every engine interaction funnels
         // through here, so a latched TCB invariant violation surfaces
@@ -683,28 +567,33 @@ impl XportNode {
         if let Some(v) = self.engine.take_invariant_violation() {
             panic!("TCB invariant `{}` violated in live transport: {}", v.invariant, v.detail);
         }
-        let mut queue: VecDeque<Emit> = emits.into();
-        while let Some(e) = queue.pop_front() {
-            match e {
-                Emit::Packet(p) => self.transmit(p)?,
-                Emit::UdpDelivered { port, src, payload } => self.deliver_udp(port, src, payload),
-                Emit::TcpDelivered { conn, data } => self.deliver_tcp(conn, data),
-                Emit::TcpSendComplete { conn: _, token } => self.complete_send(token.0),
-                Emit::TcpConnected { conn } => {
-                    let more = self.connection_up(conn)?;
-                    queue.extend(more);
+        for e in emits {
+            if let Emit::Packet(p) = e {
+                self.transmit(p)?;
+                continue;
+            }
+            match self.qps.handle(e) {
+                Outcome::Nothing | Outcome::Backlogged | Outcome::Dropped => {}
+                Outcome::Placed(entry) | Outcome::Retired(entry) | Outcome::PeerClosed(entry) => {
+                    self.complete(entry);
                 }
-                Emit::TcpAccepted { listener_port, conn, peer: _ } => {
-                    let more = self.mate_connection(listener_port, conn)?;
-                    queue.extend(more);
+                Outcome::Up { entry, conn, window } => {
+                    self.complete(entry);
+                    // announce the real (posted-WR) window now that we
+                    // are connected
+                    let now = self.clock.now();
+                    let upd = self.engine.set_recv_space(now, conn, window).unwrap_or_default();
+                    self.dispatch(upd)?;
                 }
-                Emit::TcpPeerClosed { conn } => self.peer_event(
-                    conn,
-                    CompletionKind::PeerDisconnected,
-                    CompletionStatus::Success,
-                ),
-                Emit::TcpClosed { conn } => self.conn_down(conn, false),
-                Emit::TcpReset { conn } => self.conn_down(conn, true),
+                Outcome::Refuse(conn) => {
+                    let rst = self.engine.tcp_abort(self.clock.now(), conn).unwrap_or_default();
+                    self.dispatch(rst)?;
+                }
+                Outcome::Down { notice, flushed, .. } => {
+                    for entry in notice.into_iter().chain(flushed) {
+                        self.complete(entry);
+                    }
+                }
             }
         }
         Ok(())
@@ -726,234 +615,25 @@ impl XportNode {
         Ok(())
     }
 
-    fn complete(&mut self, cq: CqId, c: Completion) {
+    fn complete(&mut self, entry: CqEntry) {
+        let (cq, c) = entry.stamp(self.clock.now());
         self.cqs.entry(cq).or_default().push_back(c);
-    }
-
-    fn deliver_udp(&mut self, port: u16, src: Endpoint, payload: Vec<u8>) {
-        let Some(&qp) = self.udp_port_to_qp.get(&port) else {
-            self.stats.udp_no_wr_drops += 1;
-            return;
-        };
-        let q = self.qps.get_mut(&qp).expect("bound port has a QP");
-        let Some(wr) = q.recv_queue.pop_front() else {
-            // no WR posted: the datagram is dropped (unreliable service)
-            self.stats.udp_no_wr_drops += 1;
-            return;
-        };
-        q.posted_bytes = q.posted_bytes.saturating_sub(wr.capacity as u64);
-        let recv_cq = q.recv_cq;
-        self.place_message(qp, recv_cq, wr, payload, Some(src));
-    }
-
-    fn deliver_tcp(&mut self, conn: ConnId, data: Vec<u8>) {
-        let Some(&qp) = self.conn_to_qp.get(&conn) else {
-            return;
-        };
-        let q = self.qps.get_mut(&qp).expect("mapped conn has a QP");
-        if let Some(wr) = q.recv_queue.pop_front() {
-            q.posted_bytes = q.posted_bytes.saturating_sub(wr.capacity as u64);
-            let recv_cq = q.recv_cq;
-            self.place_message(qp, recv_cq, wr, data, None);
-        } else {
-            // reliable service: park until the host posts a WR
-            q.backlog.push_back((data, None));
-            self.stats.tcp_backlogged += 1;
-        }
-    }
-
-    fn place_message(
-        &mut self,
-        qp: QpId,
-        recv_cq: CqId,
-        wr: RecvWr,
-        data: Vec<u8>,
-        src: Option<Endpoint>,
-    ) {
-        let status = if data.len() > wr.capacity {
-            CompletionStatus::LocalLengthError { len: data.len(), capacity: wr.capacity }
-        } else {
-            CompletionStatus::Success
-        };
-        let now = self.clock.now();
-        self.complete(
-            recv_cq,
-            Completion {
-                qp,
-                wr_id: wr.wr_id,
-                kind: CompletionKind::Recv { data, src },
-                status,
-                visible_at: now,
-            },
-        );
-    }
-
-    fn complete_send(&mut self, token: u64) {
-        let Some((qp, wr_id)) = self.tokens.remove(&token) else {
-            return;
-        };
-        let send_cq = self.qps[&qp].send_cq;
-        let now = self.clock.now();
-        self.complete(
-            send_cq,
-            Completion {
-                qp,
-                wr_id,
-                kind: CompletionKind::Send,
-                status: CompletionStatus::Success,
-                visible_at: now,
-            },
-        );
-    }
-
-    fn connection_up(&mut self, conn: ConnId) -> Result<Vec<Emit>, XportError> {
-        let Some(&qp) = self.conn_to_qp.get(&conn) else {
-            return Ok(Vec::new());
-        };
-        let (posted, recv_cq) = {
-            let q = self.qps.get_mut(&qp).expect("mapped");
-            q.established = true;
-            (q.posted_bytes, q.recv_cq)
-        };
-        let now = self.clock.now();
-        self.complete(
-            recv_cq,
-            Completion {
-                qp,
-                wr_id: 0,
-                kind: CompletionKind::ConnectionEstablished,
-                status: CompletionStatus::Success,
-                visible_at: now,
-            },
-        );
-        // announce the real (posted-WR) window now that we are connected
-        Ok(self.engine.set_recv_space(now, conn, posted).unwrap_or_default())
-    }
-
-    fn mate_connection(
-        &mut self,
-        listener_port: u16,
-        conn: ConnId,
-    ) -> Result<Vec<Emit>, XportError> {
-        let Some(qp) = self.accept_pool.get_mut(&listener_port).and_then(VecDeque::pop_front)
-        else {
-            // no idle QP: refuse the connection
-            let now = self.clock.now();
-            return Ok(self.engine.tcp_abort(now, conn).unwrap_or_default());
-        };
-        self.conn_to_qp.insert(conn, qp);
-        self.qps.get_mut(&qp).expect("pool QP exists").conn = Some(conn);
-        self.connection_up(conn)
-    }
-
-    fn peer_event(&mut self, conn: ConnId, kind: CompletionKind, status: CompletionStatus) {
-        let Some(&qp) = self.conn_to_qp.get(&conn) else {
-            return;
-        };
-        let recv_cq = self.qps[&qp].recv_cq;
-        let now = self.clock.now();
-        self.complete(recv_cq, Completion { qp, wr_id: 0, kind, status, visible_at: now });
-    }
-
-    fn conn_down(&mut self, conn: ConnId, reset: bool) {
-        let Some(qp) = self.conn_to_qp.remove(&conn) else {
-            return;
-        };
-        if let Some(q) = self.qps.get_mut(&qp) {
-            q.conn = None;
-            q.established = false;
-        }
-        if reset {
-            let recv_cq = self.qps[&qp].recv_cq;
-            let now = self.clock.now();
-            self.complete(
-                recv_cq,
-                Completion {
-                    qp,
-                    wr_id: 0,
-                    kind: CompletionKind::PeerDisconnected,
-                    status: CompletionStatus::ConnectionError,
-                    visible_at: now,
-                },
-            );
-        }
-        self.flush_qp(qp);
-    }
-
-    /// Retires every in-flight send token owned by a dead QP with
-    /// [`CompletionStatus::ConnectionError`].
-    fn flush_qp(&mut self, qp: QpId) {
-        let Some(q) = self.qps.get(&qp) else { return };
-        let send_cq = q.send_cq;
-        let stale: Vec<(u64, u64)> = self
-            .tokens
-            .iter()
-            .filter(|(_, (owner, _))| *owner == qp)
-            .map(|(&tok, &(_, wr_id))| (tok, wr_id))
-            .collect();
-        let now = self.clock.now();
-        for (tok, wr_id) in stale {
-            self.tokens.remove(&tok);
-            self.complete(
-                send_cq,
-                Completion {
-                    qp,
-                    wr_id,
-                    kind: CompletionKind::Send,
-                    status: CompletionStatus::ConnectionError,
-                    visible_at: now,
-                },
-            );
-        }
-    }
-
-    fn drain_backlog(&mut self, qp: QpId) {
-        loop {
-            let q = self.qps.get_mut(&qp).expect("caller checked");
-            if q.backlog.is_empty() || q.recv_queue.is_empty() {
-                break;
-            }
-            let (data, src) = q.backlog.pop_front().expect("nonempty");
-            let wr = q.recv_queue.pop_front().expect("nonempty");
-            q.posted_bytes = q.posted_bytes.saturating_sub(wr.capacity as u64);
-            let recv_cq = q.recv_cq;
-            self.place_message(qp, recv_cq, wr, data, src);
-        }
     }
 
     /// Describes the node's pending state for the wait-timeout
     /// diagnostic: which CQ was being waited on, what every QP still
     /// has outstanding, and what the engine thinks is in flight.
     fn pending_summary(&self, cq: CqId) -> String {
-        use fmt::Write as _;
-        let mut s = format!(
-            "no completion on {cq} within {:?} (fabric {}, {} datagrams rx / {} tx)",
+        format!(
+            "no completion on {cq} within {:?} (fabric {}, {} datagrams rx / {} tx)\n{}; \
+             engine conns={} retransmissions={}",
             self.cfg.wait_timeout,
             self.fabric_addr(),
             self.stats.datagrams_rx,
             self.stats.datagrams_tx,
-        );
-        let mut qps: Vec<_> = self.qps.iter().collect();
-        qps.sort_by_key(|(id, _)| id.0);
-        for (id, q) in qps {
-            let _ = write!(
-                s,
-                "; {id}: {:?} conn={:?} established={} recv_wrs={} backlog={} posted={}B",
-                q.service,
-                q.conn,
-                q.established,
-                q.recv_queue.len(),
-                q.backlog.len(),
-                q.posted_bytes,
-            );
-        }
-        let _ = write!(
-            s,
-            "; in-flight send tokens={}; engine conns={} retransmissions={}",
-            self.tokens.len(),
+            self.qps.summary(),
             self.engine.conn_count(),
             self.engine.retransmissions(),
-        );
-        s
+        )
     }
 }

@@ -11,7 +11,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use qpip_netstack::types::Endpoint;
-use qpip_nic::types::{CompletionKind, CompletionStatus, CqId, QpId, RecvWr, SendWr, ServiceType};
+use qpip_nic::types::{
+    CompletionKind, CompletionStatus, CqId, NicError, QpId, RecvWr, SendWr, ServiceType,
+};
 use qpip_trace::{FlightRecorder, TraceEvent, Tracer};
 use qpip_xport::{ImpairConfig, ImpairProxy, XportConfig, XportError, XportNode};
 
@@ -355,8 +357,8 @@ fn wait_times_out_with_diagnostic_instead_of_hanging() {
     let err = n.wait(cq).expect_err("nothing can complete");
     match err {
         XportError::WaitTimeout(d) => {
-            assert!(d.contains("cq#0"), "diagnostic names the CQ: {d}");
-            assert!(d.contains("qp#0"), "diagnostic lists QPs: {d}");
+            assert!(d.contains("cq#1"), "diagnostic names the CQ: {d}");
+            assert!(d.contains("qp#1"), "diagnostic lists QPs: {d}");
             assert!(d.contains("fabric"), "diagnostic names the node: {d}");
         }
         other => panic!("expected WaitTimeout, got {other:?}"),
@@ -379,4 +381,53 @@ fn verb_errors_on_bad_handles() {
     let tqp = n.create_qp(ServiceType::ReliableTcp, cq, cq).unwrap();
     assert!(n.udp_bind(tqp, 9).is_err());
     assert!(n.tcp_close(tqp).is_err(), "close before connect");
+
+    // a QP is mated at most once: a pooled QP joins no second pool and
+    // opens no connection, a connected one joins no pool
+    let refused =
+        |r: Result<(), XportError>| matches!(r, Err(XportError::Nic(NicError::InvalidState(_))));
+    n.tcp_listen(tqp, 5000).unwrap();
+    assert!(refused(n.tcp_listen(tqp, 5000)), "second listen on a pooled QP");
+    assert!(refused(n.tcp_listen(tqp, 5001)), "pooled QP joining another pool");
+    assert!(refused(n.tcp_connect(tqp, 4000, Endpoint::new(FABRIC_B, 5000))));
+    let active = n.create_qp(ServiceType::ReliableTcp, cq, cq).unwrap();
+    n.tcp_connect(active, 4001, Endpoint::new(FABRIC_B, 5000)).unwrap();
+    assert!(refused(n.tcp_listen(active, 5002)), "listen on a connected QP");
+    assert!(refused(n.tcp_connect(active, 4002, Endpoint::new(FABRIC_B, 5000))));
+}
+
+#[test]
+fn oversized_message_completes_with_length_error() {
+    let mut client = node(FABRIC_A);
+    let mut server = node(FABRIC_B);
+    client.add_peer(FABRIC_B, server.local_addr().unwrap());
+    server.add_peer(FABRIC_A, client.local_addr().unwrap());
+
+    // one message consumes one whole WR: the 16 + 1024-byte window
+    // admits a 100-byte message, which lands on the 16-byte WR
+    let cq_s = server.create_cq();
+    let qp_s = server.create_qp(ServiceType::ReliableTcp, cq_s, cq_s).unwrap();
+    server.post_recv(qp_s, RecvWr { wr_id: 1, capacity: 16 }).unwrap();
+    server.post_recv(qp_s, RecvWr { wr_id: 2, capacity: 1024 }).unwrap();
+    server.tcp_listen(qp_s, 5001).unwrap();
+    let cq_c = client.create_cq();
+    let qp_c = client.create_qp(ServiceType::ReliableTcp, cq_c, cq_c).unwrap();
+    client.tcp_connect(qp_c, 5000, Endpoint::new(FABRIC_B, 5001)).unwrap();
+    client.post_send(qp_c, SendWr { wr_id: 7, payload: message(0, 100), dst: None }).unwrap();
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let got = loop {
+        assert!(Instant::now() < deadline, "message never arrived: {:?}", server.stats());
+        match server.poll(cq_s).unwrap() {
+            Some(c) if matches!(c.kind, CompletionKind::Recv { .. }) => break c,
+            Some(_) => {}
+            None => {
+                client.pump(Duration::from_millis(1)).unwrap();
+            }
+        }
+    };
+    assert_eq!(got.wr_id, 1);
+    assert_eq!(got.status, CompletionStatus::LocalLengthError { len: 100, capacity: 16 });
+    assert_eq!(server.stats().length_errors, 1);
+    assert_eq!(server.stats().snapshot().get("length_errors"), Some(1));
 }

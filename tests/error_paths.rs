@@ -9,7 +9,7 @@ use std::net::Ipv6Addr;
 use qpip::baseline::SocketWorld;
 use qpip::mixed::MixedWorld;
 use qpip::world::QpipWorld;
-use qpip::{CqId, NicConfig, NicError, QpId, RecvWr, SendWr, ServiceType};
+use qpip::{CompletionKind, CqId, NicConfig, NicError, QpId, RecvWr, SendWr, ServiceType};
 use qpip_fabric::FabricConfig;
 use qpip_host::stack::StackConfig;
 use qpip_host::SockError;
@@ -52,6 +52,39 @@ fn qpip_tcp_listen_collision_joins_the_accept_pool() {
     let qp2 = w.create_qp(n, ServiceType::ReliableTcp, cq, cq).unwrap();
     w.tcp_listen(n, 5000, qp1).unwrap();
     w.tcp_listen(n, 5000, qp2).unwrap();
+}
+
+#[test]
+fn qpip_listen_and_connect_accept_only_an_idle_qp() {
+    // A QP is mated to at most one connection and sits in at most one
+    // accept pool: a second mating would point two connections at one
+    // receive queue.
+    let mut w = QpipWorld::myrinet();
+    let a = w.add_node(NicConfig::paper_default());
+    let b = w.add_node(NicConfig::paper_default());
+    let cq_a = w.create_cq(a);
+    let cq_b = w.create_cq(b);
+    let pooled = w.create_qp(a, ServiceType::ReliableTcp, cq_a, cq_a).unwrap();
+    let active = w.create_qp(b, ServiceType::ReliableTcp, cq_b, cq_b).unwrap();
+    let (addr_a, addr_b) = (w.addr(a), w.addr(b));
+    let refused = |r: Result<(), NicError>| matches!(r, Err(NicError::InvalidState(_)));
+
+    w.tcp_listen(a, 5000, pooled).unwrap();
+    // a pooled QP joins no second pool and opens no connection
+    assert!(refused(w.tcp_listen(a, 5000, pooled)));
+    assert!(refused(w.tcp_listen(a, 5001, pooled)));
+    assert!(refused(w.tcp_connect(a, pooled, 4000, Endpoint::new(addr_b, 6000))));
+    // a connecting QP joins no pool and opens no second connection
+    w.tcp_connect(b, active, 4000, Endpoint::new(addr_a, 5000)).unwrap();
+    assert!(refused(w.tcp_listen(b, 5000, active)));
+    assert!(refused(w.tcp_connect(b, active, 4001, Endpoint::new(addr_a, 5000))));
+
+    // the refusals left the pool intact: the one connection mates
+    w.wait_matching(a, cq_a, |c| c.kind == CompletionKind::ConnectionEstablished);
+    w.wait_matching(b, cq_b, |c| c.kind == CompletionKind::ConnectionEstablished);
+    // and a mated QP is no more idle than a connecting one
+    assert!(refused(w.tcp_listen(a, 5002, pooled)));
+    assert!(refused(w.tcp_connect(a, pooled, 4002, Endpoint::new(addr_b, 6000))));
 }
 
 #[test]
