@@ -6,8 +6,6 @@
 //! timeline and keeps a per-category cycle breakdown so both numbers
 //! fall out of one mechanism.
 
-use std::collections::HashMap;
-
 use qpip_sim::params;
 use qpip_sim::resource::SerialResource;
 use qpip_sim::time::{Clock, Cycles, SimDuration, SimTime};
@@ -33,6 +31,21 @@ pub enum WorkClass {
     Verbs,
 }
 
+/// Number of [`WorkClass`] variants.
+const WORK_CLASSES: usize = WorkClass::Verbs as usize + 1;
+
+/// Every work class in declaration order.
+const ALL_WORK_CLASSES: [WorkClass; WORK_CLASSES] = [
+    WorkClass::App,
+    WorkClass::Syscall,
+    WorkClass::Protocol,
+    WorkClass::Copy,
+    WorkClass::Interrupt,
+    WorkClass::Driver,
+    WorkClass::Filesystem,
+    WorkClass::Verbs,
+];
+
 /// A host processor timeline with categorized cycle accounting.
 ///
 /// # Examples
@@ -51,7 +64,8 @@ pub enum WorkClass {
 pub struct CpuLedger {
     clock: Clock,
     timeline: SerialResource,
-    by_class: HashMap<WorkClass, u64>,
+    /// Cycles charged per class, indexed by `WorkClass`.
+    by_class: [u64; WORK_CLASSES],
 }
 
 impl CpuLedger {
@@ -60,7 +74,7 @@ impl CpuLedger {
         CpuLedger {
             clock: params::host_clock(),
             timeline: SerialResource::new("host-cpu"),
-            by_class: HashMap::new(),
+            by_class: [0; WORK_CLASSES],
         }
     }
 
@@ -75,7 +89,7 @@ impl CpuLedger {
         if cycles == 0 {
             return now.max(self.timeline.next_free());
         }
-        *self.by_class.entry(class).or_insert(0) += cycles;
+        self.by_class[class as usize] += cycles;
         let d = self.clock.cycles_to_duration(Cycles(cycles));
         self.timeline.acquire(now, d)
     }
@@ -109,24 +123,22 @@ impl CpuLedger {
 
     /// Total cycles charged to a class.
     pub fn cycles(&self, class: WorkClass) -> u64 {
-        self.by_class.get(&class).copied().unwrap_or(0)
+        self.by_class[class as usize]
     }
 
     /// Total cycles charged across all classes.
     pub fn total_cycles(&self) -> u64 {
-        self.by_class.values().sum()
+        self.by_class.iter().sum()
     }
 
-    /// Per-class breakdown, sorted.
+    /// Every class charged so far with its cycles, in `WorkClass` order.
     pub fn breakdown(&self) -> Vec<(WorkClass, u64)> {
-        let mut v: Vec<_> = self.by_class.iter().map(|(&k, &c)| (k, c)).collect();
-        v.sort();
-        v
+        ALL_WORK_CLASSES.into_iter().zip(self.by_class).filter(|&(_, c)| c > 0).collect()
     }
 
     /// Forgets accumulated statistics (the timeline position is kept).
     pub fn reset_stats(&mut self) {
-        self.by_class.clear();
+        self.by_class = [0; WORK_CLASSES];
         self.timeline.reset_stats();
     }
 }
@@ -188,11 +200,32 @@ mod tests {
     #[test]
     fn breakdown_and_reset() {
         let mut cpu = CpuLedger::new();
-        cpu.charge(SimTime::ZERO, WorkClass::Syscall, 10);
-        cpu.charge(SimTime::ZERO, WorkClass::App, 20);
-        assert_eq!(cpu.breakdown().len(), 2);
+        cpu.charge(SimTime::ZERO, WorkClass::Verbs, 7);
+        cpu.charge(SimTime::ZERO, WorkClass::App, 11);
+        cpu.charge(SimTime::ZERO, WorkClass::Copy, 0); // free: not listed
+        cpu.charge(SimTime::ZERO, WorkClass::Interrupt, 13);
+        cpu.charge(SimTime::ZERO, WorkClass::Verbs, 5);
+        let b = cpu.breakdown();
+        assert_eq!(
+            b,
+            vec![(WorkClass::App, 11), (WorkClass::Interrupt, 13), (WorkClass::Verbs, 12)]
+        );
+        assert_eq!(cpu.total_cycles(), b.iter().map(|&(_, c)| c).sum::<u64>());
+        assert_eq!(cpu.cycles(WorkClass::Copy), 0);
+
         cpu.reset_stats();
+        assert!(cpu.breakdown().is_empty());
         assert_eq!(cpu.total_cycles(), 0);
+        for class in ALL_WORK_CLASSES {
+            assert_eq!(cpu.cycles(class), 0);
+        }
         assert_eq!(cpu.busy_time(), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn work_classes_list_every_variant_at_its_index() {
+        for (i, class) in ALL_WORK_CLASSES.into_iter().enumerate() {
+            assert_eq!(class as usize, i);
+        }
     }
 }

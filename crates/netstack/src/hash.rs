@@ -10,6 +10,17 @@
 //! demux tables and QP maps hash in a handful of cycles and iterate
 //! deterministically.
 //!
+//! `finish` adds one fold to the classic mix. A multiply carries each
+//! input bit only upward, so a key whose varying bytes come last (the
+//! low address bytes of `fc00::n`, the peer at the end of a demux key)
+//! differs only in the high bits of the raw state, while hashbrown
+//! starts probing at the *low* bits. Returned raw, the 4,096 demux keys
+//! of a fan-in server fell on 32 probe starts of an 8,192-bucket table
+//! and the addresses `fc00::1..=fc00::1001` on one, making lookups walk
+//! long probe chains. `finish` therefore takes the 128-bit product of
+//! the state and `K` and XORs its halves, which moves every state bit
+//! into the low word for one more multiply per lookup.
+//!
 //! Not for untrusted keys; every key in this workspace is
 //! simulator-generated (ports, connection ids, QP numbers, endpoint
 //! pairs).
@@ -36,7 +47,9 @@ impl FxHasher {
 impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        // fold the high bits down: see the module doc
+        let wide = u128::from(self.hash) * u128::from(K);
+        (wide as u64) ^ ((wide >> 64) as u64)
     }
 
     #[inline]
@@ -137,6 +150,30 @@ mod tests {
         let mut b = FxHasher::default();
         b.write(&[3, 2, 1]);
         assert_ne!(a.finish(), b.finish());
+    }
+
+    /// Distinct probe-start buckets of `keys` in a hashbrown table of
+    /// 8,192 buckets, which starts probing at the hash's low 13 bits.
+    fn bucket_starts<T: Hash>(keys: impl Iterator<Item = T>) -> usize {
+        let starts: std::collections::BTreeSet<u64> =
+            keys.map(|k| hash_of(&k) & (8192 - 1)).collect();
+        starts.len()
+    }
+
+    #[test]
+    fn keys_varying_near_their_end_spread_over_low_bits() {
+        use crate::types::Endpoint;
+        use std::net::Ipv6Addr;
+
+        let addr = |n: u16| Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, n);
+        // a fan-in server's demux keys: one local endpoint, 4,096 peers
+        // that differ only in the last address bytes
+        let server = Endpoint::new(addr(1), 5000);
+        let demux = bucket_starts((2..=4097).map(|n| (server, Endpoint::new(addr(n), 4000))));
+        assert!(demux >= 1024, "4,096 demux keys use only {demux} bucket starts");
+        // the fabric's node addresses fc00::1..=fc00::1001
+        let addrs = bucket_starts((1..=0x1001).map(addr));
+        assert!(addrs >= 1024, "4,097 addresses use only {addrs} bucket starts");
     }
 
     #[test]

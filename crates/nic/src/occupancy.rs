@@ -5,9 +5,6 @@
 //! the NIC processor was occupied, bucketed by what kind of packet was
 //! being handled.
 
-use std::collections::HashMap;
-
-use qpip_sim::stats::Summary;
 use qpip_sim::time::SimDuration;
 
 /// A firmware processing stage (the rows of Tables 2 and 3).
@@ -128,10 +125,63 @@ impl PacketClass {
     }
 }
 
+/// Number of [`Stage`] variants (rows of the occupancy table).
+const STAGES: usize = Stage::UpdateRx as usize + 1;
+/// Number of [`PacketClass`] variants (columns of the occupancy table).
+const CLASSES: usize = PacketClass::Control as usize + 1;
+
+/// Every stage in declaration order, for walking the table.
+const ALL_STAGES: [Stage; STAGES] = [
+    Stage::DoorbellProcess,
+    Stage::Schedule,
+    Stage::GetWr,
+    Stage::GetData,
+    Stage::BuildTcpHdr,
+    Stage::BuildUdpHdr,
+    Stage::BuildIpHdr,
+    Stage::FwChecksum,
+    Stage::MediaXmt,
+    Stage::UpdateTx,
+    Stage::MediaRcv,
+    Stage::IpParse,
+    Stage::TcpParse,
+    Stage::UdpParse,
+    Stage::PutData,
+    Stage::UpdateRx,
+];
+
+/// Every packet class in declaration order.
+const ALL_CLASSES: [PacketClass; CLASSES] = [
+    PacketClass::DataSend,
+    PacketClass::AckSend,
+    PacketClass::DataRecv,
+    PacketClass::AckRecv,
+    PacketClass::UdpSend,
+    PacketClass::UdpRecv,
+    PacketClass::Control,
+];
+
+/// One (stage, class) cell: how often it ran and its summed occupancy.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cell {
+    count: usize,
+    sum_us: f64,
+}
+
+impl Cell {
+    fn mean_us(self) -> f64 {
+        self.sum_us / self.count as f64
+    }
+}
+
 /// Accumulated per-(stage, class) occupancy.
+///
+/// Like the paper's tables, each cell keeps only what a mean needs: an
+/// execution count and the summed occupancy in microseconds, in a fixed
+/// array indexed by stage and class.
 #[derive(Debug, Default)]
 pub struct Occupancy {
-    cells: HashMap<(Stage, PacketClass), Summary>,
+    cells: [[Cell; CLASSES]; STAGES],
     total_busy: SimDuration,
 }
 
@@ -143,18 +193,25 @@ impl Occupancy {
 
     /// Records one stage execution.
     pub fn record(&mut self, stage: Stage, class: PacketClass, d: SimDuration) {
-        self.cells.entry((stage, class)).or_default().record_duration_us(d);
+        let cell = &mut self.cells[stage as usize][class as usize];
+        cell.count += 1;
+        cell.sum_us += d.as_micros_f64();
         self.total_busy += d;
+    }
+
+    fn cell(&self, stage: Stage, class: PacketClass) -> Cell {
+        self.cells[stage as usize][class as usize]
     }
 
     /// Mean occupancy of a cell in microseconds, if it ever ran.
     pub fn mean_us(&self, stage: Stage, class: PacketClass) -> Option<f64> {
-        self.cells.get(&(stage, class)).map(Summary::mean)
+        let cell = self.cell(stage, class);
+        (cell.count > 0).then(|| cell.mean_us())
     }
 
     /// Number of executions of a cell.
     pub fn count(&self, stage: Stage, class: PacketClass) -> usize {
-        self.cells.get(&(stage, class)).map_or(0, Summary::count)
+        self.cell(stage, class).count
     }
 
     /// Total processor busy time recorded.
@@ -162,17 +219,21 @@ impl Occupancy {
         self.total_busy
     }
 
-    /// All populated cells, sorted for stable output.
+    /// All populated cells with their mean and count, in (stage, class)
+    /// order.
     pub fn cells(&self) -> Vec<((Stage, PacketClass), f64, usize)> {
-        let mut v: Vec<_> = self.cells.iter().map(|(&k, s)| (k, s.mean(), s.count())).collect();
-        v.sort_by_key(|a| a.0);
-        v
+        let keyed = ALL_STAGES.iter().zip(&self.cells).flat_map(|(&stage, row)| {
+            ALL_CLASSES.iter().zip(row).map(move |(&class, &cell)| ((stage, class), cell))
+        });
+        keyed
+            .filter(|(_, cell)| cell.count > 0)
+            .map(|(k, cell)| (k, cell.mean_us(), cell.count))
+            .collect()
     }
 
     /// Clears all recorded samples.
     pub fn reset(&mut self) {
-        self.cells.clear();
-        self.total_busy = SimDuration::ZERO;
+        *self = Occupancy::default();
     }
 }
 
@@ -192,16 +253,70 @@ mod tests {
     }
 
     #[test]
+    fn means_are_an_in_order_fold_bit_for_bit() {
+        // irregular durations whose µs values are inexact in binary, so
+        // the mean depends on the order the sum is folded in
+        let nanos = [7_519u64, 1, 133_333, 5_500, 999_999, 42, 3_758, 61_003, 17, 2_000_001];
+        let mut o = Occupancy::new();
+        let mut fold = 0.0f64;
+        let mut busy = SimDuration::ZERO;
+        for &n in &nanos {
+            let d = SimDuration::from_nanos(n);
+            o.record(Stage::TcpParse, PacketClass::AckRecv, d);
+            fold += d.as_micros_f64();
+            busy += d;
+        }
+        let mean = fold / nanos.len() as f64;
+        assert!(o.mean_us(Stage::TcpParse, PacketClass::AckRecv) == Some(mean));
+        assert_eq!(o.count(Stage::TcpParse, PacketClass::AckRecv), nanos.len());
+        assert_eq!(o.total_busy(), busy);
+        assert!(o.cells() == vec![((Stage::TcpParse, PacketClass::AckRecv), mean, nanos.len())]);
+        // a neighbouring cell that never ran
+        assert_eq!(o.mean_us(Stage::TcpParse, PacketClass::DataRecv), None);
+        assert_eq!(o.count(Stage::TcpParse, PacketClass::DataRecv), 0);
+    }
+
+    #[test]
     fn cells_sorted_and_reset() {
         let mut o = Occupancy::new();
-        o.record(Stage::TcpParse, PacketClass::AckRecv, SimDuration::from_micros(14));
-        o.record(Stage::IpParse, PacketClass::AckRecv, SimDuration::from_micros(1));
+        // two cells in three, recorded back to front
+        for (i, &stage) in ALL_STAGES.iter().enumerate().rev() {
+            for &class in ALL_CLASSES.iter().rev() {
+                if !(i + class as usize).is_multiple_of(3) {
+                    o.record(stage, class, SimDuration::from_nanos(1 + i as u64));
+                }
+            }
+        }
         let cells = o.cells();
-        assert_eq!(cells.len(), 2);
-        assert!(cells[0].0 .0 < cells[1].0 .0);
+        assert!(cells.windows(2).all(|w| w[0].0 < w[1].0), "cells not in (stage, class) order");
+        assert!(cells.iter().all(|&(_, _, n)| n > 0));
+        let populated = ALL_STAGES
+            .iter()
+            .flat_map(|&s| ALL_CLASSES.iter().map(move |&c| (s, c)))
+            .filter(|&(s, c)| o.count(s, c) > 0)
+            .count();
+        assert_eq!(cells.len(), populated);
+        assert!(populated > 0 && populated < STAGES * CLASSES);
+
         o.reset();
         assert!(o.cells().is_empty());
         assert_eq!(o.total_busy(), SimDuration::ZERO);
+        for &stage in &ALL_STAGES {
+            for &class in &ALL_CLASSES {
+                assert_eq!(o.count(stage, class), 0);
+                assert_eq!(o.mean_us(stage, class), None);
+            }
+        }
+    }
+
+    #[test]
+    fn table_axes_list_every_variant_at_its_index() {
+        for (i, &stage) in ALL_STAGES.iter().enumerate() {
+            assert_eq!(stage as usize, i);
+        }
+        for (i, &class) in ALL_CLASSES.iter().enumerate() {
+            assert_eq!(class as usize, i);
+        }
     }
 
     #[test]

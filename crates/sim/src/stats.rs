@@ -5,8 +5,6 @@
 
 use std::fmt;
 
-use crate::time::SimDuration;
-
 /// A monotonically increasing event counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter(u64);
@@ -77,11 +75,6 @@ impl Summary {
         self.samples.push(v);
         self.sorted = false;
         self.sum += v;
-    }
-
-    /// Records a duration sample in microseconds.
-    pub fn record_duration_us(&mut self, d: SimDuration) {
-        self.record(d.as_micros_f64());
     }
 
     /// Number of samples recorded.
@@ -236,13 +229,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.median(), None);
         assert_eq!(s.min(), None);
-    }
-
-    #[test]
-    fn summary_records_durations() {
-        let mut s = Summary::new();
-        s.record_duration_us(SimDuration::from_micros(73));
-        assert_eq!(s.mean(), 73.0);
     }
 
     #[test]

@@ -24,14 +24,17 @@ cargo fmt --check
 # zero [MISS] shape checks. fig7_nbd without --full and manyflow with
 # --smoke are the quick configurations; the rest are already fast.
 #
-# The five paper binaries are deterministic simulations, so their
-# stdout is also an oracle: a refactor must leave it byte-identical.
-# scripts/paper_outputs.md5 pins the md5 of each binary's stdout; a
-# change that is meant to move a simulated figure updates it in the
-# same commit (`md5sum fig3_rtt ... > scripts/paper_outputs.md5` run in
-# a directory holding the new outputs).
+# The five paper binaries and the three extra experiments (ablations,
+# latency_sweep, rdma_bench: the firmware-checksum, multiplier and MTU
+# paths the paper binaries leave out) are deterministic simulations,
+# so their stdout is also an oracle: a refactor must leave it
+# byte-identical. scripts/paper_outputs.md5 pins the md5 of each
+# binary's stdout; a change that is meant to move a simulated figure
+# updates it in the same commit (`md5sum fig3_rtt ... > scripts/paper_outputs.md5`
+# run in a directory holding the new outputs).
 paper_out="$(mktemp -d)"
-for bin in fig3_rtt fig4_throughput table1_overhead tables23_occupancy fig7_nbd; do
+for bin in fig3_rtt fig4_throughput table1_overhead tables23_occupancy fig7_nbd \
+    ablations latency_sweep rdma_bench; do
     echo "==> smoke: $bin"
     ./target/release/$bin >"$paper_out/$bin"
     if grep -q '\[MISS\]' "$paper_out/$bin"; then
@@ -40,9 +43,9 @@ for bin in fig3_rtt fig4_throughput table1_overhead tables23_occupancy fig7_nbd;
         exit 1
     fi
 done
-echo "==> gate: paper binary outputs md5-identical to scripts/paper_outputs.md5"
+echo "==> gate: experiment binary outputs md5-identical to scripts/paper_outputs.md5"
 if ! (cd "$paper_out" && md5sum --check --quiet "$OLDPWD/scripts/paper_outputs.md5"); then
-    echo "FAIL: a paper binary's output changed (outputs kept in $paper_out)"
+    echo "FAIL: an experiment binary's output changed (outputs kept in $paper_out)"
     exit 1
 fi
 rm -rf "$paper_out"

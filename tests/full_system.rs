@@ -308,3 +308,67 @@ fn reset_flushes_in_flight_send_wrs_with_connection_error() {
     assert!(disconnected, "reset surfaced");
     assert!(flushed.is_some(), "in-flight WR flushed with ConnectionError");
 }
+
+#[test]
+fn occupancy_media_counts_conserve_with_nic_packet_counters() {
+    use qpip_fabric::FabricConfig;
+    use qpip_nic::{PacketClass, Stage};
+
+    // 8 KB messages over a 1,500-byte wire: data moves as IPv6
+    // fragments, handshakes and ACKs as whole packets
+    let cfg = NicConfig::fragmented(1500);
+    let mut w = QpipWorld::new(FabricConfig { mtu: 1500, ..FabricConfig::myrinet() });
+    let server = w.add_node(cfg.clone());
+    let cq_s = w.create_cq(server);
+    let flows = 4;
+    for i in 0..flows {
+        let qp = w.create_qp(server, ServiceType::ReliableTcp, cq_s, cq_s).unwrap();
+        for j in 0..3 {
+            w.post_recv(server, qp, RecvWr { wr_id: i * 3 + j, capacity: 8192 }).unwrap();
+        }
+        w.tcp_listen(server, 5000, qp).unwrap();
+    }
+    let remote = Endpoint::new(w.addr(server), 5000);
+    let mut clients = Vec::new();
+    for _ in 0..flows {
+        let node = w.add_node(cfg.clone());
+        let cq = w.create_cq(node);
+        let qp = w.create_qp(node, ServiceType::ReliableTcp, cq, cq).unwrap();
+        w.tcp_connect(node, qp, 4000, remote).unwrap();
+        clients.push((node, qp));
+    }
+    for &(node, qp) in &clients {
+        for m in 0..3 {
+            w.post_send(node, qp, SendWr { wr_id: m, payload: vec![m as u8; 8192], dst: None })
+                .unwrap();
+        }
+    }
+    w.run_until_idle();
+    let mut received = 0;
+    while let Some(c) = w.try_wait(server, cq_s) {
+        if let CompletionKind::Recv { data, .. } = c.kind {
+            assert_eq!(data.len(), 8192);
+            received += 1;
+        }
+    }
+    assert_eq!(received, flows * 3);
+
+    // a stage's executions summed over every packet class
+    let media = |node: NodeIdx, stage: Stage| -> u64 {
+        let cells = w.nic(node).occupancy().cells();
+        cells.iter().filter(|((s, _), _, _)| *s == stage).map(|&(_, _, n)| n as u64).sum()
+    };
+    let server_occ = w.nic(server).occupancy();
+    assert!(server_occ.count(Stage::MediaRcv, PacketClass::DataRecv) > 0, "no fragments arrived");
+    assert!(
+        server_occ.count(Stage::MediaRcv, PacketClass::Control) > 0,
+        "no whole packets arrived"
+    );
+    for node in std::iter::once(server).chain(clients.iter().map(|&(n, _)| n)) {
+        let stats = w.nic(node).stats();
+        assert_eq!(media(node, Stage::MediaRcv), stats.rx_packets, "node {node:?} receive");
+        assert_eq!(media(node, Stage::MediaXmt), stats.tx_packets, "node {node:?} transmit");
+    }
+    // the fragmented data really was split on the wire
+    assert!(w.nic(server).stats().rx_packets > flows * 3 * 6);
+}
