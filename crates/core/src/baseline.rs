@@ -3,62 +3,134 @@
 //! [`SocketWorld`] is the counterpart of [`crate::world::QpipWorld`] for
 //! the paper's comparison systems — IP over Gigabit Ethernet and IP over
 //! Myrinet/GM (§4.2) — wiring `qpip-host` stacks to a `qpip-fabric`
-//! network with the same event loop discipline, so both sides of every
-//! figure are measured the same way.
+//! network through the same world loop ([`crate::des::World`]), so both
+//! sides of every figure are measured the same way. The blocking socket
+//! calls are written once here, for every world whose nodes implement
+//! [`AsHost`] (so [`crate::MixedWorld`]'s socket hosts take exactly
+//! this path).
 
-use qpip_fabric::{Fabric, FabricConfig, TransmitOutcome};
-use qpip_host::cpu::CpuLedger;
+use std::net::Ipv6Addr;
+
+use qpip_fabric::FabricConfig;
+use qpip_host::cpu::{CpuLedger, WorkClass};
 use qpip_host::stack::{HostOutput, HostStack, SendOutcome, SockError, SockId, StackConfig};
 use qpip_netstack::types::Endpoint;
-use qpip_sim::kernel::{EventId, Simulator};
 use qpip_sim::time::SimTime;
 
+use crate::des::{Net, Node, World};
 use crate::world::NodeIdx;
 
-#[derive(Debug)]
-enum WorldEvent {
-    Frame { node: usize, bytes: qpip_wire::Packet },
-    Timer { node: usize },
-}
-
-struct Node {
+/// A conventional host: the stack runs on the host CPU behind sockets.
+pub struct HostNode {
     stack: HostStack,
     app_time: SimTime,
-    fabric_id: qpip_fabric::NodeId,
-    timer_event: Option<(SimTime, EventId)>,
+    /// Wakeups the stack produced that the application has not
+    /// consumed yet.
     events: Vec<HostOutput>,
+    port: qpip_fabric::NodeId,
 }
 
-/// A simulated network of conventional socket hosts.
-pub struct SocketWorld {
-    sim: Simulator<WorldEvent>,
-    fabric: Fabric,
-    nodes: Vec<Node>,
-    /// Fabric port → node index (dense: ports are assigned in attach
-    /// order), so packet delivery is O(1) at any fleet size.
-    fabric_to_node: Vec<usize>,
-}
-
-impl core::fmt::Debug for SocketWorld {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("SocketWorld")
-            .field("nodes", &self.nodes.len())
-            .field("now", &self.sim.now())
-            .finish()
-    }
-}
-
-impl SocketWorld {
-    /// Creates a world over the given fabric.
-    pub fn new(fabric: FabricConfig) -> Self {
-        SocketWorld {
-            sim: Simulator::new(),
-            fabric: Fabric::new(fabric),
-            nodes: Vec::new(),
-            fabric_to_node: Vec::new(),
+impl HostNode {
+    pub(crate) fn new(cfg: StackConfig, addr: Ipv6Addr, port: qpip_fabric::NodeId) -> Self {
+        HostNode {
+            stack: HostStack::new(cfg, addr),
+            app_time: SimTime::ZERO,
+            events: Vec::new(),
+            port,
         }
     }
 
+    /// Routes stack outputs: frames onto the wire, wakeups into the
+    /// event buffer.
+    fn absorb(&mut self, net: &mut Net, outs: Vec<HostOutput>) {
+        for o in outs {
+            match o {
+                HostOutput::Frame { at, dst, bytes } => net.transmit(self.port, at, dst, bytes),
+                ev => {
+                    // lift the app clock to wakeup instants when blocked;
+                    // an accept lifts it only when the app takes it
+                    if let HostOutput::DataReady { at, .. }
+                    | HostOutput::Connected { at, .. }
+                    | HostOutput::SendSpace { at, .. } = &ev
+                    {
+                        self.lift(*at);
+                    }
+                    self.events.push(ev);
+                }
+            }
+        }
+    }
+
+    /// Moves the application clock forward to `t` (a syscall return or
+    /// a wakeup).
+    fn lift(&mut self, t: SimTime) {
+        self.app_time = self.app_time.max(t);
+    }
+}
+
+impl Node for HostNode {
+    fn on_packet(&mut self, net: &mut Net, now: SimTime, bytes: &[u8]) {
+        let outs = self.stack.on_frame(now, bytes);
+        self.absorb(net, outs);
+    }
+
+    fn on_timer(&mut self, net: &mut Net, now: SimTime) {
+        let outs = self.stack.on_timer(now);
+        self.absorb(net, outs);
+    }
+
+    fn next_deadline(&self) -> Option<SimTime> {
+        self.stack.next_deadline()
+    }
+
+    fn take_invariant_violation(&mut self) -> Option<qpip_netstack::invariant::InvariantViolation> {
+        self.stack.take_invariant_violation()
+    }
+
+    fn addr(&self) -> Ipv6Addr {
+        self.stack.addr()
+    }
+
+    fn engine_stats(&self) -> qpip_netstack::engine::EngineStats {
+        self.stack.engine_stats()
+    }
+
+    fn cpu(&self) -> &CpuLedger {
+        self.stack.cpu()
+    }
+
+    fn app_time(&self) -> SimTime {
+        self.app_time
+    }
+
+    fn charge(&mut self, class: WorkClass, cycles: u64) {
+        self.app_time = self.stack.cpu_mut().charge(self.app_time, class, cycles);
+    }
+}
+
+/// Node kinds that can be socket hosts: the socket API works on them.
+pub trait AsHost: Node {
+    /// The socket host, unless this node is something else.
+    fn host(&self) -> Option<&HostNode>;
+    /// Mutable access to the socket host, unless this node is something
+    /// else.
+    fn host_mut(&mut self) -> Option<&mut HostNode>;
+}
+
+impl AsHost for HostNode {
+    fn host(&self) -> Option<&HostNode> {
+        Some(self)
+    }
+
+    fn host_mut(&mut self) -> Option<&mut HostNode> {
+        Some(self)
+    }
+}
+
+/// A simulated network of conventional socket hosts.
+pub type SocketWorld = World<HostNode>;
+
+impl SocketWorld {
     /// The IP-over-Gigabit-Ethernet testbed (§4.2.1).
     pub fn gige() -> Self {
         SocketWorld::new(FabricConfig::gigabit_ethernet())
@@ -71,62 +143,59 @@ impl SocketWorld {
 
     /// Adds a host; the stack configuration should match the fabric.
     pub fn add_node(&mut self, cfg: StackConfig) -> NodeIdx {
-        let n = self.nodes.len();
-        let addr = std::net::Ipv6Addr::new(0xfd00, 0, 0, 0, 0, 0, 0, (n + 1) as u16);
-        let fabric_id = self.fabric.attach(addr);
-        debug_assert_eq!(fabric_id.0 as usize, self.fabric_to_node.len());
-        self.fabric_to_node.push(n);
-        self.nodes.push(Node {
-            stack: HostStack::new(cfg, addr),
-            app_time: SimTime::ZERO,
-            fabric_id,
-            timer_event: None,
-            events: Vec::new(),
-        });
-        NodeIdx(n)
+        let addr = Ipv6Addr::new(0xfd00, 0, 0, 0, 0, 0, 0, (self.nodes.len() + 1) as u16);
+        self.attach(addr, 0, |_, port| HostNode::new(cfg, addr, port))
+    }
+}
+
+impl<N: AsHost> World<N> {
+    fn host_node(&self, node: NodeIdx) -> &HostNode {
+        self.nodes[node.0].host().unwrap_or_else(|| panic!("node {} is a QPIP node", node.0))
     }
 
-    /// The address of a node.
-    pub fn addr(&self, node: NodeIdx) -> std::net::Ipv6Addr {
-        self.nodes[node.0].stack.addr()
+    fn host_node_mut(&mut self, node: NodeIdx) -> &mut HostNode {
+        self.nodes[node.0].host_mut().unwrap_or_else(|| panic!("node {} is a QPIP node", node.0))
     }
 
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
+    /// A socket host and the instant its application can next act.
+    fn host_now(&mut self, node: NodeIdx) -> (SimTime, &mut HostStack) {
+        let now = self.now();
+        let h = self.host_node_mut(node);
+        (h.app_time.max(now), &mut h.stack)
     }
 
-    /// A node's application clock.
-    pub fn app_time(&self, node: NodeIdx) -> SimTime {
-        self.nodes[node.0].app_time
-    }
-
-    /// Host CPU ledger of a node.
-    pub fn cpu(&self, node: NodeIdx) -> &CpuLedger {
-        self.nodes[node.0].stack.cpu()
-    }
-
-    /// Charges application cycles on a node.
-    pub fn charge_app(&mut self, node: NodeIdx, cycles: u64) {
-        let n = &mut self.nodes[node.0];
-        n.app_time = n.stack.cpu_mut().charge(n.app_time, qpip_host::WorkClass::App, cycles);
+    /// Routes what a socket call produced and re-arms the node's timer.
+    fn host_outputs(&mut self, node: NodeIdx, outs: Vec<HostOutput>) {
+        let h = self.nodes[node.0].host_mut().expect("checked by the caller");
+        h.absorb(&mut self.net, outs);
+        self.refresh_timer(node.0);
     }
 
     /// Stack access for instrumentation.
     pub fn stack(&self, node: NodeIdx) -> &HostStack {
-        &self.nodes[node.0].stack
+        &self.host_node(node).stack
+    }
+
+    /// Discards buffered application events on a node (between phases).
+    pub fn clear_events(&mut self, node: NodeIdx) {
+        self.host_node_mut(node).events.clear();
+    }
+
+    /// Buffered application events on a node (wakeups not yet consumed).
+    pub fn events(&self, node: NodeIdx) -> &[HostOutput] {
+        &self.host_node(node).events
     }
 
     // ----- sockets ---------------------------------------------------------
 
     /// Creates a TCP socket.
     pub fn tcp_socket(&mut self, node: NodeIdx) -> SockId {
-        self.nodes[node.0].stack.tcp_socket()
+        self.host_node_mut(node).stack.tcp_socket()
     }
 
     /// Creates a UDP socket.
     pub fn udp_socket(&mut self, node: NodeIdx) -> SockId {
-        self.nodes[node.0].stack.udp_socket()
+        self.host_node_mut(node).stack.udp_socket()
     }
 
     /// Binds a UDP socket.
@@ -135,7 +204,7 @@ impl SocketWorld {
     ///
     /// Propagates [`SockError`].
     pub fn udp_bind(&mut self, node: NodeIdx, sock: SockId, port: u16) -> Result<(), SockError> {
-        self.nodes[node.0].stack.udp_bind(sock, port)
+        self.host_node_mut(node).stack.udp_bind(sock, port)
     }
 
     /// Listens on a TCP port.
@@ -144,11 +213,11 @@ impl SocketWorld {
     ///
     /// Propagates [`SockError`].
     pub fn listen(&mut self, node: NodeIdx, sock: SockId, port: u16) -> Result<(), SockError> {
-        self.nodes[node.0].stack.listen(sock, port)
+        self.host_node_mut(node).stack.listen(sock, port)
     }
 
-    /// Connects and blocks until established; returns the connected
-    /// socket on success.
+    /// Connects to any peer (socket or QPIP) and blocks until
+    /// established.
     ///
     /// # Errors
     ///
@@ -164,12 +233,13 @@ impl SocketWorld {
         local_port: u16,
         remote: Endpoint,
     ) -> Result<(), SockError> {
-        let t = self.nodes[node.0].app_time.max(self.sim.now());
-        let outs = self.nodes[node.0].stack.connect(t, sock, local_port, remote)?;
-        self.absorb(node.0, outs);
-        self.block_until(node, |evs| {
-            evs.iter().any(|e| matches!(e, HostOutput::Connected { sock: s, .. } if *s == sock))
-        });
+        let (t, stack) = self.host_now(node);
+        let outs = stack.connect(t, sock, local_port, remote)?;
+        self.host_outputs(node, outs);
+        self.block_until(
+            node,
+            |e| matches!(e, HostOutput::Connected { sock: s, .. } if *s == sock),
+        );
         Ok(())
     }
 
@@ -180,18 +250,12 @@ impl SocketWorld {
     ///
     /// Panics on simulation deadlock.
     pub fn accept_blocking(&mut self, node: NodeIdx, listener: SockId) -> SockId {
-        self.block_until(node, |evs| {
-            evs.iter()
-                .any(|e| matches!(e, HostOutput::Accepted { listener: l, .. } if *l == listener))
-        });
-        let evs = &mut self.nodes[node.0].events;
-        let pos = evs
-            .iter()
-            .position(|e| matches!(e, HostOutput::Accepted { listener: l, .. } if *l == listener))
-            .expect("just observed");
-        let HostOutput::Accepted { sock, at, .. } = evs.remove(pos) else { unreachable!() };
-        let n = &mut self.nodes[node.0];
-        n.app_time = n.app_time.max(at);
+        let accepted = |e: &HostOutput| matches!(e, HostOutput::Accepted { listener: l, .. } if *l == listener);
+        self.block_until(node, accepted);
+        let h = self.host_node_mut(node);
+        let pos = h.events.iter().position(accepted).expect("just observed");
+        let HostOutput::Accepted { sock, at, .. } = h.events.remove(pos) else { unreachable!() };
+        h.lift(at);
         sock
     }
 
@@ -216,24 +280,13 @@ impl SocketWorld {
         while offset < data.len() {
             let n = (data.len() - offset).min(16 * 1024);
             let piece = data[offset..offset + n].to_vec();
-            let t = self.nodes[node.0].app_time.max(self.sim.now());
-            let (outcome, outs) = self.nodes[node.0].stack.send(t, sock, piece)?;
-            self.absorb(node.0, outs);
-            match outcome {
-                SendOutcome::Sent { done } => {
-                    offset += n;
-                    let nd = &mut self.nodes[node.0];
-                    nd.app_time = nd.app_time.max(done);
-                }
-                SendOutcome::WouldBlock => {
-                    // sleep until the stack signals space
-                    self.nodes[node.0]
-                        .events
-                        .retain(|e| !matches!(e, HostOutput::SendSpace { .. }));
-                    self.block_until(node, |evs| {
-                        evs.iter().any(|e| matches!(e, HostOutput::SendSpace { .. }))
-                    });
-                }
+            if self.try_send(node, sock, piece)? {
+                offset += n;
+            } else {
+                // sleep until the stack signals space
+                let space = |e: &HostOutput| matches!(e, HostOutput::SendSpace { .. });
+                self.host_node_mut(node).events.retain(|e| !space(e));
+                self.block_until(node, space);
             }
         }
         Ok(())
@@ -247,27 +300,21 @@ impl SocketWorld {
     pub fn recv_exact(&mut self, node: NodeIdx, sock: SockId, len: usize) -> Vec<u8> {
         let mut got = Vec::with_capacity(len);
         while got.len() < len {
-            if self.nodes[node.0].stack.readable(sock) == 0 {
-                self.block_until(node, |evs| {
-                    evs.iter()
-                        .any(|e| matches!(e, HostOutput::DataReady { sock: s, .. } if *s == sock))
-                });
-                self.nodes[node.0]
-                    .events
-                    .retain(|e| !matches!(e, HostOutput::DataReady { sock: s, .. } if *s == sock));
+            if self.readable(node, sock) == 0 {
+                let ready = |e: &HostOutput| matches!(e, HostOutput::DataReady { sock: s, .. } if *s == sock);
+                self.block_until(node, ready);
+                self.host_node_mut(node).events.retain(|e| !ready(e));
             }
-            let t = self.nodes[node.0].app_time.max(self.sim.now());
-            let (data, done) =
-                self.nodes[node.0].stack.recv(t, sock, len - got.len()).expect("known socket");
+            let (t, stack) = self.host_now(node);
+            let (data, done) = stack.recv(t, sock, len - got.len()).expect("known socket");
             got.extend(data);
-            let n = &mut self.nodes[node.0];
-            n.app_time = n.app_time.max(done);
+            self.host_node_mut(node).lift(done);
         }
         got
     }
 
     /// Non-blocking send attempt: returns `true` when accepted, `false`
-    /// when the send buffer is full (use [`SocketWorld::step`] to make
+    /// when the send buffer is full (use [`World::step`] to make
     /// progress and retry) — the building block for pumped workloads
     /// like ttcp where one driver loop plays both endpoints.
     ///
@@ -280,13 +327,12 @@ impl SocketWorld {
         sock: SockId,
         data: Vec<u8>,
     ) -> Result<bool, SockError> {
-        let t = self.nodes[node.0].app_time.max(self.sim.now());
-        let (outcome, outs) = self.nodes[node.0].stack.send(t, sock, data)?;
-        self.absorb(node.0, outs);
+        let (t, stack) = self.host_now(node);
+        let (outcome, outs) = stack.send(t, sock, data)?;
+        self.host_outputs(node, outs);
         match outcome {
             SendOutcome::Sent { done } => {
-                let n = &mut self.nodes[node.0];
-                n.app_time = n.app_time.max(done);
+                self.host_node_mut(node).lift(done);
                 Ok(true)
             }
             SendOutcome::WouldBlock => Ok(false),
@@ -295,7 +341,7 @@ impl SocketWorld {
 
     /// Bytes currently readable on a socket.
     pub fn readable(&self, node: NodeIdx, sock: SockId) -> usize {
-        self.nodes[node.0].stack.readable(sock)
+        self.host_node(node).stack.readable(sock)
     }
 
     /// Drains up to `max` readable bytes without blocking.
@@ -303,10 +349,9 @@ impl SocketWorld {
         if self.readable(node, sock) == 0 {
             return Vec::new();
         }
-        let t = self.nodes[node.0].app_time.max(self.sim.now());
-        let (data, done) = self.nodes[node.0].stack.recv(t, sock, max).expect("known socket");
-        let n = &mut self.nodes[node.0];
-        n.app_time = n.app_time.max(done);
+        let (t, stack) = self.host_now(node);
+        let (data, done) = stack.recv(t, sock, max).expect("known socket");
+        self.host_node_mut(node).lift(done);
         data
     }
 
@@ -322,11 +367,10 @@ impl SocketWorld {
         dst: Endpoint,
         data: &[u8],
     ) -> Result<(), SockError> {
-        let t = self.nodes[node.0].app_time.max(self.sim.now());
-        let (done, outs) = self.nodes[node.0].stack.udp_send(t, sock, dst, data)?;
-        self.absorb(node.0, outs);
-        let n = &mut self.nodes[node.0];
-        n.app_time = n.app_time.max(done);
+        let (t, stack) = self.host_now(node);
+        let (done, outs) = stack.udp_send(t, sock, dst, data)?;
+        self.host_outputs(node, outs);
+        self.host_node_mut(node).lift(done);
         Ok(())
     }
 
@@ -337,10 +381,9 @@ impl SocketWorld {
     /// Panics on simulation deadlock.
     pub fn udp_recv_blocking(&mut self, node: NodeIdx, sock: SockId) -> (Endpoint, Vec<u8>) {
         loop {
-            let t = self.nodes[node.0].app_time.max(self.sim.now());
-            if let Some((src, data, done)) = self.nodes[node.0].stack.udp_recv(t, sock) {
-                let n = &mut self.nodes[node.0];
-                n.app_time = n.app_time.max(done);
+            let (t, stack) = self.host_now(node);
+            if let Some((src, data, done)) = stack.udp_recv(t, sock) {
+                self.host_node_mut(node).lift(done);
                 return (src, data);
             }
             assert!(self.step(), "udp_recv deadlocked");
@@ -353,155 +396,19 @@ impl SocketWorld {
     ///
     /// Propagates [`SockError`].
     pub fn close(&mut self, node: NodeIdx, sock: SockId) -> Result<(), SockError> {
-        let t = self.nodes[node.0].app_time.max(self.sim.now());
-        let outs = self.nodes[node.0].stack.close(t, sock)?;
-        self.absorb(node.0, outs);
+        let (t, stack) = self.host_now(node);
+        let outs = stack.close(t, sock)?;
+        self.host_outputs(node, outs);
         Ok(())
     }
 
-    // ----- event loop -------------------------------------------------------
-
-    /// Processes one event; `false` when idle.
-    pub fn step(&mut self) -> bool {
-        let Some((t, ev)) = self.sim.next() else {
-            return false;
-        };
-        match ev {
-            WorldEvent::Frame { node, bytes } => {
-                let outs = self.nodes[node].stack.on_frame(t, &bytes);
-                self.absorb(node, outs);
-                self.enforce_oracle(node);
-            }
-            WorldEvent::Timer { node } => {
-                self.nodes[node].timer_event = None;
-                let outs = self.nodes[node].stack.on_timer(t);
-                self.absorb(node, outs);
-                self.enforce_oracle(node);
-            }
-        }
-        true
-    }
-
-    /// Debug-build oracle gate: after every event, surface any TCB
-    /// invariant violation the engine's per-event hook latched.
-    ///
-    /// # Panics
-    ///
-    /// Panics naming the violated invariant.
-    #[cfg(debug_assertions)]
-    fn enforce_oracle(&mut self, node: usize) {
-        if let Some(v) = self.nodes[node].stack.take_invariant_violation() {
-            panic!("TCB invariant `{}` violated on node {node}: {}", v.invariant, v.detail);
-        }
-    }
-
-    #[cfg(not(debug_assertions))]
-    fn enforce_oracle(&mut self, _node: usize) {}
-
-    /// Runs until idle.
-    pub fn run_until_idle(&mut self) {
-        while self.step() {}
-    }
-
-    fn block_until(&mut self, node: NodeIdx, pred: impl Fn(&[HostOutput]) -> bool) {
-        loop {
-            if pred(&self.nodes[node.0].events) {
-                // the waking event's timestamp lifts the app clock
-                return;
-            }
+    /// Runs the world until a buffered event of the node satisfies
+    /// `pred`; the waking event's timestamp already lifted the app
+    /// clock.
+    fn block_until(&mut self, node: NodeIdx, pred: impl Fn(&HostOutput) -> bool) {
+        while !self.host_node(node).events.iter().any(&pred) {
             assert!(self.step(), "socket world deadlocked waiting on node {}", node.0);
         }
-    }
-
-    fn absorb(&mut self, node: usize, outs: Vec<HostOutput>) {
-        for o in outs {
-            match o {
-                HostOutput::Frame { at, dst, bytes } => {
-                    let from = self.nodes[node].fabric_id;
-                    match self.fabric.transmit(at, from, dst, bytes.len()) {
-                        TransmitOutcome::Delivered { to, at: arrive, marked } => {
-                            let dest = self.fabric_to_node[to.0 as usize];
-                            let mut bytes = bytes;
-                            if marked
-                                && qpip_wire::ipv6::Ipv6Header::ecn_of_packet(&bytes)
-                                    == qpip_wire::ipv6::Ecn::Capable
-                            {
-                                qpip_wire::ipv6::Ipv6Header::set_ecn_in_packet(
-                                    &mut bytes,
-                                    qpip_wire::ipv6::Ecn::CongestionExperienced,
-                                );
-                            }
-                            let arrive = arrive.max(self.sim.now());
-                            self.sim.schedule_at(arrive, WorldEvent::Frame { node: dest, bytes });
-                        }
-                        TransmitOutcome::Dropped(_) => {}
-                    }
-                }
-                ev => {
-                    // lift the app clock to wakeup instants when blocked
-                    if let HostOutput::DataReady { at, .. }
-                    | HostOutput::Connected { at, .. }
-                    | HostOutput::SendSpace { at, .. } = &ev
-                    {
-                        let n = &mut self.nodes[node];
-                        n.app_time = n.app_time.max(*at);
-                    }
-                    self.nodes[node].events.push(ev);
-                }
-            }
-        }
-        self.refresh_timer(node);
-    }
-
-    fn refresh_timer(&mut self, node: usize) {
-        let deadline = self.nodes[node].stack.next_deadline();
-        let current = self.nodes[node].timer_event;
-        match (deadline, current) {
-            (Some(d), Some((t, _))) if t <= d => {}
-            (Some(d), existing) => {
-                if let Some((_, id)) = existing {
-                    self.sim.cancel(id);
-                }
-                let at = d.max(self.sim.now());
-                let id = self.sim.schedule_at(at, WorldEvent::Timer { node });
-                self.nodes[node].timer_event = Some((at, id));
-            }
-            (None, Some((_, id))) => {
-                self.sim.cancel(id);
-                self.nodes[node].timer_event = None;
-            }
-            (None, None) => {}
-        }
-    }
-
-    /// Discards buffered application events on a node (between phases).
-    pub fn clear_events(&mut self, node: NodeIdx) {
-        self.nodes[node.0].events.clear();
-    }
-
-    /// Buffered application events on a node (wakeups not yet consumed).
-    pub fn events(&self, node: NodeIdx) -> &[HostOutput] {
-        &self.nodes[node.0].events
-    }
-
-    /// Fabric statistics.
-    pub fn fabric(&self) -> &Fabric {
-        &self.fabric
-    }
-
-    /// Traffic and drop counters of a node's in-kernel protocol engine.
-    pub fn engine_stats(&self, node: NodeIdx) -> qpip_netstack::engine::EngineStats {
-        self.nodes[node.0].stack.engine_stats()
-    }
-
-    /// Total discrete events the world's simulator has delivered.
-    pub fn events_processed(&self) -> u64 {
-        self.sim.events_processed()
-    }
-
-    /// Wall-clock drain rate of the event loop.
-    pub fn events_per_sec(&self) -> f64 {
-        self.sim.events_per_sec()
     }
 }
 

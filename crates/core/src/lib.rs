@@ -7,7 +7,10 @@
 //! interface.
 //!
 //! The crate ties together the substrates of this workspace into the
-//! paper's two testbeds:
+//! paper's testbeds, all run by one discrete-event world loop
+//! ([`des::World`], generic over a small [`des::Node`] trait: deliver a
+//! packet, fire the timer, report the next deadline, take the latched
+//! invariant violation):
 //!
 //! * [`world::QpipWorld`] — hosts with QPIP NICs (LANai-9-class
 //!   firmware running the offloaded stack) on a Myrinet SAN, programmed
@@ -18,10 +21,14 @@
 //! * [`baseline::SocketWorld`] — conventional hosts with host-resident
 //!   stacks and sockets over Gigabit Ethernet or Myrinet/GM (§4.2's
 //!   comparison systems).
+//! * [`mixed::MixedWorld`] — both node kinds on one wire (§3's QPIP ↔
+//!   socket interoperation), each with its own cost model.
 //!
-//! Both worlds share the protocol engine, the wire formats and the
-//! measurement machinery, so every figure of the paper compares like
-//! with like.
+//! The verbs calls and the blocking socket calls are each written once
+//! and shared by every world whose nodes support them, so all three
+//! worlds share the protocol engine, the wire formats, the event loop
+//! and the measurement machinery: every figure of the paper compares
+//! like with like.
 //!
 //! ## Quickstart
 //!
@@ -60,6 +67,7 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
+pub mod des;
 pub mod mixed;
 pub mod world;
 

@@ -1,11 +1,13 @@
 //! The full QPIP system: hosts with QPIP NICs on a switched SAN.
 //!
-//! [`QpipWorld`] owns the discrete-event loop that ties together the
-//! host CPU model (`qpip-host`), the intelligent NIC (`qpip-nic`) and
-//! the fabric (`qpip-fabric`), and exposes the **verbs API** of §4.1 —
-//! `post_send`, `post_recv`, `poll`, `wait` plus QP/CQ creation and
+//! [`QpipWorld`] is the shared world loop ([`crate::des::World`]) over
+//! [`QpipNode`]s — the host CPU model (`qpip-host`) plus the
+//! intelligent NIC (`qpip-nic`) — and exposes the **verbs API** of §4.1
+//! — `post_send`, `post_recv`, `poll`, `wait` plus QP/CQ creation and
 //! connection management — with the host-side cycle costs of Table 1
-//! charged on every call.
+//! charged on every call. The verbs are written once here, for every
+//! world whose nodes implement [`AsQpip`] (so [`crate::MixedWorld`]'s
+//! QPIP nodes take exactly this path).
 //!
 //! Applications written against this API read like the paper's
 //! pseudo-code: post receives, connect, post a send, wait on the CQ.
@@ -14,76 +16,143 @@ use std::collections::{HashMap, VecDeque};
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 
-use qpip_fabric::{Fabric, FabricConfig, TransmitOutcome};
+use qpip_fabric::FabricConfig;
 use qpip_host::cpu::{CpuLedger, WorkClass};
 use qpip_netstack::types::Endpoint;
 use qpip_nic::{
     Completion, CompletionKind, CqId, MrKey, NicConfig, NicError, NicOutput, QpId, QpipNic,
     RdmaReadWr, RdmaWriteWr, RecvWr, SendWr, ServiceType,
 };
-use qpip_sim::kernel::{EventId, Simulator};
 use qpip_sim::params;
 use qpip_sim::time::{SimDuration, SimTime};
 use qpip_trace::{FlightRecorder, Tracer};
 
-/// Index of a node (host + NIC pair) in the world.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NodeIdx(pub usize);
+pub use crate::des::NodeIdx;
+use crate::des::{Net, Node, World};
 
 /// Extra latency of the doorbell PIO write crossing PCI (posted write).
 const DOORBELL_PCI_LATENCY: SimDuration = SimDuration::from_nanos(200);
 
-#[derive(Debug)]
-enum WorldEvent {
-    Packet { node: usize, bytes: qpip_wire::Packet },
-    Timer { node: usize },
-}
-
-struct Node {
+/// A host with a QPIP NIC: the stack runs in the NIC's firmware, the
+/// host only pays for verbs calls.
+pub struct QpipNode {
     nic: QpipNic,
     cpu: CpuLedger,
     /// When this node's application thread is next free.
     app_time: SimTime,
     cqs: HashMap<CqId, VecDeque<Completion>>,
-    fabric_id: qpip_fabric::NodeId,
-    timer_event: Option<(SimTime, EventId)>,
+    port: qpip_fabric::NodeId,
 }
 
-/// A simulated SAN of QPIP nodes.
-pub struct QpipWorld {
-    sim: Simulator<WorldEvent>,
-    fabric: Fabric,
-    nodes: Vec<Node>,
-    /// Fabric port → node index (dense: ports are assigned in attach
-    /// order), so packet delivery is O(1) at any fleet size.
-    fabric_to_node: Vec<usize>,
-    /// Shared flight recorder, when tracing is on; nodes added later
-    /// are wired up automatically.
-    recorder: Option<Arc<FlightRecorder>>,
-}
-
-impl core::fmt::Debug for QpipWorld {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("QpipWorld")
-            .field("nodes", &self.nodes.len())
-            .field("now", &self.sim.now())
-            .finish()
+impl QpipNode {
+    /// A node at `addr` on fabric port `port`; its MTU is clamped to the
+    /// fabric's and it records into the world's recorder, if any.
+    pub(crate) fn new<N>(
+        w: &World<N>,
+        cfg: NicConfig,
+        addr: Ipv6Addr,
+        port: qpip_fabric::NodeId,
+    ) -> Self {
+        let mut cfg = cfg;
+        cfg.mtu = cfg.mtu.min(w.net.fabric.config().mtu);
+        let mut nic = QpipNic::new(cfg, addr);
+        if let Some(rec) = &w.recorder {
+            nic.set_tracer(Tracer::new(Arc::clone(rec), port.0));
+        }
+        QpipNode { nic, cpu: CpuLedger::new(), app_time: SimTime::ZERO, cqs: HashMap::new(), port }
     }
-}
 
-impl QpipWorld {
-    /// Creates a world over the given fabric (usually
-    /// [`FabricConfig::myrinet`]).
-    pub fn new(fabric: FabricConfig) -> Self {
-        QpipWorld {
-            sim: Simulator::new(),
-            fabric: Fabric::new(fabric),
-            nodes: Vec::new(),
-            fabric_to_node: Vec::new(),
-            recorder: None,
+    /// Routes NIC outputs: packets onto the wire, completions into
+    /// their CQs.
+    fn absorb(&mut self, net: &mut Net, outs: Vec<NicOutput>) {
+        for o in outs {
+            match o {
+                NicOutput::Transmit { at, dst, bytes, .. } => {
+                    net.transmit(self.port, at, dst, bytes)
+                }
+                NicOutput::Complete(cq, c) => self.cqs.entry(cq).or_default().push_back(c),
+            }
         }
     }
 
+    /// The head entry of a CQ, once the NIC has produced it.
+    fn head(&self, cq: CqId) -> Option<&Completion> {
+        self.cqs.get(&cq).and_then(|q| q.front())
+    }
+
+    /// Sleeps until the head entry of `cq` is visible, then pays the
+    /// poll that finds it.
+    fn take_head(&mut self, cq: CqId) -> Option<Completion> {
+        let visible = self.head(cq)?.visible_at;
+        self.app_time = self.app_time.max(visible);
+        self.charge(WorkClass::Verbs, params::QPIP_POLL_HIT_CYCLES);
+        self.cqs.get_mut(&cq).expect("cq").pop_front()
+    }
+}
+
+impl Node for QpipNode {
+    fn on_packet(&mut self, net: &mut Net, now: SimTime, bytes: &[u8]) {
+        let outs = self.nic.on_packet(now, bytes);
+        self.absorb(net, outs);
+    }
+
+    fn on_timer(&mut self, net: &mut Net, now: SimTime) {
+        let outs = self.nic.on_timer(now);
+        self.absorb(net, outs);
+    }
+
+    fn next_deadline(&self) -> Option<SimTime> {
+        self.nic.next_deadline()
+    }
+
+    fn take_invariant_violation(&mut self) -> Option<qpip_netstack::invariant::InvariantViolation> {
+        self.nic.take_invariant_violation()
+    }
+
+    fn addr(&self) -> Ipv6Addr {
+        self.nic.addr()
+    }
+
+    fn engine_stats(&self) -> qpip_netstack::engine::EngineStats {
+        self.nic.engine_stats()
+    }
+
+    fn cpu(&self) -> &CpuLedger {
+        &self.cpu
+    }
+
+    fn app_time(&self) -> SimTime {
+        self.app_time
+    }
+
+    fn charge(&mut self, class: WorkClass, cycles: u64) {
+        self.app_time = self.cpu.charge(self.app_time, class, cycles);
+    }
+}
+
+/// Node kinds that can be QPIP nodes: the verbs API works on them.
+pub trait AsQpip: Node {
+    /// The QPIP node, unless this one is something else.
+    fn qpip(&self) -> Option<&QpipNode>;
+    /// Mutable access to the QPIP node, unless this one is something
+    /// else.
+    fn qpip_mut(&mut self) -> Option<&mut QpipNode>;
+}
+
+impl AsQpip for QpipNode {
+    fn qpip(&self) -> Option<&QpipNode> {
+        Some(self)
+    }
+
+    fn qpip_mut(&mut self) -> Option<&mut QpipNode> {
+        Some(self)
+    }
+}
+
+/// A simulated SAN of QPIP nodes.
+pub type QpipWorld = World<QpipNode>;
+
+impl QpipWorld {
     /// A Myrinet world with the QPIP native MTU (the paper's testbed).
     pub fn myrinet() -> Self {
         QpipWorld::new(FabricConfig::myrinet())
@@ -91,13 +160,10 @@ impl QpipWorld {
 
     /// A Myrinet world whose fabric is a chain of `switches` switches.
     pub fn myrinet_chain(switches: usize) -> Self {
-        QpipWorld {
-            sim: Simulator::new(),
-            fabric: Fabric::with_switches(FabricConfig::myrinet(), switches),
-            nodes: Vec::new(),
-            fabric_to_node: Vec::new(),
-            recorder: None,
-        }
+        QpipWorld::with_fabric(qpip_fabric::Fabric::with_switches(
+            FabricConfig::myrinet(),
+            switches,
+        ))
     }
 
     /// Adds a node with the given NIC configuration; its address is
@@ -109,26 +175,8 @@ impl QpipWorld {
     /// Adds a node attached to a specific switch of a multi-switch
     /// fabric.
     pub fn add_node_at(&mut self, nic_cfg: NicConfig, switch: usize) -> NodeIdx {
-        let n = self.nodes.len();
-        let addr = Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, (n + 1) as u16);
-        let mut cfg = nic_cfg;
-        cfg.mtu = cfg.mtu.min(self.fabric.config().mtu);
-        let fabric_id = self.fabric.attach_at(addr, switch);
-        debug_assert_eq!(fabric_id.0 as usize, self.fabric_to_node.len());
-        self.fabric_to_node.push(n);
-        let mut nic = QpipNic::new(cfg, addr);
-        if let Some(rec) = &self.recorder {
-            nic.set_tracer(Tracer::new(Arc::clone(rec), n as u32));
-        }
-        self.nodes.push(Node {
-            nic,
-            cpu: CpuLedger::new(),
-            app_time: SimTime::ZERO,
-            cqs: HashMap::new(),
-            fabric_id,
-            timer_event: None,
-        });
-        NodeIdx(n)
+        let addr = Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, (self.nodes.len() + 1) as u16);
+        self.attach(addr, switch, |w, port| QpipNode::new(w, nic_cfg, addr, port))
     }
 
     /// Installs a shared flight recorder: every node's firmware and
@@ -139,77 +187,8 @@ impl QpipWorld {
         for (i, n) in self.nodes.iter_mut().enumerate() {
             n.nic.set_tracer(Tracer::new(Arc::clone(&recorder), i as u32));
         }
-        self.fabric.set_recorder(Arc::clone(&recorder));
+        self.net.fabric.set_recorder(Arc::clone(&recorder));
         self.recorder = Some(recorder);
-    }
-
-    /// The installed flight recorder, if tracing is on.
-    pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.recorder.as_ref()
-    }
-
-    /// The IPv6 address of a node.
-    pub fn addr(&self, node: NodeIdx) -> Ipv6Addr {
-        self.nodes[node.0].nic.addr()
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
-    }
-
-    /// A node's application-thread clock.
-    pub fn app_time(&self, node: NodeIdx) -> SimTime {
-        self.nodes[node.0].app_time
-    }
-
-    /// Host CPU ledger of a node (utilization, cycle breakdown).
-    pub fn cpu(&self, node: NodeIdx) -> &CpuLedger {
-        &self.nodes[node.0].cpu
-    }
-
-    /// Charges application-level cycles on a node (benchmark loop
-    /// bodies, filesystem work in NBD).
-    pub fn charge_app(&mut self, node: NodeIdx, cycles: u64) {
-        let n = &mut self.nodes[node.0];
-        n.app_time = n.cpu.charge(n.app_time, WorkClass::App, cycles);
-    }
-
-    /// NIC access for instrumentation (occupancy tables, stats).
-    pub fn nic(&self, node: NodeIdx) -> &QpipNic {
-        &self.nodes[node.0].nic
-    }
-
-    /// Mutable NIC access (resetting occupancy between phases).
-    pub fn nic_mut(&mut self, node: NodeIdx) -> &mut QpipNic {
-        &mut self.nodes[node.0].nic
-    }
-
-    /// Fabric statistics.
-    pub fn fabric(&self) -> &Fabric {
-        &self.fabric
-    }
-
-    /// Traffic and drop counters of a node's offloaded protocol engine
-    /// (rx/tx packets, checksum/demux/addr/parse drops).
-    pub fn engine_stats(&self, node: NodeIdx) -> qpip_netstack::engine::EngineStats {
-        self.nodes[node.0].nic.engine_stats()
-    }
-
-    /// Total discrete events the world's simulator has delivered.
-    pub fn events_processed(&self) -> u64 {
-        self.sim.events_processed()
-    }
-
-    /// Wall-clock drain rate of the event loop (events per real
-    /// second since the first delivery) — the benches' scaling metric.
-    pub fn events_per_sec(&self) -> f64 {
-        self.sim.events_per_sec()
-    }
-
-    /// Installs a fault plan on the fabric (tests).
-    pub fn set_fault_plan(&mut self, plan: qpip_fabric::FaultPlan) {
-        self.fabric.set_fault_plan(plan);
     }
 
     /// Unified counter snapshots for the whole world: per-node engine
@@ -223,15 +202,45 @@ impl QpipWorld {
             engine.absorb(&n.nic.engine_stats().snapshot());
             nic.absorb(&n.nic.stats().snapshot());
         }
-        vec![engine, nic, self.fabric.snapshot()]
+        vec![engine, nic, self.net.fabric.snapshot()]
+    }
+
+    /// Binds a UDP QP to a port.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`NicError`].
+    pub fn udp_bind(&mut self, node: NodeIdx, qp: QpId, port: u16) -> Result<(), NicError> {
+        self.nodes[node.0].nic.udp_bind(qp, port)
+    }
+}
+
+impl<N: AsQpip> World<N> {
+    fn qpip_node(&self, node: NodeIdx) -> &QpipNode {
+        self.nodes[node.0].qpip().unwrap_or_else(|| panic!("node {} is a socket host", node.0))
+    }
+
+    fn qpip_node_mut(&mut self, node: NodeIdx) -> &mut QpipNode {
+        self.nodes[node.0].qpip_mut().unwrap_or_else(|| panic!("node {} is a socket host", node.0))
+    }
+
+    /// NIC access for instrumentation (occupancy tables, stats).
+    pub fn nic(&self, node: NodeIdx) -> &QpipNic {
+        &self.qpip_node(node).nic
+    }
+
+    /// Mutable NIC access (resetting occupancy between phases).
+    pub fn nic_mut(&mut self, node: NodeIdx) -> &mut QpipNic {
+        &mut self.qpip_node_mut(node).nic
     }
 
     // ----- management verbs ------------------------------------------------
 
     /// Creates a completion queue on a node.
     pub fn create_cq(&mut self, node: NodeIdx) -> CqId {
-        let cq = self.nodes[node.0].nic.create_cq();
-        self.nodes[node.0].cqs.insert(cq, VecDeque::new());
+        let n = self.qpip_node_mut(node);
+        let cq = n.nic.create_cq();
+        n.cqs.insert(cq, VecDeque::new());
         cq
     }
 
@@ -247,16 +256,7 @@ impl QpipWorld {
         send_cq: CqId,
         recv_cq: CqId,
     ) -> Result<QpId, NicError> {
-        self.nodes[node.0].nic.create_qp(service, send_cq, recv_cq)
-    }
-
-    /// Binds a UDP QP to a port.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NicError`].
-    pub fn udp_bind(&mut self, node: NodeIdx, qp: QpId, port: u16) -> Result<(), NicError> {
-        self.nodes[node.0].nic.udp_bind(qp, port)
+        self.qpip_node_mut(node).nic.create_qp(service, send_cq, recv_cq)
     }
 
     /// Monitors a TCP port, queuing `qp` for the next incoming
@@ -266,10 +266,11 @@ impl QpipWorld {
     ///
     /// Propagates [`NicError`].
     pub fn tcp_listen(&mut self, node: NodeIdx, port: u16, qp: QpId) -> Result<(), NicError> {
-        self.nodes[node.0].nic.tcp_listen(port, qp)
+        self.qpip_node_mut(node).nic.tcp_listen(port, qp)
     }
 
-    /// Starts a connection from a node's QP.
+    /// Starts a connection from a node's QP to any peer (QPIP or
+    /// socket).
     ///
     /// # Errors
     ///
@@ -281,12 +282,7 @@ impl QpipWorld {
         local_port: u16,
         remote: Endpoint,
     ) -> Result<(), NicError> {
-        let t = self.verbs_preamble(node, params::QPIP_BUILD_WR_CYCLES);
-        let db = t + DOORBELL_PCI_LATENCY;
-        self.pump_until_time(db);
-        let outs = self.nodes[node.0].nic.tcp_connect(db, qp, local_port, remote)?;
-        self.absorb(node.0, outs);
-        Ok(())
+        self.doorbell(node, |nic, db| nic.tcp_connect(db, qp, local_port, remote))
     }
 
     // ----- data verbs ---------------------------------------------------------
@@ -298,12 +294,7 @@ impl QpipWorld {
     ///
     /// Propagates [`NicError`].
     pub fn post_send(&mut self, node: NodeIdx, qp: QpId, wr: SendWr) -> Result<(), NicError> {
-        let t = self.verbs_preamble(node, params::QPIP_BUILD_WR_CYCLES);
-        let db = t + DOORBELL_PCI_LATENCY;
-        self.pump_until_time(db);
-        let outs = self.nodes[node.0].nic.post_send(db, qp, wr)?;
-        self.absorb(node.0, outs);
-        Ok(())
+        self.doorbell(node, |nic, db| nic.post_send(db, qp, wr))
     }
 
     /// Registers host memory on a node for remote access (the RDMA
@@ -311,17 +302,17 @@ impl QpipWorld {
     /// out of band — typically via a send-receive message, exactly as
     /// the paper prescribes.
     pub fn register_mr(&mut self, node: NodeIdx, len: usize) -> MrKey {
-        self.nodes[node.0].nic.register_mr(len)
+        self.qpip_node_mut(node).nic.register_mr(len)
     }
 
     /// Host-side write into a locally registered region.
     pub fn mr_write(&mut self, node: NodeIdx, key: MrKey, offset: usize, data: &[u8]) {
-        self.nodes[node.0].nic.mr_write(key, offset, data);
+        self.qpip_node_mut(node).nic.mr_write(key, offset, data);
     }
 
     /// Host-side read of a locally registered region.
     pub fn mr_read(&self, node: NodeIdx, key: MrKey, offset: usize, len: usize) -> Vec<u8> {
-        self.nodes[node.0].nic.mr_read(key, offset, len)
+        self.qpip_node(node).nic.mr_read(key, offset, len)
     }
 
     /// Posts an RDMA Write work request.
@@ -335,12 +326,7 @@ impl QpipWorld {
         qp: QpId,
         wr: RdmaWriteWr,
     ) -> Result<(), NicError> {
-        let t = self.verbs_preamble(node, params::QPIP_BUILD_WR_CYCLES);
-        let db = t + DOORBELL_PCI_LATENCY;
-        self.pump_until_time(db);
-        let outs = self.nodes[node.0].nic.post_rdma_write(db, qp, wr)?;
-        self.absorb(node.0, outs);
-        Ok(())
+        self.doorbell(node, |nic, db| nic.post_rdma_write(db, qp, wr))
     }
 
     /// Posts an RDMA Read work request.
@@ -354,12 +340,7 @@ impl QpipWorld {
         qp: QpId,
         wr: RdmaReadWr,
     ) -> Result<(), NicError> {
-        let t = self.verbs_preamble(node, params::QPIP_BUILD_WR_CYCLES);
-        let db = t + DOORBELL_PCI_LATENCY;
-        self.pump_until_time(db);
-        let outs = self.nodes[node.0].nic.post_rdma_read(db, qp, wr)?;
-        self.absorb(node.0, outs);
-        Ok(())
+        self.doorbell(node, |nic, db| nic.post_rdma_read(db, qp, wr))
     }
 
     /// Posts a receive work request.
@@ -368,12 +349,7 @@ impl QpipWorld {
     ///
     /// Propagates [`NicError`].
     pub fn post_recv(&mut self, node: NodeIdx, qp: QpId, wr: RecvWr) -> Result<(), NicError> {
-        let t = self.verbs_preamble(node, params::QPIP_BUILD_WR_CYCLES);
-        let db = t + DOORBELL_PCI_LATENCY;
-        self.pump_until_time(db);
-        let outs = self.nodes[node.0].nic.post_recv(db, qp, wr)?;
-        self.absorb(node.0, outs);
-        Ok(())
+        self.doorbell(node, |nic, db| nic.post_recv(db, qp, wr))
     }
 
     /// Polls a CQ once. A hit charges the cache-resident poll cost; a
@@ -381,20 +357,11 @@ impl QpipWorld {
     /// processor cache).
     pub fn poll(&mut self, node: NodeIdx, cq: CqId) -> Option<Completion> {
         self.pump_ready(node);
-        let app_time = self.nodes[node.0].app_time;
-        let head_visible =
-            self.nodes[node.0].cqs.get(&cq).and_then(|q| q.front()).map(|c| c.visible_at);
-        match head_visible {
-            Some(v) if v <= app_time => {
-                let n = &mut self.nodes[node.0];
-                n.app_time =
-                    n.cpu.charge(n.app_time, WorkClass::Verbs, params::QPIP_POLL_HIT_CYCLES);
-                Some(n.cqs.get_mut(&cq).expect("cq exists").pop_front().expect("head"))
-            }
+        let n = self.qpip_node_mut(node);
+        match n.head(cq) {
+            Some(c) if c.visible_at <= n.app_time => n.take_head(cq),
             _ => {
-                let n = &mut self.nodes[node.0];
-                n.app_time =
-                    n.cpu.charge(n.app_time, WorkClass::Verbs, params::QPIP_POLL_MISS_CYCLES);
+                n.charge(WorkClass::Verbs, params::QPIP_POLL_MISS_CYCLES);
                 None
             }
         }
@@ -413,19 +380,8 @@ impl QpipWorld {
     /// the wrong-CQ wait is visible from the message alone.
     pub fn wait(&mut self, node: NodeIdx, cq: CqId) -> Completion {
         loop {
-            // take a visible head entry if one exists
-            let app_time = self.nodes[node.0].app_time;
-            if let Some(head) = self.nodes[node.0].cqs.get(&cq).and_then(|q| q.front()) {
-                let visible = head.visible_at;
-                let n = &mut self.nodes[node.0];
-                // sleep until the entry lands, then pay the poll that
-                // finds it
-                n.app_time = n.cpu.charge(
-                    app_time.max(visible),
-                    WorkClass::Verbs,
-                    params::QPIP_POLL_HIT_CYCLES,
-                );
-                return n.cqs.get_mut(&cq).expect("cq").pop_front().expect("head");
+            if let Some(c) = self.qpip_node_mut(node).take_head(cq) {
+                return c;
             }
             if !self.step() {
                 panic!("{}", self.deadlock_report(node, cq));
@@ -441,11 +397,13 @@ impl QpipWorld {
         use core::fmt::Write as _;
         let mut s = format!(
             "wait() deadlocked at t={}: simulation ran dry with {cq} empty on node {}\n",
-            self.sim.now(),
+            self.now(),
             node.0
         );
         for (i, n) in self.nodes.iter().enumerate() {
-            let _ = writeln!(s, "  node {i} (addr {}):", n.nic.addr());
+            let _ = writeln!(s, "  node {i} (addr {}):", n.addr());
+            // socket hosts have no CQs or QPs to show
+            let Some(n) = n.qpip() else { continue };
             let mut cqs: Vec<_> = n.cqs.iter().collect();
             cqs.sort_by_key(|(id, _)| id.0);
             for (id, entries) in cqs {
@@ -498,18 +456,10 @@ impl QpipWorld {
     /// Consumes the head CQ entry if one has been produced, sleeping
     /// forward to its visibility instant (no spin cycles). Returns
     /// `None` when the CQ is empty — the non-blocking companion of
-    /// [`QpipWorld::wait`] for callers juggling several queues.
+    /// [`World::wait`] for callers juggling several queues.
     pub fn try_wait(&mut self, node: NodeIdx, cq: CqId) -> Option<Completion> {
         self.pump_ready(node);
-        let head_visible =
-            self.nodes[node.0].cqs.get(&cq).and_then(|q| q.front()).map(|c| c.visible_at)?;
-        let n = &mut self.nodes[node.0];
-        n.app_time = n.cpu.charge(
-            n.app_time.max(head_visible),
-            WorkClass::Verbs,
-            params::QPIP_POLL_HIT_CYCLES,
-        );
-        n.cqs.get_mut(&cq).expect("cq").pop_front()
+        self.qpip_node_mut(node).take_head(cq)
     }
 
     /// Convenience: wait until a completion matching the predicate
@@ -528,156 +478,41 @@ impl QpipWorld {
         }
     }
 
-    // ----- event loop -----------------------------------------------------------
-
-    /// Processes one simulation event; `false` when idle.
-    pub fn step(&mut self) -> bool {
-        let Some((t, ev)) = self.sim.next() else {
-            return false;
-        };
-        match ev {
-            WorldEvent::Packet { node, bytes } => {
-                let outs = self.nodes[node].nic.on_packet(t, &bytes);
-                self.absorb(node, outs);
-                self.enforce_oracle(node);
-            }
-            WorldEvent::Timer { node } => {
-                self.nodes[node].timer_event = None;
-                let outs = self.nodes[node].nic.on_timer(t);
-                self.absorb(node, outs);
-                self.enforce_oracle(node);
-            }
-        }
-        true
-    }
-
-    /// Debug-build oracle gate: after every event, surface any TCB
-    /// invariant violation the engine's per-event hook latched, naming
-    /// the invariant and dumping the connection's recent history.
-    ///
-    /// # Panics
-    ///
-    /// Panics with [`QpipWorld::oracle_report`] on a latched violation.
-    #[cfg(debug_assertions)]
-    fn enforce_oracle(&mut self, node: usize) {
-        if let Some(v) = self.nodes[node].nic.take_invariant_violation() {
-            panic!("{}", self.oracle_report(node, &v));
-        }
-    }
-
-    #[cfg(not(debug_assertions))]
-    fn enforce_oracle(&mut self, _node: usize) {}
-
-    /// Renders an invariant violation with the failing invariant's name
-    /// and the connection's last flight-recorder events (when a
-    /// recorder is installed).
-    #[cfg(debug_assertions)]
-    fn oracle_report(
-        &self,
-        node: usize,
-        v: &qpip_netstack::invariant::InvariantViolation,
-    ) -> String {
-        use core::fmt::Write as _;
-        let mut s =
-            format!("TCB invariant `{}` violated on node {node}: {}\n", v.invariant, v.detail);
-        match (&self.recorder, v.conn) {
-            (Some(rec), Some(conn)) => {
-                let tail = rec.last_events(node as u32, conn.0, 8);
-                let _ = writeln!(s, "  last {} flight-recorder events for {conn}:", tail.len());
-                for line in qpip_trace::export::dump(&tail).lines() {
-                    let _ = writeln!(s, "    {line}");
-                }
-            }
-            _ => s.push_str("  (install a flight recorder for per-connection event history)"),
-        }
-        s
-    }
-
-    /// Runs the event loop until nothing is pending.
-    pub fn run_until_idle(&mut self) {
-        while self.step() {}
-    }
-
-    fn pump_until_time(&mut self, t: SimTime) {
-        while let Some(next) = self.sim.peek_time() {
-            if next > t {
-                break;
-            }
-            self.step();
-        }
-    }
-
     /// Drains events that are already due relative to the node's app
     /// clock (so polls observe everything that "has happened").
     fn pump_ready(&mut self, node: NodeIdx) {
-        let t = self.nodes[node.0].app_time;
+        let t = self.qpip_node(node).app_time;
         self.pump_until_time(t);
     }
 
-    fn verbs_preamble(&mut self, node: NodeIdx, build_cycles: u64) -> SimTime {
-        let n = &mut self.nodes[node.0];
+    /// Table 1's host side of a verb: build the WR and ring the
+    /// doorbell on the application thread, then let the simulation
+    /// catch up to the instant the doorbell reaches the NIC.
+    fn verbs_preamble(&mut self, node: NodeIdx) -> SimTime {
+        let now = self.now();
+        let n = self.qpip_node_mut(node);
         // the app cannot act before the sim's current instant
-        n.app_time = n.app_time.max(self.sim.now());
-        let t = n.cpu.charge(n.app_time, WorkClass::Verbs, build_cycles);
-        let t = n.cpu.charge(t, WorkClass::Verbs, params::QPIP_DOORBELL_CYCLES);
-        n.app_time = t;
-        t
+        n.app_time = n.app_time.max(now);
+        n.charge(WorkClass::Verbs, params::QPIP_BUILD_WR_CYCLES);
+        n.charge(WorkClass::Verbs, params::QPIP_DOORBELL_CYCLES);
+        let db = n.app_time + DOORBELL_PCI_LATENCY;
+        self.pump_until_time(db);
+        db
     }
 
-    fn absorb(&mut self, node: usize, outs: Vec<NicOutput>) {
-        for o in outs {
-            match o {
-                NicOutput::Transmit { at, dst, bytes, .. } => {
-                    let from = self.nodes[node].fabric_id;
-                    match self.fabric.transmit(at, from, dst, bytes.len()) {
-                        TransmitOutcome::Delivered { to, at: arrive, marked } => {
-                            let dest = self.fabric_to_node[to.0 as usize];
-                            // RED/ECN: the switch marks ECN-capable
-                            // packets instead of dropping (§5.2)
-                            let mut bytes = bytes;
-                            if marked
-                                && qpip_wire::ipv6::Ipv6Header::ecn_of_packet(&bytes)
-                                    == qpip_wire::ipv6::Ecn::Capable
-                            {
-                                qpip_wire::ipv6::Ipv6Header::set_ecn_in_packet(
-                                    &mut bytes,
-                                    qpip_wire::ipv6::Ecn::CongestionExperienced,
-                                );
-                            }
-                            // deliveries cannot be scheduled into the past
-                            let arrive = arrive.max(self.sim.now());
-                            self.sim.schedule_at(arrive, WorldEvent::Packet { node: dest, bytes });
-                        }
-                        TransmitOutcome::Dropped(_) => {}
-                    }
-                }
-                NicOutput::Complete(cq, c) => {
-                    self.nodes[node].cqs.entry(cq).or_default().push_back(c);
-                }
-            }
-        }
-        self.refresh_timer(node);
-    }
-
-    fn refresh_timer(&mut self, node: usize) {
-        let deadline = self.nodes[node].nic.next_deadline();
-        let current = self.nodes[node].timer_event;
-        match (deadline, current) {
-            (Some(d), Some((t, _))) if t <= d => {} // existing timer fires first
-            (Some(d), existing) => {
-                if let Some((_, id)) = existing {
-                    self.sim.cancel(id);
-                }
-                let at = d.max(self.sim.now());
-                let id = self.sim.schedule_at(at, WorldEvent::Timer { node });
-                self.nodes[node].timer_event = Some((at, id));
-            }
-            (None, Some((_, id))) => {
-                self.sim.cancel(id);
-                self.nodes[node].timer_event = None;
-            }
-            (None, None) => {}
-        }
+    /// Runs a data verb on the NIC at the doorbell instant and routes
+    /// what it produces.
+    fn doorbell(
+        &mut self,
+        node: NodeIdx,
+        verb: impl FnOnce(&mut QpipNic, SimTime) -> Result<Vec<NicOutput>, NicError>,
+    ) -> Result<(), NicError> {
+        let db = self.verbs_preamble(node);
+        let outs = verb(&mut self.qpip_node_mut(node).nic, db)?;
+        let n = self.nodes[node.0].qpip_mut().expect("checked above");
+        n.absorb(&mut self.net, outs);
+        self.refresh_timer(node.0);
+        Ok(())
     }
 }
 

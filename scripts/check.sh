@@ -57,6 +57,22 @@ if grep -q '\[MISS\]' <<<"$out"; then
     exit 1
 fi
 
+# The benchmark (qpbench/, a Cargo workspace of its own) drives the
+# public world API (QpipWorld::step, events_processed, SocketWorld::gige,
+# ...), so build it here: an API break must fail CI, not the benchmark.
+# A one-second run of each DES workload then re-runs its own checks;
+# exit 1 means an exactly-once or Fig. 7 equality check failed.
+echo "==> build: qpbench"
+cargo build --release --offline --manifest-path qpbench/Cargo.toml
+for workload in des_fanin des_nbd; do
+    echo "==> smoke: qpbench --workload $workload --seed 1 --seconds 1 --trace 0"
+    out="$(qpbench/target/release/qpbench --workload "$workload" --seed 1 --seconds 1 --trace 0)" || {
+        echo "$out"
+        echo "FAIL: qpbench $workload exited non-zero"
+        exit 1
+    }
+done
+
 # Live-socket smoke runs. These open real UDP sockets on 127.0.0.1 and
 # block on them, so unlike the deterministic binaries above a bug can
 # hang rather than fail — a hard timeout turns a hang into a failure.

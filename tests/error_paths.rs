@@ -191,6 +191,39 @@ fn mixed_world_rejects_bad_handles_on_both_sides() {
     ));
 }
 
+/// A starved `wait()` on a mixed world's QPIP node gets the same
+/// deadlock report as a pure QPIP world: the starved CQ, the node, and
+/// its per-QP state.
+#[test]
+fn mixed_world_wait_deadlock_reports_pending_state() {
+    let mut w = MixedWorld::new(FabricConfig::myrinet_gm());
+    let h = w.add_host_node(StackConfig::gm_myrinet());
+    let q = w.add_qpip_node(NicConfig { mtu: 9000, ..NicConfig::paper_default() });
+    let ls = w.tcp_socket(h);
+    w.listen(h, ls, 80).unwrap();
+    let cq = w.create_cq(q);
+    let qp = w.create_qp(q, ServiceType::ReliableTcp, cq, cq).unwrap();
+    w.post_recv(q, qp, RecvWr { wr_id: 1, capacity: 8 * 1024 }).unwrap();
+    w.tcp_connect(q, qp, 7000, Endpoint::new(w.addr(h), 80)).unwrap();
+    let starved = w.create_cq(q);
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+        w.wait(q, starved);
+    }))
+    .expect_err("wait() on a starved CQ must panic, not hang");
+    let msg = panic
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_string()))
+        .expect("panic payload is a message");
+    assert!(msg.contains("wait() deadlocked"), "headline missing: {msg}");
+    assert!(
+        msg.contains(&format!("{starved} empty on node {}", q.0)),
+        "starved wait not named: {msg}"
+    );
+    assert!(msg.contains("ConnectionEstablished"), "the pending entry is not shown: {msg}");
+    assert!(msg.contains("qp#"), "per-QP state not dumped: {msg}");
+}
+
 // ----- ConnId generation check -------------------------------------------
 
 /// The slab behind the engine's connection table reuses slots; the

@@ -5,6 +5,7 @@
 use qpip::mixed::MixedWorld;
 use qpip::{CompletionKind, NicConfig, RecvWr, SendWr, ServiceType};
 use qpip_fabric::FabricConfig;
+use qpip_host::cpu::WorkClass;
 use qpip_host::stack::StackConfig;
 use qpip_netstack::types::Endpoint;
 
@@ -111,10 +112,13 @@ fn cost_models_differ_across_the_same_wire() {
         got += data.len();
     }
     assert_eq!(got, total);
-    // the socket host burned protocol + interrupt + copy cycles…
-    // (read via the public API of the node's stack through a fresh scope)
-    // while the QPIP node's host did verbs only.
-    // MixedWorld keeps ledgers internal; the observable contrast is that
-    // the whole transfer arrived intact with per-message completions on
-    // one side and one write call on the other.
+    // the socket host ran the stack on its CPU and took interrupts…
+    let host = w.cpu(h);
+    assert!(host.cycles(WorkClass::Protocol) > 0, "socket host charged no protocol cycles");
+    assert!(host.cycles(WorkClass::Interrupt) > 0, "socket host charged no interrupt cycles");
+    // …while the QPIP node's host only made verbs calls
+    let qpip = w.cpu(q);
+    assert_eq!(qpip.cycles(WorkClass::Protocol), 0, "QPIP host ran protocol code");
+    assert_eq!(qpip.cycles(WorkClass::Interrupt), 0, "QPIP host took interrupts");
+    assert!(qpip.cycles(WorkClass::Verbs) > 0, "QPIP host made no verbs calls");
 }
