@@ -59,7 +59,7 @@ fn host_loopback_cycles() -> u64 {
     let rounds = 16u64;
     for _ in 0..rounds {
         for (tx_sock, rx_sock) in [(cs, server), (server, cs)] {
-            let (_, outs) = host.send(now, tx_sock, vec![0x55]).unwrap();
+            let (_, outs) = host.send(now, tx_sock, &[0x55]).unwrap();
             for o in outs {
                 if let HostOutput::Frame { bytes, .. } = o {
                     frames.push_back(bytes);

@@ -126,13 +126,14 @@ pub fn socket_ttcp(which: Baseline, total_bytes: u64, chunk: usize) -> TtcpResul
     let mut t_end = SimTime::ZERO;
     // blocked-writer state: after WouldBlock, sleep until SendSpace
     let mut awaiting_space = false;
+    let block = vec![0x42; chunk];
 
     while received < total {
         let mut progress = false;
         if !awaiting_space {
             while sent < total {
                 let n = chunk.min(total - sent);
-                if w.try_send(a, cs, vec![0x42; n]).expect("send") {
+                if w.try_send(a, cs, &block[..n]).expect("send") {
                     sent += n;
                     progress = true;
                 } else {

@@ -279,8 +279,7 @@ impl<N: AsHost> World<N> {
         let mut offset = 0;
         while offset < data.len() {
             let n = (data.len() - offset).min(16 * 1024);
-            let piece = data[offset..offset + n].to_vec();
-            if self.try_send(node, sock, piece)? {
+            if self.try_send(node, sock, &data[offset..offset + n])? {
                 offset += n;
             } else {
                 // sleep until the stack signals space
@@ -316,7 +315,9 @@ impl<N: AsHost> World<N> {
     /// Non-blocking send attempt: returns `true` when accepted, `false`
     /// when the send buffer is full (use [`World::step`] to make
     /// progress and retry) — the building block for pumped workloads
-    /// like ttcp where one driver loop plays both endpoints.
+    /// like ttcp where one driver loop plays both endpoints. A refused
+    /// attempt copies nothing but still charges its syscall, so the
+    /// number of attempts is part of the simulation.
     ///
     /// # Errors
     ///
@@ -325,7 +326,7 @@ impl<N: AsHost> World<N> {
         &mut self,
         node: NodeIdx,
         sock: SockId,
-        data: Vec<u8>,
+        data: &[u8],
     ) -> Result<bool, SockError> {
         let (t, stack) = self.host_now(node);
         let (outcome, outs) = stack.send(t, sock, data)?;

@@ -380,7 +380,10 @@ impl HostStack {
 
     // ----- data path -------------------------------------------------------
 
-    /// Writes `data` to a connected TCP socket.
+    /// Writes `data` to a connected TCP socket. The bytes are copied
+    /// into the send buffer only when the write is accepted, which is
+    /// where the model charges the copy; a refused write
+    /// ([`SendOutcome::WouldBlock`]) copies nothing.
     ///
     /// # Errors
     ///
@@ -389,7 +392,7 @@ impl HostStack {
         &mut self,
         now: SimTime,
         sock: SockId,
-        data: Vec<u8>,
+        data: &[u8],
     ) -> Result<(SendOutcome, Vec<HostOutput>), SockError> {
         let s = self.socks.get(&sock).ok_or(SockError::UnknownSock(sock))?;
         let Some(conn) = s.conn else {
@@ -413,7 +416,7 @@ impl HostStack {
         }
         let token = SendToken(self.next_token);
         self.next_token += 1;
-        let emits = self.engine.tcp_send(t, conn, data, token)?;
+        let emits = self.engine.tcp_send(t, conn, data.to_vec(), token)?;
         let mut out = Vec::new();
         let done = self.process_emits(t, emits, &mut out);
         Ok((SendOutcome::Sent { done }, out))
@@ -434,7 +437,13 @@ impl HostStack {
     ) -> Result<(Vec<u8>, SimTime), SockError> {
         let s = self.socks.get_mut(&sock).ok_or(SockError::UnknownSock(sock))?;
         let take = s.rx.len().min(max);
-        let data: Vec<u8> = s.rx.drain(..take).collect();
+        // the ring's readable prefix is at most two slices
+        let (head, tail) = s.rx.as_slices();
+        let from_head = take.min(head.len());
+        let mut data = Vec::with_capacity(take);
+        data.extend_from_slice(&head[..from_head]);
+        data.extend_from_slice(&tail[..take - from_head]);
+        s.rx.drain(..take);
         let mut t = self.cpu.charge(
             now,
             WorkClass::Syscall,
@@ -450,6 +459,13 @@ impl HostStack {
     /// Bytes currently readable on a TCP socket.
     pub fn readable(&self, sock: SockId) -> usize {
         self.socks.get(&sock).map_or(0, |s| s.rx.len())
+    }
+
+    /// Bytes written to a TCP socket and not yet acknowledged by the
+    /// peer: the send-buffer occupancy that `sndbuf` bounds.
+    pub fn buffered(&self, sock: SockId) -> u64 {
+        let conn = self.socks.get(&sock).and_then(|s| s.conn);
+        conn.and_then(|c| self.engine.conn_bytes_buffered(c)).unwrap_or(0)
     }
 
     /// Whether the peer has closed (EOF after draining `readable`).

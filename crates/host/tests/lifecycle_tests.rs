@@ -101,7 +101,7 @@ impl Net {
 fn graceful_close_delivers_eof_after_data() {
     let mut n = Net::new();
     let (cs, ss) = n.connect();
-    let (_, outs) = n.a.send(n.now, cs, b"last words".to_vec()).unwrap();
+    let (_, outs) = n.a.send(n.now, cs, b"last words").unwrap();
     n.absorb(true, outs);
     let outs = n.a.close(n.now, cs).unwrap();
     n.absorb(true, outs);
@@ -134,7 +134,7 @@ fn both_sides_closing_reaps_connections() {
         }
     }
     // further sends fail: the connections are gone
-    assert!(matches!(n.a.send(n.now, cs, vec![1]), Err(SockError::InvalidState(_))));
+    assert!(matches!(n.a.send(n.now, cs, &[1]), Err(SockError::InvalidState(_))));
 }
 
 #[test]
@@ -147,7 +147,7 @@ fn send_after_peer_reset_reports_invalid_state() {
     let o = n.a.close(n.now, cs).unwrap();
     n.absorb(true, o);
     assert!(matches!(
-        n.a.send(n.now, cs, vec![1]),
+        n.a.send(n.now, cs, &[1]),
         Err(SockError::Engine(_)) | Err(SockError::InvalidState(_))
     ));
 }
@@ -171,7 +171,7 @@ fn sndbuf_backpressure_releases_after_acks() {
     let (cs, ss) = n.connect();
     // fill the 64 KB sndbuf without draining the wire
     let mut accepted = 0usize;
-    while let (SendOutcome::Sent { .. }, outs) = n.a.send(n.now, cs, vec![0; 16 * 1024]).unwrap() {
+    while let (SendOutcome::Sent { .. }, outs) = n.a.send(n.now, cs, &[0; 16 * 1024]).unwrap() {
         accepted += 16 * 1024;
         n.absorb(true, outs);
         assert!(accepted <= 128 * 1024, "sndbuf never filled");
@@ -180,7 +180,7 @@ fn sndbuf_backpressure_releases_after_acks() {
     n.run();
     n.fire_timers();
     assert!(n.events_a.iter().any(|e| matches!(e, HostOutput::SendSpace { .. })));
-    let (outcome, _) = n.a.send(n.now, cs, vec![0; 1024]).unwrap();
+    let (outcome, _) = n.a.send(n.now, cs, &[0; 1024]).unwrap();
     assert!(matches!(outcome, SendOutcome::Sent { .. }));
     let _ = ss;
 }
@@ -189,7 +189,7 @@ fn sndbuf_backpressure_releases_after_acks() {
 fn cpu_breakdown_covers_all_classes_on_a_transfer() {
     let mut n = Net::new();
     let (cs, ss) = n.connect();
-    let (_, outs) = n.a.send(n.now, cs, vec![0; 32 * 1024]).unwrap();
+    let (_, outs) = n.a.send(n.now, cs, &[0; 32 * 1024]).unwrap();
     n.absorb(true, outs);
     n.run();
     n.fire_timers();
@@ -215,7 +215,7 @@ fn interrupt_coalescing_reduces_interrupts_in_bulk() {
     let mut n = Net::new();
     let (cs, ss) = n.connect();
     let before = n.b.interrupts();
-    let (_, outs) = n.a.send(n.now, cs, vec![0; 64 * 1024 - 1024]).unwrap();
+    let (_, outs) = n.a.send(n.now, cs, &[0; 64 * 1024 - 1024]).unwrap();
     n.absorb(true, outs);
     n.run();
     n.fire_timers();

@@ -7,6 +7,7 @@ use std::net::Ipv6Addr;
 use qpip_host::{HostOutput, HostStack, SendOutcome, SockId, StackConfig, WorkClass};
 use qpip_netstack::types::Endpoint;
 use qpip_sim::params;
+use qpip_sim::rng::SplitMix64;
 use qpip_sim::time::{SimDuration, SimTime};
 
 fn addr(n: u16) -> Ipv6Addr {
@@ -112,7 +113,10 @@ fn tcp_sockets_connect_over_gige() {
 fn bulk_send_recv_delivers_all_bytes() {
     let mut n = Net::new(StackConfig::gige());
     let (cs, ss) = n.connect();
-    let total = 100_000usize;
+    let total = 300_000usize;
+    let payload = SplitMix64::new(0x5eed).bytes(total);
+    let maxes = [1, 7, 1500, 16 * 1024, 3000, 9000];
+    let mut reads = 0usize;
     let mut sent = 0usize;
     let mut received = Vec::new();
     let mut guard = 0;
@@ -121,7 +125,7 @@ fn bulk_send_recv_delivers_all_bytes() {
         assert!(guard < 10_000, "stalled at {} bytes", received.len());
         if sent < total {
             let chunk = (total - sent).min(16 * 1024);
-            match n.a.send(n.now, cs, vec![(sent % 251) as u8; chunk]) {
+            match n.a.send(n.now, cs, &payload[sent..sent + chunk]) {
                 Ok((SendOutcome::Sent { .. }, outs)) => {
                     sent += chunk;
                     n.absorb(true, outs);
@@ -131,16 +135,25 @@ fn bulk_send_recv_delivers_all_bytes() {
             }
         }
         n.run();
+        // while the sender is still writing, reads leave a residue in
+        // the receive ring: its head keeps moving, later arrivals wrap
+        // around its end, and some reads span both of its halves
+        let keep = if sent < total { 2000 } else { 0 };
         if n.b.readable(ss) > 0 {
-            let (data, _) = n.b.recv(n.now, ss, usize::MAX).unwrap();
-            received.extend(data);
+            while n.b.readable(ss) > keep {
+                let max = maxes[reads % maxes.len()].min(n.b.readable(ss) - keep);
+                reads += 1;
+                let (data, _) = n.b.recv(n.now, ss, max).unwrap();
+                assert_eq!(data.len(), max);
+                received.extend(data);
+            }
         } else if sent >= total && !n.fire_timers() {
             break;
         }
     }
     assert_eq!(received.len(), total);
-    // content spot-check: first byte of each chunk
-    assert_eq!(received[0], 0);
+    let first_bad = received.iter().zip(&payload).position(|(got, want)| got != want);
+    assert_eq!(first_bad, None, "received bytes differ from the payload");
     assert_eq!(n.a.retransmissions(), 0);
 }
 
@@ -151,7 +164,7 @@ fn sndbuf_applies_backpressure() {
     // don't run the wire: the buffer must fill and block
     let mut blocked = false;
     for _ in 0..64 {
-        match n.a.send(n.now, cs, vec![0; 16 * 1024]).unwrap() {
+        match n.a.send(n.now, cs, &[0; 16 * 1024]).unwrap() {
             (SendOutcome::Sent { .. }, outs) => {
                 let _ = outs; // frames intentionally not delivered
             }
@@ -187,7 +200,7 @@ fn udp_roundtrip_and_wakeup() {
 fn gige_receive_path_charges_interrupts() {
     let mut n = Net::new(StackConfig::gige());
     let (cs, ss) = n.connect();
-    let (_, outs) = n.a.send(n.now, cs, vec![0; 1000]).unwrap();
+    let (_, outs) = n.a.send(n.now, cs, &[0; 1000]).unwrap();
     n.absorb(true, outs);
     n.run();
     let _ = n.b.recv(n.now, ss, usize::MAX).unwrap();
@@ -203,7 +216,7 @@ fn gm_stack_charges_software_checksums() {
     let mut gm = Net::new(StackConfig::gm_myrinet());
     for n in [&mut gige, &mut gm] {
         let (cs, ss) = n.connect();
-        let (_, outs) = n.a.send(n.now, cs, vec![0; 8000]).unwrap();
+        let (_, outs) = n.a.send(n.now, cs, &[0; 8000]).unwrap();
         n.absorb(true, outs);
         n.run();
         n.fire_timers();
@@ -258,7 +271,7 @@ fn loopback_one_byte_overhead_matches_table1() {
     host.cpu_mut().reset_stats();
 
     // one 1-byte message, sender → receiver, then read it
-    let (_, outs) = host.send(now, cs, vec![0x55]).unwrap();
+    let (_, outs) = host.send(now, cs, &[0x55]).unwrap();
     absorb(outs, &mut frames, &mut events);
     while let Some(f) = frames.pop_front() {
         now += SimDuration::from_nanos(100);

@@ -24,6 +24,25 @@ pub enum Transport {
     GmMyrinet,
 }
 
+/// A message a driver writes to its socket in ≤16 KB pieces, like the
+/// kernel socket path does, and the offset of its first unaccepted byte.
+type Pending = Option<(Vec<u8>, usize)>;
+
+/// Offers the next piece of `pending` to the socket. Returns whether
+/// the socket accepted it; `pending` empties once the last piece is in.
+fn write_piece(w: &mut SocketWorld, node: NodeIdx, sock: SockId, pending: &mut Pending) -> bool {
+    let Some((msg, off)) = pending.as_mut() else { return false };
+    let n = (msg.len() - *off).min(16 * 1024);
+    if !w.try_send(node, sock, &msg[*off..*off + n]).expect("send") {
+        return false;
+    }
+    *off += n;
+    if *off == msg.len() {
+        *pending = None;
+    }
+    true
+}
+
 struct Bench {
     w: SocketWorld,
     client: NodeIdx,
@@ -90,7 +109,7 @@ impl Bench {
         let mut srv_reading_data = false;
         let mut srv_data_left = 0usize;
         // client partial-send state
-        let mut pending: Option<Vec<u8>> = None;
+        let mut pending: Pending = None;
         while done < nblocks {
             let mut progress = false;
             // client issues requests up to the queue depth
@@ -104,22 +123,10 @@ impl Bench {
                 };
                 let mut msg = req.encode();
                 msg.extend(std::iter::repeat_n(0x5au8, cfg.block));
-                pending = Some(msg);
+                pending = Some((msg, 0));
                 sent += 1;
             }
-            if let Some(msg) = pending.as_mut() {
-                // the driver writes in ≤16 KB pieces, like the kernel
-                // socket path does
-                let n = msg.len().min(16 * 1024);
-                let chunk = msg[..n].to_vec();
-                if self.w.try_send(self.client, self.cs, chunk).expect("send") {
-                    msg.drain(..n);
-                    if msg.is_empty() {
-                        pending = None;
-                    }
-                    progress = true;
-                }
-            }
+            progress |= write_piece(&mut self.w, self.client, self.cs, &mut pending);
             // server consumes the stream
             let avail = self.w.readable(self.server, self.ss);
             if avail > 0 {
@@ -137,7 +144,7 @@ impl Bench {
                             self.disk.write(now, req.len as usize);
                             let reply = NbdReply { error: 0, handle: req.handle }.encode();
                             // replies are small; block until accepted
-                            while !self.w.try_send(self.server, self.ss, reply.clone()).unwrap() {
+                            while !self.w.try_send(self.server, self.ss, &reply).unwrap() {
                                 assert!(self.w.step(), "nbd write deadlock (reply)");
                             }
                             srv_have.clear();
@@ -182,7 +189,7 @@ impl Bench {
         let mut srv_have: Vec<u8> = Vec::new();
         let mut cli_block_left = 0usize; // data bytes outstanding for current reply
         let mut cli_seen_reply = false;
-        let mut srv_pending: Option<Vec<u8>> = None;
+        let mut srv_pending: Pending = None;
         while done < nblocks {
             let mut progress = false;
             if sent < nblocks && sent - done < cfg.queue_depth {
@@ -193,7 +200,7 @@ impl Bench {
                     offset: sent * cfg.block as u64,
                     len: cfg.block as u32,
                 };
-                if self.w.try_send(self.client, self.cs, req.encode()).unwrap() {
+                if self.w.try_send(self.client, self.cs, &req.encode()).unwrap() {
                     sent += 1;
                     progress = true;
                 }
@@ -211,21 +218,11 @@ impl Bench {
                     self.w.charge_app(self.server, params::NBD_SERVER_PER_REQUEST_CYCLES);
                     let mut msg = NbdReply { error: 0, handle: req.handle }.encode();
                     msg.extend(std::iter::repeat_n(0xc3u8, req.len as usize));
-                    srv_pending = Some(msg);
+                    srv_pending = Some((msg, 0));
                     progress = true;
                 }
             }
-            if let Some(msg) = srv_pending.as_mut() {
-                let n = msg.len().min(16 * 1024);
-                let chunk = msg[..n].to_vec();
-                if self.w.try_send(self.server, self.ss, chunk).unwrap() {
-                    msg.drain(..n);
-                    if msg.is_empty() {
-                        srv_pending = None;
-                    }
-                    progress = true;
-                }
-            }
+            progress |= write_piece(&mut self.w, self.server, self.ss, &mut srv_pending);
             // client: drain reply header + block data
             let avail = self.w.readable(self.client, self.cs);
             if avail > 0 {

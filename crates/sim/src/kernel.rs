@@ -1,8 +1,8 @@
 //! The discrete-event simulation kernel.
 //!
-//! [`Simulator`] is a generic calendar queue: callers schedule events of
-//! some type `E` at absolute instants or relative delays, then drain them
-//! in time order. Ties are broken by insertion order, which makes every
+//! [`Simulator`] is a generic event queue over a binary heap: callers
+//! schedule events of some type `E` at absolute instants or relative
+//! delays, then drain them in time order. Ties are broken by insertion order, which makes every
 //! run fully deterministic.
 //!
 //! Cancellation is generation-checked: every scheduled event owns a slot
@@ -241,7 +241,7 @@ impl<E> Simulator<E> {
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
-    #[allow(clippy::should_implement_trait)] // calendar pop, not Iterator
+    #[allow(clippy::should_implement_trait)] // queue pop, not Iterator
     pub fn next(&mut self) -> Option<(SimTime, E)> {
         self.skip_cancelled();
         let entry = self.queue.pop()?;

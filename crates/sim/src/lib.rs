@@ -1,7 +1,7 @@
 //! # qpip-sim — discrete-event simulation kernel
 //!
-//! The foundation of the QPIP reproduction: a deterministic calendar
-//! queue ([`kernel::Simulator`]), picosecond time and cycle arithmetic
+//! The foundation of the QPIP reproduction: a deterministic event queue
+//! (a binary heap, [`kernel::Simulator`]), picosecond time and cycle arithmetic
 //! ([`time`]), serial-resource contention models ([`resource`]),
 //! measurement primitives ([`stats`]) and the single authoritative table
 //! of calibration constants ([`params`]).

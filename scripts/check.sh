@@ -60,10 +60,17 @@ fi
 # The benchmark (qpbench/, a Cargo workspace of its own) drives the
 # public world API (QpipWorld::step, events_processed, SocketWorld::gige,
 # ...), so build it here: an API break must fail CI, not the benchmark.
+# Its own tests (alloc-count repeatability, metric names against
+# BENCHMARK.json, the parsers, a smoke run of each workload) run next,
+# one at a time: the live smoke runs read the kernel's UDP receive-drop
+# counter, which is shared by the whole network namespace, so two of
+# them running at once count each other's drops.
 # A one-second run of each DES workload then re-runs its own checks;
 # exit 1 means an exactly-once or Fig. 7 equality check failed.
 echo "==> build: qpbench"
 cargo build --release --offline --manifest-path qpbench/Cargo.toml
+echo "==> cargo test: qpbench"
+cargo test --release --offline --manifest-path qpbench/Cargo.toml -- --test-threads=1
 for workload in des_fanin des_nbd; do
     echo "==> smoke: qpbench --workload $workload --seed 1 --seconds 1 --trace 0"
     out="$(qpbench/target/release/qpbench --workload "$workload" --seed 1 --seconds 1 --trace 0)" || {
