@@ -43,7 +43,7 @@ fn time_batch<R>(iters: u64, f: &mut impl FnMut() -> R) -> u128 {
 /// Measures `f`, returning the median ns per call.
 ///
 /// Warm-up doubles the batch size until one batch takes at least
-/// [`BATCH_NANOS`]; then [`SAMPLES`] batches run and the median
+/// `BATCH_NANOS`; then `SAMPLES` batches run and the median
 /// per-iteration time is reported, which rejects scheduler noise in
 /// either direction.
 pub fn bench<R>(name: &str, mut f: impl FnMut() -> R) -> Measurement {

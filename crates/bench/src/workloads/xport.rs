@@ -46,7 +46,9 @@ pub struct LiveStream {
     pub wall_s: f64,
     /// Goodput in MB/s (10⁶ bytes per second).
     pub mbytes_per_sec: f64,
-    /// Sender-side TCP retransmissions (0 on clean loopback).
+    /// Sender-side TCP retransmissions. Nonzero even on clean
+    /// loopback: the kernel drops datagrams when a receive buffer
+    /// overflows, and the engine recovers them.
     pub retransmissions: u64,
     /// Datagrams the impairment proxy deliberately dropped (0 when
     /// running direct).
@@ -65,47 +67,38 @@ fn wire_direct(a: &mut XportNode, b: &mut XportNode) {
     b.add_peer(FABRIC_A, aa);
 }
 
+/// Pumps both nodes until neither has read a datagram for 50 rounds in
+/// a row, so the FIN exchange and any last ACKs are answered.
+fn quiesce(a: &mut XportNode, b: &mut XportNode) {
+    let mut idle = 0;
+    while idle < 50 {
+        let got = a.pump(Duration::ZERO).expect("pump") | b.pump(Duration::ZERO).expect("pump");
+        idle = if got { 0 } else { idle + 1 };
+    }
+}
+
 /// Measures QP-to-QP round-trip time over live loopback sockets:
-/// `rounds` ping-pongs of `payload` bytes on a reliable (TCP) QP.
+/// `rounds` ping-pongs of `payload` bytes on a reliable (TCP) QP. One
+/// thread drives both nodes: each wait pumps the other node.
 pub fn live_rtt(rounds: u32, payload: usize) -> LiveRtt {
     let (mut a, mut b) = pair();
     wire_direct(&mut a, &mut b);
+    let cap = payload.max(64);
 
-    let echo = std::thread::spawn(move || {
-        let cq = b.create_cq();
-        let qp = b.create_qp(ServiceType::ReliableTcp, cq, cq).expect("qp");
-        b.tcp_listen(qp, PORT).expect("listen");
-        for i in 0..8 {
-            b.post_recv(qp, RecvWr { wr_id: i, capacity: payload.max(64) }).expect("recv");
-        }
-        let mut echoed = 0;
-        while echoed < rounds {
-            let c = b.wait(cq).expect("echo completion");
-            match c.kind {
-                CompletionKind::Recv { data, .. } => {
-                    b.post_recv(qp, RecvWr { wr_id: 0, capacity: payload.max(64) }).expect("recv");
-                    b.post_send(qp, SendWr { wr_id: 0, payload: data, dst: None }).expect("send");
-                    echoed += 1;
-                }
-                _ => continue,
-            }
-        }
-        // drain until the peer closes so FINs are answered
-        let until = Instant::now() + Duration::from_millis(300);
-        while Instant::now() < until {
-            b.pump(Duration::from_millis(10)).expect("pump");
-        }
-    });
-
+    let echo_cq = b.create_cq();
+    let echo_qp = b.create_qp(ServiceType::ReliableTcp, echo_cq, echo_cq).expect("qp");
+    b.tcp_listen(echo_qp, PORT).expect("listen");
     let send_cq = a.create_cq();
     let recv_cq = a.create_cq();
     let qp = a.create_qp(ServiceType::ReliableTcp, send_cq, recv_cq).expect("qp");
     for i in 0..8 {
-        a.post_recv(qp, RecvWr { wr_id: i, capacity: payload.max(64) }).expect("recv");
+        b.post_recv(echo_qp, RecvWr { wr_id: i, capacity: cap }).expect("recv");
+        a.post_recv(qp, RecvWr { wr_id: i, capacity: cap }).expect("recv");
     }
     a.tcp_connect(qp, 4000, Endpoint::new(FABRIC_B, PORT)).expect("connect");
     loop {
-        if a.wait(recv_cq).expect("established").kind == CompletionKind::ConnectionEstablished {
+        let c = a.wait_pumping(recv_cq, &mut b).expect("established");
+        if c.kind == CompletionKind::ConnectionEstablished {
             break;
         }
     }
@@ -116,21 +109,25 @@ pub fn live_rtt(rounds: u32, payload: usize) -> LiveRtt {
         let t0 = Instant::now();
         a.post_send(qp, SendWr { wr_id: 0, payload: ping.clone(), dst: None }).expect("send");
         loop {
-            let c = a.wait(recv_cq).expect("pong");
+            let c = b.wait_pumping(echo_cq, &mut a).expect("echo completion");
+            if let CompletionKind::Recv { data, .. } = c.kind {
+                b.post_recv(echo_qp, RecvWr { wr_id: 0, capacity: cap }).expect("recv");
+                b.post_send(echo_qp, SendWr { wr_id: 0, payload: data, dst: None }).expect("send");
+                break;
+            }
+        }
+        loop {
+            let c = a.wait_pumping(recv_cq, &mut b).expect("pong");
             if let CompletionKind::Recv { .. } = c.kind {
                 break;
             }
         }
         samples_us.push(t0.elapsed().as_secs_f64() * 1e6);
-        a.post_recv(qp, RecvWr { wr_id: 0, capacity: payload.max(64) }).expect("recv");
+        a.post_recv(qp, RecvWr { wr_id: 0, capacity: cap }).expect("recv");
         while a.poll(send_cq).expect("drain").is_some() {}
     }
     a.tcp_close(qp).expect("close");
-    let until = Instant::now() + Duration::from_millis(100);
-    while Instant::now() < until {
-        a.pump(Duration::from_millis(10)).expect("pump");
-    }
-    echo.join().expect("echo thread");
+    quiesce(&mut a, &mut b);
 
     samples_us.sort_by(|x, y| x.partial_cmp(y).expect("finite"));
     let mean = samples_us.iter().sum::<f64>() / samples_us.len() as f64;
@@ -145,10 +142,12 @@ pub fn live_rtt(rounds: u32, payload: usize) -> LiveRtt {
 
 /// Streams `messages` messages of `message_len` bytes from one live
 /// node to another, optionally through an impairment proxy, and
-/// reports goodput. Delivery is verified exactly-once in-order on the
-/// receiver; the wall clock only prices it. Also returns the sender's
-/// unified counter snapshots (`engine`, `xport`, and `proxy` when
-/// impaired) for the benches' `counters` JSON section.
+/// reports goodput. One thread drives both nodes: the sender waits on
+/// acknowledgments while pumping the receiver, and the receiver's CQ is
+/// drained between waits. Delivery is verified exactly-once in-order on
+/// the receiver; the wall clock only prices it. Also returns the
+/// sender's unified counter snapshots (`engine`, `xport`, and `proxy`
+/// when impaired) for the benches' `counters` JSON section.
 pub fn live_stream(
     messages: u32,
     message_len: usize,
@@ -172,39 +171,33 @@ pub fn live_stream(
         }
     };
 
-    let sink = std::thread::spawn(move || {
-        let cq = b.create_cq();
-        let qp = b.create_qp(ServiceType::ReliableTcp, cq, cq).expect("qp");
-        b.tcp_listen(qp, PORT).expect("listen");
-        for i in 0..64 {
-            b.post_recv(qp, RecvWr { wr_id: i, capacity: message_len }).expect("recv");
-        }
-        let mut seq = 0u32;
-        while seq < messages {
-            let c = b.wait(cq).expect("sink completion");
-            if let CompletionKind::Recv { data, .. } = c.kind {
-                // exactly-once in-order: each message opens with its
-                // sequence number
-                let got = u32::from_be_bytes(data[..4].try_into().expect("header"));
-                assert_eq!(got, seq, "stream out of order");
-                seq += 1;
-                if seq < messages {
-                    b.post_recv(qp, RecvWr { wr_id: 0, capacity: message_len }).expect("recv");
-                }
+    let sink_cq = b.create_cq();
+    let sink_qp = b.create_qp(ServiceType::ReliableTcp, sink_cq, sink_cq).expect("qp");
+    b.tcp_listen(sink_qp, PORT).expect("listen");
+    for i in 0..64 {
+        b.post_recv(sink_qp, RecvWr { wr_id: i, capacity: message_len }).expect("recv");
+    }
+    let mut seq = 0u32;
+    // exactly-once in-order: each message opens with its sequence
+    // number; each consumed WR is recycled until the last message
+    let sink = |b: &mut XportNode, seq: &mut u32, kind: CompletionKind| {
+        if let CompletionKind::Recv { data, .. } = kind {
+            let got = u32::from_be_bytes(data[..4].try_into().expect("header"));
+            assert_eq!(got, *seq, "stream out of order");
+            *seq += 1;
+            if *seq < messages {
+                b.post_recv(sink_qp, RecvWr { wr_id: 0, capacity: message_len }).expect("recv");
             }
         }
-        let until = Instant::now() + Duration::from_millis(300);
-        while Instant::now() < until {
-            b.pump(Duration::from_millis(10)).expect("pump");
-        }
-    });
+    };
 
     let send_cq = a.create_cq();
     let recv_cq = a.create_cq();
     let qp = a.create_qp(ServiceType::ReliableTcp, send_cq, recv_cq).expect("qp");
     a.tcp_connect(qp, 4000, Endpoint::new(FABRIC_B, PORT)).expect("connect");
     loop {
-        if a.wait(recv_cq).expect("established").kind == CompletionKind::ConnectionEstablished {
+        let c = a.wait_pumping(recv_cq, &mut b).expect("established");
+        if c.kind == CompletionKind::ConnectionEstablished {
             break;
         }
     }
@@ -222,19 +215,23 @@ pub fn live_stream(
             next += 1;
             inflight += 1;
         }
-        let done = a.wait(send_cq).expect("ack");
+        while let Some(c) = b.poll(sink_cq).expect("sink poll") {
+            sink(&mut b, &mut seq, c.kind);
+        }
+        let done = a.wait_pumping(send_cq, &mut b).expect("ack");
         assert_eq!(done.status, CompletionStatus::Success);
         inflight -= 1;
         completed += 1;
     }
     let wall_s = t0.elapsed().as_secs_f64();
     let retransmissions = a.engine().retransmissions();
-    a.tcp_close(qp).expect("close");
-    let until = Instant::now() + Duration::from_millis(100);
-    while Instant::now() < until {
-        a.pump(Duration::from_millis(10)).expect("pump");
+    // every message is acknowledged, so every one is on the sink's CQ
+    while seq < messages {
+        let c = b.wait_pumping(sink_cq, &mut a).expect("sink completion");
+        sink(&mut b, &mut seq, c.kind);
     }
-    sink.join().expect("sink thread");
+    a.tcp_close(qp).expect("close");
+    quiesce(&mut a, &mut b);
 
     let mut counters = vec![a.engine().stats().snapshot(), a.stats().snapshot()];
     let proxy_dropped = proxy.map_or(0, |p| {

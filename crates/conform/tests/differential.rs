@@ -22,7 +22,7 @@
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use qpip::world::QpipWorld;
 use qpip::{Completion, CompletionKind, CompletionStatus, CqId, NicConfig, QpId, RecvWr};
@@ -136,9 +136,9 @@ fn des_run(script: &[(Dir, usize)]) -> (Vec<qpip_trace::Rec>, CqStreams) {
     (rec.events(), streams)
 }
 
-/// Polls `cq` on `target` until `pred` matches, pumping both nodes so
-/// each side's engine keeps making progress, and records the popped
-/// completion under the target's tracer scope `node`.
+/// Waits for the next completion on `target`'s `cq`, pumping `other`
+/// so each side's engine keeps making progress, records it under the
+/// target's tracer scope `node`, and checks it is the one expected.
 fn poll_until(
     (target, node): (&mut XportNode, u32),
     other: &mut XportNode,
@@ -147,19 +147,10 @@ fn poll_until(
     pred: impl Fn(&Completion) -> bool,
     what: &str,
 ) -> Completion {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        if let Some(c) = target.poll(cq).unwrap() {
-            record(streams, node, cq, &c);
-            if pred(&c) {
-                return c;
-            }
-            panic!("unexpected completion while waiting for {what}: {:?}", c.kind);
-        }
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        target.pump(Duration::from_millis(1)).unwrap();
-        other.pump(Duration::from_millis(1)).unwrap();
-    }
+    let c = target.wait_pumping(cq, other).unwrap_or_else(|e| panic!("waiting for {what}: {e}"));
+    record(streams, node, cq, &c);
+    assert!(pred(&c), "unexpected completion while waiting for {what}: {:?}", c.kind);
+    c
 }
 
 /// Runs the workload over real loopback sockets. Tracer scopes match

@@ -10,14 +10,12 @@
 
 use qpip::world::QpipWorld;
 use qpip::{CompletionKind, NicConfig, NodeIdx, RecvWr, SendWr, ServiceType};
-use qpip_host::WorkClass;
 use qpip_netstack::types::Endpoint;
 use qpip_sim::params;
-use qpip_sim::time::SimTime;
 
 use crate::disk::ServerDisk;
 use crate::proto::{NbdOp, NbdRequest};
-use crate::result::{NbdResult, PhaseResult};
+use crate::result::{NbdResult, PhaseMeter, PhaseResult};
 
 /// Benchmark configuration.
 #[derive(Debug, Clone, Copy)]
@@ -36,34 +34,44 @@ impl Default for NbdConfig {
     }
 }
 
-struct Bench {
-    w: QpipWorld,
-    client: NodeIdx,
-    server: NodeIdx,
-    cqc: qpip::CqId,
-    cqs: qpip::CqId,
-    qc: qpip::QpId,
-    qs: qpip::QpId,
+/// Largest TCP payload one message carries at `nic`'s MTU.
+pub(crate) fn data_msg(nic: &NicConfig) -> usize {
+    qpip_netstack::types::NetConfig::qpip(nic.mtu).max_tcp_payload()
+}
+
+/// A connected QPIP client/server pair with receive WRs posted on both
+/// sides; [`rdma_impl`](crate::rdma_impl) runs on the same set-up.
+pub(crate) struct Bench {
+    pub(crate) w: QpipWorld,
+    pub(crate) client: NodeIdx,
+    pub(crate) server: NodeIdx,
+    pub(crate) cqc: qpip::CqId,
+    pub(crate) cqs: qpip::CqId,
+    pub(crate) qc: qpip::QpId,
+    pub(crate) qs: qpip::QpId,
+    /// Largest TCP payload at the NIC's MTU: one data message.
     data_msg: usize,
-    disk: ServerDisk,
+    /// Capacity of every receive WR posted.
+    recv_cap: usize,
+    pub(crate) disk: ServerDisk,
     recv_seq: u64,
 }
 
 impl Bench {
-    fn new() -> Bench {
-        // the paper ran the QPIP NBD at a 9000-byte MTU (§4.2.3)
-        let nic = NicConfig { mtu: params::GM_MTU, ..NicConfig::paper_default() };
+    /// Builds the pair on a Myrinet fabric at `nic`'s MTU, posts
+    /// `recv_wrs` receive WRs of `recv_cap` bytes on each side, and
+    /// brings the connection up.
+    pub(crate) fn new(nic: NicConfig, recv_wrs: u64, recv_cap: usize) -> Bench {
         let mut w = QpipWorld::new(qpip_fabric::FabricConfig {
-            mtu: params::GM_MTU,
+            mtu: nic.mtu,
             ..qpip_fabric::FabricConfig::myrinet()
         });
         let client = w.add_node(nic.clone());
         let server = w.add_node(nic.clone());
         let cqc = w.create_cq(client);
         let cqs = w.create_cq(server);
-        let qc = w.create_qp(client, ServiceType::ReliableTcp, cqc, cqc).unwrap();
-        let qs = w.create_qp(server, ServiceType::ReliableTcp, cqs, cqs).unwrap();
-        let data_msg = qpip_netstack::types::NetConfig::qpip(nic.mtu).max_tcp_payload();
+        let qc = w.create_qp(client, ServiceType::ReliableTcp, cqc, cqc).expect("client QP");
+        let qs = w.create_qp(server, ServiceType::ReliableTcp, cqs, cqs).expect("server QP");
         let mut b = Bench {
             w,
             client,
@@ -72,27 +80,27 @@ impl Bench {
             cqs,
             qc,
             qs,
-            data_msg,
+            data_msg: data_msg(&nic),
+            recv_cap,
             disk: ServerDisk::new(),
             recv_seq: 0,
         };
-        // both sides pre-post generous message buffers
-        for _ in 0..64 {
+        for _ in 0..recv_wrs {
             b.post_recv(b.server, b.qs);
             b.post_recv(b.client, b.qc);
         }
-        b.w.tcp_listen(b.server, 10809, qs).unwrap();
+        b.w.tcp_listen(b.server, 10809, qs).expect("idle QP listens");
         let remote = Endpoint::new(b.w.addr(b.server), 10809);
-        b.w.tcp_connect(b.client, qc, 40000, remote).unwrap();
+        b.w.tcp_connect(b.client, qc, 40000, remote).expect("idle QP connects");
         b.w.wait_matching(b.client, cqc, |c| c.kind == CompletionKind::ConnectionEstablished);
         b.w.wait_matching(b.server, cqs, |c| c.kind == CompletionKind::ConnectionEstablished);
         b
     }
 
-    fn post_recv(&mut self, node: NodeIdx, qp: qpip::QpId) {
+    pub(crate) fn post_recv(&mut self, node: NodeIdx, qp: qpip::QpId) {
         self.recv_seq += 1;
-        let wr = RecvWr { wr_id: self.recv_seq, capacity: self.data_msg };
-        self.w.post_recv(node, qp, wr).unwrap();
+        let wr = RecvWr { wr_id: self.recv_seq, capacity: self.recv_cap };
+        self.w.post_recv(node, qp, wr).expect("QP exists");
     }
 
     fn msgs_per_block(&self, block: usize) -> u64 {
@@ -106,34 +114,12 @@ impl Bench {
         self.w.charge_app(node, cycles);
     }
 
-    fn phase_result(
-        &self,
-        bytes: u64,
-        t0: SimTime,
-        t1: SimTime,
-        busy0: qpip_sim::time::SimDuration,
-        fs_cycles: u64,
-    ) -> PhaseResult {
-        let elapsed = t1.duration_since(t0).as_secs_f64();
-        let busy = (self.w.cpu(self.client).busy_time() - busy0).as_secs_f64();
-        let mb = bytes as f64 / 1e6;
-        PhaseResult {
-            mbytes_per_sec: mb / elapsed,
-            client_cpu: busy / elapsed,
-            mb_per_cpu_sec: mb / busy,
-            fs_fraction: (fs_cycles as f64 / params::HOST_CLOCK_MHZ as f64 / 1e6) / elapsed,
-            elapsed_s: elapsed,
-        }
-    }
-
     /// Sequential write phase: client streams blocks, server commits to
     /// the page cache/disk and acknowledges; ends with `sync`.
     fn run_write(&mut self, cfg: NbdConfig) -> PhaseResult {
         let nblocks = cfg.total_bytes / cfg.block as u64;
         let msgs = self.msgs_per_block(cfg.block);
-        let t0 = self.w.app_time(self.client);
-        let busy0 = self.w.cpu(self.client).busy_time();
-        let fs0 = self.w.cpu(self.client).cycles(WorkClass::App);
+        let meter = PhaseMeter::start(&self.w, self.client);
         let mut sent = 0u64;
         let mut done = 0u64;
         let mut srv_msgs_pending = 0u64; // messages of the in-progress block
@@ -206,17 +192,14 @@ impl Bench {
         // sync: wait for the server's writeback tail
         let sync_done = self.disk.sync_done();
         let t1 = self.w.app_time(self.client).max(sync_done);
-        let fs = self.w.cpu(self.client).cycles(WorkClass::App) - fs0;
-        self.phase_result(nblocks * cfg.block as u64, t0, t1, busy0, fs)
+        meter.finish(&self.w, nblocks * cfg.block as u64, t1)
     }
 
     /// Sequential read phase: cache-warm server streams blocks back.
     fn run_read(&mut self, cfg: NbdConfig) -> PhaseResult {
         let nblocks = cfg.total_bytes / cfg.block as u64;
         let msgs = self.msgs_per_block(cfg.block);
-        let t0 = self.w.app_time(self.client);
-        let busy0 = self.w.cpu(self.client).busy_time();
-        let fs0 = self.w.cpu(self.client).cycles(WorkClass::App);
+        let meter = PhaseMeter::start(&self.w, self.client);
         let mut sent = 0u64;
         let mut done = 0u64;
         let mut cli_msgs_pending = 0u64;
@@ -283,16 +266,18 @@ impl Bench {
                 }
             }
         }
-        let t1 = self.w.app_time(self.client);
-        let fs = self.w.cpu(self.client).cycles(WorkClass::App) - fs0;
-        self.phase_result(nblocks * cfg.block as u64, t0, t1, busy0, fs)
+        meter.finish(&self.w, nblocks * cfg.block as u64, self.w.app_time(self.client))
     }
 }
 
 /// Runs the Figure 7 benchmark over QPIP: sequential write (+sync),
 /// then sequential read of the same file.
 pub fn run(cfg: NbdConfig) -> NbdResult {
-    let mut b = Bench::new();
+    // the paper ran the QPIP NBD at a 9000-byte MTU (§4.2.3); both
+    // sides pre-post generous message buffers
+    let nic = NicConfig { mtu: params::GM_MTU, ..NicConfig::paper_default() };
+    let recv_cap = data_msg(&nic);
+    let mut b = Bench::new(nic, 64, recv_cap);
     let write = b.run_write(cfg);
     let read = b.run_read(cfg);
     NbdResult { write, read }

@@ -8,17 +8,13 @@
 //! send-receive reply signals completion. Writes use the ordinary
 //! send-receive path (the server must see them to commit).
 
-use qpip::world::QpipWorld;
-use qpip::{CompletionKind, MrKey, NicConfig, NodeIdx, RdmaWriteWr, RecvWr, SendWr, ServiceType};
-use qpip_host::WorkClass;
-use qpip_netstack::types::Endpoint;
+use qpip::{CompletionKind, MrKey, NicConfig, RdmaWriteWr, SendWr};
 use qpip_sim::params;
 use qpip_sim::time::SimTime;
 
-use crate::disk::ServerDisk;
 use crate::proto::{NbdOp, NbdRequest};
-use crate::qpip_impl::NbdConfig;
-use crate::result::PhaseResult;
+use crate::qpip_impl::{Bench, NbdConfig};
+use crate::result::{PhaseMeter, PhaseResult};
 
 /// An NBD read request extended with the client's region key: the
 /// "where to put it" that turns the reply into a one-sided write.
@@ -41,47 +37,21 @@ fn parse_read_request(data: &[u8]) -> (NbdRequest, MrKey, u64) {
 /// data placement, for comparison with the send-receive NBD.
 pub fn run_read(cfg: NbdConfig) -> PhaseResult {
     let nic = NicConfig { mtu: params::GM_MTU, rdma_framing: true, ..NicConfig::paper_default() };
-    let mut w = QpipWorld::new(qpip_fabric::FabricConfig {
-        mtu: params::GM_MTU,
-        ..qpip_fabric::FabricConfig::myrinet()
-    });
-    let client = w.add_node(nic.clone());
-    let server = w.add_node(nic.clone());
-    let cqc = w.create_cq(client);
-    let cqs = w.create_cq(server);
-    let qc = w.create_qp(client, ServiceType::ReliableTcp, cqc, cqc).unwrap();
-    let qs = w.create_qp(server, ServiceType::ReliableTcp, cqs, cqs).unwrap();
-    let data_msg = qpip_netstack::types::NetConfig::qpip(nic.mtu).max_tcp_payload()
-        - qpip_nic::rdma::RDMA_FRAME_LEN;
-    let mut recv_seq = 0u64;
-    let post = |w: &mut QpipWorld, node: NodeIdx, qp: qpip::QpId, seq: &mut u64| {
-        *seq += 1;
-        w.post_recv(node, qp, RecvWr { wr_id: *seq, capacity: 16 * 1024 }).unwrap();
-    };
-    for _ in 0..32 {
-        post(&mut w, server, qs, &mut recv_seq);
-        post(&mut w, client, qc, &mut recv_seq);
-    }
-    w.tcp_listen(server, 10809, qs).unwrap();
-    let dst = Endpoint::new(w.addr(server), 10809);
-    w.tcp_connect(client, qc, 40000, dst).unwrap();
-    w.wait_matching(client, cqc, |c| c.kind == CompletionKind::ConnectionEstablished);
-    w.wait_matching(server, cqs, |c| c.kind == CompletionKind::ConnectionEstablished);
+    let data_msg = crate::qpip_impl::data_msg(&nic) - qpip_nic::rdma::RDMA_FRAME_LEN;
+    let mut b = Bench::new(nic, 32, 16 * 1024);
+    let (client, server, qc, qs) = (b.client, b.server, b.qc, b.qs);
 
     // the client's block-buffer arena, registered once
-    let arena = w.register_mr(client, cfg.block * cfg.queue_depth as usize);
-    let mut disk = ServerDisk::new();
+    let arena = b.w.register_mr(client, cfg.block * cfg.queue_depth as usize);
 
     let nblocks = cfg.total_bytes / cfg.block as u64;
-    let t0 = w.app_time(client);
-    let busy0 = w.cpu(client).busy_time();
-    let fs0 = w.cpu(client).cycles(WorkClass::App);
+    let meter = PhaseMeter::start(&b.w, client);
     let mut sent = 0u64;
     let mut done = 0u64;
     let mut t_end = SimTime::ZERO;
     while done < nblocks {
         while sent < nblocks && sent - done < cfg.queue_depth {
-            w.charge_app(client, params::NBD_FS_PER_REQUEST_CYCLES);
+            b.w.charge_app(client, params::NBD_FS_PER_REQUEST_CYCLES);
             let req = NbdRequest {
                 op: NbdOp::Read,
                 handle: sent,
@@ -89,22 +59,22 @@ pub fn run_read(cfg: NbdConfig) -> PhaseResult {
                 len: cfg.block as u32,
             };
             let slot = (sent % cfg.queue_depth) * cfg.block as u64;
-            w.post_send(
+            b.w.post_send(
                 client,
                 qc,
                 SendWr { wr_id: sent, payload: encode_read_request(&req, arena, slot), dst: None },
             )
-            .unwrap();
+            .expect("read request fits the QP");
             sent += 1;
         }
         // server: answer each request with RDMA writes + a tiny reply
-        if let Some(c) = w.try_wait(server, cqs) {
+        if let Some(c) = b.w.try_wait(server, b.cqs) {
             if let CompletionKind::Recv { data, .. } = c.kind {
-                post(&mut w, server, qs, &mut recv_seq);
+                b.post_recv(server, qs);
                 let (req, rkey, slot) = parse_read_request(&data);
-                let now = w.app_time(server);
-                disk.read(now, req.len as usize);
-                w.charge_app(
+                let now = b.w.app_time(server);
+                b.disk.read(now, req.len as usize);
+                b.w.charge_app(
                     server,
                     params::NBD_SERVER_PER_REQUEST_CYCLES
                         + (u64::from(req.len) * params::HOST_COPY_CYCLES_PER_BYTE_X100) / 100,
@@ -114,7 +84,7 @@ pub fn run_read(cfg: NbdConfig) -> PhaseResult {
                 while remaining > 0 {
                     let n = remaining.min(data_msg);
                     remaining -= n;
-                    w.post_rdma_write(
+                    b.w.post_rdma_write(
                         server,
                         qs,
                         RdmaWriteWr {
@@ -124,12 +94,12 @@ pub fn run_read(cfg: NbdConfig) -> PhaseResult {
                             remote_offset: off,
                         },
                     )
-                    .unwrap();
+                    .expect("RDMA write to a registered region");
                     off += n as u64;
                 }
                 // completion notification rides an ordinary send; TCP
                 // ordering guarantees the RDMA data landed first
-                w.post_send(
+                b.w.post_send(
                     server,
                     qs,
                     SendWr {
@@ -138,30 +108,20 @@ pub fn run_read(cfg: NbdConfig) -> PhaseResult {
                         dst: None,
                     },
                 )
-                .unwrap();
+                .expect("reply fits the QP");
             }
             continue;
         }
         // client: ONE completion per block, regardless of block size
-        let c = w.wait(client, cqc);
+        let c = b.w.wait(client, b.cqc);
         if matches!(c.kind, CompletionKind::Recv { .. }) {
-            post(&mut w, client, qc, &mut recv_seq);
-            w.charge_app(client, (cfg.block as u64 * params::NBD_FS_CYCLES_PER_BYTE_X100) / 100);
+            b.post_recv(client, qc);
+            b.w.charge_app(client, (cfg.block as u64 * params::NBD_FS_CYCLES_PER_BYTE_X100) / 100);
             done += 1;
-            t_end = w.app_time(client);
+            t_end = b.w.app_time(client);
         }
     }
-    let elapsed = t_end.duration_since(t0).as_secs_f64();
-    let busy = (w.cpu(client).busy_time() - busy0).as_secs_f64();
-    let fs = w.cpu(client).cycles(WorkClass::App) - fs0;
-    let mb = (nblocks * cfg.block as u64) as f64 / 1e6;
-    PhaseResult {
-        mbytes_per_sec: mb / elapsed,
-        client_cpu: busy / elapsed,
-        mb_per_cpu_sec: mb / busy,
-        fs_fraction: (fs as f64 / params::HOST_CLOCK_MHZ as f64 / 1e6) / elapsed,
-        elapsed_s: elapsed,
-    }
+    meter.finish(&b.w, nblocks * cfg.block as u64, t_end)
 }
 
 #[cfg(test)]

@@ -5,15 +5,14 @@
 use qpip::baseline::SocketWorld;
 use qpip::NodeIdx;
 use qpip_host::stack::StackConfig;
-use qpip_host::{SockId, WorkClass};
+use qpip_host::SockId;
 use qpip_netstack::types::Endpoint;
 use qpip_sim::params;
-use qpip_sim::time::SimTime;
 
 use crate::disk::ServerDisk;
 use crate::proto::{NbdOp, NbdReply, NbdRequest, REPLY_LEN, REQUEST_LEN};
 use crate::qpip_impl::NbdConfig;
-use crate::result::{NbdResult, PhaseResult};
+use crate::result::{NbdResult, PhaseMeter, PhaseResult};
 
 /// Which host baseline carries the NBD traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,32 +74,10 @@ impl Bench {
         self.w.charge_app(self.client, cycles);
     }
 
-    fn phase_result(
-        &self,
-        bytes: u64,
-        t0: SimTime,
-        t1: SimTime,
-        busy0: qpip_sim::time::SimDuration,
-        fs_cycles: u64,
-    ) -> PhaseResult {
-        let elapsed = t1.duration_since(t0).as_secs_f64();
-        let busy = (self.w.cpu(self.client).busy_time() - busy0).as_secs_f64();
-        let mb = bytes as f64 / 1e6;
-        PhaseResult {
-            mbytes_per_sec: mb / elapsed,
-            client_cpu: busy / elapsed,
-            mb_per_cpu_sec: mb / busy,
-            fs_fraction: (fs_cycles as f64 / params::HOST_CLOCK_MHZ as f64 / 1e6) / elapsed,
-            elapsed_s: elapsed,
-        }
-    }
-
     /// Sequential write phase over the socket pair.
     fn run_write(&mut self, cfg: NbdConfig) -> PhaseResult {
         let nblocks = cfg.total_bytes / cfg.block as u64;
-        let t0 = self.w.app_time(self.client);
-        let busy0 = self.w.cpu(self.client).busy_time();
-        let fs0 = self.w.cpu(self.client).cycles(WorkClass::App);
+        let meter = PhaseMeter::start(&self.w, self.client);
         let mut sent = 0u64; // blocks fully handed to the socket
         let mut done = 0u64; // replies received
                              // server-side in-progress request state
@@ -174,16 +151,13 @@ impl Bench {
         }
         let sync_done = self.disk.sync_done();
         let t1 = self.w.app_time(self.client).max(sync_done);
-        let fs = self.w.cpu(self.client).cycles(WorkClass::App) - fs0;
-        self.phase_result(nblocks * cfg.block as u64, t0, t1, busy0, fs)
+        meter.finish(&self.w, nblocks * cfg.block as u64, t1)
     }
 
     /// Sequential read phase over the socket pair.
     fn run_read(&mut self, cfg: NbdConfig) -> PhaseResult {
         let nblocks = cfg.total_bytes / cfg.block as u64;
-        let t0 = self.w.app_time(self.client);
-        let busy0 = self.w.cpu(self.client).busy_time();
-        let fs0 = self.w.cpu(self.client).cycles(WorkClass::App);
+        let meter = PhaseMeter::start(&self.w, self.client);
         let mut sent = 0u64;
         let mut done = 0u64;
         let mut srv_have: Vec<u8> = Vec::new();
@@ -251,9 +225,7 @@ impl Bench {
                 assert!(self.w.step(), "nbd read deadlocked at {done}/{nblocks}");
             }
         }
-        let t1 = self.w.app_time(self.client);
-        let fs = self.w.cpu(self.client).cycles(WorkClass::App) - fs0;
-        self.phase_result(nblocks * cfg.block as u64, t0, t1, busy0, fs)
+        meter.finish(&self.w, nblocks * cfg.block as u64, self.w.app_time(self.client))
     }
 }
 

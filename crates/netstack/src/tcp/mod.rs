@@ -420,33 +420,6 @@ mod tests {
         assert_eq!(client.bytes_in_flight(), 0, "all acked across the wrap");
     }
 
-    /// Nagle's algorithm (cfg.nodelay = false): small writes coalesce
-    /// while data is in flight.
-    #[test]
-    fn nagle_holds_small_writes_until_ack() {
-        let mut cfg = NetConfig::host(1500);
-        cfg.nodelay = false;
-        let mut p = Pair::established(cfg.clone());
-        let s1 = p.client.send(&cfg, vec![1; 10], SendToken(1), p.now, &mut p.ops);
-        assert_eq!(s1.len(), 1, "first small write goes out immediately");
-        let s2 = p.client.send(&cfg, vec![2; 10], SendToken(2), p.now, &mut p.ops);
-        assert!(s2.is_empty(), "second small write held by Nagle");
-        // the ACK releases the buffered bytes
-        let (acks, _) = Pair::deliver(&cfg, 1, 2, &mut p.server, &s1, p.now, &mut p.ops);
-        // (delayed ack may withhold: force via timer if empty)
-        let acks = if acks.is_empty() {
-            p.now = p.server.next_deadline().unwrap();
-            let (a, _) = p.server.on_timer(&cfg, p.now, &mut p.ops);
-            a
-        } else {
-            acks
-        };
-        let (out, _) = Pair::deliver(&cfg, 2, 1, &mut p.client, &acks, p.now, &mut p.ops);
-        let data: Vec<_> = out.iter().filter(|s| !s.payload.is_empty()).collect();
-        assert_eq!(data.len(), 1, "held write released by the ACK");
-        assert_eq!(data[0].payload, vec![2; 10]);
-    }
-
     /// Simultaneous close: both FINs cross on the wire; both ends pass
     /// through CLOSING and reach TIME-WAIT/CLOSED.
     #[test]

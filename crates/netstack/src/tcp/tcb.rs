@@ -205,7 +205,7 @@ impl Tcb {
         tcb.state = TcpState::SynRcvd;
         tcb.irs = syn.seq;
         tcb.rcv_nxt = syn.seq + 1;
-        tcb.absorb_syn_options(cfg, syn);
+        tcb.absorb_syn_options(syn);
         // ECN negotiation (RFC 3168): the SYN offers with ECE+CWR
         tcb.ecn_on = cfg.ecn && syn.flags.ece && syn.flags.cwr;
         let syn_ack = tcb.make_syn(cfg, now, true);
@@ -215,7 +215,7 @@ impl Tcb {
 
     fn new_common(cfg: &NetConfig, local: Endpoint, remote: Endpoint, iss: SeqNum) -> Tcb {
         let rcv_space = cfg.recv_buffer as u64;
-        let rcv_wscale = if cfg.window_scale { wscale_for(rcv_space) } else { 0 };
+        let rcv_wscale = wscale_for(rcv_space);
         Tcb {
             state: TcpState::Closed,
             local,
@@ -654,7 +654,7 @@ impl Tcb {
         }
         self.irs = hdr.seq;
         self.rcv_nxt = hdr.seq + 1;
-        self.absorb_syn_options(cfg, hdr);
+        self.absorb_syn_options(hdr);
         // the SYN-ACK confirms ECN with ECE alone (RFC 3168)
         self.ecn_on = cfg.ecn && hdr.flags.ece && !hdr.flags.cwr;
         self.sendbuf.on_ack(hdr.ack); // no data, but aligns una bookkeeping
@@ -1054,15 +1054,6 @@ impl Tcb {
         loop {
             let in_flight = self.sendbuf.bytes_in_flight();
             let wnd = self.usable_window(in_flight);
-            // Nagle: with data in flight and less than a full segment
-            // unsent, hold back (disabled when nodelay, the common case
-            // here — ttcp sets TCP_NODELAY and QPIP always pushes).
-            if !cfg.nodelay
-                && in_flight > 0
-                && self.sendbuf.bytes_unsent() < self.max_payload(cfg) as u64
-            {
-                break;
-            }
             let Some(seg) = self.sendbuf.next_segment(self.max_payload(cfg), wnd) else {
                 break;
             };
@@ -1106,16 +1097,14 @@ impl Tcb {
         is_syn_ack: bool,
         is_retransmit: bool,
     ) -> SegmentOut {
-        // A SYN offers what the config allows; a SYN-ACK may only echo
-        // what the peer's SYN actually negotiated (RFC 1323/7323 — the
-        // responder must not send window-scale or timestamps unless the
-        // initiator did).
+        // A SYN offers window scaling and timestamps; a SYN-ACK may only
+        // echo what the peer's SYN actually negotiated (RFC 1323/7323 —
+        // the responder must not send window-scale or timestamps unless
+        // the initiator did).
         let options = TcpOptions {
             mss: Some(cfg.max_tcp_payload().min(usize::from(u16::MAX)) as u16),
-            window_scale: (cfg.window_scale && (!is_syn_ack || self.ws_negotiated))
-                .then_some(self.rcv_wscale),
-            timestamps: (cfg.timestamps && (!is_syn_ack || self.ts_on))
-                .then(|| (ts_now(now), self.ts_recent)),
+            window_scale: (!is_syn_ack || self.ws_negotiated).then_some(self.rcv_wscale),
+            timestamps: (!is_syn_ack || self.ts_on).then(|| (ts_now(now), self.ts_recent)),
         };
         let mut flags = if is_syn_ack { TcpFlags::SYN_ACK } else { TcpFlags::SYN };
         if is_syn_ack {
@@ -1208,23 +1197,21 @@ impl Tcb {
 
     // ----- helpers -----------------------------------------------------
 
-    fn absorb_syn_options(&mut self, cfg: &NetConfig, syn: &TcpHeader) {
+    fn absorb_syn_options(&mut self, syn: &TcpHeader) {
         if let Some(mss) = syn.options.mss {
             self.peer_mss = usize::from(mss);
         }
-        self.ws_negotiated = cfg.window_scale && syn.options.window_scale.is_some();
-        self.snd_wscale = match (cfg.window_scale, syn.options.window_scale) {
-            (true, Some(ws)) => ws.min(14),
-            _ => {
+        self.ws_negotiated = syn.options.window_scale.is_some();
+        self.snd_wscale = match syn.options.window_scale {
+            Some(ws) => ws.min(14),
+            None => {
                 self.rcv_wscale = 0;
                 0
             }
         };
-        self.ts_on = cfg.timestamps && syn.options.timestamps.is_some();
+        self.ts_on = syn.options.timestamps.is_some();
         if let Some((tsval, _)) = syn.options.timestamps {
-            if self.ts_on {
-                self.ts_recent = tsval;
-            }
+            self.ts_recent = tsval;
         }
         // SYN windows are never scaled
         self.snd_wnd = u64::from(syn.window);

@@ -95,6 +95,11 @@ pub enum AckPolicy {
 }
 
 /// Engine configuration (one per node/stack instance).
+///
+/// Not configurable: every SYN offers RFC 1323 timestamps and window
+/// scaling (the paper's NIC subset), and data goes out as soon as the
+/// windows allow — there is no Nagle delay (ttcp sets `TCP_NODELAY`,
+/// §4.2.1, and the QPIP firmware always sends messages immediately).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetConfig {
     /// Largest IPv6 packet (header + payload) the attached link accepts.
@@ -103,13 +108,6 @@ pub struct NetConfig {
     pub segmentation: SegmentationPolicy,
     /// ACK generation policy.
     pub ack_policy: AckPolicy,
-    /// Offer/consume RFC 1323 timestamps.
-    pub timestamps: bool,
-    /// Offer/consume RFC 1323 window scaling.
-    pub window_scale: bool,
-    /// Disable Nagle (ttcp sets `TCP_NODELAY`, §4.2.1; the QPIP firmware
-    /// always sends messages immediately).
-    pub nodelay: bool,
     /// Lower bound on the retransmission timeout.
     pub min_rto: SimDuration,
     /// Initial congestion window, in segments.
@@ -131,9 +129,6 @@ impl NetConfig {
             mtu,
             segmentation: SegmentationPolicy::MessagePerSegment,
             ack_policy: AckPolicy::Immediate,
-            timestamps: true,
-            window_scale: true,
-            nodelay: true,
             min_rto: SimDuration::from_millis(10),
             initial_cwnd_segments: 2,
             recv_buffer: 256 * 1024,
@@ -147,9 +142,6 @@ impl NetConfig {
             mtu,
             segmentation: SegmentationPolicy::Stream,
             ack_policy: AckPolicy::Delayed(SimDuration::from_millis(40)),
-            timestamps: true,
-            window_scale: true,
-            nodelay: true,
             min_rto: SimDuration::from_millis(200),
             initial_cwnd_segments: 2,
             recv_buffer: 128 * 1024,
@@ -158,10 +150,9 @@ impl NetConfig {
     }
 
     /// Maximum TCP payload for this MTU given our fixed header sizes
-    /// (IPv6 40 + TCP 20 + timestamps 12 when enabled).
+    /// (IPv6 40 + TCP 20 + RFC 1323 timestamps 12).
     pub fn max_tcp_payload(&self) -> usize {
-        let tcp_hdr = 20 + if self.timestamps { 12 } else { 0 };
-        self.mtu.saturating_sub(40 + tcp_hdr)
+        self.mtu.saturating_sub(40 + 20 + 12)
     }
 
     /// Maximum UDP payload for this MTU (IPv6 40 + UDP 8).
@@ -344,7 +335,6 @@ mod tests {
         let c = NetConfig::qpip(16 * 1024);
         assert_eq!(c.segmentation, SegmentationPolicy::MessagePerSegment);
         assert_eq!(c.ack_policy, AckPolicy::Immediate);
-        assert!(c.timestamps && c.window_scale && c.nodelay);
     }
 
     #[test]
@@ -352,9 +342,6 @@ mod tests {
         let c = NetConfig::host(1500);
         assert_eq!(c.max_tcp_payload(), 1500 - 40 - 32);
         assert_eq!(c.max_udp_payload(), 1500 - 48);
-        let mut no_ts = c;
-        no_ts.timestamps = false;
-        assert_eq!(no_ts.max_tcp_payload(), 1500 - 60);
     }
 
     #[test]

@@ -151,7 +151,7 @@ impl<E> Simulator<E> {
     }
 
     /// Raw heap size, tombstones included. Bounded by compaction at
-    /// roughly 2× [`Simulator::pending`] (plus the [`COMPACT_MIN`] floor)
+    /// roughly 2× [`Simulator::pending`] (plus the `COMPACT_MIN` floor)
     /// no matter how many timers are rescheduled.
     pub fn queue_depth(&self) -> usize {
         self.queue.len()

@@ -38,7 +38,7 @@ impl Checksum {
     /// permits summing on any word size because one's-complement
     /// addition is associative and 2³² ≡ 2¹⁶ ≡ 1 (mod 2¹⁶−1). A `u64`
     /// absorbs 2³² dword additions before it could overflow, so the
-    /// wide loops ([`sum_dwords`]: AVX2 when available, a four-
+    /// wide loops (`sum_dwords`: AVX2 when available, a four-
     /// accumulator portable loop otherwise) have no carry chain; the
     /// result is bit-identical to the two-byte scalar walk.
     pub fn add_bytes(&mut self, mut data: &[u8]) {

@@ -11,11 +11,13 @@
 //! hardware.
 //!
 //! The event loop is [`XportNode::pump`]: fire due engine timers, block
-//! on the socket for at most `min(budget, time-to-next-deadline)`, feed
-//! any datagram to [`Engine::on_packet`], and transmit whatever the
-//! engine emits through the peer table. [`XportNode::wait`] layers a
-//! completion-queue wait on top with a hard timeout and a diagnostic
-//! error instead of a hang.
+//! on the socket until the budget, the next engine deadline or the next
+//! window refresh, feed any datagram to [`Engine::on_packet`], and
+//! transmit whatever the engine emits through the peer table.
+//! [`XportNode::wait`] layers a completion-queue wait on top with a hard
+//! timeout and a diagnostic error instead of a hang;
+//! [`XportNode::wait_pumping`] is the same wait for two nodes driven
+//! from one thread.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -50,9 +52,6 @@ pub struct XportConfig {
     /// Hard ceiling on [`XportNode::wait`]: a CQ wait that exceeds this
     /// returns [`XportError::WaitTimeout`] with a diagnostic.
     pub wait_timeout: Duration,
-    /// Longest single socket block inside `wait` (the loop re-checks
-    /// timers and CQs at least this often).
-    pub pump_slice: Duration,
     /// How often an established connection re-advertises its posted-WR
     /// receive window. The engine (faithful to the paper's firmware)
     /// has no persist timer, and on a lossy wire a pure window-update
@@ -67,7 +66,6 @@ impl Default for XportConfig {
             net: NetConfig::qpip(9000),
             bind: "127.0.0.1:0".parse().expect("literal addr"),
             wait_timeout: Duration::from_secs(30),
-            pump_slice: Duration::from_millis(10),
             window_refresh: Duration::from_millis(100),
         }
     }
@@ -437,26 +435,57 @@ impl XportNode {
     /// after [`XportConfig::wait_timeout`] of no completion; socket
     /// errors.
     pub fn wait(&mut self, cq: CqId) -> Result<Completion, XportError> {
+        self.wait_loop(cq, None)
+    }
+
+    /// [`wait`](Self::wait) for two nodes driven from one thread: polls
+    /// `cq` without blocking and pumps `peer` after every empty poll, so
+    /// the other end keeps answering — the application-owned
+    /// post-then-poll loop of the paper's verbs library.
+    ///
+    /// # Errors
+    ///
+    /// As [`wait`](Self::wait); `peer`'s socket errors too.
+    pub fn wait_pumping(
+        &mut self,
+        cq: CqId,
+        peer: &mut XportNode,
+    ) -> Result<Completion, XportError> {
+        self.wait_loop(cq, Some(peer))
+    }
+
+    fn wait_loop(
+        &mut self,
+        cq: CqId,
+        mut peer: Option<&mut XportNode>,
+    ) -> Result<Completion, XportError> {
         if !self.cqs.contains_key(&cq) {
             return Err(NicError::UnknownCq(cq).into());
         }
-        let start = Instant::now();
+        let deadline = Instant::now() + self.cfg.wait_timeout;
         loop {
             if let Some(c) = self.cqs.get_mut(&cq).expect("checked").pop_front() {
                 return Ok(c);
             }
-            if start.elapsed() > self.cfg.wait_timeout {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return Err(XportError::WaitTimeout(self.pending_summary(cq)));
             }
-            self.pump(self.cfg.pump_slice)?;
+            // with a peer on this thread, never block: its datagrams
+            // land on its own socket
+            self.pump(if peer.is_some() { Duration::ZERO } else { left })?;
+            if let Some(p) = peer.as_deref_mut() {
+                p.pump(Duration::ZERO)?;
+            }
         }
     }
 
     /// Services the node once: fires due timers, blocks on the socket
-    /// for at most `min(max_wait, time-to-next-deadline)`, processes
-    /// one datagram if one arrived. Returns whether a datagram was
-    /// processed. Call in a loop to run the node without waiting on a
-    /// specific CQ (e.g. a server between requests).
+    /// for at most `max_wait` — cut short by the next engine deadline
+    /// and the next window refresh — and processes one datagram if one
+    /// arrived. Returns whether a datagram was processed. Call in a
+    /// loop to run the node without waiting on a specific CQ (e.g. a
+    /// server between requests).
     ///
     /// # Errors
     ///
@@ -465,6 +494,10 @@ impl XportNode {
         self.fire_due_timers()?;
         self.refresh_windows()?;
         let mut budget = max_wait;
+        if !budget.is_zero() {
+            budget =
+                budget.min(self.cfg.window_refresh.saturating_sub(self.last_refresh.elapsed()));
+        }
         if let Some(d) = self.engine.next_deadline() {
             budget = budget.min(self.clock.until(d));
         }

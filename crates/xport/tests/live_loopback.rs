@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use qpip_netstack::types::Endpoint;
 use qpip_nic::types::{
-    CompletionKind, CompletionStatus, CqId, NicError, QpId, RecvWr, SendWr, ServiceType,
+    Completion, CompletionKind, CompletionStatus, CqId, NicError, QpId, RecvWr, SendWr, ServiceType,
 };
 use qpip_trace::{FlightRecorder, TraceEvent, Tracer};
 use qpip_xport::{ImpairConfig, ImpairProxy, XportConfig, XportError, XportNode};
@@ -84,23 +84,58 @@ fn udp_datagram_crosses_live_sockets() {
     assert_eq!(got.status, CompletionStatus::Success);
 }
 
+/// Pumps both nodes until neither has read a datagram for 50 rounds in
+/// a row, so the FIN exchange and any last ACKs are answered.
+fn quiesce(a: &mut XportNode, b: &mut XportNode) {
+    let mut idle = 0;
+    while idle < 50 {
+        let got = a.pump(Duration::ZERO).unwrap() | b.pump(Duration::ZERO).unwrap();
+        idle = if got { 0 } else { idle + 1 };
+    }
+}
+
 /// Runs a TCP transfer of `count` messages of `len` bytes from a
 /// client node to a server node whose sockets are already wired
-/// (directly or through a proxy). Returns the messages the server
-/// received, in order, plus the client node for post-mortem stats.
+/// (directly or through a proxy). This thread drives both: the client
+/// waits on acknowledgments while pumping the server, and the server's
+/// CQ is drained between waits. Returns the messages the server
+/// received, in order, plus the client's retransmission count.
 fn transfer(
     mut client: XportNode,
-    server: XportNode,
+    mut server: XportNode,
     count: u32,
     len: usize,
 ) -> (Vec<Vec<u8>>, u64) {
-    let server_thread = std::thread::spawn(move || run_server(server, count, len));
+    // server: one listening QP that keeps QUEUE receive WRs posted
+    const QUEUE: u32 = 64;
+    let srv_cq = server.create_cq();
+    let srv_qp = server.create_qp(ServiceType::ReliableTcp, srv_cq, srv_cq).unwrap();
+    server.tcp_listen(srv_qp, 5001).unwrap();
+    for i in 0..QUEUE {
+        server.post_recv(srv_qp, RecvWr { wr_id: u64::from(i), capacity: len }).unwrap();
+    }
+    let serve = |server: &mut XportNode, got: &mut Vec<Vec<u8>>, c: Completion| match c.kind {
+        CompletionKind::ConnectionEstablished => {}
+        CompletionKind::Recv { data, .. } => {
+            assert_eq!(c.status, CompletionStatus::Success);
+            got.push(data);
+            // recycle the consumed WR to keep the window open
+            if (got.len() as u32) < count {
+                server.post_recv(srv_qp, RecvWr { wr_id: 0, capacity: len }).unwrap();
+            }
+        }
+        CompletionKind::PeerDisconnected => {
+            panic!("peer closed after {} of {count} messages", got.len())
+        }
+        other => panic!("unexpected completion {other:?}"),
+    };
+    let mut got = Vec::new();
 
     let cq_conn = client.create_cq();
     let cq_send = client.create_cq();
     let qp = client.create_qp(ServiceType::ReliableTcp, cq_send, cq_conn).unwrap();
     client.tcp_connect(qp, 5000, Endpoint::new(FABRIC_B, 5001)).unwrap();
-    let c = client.wait(cq_conn).expect("connection established");
+    let c = client.wait_pumping(cq_conn, &mut server).expect("connection established");
     assert_eq!(c.kind, CompletionKind::ConnectionEstablished);
 
     // windowed submission: at most 32 sends in flight, refilled as
@@ -119,7 +154,10 @@ fn transfer(
             next += 1;
             inflight += 1;
         }
-        let done = client.wait(cq_send).expect("send completion");
+        while let Some(c) = server.poll(srv_cq).unwrap() {
+            serve(&mut server, &mut got, c);
+        }
+        let done = client.wait_pumping(cq_send, &mut server).expect("send completion");
         assert_eq!(done.kind, CompletionKind::Send);
         assert_eq!(done.status, CompletionStatus::Success, "send {} failed", done.wr_id);
         inflight -= 1;
@@ -130,52 +168,15 @@ fn transfer(
     // with the connection slab entry
     let retransmissions = client.engine().retransmissions();
     client.tcp_close(qp).unwrap();
-    let received = server_thread.join().expect("server thread");
+    while (got.len() as u32) < count {
+        let c = server.wait_pumping(srv_cq, &mut client).expect("server completion");
+        serve(&mut server, &mut got, c);
+    }
+    let _ = server.tcp_close(srv_qp);
     // let the FIN handshake drain; nothing is asserted about it (under
     // loss the teardown may outlive our patience — data already landed)
-    let until = Instant::now() + Duration::from_millis(300);
-    while Instant::now() < until {
-        client.pump(Duration::from_millis(10)).unwrap();
-    }
-    (received, retransmissions)
-}
-
-/// Server side: one listening QP, keeps `QUEUE` receive WRs posted,
-/// collects `count` messages, then closes.
-fn run_server(mut server: XportNode, count: u32, len: usize) -> Vec<Vec<u8>> {
-    const QUEUE: u32 = 64;
-    let cq = server.create_cq();
-    let qp = server.create_qp(ServiceType::ReliableTcp, cq, cq).unwrap();
-    server.tcp_listen(qp, 5001).unwrap();
-    for i in 0..QUEUE {
-        server.post_recv(qp, RecvWr { wr_id: u64::from(i), capacity: len }).unwrap();
-    }
-    let mut got = Vec::new();
-    loop {
-        let c = server.wait(cq).expect("server completion");
-        match c.kind {
-            CompletionKind::ConnectionEstablished => {}
-            CompletionKind::Recv { data, .. } => {
-                assert_eq!(c.status, CompletionStatus::Success);
-                got.push(data);
-                if got.len() as u32 == count {
-                    break;
-                }
-                // recycle the consumed WR to keep the window open
-                server.post_recv(qp, RecvWr { wr_id: 0, capacity: len }).unwrap();
-            }
-            CompletionKind::PeerDisconnected => {
-                panic!("peer closed after {} of {count} messages", got.len())
-            }
-            other => panic!("unexpected completion {other:?}"),
-        }
-    }
-    let _ = server.tcp_close(qp);
-    let until = Instant::now() + Duration::from_millis(300);
-    while Instant::now() < until {
-        server.pump(Duration::from_millis(10)).unwrap();
-    }
-    got
+    quiesce(&mut client, &mut server);
+    (got, retransmissions)
 }
 
 fn assert_exactly_once_in_order(received: &[Vec<u8>], count: u32, len: usize) {
@@ -290,61 +291,93 @@ fn messages_backlog_until_recv_wrs_are_posted() {
     // whole WR regardless of its size: two 1024-byte WRs advertise a
     // 2048-byte window, into which the client can land eight 100-byte
     // messages. Six of them find no WR and must park in the backlog.
-    let server_thread = std::thread::spawn(move || {
-        let cq = server.create_cq();
-        let qp = server.create_qp(ServiceType::ReliableTcp, cq, cq).unwrap();
-        server.tcp_listen(qp, 5001).unwrap();
-        server.post_recv(qp, RecvWr { wr_id: 0, capacity: 1024 }).unwrap();
-        server.post_recv(qp, RecvWr { wr_id: 1, capacity: 1024 }).unwrap();
-        let mut got = Vec::new();
-        while got.len() < 2 {
-            let c = server.wait(cq).expect("server completion");
-            if let CompletionKind::Recv { data, .. } = c.kind {
-                got.push(data);
-            }
-        }
-        // both WRs are consumed but 1848 bytes of window remain: the
-        // other six messages arrive and must park
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while server.stats().tcp_backlogged == 0 {
-            assert!(Instant::now() < deadline, "backlog never formed: {:?}", server.stats());
-            server.pump(Duration::from_millis(10)).unwrap();
-        }
-        // now resupply; the backlog drains through the fresh WRs
-        for _ in 0..6 {
-            server.post_recv(qp, RecvWr { wr_id: 0, capacity: 1024 }).unwrap();
-        }
-        while got.len() < 8 {
-            let c = server.wait(cq).expect("server completion");
-            if let CompletionKind::Recv { data, .. } = c.kind {
-                got.push(data);
-            }
-        }
-        (got, server.stats())
-    });
+    let scq = server.create_cq();
+    let sqp = server.create_qp(ServiceType::ReliableTcp, scq, scq).unwrap();
+    server.tcp_listen(sqp, 5001).unwrap();
+    server.post_recv(sqp, RecvWr { wr_id: 0, capacity: 1024 }).unwrap();
+    server.post_recv(sqp, RecvWr { wr_id: 1, capacity: 1024 }).unwrap();
 
     let cq = client.create_cq();
     let qp = client.create_qp(ServiceType::ReliableTcp, cq, cq).unwrap();
     client.tcp_connect(qp, 5000, Endpoint::new(FABRIC_B, 5001)).unwrap();
-    let mut established = false;
-    let mut sends_done = 0;
     for i in 0..8u32 {
         client
             .post_send(qp, SendWr { wr_id: u64::from(i), payload: message(i, 100), dst: None })
             .unwrap();
     }
+
+    let mut got = Vec::new();
+    while got.len() < 2 {
+        let c = server.wait_pumping(scq, &mut client).expect("server completion");
+        if let CompletionKind::Recv { data, .. } = c.kind {
+            got.push(data);
+        }
+    }
+    // both WRs are consumed but 1848 bytes of window remain: the
+    // other six messages arrive and must park
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.stats().tcp_backlogged == 0 {
+        assert!(Instant::now() < deadline, "backlog never formed: {:?}", server.stats());
+        server.pump(Duration::ZERO).unwrap();
+        client.pump(Duration::ZERO).unwrap();
+    }
+    // now resupply; the backlog drains through the fresh WRs
+    for _ in 0..6 {
+        server.post_recv(sqp, RecvWr { wr_id: 0, capacity: 1024 }).unwrap();
+    }
+    while got.len() < 8 {
+        let c = server.wait_pumping(scq, &mut client).expect("server completion");
+        if let CompletionKind::Recv { data, .. } = c.kind {
+            got.push(data);
+        }
+    }
+
+    let mut established = false;
+    let mut sends_done = 0;
     while !(established && sends_done == 8) {
-        match client.wait(cq).expect("client completion").kind {
+        match client.wait_pumping(cq, &mut server).expect("client completion").kind {
             CompletionKind::ConnectionEstablished => established = true,
             CompletionKind::Send => sends_done += 1,
             other => panic!("unexpected {other:?}"),
         }
     }
-    let (got, sstats) = server_thread.join().expect("server");
     for (i, data) in got.iter().enumerate() {
         assert_eq!(data, &message(i as u32, 100));
     }
+    let sstats = server.stats();
     assert!(sstats.tcp_backlogged > 0, "nothing ever backlogged: {sstats:?}");
+}
+
+/// A node blocked in `wait` on a CQ that never completes still
+/// re-advertises its established windows every `window_refresh`: the
+/// socket block inside `wait` is cut short by the next refresh, not
+/// only by the next engine deadline or the wait timeout.
+#[test]
+fn waiting_on_an_empty_cq_still_refreshes_windows() {
+    let cfg = XportConfig { wait_timeout: Duration::from_millis(350), ..XportConfig::default() };
+    let mut client = XportNode::bind(FABRIC_A, cfg).expect("bind");
+    let mut server = node(FABRIC_B);
+    client.add_peer(FABRIC_B, server.local_addr().unwrap());
+    server.add_peer(FABRIC_A, client.local_addr().unwrap());
+
+    let scq = server.create_cq();
+    let sqp = server.create_qp(ServiceType::ReliableTcp, scq, scq).unwrap();
+    server.post_recv(sqp, RecvWr { wr_id: 0, capacity: 1024 }).unwrap();
+    server.tcp_listen(sqp, 5001).unwrap();
+    let cq = client.create_cq();
+    let qp = client.create_qp(ServiceType::ReliableTcp, cq, cq).unwrap();
+    client.tcp_connect(qp, 5000, Endpoint::new(FABRIC_B, 5001)).unwrap();
+    let up = client.wait_pumping(cq, &mut server).expect("client established");
+    assert_eq!(up.kind, CompletionKind::ConnectionEstablished);
+    let up = server.wait_pumping(scq, &mut client).expect("server established");
+    assert_eq!(up.kind, CompletionKind::ConnectionEstablished);
+
+    let idle = client.create_cq();
+    let tx0 = client.stats().datagrams_tx;
+    let err = client.wait(idle).expect_err("nothing can complete on an unused CQ");
+    assert!(matches!(err, XportError::WaitTimeout(_)), "{err:?}");
+    let refreshes = client.stats().datagrams_tx - tx0;
+    assert!(refreshes >= 2, "{refreshes} window refreshes sent in a 350 ms wait");
 }
 
 #[test]

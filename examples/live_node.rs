@@ -13,7 +13,7 @@ use std::net::Ipv6Addr;
 use std::time::{Duration, Instant};
 
 use qpip_netstack::types::Endpoint;
-use qpip_nic::types::{CompletionKind, CompletionStatus, RecvWr, SendWr, ServiceType};
+use qpip_nic::types::{Completion, CompletionKind, CompletionStatus, RecvWr, SendWr, ServiceType};
 use qpip_xport::{ImpairConfig, ImpairProxy, XportConfig, XportNode};
 
 const FABRIC_A: Ipv6Addr = Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, 1);
@@ -29,49 +29,49 @@ fn message(seq: u32, len: usize) -> Vec<u8> {
     m
 }
 
-/// Server half: listen, keep receive WRs posted, collect `MESSAGES`
-/// messages and verify each arrived exactly once and in order.
-fn run_server(mut server: XportNode) -> u32 {
-    let cq = server.create_cq();
-    let qp = server.create_qp(ServiceType::ReliableTcp, cq, cq).unwrap();
-    server.tcp_listen(qp, PORT).unwrap();
-    for i in 0..64u32 {
-        server.post_recv(qp, RecvWr { wr_id: u64::from(i), capacity: LEN }).unwrap();
+/// Pumps both nodes until neither has read a datagram for 50 rounds in
+/// a row, so the FIN exchange and any last ACKs are answered.
+fn quiesce(a: &mut XportNode, b: &mut XportNode) {
+    let mut idle = 0;
+    while idle < 50 {
+        let got = a.pump(Duration::ZERO).unwrap() | b.pump(Duration::ZERO).unwrap();
+        idle = if got { 0 } else { idle + 1 };
     }
-    let mut got = 0u32;
-    loop {
-        let c = server.wait(cq).expect("server completion");
-        match c.kind {
-            CompletionKind::ConnectionEstablished => {}
-            CompletionKind::Recv { data, .. } => {
-                assert_eq!(c.status, CompletionStatus::Success);
-                assert_eq!(data, message(got, LEN), "message {got} corrupted or misordered");
-                got += 1;
-                if got == MESSAGES {
-                    break;
-                }
-                server.post_recv(qp, RecvWr { wr_id: 0, capacity: LEN }).unwrap();
-            }
-            other => panic!("unexpected completion {other:?}"),
-        }
-    }
-    let _ = server.tcp_close(qp);
-    let until = Instant::now() + Duration::from_millis(200);
-    while Instant::now() < until {
-        server.pump(Duration::from_millis(10)).unwrap();
-    }
-    got
 }
 
-/// Client half: connect, stream `MESSAGES` messages with at most 16 in
-/// flight, report wall time and how many retransmissions the engine's
-/// loss recovery issued.
-fn run_client(mut client: XportNode) -> (Duration, u64) {
+/// One transfer with the sockets already wired (directly or through a
+/// proxy), both nodes driven from this thread. The client connects and
+/// streams `MESSAGES` messages with at most 16 in flight, waiting on
+/// acknowledgments while pumping the server; between waits the server
+/// drains its CQ, keeps receive WRs posted and checks that every
+/// message arrived exactly once and in order. Returns the wall time and
+/// how many retransmissions the engine's loss recovery issued.
+fn run_pair(mut client: XportNode, mut server: XportNode) -> (Duration, u64) {
+    let srv_cq = server.create_cq();
+    let srv_qp = server.create_qp(ServiceType::ReliableTcp, srv_cq, srv_cq).unwrap();
+    server.tcp_listen(srv_qp, PORT).unwrap();
+    for i in 0..64u32 {
+        server.post_recv(srv_qp, RecvWr { wr_id: u64::from(i), capacity: LEN }).unwrap();
+    }
+    let serve = |server: &mut XportNode, got: &mut u32, c: Completion| match c.kind {
+        CompletionKind::ConnectionEstablished => {}
+        CompletionKind::Recv { data, .. } => {
+            assert_eq!(c.status, CompletionStatus::Success);
+            assert_eq!(data, message(*got, LEN), "message {got} corrupted or misordered");
+            *got += 1;
+            if *got < MESSAGES {
+                server.post_recv(srv_qp, RecvWr { wr_id: 0, capacity: LEN }).unwrap();
+            }
+        }
+        other => panic!("unexpected completion {other:?}"),
+    };
+    let mut got = 0u32;
+
     let cq_conn = client.create_cq();
     let cq_send = client.create_cq();
     let qp = client.create_qp(ServiceType::ReliableTcp, cq_send, cq_conn).unwrap();
     client.tcp_connect(qp, 5000, Endpoint::new(FABRIC_B, PORT)).unwrap();
-    let c = client.wait(cq_conn).expect("connection established");
+    let c = client.wait_pumping(cq_conn, &mut server).expect("connection established");
     assert_eq!(c.kind, CompletionKind::ConnectionEstablished);
 
     let t0 = Instant::now();
@@ -87,7 +87,10 @@ fn run_client(mut client: XportNode) -> (Duration, u64) {
             next += 1;
             inflight += 1;
         }
-        let done = client.wait(cq_send).expect("send completion");
+        while let Some(c) = server.poll(srv_cq).unwrap() {
+            serve(&mut server, &mut got, c);
+        }
+        let done = client.wait_pumping(cq_send, &mut server).expect("send completion");
         assert_eq!(done.status, CompletionStatus::Success);
         inflight -= 1;
         completed += 1;
@@ -96,21 +99,13 @@ fn run_client(mut client: XportNode) -> (Duration, u64) {
     // sample before close: per-connection counters die with the TCB
     let retrans = client.engine().retransmissions();
     client.tcp_close(qp).unwrap();
-    let until = Instant::now() + Duration::from_millis(200);
-    while Instant::now() < until {
-        client.pump(Duration::from_millis(10)).unwrap();
+    while got < MESSAGES {
+        let c = server.wait_pumping(srv_cq, &mut client).expect("server completion");
+        serve(&mut server, &mut got, c);
     }
+    let _ = server.tcp_close(srv_qp);
+    quiesce(&mut client, &mut server);
     (elapsed, retrans)
-}
-
-/// One transfer with the sockets already wired (directly or through a
-/// proxy); returns (wall time, client retransmissions).
-fn run_pair(client: XportNode, server: XportNode) -> (Duration, u64) {
-    let server_thread = std::thread::spawn(move || run_server(server));
-    let result = run_client(client);
-    let got = server_thread.join().expect("server thread");
-    assert_eq!(got, MESSAGES);
-    result
 }
 
 fn main() {

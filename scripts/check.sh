@@ -20,6 +20,11 @@ cargo clippy --workspace --all-targets -q -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# rustdoc warnings are errors too: a deleted item must not leave a
+# dangling intra-doc link behind.
+echo "==> cargo doc --workspace --no-deps (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Smoke-run every experiment binary: each must exit cleanly and report
 # zero [MISS] shape checks. fig7_nbd without --full and manyflow with
 # --smoke are the quick configurations; the rest are already fast.
