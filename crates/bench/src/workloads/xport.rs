@@ -8,11 +8,11 @@
 //! behaves on real wires, not as reproducible figures.
 
 use std::net::Ipv6Addr;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use qpip_netstack::types::Endpoint;
 use qpip_nic::types::{CompletionKind, CompletionStatus, RecvWr, SendWr, ServiceType};
-use qpip_xport::{ImpairConfig, ImpairProxy, XportConfig, XportNode};
+use qpip_xport::{quiesce, ImpairConfig, ImpairProxy, XportConfig, XportNode};
 
 const FABRIC_A: Ipv6Addr = Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, 0xa);
 const FABRIC_B: Ipv6Addr = Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, 0xb);
@@ -67,16 +67,6 @@ fn wire_direct(a: &mut XportNode, b: &mut XportNode) {
     b.add_peer(FABRIC_A, aa);
 }
 
-/// Pumps both nodes until neither has read a datagram for 50 rounds in
-/// a row, so the FIN exchange and any last ACKs are answered.
-fn quiesce(a: &mut XportNode, b: &mut XportNode) {
-    let mut idle = 0;
-    while idle < 50 {
-        let got = a.pump(Duration::ZERO).expect("pump") | b.pump(Duration::ZERO).expect("pump");
-        idle = if got { 0 } else { idle + 1 };
-    }
-}
-
 /// Measures QP-to-QP round-trip time over live loopback sockets:
 /// `rounds` ping-pongs of `payload` bytes on a reliable (TCP) QP. One
 /// thread drives both nodes: each wait pumps the other node.
@@ -127,7 +117,7 @@ pub fn live_rtt(rounds: u32, payload: usize) -> LiveRtt {
         while a.poll(send_cq).expect("drain").is_some() {}
     }
     a.tcp_close(qp).expect("close");
-    quiesce(&mut a, &mut b);
+    quiesce(&mut a, &mut b).expect("pump");
 
     samples_us.sort_by(|x, y| x.partial_cmp(y).expect("finite"));
     let mean = samples_us.iter().sum::<f64>() / samples_us.len() as f64;
@@ -231,7 +221,7 @@ pub fn live_stream(
         sink(&mut b, &mut seq, c.kind);
     }
     a.tcp_close(qp).expect("close");
-    quiesce(&mut a, &mut b);
+    quiesce(&mut a, &mut b).expect("pump");
 
     let mut counters = vec![a.engine().stats().snapshot(), a.stats().snapshot()];
     let proxy_dropped = proxy.map_or(0, |p| {

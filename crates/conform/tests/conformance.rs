@@ -202,20 +202,114 @@ fn third_duplicate_ack_triggers_fast_retransmit() {
     assert_eq!(count_send_complete(&h.take_events()), 5);
 }
 
-#[test]
-fn zero_window_blocks_send_and_reopen_releases_no_persist_timer() {
-    let mut h = Harness::server(cfg(), PORT);
+/// The initial RTO: the scripted handshakes carry no timestamps and
+/// take no RTT sample.
+const RTO: SimDuration = SimDuration::from_millis(100);
+
+/// Handshake, then the peer closes its window and the application
+/// queues one 100-byte message behind it. Returns the engine's ISS.
+fn window_blocked_sender(h: &mut Harness) -> u32 {
     let iss = h.handshake(100);
     h.inject(seg().seq(101).ack(iss + 1).win(0));
-    let conn = h.conn().unwrap();
-    assert_eq!(h.engine().conn_snd_wnd(conn), Some(0));
+    assert_eq!(h.engine().conn_snd_wnd(h.conn().unwrap()), Some(0));
     h.send(&[0x77; 100]);
     h.expect_quiet();
-    // Documented subset behaviour: no persist timer. Nothing is armed;
-    // the receiver re-advertises its window instead (QPIP posts WRs).
-    assert!(h.next_deadline().is_none());
+    iss
+}
+
+/// Fires the persist timer and expects its probe: one byte at
+/// SND.UNA−1 (the already-acknowledged ISS slot here), never counted as
+/// a retransmission. Returns the interval since the previous deadline
+/// was armed at `armed_at`.
+#[track_caller]
+fn fire_probe(h: &mut Harness, iss: u32) -> SimDuration {
+    let armed_at = h.now();
+    h.fire_timer();
+    h.expect(Expect::data(&[0]).seq(iss).ack_no(101).win(65535));
+    assert_eq!(h.engine().retransmissions(), 0, "a probe is not a retransmission");
+    assert_eq!(h.stats().rto_retransmits, 0, "a probe is not an RTO retransmission");
+    h.now().duration_since(armed_at)
+}
+
+#[test]
+fn zero_window_first_probe_after_one_rto() {
+    let mut h = Harness::server(cfg(), PORT);
+    let iss = window_blocked_sender(&mut h);
+    assert_eq!(h.next_deadline(), Some(h.now() + RTO), "persist armed at one RTO");
+    assert_eq!(fire_probe(&mut h, iss), RTO);
+    assert_eq!(h.stats().persist_probes, 1);
+    assert_eq!(h.state(), Some(TcpState::Established));
+}
+
+#[test]
+fn zero_window_probes_back_off_with_the_rto() {
+    let mut h = Harness::server(cfg(), PORT);
+    let iss = window_blocked_sender(&mut h);
+    for k in 0..4 {
+        assert_eq!(fire_probe(&mut h, iss), RTO.saturating_mul(1 << k), "probe {}", k + 1);
+    }
+    // a reply that keeps the window closed changes nothing: the next
+    // probe stays on the backed-off schedule
+    h.inject(seg().seq(101).ack(iss + 1).win(0));
+    h.expect_quiet();
+    assert_eq!(fire_probe(&mut h, iss), RTO.saturating_mul(16));
+    assert_eq!(h.stats().persist_probes, 5);
+}
+
+#[test]
+fn zero_window_probe_reply_opens_window_and_releases_data() {
+    let mut h = Harness::server(cfg(), PORT);
+    let iss = window_blocked_sender(&mut h);
+    fire_probe(&mut h, iss);
+    h.advance(SimDuration::from_millis(10));
+    // the receiver answers the probe with an open window
     h.inject(seg().seq(101).ack(iss + 1).win(65535));
     h.expect(Expect::data(&[0x77; 100]).seq(iss + 1));
+    // the data leaves under a fresh (backed-off) RTO, not what was left
+    // of the persist interval
+    assert_eq!(h.next_deadline(), Some(h.now() + RTO.saturating_mul(2)));
+    h.inject(seg().seq(101).ack(iss + 101).win(65535));
+    assert_eq!(count_send_complete(&h.take_events()), 1);
+    assert!(h.next_deadline().is_none(), "nothing outstanding, nothing blocked");
+    assert_eq!(h.stats().persist_probes, 1);
+}
+
+#[test]
+fn zero_window_that_never_opens_ends_in_reset() {
+    let mut h = Harness::server(cfg(), PORT);
+    let iss = window_blocked_sender(&mut h);
+    let start = h.now();
+    for _ in 0..15 {
+        fire_probe(&mut h, iss);
+    }
+    assert_eq!(h.state(), Some(TcpState::Established));
+    // the sixteenth expiry exhausts the retries
+    h.fire_timer();
+    h.expect_quiet();
+    assert!(h.take_events().iter().any(|e| matches!(e, Emit::TcpReset { .. })));
+    assert_eq!(h.state(), None, "reset connection is reaped");
+    assert_eq!(h.stats().persist_probes, 15, "probe count survives the reap");
+    assert_eq!(h.stats().rto_retransmits, 0);
+    // 100 ms doubling to the 4 s cap: 0.1+0.2+…+3.2 + 10×4 s
+    assert_eq!(h.now().duration_since(start), SimDuration::from_millis(46_300));
+}
+
+#[test]
+fn receiver_reacks_probe_with_current_window() {
+    let mut h = Harness::server(cfg(), PORT);
+    let iss = h.handshake(100);
+    h.set_recv_space(0);
+    h.expect(Expect::pure_ack().ack_no(101).win(0));
+    // a probe: one already-received byte at RCV.NXT−1
+    h.inject(seg().seq(100).ack(iss + 1).payload(&[0]));
+    h.expect(Expect::pure_ack().ack_no(101).win(0));
+    // the window reopens, but the peer never sees the update; its next
+    // probe draws the current window
+    h.set_recv_space(4096);
+    h.expect(Expect::pure_ack().ack_no(101).win(4096));
+    h.inject(seg().seq(100).ack(iss + 1).payload(&[0]));
+    h.expect(Expect::pure_ack().ack_no(101).win(4096));
+    assert!(delivered(&h.take_events()).is_empty(), "a probe byte is never delivered");
 }
 
 #[test]

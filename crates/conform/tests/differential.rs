@@ -22,7 +22,6 @@
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
-use std::time::Duration;
 
 use qpip::world::QpipWorld;
 use qpip::{Completion, CompletionKind, CompletionStatus, CqId, NicConfig, QpId, RecvWr};
@@ -159,13 +158,8 @@ fn live_run(script: &[(Dir, usize)]) -> (Vec<qpip_trace::Rec>, CqStreams) {
     const FABRIC_S: Ipv6Addr = Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, 1);
     const FABRIC_C: Ipv6Addr = Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, 2);
     let rec = Arc::new(FlightRecorder::new(65536));
-    // the periodic window re-advertisement is a wall-clock artifact the
-    // DES world has no counterpart for; push it past the test horizon
-    let cfg =
-        || XportConfig { window_refresh: Duration::from_secs(3600), ..XportConfig::default() };
-
-    let mut server = XportNode::bind(FABRIC_S, cfg()).expect("bind server");
-    let mut client = XportNode::bind(FABRIC_C, cfg()).expect("bind client");
+    let mut server = XportNode::bind(FABRIC_S, XportConfig::default()).expect("bind server");
+    let mut client = XportNode::bind(FABRIC_C, XportConfig::default()).expect("bind client");
     server.set_tracer(Tracer::new(Arc::clone(&rec), 0));
     client.set_tracer(Tracer::new(Arc::clone(&rec), 1));
     server.add_peer(FABRIC_C, client.local_addr().unwrap());

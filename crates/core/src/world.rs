@@ -519,10 +519,18 @@ impl<N: AsQpip> World<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qpip_nic::CompletionKind;
+    use qpip_nic::{CompletionKind, CompletionStatus};
 
     /// Two nodes, TCP QPs, full verb-level exchange.
     fn connected_world() -> (QpipWorld, NodeIdx, NodeIdx, QpId, QpId, CqId, CqId) {
+        connected_world_posting(8)
+    }
+
+    /// [`connected_world`] whose server posts only `server_wrs` receive
+    /// WRs before the handshake (the client always posts 8).
+    fn connected_world_posting(
+        server_wrs: u64,
+    ) -> (QpipWorld, NodeIdx, NodeIdx, QpId, QpId, CqId, CqId) {
         let mut w = QpipWorld::myrinet();
         let a = w.add_node(NicConfig::paper_default());
         let b = w.add_node(NicConfig::paper_default());
@@ -531,7 +539,9 @@ mod tests {
         let qa = w.create_qp(a, ServiceType::ReliableTcp, cqa, cqa).unwrap();
         let qb = w.create_qp(b, ServiceType::ReliableTcp, cqb, cqb).unwrap();
         for i in 0..8 {
-            w.post_recv(b, qb, RecvWr { wr_id: 100 + i, capacity: 16 * 1024 }).unwrap();
+            if i < server_wrs {
+                w.post_recv(b, qb, RecvWr { wr_id: 100 + i, capacity: 16 * 1024 }).unwrap();
+            }
             w.post_recv(a, qa, RecvWr { wr_id: 200 + i, capacity: 16 * 1024 }).unwrap();
         }
         w.tcp_listen(b, 5000, qb).unwrap();
@@ -659,6 +669,43 @@ mod tests {
         let c = w.wait_matching(a, cqa, |c| c.kind == CompletionKind::Send);
         assert_eq!(c.wr_id, 77);
         assert!(w.nic(a).retransmissions() >= 1, "loss forced a retransmission");
+    }
+
+    /// The server's only window update is lost on the fabric; the
+    /// client's persist timer probes the zero window and the reply
+    /// carries the open window back, so the message still lands.
+    #[test]
+    fn lost_window_update_is_recovered_by_a_persist_probe() {
+        let (mut w, a, b, qa, qb, cqa, cqb) = connected_world_posting(0);
+        // let the zero-window announcement land before sending into it
+        w.run_until_idle();
+        w.post_send(a, qa, SendWr { wr_id: 1, payload: vec![5; 1024], dst: None }).unwrap();
+        w.set_fault_plan(qpip_fabric::FaultPlan::DropIndices(vec![0]));
+        w.post_recv(b, qb, RecvWr { wr_id: 9, capacity: 16 * 1024 }).unwrap();
+        let c = w.wait_matching(b, cqb, |c| matches!(c.kind, CompletionKind::Recv { .. }));
+        assert_eq!(c.kind, CompletionKind::Recv { data: vec![5; 1024], src: None });
+        let c = w.wait_matching(a, cqa, |c| c.kind == CompletionKind::Send);
+        assert_eq!(c.wr_id, 1);
+        let stats = w.nic(a).engine_stats();
+        assert_eq!(stats.persist_probes, 1, "{stats:?}");
+        assert_eq!(stats.rto_retransmits, 0, "a probe is not a retransmission");
+        assert_eq!(w.nic(a).retransmissions(), 0, "a probe is not a retransmission");
+    }
+
+    /// A window that never opens ends the connection after the retry
+    /// budget: the client's CQ gets a `ConnectionError` and the world
+    /// then runs dry instead of probing forever.
+    #[test]
+    fn window_that_never_opens_ends_in_connection_error() {
+        let (mut w, a, _b, qa, _qb, cqa, _cqb) = connected_world_posting(0);
+        w.run_until_idle();
+        w.post_send(a, qa, SendWr { wr_id: 1, payload: vec![5; 1024], dst: None }).unwrap();
+        let c = w.wait_matching(a, cqa, |c| c.status == CompletionStatus::ConnectionError);
+        assert_eq!(c.status, CompletionStatus::ConnectionError);
+        w.run_until_idle();
+        assert_eq!(w.nic(a).engine_stats().persist_probes, 15);
+        let gave_up = w.now().duration_since(SimTime::ZERO);
+        assert!(gave_up > SimDuration::from_secs(46), "gave up at {gave_up:?}");
     }
 
     /// Waiting on a CQ that can never produce must panic with a

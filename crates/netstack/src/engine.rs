@@ -91,6 +91,9 @@ pub struct EngineStats {
     /// Peer-window transitions to zero, summed over live and reaped
     /// connections.
     pub zero_window_events: u64,
+    /// Zero-window probes sent by persist timers, summed over live and
+    /// reaped connections. Never counted as retransmissions.
+    pub persist_probes: u64,
 }
 
 impl EngineStats {
@@ -106,7 +109,8 @@ impl EngineStats {
             .push("rto_retransmits", self.rto_retransmits)
             .push("fast_retransmits", self.fast_retransmits)
             .push("dupacks_rx", self.dupacks_rx)
-            .push("zero_window_events", self.zero_window_events);
+            .push("zero_window_events", self.zero_window_events)
+            .push("persist_probes", self.persist_probes);
         s
     }
 }
@@ -255,7 +259,7 @@ impl Engine {
         &self.cfg
     }
 
-    /// Traffic counters. Retransmit/dup-ACK/zero-window counters folded
+    /// Traffic counters. Retransmit/dup-ACK/zero-window/probe counters folded
     /// into the base stats at reap time are completed with the live
     /// connections' TCB counters, so the totals never regress when a
     /// connection closes.
@@ -266,6 +270,7 @@ impl Engine {
             s.fast_retransmits += e.tcb.fast_retransmits();
             s.dupacks_rx += e.tcb.dupacks_rx();
             s.zero_window_events += e.tcb.zero_window_events();
+            s.persist_probes += e.tcb.persist_probes();
         }
         s
     }
@@ -815,6 +820,7 @@ impl Engine {
         self.stats.fast_retransmits += tcb.fast_retransmits();
         self.stats.dupacks_rx += tcb.dupacks_rx();
         self.stats.zero_window_events += tcb.zero_window_events();
+        self.stats.persist_probes += tcb.persist_probes();
     }
 
     /// Emits a [`TraceEvent::SegRx`] for a parsed inbound segment.

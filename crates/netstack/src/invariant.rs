@@ -184,16 +184,19 @@ pub fn check_tcb(tcb: &Tcb, prev: Option<&TcbSnapshot>) -> Result<(), InvariantV
             if tcb.timewait_armed() {
                 fail!("timewait_timer", "TIME-WAIT timer armed in {state:?}");
             }
-            // the RTO is armed exactly when something needs retransmitting:
-            // unacked data, an unacked SYN/SYN-ACK, or an unacked FIN (the
-            // subset has no persist timer, so window-blocked-but-unsent
-            // data keeps the timer off — the receiver re-advertises).
-            if tcb.rto_armed() != tcb.has_outstanding() {
+            // the retransmission timer has two mutually exclusive roles.
+            // As the RTO it is armed exactly when something needs
+            // retransmitting: unacked data, an unacked SYN/SYN-ACK, or an
+            // unacked FIN. As the persist timer it is armed exactly when
+            // unsent data is window-blocked with nothing outstanding.
+            if tcb.rto_armed() != (tcb.has_outstanding() || tcb.window_blocked()) {
                 fail!(
-                    "rto_iff_outstanding",
-                    "rto_armed={} but outstanding={} in {state:?} (in_flight={} fin_sent={})",
+                    "rto_iff_outstanding_or_window_blocked",
+                    "rto_armed={} but outstanding={} window_blocked={} in {state:?} (in_flight={} \
+                     fin_sent={})",
                     tcb.rto_armed(),
                     tcb.has_outstanding(),
+                    tcb.window_blocked(),
                     tcb.bytes_in_flight(),
                     tcb.fin_sent()
                 );

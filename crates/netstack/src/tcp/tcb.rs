@@ -9,6 +9,14 @@
 //! window scaling, and header prediction. Out-of-order reassembly and
 //! urgent data are intentionally absent, as in the paper: out-of-order
 //! segments are dropped and re-acknowledged.
+//!
+//! Zero-window probing (RFC 1122 §4.2.2.17) is the retransmission
+//! timer in a second role, as in 4.4BSD: the two are mutually
+//! exclusive, so one deadline, one retry count and one backoff serve
+//! both. The timer is a *persist* timer while unsent data waits on a
+//! window that cannot take it and nothing is outstanding; its expiry
+//! sends a one-byte probe at SND.UNA−1, which the receiver discards as
+//! a duplicate and answers with its current window.
 
 use qpip_sim::time::{SimDuration, SimTime};
 use qpip_wire::tcp::{SeqNum, TcpFlags, TcpHeader, TcpOptions};
@@ -47,7 +55,11 @@ pub enum TcpState {
 /// Time spent in TIME-WAIT (2 × MSL; scaled for the SAN environment).
 const TIME_WAIT_DURATION: SimDuration = SimDuration::from_millis(50);
 
-/// Give up after this many consecutive retransmissions of one segment.
+/// Give up after this many consecutive retransmissions of one segment,
+/// or zero-window probes without SND.UNA advancing. RFC 6429 leaves
+/// aborting a connection stuck in persist to local policy; the subset's
+/// policy is to treat a window that stays closed through every probe
+/// like an unanswered retransmission and reset.
 const MAX_RETRIES: u32 = 15;
 
 /// A protocol event surfaced to the engine.
@@ -63,7 +75,8 @@ pub enum TcbEvent {
     PeerClosed,
     /// The connection reached CLOSED gracefully.
     Closed,
-    /// The connection was reset (by the peer or by retry exhaustion).
+    /// The connection was reset (by the peer or by retry exhaustion,
+    /// zero-window probes included).
     Reset,
 }
 
@@ -173,6 +186,7 @@ pub struct Tcb {
     fast_retransmits: u64,
     dupacks_rx: u64,
     zero_window_events: u64,
+    persist_probes: u64,
 }
 
 impl Tcb {
@@ -258,6 +272,7 @@ impl Tcb {
             fast_retransmits: 0,
             dupacks_rx: 0,
             zero_window_events: 0,
+            persist_probes: 0,
         }
     }
 
@@ -318,6 +333,12 @@ impl Tcb {
     /// Transitions of the peer's advertised window into zero.
     pub fn zero_window_events(&self) -> u64 {
         self.zero_window_events
+    }
+
+    /// Zero-window probes sent by the persist timer (never counted as
+    /// retransmissions).
+    pub fn persist_probes(&self) -> u64 {
+        self.persist_probes
     }
 
     /// Consecutive duplicate ACKs currently counted by the congestion
@@ -430,9 +451,20 @@ impl Tcb {
         self.peer_fin_rcvd
     }
 
-    /// Whether the retransmission timer is armed.
+    /// Whether the retransmission timer is armed, in either role.
     pub fn rto_armed(&self) -> bool {
         self.rto_deadline.is_some()
+    }
+
+    /// Whether sending is blocked on the peer's window with nothing
+    /// outstanding whose ACK could reopen it: unsent data waits in a
+    /// data-carrying state, so in message mode this includes a head
+    /// message larger than the usable window. The persist timer's
+    /// arming condition.
+    pub fn window_blocked(&self) -> bool {
+        matches!(self.state, TcpState::Established | TcpState::CloseWait)
+            && self.sendbuf.bytes_unsent() > 0
+            && !self.has_outstanding()
     }
 
     /// Whether the TIME-WAIT reaping timer is armed.
@@ -440,10 +472,12 @@ impl Tcb {
         self.timewait_deadline.is_some()
     }
 
-    /// Whether anything needs the retransmission timer: unacked data,
-    /// an unacked FIN, or an unanswered SYN/SYN-ACK.
+    /// Whether anything needs the retransmission timer in its RTO role:
+    /// unacked data, an unacked FIN, or an unanswered SYN/SYN-ACK.
     pub fn has_outstanding(&self) -> bool {
-        self.outstanding(SimTime::ZERO)
+        self.sendbuf.bytes_in_flight() > 0
+            || (self.fin_sent && !self.fin_acked(self.sendbuf.una()))
+            || matches!(self.state, TcpState::SynSent | TcpState::SynRcvd)
     }
 
     /// Window-scale shift applied to windows we advertise.
@@ -857,8 +891,9 @@ impl Tcb {
                 }
             }
 
-            // restart or clear the retransmission timer
-            if self.outstanding(now) {
+            // restart or clear the retransmission timer (`try_output`
+            // re-arms it as a persist timer if the window blocks)
+            if self.has_outstanding() {
                 self.arm_rto(now);
             } else {
                 self.rto_deadline = None;
@@ -952,8 +987,9 @@ impl Tcb {
 
     // ----- timers ------------------------------------------------------
 
-    /// Advances timer state to `now`, producing retransmissions, delayed
-    /// ACKs, TIME-WAIT reaping and abort events.
+    /// Advances timer state to `now`, producing retransmissions,
+    /// zero-window probes, delayed ACKs, TIME-WAIT reaping and abort
+    /// events.
     pub fn on_timer(
         &mut self,
         cfg: &NetConfig,
@@ -991,9 +1027,24 @@ impl Tcb {
                     events.push(TcbEvent::Reset);
                     return (out, events);
                 }
-                self.congestion.on_timeout();
                 self.rtt.backoff();
                 ops.muls += 1; // backoff shift/clamp arithmetic
+                if self.window_blocked() {
+                    // persist role, congestion state untouched: one byte
+                    // at SND.UNA−1, already acknowledged, so the receiver
+                    // discards it as a duplicate and re-ACKs with its
+                    // current window. It works even when the head message
+                    // cannot be split, and the NIC builds it without
+                    // fetching host data, so it is a control packet.
+                    let mut probe = self.make_ack(now, PacketKind::TcpControl);
+                    probe.seq = SeqNum(self.sendbuf.una().0.wrapping_sub(1));
+                    probe.payload = vec![0];
+                    out.push(probe);
+                    self.persist_probes += 1;
+                    self.arm_rto(now);
+                    return (out, events);
+                }
+                self.congestion.on_timeout();
                 match self.state {
                     TcpState::SynSent => {
                         self.retransmit_count += 1;
@@ -1026,7 +1077,7 @@ impl Tcb {
                         }
                     }
                 }
-                if self.outstanding(now) {
+                if self.has_outstanding() {
                     self.arm_rto(now);
                 }
             }
@@ -1038,7 +1089,9 @@ impl Tcb {
     // ----- output ------------------------------------------------------
 
     /// Transmits as much buffered data as the congestion and peer
-    /// windows allow, then a FIN if one is queued and the buffer drained.
+    /// windows allow, then a FIN if one is queued and the buffer drained,
+    /// and arms the retransmission timer in the role that fits: RTO
+    /// while anything is outstanding, persist while the window blocks.
     pub fn try_output(
         &mut self,
         cfg: &NetConfig,
@@ -1051,6 +1104,7 @@ impl Tcb {
         if !matches!(self.state, TcpState::Established | TcpState::CloseWait) {
             return out;
         }
+        let persisting = self.rto_deadline.is_some() && !self.has_outstanding();
         loop {
             let in_flight = self.sendbuf.bytes_in_flight();
             let wnd = self.usable_window(in_flight);
@@ -1078,7 +1132,12 @@ impl Tcb {
                 _ => TcpState::FinWait1,
             };
         }
-        if self.outstanding(now) && self.rto_deadline.is_none() {
+        if persisting && self.has_outstanding() {
+            // the first segment to leave an open window gets a fresh
+            // RTO, not what remains of the persist interval
+            self.rto_deadline = None;
+        }
+        if (self.has_outstanding() || self.window_blocked()) && self.rto_deadline.is_none() {
             self.arm_rto(now);
         }
         out
@@ -1245,12 +1304,6 @@ impl Tcb {
             SegmentationPolicy::MessagePerSegment => cfg.max_tcp_payload(),
             SegmentationPolicy::Stream => cfg.max_tcp_payload().min(self.peer_mss),
         }
-    }
-
-    fn outstanding(&self, _now: SimTime) -> bool {
-        self.sendbuf.bytes_in_flight() > 0
-            || (self.fin_sent && !self.fin_acked(self.sendbuf.una()))
-            || matches!(self.state, TcpState::SynSent | TcpState::SynRcvd)
     }
 
     fn fin_acked(&self, una: SeqNum) -> bool {

@@ -561,14 +561,6 @@ impl QpTable {
         Outcome::Down { qp, notice, flushed }
     }
 
-    /// Every established connection with its posted window.
-    pub fn established(&self) -> impl Iterator<Item = (ConnId, u64)> + '_ {
-        self.qps.values().filter_map(|q| match q.link {
-            Link::Established(c) => Some((c, q.posted_bytes)),
-            _ => None,
-        })
-    }
-
     /// One line per QP (sorted by id) describing its link state,
     /// posted WRs and backlog, plus the outstanding send tokens — the
     /// table's part of a deadlock or wait-timeout diagnostic.

@@ -121,10 +121,10 @@ pub enum TraceEvent {
     },
     /// Peer advertised a zero window (transition into zero).
     ZeroWindow,
-    /// Window re-advertisement (xport's persist-timer substitute, or
-    /// any pure window update).
+    /// A pure window update: every change of the posted receive space
+    /// announces the window again, in the DES and on live sockets alike.
     WindowRefresh {
-        /// Window advertised, bytes.
+        /// Window field advertised (scaled down for the wire).
         wnd: u32,
     },
     /// Firmware FSM stage executed a charge.

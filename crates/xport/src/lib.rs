@@ -18,7 +18,7 @@
 //!   wall clock, measured from a per-node [`std::time::Instant`] epoch.
 //! * **Timer mapping** — the socket read timeout is slaved to
 //!   [`Engine::next_deadline`](qpip_netstack::engine::Engine::next_deadline),
-//!   so retransmit and delayed-ACK timers fire on time without a
+//!   so retransmit, delayed-ACK and persist timers fire on time without a
 //!   dedicated timer thread.
 //!
 //! On top of the runtime sits a **verbs facade** mirroring the per-node
@@ -47,5 +47,5 @@ pub mod node;
 pub mod proxy;
 
 pub use clock::WallClock;
-pub use node::{XportConfig, XportError, XportNode, XportStats};
+pub use node::{quiesce, XportConfig, XportError, XportNode, XportStats};
 pub use proxy::{ImpairConfig, ImpairProxy, ProxyHandle, ProxyStats};

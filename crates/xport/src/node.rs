@@ -11,13 +11,16 @@
 //! hardware.
 //!
 //! The event loop is [`XportNode::pump`]: fire due engine timers, block
-//! on the socket until the budget, the next engine deadline or the next
-//! window refresh, feed any datagram to [`Engine::on_packet`], and
-//! transmit whatever the engine emits through the peer table.
+//! on the socket until the budget or the next engine deadline, feed any
+//! datagram to [`Engine::on_packet`], and transmit whatever the engine
+//! emits through the peer table. Every protocol timer — retransmission,
+//! delayed ACK, TIME-WAIT and the persist timer that recovers a lost
+//! window update — lives in the engine; the node adds none.
 //! [`XportNode::wait`] layers a completion-queue wait on top with a hard
 //! timeout and a diagnostic error instead of a hang;
 //! [`XportNode::wait_pumping`] is the same wait for two nodes driven
-//! from one thread.
+//! from one thread, and [`quiesce`] pumps two nodes until both fall
+//! silent.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -27,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use crate::clock::WallClock;
 use qpip_netstack::engine::{Engine, EngineError};
-use qpip_netstack::types::{ConnId, Emit, Endpoint, NetConfig, PacketOut};
+use qpip_netstack::types::{Emit, Endpoint, NetConfig, PacketOut};
 use qpip_nic::qp_table::{CqEntry, Outcome, QpTable, TokenUse};
 use qpip_nic::types::{
     Completion, CompletionKind, CompletionStatus, CqId, NicError, QpId, RecvWr, SendWr, ServiceType,
@@ -52,12 +55,6 @@ pub struct XportConfig {
     /// Hard ceiling on [`XportNode::wait`]: a CQ wait that exceeds this
     /// returns [`XportError::WaitTimeout`] with a diagnostic.
     pub wait_timeout: Duration,
-    /// How often an established connection re-advertises its posted-WR
-    /// receive window. The engine (faithful to the paper's firmware)
-    /// has no persist timer, and on a lossy wire a pure window-update
-    /// ACK is neither acked nor retransmitted — a periodic re-send
-    /// bounds the stall a lost update can cause.
-    pub window_refresh: Duration,
 }
 
 impl Default for XportConfig {
@@ -66,7 +63,6 @@ impl Default for XportConfig {
             net: NetConfig::qpip(9000),
             bind: "127.0.0.1:0".parse().expect("literal addr"),
             wait_timeout: Duration::from_secs(30),
-            window_refresh: Duration::from_millis(100),
         }
     }
 }
@@ -156,12 +152,14 @@ impl XportStats {
 pub struct XportNode {
     cfg: XportConfig,
     sock: UdpSocket,
+    /// The socket's current mode: nonblocking, or blocking with a read
+    /// timeout. Changed only when `pump` wants the other one.
+    nonblocking: bool,
     engine: Engine,
     clock: WallClock,
     peers: HashMap<Ipv6Addr, SocketAddr>,
     qps: QpTable,
     cqs: HashMap<CqId, VecDeque<Completion>>,
-    last_refresh: Instant,
     buf: Vec<u8>,
     stats: XportStats,
     /// Flight-recorder handle; also installed into the embedded engine.
@@ -195,12 +193,12 @@ impl XportNode {
         Ok(XportNode {
             cfg,
             sock,
+            nonblocking: false,
             engine,
             clock: WallClock::start(),
             peers: HashMap::new(),
             qps,
             cqs: HashMap::new(),
-            last_refresh: Instant::now(),
             buf: vec![0; RECV_BUF],
             stats: XportStats::default(),
             tracer: None,
@@ -481,61 +479,56 @@ impl XportNode {
     }
 
     /// Services the node once: fires due timers, blocks on the socket
-    /// for at most `max_wait` — cut short by the next engine deadline
-    /// and the next window refresh — and processes one datagram if one
-    /// arrived. Returns whether a datagram was processed. Call in a
-    /// loop to run the node without waiting on a specific CQ (e.g. a
-    /// server between requests).
+    /// for at most `max_wait` — cut short by the next engine deadline —
+    /// and processes one datagram if one arrived. Returns whether a
+    /// datagram was processed. Call in a loop to run the node without
+    /// waiting on a specific CQ (e.g. a server between requests).
     ///
     /// # Errors
     ///
     /// Socket errors other than timeout/would-block.
     pub fn pump(&mut self, max_wait: Duration) -> Result<bool, XportError> {
         self.fire_due_timers()?;
-        self.refresh_windows()?;
         let mut budget = max_wait;
-        if !budget.is_zero() {
-            budget =
-                budget.min(self.cfg.window_refresh.saturating_sub(self.last_refresh.elapsed()));
-        }
         if let Some(d) = self.engine.next_deadline() {
             budget = budget.min(self.clock.until(d));
         }
-        let got = if budget.is_zero() {
-            self.sock.set_nonblocking(true)?;
-            let r = self.recv_once();
-            self.sock.set_nonblocking(false)?;
-            r?
+        if budget.is_zero() {
+            self.set_nonblocking(true)?;
         } else {
+            self.set_nonblocking(false)?;
             // clamp: set_read_timeout(0) is an error, and sub-ms
             // timeouts just spin against OS timer granularity
             self.sock.set_read_timeout(Some(budget.max(Duration::from_millis(1))))?;
-            self.recv_once()?
-        };
+        }
+        let got = self.recv_once()?;
         if got {
             // drain the burst behind the first datagram without
             // blocking, so queued packets don't sit out an RTO while
             // the loop sleeps between single reads
-            self.sock.set_nonblocking(true)?;
-            let mut drained = Ok(());
+            self.set_nonblocking(true)?;
             for _ in 0..63 {
-                match self.recv_once() {
-                    Ok(true) => continue,
-                    Ok(false) => break,
-                    Err(e) => {
-                        drained = Err(e);
-                        break;
-                    }
+                if !self.recv_once()? {
+                    break;
                 }
             }
-            self.sock.set_nonblocking(false)?;
-            drained?;
         }
         self.fire_due_timers()?;
         Ok(got)
     }
 
     // ----- event loop internals -------------------------------------------
+
+    /// Puts the socket in the wanted mode, with a syscall only when it
+    /// is in the other one: callers that pump with a zero budget stay
+    /// nonblocking.
+    fn set_nonblocking(&mut self, on: bool) -> io::Result<()> {
+        if self.nonblocking != on {
+            self.sock.set_nonblocking(on)?;
+            self.nonblocking = on;
+        }
+        Ok(())
+    }
 
     fn fire_due_timers(&mut self) -> Result<(), XportError> {
         // loop: handling one batch takes real wall time, which may ripen
@@ -547,25 +540,6 @@ impl XportNode {
             }
             let emits = self.engine.on_timer(now);
             self.dispatch(emits)?;
-        }
-        Ok(())
-    }
-
-    /// Re-advertises every established QP's posted-WR window. The
-    /// engine has no persist timer (faithful to the paper's firmware),
-    /// so a window-update ACK lost on a real wire would otherwise stall
-    /// a zero-window sender forever.
-    fn refresh_windows(&mut self) -> Result<(), XportError> {
-        if self.last_refresh.elapsed() < self.cfg.window_refresh {
-            return Ok(());
-        }
-        self.last_refresh = Instant::now();
-        let live: Vec<(ConnId, u64)> = self.qps.established().collect();
-        for (conn, posted) in live {
-            let now = self.clock.now();
-            if let Ok(emits) = self.engine.set_recv_space(now, conn, posted) {
-                self.dispatch(emits)?;
-            }
         }
         Ok(())
     }
@@ -669,4 +643,20 @@ impl XportNode {
             self.engine.retransmissions(),
         )
     }
+}
+
+/// Pumps both nodes without blocking until neither has read a datagram
+/// for 50 rounds in a row, so a FIN exchange and any last ACKs are
+/// answered before the caller reads counters or drops the nodes.
+///
+/// # Errors
+///
+/// Either node's socket errors.
+pub fn quiesce(a: &mut XportNode, b: &mut XportNode) -> Result<(), XportError> {
+    let mut idle = 0;
+    while idle < 50 {
+        let got = a.pump(Duration::ZERO)? | b.pump(Duration::ZERO)?;
+        idle = if got { 0 } else { idle + 1 };
+    }
+    Ok(())
 }

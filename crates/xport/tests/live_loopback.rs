@@ -15,7 +15,7 @@ use qpip_nic::types::{
     Completion, CompletionKind, CompletionStatus, CqId, NicError, QpId, RecvWr, SendWr, ServiceType,
 };
 use qpip_trace::{FlightRecorder, TraceEvent, Tracer};
-use qpip_xport::{ImpairConfig, ImpairProxy, XportConfig, XportError, XportNode};
+use qpip_xport::{quiesce, ImpairConfig, ImpairProxy, XportConfig, XportError, XportNode};
 
 const FABRIC_A: Ipv6Addr = Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, 1);
 const FABRIC_B: Ipv6Addr = Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, 2);
@@ -82,16 +82,6 @@ fn udp_datagram_crosses_live_sockets() {
         other => panic!("expected Recv, got {other:?}"),
     }
     assert_eq!(got.status, CompletionStatus::Success);
-}
-
-/// Pumps both nodes until neither has read a datagram for 50 rounds in
-/// a row, so the FIN exchange and any last ACKs are answered.
-fn quiesce(a: &mut XportNode, b: &mut XportNode) {
-    let mut idle = 0;
-    while idle < 50 {
-        let got = a.pump(Duration::ZERO).unwrap() | b.pump(Duration::ZERO).unwrap();
-        idle = if got { 0 } else { idle + 1 };
-    }
 }
 
 /// Runs a TCP transfer of `count` messages of `len` bytes from a
@@ -175,7 +165,7 @@ fn transfer(
     let _ = server.tcp_close(srv_qp);
     // let the FIN handshake drain; nothing is asserted about it (under
     // loss the teardown may outlive our patience — data already landed)
-    quiesce(&mut client, &mut server);
+    quiesce(&mut client, &mut server).unwrap();
     (got, retransmissions)
 }
 
@@ -348,36 +338,57 @@ fn messages_backlog_until_recv_wrs_are_posted() {
     assert!(sstats.tcp_backlogged > 0, "nothing ever backlogged: {sstats:?}");
 }
 
-/// A node blocked in `wait` on a CQ that never completes still
-/// re-advertises its established windows every `window_refresh`: the
-/// socket block inside `wait` is cut short by the next refresh, not
-/// only by the next engine deadline or the wait timeout.
+/// A window update lost on the wire is recovered by the sender's
+/// persist timer, not by the node re-sending windows: the receiver's
+/// only update goes to a socket nobody reads, and the sender's
+/// zero-window probe draws the open window back.
 #[test]
-fn waiting_on_an_empty_cq_still_refreshes_windows() {
-    let cfg = XportConfig { wait_timeout: Duration::from_millis(350), ..XportConfig::default() };
-    let mut client = XportNode::bind(FABRIC_A, cfg).expect("bind");
-    let mut server = node(FABRIC_B);
-    client.add_peer(FABRIC_B, server.local_addr().unwrap());
-    server.add_peer(FABRIC_A, client.local_addr().unwrap());
+fn lost_window_update_is_recovered_by_a_persist_probe() {
+    let mut a = node(FABRIC_A);
+    let mut b = node(FABRIC_B);
+    let a_addr = a.local_addr().unwrap();
+    a.add_peer(FABRIC_B, b.local_addr().unwrap());
+    b.add_peer(FABRIC_A, a_addr);
 
-    let scq = server.create_cq();
-    let sqp = server.create_qp(ServiceType::ReliableTcp, scq, scq).unwrap();
-    server.post_recv(sqp, RecvWr { wr_id: 0, capacity: 1024 }).unwrap();
-    server.tcp_listen(sqp, 5001).unwrap();
-    let cq = client.create_cq();
-    let qp = client.create_qp(ServiceType::ReliableTcp, cq, cq).unwrap();
-    client.tcp_connect(qp, 5000, Endpoint::new(FABRIC_B, 5001)).unwrap();
-    let up = client.wait_pumping(cq, &mut server).expect("client established");
+    // the receiver posts nothing yet: the handshake leaves a zero window
+    let bcq = b.create_cq();
+    let bqp = b.create_qp(ServiceType::ReliableTcp, bcq, bcq).unwrap();
+    b.tcp_listen(bqp, 5001).unwrap();
+    let acq = a.create_cq();
+    let aqp = a.create_qp(ServiceType::ReliableTcp, acq, acq).unwrap();
+    a.tcp_connect(aqp, 5000, Endpoint::new(FABRIC_B, 5001)).unwrap();
+    let up = a.wait_pumping(acq, &mut b).expect("client established");
     assert_eq!(up.kind, CompletionKind::ConnectionEstablished);
-    let up = server.wait_pumping(scq, &mut client).expect("server established");
+    let up = b.wait_pumping(bcq, &mut a).expect("server established");
     assert_eq!(up.kind, CompletionKind::ConnectionEstablished);
+    // let the zero-window announcement land before sending into it
+    quiesce(&mut a, &mut b).unwrap();
+    a.post_send(aqp, SendWr { wr_id: 1, payload: message(1, 1000), dst: None }).unwrap();
 
-    let idle = client.create_cq();
-    let tx0 = client.stats().datagrams_tx;
-    let err = client.wait(idle).expect_err("nothing can complete on an unused CQ");
-    assert!(matches!(err, XportError::WaitTimeout(_)), "{err:?}");
-    let refreshes = client.stats().datagrams_tx - tx0;
-    assert!(refreshes >= 2, "{refreshes} window refreshes sent in a 350 ms wait");
+    // post 4 KB (a 100-byte WR rounds to a zero window under the
+    // negotiated window scale) while the route to `a` leads into a hole
+    let hole = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+    b.add_peer(FABRIC_A, hole.local_addr().unwrap());
+    b.post_recv(bqp, RecvWr { wr_id: 7, capacity: 4096 }).unwrap();
+    b.add_peer(FABRIC_A, a_addr);
+
+    let c = b.wait_pumping(bcq, &mut a).expect("persist probe recovers the window");
+    match c.kind {
+        CompletionKind::Recv { data, .. } => assert_eq!(data, message(1, 1000)),
+        other => panic!("expected Recv, got {other:?}"),
+    }
+    assert!(a.engine().stats().persist_probes >= 1, "{:?}", a.engine().stats());
+
+    // the hole holds the lost update: a pure ACK with an open window
+    hole.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+    let mut buf = [0u8; 2048];
+    let (n, _) = hole.recv_from(&mut buf).expect("the window update went into the hole");
+    match qpip_netstack::codec::decode_packet(&buf[..n]) {
+        Ok(qpip_netstack::codec::Decoded::Tcp { tcp, payload, .. }) => {
+            assert!(payload.is_empty() && tcp.window > 0, "not a window update: {tcp:?}");
+        }
+        other => panic!("hole holds a non-TCP datagram: {other:?}"),
+    }
 }
 
 #[test]

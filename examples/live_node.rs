@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use qpip_netstack::types::Endpoint;
 use qpip_nic::types::{Completion, CompletionKind, CompletionStatus, RecvWr, SendWr, ServiceType};
-use qpip_xport::{ImpairConfig, ImpairProxy, XportConfig, XportNode};
+use qpip_xport::{quiesce, ImpairConfig, ImpairProxy, XportConfig, XportNode};
 
 const FABRIC_A: Ipv6Addr = Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, 1);
 const FABRIC_B: Ipv6Addr = Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, 2);
@@ -27,16 +27,6 @@ fn message(seq: u32, len: usize) -> Vec<u8> {
     m.extend_from_slice(&seq.to_be_bytes());
     m.extend((4..len).map(|i| (seq as usize).wrapping_mul(31).wrapping_add(i) as u8));
     m
-}
-
-/// Pumps both nodes until neither has read a datagram for 50 rounds in
-/// a row, so the FIN exchange and any last ACKs are answered.
-fn quiesce(a: &mut XportNode, b: &mut XportNode) {
-    let mut idle = 0;
-    while idle < 50 {
-        let got = a.pump(Duration::ZERO).unwrap() | b.pump(Duration::ZERO).unwrap();
-        idle = if got { 0 } else { idle + 1 };
-    }
 }
 
 /// One transfer with the sockets already wired (directly or through a
@@ -104,7 +94,7 @@ fn run_pair(mut client: XportNode, mut server: XportNode) -> (Duration, u64) {
         serve(&mut server, &mut got, c);
     }
     let _ = server.tcp_close(srv_qp);
-    quiesce(&mut client, &mut server);
+    quiesce(&mut client, &mut server).unwrap();
     (elapsed, retrans)
 }
 
