@@ -33,9 +33,11 @@ fn host_loopback_cycles() -> u64 {
                 now: &mut SimTime,
                 frames: &mut VecDeque<qpip_wire::Packet>,
                 server: &mut Option<qpip_host::SockId>| {
+        let mut outs = Vec::new();
         while let Some(f) = frames.pop_front() {
             *now += SimDuration::from_nanos(100);
-            for o in host.on_frame(*now, &f) {
+            host.on_frame(*now, &f, &mut outs);
+            for o in outs.drain(..) {
                 match o {
                     HostOutput::Frame { bytes, .. } => frames.push_back(bytes),
                     HostOutput::Accepted { sock, .. } => *server = Some(sock),
@@ -44,7 +46,9 @@ fn host_loopback_cycles() -> u64 {
             }
         }
     };
-    for o in host.connect(now, cs, 9001, Endpoint::new(addr, 9000)).unwrap() {
+    let mut outs = Vec::new();
+    host.connect(now, cs, 9001, Endpoint::new(addr, 9000), &mut outs).unwrap();
+    for o in outs.drain(..) {
         if let HostOutput::Frame { bytes, .. } = o {
             frames.push_back(bytes);
         }
@@ -59,8 +63,8 @@ fn host_loopback_cycles() -> u64 {
     let rounds = 16u64;
     for _ in 0..rounds {
         for (tx_sock, rx_sock) in [(cs, server), (server, cs)] {
-            let (_, outs) = host.send(now, tx_sock, &[0x55]).unwrap();
-            for o in outs {
+            host.send(now, tx_sock, &[0x55], &mut outs).unwrap();
+            for o in outs.drain(..) {
                 if let HostOutput::Frame { bytes, .. } = o {
                     frames.push_back(bytes);
                 }

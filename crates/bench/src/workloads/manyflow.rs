@@ -147,7 +147,7 @@ impl ScanReplica {
         let tcbs = (0..flows)
             .map(|i| {
                 let local = Endpoint::new(local_addr, 1024 + i as u16);
-                Tcb::connect(&cfg, local, remote, SeqNum(0x1000 + i as u32), now).0
+                Tcb::connect(&cfg, local, remote, SeqNum(0x1000 + i as u32), now, &mut Vec::new())
             })
             .collect();
         ScanReplica { cfg, tcbs, ops: OpCounters::default() }
@@ -159,9 +159,10 @@ impl ScanReplica {
     pub fn tick(&mut self, now: SimTime) -> Option<SimTime> {
         let next = self.tcbs.iter().filter_map(Tcb::next_deadline).min();
         if next.is_some_and(|d| d <= now) {
+            let (mut segs, mut events) = (Vec::new(), Vec::new());
             for tcb in &mut self.tcbs {
                 if tcb.next_deadline().is_some_and(|d| d <= now) {
-                    let _ = tcb.on_timer(&self.cfg, now, &mut self.ops);
+                    tcb.on_timer(&self.cfg, now, &mut self.ops, &mut segs, &mut events);
                 }
             }
         }
@@ -177,7 +178,7 @@ pub fn armed_engine(flows: usize, now: SimTime) -> Engine {
     let mut engine =
         Engine::new(NetConfig::qpip(NicConfig::paper_default().segment_mtu()), local_addr);
     for i in 0..flows {
-        let (_, _emits) = engine.tcp_connect(now, 1024 + i as u16, remote);
+        engine.tcp_connect(now, 1024 + i as u16, remote, &mut Vec::new());
     }
     engine
 }
@@ -198,7 +199,8 @@ pub fn timer_tick_comparison(flows: usize) -> Comparison {
         move || replica.tick(tick_at),
         move || {
             let next = engine.next_deadline();
-            let emits = engine.on_timer(tick_at);
+            let mut emits = Vec::new();
+            engine.on_timer(tick_at, &mut emits);
             debug_assert!(emits.is_empty());
             (next, emits.len())
         },

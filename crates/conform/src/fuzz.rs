@@ -16,7 +16,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
 use qpip_netstack::codec::{self, Decoded};
-use qpip_netstack::engine::Engine;
+use qpip_netstack::engine::{with_emit_buffer, Engine};
 use qpip_netstack::types::{Emit, Endpoint, NetConfig, PacketKind, SendToken};
 use qpip_netstack::ConnId;
 use qpip_sim::rng::SplitMix64;
@@ -301,8 +301,10 @@ impl FuzzEnv {
     fn apply(&mut self, step: &FuzzStep) -> Result<(), String> {
         match step {
             FuzzStep::Inject(bytes) => {
-                let emits = self.engine.on_packet(self.now, bytes);
-                self.track(&emits);
+                with_emit_buffer(|emits| {
+                    self.engine.on_packet(self.now, bytes, emits);
+                    self.track(emits);
+                });
             }
             FuzzStep::Send(n) => {
                 if let Some(conn) = self.conn {
@@ -310,12 +312,14 @@ impl FuzzEnv {
                     self.next_token += 1;
                     // Send errors (closing, too large, reaped conn) are
                     // legal outcomes, not failures.
-                    let _ = self.engine.tcp_send(self.now, conn, vec![0xab; *n], token);
+                    let data = vec![0xab; *n];
+                    let _ =
+                        with_emit_buffer(|e| self.engine.tcp_send(self.now, conn, data, token, e));
                 }
             }
             FuzzStep::Close => {
                 if let Some(conn) = self.conn {
-                    let _ = self.engine.tcp_close(self.now, conn);
+                    let _ = with_emit_buffer(|e| self.engine.tcp_close(self.now, conn, e));
                 }
             }
             FuzzStep::FireTimer => {
@@ -323,8 +327,10 @@ impl FuzzEnv {
                     if dl > self.now {
                         self.now = dl;
                     }
-                    let emits = self.engine.on_timer(self.now);
-                    self.track(&emits);
+                    with_emit_buffer(|emits| {
+                        self.engine.on_timer(self.now, emits);
+                        self.track(emits);
+                    });
                 }
             }
             FuzzStep::Advance(us) => {

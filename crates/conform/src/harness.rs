@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 use std::net::Ipv6Addr;
 
 use qpip_netstack::codec::{self, Decoded};
-use qpip_netstack::engine::{Engine, EngineStats};
+use qpip_netstack::engine::{with_emit_buffer, Engine, EngineStats};
 use qpip_netstack::tcp::{SegmentOut, TcpState};
 use qpip_netstack::types::{Emit, Endpoint, NetConfig, PacketKind, SendToken};
 use qpip_netstack::ConnId;
@@ -490,10 +490,9 @@ impl Harness {
             conn: None,
             next_token: 1,
         };
-        let (conn, emits) =
-            h.engine.tcp_connect(h.now, CLIENT_PORT, Endpoint::new(PEER_ADDR, dst_port));
+        let remote = Endpoint::new(PEER_ADDR, dst_port);
+        let conn = h.drive(|e, now, out| e.tcp_connect(now, CLIENT_PORT, remote, out));
         h.conn = Some(conn);
-        h.absorb(emits);
         h
     }
 
@@ -508,8 +507,7 @@ impl Harness {
     /// Injects raw packet bytes (for corrupted/truncated cases built by
     /// hand).
     pub fn inject_raw(&mut self, bytes: &[u8]) {
-        let emits = self.engine.on_packet(self.now, bytes);
-        self.absorb(emits);
+        self.drive(|e, now, out| e.on_packet(now, bytes, out));
     }
 
     /// Pops the next transmitted segment and asserts it matches.
@@ -556,8 +554,7 @@ impl Harness {
         if dl > self.now {
             self.now = dl;
         }
-        let emits = self.engine.on_timer(self.now);
-        self.absorb(emits);
+        self.drive(|e, now, out| e.on_timer(now, out));
     }
 
     /// The engine's next armed deadline, if any.
@@ -578,8 +575,8 @@ impl Harness {
         let conn = self.conn.expect("send: no connection yet");
         let token = SendToken(self.next_token);
         self.next_token += 1;
-        let emits = self.engine.tcp_send(self.now, conn, data.to_vec(), token).expect("tcp_send");
-        self.absorb(emits);
+        self.drive(|e, now, out| e.tcp_send(now, conn, data.to_vec(), token, out))
+            .expect("tcp_send");
         token
     }
 
@@ -587,16 +584,14 @@ impl Harness {
     #[track_caller]
     pub fn close(&mut self) {
         let conn = self.conn.expect("close: no connection yet");
-        let emits = self.engine.tcp_close(self.now, conn).expect("tcp_close");
-        self.absorb(emits);
+        self.drive(|e, now, out| e.tcp_close(now, conn, out)).expect("tcp_close");
     }
 
     /// Aborts the tracked connection with RST.
     #[track_caller]
     pub fn abort(&mut self) {
         let conn = self.conn.expect("abort: no connection yet");
-        let emits = self.engine.tcp_abort(self.now, conn).expect("tcp_abort");
-        self.absorb(emits);
+        self.drive(|e, now, out| e.tcp_abort(now, conn, out)).expect("tcp_abort");
     }
 
     /// Updates the receive-window backing space of the tracked
@@ -604,8 +599,7 @@ impl Harness {
     #[track_caller]
     pub fn set_recv_space(&mut self, bytes: u64) {
         let conn = self.conn.expect("set_recv_space: no connection yet");
-        let emits = self.engine.set_recv_space(self.now, conn, bytes).expect("set_recv_space");
-        self.absorb(emits);
+        self.drive(|e, now, out| e.set_recv_space(now, conn, bytes, out)).expect("set_recv_space");
     }
 
     // ----- observation ----------------------------------------------
@@ -653,8 +647,18 @@ impl Harness {
 
     // ----- internals ------------------------------------------------
 
-    fn absorb(&mut self, emits: Vec<Emit>) {
-        for e in emits {
+    /// Runs one engine call at the scripted clock and absorbs what it
+    /// emitted.
+    fn drive<R>(&mut self, call: impl FnOnce(&mut Engine, SimTime, &mut Vec<Emit>) -> R) -> R {
+        with_emit_buffer(|emits| {
+            let r = call(&mut self.engine, self.now, emits);
+            self.absorb(emits);
+            r
+        })
+    }
+
+    fn absorb(&mut self, emits: &mut Vec<Emit>) {
+        for e in emits.drain(..) {
             match e {
                 Emit::Packet(p) => {
                     // Track the embryonic connection from its first

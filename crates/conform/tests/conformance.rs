@@ -178,6 +178,51 @@ fn retransmit_on_rto_uses_same_sequence_number() {
     assert_eq!(h.stats().rto_retransmits, 1);
 }
 
+/// Eifel detection (RFC 3522) set-up: a timestamped handshake, one
+/// data segment and its RTO retransmission. Returns the engine's ISS
+/// and the TSvals of the original and of the retransmission.
+fn rto_retransmitted_with_timestamps(h: &mut Harness) -> (u32, u32, u32) {
+    h.inject(seg().syn().seq(100).win(65535).mss(1460).ts(500, 0));
+    let sa = h.expect(Expect::synack().ts_present(true).ts_ecr(500));
+    let iss = sa.hdr.seq.0;
+    h.inject(seg().seq(101).ack(iss + 1).ts(510, sa.hdr.options.timestamps.unwrap().0));
+    h.advance(SimDuration::from_millis(1));
+    h.send(&[0x42; 200]);
+    let orig = h.expect(Expect::data(&[0x42; 200]).seq(iss + 1).ts_present(true));
+    h.fire_timer();
+    let retx = h.expect(Expect::data(&[0x42; 200]).seq(iss + 1).ts_present(true));
+    assert_eq!(h.stats().rto_retransmits, 1);
+    let tsval = |w: &qpip_conform::WireSeg| w.hdr.options.timestamps.unwrap().0;
+    assert!(tsval(&retx) > tsval(&orig), "the retransmission carries a later TSval");
+    (iss, tsval(&orig), tsval(&retx))
+}
+
+#[test]
+fn eifel_ack_echoing_the_original_marks_the_rto_spurious() {
+    let mut h = Harness::server(cfg(), PORT);
+    let (iss, orig_ts, _) = rto_retransmitted_with_timestamps(&mut h);
+    // the original was only late: the first ACK for it echoes its TSval
+    h.inject(seg().seq(101).ack(iss + 201).ts(520, orig_ts));
+    assert_eq!(count_send_complete(&h.take_events()), 1);
+    assert_eq!(h.stats().spurious_rtos, 1);
+    // the episode is over: a later ACK echoing an old TSval counts nothing
+    h.send(&[0x43; 100]);
+    h.expect(Expect::data(&[0x43; 100]).seq(iss + 201));
+    h.inject(seg().seq(101).ack(iss + 301).ts(530, orig_ts));
+    assert_eq!(h.stats().spurious_rtos, 1);
+}
+
+#[test]
+fn eifel_ack_echoing_the_retransmit_counts_nothing() {
+    let mut h = Harness::server(cfg(), PORT);
+    let (iss, _, retx_ts) = rto_retransmitted_with_timestamps(&mut h);
+    // the original was lost: the ACK answers the retransmission
+    h.inject(seg().seq(101).ack(iss + 201).ts(520, retx_ts));
+    assert_eq!(count_send_complete(&h.take_events()), 1);
+    assert_eq!(h.stats().spurious_rtos, 0);
+    assert_eq!(h.stats().rto_retransmits, 1);
+}
+
 #[test]
 fn third_duplicate_ack_triggers_fast_retransmit() {
     let mut h = Harness::server(cfg(), PORT);

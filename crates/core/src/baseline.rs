@@ -40,10 +40,24 @@ impl HostNode {
         }
     }
 
-    /// Routes stack outputs: frames onto the wire, wakeups into the
+    /// Runs one stack call on the world's lent output buffer, then
+    /// routes what it produced.
+    fn drive<R>(
+        &mut self,
+        net: &mut Net,
+        call: impl FnOnce(&mut HostStack, &mut Vec<HostOutput>) -> R,
+    ) -> R {
+        let mut outs = std::mem::take(&mut net.host_out);
+        let r = call(&mut self.stack, &mut outs);
+        self.absorb(net, &mut outs);
+        net.host_out = outs;
+        r
+    }
+
+    /// Drains stack outputs: frames onto the wire, wakeups into the
     /// event buffer.
-    fn absorb(&mut self, net: &mut Net, outs: Vec<HostOutput>) {
-        for o in outs {
+    fn absorb(&mut self, net: &mut Net, outs: &mut Vec<HostOutput>) {
+        for o in outs.drain(..) {
             match o {
                 HostOutput::Frame { at, dst, bytes } => net.transmit(self.port, at, dst, bytes),
                 ev => {
@@ -70,13 +84,11 @@ impl HostNode {
 
 impl Node for HostNode {
     fn on_packet(&mut self, net: &mut Net, now: SimTime, bytes: &[u8]) {
-        let outs = self.stack.on_frame(now, bytes);
-        self.absorb(net, outs);
+        self.drive(net, |stack, out| stack.on_frame(now, bytes, out));
     }
 
     fn on_timer(&mut self, net: &mut Net, now: SimTime) {
-        let outs = self.stack.on_timer(now);
-        self.absorb(net, outs);
+        self.drive(net, |stack, out| stack.on_timer(now, out));
     }
 
     fn next_deadline(&self) -> Option<SimTime> {
@@ -164,11 +176,22 @@ impl<N: AsHost> World<N> {
         (h.app_time.max(now), &mut h.stack)
     }
 
-    /// Routes what a socket call produced and re-arms the node's timer.
-    fn host_outputs(&mut self, node: NodeIdx, outs: Vec<HostOutput>) {
-        let h = self.nodes[node.0].host_mut().expect("checked by the caller");
-        h.absorb(&mut self.net, outs);
+    /// Runs a socket call at the instant the node's application can
+    /// next act, routes what it produced and, unless it failed, re-arms
+    /// the node's timer.
+    fn socket_call<R>(
+        &mut self,
+        node: NodeIdx,
+        call: impl FnOnce(SimTime, &mut HostStack, &mut Vec<HostOutput>) -> Result<R, SockError>,
+    ) -> Result<R, SockError> {
+        let now = self.now();
+        let h = self.nodes[node.0]
+            .host_mut()
+            .unwrap_or_else(|| panic!("node {} is a QPIP node", node.0));
+        let t = h.app_time.max(now);
+        let r = h.drive(&mut self.net, |stack, out| call(t, stack, out))?;
         self.refresh_timer(node.0);
+        Ok(r)
     }
 
     /// Stack access for instrumentation.
@@ -233,9 +256,7 @@ impl<N: AsHost> World<N> {
         local_port: u16,
         remote: Endpoint,
     ) -> Result<(), SockError> {
-        let (t, stack) = self.host_now(node);
-        let outs = stack.connect(t, sock, local_port, remote)?;
-        self.host_outputs(node, outs);
+        self.socket_call(node, |t, stack, out| stack.connect(t, sock, local_port, remote, out))?;
         self.block_until(
             node,
             |e| matches!(e, HostOutput::Connected { sock: s, .. } if *s == sock),
@@ -328,9 +349,7 @@ impl<N: AsHost> World<N> {
         sock: SockId,
         data: &[u8],
     ) -> Result<bool, SockError> {
-        let (t, stack) = self.host_now(node);
-        let (outcome, outs) = stack.send(t, sock, data)?;
-        self.host_outputs(node, outs);
+        let outcome = self.socket_call(node, |t, stack, out| stack.send(t, sock, data, out))?;
         match outcome {
             SendOutcome::Sent { done } => {
                 self.host_node_mut(node).lift(done);
@@ -368,9 +387,8 @@ impl<N: AsHost> World<N> {
         dst: Endpoint,
         data: &[u8],
     ) -> Result<(), SockError> {
-        let (t, stack) = self.host_now(node);
-        let (done, outs) = stack.udp_send(t, sock, dst, data)?;
-        self.host_outputs(node, outs);
+        let done =
+            self.socket_call(node, |t, stack, out| stack.udp_send(t, sock, dst, data, out))?;
         self.host_node_mut(node).lift(done);
         Ok(())
     }
@@ -397,10 +415,7 @@ impl<N: AsHost> World<N> {
     ///
     /// Propagates [`SockError`].
     pub fn close(&mut self, node: NodeIdx, sock: SockId) -> Result<(), SockError> {
-        let (t, stack) = self.host_now(node);
-        let outs = stack.close(t, sock)?;
-        self.host_outputs(node, outs);
-        Ok(())
+        self.socket_call(node, |t, stack, out| stack.close(t, sock, out))
     }
 
     /// Runs the world until a buffered event of the node satisfies

@@ -21,8 +21,10 @@ use std::sync::Arc;
 
 use qpip_fabric::{Fabric, FabricConfig, TransmitOutcome};
 use qpip_host::cpu::{CpuLedger, WorkClass};
+use qpip_host::stack::HostOutput;
 use qpip_netstack::engine::EngineStats;
 use qpip_netstack::invariant::InvariantViolation;
+use qpip_nic::NicOutput;
 use qpip_sim::kernel::{EventId, Simulator};
 use qpip_sim::time::SimTime;
 use qpip_trace::FlightRecorder;
@@ -66,9 +68,20 @@ pub trait Node {
 pub struct Net {
     pub(crate) sim: Simulator<Event>,
     pub(crate) fabric: Fabric,
+    /// Output buffers lent to one node call at a time: the node's NIC
+    /// or stack appends to one, and the node drains it before the call
+    /// returns. One set serves the whole world, so no node keeps
+    /// buffers of its own and no event allocates them.
+    pub(crate) nic_out: Vec<NicOutput>,
+    pub(crate) host_out: Vec<HostOutput>,
 }
 
 impl Net {
+    /// Whether every lent buffer is back and empty.
+    fn lent_buffers_empty(&self) -> bool {
+        self.nic_out.is_empty() && self.host_out.is_empty()
+    }
+
     /// Puts a packet on the wire from fabric port `from` at `at` and
     /// schedules its arrival, unless the fabric drops it.
     pub(crate) fn transmit(
@@ -123,7 +136,7 @@ impl<N: Node> World<N> {
 
     pub(crate) fn with_fabric(fabric: Fabric) -> Self {
         World {
-            net: Net { sim: Simulator::new(), fabric },
+            net: Net { sim: Simulator::new(), fabric, nic_out: Vec::new(), host_out: Vec::new() },
             nodes: Vec::new(),
             timers: Vec::new(),
             recorder: None,
@@ -207,6 +220,7 @@ impl<N: Node> World<N> {
 
     /// Processes one simulation event; `false` when idle.
     pub fn step(&mut self) -> bool {
+        debug_assert!(self.net.lent_buffers_empty(), "lent buffers not drained before a step");
         let Some((t, ev)) = self.net.sim.next() else {
             return false;
         };
@@ -223,6 +237,7 @@ impl<N: Node> World<N> {
         };
         self.refresh_timer(node);
         self.enforce_oracle(node);
+        debug_assert!(self.net.lent_buffers_empty(), "a node left output in a lent buffer");
         true
     }
 

@@ -12,7 +12,7 @@
 //! Applications written against this API read like the paper's
 //! pseudo-code: post receives, connect, post a send, wait on the CQ.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 
@@ -40,7 +40,9 @@ pub struct QpipNode {
     cpu: CpuLedger,
     /// When this node's application thread is next free.
     app_time: SimTime,
-    cqs: HashMap<CqId, VecDeque<Completion>>,
+    /// Host-visible CQ contents, indexed by `CqId - 1` (CQ ids are
+    /// dense and start at 1).
+    cqs: Vec<VecDeque<Completion>>,
     port: qpip_fabric::NodeId,
 }
 
@@ -59,25 +61,48 @@ impl QpipNode {
         if let Some(rec) = &w.recorder {
             nic.set_tracer(Tracer::new(Arc::clone(rec), port.0));
         }
-        QpipNode { nic, cpu: CpuLedger::new(), app_time: SimTime::ZERO, cqs: HashMap::new(), port }
+        QpipNode { nic, cpu: CpuLedger::new(), app_time: SimTime::ZERO, cqs: Vec::new(), port }
     }
 
-    /// Routes NIC outputs: packets onto the wire, completions into
+    /// Runs one NIC call on the world's lent output buffer, then routes
+    /// what it produced.
+    fn drive<R>(
+        &mut self,
+        net: &mut Net,
+        call: impl FnOnce(&mut QpipNic, &mut Vec<NicOutput>) -> R,
+    ) -> R {
+        let mut outs = std::mem::take(&mut net.nic_out);
+        let r = call(&mut self.nic, &mut outs);
+        self.absorb(net, &mut outs);
+        net.nic_out = outs;
+        r
+    }
+
+    /// Drains NIC outputs: packets onto the wire, completions into
     /// their CQs.
-    fn absorb(&mut self, net: &mut Net, outs: Vec<NicOutput>) {
-        for o in outs {
+    fn absorb(&mut self, net: &mut Net, outs: &mut Vec<NicOutput>) {
+        for o in outs.drain(..) {
             match o {
                 NicOutput::Transmit { at, dst, bytes, .. } => {
                     net.transmit(self.port, at, dst, bytes)
                 }
-                NicOutput::Complete(cq, c) => self.cqs.entry(cq).or_default().push_back(c),
+                NicOutput::Complete(cq, c) => self.cq_mut(cq).push_back(c),
             }
         }
     }
 
+    /// A CQ's host-visible queue, created on first use.
+    fn cq_mut(&mut self, cq: CqId) -> &mut VecDeque<Completion> {
+        let i = cq_index(cq);
+        if i >= self.cqs.len() {
+            self.cqs.resize_with(i + 1, VecDeque::new);
+        }
+        &mut self.cqs[i]
+    }
+
     /// The head entry of a CQ, once the NIC has produced it.
     fn head(&self, cq: CqId) -> Option<&Completion> {
-        self.cqs.get(&cq).and_then(|q| q.front())
+        self.cqs.get(cq_index(cq)).and_then(|q| q.front())
     }
 
     /// Sleeps until the head entry of `cq` is visible, then pays the
@@ -86,19 +111,23 @@ impl QpipNode {
         let visible = self.head(cq)?.visible_at;
         self.app_time = self.app_time.max(visible);
         self.charge(WorkClass::Verbs, params::QPIP_POLL_HIT_CYCLES);
-        self.cqs.get_mut(&cq).expect("cq").pop_front()
+        self.cq_mut(cq).pop_front()
     }
+}
+
+/// Position of a CQ in [`QpipNode`]'s table; id 0 (never issued) maps
+/// past every table.
+fn cq_index(cq: CqId) -> usize {
+    (cq.0 as usize).wrapping_sub(1)
 }
 
 impl Node for QpipNode {
     fn on_packet(&mut self, net: &mut Net, now: SimTime, bytes: &[u8]) {
-        let outs = self.nic.on_packet(now, bytes);
-        self.absorb(net, outs);
+        self.drive(net, |nic, out| nic.on_packet(now, bytes, out));
     }
 
     fn on_timer(&mut self, net: &mut Net, now: SimTime) {
-        let outs = self.nic.on_timer(now);
-        self.absorb(net, outs);
+        self.drive(net, |nic, out| nic.on_timer(now, out));
     }
 
     fn next_deadline(&self) -> Option<SimTime> {
@@ -240,7 +269,7 @@ impl<N: AsQpip> World<N> {
     pub fn create_cq(&mut self, node: NodeIdx) -> CqId {
         let n = self.qpip_node_mut(node);
         let cq = n.nic.create_cq();
-        n.cqs.insert(cq, VecDeque::new());
+        n.cq_mut(cq);
         cq
     }
 
@@ -282,7 +311,7 @@ impl<N: AsQpip> World<N> {
         local_port: u16,
         remote: Endpoint,
     ) -> Result<(), NicError> {
-        self.doorbell(node, |nic, db| nic.tcp_connect(db, qp, local_port, remote))
+        self.doorbell(node, |nic, db, out| nic.tcp_connect(db, qp, local_port, remote, out))
     }
 
     // ----- data verbs ---------------------------------------------------------
@@ -294,7 +323,7 @@ impl<N: AsQpip> World<N> {
     ///
     /// Propagates [`NicError`].
     pub fn post_send(&mut self, node: NodeIdx, qp: QpId, wr: SendWr) -> Result<(), NicError> {
-        self.doorbell(node, |nic, db| nic.post_send(db, qp, wr))
+        self.doorbell(node, |nic, db, out| nic.post_send(db, qp, wr, out))
     }
 
     /// Registers host memory on a node for remote access (the RDMA
@@ -326,7 +355,7 @@ impl<N: AsQpip> World<N> {
         qp: QpId,
         wr: RdmaWriteWr,
     ) -> Result<(), NicError> {
-        self.doorbell(node, |nic, db| nic.post_rdma_write(db, qp, wr))
+        self.doorbell(node, |nic, db, out| nic.post_rdma_write(db, qp, wr, out))
     }
 
     /// Posts an RDMA Read work request.
@@ -340,7 +369,7 @@ impl<N: AsQpip> World<N> {
         qp: QpId,
         wr: RdmaReadWr,
     ) -> Result<(), NicError> {
-        self.doorbell(node, |nic, db| nic.post_rdma_read(db, qp, wr))
+        self.doorbell(node, |nic, db, out| nic.post_rdma_read(db, qp, wr, out))
     }
 
     /// Posts a receive work request.
@@ -349,7 +378,7 @@ impl<N: AsQpip> World<N> {
     ///
     /// Propagates [`NicError`].
     pub fn post_recv(&mut self, node: NodeIdx, qp: QpId, wr: RecvWr) -> Result<(), NicError> {
-        self.doorbell(node, |nic, db| nic.post_recv(db, qp, wr))
+        self.doorbell(node, |nic, db, out| nic.post_recv(db, qp, wr, out))
     }
 
     /// Polls a CQ once. A hit charges the cache-resident poll cost; a
@@ -404,9 +433,8 @@ impl<N: AsQpip> World<N> {
             let _ = writeln!(s, "  node {i} (addr {}):", n.addr());
             // socket hosts have no CQs or QPs to show
             let Some(n) = n.qpip() else { continue };
-            let mut cqs: Vec<_> = n.cqs.iter().collect();
-            cqs.sort_by_key(|(id, _)| id.0);
-            for (id, entries) in cqs {
+            for (i, entries) in n.cqs.iter().enumerate() {
+                let id = CqId(i as u32 + 1);
                 let kinds: Vec<String> = entries
                     .iter()
                     .take(4)
@@ -505,12 +533,11 @@ impl<N: AsQpip> World<N> {
     fn doorbell(
         &mut self,
         node: NodeIdx,
-        verb: impl FnOnce(&mut QpipNic, SimTime) -> Result<Vec<NicOutput>, NicError>,
+        verb: impl FnOnce(&mut QpipNic, SimTime, &mut Vec<NicOutput>) -> Result<(), NicError>,
     ) -> Result<(), NicError> {
         let db = self.verbs_preamble(node);
-        let outs = verb(&mut self.qpip_node_mut(node).nic, db)?;
-        let n = self.nodes[node.0].qpip_mut().expect("checked above");
-        n.absorb(&mut self.net, outs);
+        let n = self.nodes[node.0].qpip_mut().expect("checked by the preamble");
+        n.drive(&mut self.net, |nic, out| verb(nic, db, out))?;
         self.refresh_timer(node.0);
         Ok(())
     }

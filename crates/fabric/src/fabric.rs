@@ -15,10 +15,10 @@
 //! caller schedules exactly one delivery event per packet. Contention,
 //! pipelining and head-of-line blocking all emerge from the pipes.
 
-use std::collections::HashMap;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 
+use qpip_sim::hash::FxHashMap;
 use qpip_sim::params;
 use qpip_sim::resource::BandwidthPipe;
 use qpip_sim::time::{SimDuration, SimTime};
@@ -174,7 +174,7 @@ pub struct Fabric {
     /// `i` to switch `i+1` (`d = 0`) or from `i+1` to `i` (`d = 1`).
     trunks: [Vec<BandwidthPipe>; 2],
     addrs: Vec<Ipv6Addr>,
-    addr_map: HashMap<Ipv6Addr, NodeId>,
+    addr_map: FxHashMap<Ipv6Addr, NodeId>,
     faults: FaultInjector,
     stats: FabricStats,
     ecn_marks: u64,
@@ -205,7 +205,7 @@ impl Fabric {
             downlinks: Vec::new(),
             node_switch: Vec::new(),
             addrs: Vec::new(),
-            addr_map: HashMap::new(),
+            addr_map: FxHashMap::default(),
             faults: FaultInjector::default(),
             stats: FabricStats::default(),
             ecn_marks: 0,

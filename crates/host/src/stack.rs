@@ -12,7 +12,7 @@
 use std::collections::VecDeque;
 use std::net::Ipv6Addr;
 
-use qpip_netstack::engine::Engine;
+use qpip_netstack::engine::{with_emit_buffer, Engine};
 use qpip_netstack::hash::FxHashMap;
 use qpip_netstack::types::{ConnId, Emit, Endpoint, NetConfig, SendToken};
 use qpip_nic::conventional::{ConvNicConfig, ConventionalNic};
@@ -349,7 +349,7 @@ impl HostStack {
         Ok(())
     }
 
-    /// Starts an active open.
+    /// Starts an active open, appending what it produces to `out`.
     ///
     /// # Errors
     ///
@@ -360,7 +360,8 @@ impl HostStack {
         sock: SockId,
         local_port: u16,
         remote: Endpoint,
-    ) -> Result<Vec<HostOutput>, SockError> {
+        out: &mut Vec<HostOutput>,
+    ) -> Result<(), SockError> {
         let s = self.socks.get_mut(&sock).ok_or(SockError::UnknownSock(sock))?;
         if s.kind != SockKind::Tcp || s.conn.is_some() {
             return Err(SockError::InvalidState("connect on bound/UDP socket"));
@@ -370,20 +371,22 @@ impl HostStack {
             WorkClass::Syscall,
             params::HOST_SYSCALL_CYCLES + params::HOST_SOCKET_LAYER_CYCLES,
         );
-        let (conn, emits) = self.engine.tcp_connect(t, local_port, remote);
-        self.socks.get_mut(&sock).expect("checked").conn = Some(conn);
-        self.conn_to_sock.insert(conn, sock);
-        let mut out = Vec::new();
-        self.process_emits(t, emits, &mut out);
-        Ok(out)
+        with_emit_buffer(|emits| {
+            let conn = self.engine.tcp_connect(t, local_port, remote, emits);
+            self.socks.get_mut(&sock).expect("checked").conn = Some(conn);
+            self.conn_to_sock.insert(conn, sock);
+            self.process_emits(t, emits, out);
+        });
+        Ok(())
     }
 
     // ----- data path -------------------------------------------------------
 
-    /// Writes `data` to a connected TCP socket. The bytes are copied
-    /// into the send buffer only when the write is accepted, which is
-    /// where the model charges the copy; a refused write
-    /// ([`SendOutcome::WouldBlock`]) copies nothing.
+    /// Writes `data` to a connected TCP socket, appending what it
+    /// transmits to `out`. The bytes are copied into the send buffer
+    /// only when the write is accepted, which is where the model charges
+    /// the copy; a refused write ([`SendOutcome::WouldBlock`]) copies
+    /// nothing.
     ///
     /// # Errors
     ///
@@ -393,7 +396,8 @@ impl HostStack {
         now: SimTime,
         sock: SockId,
         data: &[u8],
-    ) -> Result<(SendOutcome, Vec<HostOutput>), SockError> {
+        out: &mut Vec<HostOutput>,
+    ) -> Result<SendOutcome, SockError> {
         let s = self.socks.get(&sock).ok_or(SockError::UnknownSock(sock))?;
         let Some(conn) = s.conn else {
             return Err(SockError::InvalidState("send on unconnected socket"));
@@ -402,7 +406,7 @@ impl HostStack {
         if buffered + data.len() as u64 > self.cfg.sndbuf as u64 {
             // blocking socket: the writer sleeps; only the check costs
             self.cpu.charge(now, WorkClass::Syscall, params::HOST_SYSCALL_CYCLES);
-            return Ok((SendOutcome::WouldBlock, Vec::new()));
+            return Ok(SendOutcome::WouldBlock);
         }
         let mut t = self.cpu.charge(
             now,
@@ -416,10 +420,11 @@ impl HostStack {
         }
         let token = SendToken(self.next_token);
         self.next_token += 1;
-        let emits = self.engine.tcp_send(t, conn, data.to_vec(), token)?;
-        let mut out = Vec::new();
-        let done = self.process_emits(t, emits, &mut out);
-        Ok((SendOutcome::Sent { done }, out))
+        with_emit_buffer(|emits| {
+            self.engine.tcp_send(t, conn, data.to_vec(), token, emits)?;
+            let done = self.process_emits(t, emits, out);
+            Ok(SendOutcome::Sent { done })
+        })
     }
 
     /// Reads up to `max` buffered bytes from a TCP socket, charging the
@@ -473,7 +478,8 @@ impl HostStack {
         self.socks.get(&sock).is_some_and(|s| s.peer_closed)
     }
 
-    /// Sends one UDP datagram.
+    /// Sends one UDP datagram, appending the frame to `out`; returns
+    /// the instant the call returns.
     ///
     /// # Errors
     ///
@@ -484,7 +490,8 @@ impl HostStack {
         sock: SockId,
         dst: Endpoint,
         data: &[u8],
-    ) -> Result<(SimTime, Vec<HostOutput>), SockError> {
+        out: &mut Vec<HostOutput>,
+    ) -> Result<SimTime, SockError> {
         let s = self.socks.get(&sock).ok_or(SockError::UnknownSock(sock))?;
         let Some(port) = s.udp_port else {
             return Err(SockError::InvalidState("udp_send on unbound socket"));
@@ -505,9 +512,10 @@ impl HostStack {
             params::HOST_UDP_OUTPUT_CYCLES + params::HOST_IP_OUTPUT_CYCLES,
         );
         let emit = self.engine.udp_send(port, dst, data)?;
-        let mut out = Vec::new();
-        let done = self.process_emits(t, vec![emit], &mut out);
-        Ok((done, out))
+        Ok(with_emit_buffer(|emits| {
+            emits.push(emit);
+            self.process_emits(t, emits, out)
+        }))
     }
 
     /// Reads one queued UDP datagram, if any.
@@ -526,27 +534,35 @@ impl HostStack {
         Some((src, data, t))
     }
 
-    /// Closes the write side of a TCP socket (FIN).
+    /// Closes the write side of a TCP socket (FIN), appending what it
+    /// transmits to `out`.
     ///
     /// # Errors
     ///
     /// [`SockError`] for unknown/unconnected sockets.
-    pub fn close(&mut self, now: SimTime, sock: SockId) -> Result<Vec<HostOutput>, SockError> {
+    pub fn close(
+        &mut self,
+        now: SimTime,
+        sock: SockId,
+        out: &mut Vec<HostOutput>,
+    ) -> Result<(), SockError> {
         let s = self.socks.get(&sock).ok_or(SockError::UnknownSock(sock))?;
         let Some(conn) = s.conn else {
             return Err(SockError::InvalidState("close on unconnected socket"));
         };
         let t = self.cpu.charge(now, WorkClass::Syscall, params::HOST_SYSCALL_CYCLES);
-        let emits = self.engine.tcp_close(t, conn)?;
-        let mut out = Vec::new();
-        self.process_emits(t, emits, &mut out);
-        Ok(out)
+        with_emit_buffer(|emits| {
+            self.engine.tcp_close(t, conn, emits)?;
+            self.process_emits(t, emits, out);
+            Ok(())
+        })
     }
 
     // ----- wire input --------------------------------------------------------
 
-    /// A frame's last byte arrived from the wire at `now`.
-    pub fn on_frame(&mut self, now: SimTime, bytes: &[u8]) -> Vec<HostOutput> {
+    /// A frame's last byte arrived from the wire at `now`; what the
+    /// stack produces in response is appended to `out`.
+    pub fn on_frame(&mut self, now: SimTime, bytes: &[u8], out: &mut Vec<HostOutput>) {
         // adapter: DMA to the host ring and (maybe) interrupt
         let (data_ready, interrupt) = match self.nic.as_mut() {
             Some(nic) => {
@@ -576,11 +592,11 @@ impl HostStack {
             WorkClass::Protocol,
             if is_udp { params::HOST_UDP_INPUT_CYCLES } else { params::HOST_TCP_INPUT_CYCLES },
         );
-        let emits = self.engine.on_packet(t, bytes);
-        let _ = self.engine.take_ops();
-        let mut out = Vec::new();
-        self.process_emits(t, emits, &mut out);
-        out
+        with_emit_buffer(|emits| {
+            self.engine.on_packet(t, bytes, emits);
+            let _ = self.engine.take_ops();
+            self.process_emits(t, emits, out);
+        });
     }
 
     // ----- timers ---------------------------------------------------------------
@@ -590,26 +606,26 @@ impl HostStack {
         self.engine.next_deadline()
     }
 
-    /// Fires due protocol timers.
-    pub fn on_timer(&mut self, now: SimTime) -> Vec<HostOutput> {
-        let emits = self.engine.on_timer(now);
-        let mut out = Vec::new();
-        self.process_emits(now, emits, &mut out);
-        out
+    /// Fires due protocol timers, appending what they produce to `out`.
+    pub fn on_timer(&mut self, now: SimTime, out: &mut Vec<HostOutput>) {
+        with_emit_buffer(|emits| {
+            self.engine.on_timer(now, emits);
+            self.process_emits(now, emits, out);
+        });
     }
 
     // ----- internals --------------------------------------------------------------
 
-    /// Handles engine emissions; returns the CPU completion time of the
+    /// Drains engine emissions; returns the CPU completion time of the
     /// last charged work.
     fn process_emits(
         &mut self,
         t: SimTime,
-        emits: Vec<Emit>,
+        emits: &mut Vec<Emit>,
         out: &mut Vec<HostOutput>,
     ) -> SimTime {
         let mut t = t;
-        for emit in emits {
+        for emit in emits.drain(..) {
             match emit {
                 Emit::Packet(pkt) => {
                     // per-packet protocol output cost + driver + adapter DMA

@@ -10,6 +10,9 @@ use qpip_sim::params;
 use qpip_sim::rng::SplitMix64;
 use qpip_sim::time::{SimDuration, SimTime};
 
+mod common;
+use common::Collect;
+
 fn addr(n: u16) -> Ipv6Addr {
     Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, n)
 }
@@ -59,10 +62,10 @@ impl Net {
             assert!(spins < 50_000, "wire did not quiesce");
             self.now = self.now.max(at);
             if from_a {
-                let outs = self.b.on_frame(self.now, &bytes);
+                let outs = self.b.on_frame_vec(self.now, &bytes);
                 self.absorb(false, outs);
             } else {
-                let outs = self.a.on_frame(self.now, &bytes);
+                let outs = self.a.on_frame_vec(self.now, &bytes);
                 self.absorb(true, outs);
             }
         }
@@ -72,9 +75,9 @@ impl Net {
         let next = [self.a.next_deadline(), self.b.next_deadline()].into_iter().flatten().min();
         let Some(d) = next else { return false };
         self.now = self.now.max(d);
-        let oa = self.a.on_timer(self.now);
+        let oa = self.a.on_timer_vec(self.now);
         self.absorb(true, oa);
-        let ob = self.b.on_timer(self.now);
+        let ob = self.b.on_timer_vec(self.now);
         self.absorb(false, ob);
         self.run();
         true
@@ -84,7 +87,7 @@ impl Net {
         let ls = self.b.tcp_socket();
         self.b.listen(ls, 5001).unwrap();
         let cs = self.a.tcp_socket();
-        let outs = self.a.connect(self.now, cs, 4001, Endpoint::new(addr(2), 5001)).unwrap();
+        let outs = self.a.connect_vec(self.now, cs, 4001, Endpoint::new(addr(2), 5001)).unwrap();
         self.absorb(true, outs);
         self.run();
         let accepted = self
@@ -125,7 +128,7 @@ fn bulk_send_recv_delivers_all_bytes() {
         assert!(guard < 10_000, "stalled at {} bytes", received.len());
         if sent < total {
             let chunk = (total - sent).min(16 * 1024);
-            match n.a.send(n.now, cs, &payload[sent..sent + chunk]) {
+            match n.a.send_vec(n.now, cs, &payload[sent..sent + chunk]) {
                 Ok((SendOutcome::Sent { .. }, outs)) => {
                     sent += chunk;
                     n.absorb(true, outs);
@@ -164,7 +167,7 @@ fn sndbuf_applies_backpressure() {
     // don't run the wire: the buffer must fill and block
     let mut blocked = false;
     for _ in 0..64 {
-        match n.a.send(n.now, cs, &[0; 16 * 1024]).unwrap() {
+        match n.a.send_vec(n.now, cs, &[0; 16 * 1024]).unwrap() {
             (SendOutcome::Sent { .. }, outs) => {
                 let _ = outs; // frames intentionally not delivered
             }
@@ -184,7 +187,7 @@ fn udp_roundtrip_and_wakeup() {
     let sb = n.b.udp_socket();
     n.a.udp_bind(sa, 7000).unwrap();
     n.b.udp_bind(sb, 7001).unwrap();
-    let (_, outs) = n.a.udp_send(n.now, sa, Endpoint::new(addr(2), 7001), b"marco").unwrap();
+    let (_, outs) = n.a.udp_send_vec(n.now, sa, Endpoint::new(addr(2), 7001), b"marco").unwrap();
     n.absorb(true, outs);
     n.run();
     assert!(n
@@ -200,7 +203,7 @@ fn udp_roundtrip_and_wakeup() {
 fn gige_receive_path_charges_interrupts() {
     let mut n = Net::new(StackConfig::gige());
     let (cs, ss) = n.connect();
-    let (_, outs) = n.a.send(n.now, cs, &[0; 1000]).unwrap();
+    let (_, outs) = n.a.send_vec(n.now, cs, &[0; 1000]).unwrap();
     n.absorb(true, outs);
     n.run();
     let _ = n.b.recv(n.now, ss, usize::MAX).unwrap();
@@ -216,7 +219,7 @@ fn gm_stack_charges_software_checksums() {
     let mut gm = Net::new(StackConfig::gm_myrinet());
     for n in [&mut gige, &mut gm] {
         let (cs, ss) = n.connect();
-        let (_, outs) = n.a.send(n.now, cs, &[0; 8000]).unwrap();
+        let (_, outs) = n.a.send_vec(n.now, cs, &[0; 8000]).unwrap();
         n.absorb(true, outs);
         n.run();
         n.fire_timers();
@@ -254,11 +257,11 @@ fn loopback_one_byte_overhead_matches_table1() {
             }
         }
     };
-    let outs = host.connect(now, cs, 9001, Endpoint::new(addr(1), 9000)).unwrap();
+    let outs = host.connect_vec(now, cs, 9001, Endpoint::new(addr(1), 9000)).unwrap();
     absorb(outs, &mut frames, &mut events);
     while let Some(f) = frames.pop_front() {
         now += SimDuration::from_nanos(100);
-        let outs = host.on_frame(now, &f);
+        let outs = host.on_frame_vec(now, &f);
         absorb(outs, &mut frames, &mut events);
     }
     let server = events
@@ -271,11 +274,11 @@ fn loopback_one_byte_overhead_matches_table1() {
     host.cpu_mut().reset_stats();
 
     // one 1-byte message, sender → receiver, then read it
-    let (_, outs) = host.send(now, cs, &[0x55]).unwrap();
+    let (_, outs) = host.send_vec(now, cs, &[0x55]).unwrap();
     absorb(outs, &mut frames, &mut events);
     while let Some(f) = frames.pop_front() {
         now += SimDuration::from_nanos(100);
-        let outs = host.on_frame(now, &f);
+        let outs = host.on_frame_vec(now, &f);
         absorb(outs, &mut frames, &mut events);
     }
     let (data, _) = host.recv(now, server, usize::MAX).unwrap();

@@ -9,6 +9,7 @@
 //! socket nodes differ only in *where* the stack runs and what interface
 //! sits on top.
 
+use std::cell::Cell;
 use std::net::Ipv6Addr;
 
 use qpip_sim::time::SimTime;
@@ -23,6 +24,48 @@ use crate::timer_index::TimerIndex;
 use crate::types::{
     ConnId, Emit, Endpoint, NetConfig, OpCounters, PacketKind, PacketOut, SendToken,
 };
+
+/// What one TCB call appends: segments to encode and events to
+/// translate, both consumed before the engine call returns.
+#[derive(Default)]
+struct TcbScratch {
+    segs: Vec<SegmentOut>,
+    events: Vec<TcbEvent>,
+}
+
+// Scratch buffers are per thread rather than per engine or per node: a
+// fan-in world runs thousands of engines, and buffers that keep their
+// capacity between calls would cost each of them a heap block. A call
+// takes its buffer and puts it back, so a nested call finds it taken
+// and starts from an empty one: a buffer being drained is never
+// appended to.
+thread_local! {
+    static SCRATCH: Cell<TcbScratch> =
+        const { Cell::new(TcbScratch { segs: Vec::new(), events: Vec::new() }) };
+    static EMITS: Cell<Vec<Emit>> = const { Cell::new(Vec::new()) };
+}
+
+/// Runs `f` on the thread's TCB scratch, leaving it empty for the next
+/// call.
+fn with_scratch<R>(f: impl FnOnce(&mut TcbScratch) -> R) -> R {
+    let mut scratch = SCRATCH.take();
+    let r = f(&mut scratch);
+    debug_assert!(scratch.segs.is_empty() && scratch.events.is_empty(), "scratch not drained");
+    SCRATCH.set(scratch);
+    r
+}
+
+/// Runs `f` on the thread's reusable [`Emit`] buffer, for a caller that
+/// hands it to engine calls and drains it before returning (the NIC
+/// firmware, the host stack, the live node). Whatever `f` leaves in it
+/// is discarded. A nested call gets a fresh, empty buffer.
+pub fn with_emit_buffer<R>(f: impl FnOnce(&mut Vec<Emit>) -> R) -> R {
+    let mut buf = EMITS.take();
+    let r = f(&mut buf);
+    buf.clear();
+    EMITS.set(buf);
+    r
+}
 
 /// Errors surfaced by engine calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,6 +137,9 @@ pub struct EngineStats {
     /// Zero-window probes sent by persist timers, summed over live and
     /// reaped connections. Never counted as retransmissions.
     pub persist_probes: u64,
+    /// RTO retransmissions that Eifel detection (RFC 3522) found
+    /// spurious, summed over live and reaped connections.
+    pub spurious_rtos: u64,
 }
 
 impl EngineStats {
@@ -110,7 +156,8 @@ impl EngineStats {
             .push("fast_retransmits", self.fast_retransmits)
             .push("dupacks_rx", self.dupacks_rx)
             .push("zero_window_events", self.zero_window_events)
-            .push("persist_probes", self.persist_probes);
+            .push("persist_probes", self.persist_probes)
+            .push("spurious_rtos", self.spurious_rtos);
         s
     }
 }
@@ -259,7 +306,7 @@ impl Engine {
         &self.cfg
     }
 
-    /// Traffic counters. Retransmit/dup-ACK/zero-window/probe counters folded
+    /// Traffic counters. Retransmit/dup-ACK/zero-window/probe/Eifel counters folded
     /// into the base stats at reap time are completed with the live
     /// connections' TCB counters, so the totals never regress when a
     /// connection closes.
@@ -271,6 +318,7 @@ impl Engine {
             s.dupacks_rx += e.tcb.dupacks_rx();
             s.zero_window_events += e.tcb.zero_window_events();
             s.persist_probes += e.tcb.persist_probes();
+            s.spurious_rtos += e.tcb.spurious_rtos();
         }
         s
     }
@@ -489,25 +537,29 @@ impl Engine {
     }
 
     /// Opens a connection using the sockets rendezvous model (§3),
-    /// returning the new connection id and the SYN to transmit.
+    /// returning the new connection id; the SYN to transmit is appended
+    /// to `out`.
     pub fn tcp_connect(
         &mut self,
         now: SimTime,
         local_port: u16,
         remote: Endpoint,
-    ) -> (ConnId, Vec<Emit>) {
+        out: &mut Vec<Emit>,
+    ) -> ConnId {
         let local = Endpoint::new(self.local_addr, local_port);
         let iss = self.next_iss();
-        let (tcb, segs) = Tcb::connect(&self.cfg, local, remote, iss, now);
-        let id = self.insert_conn(now, tcb, ConnOrigin::Active);
-        let mut emits = Vec::with_capacity(segs.len());
-        self.encode_segments_into(now, id, &segs, &mut emits);
-        self.debug_check_conn(id);
-        (id, emits)
+        with_scratch(|sc| {
+            let tcb = Tcb::connect(&self.cfg, local, remote, iss, now, &mut sc.segs);
+            let id = self.insert_conn(now, tcb, ConnOrigin::Active);
+            self.encode_segments_into(now, id, &mut sc.segs, out);
+            self.debug_check_conn(id);
+            id
+        })
     }
 
-    /// Sends one unit of data on a connection. Completion is reported
-    /// later via [`Emit::TcpSendComplete`] carrying `token`.
+    /// Sends one unit of data on a connection, appending what it
+    /// transmits to `out`. Completion is reported later via
+    /// [`Emit::TcpSendComplete`] carrying `token`.
     ///
     /// # Errors
     ///
@@ -520,7 +572,8 @@ impl Engine {
         conn: ConnId,
         data: Vec<u8>,
         token: SendToken,
-    ) -> Result<Vec<Emit>, EngineError> {
+        out: &mut Vec<Emit>,
+    ) -> Result<(), EngineError> {
         if self.cfg.segmentation == crate::types::SegmentationPolicy::MessagePerSegment {
             let max = self.cfg.max_tcp_payload();
             if data.len() > max {
@@ -531,39 +584,54 @@ impl Engine {
         if !entry.tcb.can_send() {
             return Err(EngineError::ConnectionClosing(conn));
         }
-        let segs = entry.tcb.send(&self.cfg, data, token, now, &mut self.ops);
-        self.sync_timer(now, conn);
-        let mut emits = Vec::with_capacity(segs.len());
-        self.encode_segments_into(now, conn, &segs, &mut emits);
+        with_scratch(|sc| {
+            let entry = self.conns.get_mut(conn).expect("checked above");
+            entry.tcb.send(&self.cfg, data, token, now, &mut self.ops, &mut sc.segs);
+            self.sync_timer(now, conn);
+            self.encode_segments_into(now, conn, &mut sc.segs, out);
+        });
         self.debug_check_conn(conn);
-        Ok(emits)
+        Ok(())
     }
 
-    /// Begins a graceful close.
+    /// Begins a graceful close, appending what it transmits to `out`.
     ///
     /// # Errors
     ///
     /// [`EngineError::UnknownConn`] if the connection is gone.
-    pub fn tcp_close(&mut self, now: SimTime, conn: ConnId) -> Result<Vec<Emit>, EngineError> {
+    pub fn tcp_close(
+        &mut self,
+        now: SimTime,
+        conn: ConnId,
+        out: &mut Vec<Emit>,
+    ) -> Result<(), EngineError> {
         let entry = self.conns.get_mut(conn).ok_or(EngineError::UnknownConn(conn))?;
         let before = self.tracer.is_some().then(|| Probe::capture(&entry.tcb));
-        let segs = entry.tcb.close(&self.cfg, now, &mut self.ops);
-        self.sync_timer(now, conn);
-        if let Some(b) = before {
-            self.trace_probe_diff(now, conn, &b, &segs, None, "ack");
-        }
-        let mut emits = Vec::with_capacity(segs.len());
-        self.encode_segments_into(now, conn, &segs, &mut emits);
+        with_scratch(|sc| {
+            let entry = self.conns.get_mut(conn).expect("checked above");
+            entry.tcb.close(&self.cfg, now, &mut self.ops, &mut sc.segs);
+            self.sync_timer(now, conn);
+            if let Some(b) = before {
+                self.trace_probe_diff(now, conn, &b, &sc.segs, None, "ack");
+            }
+            self.encode_segments_into(now, conn, &mut sc.segs, out);
+        });
         self.debug_check_conn(conn);
-        Ok(emits)
+        Ok(())
     }
 
-    /// Aborts with RST and removes the connection.
+    /// Aborts with RST and removes the connection; the RST is appended
+    /// to `out`.
     ///
     /// # Errors
     ///
     /// [`EngineError::UnknownConn`] if the connection is gone.
-    pub fn tcp_abort(&mut self, now: SimTime, conn: ConnId) -> Result<Vec<Emit>, EngineError> {
+    pub fn tcp_abort(
+        &mut self,
+        now: SimTime,
+        conn: ConnId,
+        out: &mut Vec<Emit>,
+    ) -> Result<(), EngineError> {
         let mut entry = self.conns.remove(conn).ok_or(EngineError::UnknownConn(conn))?;
         let prev = entry.tcb.state();
         let rst = entry.tcb.abort();
@@ -582,11 +650,13 @@ impl Engine {
         self.fold_reaped_counters(&entry.tcb);
         let remote = entry.tcb.remote();
         let local = entry.tcb.local();
-        Ok(vec![self.encode_one(now, conn, local, remote, &rst)])
+        out.push(self.encode_one(now, conn, local, remote, &rst));
+        Ok(())
     }
 
     /// Updates the receive-window backing space of a connection (QPIP:
-    /// total posted receive-WR bytes) and emits a window-update ACK.
+    /// total posted receive-WR bytes) and appends a window-update ACK to
+    /// `out`.
     ///
     /// # Errors
     ///
@@ -596,7 +666,8 @@ impl Engine {
         now: SimTime,
         conn: ConnId,
         bytes: u64,
-    ) -> Result<Vec<Emit>, EngineError> {
+        out: &mut Vec<Emit>,
+    ) -> Result<(), EngineError> {
         let entry = self.conns.get_mut(conn).ok_or(EngineError::UnknownConn(conn))?;
         entry.tcb.set_recv_space(bytes);
         let upd = entry.tcb.window_update(now);
@@ -604,26 +675,30 @@ impl Engine {
         if let (Some(tr), Some(u)) = (&self.tracer, upd.as_ref()) {
             tr.emit(now, conn.0, TraceEvent::WindowRefresh { wnd: u32::from(u.window) });
         }
-        let mut emits = Vec::with_capacity(upd.is_some() as usize);
-        self.encode_segments_into(now, conn, upd.as_slice(), &mut emits);
+        if let Some(u) = upd {
+            let entry = self.conns.get(conn).expect("resolved above");
+            let (local, remote) = (entry.tcb.local(), entry.tcb.remote());
+            out.push(self.encode_one(now, conn, local, remote, &u));
+        }
         self.debug_check_conn(conn);
-        Ok(emits)
+        Ok(())
     }
 
     // ----- packet input --------------------------------------------------
 
-    /// Processes one received packet, producing replies and events.
-    pub fn on_packet(&mut self, now: SimTime, bytes: &[u8]) -> Vec<Emit> {
+    /// Processes one received packet, appending replies and events to
+    /// `out`.
+    pub fn on_packet(&mut self, now: SimTime, bytes: &[u8], out: &mut Vec<Emit>) {
         self.stats.rx_packets += 1;
         let decoded = match decode_packet(bytes) {
             Ok(d) => d,
             Err(qpip_wire::error::ParseWireError::BadChecksum) => {
                 self.stats.checksum_drops += 1;
-                return Vec::new();
+                return;
             }
             Err(_) => {
                 self.stats.parse_drops += 1;
-                return Vec::new();
+                return;
             }
         };
         self.ops.headers_parsed += 1; // IP parse
@@ -632,32 +707,29 @@ impl Engine {
                 self.ops.csum_bytes += (usize::from(udp.length)) as u64;
                 if ip.dst != self.local_addr {
                     self.stats.addr_drops += 1;
-                    return Vec::new();
+                    return;
                 }
                 if !self.udp_ports.contains_key(&udp.dst_port) {
                     self.stats.demux_drops += 1;
-                    return Vec::new();
+                    return;
                 }
-                vec![Emit::UdpDelivered {
+                out.push(Emit::UdpDelivered {
                     port: udp.dst_port,
                     src: Endpoint::new(ip.src, udp.src_port),
                     // the one copy on the UDP receive path: borrowed view
                     // into the wire buffer becomes the delivered datagram
                     payload: payload.to_vec(),
-                }]
+                });
             }
             Decoded::Tcp { ip, tcp, payload } => {
                 self.ops.csum_bytes += (usize::from(ip.payload_len)) as u64;
                 if ip.dst != self.local_addr {
                     self.stats.addr_drops += 1;
-                    return Vec::new();
+                    return;
                 }
-                self.on_tcp_segment(now, &ip, &tcp, payload)
+                with_scratch(|sc| self.on_tcp_segment(now, &ip, &tcp, payload, sc, out));
             }
-            Decoded::Other { .. } => {
-                self.stats.demux_drops += 1;
-                Vec::new()
-            }
+            Decoded::Other { .. } => self.stats.demux_drops += 1,
         }
     }
 
@@ -667,7 +739,9 @@ impl Engine {
         ip: &qpip_wire::ipv6::Ipv6Header,
         tcp: &qpip_wire::tcp::TcpHeader,
         payload: &[u8],
-    ) -> Vec<Emit> {
+        sc: &mut TcbScratch,
+        out: &mut Vec<Emit>,
+    ) {
         let ce = ip.ecn() == qpip_wire::ipv6::Ecn::CongestionExperienced;
         let local = Endpoint::new(ip.dst, tcp.dst_port);
         let remote = Endpoint::new(ip.src, tcp.src_port);
@@ -681,38 +755,43 @@ impl Engine {
                     && self.listeners.contains_key(&tcp.dst_port)
                 {
                     let iss = self.next_iss();
-                    let (tcb, segs) = Tcb::accept(&self.cfg, local, remote, tcp, iss, now);
+                    let tcb = Tcb::accept(&self.cfg, local, remote, tcp, iss, now, &mut sc.segs);
                     let id = self.insert_conn(
                         now,
                         tcb,
                         ConnOrigin::Passive { listener_port: tcp.dst_port },
                     );
                     self.trace_seg_rx(now, id, tcp, payload.len());
-                    let mut emits = Vec::with_capacity(segs.len());
-                    self.encode_segments_into(now, id, &segs, &mut emits);
+                    self.encode_segments_into(now, id, &mut sc.segs, out);
                     self.debug_check_conn(id);
-                    return emits;
+                    return;
                 }
                 self.stats.demux_drops += 1;
-                return Vec::new();
+                return;
             }
         };
 
         self.trace_seg_rx(now, conn, tcp, payload.len());
         let entry = self.conns.get_mut(conn).expect("demux points at live conn");
         let before = self.tracer.is_some().then(|| Probe::capture(&entry.tcb));
-        let (segs, events) =
-            entry.tcb.on_segment_marked(&self.cfg, tcp, payload, ce, now, &mut self.ops);
+        entry.tcb.on_segment_marked(
+            &self.cfg,
+            tcp,
+            payload,
+            ce,
+            now,
+            &mut self.ops,
+            &mut sc.segs,
+            &mut sc.events,
+        );
         self.sync_timer(now, conn);
         if let Some(b) = before {
-            self.trace_probe_diff(now, conn, &b, &segs, Some(tcp.ack.0), "ack");
+            self.trace_probe_diff(now, conn, &b, &sc.segs, Some(tcp.ack.0), "ack");
         }
-        let mut emits = Vec::with_capacity(events.len() + segs.len());
-        self.translate_events_into(conn, events, &mut emits);
-        self.encode_segments_into(now, conn, &segs, &mut emits);
+        self.translate_events_into(conn, &mut sc.events, out);
+        self.encode_segments_into(now, conn, &mut sc.segs, out);
         self.debug_check_conn(conn);
         self.reap_if_closed(conn);
-        emits
     }
 
     // ----- timers --------------------------------------------------------
@@ -724,11 +803,14 @@ impl Engine {
         self.timers.peek().map(|(d, _)| d)
     }
 
-    /// Fires all due timers, popping only due connections from the
-    /// timer index — connections whose deadlines lie ahead are never
-    /// visited.
-    pub fn on_timer(&mut self, now: SimTime) -> Vec<Emit> {
-        let mut emits = Vec::new();
+    /// Fires all due timers, appending what they produce to `out` and
+    /// popping only due connections from the timer index — connections
+    /// whose deadlines lie ahead are never visited.
+    pub fn on_timer(&mut self, now: SimTime, out: &mut Vec<Emit>) {
+        with_scratch(|sc| self.fire_due(now, sc, out));
+    }
+
+    fn fire_due(&mut self, now: SimTime, sc: &mut TcbScratch, out: &mut Vec<Emit>) {
         while let Some((deadline, conn)) = self.timers.peek() {
             if deadline > now {
                 break;
@@ -738,20 +820,19 @@ impl Engine {
             }
             let entry = self.conns.get_mut(conn).expect("timer index points at live conn");
             let before = self.tracer.is_some().then(|| Probe::capture(&entry.tcb));
-            let (segs, events) = entry.tcb.on_timer(&self.cfg, now, &mut self.ops);
+            entry.tcb.on_timer(&self.cfg, now, &mut self.ops, &mut sc.segs, &mut sc.events);
             // a fired TCB either disarms or re-arms strictly past `now`
             // (min_rto > 0), so this loop pops each due entry once
             debug_assert!(entry.tcb.next_deadline().is_none_or(|d| d > now));
             self.sync_timer(now, conn);
             if let Some(b) = before {
-                self.trace_probe_diff(now, conn, &b, &segs, None, "rto");
+                self.trace_probe_diff(now, conn, &b, &sc.segs, None, "rto");
             }
-            self.translate_events_into(conn, events, &mut emits);
-            self.encode_segments_into(now, conn, &segs, &mut emits);
+            self.translate_events_into(conn, &mut sc.events, out);
+            self.encode_segments_into(now, conn, &mut sc.segs, out);
             self.debug_check_conn(conn);
             self.reap_if_closed(conn);
         }
-        emits
     }
 
     // ----- internals -------------------------------------------------------
@@ -821,6 +902,7 @@ impl Engine {
         self.stats.dupacks_rx += tcb.dupacks_rx();
         self.stats.zero_window_events += tcb.zero_window_events();
         self.stats.persist_probes += tcb.persist_probes();
+        self.stats.spurious_rtos += tcb.spurious_rtos();
     }
 
     /// Emits a [`TraceEvent::SegRx`] for a parsed inbound segment.
@@ -916,10 +998,10 @@ impl Engine {
     fn translate_events_into(
         &mut self,
         conn: ConnId,
-        events: Vec<TcbEvent>,
+        events: &mut Vec<TcbEvent>,
         emits: &mut Vec<Emit>,
     ) {
-        for ev in events {
+        for ev in events.drain(..) {
             match ev {
                 TcbEvent::Established => {
                     let entry = self.conns.get_mut(conn).expect("live conn");
@@ -945,19 +1027,21 @@ impl Engine {
         }
     }
 
+    /// Encodes and drains `segs` into `emits`.
     fn encode_segments_into(
         &mut self,
         now: SimTime,
         conn: ConnId,
-        segs: &[SegmentOut],
+        segs: &mut Vec<SegmentOut>,
         emits: &mut Vec<Emit>,
     ) {
         let Some(entry) = self.conns.get(conn) else {
+            segs.clear();
             return;
         };
         let local = entry.tcb.local();
         let remote = entry.tcb.remote();
-        emits.extend(segs.iter().map(|s| self.encode_one(now, conn, local, remote, s)));
+        emits.extend(segs.drain(..).map(|s| self.encode_one(now, conn, local, remote, &s)));
     }
 
     fn encode_one(

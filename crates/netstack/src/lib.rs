@@ -15,7 +15,8 @@
 //!   (resolution happens in the fabric layer).
 //!
 //! The engines are *pure state machines*: they consume segments and
-//! deadlines and produce packets and events, never blocking and never
+//! deadlines and append packets and events to a caller's buffer, never
+//! blocking, never allocating a container per call, and never
 //! consulting a real clock. The same [`engine::Engine`] therefore runs
 //! unchanged inside the simulated NIC firmware (`qpip-nic`) and behind
 //! the host socket layer (`qpip-host`) — only the surrounding cost model
@@ -43,7 +44,9 @@
 //! a.udp_bind(9001)?;
 //! let emit = a.udp_send(9001, Endpoint::new(b_addr, 9000), b"hello")?;
 //! let Emit::Packet(pkt) = emit else { unreachable!() };
-//! let delivered = b.on_packet(now, &pkt.bytes);
+//! // engine calls append to a buffer the caller owns and reuses
+//! let mut delivered = Vec::new();
+//! b.on_packet(now, &pkt.bytes, &mut delivered);
 //! assert!(matches!(
 //!     &delivered[..],
 //!     [Emit::UdpDelivered { payload, .. }] if payload == b"hello"
@@ -57,7 +60,6 @@
 pub mod codec;
 pub mod engine;
 pub mod frag;
-pub mod hash;
 pub mod invariant;
 mod slab;
 pub mod tcp;
@@ -65,6 +67,9 @@ mod timer_index;
 pub mod types;
 
 pub use engine::{Engine, EngineError, EngineStats};
+/// The deterministic hasher; it lives in `qpip-sim` so the fabric can
+/// use it too.
+pub use qpip_sim::hash;
 pub use types::{
     AckPolicy, ConnId, Emit, Endpoint, NetConfig, OpCounters, PacketKind, PacketOut,
     SegmentationPolicy, SendToken,

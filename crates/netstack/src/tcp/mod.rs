@@ -42,6 +42,137 @@ mod tests {
         }
     }
 
+    /// [`Tcb::connect`] with its SYN collected into a fresh vector.
+    fn connect(
+        cfg: &NetConfig,
+        local: Endpoint,
+        remote: Endpoint,
+        iss: SeqNum,
+        now: SimTime,
+    ) -> (Tcb, Vec<SegmentOut>) {
+        let mut out = Vec::new();
+        let tcb = Tcb::connect(cfg, local, remote, iss, now, &mut out);
+        (tcb, out)
+    }
+
+    /// [`Tcb::accept`] with its SYN-ACK collected into a fresh vector.
+    fn accept(
+        cfg: &NetConfig,
+        local: Endpoint,
+        remote: Endpoint,
+        syn: &TcpHeader,
+        iss: SeqNum,
+        now: SimTime,
+    ) -> (Tcb, Vec<SegmentOut>) {
+        let mut out = Vec::new();
+        let tcb = Tcb::accept(cfg, local, remote, syn, iss, now, &mut out);
+        (tcb, out)
+    }
+
+    /// The TCB's out-parameter calls with their output collected into
+    /// fresh vectors, which is the shape these tests assert on.
+    trait Collect {
+        fn seg_in(
+            &mut self,
+            cfg: &NetConfig,
+            hdr: &TcpHeader,
+            payload: &[u8],
+            now: SimTime,
+            ops: &mut OpCounters,
+        ) -> (Vec<SegmentOut>, Vec<TcbEvent>);
+        fn seg_in_marked(
+            &mut self,
+            cfg: &NetConfig,
+            hdr: &TcpHeader,
+            payload: &[u8],
+            ce: bool,
+            now: SimTime,
+            ops: &mut OpCounters,
+        ) -> (Vec<SegmentOut>, Vec<TcbEvent>);
+        fn timer(
+            &mut self,
+            cfg: &NetConfig,
+            now: SimTime,
+            ops: &mut OpCounters,
+        ) -> (Vec<SegmentOut>, Vec<TcbEvent>);
+        fn send_msg(
+            &mut self,
+            cfg: &NetConfig,
+            data: Vec<u8>,
+            token: SendToken,
+            now: SimTime,
+            ops: &mut OpCounters,
+        ) -> Vec<SegmentOut>;
+        fn close_conn(
+            &mut self,
+            cfg: &NetConfig,
+            now: SimTime,
+            ops: &mut OpCounters,
+        ) -> Vec<SegmentOut>;
+    }
+
+    impl Collect for Tcb {
+        fn seg_in(
+            &mut self,
+            cfg: &NetConfig,
+            hdr: &TcpHeader,
+            payload: &[u8],
+            now: SimTime,
+            ops: &mut OpCounters,
+        ) -> (Vec<SegmentOut>, Vec<TcbEvent>) {
+            self.seg_in_marked(cfg, hdr, payload, false, now, ops)
+        }
+
+        fn seg_in_marked(
+            &mut self,
+            cfg: &NetConfig,
+            hdr: &TcpHeader,
+            payload: &[u8],
+            ce: bool,
+            now: SimTime,
+            ops: &mut OpCounters,
+        ) -> (Vec<SegmentOut>, Vec<TcbEvent>) {
+            let (mut out, mut evs) = (Vec::new(), Vec::new());
+            self.on_segment_marked(cfg, hdr, payload, ce, now, ops, &mut out, &mut evs);
+            (out, evs)
+        }
+
+        fn timer(
+            &mut self,
+            cfg: &NetConfig,
+            now: SimTime,
+            ops: &mut OpCounters,
+        ) -> (Vec<SegmentOut>, Vec<TcbEvent>) {
+            let (mut out, mut evs) = (Vec::new(), Vec::new());
+            self.on_timer(cfg, now, ops, &mut out, &mut evs);
+            (out, evs)
+        }
+
+        fn send_msg(
+            &mut self,
+            cfg: &NetConfig,
+            data: Vec<u8>,
+            token: SendToken,
+            now: SimTime,
+            ops: &mut OpCounters,
+        ) -> Vec<SegmentOut> {
+            let mut out = Vec::new();
+            self.send(cfg, data, token, now, ops, &mut out);
+            out
+        }
+
+        fn close_conn(
+            &mut self,
+            cfg: &NetConfig,
+            now: SimTime,
+            ops: &mut OpCounters,
+        ) -> Vec<SegmentOut> {
+            let mut out = Vec::new();
+            self.close(cfg, now, ops, &mut out);
+            out
+        }
+    }
+
     struct Pair {
         cfg: NetConfig,
         client: Tcb,
@@ -55,15 +186,13 @@ mod tests {
         fn established(cfg: NetConfig) -> Pair {
             let now = SimTime::ZERO;
             let mut ops = OpCounters::new();
-            let (mut client, syns) = Tcb::connect(&cfg, ep(1), ep(2), SeqNum(1000), now);
+            let (mut client, syns) = connect(&cfg, ep(1), ep(2), SeqNum(1000), now);
             assert_eq!(syns.len(), 1);
             let syn_hdr = to_header(&syns[0], 1, 2);
-            let (mut server, synacks) =
-                Tcb::accept(&cfg, ep(2), ep(1), &syn_hdr, SeqNum(5000), now);
-            let (acks, ev) =
-                client.on_segment(&cfg, &to_header(&synacks[0], 2, 1), &[], now, &mut ops);
+            let (mut server, synacks) = accept(&cfg, ep(2), ep(1), &syn_hdr, SeqNum(5000), now);
+            let (acks, ev) = client.seg_in(&cfg, &to_header(&synacks[0], 2, 1), &[], now, &mut ops);
             assert!(ev.contains(&TcbEvent::Established));
-            let (_, ev) = server.on_segment(&cfg, &to_header(&acks[0], 1, 2), &[], now, &mut ops);
+            let (_, ev) = server.seg_in(&cfg, &to_header(&acks[0], 1, 2), &[], now, &mut ops);
             assert!(ev.contains(&TcbEvent::Established));
             assert_eq!(client.state(), TcpState::Established);
             assert_eq!(server.state(), TcpState::Established);
@@ -88,7 +217,7 @@ mod tests {
             let mut evs = Vec::new();
             for s in segs {
                 let hdr = to_header(s, from_port, to_port);
-                let (o, e) = to.on_segment(cfg, &hdr, &s.payload, now, ops);
+                let (o, e) = to.seg_in(cfg, &hdr, &s.payload, now, ops);
                 out.extend(o);
                 evs.extend(e);
             }
@@ -110,7 +239,7 @@ mod tests {
     #[test]
     fn syn_carries_mss_wscale_and_timestamps() {
         let cfg = qpip_cfg();
-        let (_, syns) = Tcb::connect(&cfg, ep(1), ep(2), SeqNum(0), SimTime::ZERO);
+        let (_, syns) = connect(&cfg, ep(1), ep(2), SeqNum(0), SimTime::ZERO);
         let o: TcpOptions = syns[0].options;
         assert_eq!(o.mss, Some(cfg.max_tcp_payload() as u16));
         assert!(o.window_scale.is_some());
@@ -122,7 +251,7 @@ mod tests {
     fn message_send_delivers_one_event_per_message_and_completes() {
         let mut p = Pair::established(qpip_cfg());
         let cfg = p.cfg.clone();
-        let segs = p.client.send(&cfg, vec![7u8; 4096], SendToken(42), p.now, &mut p.ops);
+        let segs = p.client.send_msg(&cfg, vec![7u8; 4096], SendToken(42), p.now, &mut p.ops);
         assert_eq!(segs.len(), 1, "one message, one segment");
         assert_eq!(segs[0].payload.len(), 4096);
         let (acks, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &segs, p.now, &mut p.ops);
@@ -138,8 +267,8 @@ mod tests {
     fn multiple_messages_preserve_boundaries() {
         let mut p = Pair::established(qpip_cfg());
         let cfg = p.cfg.clone();
-        let mut segs = p.client.send(&cfg, vec![1u8; 100], SendToken(1), p.now, &mut p.ops);
-        segs.extend(p.client.send(&cfg, vec![2u8; 200], SendToken(2), p.now, &mut p.ops));
+        let mut segs = p.client.send_msg(&cfg, vec![1u8; 100], SendToken(1), p.now, &mut p.ops);
+        segs.extend(p.client.send_msg(&cfg, vec![2u8; 200], SendToken(2), p.now, &mut p.ops));
         let (_, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &segs, p.now, &mut p.ops);
         let sizes: Vec<usize> = evs
             .iter()
@@ -157,7 +286,7 @@ mod tests {
         cfg.recv_buffer = 1 << 20;
         let mut p = Pair::established(cfg.clone());
         let mss = cfg.max_tcp_payload();
-        let segs = p.client.send(&cfg, vec![0u8; 4 * mss], SendToken(1), p.now, &mut p.ops);
+        let segs = p.client.send_msg(&cfg, vec![0u8; 4 * mss], SendToken(1), p.now, &mut p.ops);
         assert!(segs.len() >= 2, "initial cwnd limits the burst");
         assert!(segs.iter().all(|s| s.payload.len() <= mss));
     }
@@ -169,7 +298,7 @@ mod tests {
         let mut p = Pair::established(cfg.clone());
         let mss = cfg.max_tcp_payload();
         let total = 64 * mss;
-        let mut segs = p.client.send(&cfg, vec![0u8; total], SendToken(1), p.now, &mut p.ops);
+        let mut segs = p.client.send_msg(&cfg, vec![0u8; total], SendToken(1), p.now, &mut p.ops);
         let mut delivered = 0usize;
         let mut rounds = 0;
         while delivered < total && rounds < 100 {
@@ -195,8 +324,8 @@ mod tests {
     fn out_of_order_segment_is_dropped_and_reacked() {
         let mut p = Pair::established(qpip_cfg());
         let cfg = p.cfg.clone();
-        let mut segs = p.client.send(&cfg, vec![1u8; 100], SendToken(1), p.now, &mut p.ops);
-        segs.extend(p.client.send(&cfg, vec![2u8; 100], SendToken(2), p.now, &mut p.ops));
+        let mut segs = p.client.send_msg(&cfg, vec![1u8; 100], SendToken(1), p.now, &mut p.ops);
+        segs.extend(p.client.send_msg(&cfg, vec![2u8; 100], SendToken(2), p.now, &mut p.ops));
         // deliver only the second segment: out of order
         let (acks, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &segs[1..], p.now, &mut p.ops);
         assert!(evs.is_empty(), "no delivery without reassembly (§4.1)");
@@ -211,12 +340,12 @@ mod tests {
     fn rto_retransmits_lost_segment_and_recovers() {
         let mut p = Pair::established(qpip_cfg());
         let cfg = p.cfg.clone();
-        let segs = p.client.send(&cfg, vec![9u8; 256], SendToken(5), p.now, &mut p.ops);
+        let segs = p.client.send_msg(&cfg, vec![9u8; 256], SendToken(5), p.now, &mut p.ops);
         assert_eq!(segs.len(), 1);
         // segment lost: fire the retransmission timer
         let deadline = p.client.next_deadline().expect("rto armed");
         p.now = deadline;
-        let (rexmit, evs) = p.client.on_timer(&cfg, p.now, &mut p.ops);
+        let (rexmit, evs) = p.client.timer(&cfg, p.now, &mut p.ops);
         assert!(evs.is_empty());
         assert_eq!(rexmit.len(), 1);
         assert!(rexmit[0].is_retransmit);
@@ -236,7 +365,7 @@ mod tests {
         cfg.initial_cwnd_segments = 16;
         let mut p = Pair::established(cfg.clone());
         let mss = cfg.max_tcp_payload();
-        let segs = p.client.send(&cfg, vec![0u8; 8 * mss], SendToken(1), p.now, &mut p.ops);
+        let segs = p.client.send_msg(&cfg, vec![0u8; 8 * mss], SendToken(1), p.now, &mut p.ops);
         assert!(segs.len() >= 5, "{}", segs.len());
         // first segment lost; deliver the rest -> server emits dup ACKs
         let (dup_acks, evs) =
@@ -254,7 +383,7 @@ mod tests {
     fn graceful_close_walks_fin_states_both_ways() {
         let mut p = Pair::established(qpip_cfg());
         let cfg = p.cfg.clone();
-        let fins = p.client.close(&cfg, p.now, &mut p.ops);
+        let fins = p.client.close_conn(&cfg, p.now, &mut p.ops);
         assert_eq!(fins.len(), 1);
         assert_eq!(p.client.state(), TcpState::FinWait1);
         let (acks, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &fins, p.now, &mut p.ops);
@@ -263,7 +392,7 @@ mod tests {
         let (_, _) = Pair::deliver(&cfg, 2, 1, &mut p.client, &acks, p.now, &mut p.ops);
         assert_eq!(p.client.state(), TcpState::FinWait2);
         // server closes its half
-        let fins2 = p.server.close(&cfg, p.now, &mut p.ops);
+        let fins2 = p.server.close_conn(&cfg, p.now, &mut p.ops);
         assert_eq!(p.server.state(), TcpState::LastAck);
         let (acks2, evs) = Pair::deliver(&cfg, 2, 1, &mut p.client, &fins2, p.now, &mut p.ops);
         assert!(evs.contains(&TcbEvent::PeerClosed));
@@ -274,7 +403,7 @@ mod tests {
         // client reaps after TIME-WAIT
         let dl = p.client.next_deadline().unwrap();
         p.now = dl;
-        let (_, evs) = p.client.on_timer(&cfg, p.now, &mut p.ops);
+        let (_, evs) = p.client.timer(&cfg, p.now, &mut p.ops);
         assert!(evs.contains(&TcbEvent::Closed));
         assert_eq!(p.client.state(), TcpState::Closed);
     }
@@ -283,8 +412,8 @@ mod tests {
     fn close_flushes_pending_data_before_fin() {
         let mut p = Pair::established(qpip_cfg());
         let cfg = p.cfg.clone();
-        let mut segs = p.client.send(&cfg, vec![3u8; 64], SendToken(1), p.now, &mut p.ops);
-        segs.extend(p.client.close(&cfg, p.now, &mut p.ops));
+        let mut segs = p.client.send_msg(&cfg, vec![3u8; 64], SendToken(1), p.now, &mut p.ops);
+        segs.extend(p.client.close_conn(&cfg, p.now, &mut p.ops));
         // data segment then FIN
         assert_eq!(segs.len(), 2);
         assert_eq!(segs[0].kind, PacketKind::TcpData);
@@ -311,7 +440,7 @@ mod tests {
         cfg.recv_buffer = 512; // tiny posted space
         let mut p = Pair::established(cfg.clone());
         // 1 KB message cannot be sent into a 512-byte window in message mode
-        let segs = p.client.send(&cfg, vec![0u8; 1024], SendToken(1), p.now, &mut p.ops);
+        let segs = p.client.send_msg(&cfg, vec![0u8; 1024], SendToken(1), p.now, &mut p.ops);
         assert!(segs.is_empty(), "blocked by peer window");
         // peer posts more receive space and window-updates via an ACK
         p.server.set_recv_space(4096);
@@ -319,11 +448,11 @@ mod tests {
             // server sends a window-update ack by timer path: emulate by
             // having the server deliver a pure ack through make-shift: a
             // zero-data ACK from its current state.
-            let (acks, _) = p.server.on_timer(&cfg, p.now, &mut p.ops);
+            let (acks, _) = p.server.timer(&cfg, p.now, &mut p.ops);
             if acks.is_empty() {
                 // no delack pending: craft the update by sending data
                 // ack from server side instead
-                p.server.send(&cfg, vec![1u8; 1], SendToken(99), p.now, &mut p.ops)
+                p.server.send_msg(&cfg, vec![1u8; 1], SendToken(99), p.now, &mut p.ops)
             } else {
                 acks
             }
@@ -339,7 +468,7 @@ mod tests {
         let mut p = Pair::established(qpip_cfg());
         let cfg = p.cfg.clone();
         for i in 0..20u64 {
-            let segs = p.client.send(&cfg, vec![0u8; 64], SendToken(i), p.now, &mut p.ops);
+            let segs = p.client.send_msg(&cfg, vec![0u8; 64], SendToken(i), p.now, &mut p.ops);
             p.tick(SimDuration::from_micros(50));
             let (acks, _) = Pair::deliver(&cfg, 1, 2, &mut p.server, &segs, p.now, &mut p.ops);
             p.tick(SimDuration::from_micros(50));
@@ -354,12 +483,12 @@ mod tests {
     fn retry_exhaustion_resets_connection() {
         let mut p = Pair::established(qpip_cfg());
         let cfg = p.cfg.clone();
-        p.client.send(&cfg, vec![0u8; 10], SendToken(1), p.now, &mut p.ops);
+        p.client.send_msg(&cfg, vec![0u8; 10], SendToken(1), p.now, &mut p.ops);
         let mut evs_all = Vec::new();
         for _ in 0..40 {
             let Some(dl) = p.client.next_deadline() else { break };
             p.now = dl;
-            let (_, evs) = p.client.on_timer(&cfg, p.now, &mut p.ops);
+            let (_, evs) = p.client.timer(&cfg, p.now, &mut p.ops);
             evs_all.extend(evs);
         }
         assert!(evs_all.contains(&TcbEvent::Reset), "gives up eventually");
@@ -372,17 +501,17 @@ mod tests {
         cfg.initial_cwnd_segments = 8;
         let mut p = Pair::established(cfg.clone());
         let mss = cfg.max_tcp_payload();
-        let segs = p.client.send(&cfg, vec![0u8; 4 * mss], SendToken(1), p.now, &mut p.ops);
+        let segs = p.client.send_msg(&cfg, vec![0u8; 4 * mss], SendToken(1), p.now, &mut p.ops);
         assert_eq!(segs.len(), 4);
         let (acks, _) = Pair::deliver(&cfg, 1, 2, &mut p.server, &segs, p.now, &mut p.ops);
         assert_eq!(acks.len(), 2, "one ack per two segments");
         // an odd tail is acked by the delayed-ack timer
-        let segs = p.client.send(&cfg, vec![0u8; mss], SendToken(2), p.now, &mut p.ops);
+        let segs = p.client.send_msg(&cfg, vec![0u8; mss], SendToken(2), p.now, &mut p.ops);
         let (acks, _) = Pair::deliver(&cfg, 1, 2, &mut p.server, &segs, p.now, &mut p.ops);
         assert!(acks.is_empty());
         let dl = p.server.next_deadline().expect("delack timer");
         p.now = dl;
-        let (acks, _) = p.server.on_timer(&cfg, p.now, &mut p.ops);
+        let (acks, _) = p.server.timer(&cfg, p.now, &mut p.ops);
         assert_eq!(acks.len(), 1);
     }
 
@@ -394,18 +523,18 @@ mod tests {
         let now = SimTime::ZERO;
         let mut ops = OpCounters::new();
         // ISS close to the top of the sequence space
-        let (mut client, syns) = Tcb::connect(&cfg, ep(1), ep(2), SeqNum(u32::MAX - 2000), now);
+        let (mut client, syns) = connect(&cfg, ep(1), ep(2), SeqNum(u32::MAX - 2000), now);
         let syn_hdr = to_header(&syns[0], 1, 2);
         let (mut server, synacks) =
-            Tcb::accept(&cfg, ep(2), ep(1), &syn_hdr, SeqNum(u32::MAX - 5000), now);
-        let (acks, _) = client.on_segment(&cfg, &to_header(&synacks[0], 2, 1), &[], now, &mut ops);
-        server.on_segment(&cfg, &to_header(&acks[0], 1, 2), &[], now, &mut ops);
+            accept(&cfg, ep(2), ep(1), &syn_hdr, SeqNum(u32::MAX - 5000), now);
+        let (acks, _) = client.seg_in(&cfg, &to_header(&synacks[0], 2, 1), &[], now, &mut ops);
+        server.seg_in(&cfg, &to_header(&acks[0], 1, 2), &[], now, &mut ops);
         assert_eq!(client.state(), TcpState::Established);
 
         // ten 1 KB messages walk the window across the wrap point
         let mut delivered = 0usize;
         for i in 0..10u64 {
-            let segs = client.send(&cfg, vec![i as u8; 1000], SendToken(i), now, &mut ops);
+            let segs = client.send_msg(&cfg, vec![i as u8; 1000], SendToken(i), now, &mut ops);
             let (acks, evs) = Pair::deliver(&cfg, 1, 2, &mut server, &segs, now, &mut ops);
             for e in &evs {
                 if let TcbEvent::Delivered(d) = e {
@@ -426,8 +555,8 @@ mod tests {
     fn simultaneous_close_crosses_fins() {
         let mut p = Pair::established(qpip_cfg());
         let cfg = p.cfg.clone();
-        let fin_c = p.client.close(&cfg, p.now, &mut p.ops);
-        let fin_s = p.server.close(&cfg, p.now, &mut p.ops);
+        let fin_c = p.client.close_conn(&cfg, p.now, &mut p.ops);
+        let fin_s = p.server.close_conn(&cfg, p.now, &mut p.ops);
         assert_eq!(p.client.state(), TcpState::FinWait1);
         assert_eq!(p.server.state(), TcpState::FinWait1);
         // FINs cross
@@ -445,7 +574,7 @@ mod tests {
         // both reap after 2×MSL
         for tcb in [&mut p.client, &mut p.server] {
             let dl = tcb.next_deadline().unwrap();
-            let (_, evs) = tcb.on_timer(&cfg, dl, &mut p.ops);
+            let (_, evs) = tcb.timer(&cfg, dl, &mut p.ops);
             assert!(evs.contains(&TcbEvent::Closed));
         }
     }
@@ -459,7 +588,7 @@ mod tests {
         let cfg = p.cfg.clone();
         let before = p.ops.fast_path_hits;
         for i in 0..5u64 {
-            let segs = p.client.send(&cfg, vec![0; 100], SendToken(i), p.now, &mut p.ops);
+            let segs = p.client.send_msg(&cfg, vec![0; 100], SendToken(i), p.now, &mut p.ops);
             let (acks, _) = Pair::deliver(&cfg, 1, 2, &mut p.server, &segs, p.now, &mut p.ops);
             Pair::deliver(&cfg, 2, 1, &mut p.client, &acks, p.now, &mut p.ops);
         }
@@ -477,23 +606,23 @@ mod tests {
     fn ecn_negotiates_only_when_both_sides_enable() {
         let mut on = qpip_cfg();
         on.ecn = true;
-        let (_, syns) = Tcb::connect(&on, ep(1), ep(2), SeqNum(0), SimTime::ZERO);
+        let (_, syns) = connect(&on, ep(1), ep(2), SeqNum(0), SimTime::ZERO);
         assert!(syns[0].flags.ece && syns[0].flags.cwr, "SYN offers ECN");
 
         // peer without ECN: SYN-ACK must not confirm
         let off = qpip_cfg();
         let syn_hdr = to_header(&syns[0], 1, 2);
-        let (srv, synacks) = Tcb::accept(&off, ep(2), ep(1), &syn_hdr, SeqNum(100), SimTime::ZERO);
+        let (srv, synacks) = accept(&off, ep(2), ep(1), &syn_hdr, SeqNum(100), SimTime::ZERO);
         assert!(!synacks[0].flags.ece);
         assert!(!srv.ecn_negotiated());
 
         // peer with ECN: confirmed both ends
-        let (srv, synacks) = Tcb::accept(&on, ep(2), ep(1), &syn_hdr, SeqNum(100), SimTime::ZERO);
+        let (srv, synacks) = accept(&on, ep(2), ep(1), &syn_hdr, SeqNum(100), SimTime::ZERO);
         assert!(synacks[0].flags.ece && !synacks[0].flags.cwr);
         assert!(srv.ecn_negotiated());
-        let (mut client, _) = Tcb::connect(&on, ep(1), ep(2), SeqNum(0), SimTime::ZERO);
+        let (mut client, _) = connect(&on, ep(1), ep(2), SeqNum(0), SimTime::ZERO);
         let mut ops = OpCounters::new();
-        client.on_segment(&on, &to_header(&synacks[0], 2, 1), &[], SimTime::ZERO, &mut ops);
+        client.seg_in(&on, &to_header(&synacks[0], 2, 1), &[], SimTime::ZERO, &mut ops);
         assert!(client.ecn_negotiated());
     }
 
@@ -509,23 +638,17 @@ mod tests {
         let cwnd_before = p.client.cwnd();
 
         // client sends a marked data segment (the fabric set CE)
-        let segs = p.client.send(&cfg, vec![1; 500], SendToken(1), p.now, &mut p.ops);
+        let segs = p.client.send_msg(&cfg, vec![1; 500], SendToken(1), p.now, &mut p.ops);
         assert!(segs[0].ect, "negotiated data segments are ECT");
         let hdr = to_header(&segs[0], 1, 2);
         let (acks, _) =
-            p.server.on_segment_marked(&cfg, &hdr, &segs[0].payload, true, p.now, &mut p.ops);
+            p.server.seg_in_marked(&cfg, &hdr, &segs[0].payload, true, p.now, &mut p.ops);
         // delayed-ack policy may withhold: force with a second segment
         let acks = if acks.is_empty() {
-            let segs2 = p.client.send(&cfg, vec![2; 500], SendToken(2), p.now, &mut p.ops);
+            let segs2 = p.client.send_msg(&cfg, vec![2; 500], SendToken(2), p.now, &mut p.ops);
             let hdr2 = to_header(&segs2[0], 1, 2);
-            let (a, _) = p.server.on_segment_marked(
-                &cfg,
-                &hdr2,
-                &segs2[0].payload,
-                false,
-                p.now,
-                &mut p.ops,
-            );
+            let (a, _) =
+                p.server.seg_in_marked(&cfg, &hdr2, &segs2[0].payload, false, p.now, &mut p.ops);
             a
         } else {
             acks
@@ -537,18 +660,18 @@ mod tests {
         assert_eq!(p.client.ecn_reductions(), 1);
         assert!(p.client.cwnd() < cwnd_before, "window reduced");
         // next data segment announces CWR
-        let segs3 = p.client.send(&cfg, vec![3; 500], SendToken(3), p.now, &mut p.ops);
+        let segs3 = p.client.send_msg(&cfg, vec![3; 500], SendToken(3), p.now, &mut p.ops);
         let all: Vec<&SegmentOut> =
             out.iter().chain(segs3.iter()).filter(|s| !s.payload.is_empty()).collect();
         assert!(all.iter().any(|s| s.flags.cwr), "CWR announced");
         // CWR clears the receiver's echo
         let cwr_seg = all.iter().find(|s| s.flags.cwr).unwrap();
         let hdr = to_header(cwr_seg, 1, 2);
-        p.server.on_segment_marked(&cfg, &hdr, &cwr_seg.payload, false, p.now, &mut p.ops);
-        let segs4 = p.client.send(&cfg, vec![4; 500], SendToken(4), p.now, &mut p.ops);
+        p.server.seg_in_marked(&cfg, &hdr, &cwr_seg.payload, false, p.now, &mut p.ops);
+        let segs4 = p.client.send_msg(&cfg, vec![4; 500], SendToken(4), p.now, &mut p.ops);
         let hdr4 = to_header(&segs4[0], 1, 2);
         let (acks, _) =
-            p.server.on_segment_marked(&cfg, &hdr4, &segs4[0].payload, false, p.now, &mut p.ops);
+            p.server.seg_in_marked(&cfg, &hdr4, &segs4[0].payload, false, p.now, &mut p.ops);
         if let Some(a) = acks.first() {
             assert!(!a.flags.ece, "echo stopped after CWR");
         }
@@ -559,11 +682,11 @@ mod tests {
     fn ce_marks_ignored_without_negotiation() {
         let mut p = Pair::established(qpip_cfg());
         let cfg = p.cfg.clone();
-        let segs = p.client.send(&cfg, vec![1; 100], SendToken(1), p.now, &mut p.ops);
+        let segs = p.client.send_msg(&cfg, vec![1; 100], SendToken(1), p.now, &mut p.ops);
         assert!(!segs[0].ect);
         let hdr = to_header(&segs[0], 1, 2);
         let (acks, _) =
-            p.server.on_segment_marked(&cfg, &hdr, &segs[0].payload, true, p.now, &mut p.ops);
+            p.server.seg_in_marked(&cfg, &hdr, &segs[0].payload, true, p.now, &mut p.ops);
         assert!(acks.iter().all(|a| !a.flags.ece));
         Pair::deliver(&cfg, 2, 1, &mut p.client, &acks, p.now, &mut p.ops);
         assert_eq!(p.client.ecn_reductions(), 0);
@@ -575,10 +698,10 @@ mod tests {
     fn half_close_still_receives_peer_data() {
         let mut p = Pair::established(qpip_cfg());
         let cfg = p.cfg.clone();
-        let fins = p.client.close(&cfg, p.now, &mut p.ops);
+        let fins = p.client.close_conn(&cfg, p.now, &mut p.ops);
         Pair::deliver(&cfg, 1, 2, &mut p.server, &fins, p.now, &mut p.ops);
         // the server (CLOSE-WAIT) keeps sending
-        let segs = p.server.send(&cfg, vec![5; 300], SendToken(9), p.now, &mut p.ops);
+        let segs = p.server.send_msg(&cfg, vec![5; 300], SendToken(9), p.now, &mut p.ops);
         let (_, evs) = Pair::deliver(&cfg, 2, 1, &mut p.client, &segs, p.now, &mut p.ops);
         assert!(
             evs.iter().any(|e| matches!(e, TcbEvent::Delivered(d) if d.len() == 300)),

@@ -178,14 +178,14 @@ impl SendBuffer {
         Some(SegmentData { seq, bytes, psh })
     }
 
-    /// Processes a cumulative acknowledgment. Returns the tokens of send
-    /// units whose final byte is now acknowledged, in order.
+    /// Processes a cumulative acknowledgment, passing `done` the token
+    /// of each send unit whose final byte is now acknowledged, in order.
     ///
     /// ACKs outside `(una, end]` are ignored (the caller classifies
     /// duplicates and out-of-window ACKs before getting here).
-    pub fn on_ack(&mut self, ack: SeqNum) -> Vec<SendToken> {
+    pub fn on_ack(&mut self, ack: SeqNum, mut done: impl FnMut(SendToken)) {
         if !(self.una.lt(ack) && ack.le(self.end())) {
-            return Vec::new();
+            return;
         }
         // In message mode our segments are whole messages, so a
         // well-behaved peer only ever acks on message boundaries. A
@@ -207,22 +207,20 @@ impl SendBuffer {
             }
         };
         if !self.una.lt(ack) {
-            return Vec::new();
+            return;
         }
         self.una = ack;
         if self.nxt.lt(ack) {
             self.nxt = ack;
         }
-        let mut done = Vec::new();
         while let Some(front) = self.chunks.front() {
             if front.end().le(ack) {
-                done.push(front.token);
+                done(front.token);
                 self.chunks.pop_front();
             } else {
                 break;
             }
         }
-        done
     }
 
     /// Collapses the transmit point back to the unacknowledged front
@@ -272,6 +270,13 @@ mod tests {
 
     fn stream_buf() -> SendBuffer {
         SendBuffer::new(SegmentationPolicy::Stream, seq(1000))
+    }
+
+    /// The tokens `on_ack` completes, in order.
+    fn acked(b: &mut SendBuffer, ack: SeqNum) -> Vec<SendToken> {
+        let mut done = Vec::new();
+        b.on_ack(ack, |t| done.push(t));
+        done
     }
 
     #[test]
@@ -325,8 +330,8 @@ mod tests {
         b.push(vec![0; 100], SendToken(8));
         b.next_segment(16_384, u64::MAX);
         b.next_segment(16_384, u64::MAX);
-        assert_eq!(b.on_ack(seq(1100)), vec![SendToken(7)]);
-        assert_eq!(b.on_ack(seq(1200)), vec![SendToken(8)]);
+        assert_eq!(acked(&mut b, seq(1100)), vec![SendToken(7)]);
+        assert_eq!(acked(&mut b, seq(1200)), vec![SendToken(8)]);
         assert!(b.is_fully_acked());
         assert_eq!(b.bytes_in_flight(), 0);
     }
@@ -337,8 +342,8 @@ mod tests {
         b.push(vec![0; 100], SendToken(9));
         b.next_segment(60, u64::MAX);
         b.next_segment(60, u64::MAX);
-        assert!(b.on_ack(seq(1060)).is_empty());
-        assert_eq!(b.on_ack(seq(1100)), vec![SendToken(9)]);
+        assert!(acked(&mut b, seq(1060)).is_empty());
+        assert_eq!(acked(&mut b, seq(1100)), vec![SendToken(9)]);
     }
 
     #[test]
@@ -346,9 +351,9 @@ mod tests {
         let mut b = msg_buf();
         b.push(vec![0; 10], SendToken(1));
         b.next_segment(100, u64::MAX);
-        assert!(b.on_ack(seq(1000)).is_empty(), "duplicate of una");
-        assert!(b.on_ack(seq(999)).is_empty(), "old ack");
-        assert!(b.on_ack(seq(2000)).is_empty(), "beyond end");
+        assert!(acked(&mut b, seq(1000)).is_empty(), "duplicate of una");
+        assert!(acked(&mut b, seq(999)).is_empty(), "old ack");
+        assert!(acked(&mut b, seq(2000)).is_empty(), "beyond end");
         assert_eq!(b.una(), seq(1000));
     }
 
@@ -390,7 +395,7 @@ mod tests {
         b.next_segment(200, u64::MAX);
         b.rewind_to_una();
         // the old in-flight copy gets acked even though nxt was rewound
-        let done = b.on_ack(seq(1200));
+        let done = acked(&mut b, seq(1200));
         assert_eq!(done, vec![SendToken(1)]);
         assert_eq!(b.nxt(), seq(1200));
         assert_eq!(b.bytes_unsent(), 0);
@@ -404,7 +409,7 @@ mod tests {
         let s = b.next_segment(100, u64::MAX).unwrap();
         assert_eq!(s.seq, start);
         assert_eq!(b.nxt(), start + 100);
-        let done = b.on_ack(start + 100);
+        let done = acked(&mut b, start + 100);
         assert_eq!(done, vec![SendToken(1)]);
     }
 
@@ -434,14 +439,14 @@ mod tests {
         b.next_segment(16_384, u64::MAX);
         // a forged ack into the middle of the second message only
         // acknowledges the first (whole) one
-        assert_eq!(b.on_ack(seq(1150)), vec![SendToken(1)]);
+        assert_eq!(acked(&mut b, seq(1150)), vec![SendToken(1)]);
         assert_eq!(b.una(), seq(1100));
         assert_eq!(b.nxt(), seq(1200));
         // a mid-first-message ack acknowledges nothing at all
         let mut c = msg_buf();
         c.push(vec![0; 100], SendToken(3));
         c.next_segment(16_384, u64::MAX);
-        assert!(c.on_ack(seq(1050)).is_empty());
+        assert!(acked(&mut c, seq(1050)).is_empty());
         assert_eq!(c.una(), seq(1000));
         assert_eq!(c.nxt(), seq(1100));
     }

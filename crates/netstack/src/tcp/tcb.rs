@@ -171,6 +171,10 @@ pub struct Tcb {
     // --- RFC 1323 ---
     ts_on: bool,
     ts_recent: u32,
+    /// TSval of the first RTO retransmission since SND.UNA last
+    /// advanced (RFC 3522's RetransmitTS), awaiting the ACK that tells
+    /// whether the timeout was spurious.
+    eifel_retx_ts: Option<u32>,
     /// Segments received since the last ACK we sent (delayed ACK).
     segs_unacked: u32,
 
@@ -187,26 +191,29 @@ pub struct Tcb {
     dupacks_rx: u64,
     zero_window_events: u64,
     persist_probes: u64,
+    spurious_rtos: u64,
 }
 
 impl Tcb {
-    /// Starts an active open: returns the TCB in SYN-SENT plus the SYN.
+    /// Starts an active open: returns the TCB in SYN-SENT and appends
+    /// the SYN to `out`.
     pub fn connect(
         cfg: &NetConfig,
         local: Endpoint,
         remote: Endpoint,
         iss: SeqNum,
         now: SimTime,
-    ) -> (Tcb, Vec<SegmentOut>) {
+        out: &mut Vec<SegmentOut>,
+    ) -> Tcb {
         let mut tcb = Tcb::new_common(cfg, local, remote, iss);
         tcb.state = TcpState::SynSent;
-        let syn = tcb.make_syn(cfg, now, false);
+        out.push(tcb.make_syn(cfg, now, false));
         tcb.arm_rto(now);
-        (tcb, vec![syn])
+        tcb
     }
 
     /// Starts a passive open from a received SYN: returns the TCB in
-    /// SYN-RCVD plus the SYN-ACK.
+    /// SYN-RCVD and appends the SYN-ACK to `out`.
     pub fn accept(
         cfg: &NetConfig,
         local: Endpoint,
@@ -214,7 +221,8 @@ impl Tcb {
         syn: &TcpHeader,
         iss: SeqNum,
         now: SimTime,
-    ) -> (Tcb, Vec<SegmentOut>) {
+        out: &mut Vec<SegmentOut>,
+    ) -> Tcb {
         let mut tcb = Tcb::new_common(cfg, local, remote, iss);
         tcb.state = TcpState::SynRcvd;
         tcb.irs = syn.seq;
@@ -222,9 +230,9 @@ impl Tcb {
         tcb.absorb_syn_options(syn);
         // ECN negotiation (RFC 3168): the SYN offers with ECE+CWR
         tcb.ecn_on = cfg.ecn && syn.flags.ece && syn.flags.cwr;
-        let syn_ack = tcb.make_syn(cfg, now, true);
+        out.push(tcb.make_syn(cfg, now, true));
         tcb.arm_rto(now);
-        (tcb, vec![syn_ack])
+        tcb
     }
 
     fn new_common(cfg: &NetConfig, local: Endpoint, remote: Endpoint, iss: SeqNum) -> Tcb {
@@ -262,6 +270,7 @@ impl Tcb {
             ecn_reductions: 0,
             ts_on: false,
             ts_recent: 0,
+            eifel_retx_ts: None,
             segs_unacked: 0,
             rto_deadline: None,
             delack_deadline: None,
@@ -273,6 +282,7 @@ impl Tcb {
             dupacks_rx: 0,
             zero_window_events: 0,
             persist_probes: 0,
+            spurious_rtos: 0,
         }
     }
 
@@ -339,6 +349,14 @@ impl Tcb {
     /// retransmissions).
     pub fn persist_probes(&self) -> u64 {
         self.persist_probes
+    }
+
+    /// RTO retransmissions found spurious by Eifel detection (RFC 3522):
+    /// the first ACK to advance SND.UNA afterwards echoed a timestamp
+    /// older than the retransmission, so the original got through.
+    /// Counting only; the response to a timeout is unchanged.
+    pub fn spurious_rtos(&self) -> u64 {
+        self.spurious_rtos
     }
 
     /// Consecutive duplicate ACKs currently counted by the congestion
@@ -525,7 +543,8 @@ impl Tcb {
 
     // ----- application calls ------------------------------------------
 
-    /// Queues one send unit and transmits whatever the windows allow.
+    /// Queues one send unit and appends to `out` whatever the windows
+    /// allow to transmit.
     ///
     /// # Panics
     ///
@@ -538,7 +557,8 @@ impl Tcb {
         token: SendToken,
         now: SimTime,
         ops: &mut OpCounters,
-    ) -> Vec<SegmentOut> {
+        out: &mut Vec<SegmentOut>,
+    ) {
         assert!(
             matches!(
                 self.state,
@@ -549,22 +569,23 @@ impl Tcb {
         );
         assert!(!self.fin_queued, "send after close");
         self.sendbuf.push(data, token);
-        self.try_output(cfg, now, ops)
+        self.try_output(cfg, now, ops, out);
     }
 
     /// Initiates a graceful close; any queued data is sent first, then a
-    /// FIN.
+    /// FIN. Segments are appended to `out`.
     pub fn close(
         &mut self,
         cfg: &NetConfig,
         now: SimTime,
         ops: &mut OpCounters,
-    ) -> Vec<SegmentOut> {
+        out: &mut Vec<SegmentOut>,
+    ) {
         if self.fin_queued || matches!(self.state, TcpState::Closed | TcpState::TimeWait) {
-            return Vec::new();
+            return;
         }
         self.fin_queued = true;
-        self.try_output(cfg, now, ops)
+        self.try_output(cfg, now, ops, out);
     }
 
     /// Aborts the connection, producing an RST.
@@ -587,22 +608,11 @@ impl Tcb {
 
     // ----- segment arrival -------------------------------------------
 
-    /// Processes one incoming segment (no congestion mark). Returns
-    /// segments to transmit and protocol events, in order.
-    pub fn on_segment(
-        &mut self,
-        cfg: &NetConfig,
-        hdr: &TcpHeader,
-        payload: &[u8],
-        now: SimTime,
-        ops: &mut OpCounters,
-    ) -> (Vec<SegmentOut>, Vec<TcbEvent>) {
-        self.on_segment_marked(cfg, hdr, payload, false, now, ops)
-    }
-
     /// Processes one incoming segment whose IP header may carry the
     /// Congestion-Experienced codepoint (set by a RED/ECN queue in the
-    /// fabric, §5.2).
+    /// fabric, §5.2). Segments to transmit are appended to `out` and
+    /// protocol events to `events`, each in order.
+    #[allow(clippy::too_many_arguments)]
     pub fn on_segment_marked(
         &mut self,
         cfg: &NetConfig,
@@ -611,7 +621,9 @@ impl Tcb {
         congestion_experienced: bool,
         now: SimTime,
         ops: &mut OpCounters,
-    ) -> (Vec<SegmentOut>, Vec<TcbEvent>) {
+        out: &mut Vec<SegmentOut>,
+        events: &mut Vec<TcbEvent>,
+    ) {
         if congestion_experienced && self.ecn_on {
             // echo ECE until the sender announces CWR (RFC 3168 §6.1.3)
             self.ece_pending = true;
@@ -619,25 +631,18 @@ impl Tcb {
         if hdr.flags.cwr && self.ecn_on {
             self.ece_pending = false;
         }
-        let mut out = Vec::new();
-        let mut events = Vec::new();
         ops.headers_parsed += 1;
 
         if hdr.flags.rst {
-            self.on_rst(hdr, now, &mut out, &mut events);
-            return (out, events);
+            self.on_rst(hdr, now, out, events);
+            return;
         }
 
         match self.state {
-            TcpState::SynSent => {
-                self.on_segment_syn_sent(cfg, hdr, now, &mut out, &mut events, ops);
-            }
+            TcpState::SynSent => self.on_segment_syn_sent(cfg, hdr, now, out, events, ops),
             TcpState::Closed => { /* stray segment; a real stack would RST */ }
-            _ => {
-                self.on_segment_synchronized(cfg, hdr, payload, now, &mut out, &mut events, ops);
-            }
+            _ => self.on_segment_synchronized(cfg, hdr, payload, now, out, events, ops),
         }
-        (out, events)
     }
 
     /// RST acceptance (RFC 793 §3.4 tightened per RFC 5961 §3.2): a
@@ -688,10 +693,11 @@ impl Tcb {
         }
         self.irs = hdr.seq;
         self.rcv_nxt = hdr.seq + 1;
+        self.eifel_check(hdr);
         self.absorb_syn_options(hdr);
         // the SYN-ACK confirms ECN with ECE alone (RFC 3168)
         self.ecn_on = cfg.ecn && hdr.flags.ece && !hdr.flags.cwr;
-        self.sendbuf.on_ack(hdr.ack); // no data, but aligns una bookkeeping
+        self.sendbuf.on_ack(hdr.ack, |_| {}); // no data, but aligns una bookkeeping
         self.update_snd_wnd(hdr);
         self.state = TcpState::Established;
         self.retries = 0;
@@ -700,7 +706,7 @@ impl Tcb {
         // ACK the SYN-ACK (third step of the rendezvous, §3)
         out.push(self.make_ack(now, PacketKind::TcpAck));
         // flush anything queued while connecting
-        out.extend(self.try_output(cfg, now, ops));
+        self.try_output(cfg, now, ops, out);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -785,7 +791,7 @@ impl Tcb {
         }
 
         // -- send whatever the ACK/window opened up
-        out.extend(self.try_output(cfg, now, ops));
+        self.try_output(cfg, now, ops, out);
     }
 
     /// Returns `false` when the ACK acknowledges data we never sent
@@ -822,6 +828,7 @@ impl Tcb {
         }
 
         if self.state == TcpState::SynRcvd && hdr.ack == self.iss + 1 {
+            self.eifel_check(hdr);
             self.state = TcpState::Established;
             self.retries = 0;
             self.rto_deadline = None;
@@ -831,6 +838,7 @@ impl Tcb {
         }
 
         if advances {
+            self.eifel_check(hdr);
             // RTT sampling: timestamps give an unambiguous echo (Karn's
             // rule satisfied by construction); otherwise use the timed
             // segment if it was not retransmitted.
@@ -859,9 +867,7 @@ impl Tcb {
             // clamp it so the send buffer still marks all data acked.
             let data_ack =
                 if self.fin_sent && hdr.ack == self.fin_seq + 1 { self.fin_seq } else { hdr.ack };
-            for token in self.sendbuf.on_ack(data_ack) {
-                events.push(TcbEvent::SendComplete(token));
-            }
+            self.sendbuf.on_ack(data_ack, |token| events.push(TcbEvent::SendComplete(token)));
             self.congestion.on_ack(acked_bytes, ops);
             self.retries = 0;
 
@@ -987,25 +993,24 @@ impl Tcb {
 
     // ----- timers ------------------------------------------------------
 
-    /// Advances timer state to `now`, producing retransmissions,
-    /// zero-window probes, delayed ACKs, TIME-WAIT reaping and abort
-    /// events.
+    /// Advances timer state to `now`, appending retransmissions,
+    /// zero-window probes and delayed ACKs to `out` and TIME-WAIT
+    /// reaping and abort events to `events`.
     pub fn on_timer(
         &mut self,
         cfg: &NetConfig,
         now: SimTime,
         ops: &mut OpCounters,
-    ) -> (Vec<SegmentOut>, Vec<TcbEvent>) {
-        let mut out = Vec::new();
-        let mut events = Vec::new();
-
+        out: &mut Vec<SegmentOut>,
+        events: &mut Vec<TcbEvent>,
+    ) {
         if let Some(dl) = self.timewait_deadline {
             if dl <= now {
                 self.timewait_deadline = None;
                 self.state = TcpState::Closed;
                 self.clear_timers();
                 events.push(TcbEvent::Closed);
-                return (out, events);
+                return;
             }
         }
 
@@ -1025,7 +1030,7 @@ impl Tcb {
                     self.state = TcpState::Closed;
                     self.clear_timers();
                     events.push(TcbEvent::Reset);
-                    return (out, events);
+                    return;
                 }
                 self.rtt.backoff();
                 ops.muls += 1; // backoff shift/clamp arithmetic
@@ -1042,9 +1047,10 @@ impl Tcb {
                     out.push(probe);
                     self.persist_probes += 1;
                     self.arm_rto(now);
-                    return (out, events);
+                    return;
                 }
                 self.congestion.on_timeout();
+                let rto_before = self.rto_retransmits;
                 match self.state {
                     TcpState::SynSent => {
                         self.retransmit_count += 1;
@@ -1077,32 +1083,37 @@ impl Tcb {
                         }
                     }
                 }
+                // a SYN always carries a timestamp; later segments only
+                // when both ends negotiated them
+                let stamped = self.ts_on || self.state == TcpState::SynSent;
+                if self.rto_retransmits > rto_before && stamped && self.eifel_retx_ts.is_none() {
+                    self.eifel_retx_ts = Some(ts_now(now));
+                }
                 if self.has_outstanding() {
                     self.arm_rto(now);
                 }
             }
         }
-
-        (out, events)
     }
 
     // ----- output ------------------------------------------------------
 
-    /// Transmits as much buffered data as the congestion and peer
-    /// windows allow, then a FIN if one is queued and the buffer drained,
-    /// and arms the retransmission timer in the role that fits: RTO
-    /// while anything is outstanding, persist while the window blocks.
+    /// Appends to `out` as much buffered data as the congestion and
+    /// peer windows allow, then a FIN if one is queued and the buffer
+    /// drained, and arms the retransmission timer in the role that fits:
+    /// RTO while anything is outstanding, persist while the window
+    /// blocks.
     pub fn try_output(
         &mut self,
         cfg: &NetConfig,
         now: SimTime,
         ops: &mut OpCounters,
-    ) -> Vec<SegmentOut> {
-        let mut out = Vec::new();
+        out: &mut Vec<SegmentOut>,
+    ) {
         // new data (and a first FIN) flow only in these states; FIN
         // retransmission is handled by the timer path.
         if !matches!(self.state, TcpState::Established | TcpState::CloseWait) {
-            return out;
+            return;
         }
         let persisting = self.rto_deadline.is_some() && !self.has_outstanding();
         loop {
@@ -1140,7 +1151,6 @@ impl Tcb {
         if (self.has_outstanding() || self.window_blocked()) && self.rto_deadline.is_none() {
             self.arm_rto(now);
         }
-        out
     }
 
     // ----- segment builders -------------------------------------------
@@ -1276,6 +1286,21 @@ impl Tcb {
         self.snd_wnd = u64::from(syn.window);
         self.snd_wl1 = syn.seq;
         self.snd_wl2 = SeqNum(0);
+    }
+
+    /// Eifel detection (RFC 3522 §3.2), on the first ACK that advances
+    /// SND.UNA after an RTO retransmission: an echoed TSval older than
+    /// the retransmission's can only come from the original, so the
+    /// timeout was spurious. Either way the episode is over.
+    fn eifel_check(&mut self, hdr: &TcpHeader) {
+        if let (Some(retx_ts), Some((_, tsecr))) =
+            (self.eifel_retx_ts.take(), hdr.options.timestamps)
+        {
+            // serial-number comparison: the 32-bit clock wraps
+            if (tsecr.wrapping_sub(retx_ts) as i32) < 0 {
+                self.spurious_rtos += 1;
+            }
+        }
     }
 
     fn update_snd_wnd(&mut self, hdr: &TcpHeader) {

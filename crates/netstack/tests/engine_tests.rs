@@ -9,6 +9,9 @@ use qpip_netstack::engine::{Engine, EngineError};
 use qpip_netstack::types::{ConnId, Emit, Endpoint, NetConfig, PacketKind, SendToken};
 use qpip_sim::time::{SimDuration, SimTime};
 
+mod common;
+use common::Collect;
+
 fn addr(n: u16) -> Ipv6Addr {
     Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, n)
 }
@@ -72,10 +75,10 @@ impl Wire {
             assert!(spins < 10_000, "wire did not quiesce");
             self.now += SimDuration::from_micros(5);
             if to_b {
-                let emits = self.b.on_packet(self.now, &bytes);
+                let emits = self.b.on_packet_vec(self.now, &bytes);
                 self.absorb(false, emits);
             } else {
-                let emits = self.a.on_packet(self.now, &bytes);
+                let emits = self.a.on_packet_vec(self.now, &bytes);
                 self.absorb(true, emits);
             }
         }
@@ -86,9 +89,9 @@ impl Wire {
         let deadline = [self.a.next_deadline(), self.b.next_deadline()].into_iter().flatten().min();
         if let Some(d) = deadline {
             self.now = self.now.max(d);
-            let ea = self.a.on_timer(self.now);
+            let ea = self.a.on_timer_vec(self.now);
             self.absorb(true, ea);
-            let eb = self.b.on_timer(self.now);
+            let eb = self.b.on_timer_vec(self.now);
             self.absorb(false, eb);
             self.run();
         }
@@ -96,7 +99,7 @@ impl Wire {
 
     fn connect(&mut self) -> (ConnId, ConnId) {
         self.b.tcp_listen(5001).unwrap();
-        let (ca, emits) = self.a.tcp_connect(self.now, 4001, Endpoint::new(addr(2), 5001));
+        let (ca, emits) = self.a.tcp_connect_vec(self.now, 4001, Endpoint::new(addr(2), 5001));
         self.absorb(true, emits);
         self.run();
         let cb = self
@@ -143,7 +146,7 @@ fn bulk_transfer_delivers_bytes_exactly_once_in_order() {
     for i in 0..50u32 {
         let msg = vec![(i % 251) as u8; 1000 + (i as usize % 500)];
         expected.extend_from_slice(&msg);
-        let emits = w.a.tcp_send(w.now, ca, msg, SendToken(u64::from(i))).unwrap();
+        let emits = w.a.tcp_send_vec(w.now, ca, msg, SendToken(u64::from(i))).unwrap();
         w.absorb(true, emits);
         w.run();
     }
@@ -167,13 +170,13 @@ fn qpip_node_interoperates_with_host_stack_node() {
     // stream-mode engine on the wire.
     let mut w = Wire::new(NetConfig::qpip(9000), NetConfig::host(9000));
     let (ca, cb) = w.connect();
-    let emits = w.a.tcp_send(w.now, ca, vec![0xab; 4000], SendToken(1)).unwrap();
+    let emits = w.a.tcp_send_vec(w.now, ca, vec![0xab; 4000], SendToken(1)).unwrap();
     w.absorb(true, emits);
     w.run();
     w.fire_timers(); // host side may hold a delayed ACK
     assert_eq!(w.delivered_to_b(), vec![0xab; 4000]);
     // and the socket side can reply; the QP side reassembles per message
-    let emits = w.b.tcp_send(w.now, cb, vec![0xcd; 2000], SendToken(2)).unwrap();
+    let emits = w.b.tcp_send_vec(w.now, cb, vec![0xcd; 2000], SendToken(2)).unwrap();
     w.absorb(false, emits);
     w.run();
     w.fire_timers();
@@ -195,7 +198,7 @@ fn lost_data_segment_is_recovered_by_retransmission() {
     let (ca, _) = w.connect();
     let base = w.sent;
     w.drop_next = vec![base]; // drop the next packet (the data segment)
-    let emits = w.a.tcp_send(w.now, ca, vec![7; 512], SendToken(9)).unwrap();
+    let emits = w.a.tcp_send_vec(w.now, ca, vec![7; 512], SendToken(9)).unwrap();
     w.absorb(true, emits);
     w.run();
     assert!(w.delivered_to_b().is_empty(), "segment was dropped");
@@ -214,7 +217,7 @@ fn lost_ack_is_tolerated_via_duplicate_delivery_suppression() {
     let (ca, _) = w.connect();
     let base = w.sent;
     w.drop_next = vec![base + 1]; // drop the ACK, keep the data
-    let emits = w.a.tcp_send(w.now, ca, vec![3; 256], SendToken(1)).unwrap();
+    let emits = w.a.tcp_send_vec(w.now, ca, vec![3; 256], SendToken(1)).unwrap();
     w.absorb(true, emits);
     w.run();
     assert_eq!(w.delivered_to_b(), vec![3; 256]);
@@ -227,11 +230,11 @@ fn lost_ack_is_tolerated_via_duplicate_delivery_suppression() {
 fn graceful_close_reaps_both_connections() {
     let mut w = Wire::new(NetConfig::qpip(16 * 1024), NetConfig::qpip(16 * 1024));
     let (ca, cb) = w.connect();
-    let emits = w.a.tcp_close(w.now, ca).unwrap();
+    let emits = w.a.tcp_close_vec(w.now, ca).unwrap();
     w.absorb(true, emits);
     w.run();
     assert!(w.events_b.iter().any(|e| matches!(e, Emit::TcpPeerClosed { conn } if *conn == cb)));
-    let emits = w.b.tcp_close(w.now, cb).unwrap();
+    let emits = w.b.tcp_close_vec(w.now, cb).unwrap();
     w.absorb(false, emits);
     w.run();
     // b reaches CLOSED via LAST-ACK; a sits in TIME-WAIT until its timer
@@ -244,7 +247,7 @@ fn graceful_close_reaps_both_connections() {
 fn abort_sends_rst_and_peer_reports_reset() {
     let mut w = Wire::new(NetConfig::qpip(16 * 1024), NetConfig::qpip(16 * 1024));
     let (ca, cb) = w.connect();
-    let emits = w.a.tcp_abort(w.now, ca).unwrap();
+    let emits = w.a.tcp_abort_vec(w.now, ca).unwrap();
     w.absorb(true, emits);
     w.run();
     assert!(w.events_b.iter().any(|e| matches!(e, Emit::TcpReset { conn } if *conn == cb)));
@@ -269,10 +272,10 @@ fn message_too_large_for_segment_is_rejected_in_message_mode() {
     let (ca, _) = w.connect();
     let max = w.a.config().max_tcp_payload();
     assert!(matches!(
-        w.a.tcp_send(w.now, ca, vec![0; max + 1], SendToken(1)),
+        w.a.tcp_send_vec(w.now, ca, vec![0; max + 1], SendToken(1)),
         Err(EngineError::MessageTooLarge { .. })
     ));
-    assert!(w.a.tcp_send(w.now, ca, vec![0; max], SendToken(2)).is_ok());
+    assert!(w.a.tcp_send_vec(w.now, ca, vec![0; max], SendToken(2)).is_ok());
 }
 
 #[test]
@@ -287,7 +290,7 @@ fn double_bind_and_double_listen_fail() {
 #[test]
 fn syn_to_unbound_port_is_dropped() {
     let mut w = Wire::new(NetConfig::qpip(9000), NetConfig::qpip(9000));
-    let (_, emits) = w.a.tcp_connect(w.now, 4001, Endpoint::new(addr(2), 9999));
+    let (_, emits) = w.a.tcp_connect_vec(w.now, 4001, Endpoint::new(addr(2), 9999));
     w.absorb(true, emits);
     w.run();
     assert_eq!(w.b.conn_count(), 0);
@@ -304,7 +307,7 @@ fn packet_for_wrong_address_is_dropped() {
     let Emit::Packet(p) = a.udp_send(7, Endpoint::new(addr(3), 7), b"oops").unwrap() else {
         unreachable!()
     };
-    let emits = b.on_packet(SimTime::ZERO, &p.bytes);
+    let emits = b.on_packet_vec(SimTime::ZERO, &p.bytes);
     assert!(emits.is_empty());
     assert_eq!(b.stats().addr_drops, 1);
 }
@@ -321,7 +324,7 @@ fn corrupted_packet_increments_checksum_drops() {
     let mut bytes = p.bytes;
     let n = bytes.len();
     bytes[n - 1] ^= 0xff;
-    assert!(b.on_packet(SimTime::ZERO, &bytes).is_empty());
+    assert!(b.on_packet_vec(SimTime::ZERO, &bytes).is_empty());
     assert_eq!(b.stats().checksum_drops, 1);
 }
 
@@ -336,7 +339,7 @@ fn truncated_packet_increments_parse_drops_not_demux() {
     };
     // header chopped mid-IPv6: a malformed packet, not a misrouted one
     let bytes = &p.bytes[..10];
-    assert!(b.on_packet(SimTime::ZERO, bytes).is_empty());
+    assert!(b.on_packet_vec(SimTime::ZERO, bytes).is_empty());
     let stats = b.stats();
     assert_eq!(stats.parse_drops, 1);
     assert_eq!(stats.demux_drops, 0);
@@ -348,7 +351,7 @@ fn ops_counters_accumulate_and_reset() {
     let mut w = Wire::new(NetConfig::qpip(16 * 1024), NetConfig::qpip(16 * 1024));
     let (ca, _) = w.connect();
     let _ = w.a.take_ops();
-    let emits = w.a.tcp_send(w.now, ca, vec![0; 100], SendToken(1)).unwrap();
+    let emits = w.a.tcp_send_vec(w.now, ca, vec![0; 100], SendToken(1)).unwrap();
     w.absorb(true, emits);
     w.run();
     let ops = w.a.take_ops();
@@ -363,7 +366,7 @@ fn ops_counters_accumulate_and_reset() {
 fn packet_kinds_classify_data_vs_ack() {
     let mut w = Wire::new(NetConfig::qpip(16 * 1024), NetConfig::qpip(16 * 1024));
     let (ca, _) = w.connect();
-    let emits = w.a.tcp_send(w.now, ca, vec![0; 64], SendToken(1)).unwrap();
+    let emits = w.a.tcp_send_vec(w.now, ca, vec![0; 64], SendToken(1)).unwrap();
     let kinds: Vec<PacketKind> = emits
         .iter()
         .filter_map(|e| match e {
@@ -376,7 +379,7 @@ fn packet_kinds_classify_data_vs_ack() {
     // b's reply is a pure ACK
     let (to_b, bytes) = w.queue.pop_front().unwrap();
     assert!(to_b);
-    let replies = w.b.on_packet(w.now, &bytes);
+    let replies = w.b.on_packet_vec(w.now, &bytes);
     let kinds: Vec<PacketKind> = replies
         .iter()
         .filter_map(|e| match e {

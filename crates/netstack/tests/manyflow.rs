@@ -17,6 +17,9 @@ use qpip_sim::rng::SplitMix64;
 use qpip_sim::time::{SimDuration, SimTime};
 use qpip_trace::{FlightRecorder, TraceEvent, Tracer};
 
+mod common;
+use common::Collect;
+
 const FLOWS: usize = 256;
 const MSGS: usize = 2;
 const BASE_PORT: u16 = 1024;
@@ -103,10 +106,10 @@ impl Net {
         while let Some((to_b, bytes)) = self.queue.pop_front() {
             self.now += SimDuration::from_micros(3);
             if to_b {
-                let e = self.b.on_packet(self.now, &bytes);
+                let e = self.b.on_packet_vec(self.now, &bytes);
                 self.absorb(false, e);
             } else {
-                let e = self.a.on_packet(self.now, &bytes);
+                let e = self.a.on_packet_vec(self.now, &bytes);
                 self.absorb(true, e);
             }
         }
@@ -117,9 +120,9 @@ impl Net {
         let next = [self.a.next_deadline(), self.b.next_deadline()].into_iter().flatten().min();
         let Some(d) = next else { return false };
         self.now = self.now.max(d);
-        let ea = self.a.on_timer(self.now);
+        let ea = self.a.on_timer_vec(self.now);
         self.absorb(true, ea);
-        let eb = self.b.on_timer(self.now);
+        let eb = self.b.on_timer_vec(self.now);
         self.absorb(false, eb);
         self.drain();
         true
@@ -145,7 +148,8 @@ fn many_flows_survive_loss_and_reorder_then_drain() {
     // connect storm: every flow dials at once
     let mut conns = Vec::with_capacity(FLOWS);
     for i in 0..FLOWS {
-        let (c, emits) = n.a.tcp_connect(n.now, BASE_PORT + i as u16, Endpoint::new(addr(2), 80));
+        let (c, emits) =
+            n.a.tcp_connect_vec(n.now, BASE_PORT + i as u16, Endpoint::new(addr(2), 80));
         conns.push(c);
         n.absorb(true, emits);
     }
@@ -168,7 +172,7 @@ fn many_flows_survive_loss_and_reorder_then_drain() {
             let payload = vec![(i * 31 + m * 7) as u8; len];
             expected[i].extend(&payload);
             let token = SendToken((i * MSGS + m) as u64);
-            let emits = n.a.tcp_send(n.now, c, payload, token).unwrap();
+            let emits = n.a.tcp_send_vec(n.now, c, payload, token).unwrap();
             n.absorb(true, emits);
         }
         // interleave flows on the wire rather than sending sequentially
@@ -197,13 +201,13 @@ fn many_flows_survive_loss_and_reorder_then_drain() {
 
     // teardown: close both halves of every flow, then let timers quiesce
     for &c in &conns {
-        let emits = n.a.tcp_close(n.now, c).unwrap();
+        let emits = n.a.tcp_close_vec(n.now, c).unwrap();
         n.absorb(true, emits);
     }
     n.drain();
     let server_conns: Vec<u32> = n.flow_of.keys().copied().collect();
     for c in server_conns {
-        let emits = n.b.tcp_close(n.now, ConnId(c)).unwrap();
+        let emits = n.b.tcp_close_vec(n.now, ConnId(c)).unwrap();
         n.absorb(false, emits);
     }
     n.drain();

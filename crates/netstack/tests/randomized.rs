@@ -11,6 +11,9 @@ use qpip_netstack::types::{Emit, Endpoint, NetConfig, SendToken};
 use qpip_sim::rng::SplitMix64;
 use qpip_sim::time::{SimDuration, SimTime};
 
+mod common;
+use common::Collect;
+
 const CASES: usize = 24;
 
 fn addr(n: u16) -> Ipv6Addr {
@@ -75,10 +78,10 @@ impl LossyWire {
         while let Some((to_b, bytes)) = self.queue.pop_front() {
             self.now += SimDuration::from_micros(3);
             if to_b {
-                let e = self.b.on_packet(self.now, &bytes);
+                let e = self.b.on_packet_vec(self.now, &bytes);
                 self.absorb(false, e);
             } else {
-                let e = self.a.on_packet(self.now, &bytes);
+                let e = self.a.on_packet_vec(self.now, &bytes);
                 self.absorb(true, e);
             }
         }
@@ -88,9 +91,9 @@ impl LossyWire {
         let next = [self.a.next_deadline(), self.b.next_deadline()].into_iter().flatten().min();
         let Some(d) = next else { return false };
         self.now = self.now.max(d);
-        let ea = self.a.on_timer(self.now);
+        let ea = self.a.on_timer_vec(self.now);
         self.absorb(true, ea);
-        let eb = self.b.on_timer(self.now);
+        let eb = self.b.on_timer_vec(self.now);
         self.absorb(false, eb);
         self.drain();
         self.assert_table_invariants();
@@ -115,7 +118,7 @@ impl LossyWire {
 fn run_transfer(cfg: NetConfig, messages: Vec<Vec<u8>>, losses: Vec<bool>) {
     let mut w = LossyWire::new(cfg, losses);
     w.b.tcp_listen(80).unwrap();
-    let (ca, emits) = w.a.tcp_connect(w.now, 2000, Endpoint::new(addr(2), 80));
+    let (ca, emits) = w.a.tcp_connect_vec(w.now, 2000, Endpoint::new(addr(2), 80));
     w.absorb(true, emits);
     w.drain();
     // handshake may itself need retries under loss
@@ -129,7 +132,7 @@ fn run_transfer(cfg: NetConfig, messages: Vec<Vec<u8>>, losses: Vec<bool>) {
     }
     let expected: Vec<u8> = messages.iter().flatten().copied().collect();
     for (i, m) in messages.into_iter().enumerate() {
-        let emits = w.a.tcp_send(w.now, ca, m, SendToken(i as u64)).unwrap();
+        let emits = w.a.tcp_send_vec(w.now, ca, m, SendToken(i as u64)).unwrap();
         w.absorb(true, emits);
         w.drain();
     }
@@ -191,11 +194,11 @@ fn lossless_transfer_never_retransmits() {
         let cfg = NetConfig::qpip(16 * 1024);
         let mut w = LossyWire::new(cfg, vec![false]);
         w.b.tcp_listen(80).unwrap();
-        let (ca, emits) = w.a.tcp_connect(w.now, 2000, Endpoint::new(addr(2), 80));
+        let (ca, emits) = w.a.tcp_connect_vec(w.now, 2000, Endpoint::new(addr(2), 80));
         w.absorb(true, emits);
         w.drain();
         for (i, &s) in sizes.iter().enumerate() {
-            let emits = w.a.tcp_send(w.now, ca, vec![7; s], SendToken(i as u64)).unwrap();
+            let emits = w.a.tcp_send_vec(w.now, ca, vec![7; s], SendToken(i as u64)).unwrap();
             w.absorb(true, emits);
             w.drain();
         }

@@ -10,7 +10,7 @@
 
 use std::net::Ipv6Addr;
 
-use qpip_netstack::engine::Engine;
+use qpip_netstack::engine::{with_emit_buffer, Engine};
 use qpip_netstack::hash::FxHashMap;
 use qpip_netstack::types::{ConnId, Emit, Endpoint, NetConfig, PacketKind, PacketOut};
 use qpip_sim::params;
@@ -300,7 +300,8 @@ impl QpipNic {
         self.qps.tcp_listen(&mut self.engine, qp, port)
     }
 
-    /// Initiates a connection from `qp` (client side of the rendezvous).
+    /// Initiates a connection from `qp` (client side of the rendezvous),
+    /// appending what it produces to `out`.
     ///
     /// # Errors
     ///
@@ -312,7 +313,8 @@ impl QpipNic {
         qp: QpId,
         local_port: u16,
         remote: Endpoint,
-    ) -> Result<Vec<NicOutput>, NicError> {
+        out: &mut Vec<NicOutput>,
+    ) -> Result<(), NicError> {
         self.qps.check_connect(qp)?;
         let t = self.charge(
             now,
@@ -320,21 +322,22 @@ impl QpipNic {
             PacketClass::Control,
             Cycles(params::NIC_STAGE_DOORBELL_CYCLES),
         );
-        let (conn, emits) = self.engine.tcp_connect(t, local_port, remote);
-        let window = self.qps.attach(qp, conn);
-        // QPIP window semantics: advertise exactly the posted space
-        let upd = self.engine.set_recv_space(t, conn, window).unwrap_or_default();
-        let mut outputs = Vec::new();
-        self.process_emits(t, emits, &mut outputs);
-        self.process_emits(t, upd, &mut outputs);
-        Ok(outputs)
+        with_emit_buffer(|emits| {
+            let conn = self.engine.tcp_connect(t, local_port, remote, emits);
+            let window = self.qps.attach(qp, conn);
+            // QPIP window semantics: advertise exactly the posted space
+            let _ = self.engine.set_recv_space(t, conn, window, emits);
+            self.process_emits(t, emits, out);
+        });
+        Ok(())
     }
 
     // ----- doorbell + transmit FSMs ---------------------------------------
 
     /// Host rang the send doorbell for `qp` with one work request. The
     /// WR is fetched from host memory by DMA and processed (Figure 2's
-    /// transmit FSM). `now` is when the doorbell write lands on the NIC.
+    /// transmit FSM); what it produces is appended to `out`. `now` is
+    /// when the doorbell write lands on the NIC.
     ///
     /// # Errors
     ///
@@ -346,7 +349,8 @@ impl QpipNic {
         now: SimTime,
         qp: QpId,
         wr: SendWr,
-    ) -> Result<Vec<NicOutput>, NicError> {
+        out: &mut Vec<NicOutput>,
+    ) -> Result<(), NicError> {
         let service = self.qps.service(qp)?;
         if service == ServiceType::ReliableTcp {
             let t = self.tx_wr_preamble(now, PacketClass::DataSend);
@@ -358,7 +362,7 @@ impl QpipNic {
             } else {
                 wr.payload
             };
-            return self.send_posted(t, conn, payload, TokenUse::Send(qp, wr.wr_id));
+            return self.send_posted(t, conn, payload, TokenUse::Send(qp, wr.wr_id), out);
         }
         let t = self.tx_wr_preamble(now, PacketClass::UdpSend);
         let port = self.qps.udp_port(qp)?;
@@ -368,16 +372,16 @@ impl QpipNic {
         let emit = self.engine.udp_send(port, dst, &wr.payload)?;
         let _ = self.engine.take_ops();
         let Emit::Packet(pkt) = emit else { unreachable!("udp_send emits a packet") };
-        let mut outputs = Vec::new();
-        let done = self.emit_one(t, pkt, TxOrigin::PostedWr, &mut outputs);
+        let done = self.emit_one(t, pkt, TxOrigin::PostedWr, out);
         // UDP send WRs complete as soon as the message is sent (§3)
         let entry =
             self.qps.send_entry(qp, wr.wr_id, CompletionKind::Send, CompletionStatus::Success);
-        outputs.push(complete(entry, done));
-        Ok(outputs)
+        out.push(complete(entry, done));
+        Ok(())
     }
 
-    /// Host rang the receive doorbell for `qp` with one receive WR.
+    /// Host rang the receive doorbell for `qp` with one receive WR;
+    /// what it produces is appended to `out`.
     ///
     /// Posting receive space grows the advertised TCP window (§5.1); a
     /// window update is transmitted when the window had collapsed below
@@ -391,7 +395,8 @@ impl QpipNic {
         now: SimTime,
         qp: QpId,
         wr: RecvWr,
-    ) -> Result<Vec<NicOutput>, NicError> {
+        out: &mut Vec<NicOutput>,
+    ) -> Result<(), NicError> {
         let posted = self.qps.post_recv(qp, wr)?;
         let t = self.charge(
             now,
@@ -400,24 +405,24 @@ impl QpipNic {
             Cycles(params::NIC_STAGE_DOORBELL_CYCLES),
         );
 
-        let mut outputs = Vec::new();
         // drain any backlog now that a buffer exists
         let mut drained = t;
         while let Some(entry) = self.qps.pop_backlog(qp) {
-            drained = self.place(drained, entry, &mut outputs);
+            drained = self.place(drained, entry, out);
         }
         if let Some(conn) = posted.conn {
             // read the posted space AFTER the drain: a backlogged message
             // may have consumed the WR just posted, and the advertised
             // window must equal the space actually available (§5.1)
-            let emits =
-                self.engine.set_recv_space(t, conn, self.qps.window(qp)).unwrap_or_default();
-            let _ = self.engine.take_ops();
-            if posted.announce {
-                self.process_emits(t, emits, &mut outputs);
-            }
+            with_emit_buffer(|emits| {
+                let _ = self.engine.set_recv_space(t, conn, self.qps.window(qp), emits);
+                let _ = self.engine.take_ops();
+                if posted.announce {
+                    self.process_emits(t, emits, out);
+                }
+            });
         }
-        Ok(outputs)
+        Ok(())
     }
 
     // ----- RDMA transaction class (§2.1, extension) -----------------------
@@ -456,7 +461,8 @@ impl QpipNic {
     /// Posts an RDMA Write: `data` is placed at the peer's registered
     /// region without consuming a receive WR or involving the peer's
     /// process (§2.1). Completes as [`CompletionKind::RdmaWrite`] when
-    /// every byte is acknowledged.
+    /// every byte is acknowledged. What it produces is appended to
+    /// `out`.
     ///
     /// # Errors
     ///
@@ -467,7 +473,8 @@ impl QpipNic {
         now: SimTime,
         qp: QpId,
         wr: RdmaWriteWr,
-    ) -> Result<Vec<NicOutput>, NicError> {
+        out: &mut Vec<NicOutput>,
+    ) -> Result<(), NicError> {
         let conn = self.rdma_conn(qp)?;
         let t = self.tx_wr_preamble(now, PacketClass::DataSend);
         let mut msg = RdmaFrame {
@@ -479,12 +486,13 @@ impl QpipNic {
         }
         .encode();
         msg.extend_from_slice(&wr.data);
-        self.send_posted(t, conn, msg, TokenUse::RdmaWrite(qp, wr.wr_id))
+        self.send_posted(t, conn, msg, TokenUse::RdmaWrite(qp, wr.wr_id), out)
     }
 
     /// Posts an RDMA Read: asks the peer's NIC for `len` bytes of its
     /// registered region. Completes as [`CompletionKind::RdmaRead`]
-    /// carrying the data; the peer's process is never involved.
+    /// carrying the data; the peer's process is never involved. What it
+    /// produces is appended to `out`.
     ///
     /// # Errors
     ///
@@ -494,7 +502,8 @@ impl QpipNic {
         now: SimTime,
         qp: QpId,
         wr: RdmaReadWr,
-    ) -> Result<Vec<NicOutput>, NicError> {
+        out: &mut Vec<NicOutput>,
+    ) -> Result<(), NicError> {
         let conn = self.rdma_conn(qp)?;
         let t = self.tx_wr_preamble(now, PacketClass::DataSend);
         let ctx = self.next_read_ctx;
@@ -508,7 +517,7 @@ impl QpipNic {
             context: ctx,
         }
         .encode();
-        let sent = self.send_posted(t, conn, msg, TokenUse::Internal);
+        let sent = self.send_posted(t, conn, msg, TokenUse::Internal, out);
         if sent.is_err() {
             self.pending_reads.remove(&ctx);
         }
@@ -543,17 +552,18 @@ impl QpipNic {
         conn: ConnId,
         msg: Vec<u8>,
         use_: TokenUse,
-    ) -> Result<Vec<NicOutput>, NicError> {
+        out: &mut Vec<NicOutput>,
+    ) -> Result<(), NicError> {
         let token = self.qps.issue_token(use_);
-        let emits = self
-            .engine
-            .tcp_send(t, conn, msg, token)
-            .inspect_err(|_| self.qps.cancel_token(token))?;
-        let ops = self.engine.take_ops();
-        let t = self.charge_muls(t, ops.muls, PacketClass::DataSend);
-        let mut outputs = Vec::new();
-        self.process_emits_from(t, emits, TxOrigin::PostedWr, &mut outputs);
-        Ok(outputs)
+        with_emit_buffer(|emits| {
+            self.engine
+                .tcp_send(t, conn, msg, token, emits)
+                .inspect_err(|_| self.qps.cancel_token(token))?;
+            let ops = self.engine.take_ops();
+            let t = self.charge_muls(t, ops.muls, PacketClass::DataSend);
+            self.process_emits_from(t, emits, TxOrigin::PostedWr, out);
+            Ok(())
+        })
     }
 
     /// Dispatches one framed message (RDMA-enabled QPs).
@@ -638,14 +648,16 @@ impl QpipNic {
                 }
                 .encode();
                 msg.extend_from_slice(&data);
-                match self.engine.tcp_send(t, conn, msg, token) {
-                    Ok(emits) => {
+                // a nested engine call: the buffer being drained is not
+                // appended to
+                with_emit_buffer(|emits| match self.engine.tcp_send(t, conn, msg, token, emits) {
+                    Ok(()) => {
                         let _ = self.engine.take_ops();
                         self.process_emits_from(t, emits, TxOrigin::Deferred, outputs);
                         t
                     }
                     Err(_) => self.rdma_protection_error(t, conn, outputs),
-                }
+                })
             }
             RdmaOpcode::ReadResponse => {
                 // the echoed context must belong to a read issued on the
@@ -699,19 +711,23 @@ impl QpipNic {
 
     /// Aborts `conn`, transmitting its RST as internal traffic.
     fn abort(&mut self, t: SimTime, conn: ConnId, outputs: &mut Vec<NicOutput>) -> SimTime {
-        let mut t = t;
-        for e in self.engine.tcp_abort(t, conn).unwrap_or_default() {
-            if let Emit::Packet(p) = e {
-                t = self.emit_one(t, p, TxOrigin::Internal, outputs);
+        with_emit_buffer(|emits| {
+            let mut t = t;
+            let _ = self.engine.tcp_abort(t, conn, emits);
+            for e in emits.drain(..) {
+                if let Emit::Packet(p) = e {
+                    t = self.emit_one(t, p, TxOrigin::Internal, outputs);
+                }
             }
-        }
-        t
+            t
+        })
     }
 
     // ----- receive FSM ------------------------------------------------------
 
-    /// A packet's last byte arrived from the fabric at `now`.
-    pub fn on_packet(&mut self, now: SimTime, bytes: &[u8]) -> Vec<NicOutput> {
+    /// A packet's last byte arrived from the fabric at `now`; what the
+    /// firmware produces in response is appended to `out`.
+    pub fn on_packet(&mut self, now: SimTime, bytes: &[u8], out: &mut Vec<NicOutput>) {
         if qpip_netstack::frag::is_fragment(bytes) {
             // per-fragment receive work; the transport parse happens once
             // the original packet is whole (end-to-end reassembly, §4.1)
@@ -728,13 +744,13 @@ impl QpipNic {
                 PacketClass::DataRecv,
                 Cycles(params::NIC_STAGE_IP_PARSE_CYCLES),
             );
-            return match self.reassembler.push(bytes) {
-                Some(full) => self.on_whole_packet(t, &full, false),
-                None => Vec::new(),
-            };
+            if let Some(full) = self.reassembler.push(bytes) {
+                self.on_whole_packet(t, &full, false, out);
+            }
+            return;
         }
         self.stats.rx_packets += 1;
-        self.on_whole_packet(now, bytes, true)
+        self.on_whole_packet(now, bytes, true, out);
     }
 
     /// Protocol processing of a complete (possibly reassembled) packet.
@@ -743,7 +759,8 @@ impl QpipNic {
         now: SimTime,
         bytes: &[u8],
         charge_media: bool,
-    ) -> Vec<NicOutput> {
+        out: &mut Vec<NicOutput>,
+    ) {
         let class = classify_incoming(bytes);
         // reassembled packets (charge_media = false) already paid
         // media-rcv and IP parse per fragment
@@ -771,22 +788,20 @@ impl QpipNic {
         } else {
             t
         };
-        let emits = self.engine.on_packet(t, bytes);
-        let ops = self.engine.take_ops();
-        // transport parse: base + RTT-estimator multiplies (Table 3: ACK
-        // parsing costs double because of the software multiply, §4.2.2)
-        let parse_base = match class {
-            PacketClass::UdpRecv => params::NIC_STAGE_UDP_PARSE_CYCLES,
-            _ => params::NIC_STAGE_TCP_PARSE_CYCLES,
-        };
-        let parse_stage = match class {
-            PacketClass::UdpRecv => Stage::UdpParse,
-            _ => Stage::TcpParse,
-        };
-        let t = self.charge(t, parse_stage, class, Cycles(parse_base + ops.muls * self.mul_cycles));
-        let mut outputs = Vec::new();
-        self.process_emits(t, emits, &mut outputs);
-        outputs
+        with_emit_buffer(|emits| {
+            self.engine.on_packet(t, bytes, emits);
+            let ops = self.engine.take_ops();
+            // transport parse: base + RTT-estimator multiplies (Table 3:
+            // ACK parsing costs double because of the software multiply,
+            // §4.2.2)
+            let (parse_stage, parse_base) = match class {
+                PacketClass::UdpRecv => (Stage::UdpParse, params::NIC_STAGE_UDP_PARSE_CYCLES),
+                _ => (Stage::TcpParse, params::NIC_STAGE_TCP_PARSE_CYCLES),
+            };
+            let parse = Cycles(parse_base + ops.muls * self.mul_cycles);
+            let t = self.charge(t, parse_stage, class, parse);
+            self.process_emits(t, emits, out);
+        });
     }
 
     // ----- timer path ---------------------------------------------------------
@@ -797,20 +812,21 @@ impl QpipNic {
         self.engine.next_deadline()
     }
 
-    /// Fires due protocol timers (Figure 2: "Sched. T/O, Update WR").
-    pub fn on_timer(&mut self, now: SimTime) -> Vec<NicOutput> {
+    /// Fires due protocol timers (Figure 2: "Sched. T/O, Update WR"),
+    /// appending what they produce to `out`.
+    pub fn on_timer(&mut self, now: SimTime, out: &mut Vec<NicOutput>) {
         let t = self.charge(
             now,
             Stage::Schedule,
             PacketClass::Control,
             Cycles(params::NIC_STAGE_TIMER_SCAN_CYCLES),
         );
-        let emits = self.engine.on_timer(t);
-        let ops = self.engine.take_ops();
-        let t = self.charge_muls(t, ops.muls, PacketClass::Control);
-        let mut outputs = Vec::new();
-        self.process_emits_from(t, emits, TxOrigin::Deferred, &mut outputs);
-        outputs
+        with_emit_buffer(|emits| {
+            self.engine.on_timer(t, emits);
+            let ops = self.engine.take_ops();
+            let t = self.charge_muls(t, ops.muls, PacketClass::Control);
+            self.process_emits_from(t, emits, TxOrigin::Deferred, out);
+        });
     }
 
     // ----- internals ---------------------------------------------------------
@@ -838,19 +854,23 @@ impl QpipNic {
         self.charge(start, Stage::TcpParse, class, Cycles(muls * self.mul_cycles))
     }
 
-    fn process_emits(&mut self, t: SimTime, emits: Vec<Emit>, outputs: &mut Vec<NicOutput>) {
+    fn process_emits(&mut self, t: SimTime, emits: &mut Vec<Emit>, outputs: &mut Vec<NicOutput>) {
         self.process_emits_from(t, emits, TxOrigin::Internal, outputs);
     }
 
+    /// Drains `emits` in order, doing the firmware's work for each.
+    /// Engine calls made along the way (window announcements, read
+    /// responses, aborts) use buffers of their own, so their output is
+    /// handled depth-first, before the next entry of `emits`.
     fn process_emits_from(
         &mut self,
         t: SimTime,
-        emits: Vec<Emit>,
+        emits: &mut Vec<Emit>,
         data_origin: TxOrigin,
         outputs: &mut Vec<NicOutput>,
     ) {
         let mut t = t;
-        for emit in emits {
+        for emit in emits.drain(..) {
             t = match emit {
                 Emit::Packet(pkt) => {
                     let origin = match pkt.kind {
@@ -893,9 +913,11 @@ impl QpipNic {
                 outputs.push(complete(entry, t));
                 // announce the real (posted-WR) window now that we are
                 // connected
-                let emits = self.engine.set_recv_space(t, conn, window).unwrap_or_default();
-                let _ = self.engine.take_ops();
-                self.process_emits(t, emits, outputs);
+                with_emit_buffer(|emits| {
+                    let _ = self.engine.set_recv_space(t, conn, window, emits);
+                    let _ = self.engine.take_ops();
+                    self.process_emits(t, emits, outputs);
+                });
                 t
             }
             Outcome::Refuse(conn) => self.abort(t, conn, outputs),
@@ -1131,6 +1153,20 @@ mod tests {
         (nic, qp, cq)
     }
 
+    /// `post_send` with its output collected into a fresh vector.
+    fn send(nic: &mut QpipNic, now: SimTime, qp: QpId, wr: SendWr) -> Vec<NicOutput> {
+        let mut out = Vec::new();
+        nic.post_send(now, qp, wr, &mut out).unwrap();
+        out
+    }
+
+    /// `on_packet` with its output collected into a fresh vector.
+    fn receive(nic: &mut QpipNic, now: SimTime, bytes: &[u8]) -> Vec<NicOutput> {
+        let mut out = Vec::new();
+        nic.on_packet(now, bytes, &mut out);
+        out
+    }
+
     fn transmits(outputs: &[NicOutput]) -> Vec<&NicOutput> {
         outputs.iter().filter(|o| matches!(o, NicOutput::Transmit { .. })).collect()
     }
@@ -1148,17 +1184,12 @@ mod tests {
     #[test]
     fn udp_send_produces_packet_and_immediate_completion() {
         let (mut a, qp, _cq) = udp_nic(1, 7000);
-        let out = a
-            .post_send(
-                SimTime::ZERO,
-                qp,
-                SendWr {
-                    wr_id: 42,
-                    payload: vec![1, 2, 3],
-                    dst: Some(Endpoint::new(addr(2), 7001)),
-                },
-            )
-            .unwrap();
+        let out = send(
+            &mut a,
+            SimTime::ZERO,
+            qp,
+            SendWr { wr_id: 42, payload: vec![1, 2, 3], dst: Some(Endpoint::new(addr(2), 7001)) },
+        );
         assert_eq!(transmits(&out).len(), 1);
         let comps = completions(&out);
         assert_eq!(comps.len(), 1);
@@ -1174,20 +1205,15 @@ mod tests {
     fn udp_roundtrip_between_two_nics_with_posted_wr() {
         let (mut a, qa, _) = udp_nic(1, 7000);
         let (mut b, qb, _) = udp_nic(2, 7001);
-        b.post_recv(SimTime::ZERO, qb, RecvWr { wr_id: 9, capacity: 64 }).unwrap();
-        let out = a
-            .post_send(
-                SimTime::ZERO,
-                qa,
-                SendWr {
-                    wr_id: 1,
-                    payload: b"ping".to_vec(),
-                    dst: Some(Endpoint::new(addr(2), 7001)),
-                },
-            )
-            .unwrap();
+        b.post_recv(SimTime::ZERO, qb, RecvWr { wr_id: 9, capacity: 64 }, &mut Vec::new()).unwrap();
+        let out = send(
+            &mut a,
+            SimTime::ZERO,
+            qa,
+            SendWr { wr_id: 1, payload: b"ping".to_vec(), dst: Some(Endpoint::new(addr(2), 7001)) },
+        );
         let NicOutput::Transmit { at, bytes, .. } = &out[0] else { panic!() };
-        let out_b = b.on_packet(*at, bytes);
+        let out_b = receive(&mut b, *at, bytes);
         let comps = completions(&out_b);
         assert_eq!(comps.len(), 1);
         assert_eq!(comps[0].wr_id, 9);
@@ -1204,19 +1230,14 @@ mod tests {
     fn udp_without_recv_wr_is_dropped() {
         let (mut a, qa, _) = udp_nic(1, 7000);
         let (mut b, _qb, _) = udp_nic(2, 7001);
-        let out = a
-            .post_send(
-                SimTime::ZERO,
-                qa,
-                SendWr {
-                    wr_id: 1,
-                    payload: b"lost".to_vec(),
-                    dst: Some(Endpoint::new(addr(2), 7001)),
-                },
-            )
-            .unwrap();
+        let out = send(
+            &mut a,
+            SimTime::ZERO,
+            qa,
+            SendWr { wr_id: 1, payload: b"lost".to_vec(), dst: Some(Endpoint::new(addr(2), 7001)) },
+        );
         let NicOutput::Transmit { at, bytes, .. } = &out[0] else { panic!() };
-        let out_b = b.on_packet(*at, bytes);
+        let out_b = receive(&mut b, *at, bytes);
         assert!(completions(&out_b).is_empty());
         assert_eq!(b.stats().udp_no_wr_drops, 1);
     }
@@ -1225,20 +1246,15 @@ mod tests {
     fn recv_larger_than_buffer_is_length_error() {
         let (mut a, qa, _) = udp_nic(1, 7000);
         let (mut b, qb, _) = udp_nic(2, 7001);
-        b.post_recv(SimTime::ZERO, qb, RecvWr { wr_id: 9, capacity: 2 }).unwrap();
-        let out = a
-            .post_send(
-                SimTime::ZERO,
-                qa,
-                SendWr {
-                    wr_id: 1,
-                    payload: b"four".to_vec(),
-                    dst: Some(Endpoint::new(addr(2), 7001)),
-                },
-            )
-            .unwrap();
+        b.post_recv(SimTime::ZERO, qb, RecvWr { wr_id: 9, capacity: 2 }, &mut Vec::new()).unwrap();
+        let out = send(
+            &mut a,
+            SimTime::ZERO,
+            qa,
+            SendWr { wr_id: 1, payload: b"four".to_vec(), dst: Some(Endpoint::new(addr(2), 7001)) },
+        );
         let NicOutput::Transmit { at, bytes, .. } = &out[0] else { panic!() };
-        let out_b = b.on_packet(*at, bytes);
+        let out_b = receive(&mut b, *at, bytes);
         let comps = completions(&out_b);
         assert_eq!(comps[0].status, CompletionStatus::LocalLengthError { len: 4, capacity: 2 });
         assert_eq!(b.stats().length_errors, 1);
@@ -1275,17 +1291,16 @@ mod tests {
             let cq = nic.create_cq();
             let qp = nic.create_qp(ServiceType::UnreliableUdp, cq, cq).unwrap();
             nic.udp_bind(qp, 7000).unwrap();
-            let out = nic
-                .post_send(
-                    SimTime::ZERO,
-                    qp,
-                    SendWr {
-                        wr_id: 1,
-                        payload: vec![0; 8192],
-                        dst: Some(Endpoint::new(addr(2), 7001)),
-                    },
-                )
-                .unwrap();
+            let out = send(
+                &mut nic,
+                SimTime::ZERO,
+                qp,
+                SendWr {
+                    wr_id: 1,
+                    payload: vec![0; 8192],
+                    dst: Some(Endpoint::new(addr(2), 7001)),
+                },
+            );
             let NicOutput::Transmit { at, .. } = out[0] else { panic!() };
             at
         };
@@ -1301,8 +1316,8 @@ mod tests {
         let (mut a, qp, _) = udp_nic(1, 7000);
         let mk =
             |wr_id| SendWr { wr_id, payload: vec![0; 16], dst: Some(Endpoint::new(addr(2), 7001)) };
-        let o1 = a.post_send(SimTime::ZERO, qp, mk(1)).unwrap();
-        let o2 = a.post_send(SimTime::ZERO, qp, mk(2)).unwrap();
+        let o1 = send(&mut a, SimTime::ZERO, qp, mk(1));
+        let o2 = send(&mut a, SimTime::ZERO, qp, mk(2));
         let NicOutput::Transmit { at: t1, .. } = o1[0] else { panic!() };
         let NicOutput::Transmit { at: t2, .. } = o2[0] else { panic!() };
         assert!(t2 > t1, "second send queues behind the first on the processor");
@@ -1311,12 +1326,12 @@ mod tests {
     #[test]
     fn occupancy_records_table2_stages_for_data_send() {
         let (mut a, qp, _) = udp_nic(1, 7000);
-        a.post_send(
+        send(
+            &mut a,
             SimTime::ZERO,
             qp,
             SendWr { wr_id: 1, payload: vec![0; 100], dst: Some(Endpoint::new(addr(2), 7001)) },
-        )
-        .unwrap();
+        );
         let occ = a.occupancy();
         for stage in [
             Stage::DoorbellProcess,

@@ -9,6 +9,9 @@ use qpip_netstack::types::Endpoint;
 use qpip_nic::{CompletionKind, NicConfig, NicOutput, QpId, QpipNic, RecvWr, SendWr, ServiceType};
 use qpip_sim::time::{SimDuration, SimTime};
 
+mod common;
+use common::Collect;
+
 fn addr(n: u16) -> Ipv6Addr {
     Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, n)
 }
@@ -81,10 +84,10 @@ impl Pair {
             assert!(spins < 20_000);
             self.now = self.now.max(at);
             if from_a {
-                let outs = self.b.on_packet(self.now, &bytes);
+                let outs = self.b.on_packet_vec(self.now, &bytes);
                 self.absorb(false, outs);
             } else {
-                let outs = self.a.on_packet(self.now, &bytes);
+                let outs = self.a.on_packet_vec(self.now, &bytes);
                 self.absorb(true, outs);
             }
         }
@@ -94,9 +97,9 @@ impl Pair {
         let next = [self.a.next_deadline(), self.b.next_deadline()].into_iter().flatten().min();
         let Some(d) = next else { return false };
         self.now = self.now.max(d);
-        let oa = self.a.on_timer(self.now);
+        let oa = self.a.on_timer_vec(self.now);
         self.absorb(true, oa);
-        let ob = self.b.on_timer(self.now);
+        let ob = self.b.on_timer_vec(self.now);
         self.absorb(false, ob);
         self.run();
         true
@@ -106,13 +109,13 @@ impl Pair {
         for i in 0..8 {
             let outs = self
                 .b
-                .post_recv(self.now, self.qb, RecvWr { wr_id: i, capacity: 16 * 1024 })
+                .post_recv_vec(self.now, self.qb, RecvWr { wr_id: i, capacity: 16 * 1024 })
                 .unwrap();
             self.absorb(false, outs);
         }
         self.b.tcp_listen(5000, self.qb).unwrap();
         let outs =
-            self.a.tcp_connect(self.now, self.qa, 4000, Endpoint::new(addr(2), 5000)).unwrap();
+            self.a.tcp_connect_vec(self.now, self.qa, 4000, Endpoint::new(addr(2), 5000)).unwrap();
         self.absorb(true, outs);
         self.run();
         assert!(self.comps_a.iter().any(|c| c.kind == CompletionKind::ConnectionEstablished));
@@ -135,7 +138,7 @@ fn jumbo_message_crosses_small_mtu_wire_in_fragments() {
     p.establish();
     let payload: Vec<u8> = (0..12_000).map(|i| (i % 253) as u8).collect();
     let outs =
-        p.a.post_send(p.now, p.qa, SendWr { wr_id: 1, payload: payload.clone(), dst: None })
+        p.a.post_send_vec(p.now, p.qa, SendWr { wr_id: 1, payload: payload.clone(), dst: None })
             .unwrap();
     p.absorb(true, outs);
     p.run();
@@ -157,7 +160,7 @@ fn fragment_loss_is_recovered_by_tcp_retransmission() {
     p.drop_indices = vec![p.sent + 3];
     let payload = vec![0xabu8; 12_000];
     let outs =
-        p.a.post_send(p.now, p.qa, SendWr { wr_id: 9, payload: payload.clone(), dst: None })
+        p.a.post_send_vec(p.now, p.qa, SendWr { wr_id: 9, payload: payload.clone(), dst: None })
             .unwrap();
     p.absorb(true, outs);
     p.run();
@@ -180,7 +183,8 @@ fn small_messages_on_fragmented_config_go_unfragmented() {
     p.establish();
     let before = p.wire_sizes.len();
     let outs =
-        p.a.post_send(p.now, p.qa, SendWr { wr_id: 2, payload: vec![1; 400], dst: None }).unwrap();
+        p.a.post_send_vec(p.now, p.qa, SendWr { wr_id: 2, payload: vec![1; 400], dst: None })
+            .unwrap();
     p.absorb(true, outs);
     p.run();
     assert_eq!(p.received().len(), 1);
@@ -197,7 +201,7 @@ fn many_jumbo_messages_stream_reliably() {
     for i in 0..6u64 {
         let payload = vec![i as u8; 10_000];
         expected.push(payload.clone());
-        let outs = p.a.post_send(p.now, p.qa, SendWr { wr_id: i, payload, dst: None }).unwrap();
+        let outs = p.a.post_send_vec(p.now, p.qa, SendWr { wr_id: i, payload, dst: None }).unwrap();
         p.absorb(true, outs);
         p.run();
         p.fire_timers();

@@ -12,6 +12,9 @@ use qpip_nic::{
 };
 use qpip_sim::time::{SimDuration, SimTime};
 
+mod common;
+use common::Collect;
+
 fn addr(n: u16) -> Ipv6Addr {
     Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, n)
 }
@@ -72,10 +75,10 @@ impl Pair {
             assert!(spins < 10_000, "wire did not quiesce");
             self.now = self.now.max(at);
             if from_a {
-                let outs = self.b.on_packet(self.now, &bytes);
+                let outs = self.b.on_packet_vec(self.now, &bytes);
                 self.absorb(false, outs);
             } else {
-                let outs = self.a.on_packet(self.now, &bytes);
+                let outs = self.a.on_packet_vec(self.now, &bytes);
                 self.absorb(true, outs);
             }
         }
@@ -85,9 +88,9 @@ impl Pair {
         let next = [self.a.next_deadline(), self.b.next_deadline()].into_iter().flatten().min();
         let Some(d) = next else { return false };
         self.now = self.now.max(d);
-        let oa = self.a.on_timer(self.now);
+        let oa = self.a.on_timer_vec(self.now);
         self.absorb(true, oa);
-        let ob = self.b.on_timer(self.now);
+        let ob = self.b.on_timer_vec(self.now);
         self.absorb(false, ob);
         self.run();
         true
@@ -98,18 +101,18 @@ impl Pair {
         for i in 0..recv_posts {
             let outs = self
                 .b
-                .post_recv(self.now, self.qb, RecvWr { wr_id: 100 + i as u64, capacity })
+                .post_recv_vec(self.now, self.qb, RecvWr { wr_id: 100 + i as u64, capacity })
                 .unwrap();
             self.absorb(false, outs);
             let outs = self
                 .a
-                .post_recv(self.now, self.qa, RecvWr { wr_id: 200 + i as u64, capacity })
+                .post_recv_vec(self.now, self.qa, RecvWr { wr_id: 200 + i as u64, capacity })
                 .unwrap();
             self.absorb(true, outs);
         }
         self.b.tcp_listen(5000, self.qb).unwrap();
         let outs =
-            self.a.tcp_connect(self.now, self.qa, 4000, Endpoint::new(addr(2), 5000)).unwrap();
+            self.a.tcp_connect_vec(self.now, self.qa, 4000, Endpoint::new(addr(2), 5000)).unwrap();
         self.absorb(true, outs);
         self.run();
         assert!(
@@ -134,7 +137,7 @@ fn message_exchange_with_completions_both_sides() {
     let mut p = Pair::new(NicConfig::paper_default());
     p.establish(8, 16 * 1024);
     let outs =
-        p.a.post_send(p.now, p.qa, SendWr { wr_id: 7, payload: vec![0xaa; 4096], dst: None })
+        p.a.post_send_vec(p.now, p.qa, SendWr { wr_id: 7, payload: vec![0xaa; 4096], dst: None })
             .unwrap();
     p.absorb(true, outs);
     p.run();
@@ -161,7 +164,7 @@ fn messages_consume_receive_wrs_in_order() {
     p.establish(4, 16 * 1024);
     for (i, len) in [100usize, 200, 300].iter().enumerate() {
         let outs =
-            p.a.post_send(
+            p.a.post_send_vec(
                 p.now,
                 p.qa,
                 SendWr { wr_id: i as u64, payload: vec![i as u8; *len], dst: None },
@@ -186,18 +189,19 @@ fn sender_blocks_until_receiver_posts_buffers() {
     let mut p = Pair::new(NicConfig::paper_default());
     // server posts NO receives: its advertised window is zero
     p.b.tcp_listen(5000, p.qb).unwrap();
-    let outs = p.a.tcp_connect(p.now, p.qa, 4000, Endpoint::new(addr(2), 5000)).unwrap();
+    let outs = p.a.tcp_connect_vec(p.now, p.qa, 4000, Endpoint::new(addr(2), 5000)).unwrap();
     p.absorb(true, outs);
     p.run();
     // client sends a message: it must NOT reach the receiver yet
     let outs =
-        p.a.post_send(p.now, p.qa, SendWr { wr_id: 1, payload: vec![1; 1024], dst: None }).unwrap();
+        p.a.post_send_vec(p.now, p.qa, SendWr { wr_id: 1, payload: vec![1; 1024], dst: None })
+            .unwrap();
     p.absorb(true, outs);
     p.run();
     let got_data = p.comps_b.iter().any(|(_, c)| matches!(c.kind, CompletionKind::Recv { .. }));
     assert!(!got_data, "no receive space posted: transfer must stall");
     // server posts a buffer: the window update releases the message
-    let outs = p.b.post_recv(p.now, p.qb, RecvWr { wr_id: 100, capacity: 16 * 1024 }).unwrap();
+    let outs = p.b.post_recv_vec(p.now, p.qb, RecvWr { wr_id: 100, capacity: 16 * 1024 }).unwrap();
     p.absorb(false, outs);
     p.run();
     // allow a retransmit timer in case the update raced
@@ -216,7 +220,8 @@ fn completion_timestamps_are_monotone_and_positive() {
     let mut p = Pair::new(NicConfig::paper_default());
     p.establish(4, 16 * 1024);
     let outs =
-        p.a.post_send(p.now, p.qa, SendWr { wr_id: 1, payload: vec![0; 512], dst: None }).unwrap();
+        p.a.post_send_vec(p.now, p.qa, SendWr { wr_id: 1, payload: vec![0; 512], dst: None })
+            .unwrap();
     p.absorb(true, outs);
     p.run();
     let mut last = SimTime::ZERO;
@@ -233,7 +238,7 @@ fn all_completions_are_success_in_clean_run() {
     p.establish(6, 16 * 1024);
     for i in 0..5u64 {
         let outs =
-            p.a.post_send(p.now, p.qa, SendWr { wr_id: i, payload: vec![0; 2048], dst: None })
+            p.a.post_send_vec(p.now, p.qa, SendWr { wr_id: i, payload: vec![0; 2048], dst: None })
                 .unwrap();
         p.absorb(true, outs);
         p.run();
@@ -252,12 +257,12 @@ fn ping_pong_rtt_is_in_the_tens_of_microseconds() {
     p.establish(8, 16 * 1024);
     let t0 = p.now;
     let outs =
-        p.a.post_send(p.now, p.qa, SendWr { wr_id: 50, payload: vec![1], dst: None }).unwrap();
+        p.a.post_send_vec(p.now, p.qa, SendWr { wr_id: 50, payload: vec![1], dst: None }).unwrap();
     p.absorb(true, outs);
     p.run();
     // b echoes
     let outs =
-        p.b.post_send(p.now, p.qb, SendWr { wr_id: 60, payload: vec![1], dst: None }).unwrap();
+        p.b.post_send_vec(p.now, p.qb, SendWr { wr_id: 60, payload: vec![1], dst: None }).unwrap();
     p.absorb(false, outs);
     p.run();
     let echo_at = p
@@ -281,17 +286,18 @@ fn window_after_backlog_drain_reflects_real_posted_space() {
     let mut p = Pair::new(NicConfig::paper_default());
     // server posts nothing; client connects and sends two messages
     p.b.tcp_listen(5000, p.qb).unwrap();
-    let outs = p.a.tcp_connect(p.now, p.qa, 4000, Endpoint::new(addr(2), 5000)).unwrap();
+    let outs = p.a.tcp_connect_vec(p.now, p.qa, 4000, Endpoint::new(addr(2), 5000)).unwrap();
     p.absorb(true, outs);
     p.run();
     let outs =
-        p.a.post_send(p.now, p.qa, SendWr { wr_id: 1, payload: vec![1; 1024], dst: None }).unwrap();
+        p.a.post_send_vec(p.now, p.qa, SendWr { wr_id: 1, payload: vec![1; 1024], dst: None })
+            .unwrap();
     p.absorb(true, outs);
     p.run();
     // nothing posted: message stalls (window 0) or backlogs
     // post ONE buffer: it must deliver exactly one message, and the
     // window afterwards must be zero again, so a second send stalls
-    let outs = p.b.post_recv(p.now, p.qb, RecvWr { wr_id: 100, capacity: 2048 }).unwrap();
+    let outs = p.b.post_recv_vec(p.now, p.qb, RecvWr { wr_id: 100, capacity: 2048 }).unwrap();
     p.absorb(false, outs);
     p.run();
     for _ in 0..4 {
@@ -305,7 +311,8 @@ fn window_after_backlog_drain_reflects_real_posted_space() {
     assert_eq!(recvs, 1);
     // second message: no buffer is posted, so it must NOT be delivered
     let outs =
-        p.a.post_send(p.now, p.qa, SendWr { wr_id: 2, payload: vec![2; 1024], dst: None }).unwrap();
+        p.a.post_send_vec(p.now, p.qa, SendWr { wr_id: 2, payload: vec![2; 1024], dst: None })
+            .unwrap();
     p.absorb(true, outs);
     p.run();
     p.fire_timers();

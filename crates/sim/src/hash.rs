@@ -162,14 +162,14 @@ mod tests {
 
     #[test]
     fn keys_varying_near_their_end_spread_over_low_bits() {
-        use crate::types::Endpoint;
         use std::net::Ipv6Addr;
 
         let addr = |n: u16| Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, n);
         // a fan-in server's demux keys: one local endpoint, 4,096 peers
-        // that differ only in the last address bytes
-        let server = Endpoint::new(addr(1), 5000);
-        let demux = bucket_starts((2..=4097).map(|n| (server, Endpoint::new(addr(n), 4000))));
+        // that differ only in the last address bytes (an endpoint hashes
+        // as its address, then its port)
+        let server = (addr(1), 5000u16);
+        let demux = bucket_starts((2..=4097).map(|n| (server, (addr(n), 4000u16))));
         assert!(demux >= 1024, "4,096 demux keys use only {demux} bucket starts");
         // the fabric's node addresses fc00::1..=fc00::1001
         let addrs = bucket_starts((1..=0x1001).map(addr));

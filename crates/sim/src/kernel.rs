@@ -1,21 +1,26 @@
 //! The discrete-event simulation kernel.
 //!
-//! [`Simulator`] is a generic event queue over a binary heap: callers
-//! schedule events of some type `E` at absolute instants or relative
-//! delays, then drain them in time order. Ties are broken by insertion order, which makes every
-//! run fully deterministic.
+//! [`Simulator`] is a generic event queue: callers schedule events of
+//! some type `E` at absolute instants or relative delays, then drain
+//! them in time order. Ties are broken by insertion order, so the pop
+//! order is the total order on `(time, sequence number)` and every run
+//! is fully deterministic.
 //!
-//! Cancellation is generation-checked: every scheduled event owns a slot
-//! in a slab whose generation counter is bumped when the event is
-//! delivered or its cancelled entry drains, so a stale [`EventId`]
-//! (delivered, double-cancelled, or from a reused slot) is always
-//! rejected. Cancelled entries stay in the heap as tombstones, but the
-//! kernel compacts the heap whenever tombstones outnumber live entries —
+//! The queue is split in two. A 4-ary min-heap holds only 24-byte keys
+//! `(at, seq, slot)`, so a sift moves small keys through a shallow,
+//! cache-friendly tree whatever the size of `E`. Each event lives in
+//! its slot of a slab, next to the slot's generation counter; popping a
+//! key takes the event out of its slot.
+//!
+//! Cancellation is generation-checked: the generation is bumped when
+//! the event is delivered or its cancelled key drains, so a stale
+//! [`EventId`] (delivered, double-cancelled, or from a reused slot) is
+//! always rejected. `cancel` drops the event at once but leaves its key
+//! in the heap as a tombstone (a key whose slot holds no event). The
+//! kernel compacts the heap whenever tombstones outnumber live keys —
 //! TCP reschedules its retransmit timer on every ACK, and without
-//! compaction a long transfer accretes one dead entry per ACK.
+//! compaction a long transfer accretes one dead key per ACK.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::time::Instant;
 
@@ -31,39 +36,36 @@ pub struct EventId {
     gen: u32,
 }
 
-struct Entry<E> {
+/// Heap key of one scheduled event; the event itself waits in
+/// `slots[slot]`.
+#[derive(Debug, Clone, Copy)]
+struct Key {
     at: SimTime,
     seq: u64,
     slot: u32,
-    event: E,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first.
-        other.at.cmp(&self.at).then_with(|| other.seq.cmp(&self.seq))
+impl Key {
+    /// Whether `self` pops before `other`: earlier instant first, then
+    /// earlier insertion.
+    #[inline]
+    fn before(&self, other: &Key) -> bool {
+        (self.at, self.seq) < (other.at, other.seq)
     }
 }
 
-/// Slab cell backing one in-flight event. `live` is false once the event
-/// is cancelled (tombstone awaiting drain) or the slot is on the free
-/// list; the generation disambiguates the two for stale handles.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
+/// Heap arity: four children per node halve the depth of a binary heap,
+/// and the four child keys (96 B) span two cache lines.
+const ARITY: usize = 4;
+
+/// Slab cell backing one scheduled event. `event` is `None` once the
+/// event is cancelled (tombstone key awaiting drain) or the slot is on
+/// the free list; the generation disambiguates the two for stale
+/// handles.
+#[derive(Debug)]
+struct Slot<E> {
     gen: u32,
-    live: bool,
+    event: Option<E>,
 }
 
 /// Minimum heap size before tombstone compaction is considered; below
@@ -90,10 +92,11 @@ const COMPACT_MIN: usize = 64;
 pub struct Simulator<E> {
     now: SimTime,
     seq: u64,
-    queue: BinaryHeap<Entry<E>>,
-    slots: Vec<Slot>,
+    /// 4-ary min-heap of keys, tombstones included.
+    heap: Vec<Key>,
+    slots: Vec<Slot<E>>,
     free: Vec<u32>,
-    /// Cancelled entries still in the heap (tombstones).
+    /// Cancelled keys still in the heap (tombstones).
     dead: usize,
     compactions: u64,
     processed: u64,
@@ -123,7 +126,7 @@ impl<E> Simulator<E> {
         Simulator {
             now: SimTime::ZERO,
             seq: 0,
-            queue: BinaryHeap::new(),
+            heap: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
             dead: 0,
@@ -147,14 +150,14 @@ impl<E> Simulator<E> {
     /// Number of live events currently pending. Cancelled tombstones not
     /// yet drained from the heap are excluded.
     pub fn pending(&self) -> usize {
-        self.queue.len() - self.dead
+        self.heap.len() - self.dead
     }
 
     /// Raw heap size, tombstones included. Bounded by compaction at
     /// roughly 2× [`Simulator::pending`] (plus the `COMPACT_MIN` floor)
     /// no matter how many timers are rescheduled.
     pub fn queue_depth(&self) -> usize {
-        self.queue.len()
+        self.heap.len()
     }
 
     /// Heap compactions performed so far.
@@ -197,17 +200,18 @@ impl<E> Simulator<E> {
         self.seq += 1;
         let slot = match self.free.pop() {
             Some(s) => {
-                self.slots[s as usize].live = true;
+                self.slots[s as usize].event = Some(event);
                 s
             }
             None => {
                 let s = u32::try_from(self.slots.len()).expect("slot index fits u32");
-                self.slots.push(Slot { gen: 0, live: true });
+                self.slots.push(Slot { gen: 0, event: Some(event) });
                 s
             }
         };
         let gen = self.slots[slot as usize].gen;
-        self.queue.push(Entry { at, seq, slot, event });
+        self.heap.push(Key { at, seq, slot });
+        self.sift_up(self.heap.len() - 1);
         EventId { slot, gen }
     }
 
@@ -216,16 +220,17 @@ impl<E> Simulator<E> {
         self.schedule_at(self.now + delay, event)
     }
 
-    /// Cancels a previously scheduled event. Returns `true` only if the
-    /// event was still pending: ids of delivered or already-cancelled
-    /// events are stale (their slot generation has moved on) and report
+    /// Cancels a previously scheduled event, dropping it at once.
+    /// Returns `true` only if the event was still pending: ids of
+    /// delivered or already-cancelled events are stale (their slot
+    /// generation has moved on, or the slot holds no event) and report
     /// `false` without corrupting the pending count.
     pub fn cancel(&mut self, id: EventId) -> bool {
         match self.slots.get_mut(id.slot as usize) {
-            Some(s) if s.gen == id.gen && s.live => {
-                s.live = false;
+            Some(s) if s.gen == id.gen && s.event.is_some() => {
+                s.event = None;
                 self.dead += 1;
-                if self.dead * 2 > self.queue.len() && self.queue.len() >= COMPACT_MIN {
+                if self.dead * 2 > self.heap.len() && self.heap.len() >= COMPACT_MIN {
                     self.compact();
                 }
                 true
@@ -237,40 +242,40 @@ impl<E> Simulator<E> {
     /// The timestamp of the next live event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.skip_cancelled();
-        self.queue.peek().map(|e| e.at)
+        self.heap.first().map(|k| k.at)
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
     #[allow(clippy::should_implement_trait)] // queue pop, not Iterator
     pub fn next(&mut self) -> Option<(SimTime, E)> {
         self.skip_cancelled();
-        let entry = self.queue.pop()?;
-        self.release_slot(entry.slot);
-        debug_assert!(entry.at >= self.now);
-        self.now = entry.at;
+        let key = self.pop_min()?;
+        let event = self.slots[key.slot as usize].event.take().expect("head key is live");
+        self.release_slot(key.slot);
+        debug_assert!(key.at >= self.now);
+        self.now = key.at;
         self.processed += 1;
         if self.first_pop.is_none() {
             self.first_pop = Some(Instant::now());
         }
-        Some((entry.at, entry.event))
+        Some((key.at, event))
     }
 
-    /// Frees a slot whose heap entry has left the queue, invalidating all
+    /// Frees a slot whose key has left the heap, invalidating all
     /// outstanding ids for it.
     fn release_slot(&mut self, slot: u32) {
         let s = &mut self.slots[slot as usize];
         s.gen = s.gen.wrapping_add(1);
-        s.live = false;
         self.free.push(slot);
     }
 
     fn skip_cancelled(&mut self) {
-        while let Some(head) = self.queue.peek() {
-            if self.slots[head.slot as usize].live {
+        while let Some(head) = self.heap.first() {
+            if self.slots[head.slot as usize].event.is_some() {
                 break;
             }
-            let entry = self.queue.pop().expect("peeked entry");
-            self.release_slot(entry.slot);
+            let key = self.pop_min().expect("peeked key");
+            self.release_slot(key.slot);
             self.dead -= 1;
         }
     }
@@ -278,20 +283,75 @@ impl<E> Simulator<E> {
     /// Rebuilds the heap without tombstones. O(n), amortized against the
     /// cancellations that created the tombstones.
     fn compact(&mut self) {
-        let mut entries = std::mem::take(&mut self.queue).into_vec();
-        entries.retain(|e| {
-            if self.slots[e.slot as usize].live {
-                true
-            } else {
-                let s = &mut self.slots[e.slot as usize];
-                s.gen = s.gen.wrapping_add(1);
-                self.free.push(e.slot);
-                false
+        let (slots, free) = (&mut self.slots, &mut self.free);
+        self.heap.retain(|k| {
+            let s = &mut slots[k.slot as usize];
+            if s.event.is_some() {
+                return true;
             }
+            s.gen = s.gen.wrapping_add(1);
+            free.push(k.slot);
+            false
         });
-        self.queue = BinaryHeap::from(entries);
+        // bottom-up heapify: sift down every node that has a child
+        if self.heap.len() > 1 {
+            for i in (0..=(self.heap.len() - 2) / ARITY).rev() {
+                self.sift_down(i);
+            }
+        }
         self.dead = 0;
         self.compactions += 1;
+    }
+
+    // ----- 4-ary heap ----------------------------------------------------------
+
+    /// Removes and returns the earliest key.
+    fn pop_min(&mut self) -> Option<Key> {
+        let last = self.heap.pop()?;
+        let Some(&root) = self.heap.first() else {
+            return Some(last);
+        };
+        self.heap[0] = last;
+        self.sift_down(0);
+        Some(root)
+    }
+
+    /// Moves the key at `i` up until its parent pops before it.
+    fn sift_up(&mut self, mut i: usize) {
+        let key = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / ARITY;
+            if !key.before(&self.heap[parent]) {
+                break;
+            }
+            self.heap[i] = self.heap[parent];
+            i = parent;
+        }
+        self.heap[i] = key;
+    }
+
+    /// Moves the key at `i` down until it pops before all its children.
+    fn sift_down(&mut self, mut i: usize) {
+        let len = self.heap.len();
+        let key = self.heap[i];
+        loop {
+            let first = i * ARITY + 1;
+            if first >= len {
+                break;
+            }
+            let mut min = first;
+            for c in first + 1..(first + ARITY).min(len) {
+                if self.heap[c].before(&self.heap[min]) {
+                    min = c;
+                }
+            }
+            if !self.heap[min].before(&key) {
+                break;
+            }
+            self.heap[i] = self.heap[min];
+            i = min;
+        }
+        self.heap[i] = key;
     }
 }
 
@@ -473,5 +533,82 @@ mod tests {
         }
         while sim.next().is_some() {}
         assert!(sim.events_per_sec() > 0.0);
+    }
+
+    /// Model check: random sequences of `schedule_at` (many equal
+    /// instants), `cancel` (live, stale, double, recycled-slot and
+    /// never-issued ids), `next` and `peek_time` against a reference
+    /// ordered by `(at, seq)`. Pop order, `pending()` and every `cancel`
+    /// result must match over enough operations to cross `COMPACT_MIN`
+    /// many times.
+    #[test]
+    fn matches_a_sorted_reference_model() {
+        use crate::rng::SplitMix64;
+        use std::collections::{BTreeMap, HashMap};
+
+        for seed in 0..4u64 {
+            let mut rng = SplitMix64::new(0x5eed_0000 + seed);
+            let mut sim: Simulator<u64> = Simulator::new();
+            // (at, seq) -> (payload, id), and id -> (at, seq) of live events
+            let mut model: BTreeMap<(SimTime, u64), (u64, EventId)> = BTreeMap::new();
+            let mut live: HashMap<EventId, (SimTime, u64)> = HashMap::new();
+            let mut issued: Vec<EventId> = Vec::new();
+            let mut seq = 0u64;
+            let mut max_depth = 0;
+            for op in 0..40_000u64 {
+                // bias towards growth early and draining late, so the
+                // queue swells well past COMPACT_MIN and empties again
+                let (grow, cancel) = if (op / 5_000) % 2 == 0 { (6, 8) } else { (3, 8) };
+                match rng.below(10) {
+                    r if r < grow => {
+                        // few distinct instants: ties are the common case
+                        let at = sim.now() + SimDuration::from_micros(rng.below(4));
+                        let id = sim.schedule_at(at, op);
+                        model.insert((at, seq), (op, id));
+                        live.insert(id, (at, seq));
+                        issued.push(id);
+                        seq += 1;
+                    }
+                    r if r < cancel && !issued.is_empty() => {
+                        // mostly recent ids (usually live, so tombstones
+                        // pile up), else any id ever issued: delivered,
+                        // cancelled, or one whose slot serves a later event
+                        let n = issued.len() as u64;
+                        let back =
+                            if rng.chance(3, 4) { rng.below(n.min(64)) } else { rng.below(n) };
+                        let id = issued[(n - 1 - back) as usize];
+                        let expect = live.remove(&id).map(|k| model.remove(&k)).is_some();
+                        assert_eq!(sim.cancel(id), expect, "seed {seed} op {op}: cancel {id:?}");
+                        if expect {
+                            assert!(!sim.cancel(id), "double cancel reports false");
+                        }
+                    }
+                    _ => {
+                        let bogus = EventId { slot: u32::MAX - 1, gen: 0 };
+                        assert!(!sim.cancel(bogus), "never-issued id");
+                        assert_eq!(sim.peek_time(), model.keys().next().map(|k| k.0));
+                        let want = model.pop_first();
+                        let got = sim.next();
+                        assert_eq!(
+                            got,
+                            want.map(|((at, _), (v, _))| (at, v)),
+                            "seed {seed} op {op}"
+                        );
+                        if let Some((_, (_, id))) = want {
+                            live.remove(&id);
+                        }
+                    }
+                }
+                assert_eq!(sim.pending(), model.len(), "seed {seed} op {op}: pending");
+                max_depth = max_depth.max(sim.queue_depth());
+            }
+            // drain: the remaining order must match too
+            while let Some(((at, _), (v, _))) = model.pop_first() {
+                assert_eq!(sim.next(), Some((at, v)));
+            }
+            assert!(sim.next().is_none());
+            assert!(max_depth > 4 * COMPACT_MIN, "queue only reached {max_depth}");
+            assert!(sim.compactions() > 0, "seed {seed}: compaction never ran");
+        }
     }
 }

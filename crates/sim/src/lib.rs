@@ -1,10 +1,12 @@
 //! # qpip-sim — discrete-event simulation kernel
 //!
 //! The foundation of the QPIP reproduction: a deterministic event queue
-//! (a binary heap, [`kernel::Simulator`]), picosecond time and cycle arithmetic
-//! ([`time`]), serial-resource contention models ([`resource`]),
-//! measurement primitives ([`stats`]) and the single authoritative table
-//! of calibration constants ([`params`]).
+//! (a 4-ary key heap over an event slab, [`kernel::Simulator`]),
+//! picosecond time and cycle arithmetic ([`time`]), serial-resource
+//! contention models ([`resource`]), measurement primitives ([`stats`]),
+//! the single authoritative table of calibration constants ([`params`]),
+//! and the deterministic hasher ([`hash`]) behind every hot-path map
+//! above it.
 //!
 //! Everything above this crate — fabric, NIC, host, verbs — is a state
 //! machine advanced by events from one of these simulators. All runs are
@@ -35,6 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod hash;
 pub mod kernel;
 pub mod params;
 pub mod resource;

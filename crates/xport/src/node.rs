@@ -29,7 +29,7 @@ use std::net::{Ipv6Addr, SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
 use crate::clock::WallClock;
-use qpip_netstack::engine::{Engine, EngineError};
+use qpip_netstack::engine::{with_emit_buffer, Engine, EngineError};
 use qpip_netstack::types::{Emit, Endpoint, NetConfig, PacketOut};
 use qpip_nic::qp_table::{CqEntry, Outcome, QpTable, TokenUse};
 use qpip_nic::types::{
@@ -332,13 +332,14 @@ impl XportNode {
     ) -> Result<(), XportError> {
         self.qps.check_connect(qp)?;
         let now = self.clock.now();
-        let (conn, emits) = self.engine.tcp_connect(now, local_port, remote);
-        let window = self.qps.attach(qp, conn);
-        // announce the posted-WR window so the SYN-ACK peer sees real
-        // space as soon as the handshake completes (§5.1)
-        let upd = self.engine.set_recv_space(now, conn, window)?;
-        self.dispatch(emits)?;
-        self.dispatch(upd)
+        with_emit_buffer(|emits| {
+            let conn = self.engine.tcp_connect(now, local_port, remote, emits);
+            let window = self.qps.attach(qp, conn);
+            // announce the posted-WR window so the SYN-ACK peer sees real
+            // space as soon as the handshake completes (§5.1)
+            self.engine.set_recv_space(now, conn, window, emits)?;
+            self.dispatch(emits)
+        })
     }
 
     /// Posts a send work request. UDP sends complete immediately
@@ -355,16 +356,20 @@ impl XportNode {
             let conn = self.qps.conn(qp)?;
             let token = self.qps.issue_token(TokenUse::Send(qp, wr.wr_id));
             let now = self.clock.now();
-            let emits = self
-                .engine
-                .tcp_send(now, conn, wr.payload, token)
-                .inspect_err(|_| self.qps.cancel_token(token))?;
-            return self.dispatch(emits);
+            return with_emit_buffer(|emits| {
+                self.engine
+                    .tcp_send(now, conn, wr.payload, token, emits)
+                    .inspect_err(|_| self.qps.cancel_token(token))?;
+                self.dispatch(emits)
+            });
         }
         let port = self.qps.udp_port(qp)?;
         let dst = wr.dst.ok_or(NicError::InvalidState("UDP send needs a destination"))?;
         let emit = self.engine.udp_send(port, dst, &wr.payload)?;
-        self.dispatch(vec![emit])?;
+        with_emit_buffer(|emits| {
+            emits.push(emit);
+            self.dispatch(emits)
+        })?;
         let kind = CompletionKind::Send;
         self.complete(self.qps.send_entry(qp, wr.wr_id, kind, CompletionStatus::Success));
         Ok(())
@@ -387,10 +392,14 @@ impl XportNode {
             // message may have consumed the WR just posted, and the
             // advertised window must equal the space actually available
             let window = self.qps.window(qp);
-            let emits = self.engine.set_recv_space(self.clock.now(), conn, window)?;
-            if posted.announce {
-                self.dispatch(emits)?;
-            }
+            let now = self.clock.now();
+            with_emit_buffer(|emits| {
+                self.engine.set_recv_space(now, conn, window, emits)?;
+                if posted.announce {
+                    self.dispatch(emits)?;
+                }
+                Ok::<_, XportError>(())
+            })?;
         }
         Ok(())
     }
@@ -406,8 +415,10 @@ impl XportNode {
     pub fn tcp_close(&mut self, qp: QpId) -> Result<(), XportError> {
         let conn = self.qps.conn(qp)?;
         let now = self.clock.now();
-        let emits = self.engine.tcp_close(now, conn)?;
-        self.dispatch(emits)
+        with_emit_buffer(|emits| {
+            self.engine.tcp_close(now, conn, emits)?;
+            self.dispatch(emits)
+        })
     }
 
     /// Pops the oldest completion from a CQ, servicing the socket once
@@ -538,8 +549,10 @@ impl XportNode {
             if d > now {
                 break;
             }
-            let emits = self.engine.on_timer(now);
-            self.dispatch(emits)?;
+            with_emit_buffer(|emits| {
+                self.engine.on_timer(now, emits);
+                self.dispatch(emits)
+            })?;
         }
         Ok(())
     }
@@ -552,8 +565,10 @@ impl XportNode {
                 if let Some(tr) = &self.tracer {
                     tr.emit_node(now, TraceEvent::Sock { op: "rx", bytes: n as u32 });
                 }
-                let emits = self.engine.on_packet(now, &self.buf[..n]);
-                self.dispatch(emits)?;
+                with_emit_buffer(|emits| {
+                    self.engine.on_packet(now, &self.buf[..n], emits);
+                    self.dispatch(emits)
+                })?;
                 Ok(true)
             }
             Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
@@ -563,10 +578,11 @@ impl XportNode {
         }
     }
 
-    /// Processes engine emissions in order, depth-first: a window
-    /// update or refusal an outcome triggers goes out before the rest
-    /// of the batch, exactly as in the simulated firmware.
-    fn dispatch(&mut self, emits: Vec<Emit>) -> Result<(), XportError> {
+    /// Drains engine emissions in order, depth-first: a window update or
+    /// refusal an outcome triggers goes out (through a buffer of its
+    /// own) before the rest of the batch, exactly as in the simulated
+    /// firmware.
+    fn dispatch(&mut self, emits: &mut Vec<Emit>) -> Result<(), XportError> {
         // debug-build oracle gate: every engine interaction funnels
         // through here, so a latched TCB invariant violation surfaces
         // on the very next dispatch
@@ -574,7 +590,7 @@ impl XportNode {
         if let Some(v) = self.engine.take_invariant_violation() {
             panic!("TCB invariant `{}` violated in live transport: {}", v.invariant, v.detail);
         }
-        for e in emits {
+        for e in emits.drain(..) {
             if let Emit::Packet(p) = e {
                 self.transmit(p)?;
                 continue;
@@ -589,12 +605,17 @@ impl XportNode {
                     // announce the real (posted-WR) window now that we
                     // are connected
                     let now = self.clock.now();
-                    let upd = self.engine.set_recv_space(now, conn, window).unwrap_or_default();
-                    self.dispatch(upd)?;
+                    with_emit_buffer(|upd| {
+                        let _ = self.engine.set_recv_space(now, conn, window, upd);
+                        self.dispatch(upd)
+                    })?;
                 }
                 Outcome::Refuse(conn) => {
-                    let rst = self.engine.tcp_abort(self.clock.now(), conn).unwrap_or_default();
-                    self.dispatch(rst)?;
+                    let now = self.clock.now();
+                    with_emit_buffer(|rst| {
+                        let _ = self.engine.tcp_abort(now, conn, rst);
+                        self.dispatch(rst)
+                    })?;
                 }
                 Outcome::Down { notice, flushed, .. } => {
                     for entry in notice.into_iter().chain(flushed) {

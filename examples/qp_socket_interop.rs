@@ -31,13 +31,15 @@ fn main() {
     let mut from_sock: Vec<u8> = Vec::new();
 
     sock_side.tcp_listen(80).unwrap();
-    let (conn, emits) = qp_side.tcp_connect(now, 7000, Endpoint::new(addr(2), 80));
+    // one output buffer, reused by every engine call below
+    let mut emits: Vec<Emit> = Vec::new();
+    let conn = qp_side.tcp_connect(now, 7000, Endpoint::new(addr(2), 80), &mut emits);
     let absorb = |to_sock: bool,
-                  emits: Vec<Emit>,
+                  emits: &mut Vec<Emit>,
                   wire: &mut VecDeque<(bool, qpip_wire::Packet)>,
                   from_qp: &mut Vec<Vec<u8>>,
                   from_sock: &mut Vec<u8>| {
-        for e in emits {
+        for e in emits.drain(..) {
             match e {
                 Emit::Packet(p) => wire.push_back((to_sock, p.bytes)),
                 Emit::TcpDelivered { data, .. } => {
@@ -56,23 +58,24 @@ fn main() {
             }
         }
     };
-    absorb(true, emits, &mut wire, &mut from_qp, &mut from_sock);
+    absorb(true, &mut emits, &mut wire, &mut from_qp, &mut from_sock);
 
     let pump = |qp_side: &mut Engine,
                 sock_side: &mut Engine,
                 now: &mut SimTime,
                 wire: &mut VecDeque<(bool, qpip_wire::Packet)>,
                 from_qp: &mut Vec<Vec<u8>>,
-                _from_sock: &mut Vec<u8>| {
+                _from_sock: &mut Vec<u8>,
+                emits: &mut Vec<Emit>| {
         while let Some((to_sock, bytes)) = wire.pop_front() {
             *now += SimDuration::from_micros(5);
-            let emits = if to_sock {
-                sock_side.on_packet(*now, &bytes)
+            if to_sock {
+                sock_side.on_packet(*now, &bytes, emits)
             } else {
-                qp_side.on_packet(*now, &bytes)
-            };
+                qp_side.on_packet(*now, &bytes, emits)
+            }
             // emits from the sock side go back toward the QP side
-            for e in emits {
+            for e in emits.drain(..) {
                 match e {
                     Emit::Packet(p) => wire.push_back((!to_sock, p.bytes)),
                     Emit::TcpDelivered { data, .. } => {
@@ -95,16 +98,32 @@ fn main() {
             }
         }
     };
-    pump(&mut qp_side, &mut sock_side, &mut now, &mut wire, &mut from_qp, &mut from_sock);
+    pump(
+        &mut qp_side,
+        &mut sock_side,
+        &mut now,
+        &mut wire,
+        &mut from_qp,
+        &mut from_sock,
+        &mut emits,
+    );
 
     // QP → socket: two distinct messages; the socket sees one stream.
     for (i, msg) in
         [b"first message ".as_slice(), b"second message".as_slice()].into_iter().enumerate()
     {
-        let emits = qp_side.tcp_send(now, conn, msg.to_vec(), SendToken(i as u64)).unwrap();
-        absorb(true, emits, &mut wire, &mut from_qp, &mut from_sock);
+        qp_side.tcp_send(now, conn, msg.to_vec(), SendToken(i as u64), &mut emits).unwrap();
+        absorb(true, &mut emits, &mut wire, &mut from_qp, &mut from_sock);
     }
-    pump(&mut qp_side, &mut sock_side, &mut now, &mut wire, &mut from_qp, &mut from_sock);
+    pump(
+        &mut qp_side,
+        &mut sock_side,
+        &mut now,
+        &mut wire,
+        &mut from_qp,
+        &mut from_sock,
+        &mut emits,
+    );
     let stream: Vec<u8> = from_qp.iter().flatten().copied().collect();
     println!("socket side read the byte stream: {:?}", String::from_utf8_lossy(&stream));
     println!(

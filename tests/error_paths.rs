@@ -236,9 +236,10 @@ fn stale_conn_id_generation_is_rejected_after_slot_reuse() {
     let now = qpip_sim::time::SimTime::ZERO;
     let remote = Endpoint::new(Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, 2), 5000);
 
-    let (stale, _syn) = eng.tcp_connect(now, 4000, remote);
-    eng.tcp_abort(now, stale).unwrap();
-    let (fresh, _syn) = eng.tcp_connect(now, 4001, remote);
+    let out = &mut Vec::new();
+    let stale = eng.tcp_connect(now, 4000, remote, out);
+    eng.tcp_abort(now, stale, out).unwrap();
+    let fresh = eng.tcp_connect(now, 4001, remote, out);
 
     // the successor reuses the slot under a bumped generation, so the
     // two handles differ even though they name the same table entry
@@ -248,14 +249,14 @@ fn stale_conn_id_generation_is_rejected_after_slot_reuse() {
 
     // every conn-taking verb rejects the stale handle...
     assert!(matches!(
-        eng.tcp_send(now, stale, vec![0], SendToken(1)),
+        eng.tcp_send(now, stale, vec![0], SendToken(1), out),
         Err(EngineError::UnknownConn(c)) if c == stale
     ));
-    assert!(matches!(eng.set_recv_space(now, stale, 4096), Err(EngineError::UnknownConn(_))));
-    assert!(matches!(eng.tcp_close(now, stale), Err(EngineError::UnknownConn(_))));
-    assert!(matches!(eng.tcp_abort(now, stale), Err(EngineError::UnknownConn(_))));
+    assert!(matches!(eng.set_recv_space(now, stale, 4096, out), Err(EngineError::UnknownConn(_))));
+    assert!(matches!(eng.tcp_close(now, stale, out), Err(EngineError::UnknownConn(_))));
+    assert!(matches!(eng.tcp_abort(now, stale, out), Err(EngineError::UnknownConn(_))));
 
     // ...while the live handle in the same slot keeps working
-    eng.tcp_abort(now, fresh).unwrap();
+    eng.tcp_abort(now, fresh, out).unwrap();
     assert_eq!(eng.conn_count(), 0);
 }
