@@ -13,18 +13,29 @@
 use std::time::Duration;
 
 use qpip_bench::report::{f1, xport_json, Table};
-use qpip_bench::workloads::pingpong::qpip_tcp_rtt;
-use qpip_bench::workloads::ttcp::qpip_ttcp;
-use qpip_bench::workloads::xport::{live_rtt, live_stream};
-use qpip_nic::types::NicConfig;
+use qpip_bench::workloads::pingpong::{qpip_tcp_rtt, rtt};
+use qpip_bench::workloads::ttcp::{qpip_ttcp, ttcp, TtcpResult};
+use qpip_bench::workloads::verbs::{LivePair, VerbsPair};
+use qpip_nic::types::{NicConfig, ServiceType};
+use qpip_trace::Snapshot;
 use qpip_xport::ImpairConfig;
+
+/// ttcp on a live pair, then the sender's counters (`engine`, `xport`,
+/// and `proxy` when impaired) once the pair has settled.
+fn live_ttcp(mut p: LivePair, messages: u64, message: usize) -> (TtcpResult, Vec<Snapshot>) {
+    let r = ttcp(&mut p, messages, message);
+    p.settle();
+    let mut counters = vec![p.nodes[0].engine().stats().snapshot(), p.nodes[0].stats().snapshot()];
+    counters.extend(p.proxy.map(|proxy| proxy.stats().snapshot()));
+    (r, counters)
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let json = args.iter().any(|a| a == "--json");
 
-    let (rounds, messages, message): (u32, u32, usize) =
+    let (rounds, messages, message): (usize, u64, usize) =
         if smoke { (50, 200, 4096) } else { (400, 2000, 8192) };
     let impaired_messages = if smoke { 100 } else { 500 };
 
@@ -32,31 +43,42 @@ fn main() {
 
     // DES reference points (deterministic)
     let des_rtt = qpip_tcp_rtt(NicConfig::paper_default(), 64, 40);
-    let des_ttcp =
-        qpip_ttcp(NicConfig::paper_default(), u64::from(messages) * message as u64, 16 * 1024);
+    let des_ttcp = qpip_ttcp(NicConfig::paper_default(), messages * message as u64, 16 * 1024);
 
-    let rtt = live_rtt(rounds, 64);
-    let (direct, direct_counters) = live_stream(messages, message, None);
-    let (impaired, impaired_counters) = live_stream(
-        impaired_messages,
-        message,
-        Some(ImpairConfig {
-            seed: 42,
-            drop_per_mille: 20, // 2% loss
-            reorder_per_mille: 30,
-            hold_at_most: Duration::from_millis(15),
-        }),
+    let rtt = rtt(&mut LivePair::direct(), ServiceType::ReliableTcp, 64, rounds);
+    let (direct, direct_counters) = live_ttcp(LivePair::direct(), messages, message);
+    let impair = ImpairConfig {
+        seed: 42,
+        drop_per_mille: 20, // 2% loss
+        reorder_per_mille: 30,
+        hold_at_most: Duration::from_millis(15),
+    };
+    let (impaired, impaired_counters) =
+        live_ttcp(LivePair::impaired(impair), impaired_messages, message);
+    let proxy_dropped =
+        impaired_counters.iter().find_map(|s| s.get("dropped")).expect("proxy counters");
+
+    let [p50, p99, p999] = rtt.percentiles();
+    let mut t = Table::new(
+        "RTT, 64 B message",
+        &["path", "rounds", "mean us", "p50 us", "p99 us", "p999 us"],
     );
-
-    let mut t = Table::new("RTT, 64 B message", &["path", "rounds", "mean us", "p50 us", "min us"]);
     t.row(&[
         "live loopback".into(),
-        rtt.rounds.to_string(),
+        rtt.samples.count().to_string(),
         f1(rtt.mean_us),
-        f1(rtt.p50_us),
-        f1(rtt.min_us),
+        f1(p50),
+        f1(p99),
+        f1(p999),
     ]);
-    t.row(&["DES QPIP (Fig. 3)".into(), "40".into(), f1(des_rtt.mean_us), "-".into(), "-".into()]);
+    t.row(&[
+        "DES QPIP (Fig. 3)".into(),
+        "40".into(),
+        f1(des_rtt.mean_us),
+        "-".into(),
+        "-".into(),
+        "-".into(),
+    ]);
     t.print();
     println!();
 
@@ -64,22 +86,19 @@ fn main() {
         "Streaming throughput",
         &["path", "messages", "msg B", "MB/s", "retrans", "proxy drops"],
     );
-    t.row(&[
-        "live direct".into(),
-        direct.messages.to_string(),
-        direct.message_len.to_string(),
-        f1(direct.mbytes_per_sec),
-        direct.retransmissions.to_string(),
-        "0".into(),
-    ]);
-    t.row(&[
-        "live 2% loss + reorder".into(),
-        impaired.messages.to_string(),
-        impaired.message_len.to_string(),
-        f1(impaired.mbytes_per_sec),
-        impaired.retransmissions.to_string(),
-        impaired.proxy_dropped.to_string(),
-    ]);
+    for (path, n, r, drops) in [
+        ("live direct", messages, &direct, 0),
+        ("live 2% loss + reorder", impaired_messages, &impaired, proxy_dropped),
+    ] {
+        t.row(&[
+            path.into(),
+            n.to_string(),
+            message.to_string(),
+            f1(r.mbytes_per_sec),
+            r.retransmissions.to_string(),
+            drops.to_string(),
+        ]);
+    }
     t.row(&[
         "DES QPIP (Fig. 4)".into(),
         "-".into(),
@@ -90,21 +109,23 @@ fn main() {
     ]);
     t.print();
 
+    // the stream panics on any lost, duplicated or misordered message,
+    // so reaching here means both transfers were exactly-once in order
     println!("\nShape checks:");
     let check = |name: &str, ok: bool| {
         println!("  [{}] {}", if ok { "ok" } else { "MISS" }, name);
     };
-    check("every direct message delivered in order", direct.messages == messages);
+    check("every direct message delivered in order", direct.bytes == messages * message as u64);
     check(
         "impaired stream delivered exactly-once despite drops",
-        impaired.messages == impaired_messages && impaired.proxy_dropped > 0,
+        impaired.bytes == impaired_messages * message as u64 && proxy_dropped > 0,
     );
     check("loss recovery engaged on the impaired path", impaired.retransmissions > 0);
 
     if json {
         // one counters object for the whole document: each scenario's
         // snapshots disambiguated by a scope prefix
-        let counters: Vec<qpip_trace::Snapshot> = direct_counters
+        let counters: Vec<Snapshot> = direct_counters
             .iter()
             .map(|s| ("direct", s))
             .chain(impaired_counters.iter().map(|s| ("impaired", s)))
@@ -112,7 +133,8 @@ fn main() {
             .collect();
         let doc = xport_json(
             &rtt,
-            &[("direct", direct), ("impaired_2pct_loss", impaired)],
+            64,
+            &[("direct", message, direct), ("impaired_2pct_loss", message, impaired)],
             des_rtt.mean_us,
             des_ttcp.mbytes_per_sec,
             &counters,

@@ -11,8 +11,15 @@
 //! | `fig7_nbd` | Figure 7 — NBD client performance |
 //! | `ablations` | design-choice sweeps (checksum, multiply, MTU) |
 //!
+//! `xport_ttcp` runs the Figure 3/4 workloads over live loopback
+//! sockets next to their DES numbers.
+//!
 //! The library half holds the reusable workload generators
-//! ([`workloads`]) and the report formatting ([`report`]).
+//! ([`workloads`]) and the report formatting ([`report`]). Each
+//! workload that runs on both substrates is written once against
+//! [`workloads::verbs`], the two-node verbs seam with a DES
+//! implementation ([`workloads::verbs::DesPair`]) and a live-socket one
+//! ([`workloads::verbs::LivePair`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

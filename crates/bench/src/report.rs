@@ -10,6 +10,9 @@
 
 use qpip_trace::snapshot::{counters_json, Snapshot};
 
+use crate::workloads::pingpong::RttResult;
+use crate::workloads::ttcp::TtcpResult;
+
 /// Version of the JSON layouts below. Bump when a field is added,
 /// renamed or removed in any emitter.
 ///
@@ -18,7 +21,11 @@ use qpip_trace::snapshot::{counters_json, Snapshot};
 /// per-stream `retransmissions`/`proxy_dropped` fields of the xport
 /// report moved into it (as `<scenario>_engine.*_retransmits` and
 /// `<scenario>_proxy.dropped`).
-pub const SCHEMA_VERSION: u32 = 3;
+///
+/// v4: the xport report's `rtt` object gives the live RTT as a
+/// distribution — `p50_us`, `p99_us`, `p999_us` — in place of
+/// `min_us`.
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// A simple fixed-width table printer.
 #[derive(Debug, Default)]
@@ -92,7 +99,7 @@ impl Table {
 ///
 /// ```json
 /// {
-///   "schema_version": 3,
+///   "schema_version": 4,
 ///   "benches": [
 ///     {"name": "checksum/9000", "baseline_ns": 1.0, "current_ns": 0.2, "speedup": 5.0}
 ///   ],
@@ -133,7 +140,7 @@ pub fn datapath_json(
 ///
 /// ```json
 /// {
-///   "schema_version": 3,
+///   "schema_version": 4,
 ///   "scales": [
 ///     {"flows": 64, "wall_s": 0.1, "des_events": 10000,
 ///      "des_events_per_sec": 1.0e6, "events_per_flow": 156.2,
@@ -183,13 +190,14 @@ pub fn manyflow_json(
 }
 
 /// Renders the live-socket (xport) ttcp report as JSON: one RTT
-/// object, one streaming object per scenario, and the DES references
-/// the live numbers sit next to.
+/// object, one streaming object per `(scenario, message length,
+/// result)`, and the DES references the live numbers sit next to.
 ///
 /// ```json
 /// {
-///   "schema_version": 3,
-///   "rtt": {"rounds": 200, "payload": 64, "mean_us": 90.0, "p50_us": 85.0, "min_us": 60.0},
+///   "schema_version": 4,
+///   "rtt": {"rounds": 200, "payload": 64, "mean_us": 90.0, "p50_us": 85.0,
+///           "p99_us": 140.0, "p999_us": 210.0},
 ///   "streams": [
 ///     {"scenario": "direct", "messages": 2000, "message_len": 8928,
 ///      "bytes": 17856000, "wall_s": 0.5, "mbytes_per_sec": 35.7}
@@ -200,30 +208,31 @@ pub fn manyflow_json(
 /// ```
 ///
 /// Retransmission and proxy-drop counts live in `counters`, scoped per
-/// scenario (`direct_engine`, `impaired_proxy`, …), replacing the old
-/// per-stream fields.
+/// scenario (`direct_engine`, `impaired_proxy`, …).
 pub fn xport_json(
-    rtt: &crate::workloads::xport::LiveRtt,
-    streams: &[(&str, crate::workloads::xport::LiveStream)],
+    rtt: &RttResult,
+    payload: usize,
+    streams: &[(&str, usize, TtcpResult)],
     des_rtt_us: f64,
     des_mbytes_per_sec: f64,
     counters: &[Snapshot],
 ) -> String {
     let mut out = format!("{{\n  \"schema_version\": {SCHEMA_VERSION},\n");
+    let [p50, p99, p999] = rtt.percentiles();
     out.push_str(&format!(
-        "  \"rtt\": {{\"rounds\": {}, \"payload\": {}, \"mean_us\": {:.1}, \
-         \"p50_us\": {:.1}, \"min_us\": {:.1}}},\n",
-        rtt.rounds, rtt.payload, rtt.mean_us, rtt.p50_us, rtt.min_us,
+        "  \"rtt\": {{\"rounds\": {}, \"payload\": {payload}, \"mean_us\": {:.1}, \
+         \"p50_us\": {p50:.1}, \"p99_us\": {p99:.1}, \"p999_us\": {p999:.1}}},\n",
+        rtt.samples.count(),
+        rtt.mean_us,
     ));
     out.push_str("  \"streams\": [\n");
-    for (i, (scenario, s)) in streams.iter().enumerate() {
+    for (i, (scenario, len, s)) in streams.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"scenario\": \"{scenario}\", \"messages\": {}, \"message_len\": {}, \
+            "    {{\"scenario\": \"{scenario}\", \"messages\": {}, \"message_len\": {len}, \
              \"bytes\": {}, \"wall_s\": {:.3}, \"mbytes_per_sec\": {:.1}}}{}\n",
-            s.messages,
-            s.message_len,
+            s.bytes / *len as u64,
             s.bytes,
-            s.wall_s,
+            s.elapsed_s,
             s.mbytes_per_sec,
             if i + 1 < streams.len() { "," } else { "" },
         ));
@@ -313,26 +322,24 @@ mod tests {
         }
     }
 
-    fn fixture_rtt() -> crate::workloads::xport::LiveRtt {
-        crate::workloads::xport::LiveRtt {
-            rounds: 200,
-            payload: 64,
-            mean_us: 91.5,
-            p50_us: 88.0,
-            min_us: 61.2,
+    fn fixture_rtt() -> RttResult {
+        let mut samples = qpip_sim::stats::Summary::new();
+        for us in [61.2, 88.0, 88.5, 140.0] {
+            samples.record(us);
         }
+        RttResult { mean_us: samples.mean(), samples }
     }
 
-    fn fixture_stream() -> crate::workloads::xport::LiveStream {
-        crate::workloads::xport::LiveStream {
-            messages: 2000,
-            message_len: 8928,
+    fn fixture_stream() -> (&'static str, usize, TtcpResult) {
+        let stream = TtcpResult {
             bytes: 17_856_000,
-            wall_s: 0.5,
             mbytes_per_sec: 35.7,
+            sender_cpu: f64::NAN,
+            receiver_cpu: f64::NAN,
+            elapsed_s: 0.5,
             retransmissions: 3,
-            proxy_dropped: 12,
-        }
+        };
+        ("direct", 8928, stream)
     }
 
     fn fixture_counters() -> Vec<Snapshot> {
@@ -348,7 +355,11 @@ mod tests {
         let cnt = fixture_counters();
         let dp = datapath_json(&[fixture_comparison()], &[("des_events_per_sec", 1e7)], &cnt);
         let mf = manyflow_json(&[fixture_scale()], &cnt);
-        let xp = xport_json(&fixture_rtt(), &[("direct", fixture_stream())], 73.1, 100.0, &cnt);
+        let xp = xport_json(&fixture_rtt(), 64, &[fixture_stream()], 73.1, 100.0, &cnt);
+        // the live RTT is a distribution: nearest-rank percentiles of
+        // the four fixture samples
+        assert!(xp.contains("\"p50_us\": 88.0, \"p99_us\": 140.0, \"p999_us\": 140.0"), "{xp}");
+        assert!(xp.contains("\"messages\": 2000, \"message_len\": 8928"), "{xp}");
         for json in [&dp, &mf, &xp] {
             assert!(
                 json.contains(&format!("\"schema_version\": {SCHEMA_VERSION}")),
@@ -367,8 +378,8 @@ mod tests {
         // same input, same bytes — nothing may read clocks, tempdirs,
         // map iteration order or the environment
         let cnt = fixture_counters();
-        let a = xport_json(&fixture_rtt(), &[("direct", fixture_stream())], 73.1, 100.0, &cnt);
-        let b = xport_json(&fixture_rtt(), &[("direct", fixture_stream())], 73.1, 100.0, &cnt);
+        let a = xport_json(&fixture_rtt(), 64, &[fixture_stream()], 73.1, 100.0, &cnt);
+        let b = xport_json(&fixture_rtt(), 64, &[fixture_stream()], 73.1, 100.0, &cnt);
         assert_eq!(a, b);
         assert_eq!(
             manyflow_json(&[fixture_scale()], &cnt),

@@ -6,11 +6,14 @@ use std::sync::Arc;
 
 use qpip::baseline::SocketWorld;
 use qpip::world::QpipWorld;
-use qpip::{CompletionKind, NicConfig, RecvWr, SendWr, ServiceType};
+use qpip::{Completion, CompletionKind, NicConfig, RecvWr, SendWr, ServiceType};
 use qpip_host::stack::StackConfig;
 use qpip_netstack::types::Endpoint;
 use qpip_sim::stats::Summary;
 use qpip_trace::{FlightRecorder, Snapshot};
+
+use super::verbs::End::{self, A, B};
+use super::verbs::{wait_for, DesPair, VerbsPair};
 
 /// RTT measurement result.
 #[derive(Debug, Clone)]
@@ -19,6 +22,14 @@ pub struct RttResult {
     pub mean_us: f64,
     /// Sample summary.
     pub samples: Summary,
+}
+
+impl RttResult {
+    /// The p50, p99 and p99.9 round trip, in microseconds.
+    pub fn percentiles(&self) -> [f64; 3] {
+        let mut samples = self.samples.clone();
+        [50.0, 99.0, 99.9].map(|p| samples.percentile(p).unwrap_or(0.0))
+    }
 }
 
 /// Measures QPIP QP-to-QP RTT over TCP (reliable service).
@@ -40,72 +51,65 @@ pub fn qpip_tcp_rtt_observed(
     if let Some(rec) = recorder {
         w.install_recorder(rec);
     }
-    let a = w.add_node(nic.clone());
-    let b = w.add_node(nic);
-    let cqa = w.create_cq(a);
-    let cqb = w.create_cq(b);
-    let qa = w.create_qp(a, ServiceType::ReliableTcp, cqa, cqa).unwrap();
-    let qb = w.create_qp(b, ServiceType::ReliableTcp, cqb, cqb).unwrap();
-    // pre-post generously so reposting stays off the critical path
-    for i in 0..4u64 {
-        w.post_recv(a, qa, RecvWr { wr_id: i, capacity: 16 * 1024 }).unwrap();
-        w.post_recv(b, qb, RecvWr { wr_id: i, capacity: 16 * 1024 }).unwrap();
-    }
-    w.tcp_listen(b, 5000, qb).unwrap();
-    let remote = Endpoint::new(w.addr(b), 5000);
-    w.tcp_connect(a, qa, 4000, remote).unwrap();
-    w.wait_matching(a, cqa, |c| c.kind == CompletionKind::ConnectionEstablished);
-    w.wait_matching(b, cqb, |c| c.kind == CompletionKind::ConnectionEstablished);
-
-    let mut samples = Summary::new();
-    let warmup = 4;
-    for round in 0..rounds + warmup {
-        // keep one spare receive posted on each side
-        w.post_recv(a, qa, RecvWr { wr_id: 900 + round as u64, capacity: 16 * 1024 }).unwrap();
-        w.post_recv(b, qb, RecvWr { wr_id: 900 + round as u64, capacity: 16 * 1024 }).unwrap();
-        let t0 = w.app_time(a);
-        w.post_send(a, qa, SendWr { wr_id: 1, payload: vec![0x5a; payload], dst: None }).unwrap();
-        w.wait_matching(b, cqb, |c| matches!(c.kind, CompletionKind::Recv { .. }));
-        w.post_send(b, qb, SendWr { wr_id: 2, payload: vec![0xa5; payload], dst: None }).unwrap();
-        w.wait_matching(a, cqa, |c| matches!(c.kind, CompletionKind::Recv { .. }));
-        if round >= warmup {
-            samples.record(w.app_time(a).duration_since(t0).as_micros_f64());
-        }
-    }
-    (RttResult { mean_us: samples.mean(), samples }, w.counter_snapshots())
+    let mut pair = DesPair::new(w, nic);
+    let r = rtt(&mut pair, ServiceType::ReliableTcp, payload, rounds);
+    (r, pair.world.counter_snapshots())
 }
 
 /// Measures QPIP QP-to-QP RTT over UDP (unreliable service).
 pub fn qpip_udp_rtt(nic: NicConfig, payload: usize, rounds: usize) -> RttResult {
-    let mut w = QpipWorld::myrinet();
-    let a = w.add_node(nic.clone());
-    let b = w.add_node(nic);
-    let cqa = w.create_cq(a);
-    let cqb = w.create_cq(b);
-    let qa = w.create_qp(a, ServiceType::UnreliableUdp, cqa, cqa).unwrap();
-    let qb = w.create_qp(b, ServiceType::UnreliableUdp, cqb, cqb).unwrap();
-    w.udp_bind(a, qa, 9000).unwrap();
-    w.udp_bind(b, qb, 9001).unwrap();
-    let to_b = Endpoint::new(w.addr(b), 9001);
-    let to_a = Endpoint::new(w.addr(a), 9000);
-    for i in 0..4u64 {
-        w.post_recv(a, qa, RecvWr { wr_id: i, capacity: 16 * 1024 }).unwrap();
-        w.post_recv(b, qb, RecvWr { wr_id: i, capacity: 16 * 1024 }).unwrap();
+    rtt(&mut DesPair::new(QpipWorld::myrinet(), nic), ServiceType::UnreliableUdp, payload, rounds)
+}
+
+/// Ping-pong on any [`VerbsPair`]: end A sends `payload` bytes, end B
+/// answers with as many, `rounds` times after four warm-up rounds, over
+/// TCP or UDP as `service` says. Each end keeps one spare receive
+/// posted so reposting stays off the critical path. Samples are end
+/// A's application-clock round trips. UDP resends nothing, so on live
+/// sockets a dropped datagram stalls the round until the wait times
+/// out.
+pub fn rtt<P: VerbsPair>(
+    p: &mut P,
+    service: ServiceType,
+    payload: usize,
+    rounds: usize,
+) -> RttResult {
+    let cqs = [p.create_cq(A), p.create_cq(B)];
+    let qps = [p.create_qp(A, service, cqs[0], cqs[0]), p.create_qp(B, service, cqs[1], cqs[1])];
+    let tcp = service == ServiceType::ReliableTcp;
+    if !tcp {
+        p.udp_bind(A, qps[0], 9000);
+        p.udp_bind(B, qps[1], 9001);
     }
+    let post_recv = |p: &mut P, wr_id: u64| {
+        for (end, qp) in [(A, qps[0]), (B, qps[1])] {
+            p.post_recv(end, qp, RecvWr { wr_id, capacity: 16 * 1024 });
+        }
+    };
+    for i in 0..4 {
+        post_recv(p, i);
+    }
+    if tcp {
+        p.tcp_listen(B, qps[1], 5000);
+        p.tcp_connect(A, qps[0], 4000, 5000);
+        wait_for(p, A, cqs[0], |c| c.kind == CompletionKind::ConnectionEstablished);
+        wait_for(p, B, cqs[1], |c| c.kind == CompletionKind::ConnectionEstablished);
+    }
+    let dst = |end: End, port| (!tcp).then(|| Endpoint::new(p.addr(end), port));
+    let (to_b, to_a) = (dst(B, 9001), dst(A, 9000));
+
     let mut samples = Summary::new();
     let warmup = 4;
+    let is_recv = |c: &Completion| matches!(c.kind, CompletionKind::Recv { .. });
     for round in 0..rounds + warmup {
-        w.post_recv(a, qa, RecvWr { wr_id: 900, capacity: 16 * 1024 }).unwrap();
-        w.post_recv(b, qb, RecvWr { wr_id: 900, capacity: 16 * 1024 }).unwrap();
-        let t0 = w.app_time(a);
-        w.post_send(a, qa, SendWr { wr_id: 1, payload: vec![1; payload], dst: Some(to_b) })
-            .unwrap();
-        w.wait_matching(b, cqb, |c| matches!(c.kind, CompletionKind::Recv { .. }));
-        w.post_send(b, qb, SendWr { wr_id: 2, payload: vec![2; payload], dst: Some(to_a) })
-            .unwrap();
-        w.wait_matching(a, cqa, |c| matches!(c.kind, CompletionKind::Recv { .. }));
+        post_recv(p, 900 + round as u64);
+        let t0 = p.now(A);
+        p.post_send(A, qps[0], SendWr { wr_id: 1, payload: vec![0x5a; payload], dst: to_b });
+        wait_for(p, B, cqs[1], is_recv);
+        p.post_send(B, qps[1], SendWr { wr_id: 2, payload: vec![0xa5; payload], dst: to_a });
+        wait_for(p, A, cqs[0], is_recv);
         if round >= warmup {
-            samples.record(w.app_time(a).duration_since(t0).as_micros_f64());
+            samples.record(p.now(A).duration_since(t0).as_micros_f64());
         }
     }
     RttResult { mean_us: samples.mean(), samples }

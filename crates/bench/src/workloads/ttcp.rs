@@ -4,26 +4,48 @@
 
 use qpip::baseline::SocketWorld;
 use qpip::world::QpipWorld;
-use qpip::{CompletionKind, NicConfig, RecvWr, SendWr, ServiceType};
+use qpip::ServiceType;
+use qpip::{Completion, CompletionKind, CompletionStatus, CqId, NicConfig, QpId, RecvWr, SendWr};
 use qpip_host::stack::{HostOutput, StackConfig};
 use qpip_netstack::types::Endpoint;
-use qpip_sim::time::SimTime;
+use qpip_sim::time::{SimDuration, SimTime};
 
 use super::pingpong::Baseline;
+use super::verbs::End::{A, B};
+use super::verbs::{wait_for, DesPair, VerbsPair};
 
 /// Throughput measurement result.
 #[derive(Debug, Clone, Copy)]
 pub struct TtcpResult {
+    /// Payload bytes delivered.
+    pub bytes: u64,
     /// Goodput in MB/s (10⁶ bytes per second).
     pub mbytes_per_sec: f64,
-    /// Sender host CPU utilization (fraction of one 550 MHz CPU).
+    /// Sender host CPU utilization (fraction of one 550 MHz CPU); NaN
+    /// on live sockets, which keep no CPU ledger.
     pub sender_cpu: f64,
-    /// Receiver host CPU utilization.
+    /// Receiver host CPU utilization; NaN on live sockets.
     pub receiver_cpu: f64,
-    /// Elapsed simulated seconds.
+    /// Elapsed seconds, simulated or wall.
     pub elapsed_s: f64,
     /// TCP retransmissions observed (0 on the lossless SAN).
     pub retransmissions: u64,
+}
+
+impl TtcpResult {
+    /// Prices `bytes` moved in `elapsed`, given each end's host CPU
+    /// busy time over the same span.
+    fn priced(bytes: u64, elapsed: SimDuration, busy: [f64; 2], retransmissions: u64) -> Self {
+        let secs = elapsed.as_secs_f64();
+        TtcpResult {
+            bytes,
+            mbytes_per_sec: bytes as f64 / secs / 1e6,
+            sender_cpu: busy[0] / secs,
+            receiver_cpu: busy[1] / secs,
+            elapsed_s: secs,
+            retransmissions,
+        }
+    }
 }
 
 /// Runs ttcp over QPIP. `message` is the QP message size (one message
@@ -35,70 +57,111 @@ pub fn qpip_ttcp(nic: NicConfig, total_bytes: u64, message: usize) -> TtcpResult
     // the wire MTU no longer bounds the message (IPv6 fragmentation)
     let message =
         message.min(qpip_netstack::types::NetConfig::qpip(nic.segment_mtu()).max_tcp_payload());
-    let mut w = QpipWorld::new(qpip_fabric::FabricConfig {
+    let w = QpipWorld::new(qpip_fabric::FabricConfig {
         mtu: nic.mtu,
         ..qpip_fabric::FabricConfig::myrinet()
     });
-    let tx = w.add_node(nic.clone());
-    let rx = w.add_node(nic);
-    let cqt = w.create_cq(tx);
-    let cqr = w.create_cq(rx);
-    let qt = w.create_qp(tx, ServiceType::ReliableTcp, cqt, cqt).unwrap();
-    let qr = w.create_qp(rx, ServiceType::ReliableTcp, cqr, cqr).unwrap();
-
-    // receiver pre-posts a ring of message buffers; the posted space is
-    // the advertised TCP window (§5.1)
-    let ring = 32u64;
-    for i in 0..ring {
-        w.post_recv(rx, qr, RecvWr { wr_id: i, capacity: message }).unwrap();
-    }
-    w.tcp_listen(rx, 5000, qr).unwrap();
-    let remote = Endpoint::new(w.addr(rx), 5000);
-    w.tcp_connect(tx, qt, 4000, remote).unwrap();
-    w.wait_matching(tx, cqt, |c| c.kind == CompletionKind::ConnectionEstablished);
-    w.wait_matching(rx, cqr, |c| c.kind == CompletionKind::ConnectionEstablished);
-
+    let mut p = DesPair::new(w, nic);
+    let stream = Stream::connect(&mut p, message);
+    let ledgers = |p: &DesPair| p.nodes.map(|n| p.world.cpu(n).busy_time());
+    let busy0 = ledgers(&p);
     let messages = total_bytes.div_ceil(message as u64);
-    let window = 16u64; // outstanding send WRs, like ttcp's socket buffer
-    let mut posted = 0u64;
-    let mut send_done = 0u64;
-    let mut recv_done = 0u64;
-    let t_start = w.app_time(tx);
-    let tx_busy0 = w.cpu(tx).busy_time();
-    let rx_busy0 = w.cpu(rx).busy_time();
-    let mut t_end = SimTime::ZERO;
+    let elapsed = stream.run(&mut p, messages);
+    let busy1 = ledgers(&p);
+    let busy = [0, 1].map(|i| (busy1[i] - busy0[i]).as_secs_f64());
+    TtcpResult::priced(messages * message as u64, elapsed, busy, p.retransmissions(A))
+}
 
-    while recv_done < messages {
-        while posted < messages && posted - send_done < window {
-            w.post_send(tx, qt, SendWr { wr_id: posted, payload: vec![0x42; message], dst: None })
-                .unwrap();
-            posted += 1;
+/// ttcp on any [`VerbsPair`], without CPU accounting: `messages`
+/// messages of `message` bytes from end A to end B. The live-socket
+/// form of [`qpip_ttcp`]; its CPU fields are NaN.
+pub fn ttcp<P: VerbsPair>(p: &mut P, messages: u64, message: usize) -> TtcpResult {
+    let elapsed = Stream::connect(p, message).run(p, messages);
+    TtcpResult::priced(messages * message as u64, elapsed, [f64::NAN; 2], p.retransmissions(A))
+}
+
+/// A connected ttcp stream from end A to end B. Connecting and
+/// streaming are separate steps so a caller can read CPU ledgers
+/// between them.
+#[derive(Debug, Clone, Copy)]
+pub struct Stream {
+    qps: [QpId; 2],
+    cqs: [CqId; 2],
+    message: usize,
+}
+
+/// Receive WRs end B keeps posted: the posted space is the advertised
+/// TCP window (§5.1).
+const RING: u64 = 32;
+/// Send WRs end A keeps outstanding, like ttcp's socket buffer.
+const WINDOW: u64 = 16;
+
+impl Stream {
+    /// Sets up one TCP QP per end with end B's receive ring posted, and
+    /// connects A to B.
+    pub fn connect<P: VerbsPair>(p: &mut P, message: usize) -> Stream {
+        assert!(message >= 4, "a message carries a 4-byte sequence number");
+        let cqs = [p.create_cq(A), p.create_cq(B)];
+        let tcp = ServiceType::ReliableTcp;
+        let qps = [p.create_qp(A, tcp, cqs[0], cqs[0]), p.create_qp(B, tcp, cqs[1], cqs[1])];
+        for i in 0..RING {
+            p.post_recv(B, qps[1], RecvWr { wr_id: i, capacity: message });
         }
-        let c = w.wait(rx, cqr);
-        if matches!(c.kind, CompletionKind::Recv { .. }) {
-            recv_done += 1;
-            t_end = w.app_time(rx);
-            // recycle the buffer
-            w.post_recv(rx, qr, RecvWr { wr_id: ring + recv_done, capacity: message }).unwrap();
-        }
-        // harvest sender completions without spinning
-        while let Some(c) = w.try_wait(tx, cqt) {
-            if c.kind == CompletionKind::Send {
-                send_done += 1;
+        p.tcp_listen(B, qps[1], 5000);
+        p.tcp_connect(A, qps[0], 4000, 5000);
+        let up = |c: &Completion| c.kind == CompletionKind::ConnectionEstablished;
+        wait_for(p, A, cqs[0], up);
+        wait_for(p, B, cqs[1], up);
+        Stream { qps, cqs, message }
+    }
+
+    /// Streams `messages` messages with at most 16 sends in
+    /// flight, recycling each consumed receive WR, and returns the span
+    /// from the first send to the last delivery. Every message opens
+    /// with its sequence number; each delivery must be the next one,
+    /// intact, so delivery is checked exactly-once and in order.
+    pub fn run<P: VerbsPair>(&self, p: &mut P, messages: u64) -> SimDuration {
+        let (mut posted, mut send_done, mut recv_done) = (0u64, 0u64, 0u64);
+        let t_start = p.now(A);
+        let mut t_end = SimTime::ZERO;
+        while recv_done < messages {
+            while posted < messages && posted - send_done < WINDOW {
+                let wr =
+                    SendWr { wr_id: posted, payload: message(posted, self.message), dst: None };
+                p.post_send(A, self.qps[0], wr);
+                posted += 1;
+            }
+            let c = p.wait(B, self.cqs[1]);
+            if let CompletionKind::Recv { data, .. } = c.kind {
+                assert_eq!(c.status, CompletionStatus::Success, "message {recv_done}");
+                assert!(
+                    data == message(recv_done, self.message),
+                    "message {recv_done} corrupted, duplicated or out of order"
+                );
+                recv_done += 1;
+                t_end = p.now(B);
+                let wr = RecvWr { wr_id: RING + recv_done, capacity: self.message };
+                p.post_recv(B, self.qps[1], wr);
+            }
+            // harvest sender completions without spinning
+            while let Some(c) = p.try_wait(A, self.cqs[0]) {
+                if c.kind == CompletionKind::Send {
+                    assert_eq!(c.status, CompletionStatus::Success, "send {}", c.wr_id);
+                    send_done += 1;
+                }
             }
         }
+        t_end.duration_since(t_start)
     }
+}
 
-    let elapsed = t_end.duration_since(t_start);
-    let tx_busy = w.cpu(tx).busy_time() - tx_busy0;
-    let rx_busy = w.cpu(rx).busy_time() - rx_busy0;
-    TtcpResult {
-        mbytes_per_sec: (messages * message as u64) as f64 / elapsed.as_secs_f64() / 1e6,
-        sender_cpu: tx_busy.as_secs_f64() / elapsed.as_secs_f64(),
-        receiver_cpu: rx_busy.as_secs_f64() / elapsed.as_secs_f64(),
-        elapsed_s: elapsed.as_secs_f64(),
-        retransmissions: w.nic(tx).retransmissions(),
-    }
+/// Message `seq` of a stream: its sequence number, then a seq-derived
+/// fill, so corruption and misordering are both detectable.
+fn message(seq: u64, len: usize) -> Vec<u8> {
+    let mut m = Vec::with_capacity(len);
+    m.extend_from_slice(&(seq as u32).to_be_bytes());
+    m.extend((4..len).map(|i| (seq as usize).wrapping_mul(31).wrapping_add(i) as u8));
+    m
 }
 
 /// Runs ttcp over a host-based socket baseline: 16 KB blocking writes,
@@ -170,15 +233,9 @@ pub fn socket_ttcp(which: Baseline, total_bytes: u64, chunk: usize) -> TtcpResul
     }
 
     let elapsed = t_end.duration_since(t_start);
-    let a_busy = w.cpu(a).busy_time() - a_busy0;
-    let b_busy = w.cpu(b).busy_time() - b_busy0;
-    TtcpResult {
-        mbytes_per_sec: total as f64 / elapsed.as_secs_f64() / 1e6,
-        sender_cpu: a_busy.as_secs_f64() / elapsed.as_secs_f64(),
-        receiver_cpu: b_busy.as_secs_f64() / elapsed.as_secs_f64(),
-        elapsed_s: elapsed.as_secs_f64(),
-        retransmissions: w.stack(a).retransmissions(),
-    }
+    let busy =
+        [(a, a_busy0), (b, b_busy0)].map(|(n, b0)| (w.cpu(n).busy_time() - b0).as_secs_f64());
+    TtcpResult::priced(total as u64, elapsed, busy, w.stack(a).retransmissions())
 }
 
 #[cfg(test)]

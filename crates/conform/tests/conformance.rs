@@ -210,6 +210,7 @@ fn eifel_ack_echoing_the_original_marks_the_rto_spurious() {
     h.expect(Expect::data(&[0x43; 100]).seq(iss + 201));
     h.inject(seg().seq(101).ack(iss + 301).ts(530, orig_ts));
     assert_eq!(h.stats().spurious_rtos, 1);
+    assert_eq!(h.stats().rto_episodes, 1);
 }
 
 #[test]
@@ -221,6 +222,7 @@ fn eifel_ack_echoing_the_retransmit_counts_nothing() {
     assert_eq!(count_send_complete(&h.take_events()), 1);
     assert_eq!(h.stats().spurious_rtos, 0);
     assert_eq!(h.stats().rto_retransmits, 1);
+    assert_eq!(h.stats().rto_episodes, 1);
 }
 
 #[test]

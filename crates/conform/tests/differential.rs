@@ -14,205 +14,69 @@
 //! per-CQ streams — same QP and CQ ids, same WR ids, kinds, statuses
 //! and payloads, in the same order.
 //!
-//! The workload is lockstep (one message outstanding at a time, each
-//! acknowledged before the next is posted) so wall-clock scheduling on
-//! the live side cannot reorder protocol events relative to the
+//! The workload is `qpip_bench::workloads::lockstep::run`, written once
+//! against the two-node verbs seam: one message outstanding at a time,
+//! each acknowledged before the next is posted, so wall-clock scheduling
+//! on the live side cannot reorder protocol events relative to the
 //! deterministic simulation.
+//!
+//! A lossy leg runs the same script with the DES fabric dropping at
+//! random and the live wire crossing the impairment proxy. Retransmit
+//! timing legitimately differs there, so only the completion streams
+//! are compared: loss recovery must be invisible above the verbs.
 
-use std::collections::BTreeMap;
-use std::net::Ipv6Addr;
 use std::sync::Arc;
+use std::time::Duration;
 
 use qpip::world::QpipWorld;
-use qpip::{Completion, CompletionKind, CompletionStatus, CqId, NicConfig, QpId, RecvWr};
-use qpip::{SendWr, ServiceType};
+use qpip::NicConfig;
+use qpip_bench::workloads::lockstep::{run, CqStreams};
+use qpip_bench::workloads::verbs::End::{self, A, B};
+use qpip_bench::workloads::verbs::{DesPair, LivePair};
 use qpip_conform::differential::{first_divergence, normalize};
-use qpip_netstack::types::Endpoint;
-use qpip_trace::{FlightRecorder, Tracer};
-use qpip_xport::{XportConfig, XportNode};
+use qpip_fabric::FaultPlan;
+use qpip_trace::{FlightRecorder, Rec, TraceEvent, Tracer};
+use qpip_xport::ImpairConfig;
 
-const PORT: u16 = 5001;
-const RECV_CAP: usize = 4096;
-
-/// Direction of one workload message.
-#[derive(Clone, Copy)]
-enum Dir {
-    ClientToServer,
-    ServerToClient,
-}
-use Dir::{ClientToServer, ServerToClient};
-
-/// The shared workload: a handshake followed by lockstep bidirectional
-/// messages of varying sizes. No close — the DES NIC has no app-close
-/// verb, so the comparison ends in steady state.
-fn workload() -> Vec<(Dir, usize)> {
-    vec![
-        (ClientToServer, 512),
-        (ClientToServer, 96),
-        (ServerToClient, 384),
-        (ClientToServer, 1500),
-        (ServerToClient, 64),
-        (ServerToClient, 700),
-        (ClientToServer, 1),
-    ]
+/// The shared workload, `(sender, length)` per message: end A serves,
+/// end B is the client.
+fn workload() -> Vec<(End, usize)> {
+    vec![(B, 512), (B, 96), (A, 384), (B, 1500), (A, 64), (A, 700), (B, 1)]
 }
 
-/// One popped completion without its timestamp: the payload rides in
-/// the kind.
-type Popped = (QpId, u64, CompletionKind, CompletionStatus);
-
-/// Every completion a run popped, per (node, CQ), in pop order.
-type CqStreams = BTreeMap<(u32, CqId), Vec<Popped>>;
-
-fn record(streams: &mut CqStreams, node: u32, cq: CqId, c: &Completion) {
-    streams.entry((node, cq)).or_default().push((c.qp, c.wr_id, c.kind.clone(), c.status.clone()));
-}
-
-fn payload(i: usize, len: usize) -> Vec<u8> {
-    (0..len).map(|b| (i.wrapping_mul(37).wrapping_add(b)) as u8).collect()
-}
-
-/// Waits on `cq` until `pred` matches, recording every completion
-/// popped on the way.
-fn des_wait(
-    w: &mut QpipWorld,
-    streams: &mut CqStreams,
-    node: qpip::world::NodeIdx,
-    cq: CqId,
-    pred: impl Fn(&Completion) -> bool,
-) -> Completion {
-    loop {
-        let c = w.wait(node, cq);
-        record(streams, node.0 as u32, cq, &c);
-        if pred(&c) {
-            return c;
-        }
-    }
-}
-
-/// Runs the workload through the DES world. Node 0 is the server,
-/// node 1 the client (matching the tracer scopes of the live run).
-fn des_run(script: &[(Dir, usize)]) -> (Vec<qpip_trace::Rec>, CqStreams) {
-    let nic = NicConfig::paper_default();
+/// Runs `script` on the DES, with `fault` on the fabric, tracing both
+/// nodes (end A is scope 0, end B scope 1).
+fn des_trace(script: &[(End, usize)], fault: FaultPlan) -> (Vec<Rec>, CqStreams) {
     let mut w = QpipWorld::myrinet();
     let rec = Arc::new(FlightRecorder::new(65536));
     w.install_recorder(Arc::clone(&rec));
-
-    let server = w.add_node(nic.clone());
-    let cq_s = w.create_cq(server);
-    let qp_s = w.create_qp(server, ServiceType::ReliableTcp, cq_s, cq_s).unwrap();
-    for i in 0..script.len() {
-        w.post_recv(server, qp_s, RecvWr { wr_id: i as u64, capacity: RECV_CAP }).unwrap();
-    }
-    w.tcp_listen(server, PORT, qp_s).unwrap();
-
-    let client = w.add_node(nic);
-    let cq_c = w.create_cq(client);
-    let qp_c = w.create_qp(client, ServiceType::ReliableTcp, cq_c, cq_c).unwrap();
-    for i in 0..script.len() {
-        w.post_recv(client, qp_c, RecvWr { wr_id: i as u64, capacity: RECV_CAP }).unwrap();
-    }
-    w.tcp_connect(client, qp_c, 4000, Endpoint::new(w.addr(server), PORT)).unwrap();
-    let mut streams = CqStreams::new();
-    let up = |c: &Completion| c.kind == CompletionKind::ConnectionEstablished;
-    des_wait(&mut w, &mut streams, client, cq_c, up);
-    des_wait(&mut w, &mut streams, server, cq_s, up);
-
-    for (i, &(dir, len)) in script.iter().enumerate() {
-        let (snode, sqp, scq, rnode, rcq) = match dir {
-            ClientToServer => (client, qp_c, cq_c, server, cq_s),
-            ServerToClient => (server, qp_s, cq_s, client, cq_c),
-        };
-        w.post_send(snode, sqp, SendWr { wr_id: i as u64, payload: payload(i, len), dst: None })
-            .unwrap();
-        let recv = |c: &Completion| matches!(c.kind, CompletionKind::Recv { .. });
-        let got = des_wait(&mut w, &mut streams, rnode, rcq, recv);
-        let CompletionKind::Recv { ref data, .. } = got.kind else { unreachable!() };
-        assert_eq!(data, &payload(i, len), "DES message {i} corrupted");
-        des_wait(&mut w, &mut streams, snode, scq, |c| c.kind == CompletionKind::Send);
-    }
-    w.run_until_idle();
+    w.set_fault_plan(fault);
+    let streams = run(&mut DesPair::new(w, NicConfig::paper_default()), script);
     (rec.events(), streams)
 }
 
-/// Waits for the next completion on `target`'s `cq`, pumping `other`
-/// so each side's engine keeps making progress, records it under the
-/// target's tracer scope `node`, and checks it is the one expected.
-fn poll_until(
-    (target, node): (&mut XportNode, u32),
-    other: &mut XportNode,
-    streams: &mut CqStreams,
-    cq: CqId,
-    pred: impl Fn(&Completion) -> bool,
-    what: &str,
-) -> Completion {
-    let c = target.wait_pumping(cq, other).unwrap_or_else(|e| panic!("waiting for {what}: {e}"));
-    record(streams, node, cq, &c);
-    assert!(pred(&c), "unexpected completion while waiting for {what}: {:?}", c.kind);
-    c
-}
-
-/// Runs the workload over real loopback sockets. Tracer scopes match
-/// the DES run: node 0 server, node 1 client.
-fn live_run(script: &[(Dir, usize)]) -> (Vec<qpip_trace::Rec>, CqStreams) {
-    const FABRIC_S: Ipv6Addr = Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, 1);
-    const FABRIC_C: Ipv6Addr = Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, 2);
+/// Runs `script` on a live pair, tracing with the DES run's scopes.
+fn live_trace(script: &[(End, usize)], p: &mut LivePair) -> (Vec<Rec>, CqStreams) {
     let rec = Arc::new(FlightRecorder::new(65536));
-    let mut server = XportNode::bind(FABRIC_S, XportConfig::default()).expect("bind server");
-    let mut client = XportNode::bind(FABRIC_C, XportConfig::default()).expect("bind client");
-    server.set_tracer(Tracer::new(Arc::clone(&rec), 0));
-    client.set_tracer(Tracer::new(Arc::clone(&rec), 1));
-    server.add_peer(FABRIC_C, client.local_addr().unwrap());
-    client.add_peer(FABRIC_S, server.local_addr().unwrap());
-
-    let cq_s = server.create_cq();
-    let qp_s = server.create_qp(ServiceType::ReliableTcp, cq_s, cq_s).unwrap();
-    for i in 0..script.len() {
-        server.post_recv(qp_s, RecvWr { wr_id: i as u64, capacity: RECV_CAP }).unwrap();
+    for (scope, n) in p.nodes.iter_mut().enumerate() {
+        n.set_tracer(Tracer::new(Arc::clone(&rec), scope as u32));
     }
-    server.tcp_listen(qp_s, PORT).unwrap();
-
-    let cq_c = client.create_cq();
-    let qp_c = client.create_qp(ServiceType::ReliableTcp, cq_c, cq_c).unwrap();
-    for i in 0..script.len() {
-        client.post_recv(qp_c, RecvWr { wr_id: i as u64, capacity: RECV_CAP }).unwrap();
-    }
-    client.tcp_connect(qp_c, 4000, Endpoint::new(FABRIC_S, PORT)).unwrap();
-    let mut streams = CqStreams::new();
-    let up = |c: &Completion| c.kind == CompletionKind::ConnectionEstablished;
-    poll_until((&mut client, 1), &mut server, &mut streams, cq_c, up, "client established");
-    poll_until((&mut server, 0), &mut client, &mut streams, cq_s, up, "server established");
-
-    for (i, &(dir, len)) in script.iter().enumerate() {
-        let c2s = matches!(dir, ClientToServer);
-        let (snd_qp, snd_cq, rcv_cq) = if c2s { (qp_c, cq_c, cq_s) } else { (qp_s, cq_s, cq_c) };
-        {
-            let sender = if c2s { &mut client } else { &mut server };
-            sender
-                .post_send(snd_qp, SendWr { wr_id: i as u64, payload: payload(i, len), dst: None })
-                .unwrap();
-        }
-        let ((sender, snode), (receiver, rnode)) = if c2s {
-            ((&mut client, 1), (&mut server, 0))
-        } else {
-            ((&mut server, 0), (&mut client, 1))
-        };
-        let recv = |c: &Completion| matches!(c.kind, CompletionKind::Recv { .. });
-        let got =
-            poll_until((receiver, rnode), sender, &mut streams, rcv_cq, recv, "message delivery");
-        let CompletionKind::Recv { ref data, .. } = got.kind else { unreachable!() };
-        assert_eq!(data, &payload(i, len), "live message {i} corrupted");
-        let sent = |c: &Completion| c.kind == CompletionKind::Send;
-        poll_until((sender, snode), receiver, &mut streams, snd_cq, sent, "send completion");
-    }
+    let streams = run(p, script);
     (rec.events(), streams)
+}
+
+fn assert_same_streams(des: &CqStreams, live: &CqStreams) {
+    for (key, stream) in des {
+        assert_eq!(live.get(key), Some(stream), "CQ stream {key:?} diverges");
+    }
+    assert_eq!(des.len(), live.len(), "live popped from CQs the DES never used");
 }
 
 #[test]
 fn des_and_live_transport_drive_the_engine_identically() {
     let script = workload();
-    let (des, _) = des_run(&script);
-    let (live, _) = live_run(&script);
+    let (des, _) = des_trace(&script, FaultPlan::None);
+    let (live, _) = live_trace(&script, &mut LivePair::direct());
 
     for node in 0..2u32 {
         let a = normalize(&des, node);
@@ -233,13 +97,33 @@ fn des_and_live_transport_drive_the_engine_identically() {
 #[test]
 fn des_and_live_transport_pop_identical_completion_streams() {
     let script = workload();
-    let (_, des) = des_run(&script);
-    let (_, live) = live_run(&script);
+    let (_, des) = des_trace(&script, FaultPlan::None);
+    let (_, live) = live_trace(&script, &mut LivePair::direct());
     // handshake + one send and one receive entry per message
     let popped: usize = des.values().map(Vec::len).sum();
     assert_eq!(popped, 2 + 2 * script.len(), "DES streams: {des:?}");
-    for (key, stream) in &des {
-        assert_eq!(live.get(key), Some(stream), "CQ stream {key:?} diverges");
-    }
-    assert_eq!(des.len(), live.len(), "live popped from CQs the DES never used");
+    assert_same_streams(&des, &live);
+}
+
+/// The lossy leg: the DES fabric drops 5% of packets, the live proxy
+/// drops 5% of datagrams and holds 3% back. Both engines recover, and
+/// the completions above them match the lossless run's exactly.
+#[test]
+fn lossy_des_and_live_pop_identical_completion_streams() {
+    let script: Vec<_> = workload().into_iter().cycle().take(28).collect();
+    let (des_events, des) = des_trace(&script, FaultPlan::DropRandom { permille: 50, seed: 3 });
+    let mut pair = LivePair::impaired(ImpairConfig {
+        seed: 3,
+        drop_per_mille: 50,
+        reorder_per_mille: 30,
+        hold_at_most: Duration::from_millis(10),
+    });
+    let (_, live) = live_trace(&script, &mut pair);
+
+    let retransmitted = des_events.iter().any(|r| matches!(r.ev, TraceEvent::Retransmit { .. }));
+    assert!(retransmitted, "the DES fabric dropped nothing the engine had to resend");
+    let proxy = pair.proxy.as_ref().expect("impaired pair").stats();
+    assert!(proxy.dropped > 0, "the proxy dropped nothing: {proxy:?}");
+    assert_eq!(des.values().map(Vec::len).sum::<usize>(), 2 + 2 * script.len());
+    assert_same_streams(&des, &live);
 }

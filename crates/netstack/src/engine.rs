@@ -140,6 +140,10 @@ pub struct EngineStats {
     /// RTO retransmissions that Eifel detection (RFC 3522) found
     /// spurious, summed over live and reaped connections.
     pub spurious_rtos: u64,
+    /// RTO episodes — first RTO retransmissions since SND.UNA last
+    /// advanced — summed over live and reaped connections.
+    /// `spurious_rtos / rto_episodes` is the share Eifel found needless.
+    pub rto_episodes: u64,
 }
 
 impl EngineStats {
@@ -157,7 +161,8 @@ impl EngineStats {
             .push("dupacks_rx", self.dupacks_rx)
             .push("zero_window_events", self.zero_window_events)
             .push("persist_probes", self.persist_probes)
-            .push("spurious_rtos", self.spurious_rtos);
+            .push("spurious_rtos", self.spurious_rtos)
+            .push("rto_episodes", self.rto_episodes);
         s
     }
 }
@@ -319,6 +324,7 @@ impl Engine {
             s.zero_window_events += e.tcb.zero_window_events();
             s.persist_probes += e.tcb.persist_probes();
             s.spurious_rtos += e.tcb.spurious_rtos();
+            s.rto_episodes += e.tcb.rto_episodes();
         }
         s
     }
@@ -903,6 +909,7 @@ impl Engine {
         self.stats.zero_window_events += tcb.zero_window_events();
         self.stats.persist_probes += tcb.persist_probes();
         self.stats.spurious_rtos += tcb.spurious_rtos();
+        self.stats.rto_episodes += tcb.rto_episodes();
     }
 
     /// Emits a [`TraceEvent::SegRx`] for a parsed inbound segment.

@@ -171,10 +171,12 @@ pub struct Tcb {
     // --- RFC 1323 ---
     ts_on: bool,
     ts_recent: u32,
-    /// TSval of the first RTO retransmission since SND.UNA last
-    /// advanced (RFC 3522's RetransmitTS), awaiting the ACK that tells
-    /// whether the timeout was spurious.
-    eifel_retx_ts: Option<u32>,
+    /// Open (`Some`) from the first RTO retransmission since SND.UNA
+    /// last advanced until it advances again. Holds that
+    /// retransmission's TSval (RFC 3522's RetransmitTS) when it carried
+    /// one, awaiting the ACK that tells whether the timeout was
+    /// spurious.
+    rto_episode: Option<Option<u32>>,
     /// Segments received since the last ACK we sent (delayed ACK).
     segs_unacked: u32,
 
@@ -192,6 +194,7 @@ pub struct Tcb {
     zero_window_events: u64,
     persist_probes: u64,
     spurious_rtos: u64,
+    rto_episodes: u64,
 }
 
 impl Tcb {
@@ -270,7 +273,7 @@ impl Tcb {
             ecn_reductions: 0,
             ts_on: false,
             ts_recent: 0,
-            eifel_retx_ts: None,
+            rto_episode: None,
             segs_unacked: 0,
             rto_deadline: None,
             delack_deadline: None,
@@ -283,6 +286,7 @@ impl Tcb {
             zero_window_events: 0,
             persist_probes: 0,
             spurious_rtos: 0,
+            rto_episodes: 0,
         }
     }
 
@@ -357,6 +361,14 @@ impl Tcb {
     /// Counting only; the response to a timeout is unchanged.
     pub fn spurious_rtos(&self) -> u64 {
         self.spurious_rtos
+    }
+
+    /// RTO episodes: first RTO retransmissions since SND.UNA last
+    /// advanced, with or without timestamps. `spurious_rtos` counts a
+    /// subset of them; the backed-off retries inside an episode count
+    /// only as `rto_retransmits`.
+    pub fn rto_episodes(&self) -> u64 {
+        self.rto_episodes
     }
 
     /// Consecutive duplicate ACKs currently counted by the congestion
@@ -1083,11 +1095,12 @@ impl Tcb {
                         }
                     }
                 }
-                // a SYN always carries a timestamp; later segments only
-                // when both ends negotiated them
-                let stamped = self.ts_on || self.state == TcpState::SynSent;
-                if self.rto_retransmits > rto_before && stamped && self.eifel_retx_ts.is_none() {
-                    self.eifel_retx_ts = Some(ts_now(now));
+                if self.rto_retransmits > rto_before && self.rto_episode.is_none() {
+                    self.rto_episodes += 1;
+                    // a SYN always carries a timestamp; later segments
+                    // only when both ends negotiated them
+                    let stamped = self.ts_on || self.state == TcpState::SynSent;
+                    self.rto_episode = Some(stamped.then(|| ts_now(now)));
                 }
                 if self.has_outstanding() {
                     self.arm_rto(now);
@@ -1288,13 +1301,13 @@ impl Tcb {
         self.snd_wl2 = SeqNum(0);
     }
 
-    /// Eifel detection (RFC 3522 §3.2), on the first ACK that advances
-    /// SND.UNA after an RTO retransmission: an echoed TSval older than
-    /// the retransmission's can only come from the original, so the
-    /// timeout was spurious. Either way the episode is over.
+    /// SND.UNA advanced: any RTO episode is over. Eifel detection (RFC
+    /// 3522 §3.2) judges it on this first advancing ACK: an echoed TSval
+    /// older than the retransmission's can only come from the original,
+    /// so the timeout was spurious.
     fn eifel_check(&mut self, hdr: &TcpHeader) {
-        if let (Some(retx_ts), Some((_, tsecr))) =
-            (self.eifel_retx_ts.take(), hdr.options.timestamps)
+        if let (Some(Some(retx_ts)), Some((_, tsecr))) =
+            (self.rto_episode.take(), hdr.options.timestamps)
         {
             // serial-number comparison: the 32-bit clock wraps
             if (tsecr.wrapping_sub(retx_ts) as i32) < 0 {

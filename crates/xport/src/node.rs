@@ -159,7 +159,9 @@ pub struct XportNode {
     clock: WallClock,
     peers: HashMap<Ipv6Addr, SocketAddr>,
     qps: QpTable,
-    cqs: HashMap<CqId, VecDeque<Completion>>,
+    /// CQ contents, indexed by `CqId - 1` (CQ ids are dense and start
+    /// at 1).
+    cqs: Vec<VecDeque<Completion>>,
     buf: Vec<u8>,
     stats: XportStats,
     /// Flight-recorder handle; also installed into the embedded engine.
@@ -198,7 +200,7 @@ impl XportNode {
             clock: WallClock::start(),
             peers: HashMap::new(),
             qps,
-            cqs: HashMap::new(),
+            cqs: Vec::new(),
             buf: vec![0; RECV_BUF],
             stats: XportStats::default(),
             tracer: None,
@@ -276,7 +278,7 @@ impl XportNode {
     /// Creates a completion queue.
     pub fn create_cq(&mut self) -> CqId {
         let id = self.qps.create_cq();
-        self.cqs.insert(id, VecDeque::new());
+        self.cqs.push(VecDeque::new());
         id
     }
 
@@ -428,11 +430,9 @@ impl XportNode {
     ///
     /// [`NicError::UnknownCq`] for a bad handle; socket errors.
     pub fn poll(&mut self, cq: CqId) -> Result<Option<Completion>, XportError> {
-        if !self.cqs.contains_key(&cq) {
-            return Err(NicError::UnknownCq(cq).into());
-        }
+        let i = self.cq_index(cq)?;
         self.pump(Duration::ZERO)?;
-        Ok(self.cqs.get_mut(&cq).expect("checked").pop_front())
+        Ok(self.cqs[i].pop_front())
     }
 
     /// Blocks (servicing the socket and timers) until a completion
@@ -468,12 +468,10 @@ impl XportNode {
         cq: CqId,
         mut peer: Option<&mut XportNode>,
     ) -> Result<Completion, XportError> {
-        if !self.cqs.contains_key(&cq) {
-            return Err(NicError::UnknownCq(cq).into());
-        }
+        let i = self.cq_index(cq)?;
         let deadline = Instant::now() + self.cfg.wait_timeout;
         loop {
-            if let Some(c) = self.cqs.get_mut(&cq).expect("checked").pop_front() {
+            if let Some(c) = self.cqs[i].pop_front() {
                 return Ok(c);
             }
             let left = deadline.saturating_duration_since(Instant::now());
@@ -645,7 +643,18 @@ impl XportNode {
 
     fn complete(&mut self, entry: CqEntry) {
         let (cq, c) = entry.stamp(self.clock.now());
-        self.cqs.entry(cq).or_default().push_back(c);
+        let i = self.cq_index(cq).expect("the QP table names only created CQs");
+        self.cqs[i].push_back(c);
+    }
+
+    /// Position of `cq` in the CQ table.
+    fn cq_index(&self, cq: CqId) -> Result<usize, NicError> {
+        let i = (cq.0 as usize).wrapping_sub(1);
+        if i < self.cqs.len() {
+            Ok(i)
+        } else {
+            Err(NicError::UnknownCq(cq))
+        }
     }
 
     /// Describes the node's pending state for the wait-timeout

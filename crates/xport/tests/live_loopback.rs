@@ -2,36 +2,24 @@
 //!
 //! These tests assert delivery, ordering and exactly-once semantics,
 //! never latencies: the wall clock jitters and the kernel schedules
-//! datagrams as it pleases. The acceptance test drives the stock
-//! protocol engine through a 2%-loss + reordering proxy and checks the
-//! byte stream survives intact.
+//! datagrams as it pleases. The streaming transfers, clean and through
+//! the loss + reordering proxy, run the shared ttcp workload and live
+//! in `qpip-bench`'s `tests/live_stream.rs`.
 
 use std::net::Ipv6Addr;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use qpip_netstack::types::Endpoint;
 use qpip_nic::types::{
-    Completion, CompletionKind, CompletionStatus, CqId, NicError, QpId, RecvWr, SendWr, ServiceType,
+    CompletionKind, CompletionStatus, CqId, NicError, QpId, RecvWr, SendWr, ServiceType,
 };
-use qpip_trace::{FlightRecorder, TraceEvent, Tracer};
-use qpip_xport::{quiesce, ImpairConfig, ImpairProxy, XportConfig, XportError, XportNode};
+use qpip_xport::{quiesce, XportConfig, XportError, XportNode};
 
 const FABRIC_A: Ipv6Addr = Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, 1);
 const FABRIC_B: Ipv6Addr = Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, 2);
 
 fn node(fabric: Ipv6Addr) -> XportNode {
     XportNode::bind(fabric, XportConfig::default()).expect("bind loopback")
-}
-
-/// Deterministic payload for message `seq`: a 4-byte sequence header
-/// followed by a seq-derived fill, so corruption and misordering are
-/// both detectable.
-fn message(seq: u32, len: usize) -> Vec<u8> {
-    let mut m = Vec::with_capacity(len);
-    m.extend_from_slice(&seq.to_be_bytes());
-    m.extend((4..len).map(|i| (seq as usize).wrapping_mul(31).wrapping_add(i) as u8));
-    m
 }
 
 #[test]
@@ -50,7 +38,7 @@ fn udp_datagram_crosses_live_sockets() {
 
     // UDP is unreliable even on loopback in principle: retry the send
     // until the datagram shows up rather than asserting on one shot
-    let payload = message(7, 512);
+    let payload = vec![7; 512];
     let deadline = Instant::now() + Duration::from_secs(10);
     let got = loop {
         assert!(Instant::now() < deadline, "datagram never arrived");
@@ -84,192 +72,6 @@ fn udp_datagram_crosses_live_sockets() {
     assert_eq!(got.status, CompletionStatus::Success);
 }
 
-/// Runs a TCP transfer of `count` messages of `len` bytes from a
-/// client node to a server node whose sockets are already wired
-/// (directly or through a proxy). This thread drives both: the client
-/// waits on acknowledgments while pumping the server, and the server's
-/// CQ is drained between waits. Returns the messages the server
-/// received, in order, plus the client's retransmission count.
-fn transfer(
-    mut client: XportNode,
-    mut server: XportNode,
-    count: u32,
-    len: usize,
-) -> (Vec<Vec<u8>>, u64) {
-    // server: one listening QP that keeps QUEUE receive WRs posted
-    const QUEUE: u32 = 64;
-    let srv_cq = server.create_cq();
-    let srv_qp = server.create_qp(ServiceType::ReliableTcp, srv_cq, srv_cq).unwrap();
-    server.tcp_listen(srv_qp, 5001).unwrap();
-    for i in 0..QUEUE {
-        server.post_recv(srv_qp, RecvWr { wr_id: u64::from(i), capacity: len }).unwrap();
-    }
-    let serve = |server: &mut XportNode, got: &mut Vec<Vec<u8>>, c: Completion| match c.kind {
-        CompletionKind::ConnectionEstablished => {}
-        CompletionKind::Recv { data, .. } => {
-            assert_eq!(c.status, CompletionStatus::Success);
-            got.push(data);
-            // recycle the consumed WR to keep the window open
-            if (got.len() as u32) < count {
-                server.post_recv(srv_qp, RecvWr { wr_id: 0, capacity: len }).unwrap();
-            }
-        }
-        CompletionKind::PeerDisconnected => {
-            panic!("peer closed after {} of {count} messages", got.len())
-        }
-        other => panic!("unexpected completion {other:?}"),
-    };
-    let mut got = Vec::new();
-
-    let cq_conn = client.create_cq();
-    let cq_send = client.create_cq();
-    let qp = client.create_qp(ServiceType::ReliableTcp, cq_send, cq_conn).unwrap();
-    client.tcp_connect(qp, 5000, Endpoint::new(FABRIC_B, 5001)).unwrap();
-    let c = client.wait_pumping(cq_conn, &mut server).expect("connection established");
-    assert_eq!(c.kind, CompletionKind::ConnectionEstablished);
-
-    // windowed submission: at most 32 sends in flight, refilled as
-    // acknowledgment completions retire them (§3 semantics)
-    let mut next = 0u32;
-    let mut inflight = 0u32;
-    let mut completed = 0u32;
-    while completed < count {
-        while next < count && inflight < 32 {
-            client
-                .post_send(
-                    qp,
-                    SendWr { wr_id: u64::from(next), payload: message(next, len), dst: None },
-                )
-                .unwrap();
-            next += 1;
-            inflight += 1;
-        }
-        while let Some(c) = server.poll(srv_cq).unwrap() {
-            serve(&mut server, &mut got, c);
-        }
-        let done = client.wait_pumping(cq_send, &mut server).expect("send completion");
-        assert_eq!(done.kind, CompletionKind::Send);
-        assert_eq!(done.status, CompletionStatus::Success, "send {} failed", done.wr_id);
-        inflight -= 1;
-        completed += 1;
-    }
-
-    // sample before close: the engine's per-connection counters die
-    // with the connection slab entry
-    let retransmissions = client.engine().retransmissions();
-    client.tcp_close(qp).unwrap();
-    while (got.len() as u32) < count {
-        let c = server.wait_pumping(srv_cq, &mut client).expect("server completion");
-        serve(&mut server, &mut got, c);
-    }
-    let _ = server.tcp_close(srv_qp);
-    // let the FIN handshake drain; nothing is asserted about it (under
-    // loss the teardown may outlive our patience — data already landed)
-    quiesce(&mut client, &mut server).unwrap();
-    (got, retransmissions)
-}
-
-fn assert_exactly_once_in_order(received: &[Vec<u8>], count: u32, len: usize) {
-    assert_eq!(received.len() as u32, count, "message count");
-    for (i, data) in received.iter().enumerate() {
-        assert_eq!(data, &message(i as u32, len), "message {i} corrupted or misordered");
-    }
-}
-
-#[test]
-fn tcp_transfer_direct() {
-    let mut client = node(FABRIC_A);
-    let mut server = node(FABRIC_B);
-    client.add_peer(FABRIC_B, server.local_addr().unwrap());
-    server.add_peer(FABRIC_A, client.local_addr().unwrap());
-
-    let (received, _retrans) = transfer(client, server, 100, 1024);
-    assert_exactly_once_in_order(&received, 100, 1024);
-}
-
-/// The acceptance test: a transfer through the impairment proxy at 2%
-/// loss plus reordering completes with exactly-once, in-order delivery
-/// using the stock engine — its retransmission machinery, not the
-/// wire, provides reliability.
-#[test]
-fn tcp_transfer_survives_loss_and_reordering() {
-    let mut client = node(FABRIC_A);
-    let mut server = node(FABRIC_B);
-    let proxy = ImpairProxy::new(ImpairConfig {
-        seed: 42,
-        drop_per_mille: 20,    // 2% loss
-        reorder_per_mille: 30, // 3% held for reordering
-        hold_at_most: Duration::from_millis(15),
-    })
-    .route(FABRIC_A, client.local_addr().unwrap())
-    .route(FABRIC_B, server.local_addr().unwrap())
-    .spawn()
-    .expect("spawn proxy");
-    // both directions pass through the proxy
-    client.add_peer(FABRIC_B, proxy.addr());
-    server.add_peer(FABRIC_A, proxy.addr());
-
-    let (count, len) = (300, 1024);
-    let (received, retransmissions) = transfer(client, server, count, len);
-    assert_exactly_once_in_order(&received, count, len);
-
-    let stats = proxy.stats();
-    assert!(stats.dropped > 0, "the proxy never dropped anything: {stats:?}");
-    assert!(retransmissions > 0, "loss recovery never ran; proxy stats {stats:?}");
-    proxy.stop();
-}
-
-/// Flight recorder on real wires: a lossy proxied transfer must leave
-/// ≥1 retransmit event in the client's trace, and every retransmit's
-/// sequence number must name a segment the trace also shows re-sent.
-/// Event ordering and counts are wall-clock-dependent; the seq linkage
-/// is not.
-#[test]
-fn lossy_proxied_transfer_traces_retransmits() {
-    let mut client = node(FABRIC_A);
-    let mut server = node(FABRIC_B);
-    let rec = Arc::new(FlightRecorder::new(65536));
-    client.set_tracer(Tracer::new(Arc::clone(&rec), 0));
-    let proxy = ImpairProxy::new(ImpairConfig {
-        seed: 7,
-        drop_per_mille: 30, // 3% loss
-        reorder_per_mille: 20,
-        hold_at_most: Duration::from_millis(15),
-    })
-    .route(FABRIC_A, client.local_addr().unwrap())
-    .route(FABRIC_B, server.local_addr().unwrap())
-    .spawn()
-    .expect("spawn proxy");
-    client.add_peer(FABRIC_B, proxy.addr());
-    server.add_peer(FABRIC_A, proxy.addr());
-
-    let (count, len) = (300, 1024);
-    let (received, retransmissions) = transfer(client, server, count, len);
-    assert_exactly_once_in_order(&received, count, len);
-    assert!(retransmissions > 0, "loss recovery never ran");
-    proxy.stop();
-
-    let events = rec.events();
-    let retransmits: Vec<_> =
-        events.iter().filter(|r| matches!(r.ev, TraceEvent::Retransmit { .. })).collect();
-    assert!(!retransmits.is_empty(), "engine retransmitted but the trace recorded none");
-    for r in &retransmits {
-        let TraceEvent::Retransmit { seq, .. } = r.ev else { unreachable!() };
-        let matched = events.iter().any(|e| {
-            e.conn == r.conn
-                && matches!(e.ev,
-                    TraceEvent::SegTx { seq: s, retransmit: true, .. } if s == seq)
-        });
-        assert!(matched, "retransmit seq {seq} has no matching retransmitted SegTx");
-    }
-    // socket-level events landed too (node scope): the live transport
-    // stamps rx/tx datagrams into the same recorder
-    assert!(
-        events.iter().any(|r| matches!(r.ev, TraceEvent::Sock { .. })),
-        "no socket-level events traced"
-    );
-}
-
 #[test]
 fn messages_backlog_until_recv_wrs_are_posted() {
     let mut client = node(FABRIC_A);
@@ -292,7 +94,7 @@ fn messages_backlog_until_recv_wrs_are_posted() {
     client.tcp_connect(qp, 5000, Endpoint::new(FABRIC_B, 5001)).unwrap();
     for i in 0..8u32 {
         client
-            .post_send(qp, SendWr { wr_id: u64::from(i), payload: message(i, 100), dst: None })
+            .post_send(qp, SendWr { wr_id: u64::from(i), payload: vec![i as u8; 100], dst: None })
             .unwrap();
     }
 
@@ -332,7 +134,7 @@ fn messages_backlog_until_recv_wrs_are_posted() {
         }
     }
     for (i, data) in got.iter().enumerate() {
-        assert_eq!(data, &message(i as u32, 100));
+        assert_eq!(data, &vec![i as u8; 100], "message {i} misordered");
     }
     let sstats = server.stats();
     assert!(sstats.tcp_backlogged > 0, "nothing ever backlogged: {sstats:?}");
@@ -363,7 +165,7 @@ fn lost_window_update_is_recovered_by_a_persist_probe() {
     assert_eq!(up.kind, CompletionKind::ConnectionEstablished);
     // let the zero-window announcement land before sending into it
     quiesce(&mut a, &mut b).unwrap();
-    a.post_send(aqp, SendWr { wr_id: 1, payload: message(1, 1000), dst: None }).unwrap();
+    a.post_send(aqp, SendWr { wr_id: 1, payload: vec![1; 1000], dst: None }).unwrap();
 
     // post 4 KB (a 100-byte WR rounds to a zero window under the
     // negotiated window scale) while the route to `a` leads into a hole
@@ -374,7 +176,7 @@ fn lost_window_update_is_recovered_by_a_persist_probe() {
 
     let c = b.wait_pumping(bcq, &mut a).expect("persist probe recovers the window");
     match c.kind {
-        CompletionKind::Recv { data, .. } => assert_eq!(data, message(1, 1000)),
+        CompletionKind::Recv { data, .. } => assert_eq!(data, vec![1; 1000]),
         other => panic!("expected Recv, got {other:?}"),
     }
     assert!(a.engine().stats().persist_probes >= 1, "{:?}", a.engine().stats());
@@ -457,7 +259,7 @@ fn oversized_message_completes_with_length_error() {
     let cq_c = client.create_cq();
     let qp_c = client.create_qp(ServiceType::ReliableTcp, cq_c, cq_c).unwrap();
     client.tcp_connect(qp_c, 5000, Endpoint::new(FABRIC_B, 5001)).unwrap();
-    client.post_send(qp_c, SendWr { wr_id: 7, payload: message(0, 100), dst: None }).unwrap();
+    client.post_send(qp_c, SendWr { wr_id: 7, payload: vec![0; 100], dst: None }).unwrap();
 
     let deadline = Instant::now() + Duration::from_secs(10);
     let got = loop {
