@@ -1,38 +1,21 @@
-//! Datapath hot-path benchmarks with in-file baselines.
+//! Internet-checksum micro-benchmark with an in-file baseline.
 //!
-//! Measures the three optimizations of the zero-copy datapath PR against
-//! faithful reimplementations of the code they replaced:
+//! Measures the wide-word checksum against the 2-byte scalar walk it
+//! replaced. The scalar walk stays in this file as a correctness
+//! oracle too: every size is checked for an identical result before it
+//! is timed. `scripts/check.sh` floors the `checksum/1500` and
+//! `checksum/9000` speedups.
 //!
-//! 1. wide-word internet checksum vs the 2-byte scalar walk,
-//! 2. headroom-prepend packet encode + borrowed decode vs the
-//!    concat-of-Vecs encode + copying decode,
-//! 3. generation-checked timer cancellation vs HashSet lazy deletion,
-//!    under per-ACK rescheduling churn.
-//!
-//! Run with `--json` to also write `BENCH_datapath.json` (machine
-//! readable before/after ns/op plus scalar metrics).
-
-use std::collections::{BinaryHeap, HashSet};
-use std::net::Ipv6Addr;
+//! The codec and the DES kernel are guarded without a clock: the
+//! codec's allocation count in `tests/steady_state_allocs.rs`, the
+//! kernel's heap depth under per-ACK rescheduling in
+//! `qpip_sim::kernel`'s `per_ack_rescheduling_does_not_grow_the_heap`.
 
 use qpip_bench::microbench::{compare, Comparison};
-use qpip_bench::report::datapath_json;
-use qpip_bench::workloads::pingpong::qpip_tcp_rtt_observed;
-use qpip_netstack::codec::{build_tcp_packet, build_udp_packet, decode_packet, Decoded};
-use qpip_netstack::tcp::SegmentOut;
-use qpip_netstack::types::{Endpoint, PacketKind};
-use qpip_sim::kernel::Simulator;
-use qpip_sim::time::{SimDuration, SimTime};
 use qpip_wire::checksum::checksum;
-use qpip_wire::ipv6::{Ipv6Header, NextHeader, IPV6_HEADER_LEN};
-use qpip_wire::tcp::{SeqNum, TcpFlags, TcpHeader, TcpOptions};
-use qpip_wire::udp::UdpHeader;
 
-// ---------------------------------------------------------------------
-// Baseline 1: the 2-byte scalar checksum this PR replaced.
-// ---------------------------------------------------------------------
-
-fn scalar_checksum_sum(data: &[u8]) -> u32 {
+/// The 2-byte scalar checksum the wide-word one replaced.
+fn scalar_checksum(data: &[u8]) -> u16 {
     let mut sum = 0u32;
     let mut words = data.chunks_exact(2);
     for w in &mut words {
@@ -41,236 +24,11 @@ fn scalar_checksum_sum(data: &[u8]) -> u32 {
     if let [b] = words.remainder() {
         sum += u32::from(u16::from_be_bytes([*b, 0]));
     }
-    sum
-}
-
-fn scalar_checksum(data: &[u8]) -> u16 {
-    let mut s = scalar_checksum_sum(data);
-    while s >> 16 != 0 {
-        s = (s & 0xffff) + (s >> 16);
+    while sum >> 16 != 0 {
+        sum = (sum & 0xffff) + (sum >> 16);
     }
-    !(s as u16)
+    !(sum as u16)
 }
-
-fn scalar_transport_checksum(src: Ipv6Addr, dst: Ipv6Addr, next_header: u8, segment: &[u8]) -> u16 {
-    let mut s = scalar_checksum_sum(&src.octets());
-    s += scalar_checksum_sum(&dst.octets());
-    let len = segment.len() as u32;
-    s += (len >> 16) + (len & 0xffff);
-    s += u32::from(next_header);
-    s += scalar_checksum_sum(segment);
-    while s >> 16 != 0 {
-        s = (s & 0xffff) + (s >> 16);
-    }
-    !(s as u16)
-}
-
-// ---------------------------------------------------------------------
-// Baseline 2: the concat-of-Vecs codec this PR replaced — every layer
-// allocates its own vector and copies everything below it, and decode
-// copies the payload out.
-// ---------------------------------------------------------------------
-
-fn baseline_wrap_ipv6(src: Ipv6Addr, dst: Ipv6Addr, nh: NextHeader, transport: Vec<u8>) -> Vec<u8> {
-    let ip = Ipv6Header::new(src, dst, nh, transport.len() as u16);
-    let mut pkt = Vec::with_capacity(IPV6_HEADER_LEN + transport.len());
-    ip.encode(&mut pkt);
-    pkt.extend_from_slice(&transport);
-    pkt
-}
-
-fn baseline_build_udp_packet(src: Endpoint, dst: Endpoint, payload: &[u8]) -> Vec<u8> {
-    let udp = UdpHeader::for_payload(src.port, dst.port, payload.len());
-    let mut seg = Vec::with_capacity(8 + payload.len());
-    udp.encode(&mut seg);
-    seg.extend_from_slice(payload);
-    let ck = scalar_transport_checksum(src.addr, dst.addr, NextHeader::Udp.code(), &seg);
-    let ck = if ck == 0 { 0xffff } else { ck };
-    seg[6..8].copy_from_slice(&ck.to_be_bytes());
-    baseline_wrap_ipv6(src.addr, dst.addr, NextHeader::Udp, seg)
-}
-
-fn baseline_build_tcp_packet(src: Endpoint, dst: Endpoint, seg: &SegmentOut) -> Vec<u8> {
-    let hdr = TcpHeader {
-        src_port: src.port,
-        dst_port: dst.port,
-        seq: seg.seq,
-        ack: seg.ack,
-        flags: seg.flags,
-        window: seg.window,
-        checksum: 0,
-        urgent: 0,
-        options: seg.options,
-    };
-    let mut bytes = Vec::with_capacity(hdr.encoded_len() + seg.payload.len());
-    hdr.encode(&mut bytes);
-    bytes.extend_from_slice(&seg.payload);
-    let ck = scalar_transport_checksum(src.addr, dst.addr, NextHeader::Tcp.code(), &bytes);
-    bytes[16..18].copy_from_slice(&ck.to_be_bytes());
-    baseline_wrap_ipv6(src.addr, dst.addr, NextHeader::Tcp, bytes)
-}
-
-/// Baseline decode: verify with the scalar checksum, then copy the
-/// payload into an owned vector (the old `seg[hl..].to_vec()`).
-fn baseline_decode_payload(bytes: &[u8]) -> Vec<u8> {
-    let (ip, n) = Ipv6Header::parse(bytes).unwrap();
-    let seg = &bytes[n..n + usize::from(ip.payload_len)];
-    let ok = scalar_transport_checksum(ip.src, ip.dst, ip.next_header.code(), seg) == 0;
-    assert!(ok, "baseline checksum verify failed");
-    match ip.next_header {
-        NextHeader::Tcp => {
-            let (_, hl) = TcpHeader::parse(seg).unwrap();
-            seg[hl..].to_vec()
-        }
-        NextHeader::Udp => {
-            let (udp, hl) = UdpHeader::parse(seg).unwrap();
-            seg[hl..usize::from(udp.length)].to_vec()
-        }
-        NextHeader::Other(_) => Vec::new(),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Baseline 3: the lazy-deletion DES kernel this PR replaced — cancelled
-// ids collect in a HashSet and dead entries ride the heap until popped,
-// so per-ACK rescheduling grows the queue without bound.
-// ---------------------------------------------------------------------
-
-struct LazyEntry {
-    at: SimTime,
-    seq: u64,
-    event: u32,
-}
-
-impl PartialEq for LazyEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-impl Eq for LazyEntry {}
-impl PartialOrd for LazyEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for LazyEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // inverted: BinaryHeap is a max-heap, we want the earliest event
-        other.at.cmp(&self.at).then(other.seq.cmp(&self.seq))
-    }
-}
-
-#[derive(Default)]
-struct LazyKernel {
-    now: SimTime,
-    seq: u64,
-    queue: BinaryHeap<LazyEntry>,
-    cancelled: HashSet<u64>,
-}
-
-impl LazyKernel {
-    fn schedule_after(&mut self, after: SimDuration, event: u32) -> u64 {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(LazyEntry { at: self.now + after, seq, event });
-        seq
-    }
-
-    fn cancel(&mut self, id: u64) {
-        self.cancelled.insert(id);
-    }
-
-    fn next(&mut self) -> Option<(SimTime, u32)> {
-        while let Some(e) = self.queue.pop() {
-            if self.cancelled.remove(&e.seq) {
-                continue;
-            }
-            self.now = e.at;
-            return Some((e.at, e.event));
-        }
-        None
-    }
-}
-
-// ---------------------------------------------------------------------
-// Workloads
-// ---------------------------------------------------------------------
-
-fn addr(n: u16) -> Ipv6Addr {
-    Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, n)
-}
-
-fn tcp_segment(payload_len: usize) -> SegmentOut {
-    SegmentOut {
-        seq: SeqNum(0x1000),
-        ack: SeqNum(0x2000),
-        flags: TcpFlags { ack: true, psh: true, ..TcpFlags::NONE },
-        window: 32_000,
-        options: TcpOptions { timestamps: Some((7, 9)), ..TcpOptions::default() },
-        payload: vec![0x42; payload_len],
-        kind: PacketKind::TcpData,
-        is_retransmit: false,
-        ect: false,
-    }
-}
-
-/// Per-ACK rescheduling churn, as a TCP sender does with its RTO timer:
-/// every ACK cancels the pending retransmit timer and schedules a new
-/// one. Interleaves a few deliveries so both kernels also pop.
-const CHURN_CONNS: usize = 32;
-
-fn churn_current(acks: usize) -> (u64, usize) {
-    let mut sim: Simulator<u32> = Simulator::new();
-    let mut ids: Vec<_> = (0..CHURN_CONNS)
-        .map(|i| sim.schedule_after(SimDuration::from_millis(200 + i as u64), i as u32))
-        .collect();
-    let mut max_depth = 0;
-    let mut acc = 0u64;
-    for a in 0..acks {
-        let c = a % CHURN_CONNS;
-        sim.cancel(ids[c]);
-        ids[c] = sim.schedule_after(SimDuration::from_millis(200), c as u32);
-        if a % 64 == 63 {
-            // a tick fires: deliver whatever is due
-            if let Some((_, e)) = sim.next() {
-                acc = acc.wrapping_add(u64::from(e));
-            }
-        }
-        max_depth = max_depth.max(sim.queue_depth());
-    }
-    while let Some((_, e)) = sim.next() {
-        acc = acc.wrapping_add(u64::from(e));
-    }
-    (acc, max_depth)
-}
-
-fn churn_baseline(acks: usize) -> (u64, usize) {
-    let mut sim = LazyKernel::default();
-    let mut ids: Vec<_> = (0..CHURN_CONNS)
-        .map(|i| sim.schedule_after(SimDuration::from_millis(200 + i as u64), i as u32))
-        .collect();
-    let mut max_depth = 0;
-    let mut acc = 0u64;
-    for a in 0..acks {
-        let c = a % CHURN_CONNS;
-        sim.cancel(ids[c]);
-        ids[c] = sim.schedule_after(SimDuration::from_millis(200), c as u32);
-        if a % 64 == 63 {
-            if let Some((_, e)) = sim.next() {
-                acc = acc.wrapping_add(u64::from(e));
-            }
-        }
-        max_depth = max_depth.max(sim.queue.len());
-    }
-    while let Some((_, e)) = sim.next() {
-        acc = acc.wrapping_add(u64::from(e));
-    }
-    (acc, max_depth)
-}
-
-// ---------------------------------------------------------------------
-// Driver
-// ---------------------------------------------------------------------
 
 fn print_cmp(c: &Comparison) {
     println!(
@@ -283,113 +41,13 @@ fn print_cmp(c: &Comparison) {
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
-    let mut cmps: Vec<Comparison> = Vec::new();
-    let mut metrics: Vec<(&str, f64)> = Vec::new();
-
-    // -- checksum ------------------------------------------------------
     for size in [64usize, 1500, 9000, 16 * 1024] {
         let data = vec![0xa5u8; size];
         assert_eq!(checksum(&data), scalar_checksum(&data));
-        cmps.push(compare(
+        print_cmp(&compare(
             &format!("checksum/{size}"),
             || scalar_checksum(std::hint::black_box(&data)),
             || checksum(std::hint::black_box(&data)),
         ));
-        print_cmp(cmps.last().unwrap());
-    }
-
-    // -- encode + decode roundtrip ------------------------------------
-    let src = Endpoint::new(addr(1), 9);
-    let dst = Endpoint::new(addr(2), 10);
-    for size in [64usize, 1460, 8928] {
-        let payload = vec![7u8; size];
-        // the two paths must produce identical wire bytes
-        assert_eq!(
-            &build_udp_packet(src, dst, &payload)[..],
-            &baseline_build_udp_packet(src, dst, &payload)[..]
-        );
-        cmps.push(compare(
-            &format!("udp_encode_decode/{size}"),
-            || {
-                let pkt = baseline_build_udp_packet(src, dst, std::hint::black_box(&payload));
-                baseline_decode_payload(&pkt).len()
-            },
-            || {
-                let pkt = build_udp_packet(src, dst, std::hint::black_box(&payload));
-                match decode_packet(&pkt).unwrap() {
-                    Decoded::Udp { payload, .. } => payload.len(),
-                    _ => unreachable!(),
-                }
-            },
-        ));
-        print_cmp(cmps.last().unwrap());
-    }
-    for size in [64usize, 1460, 8928] {
-        let seg = tcp_segment(size);
-        assert_eq!(
-            &build_tcp_packet(src, dst, &seg)[..],
-            &baseline_build_tcp_packet(src, dst, &seg)[..]
-        );
-        cmps.push(compare(
-            &format!("tcp_encode_decode/{size}"),
-            || {
-                let pkt = baseline_build_tcp_packet(src, dst, std::hint::black_box(&seg));
-                baseline_decode_payload(&pkt).len()
-            },
-            || {
-                let pkt = build_tcp_packet(src, dst, std::hint::black_box(&seg));
-                match decode_packet(&pkt).unwrap() {
-                    Decoded::Tcp { payload, .. } => payload.len(),
-                    _ => unreachable!(),
-                }
-            },
-        ));
-        print_cmp(cmps.last().unwrap());
-    }
-
-    // -- DES timer churn ----------------------------------------------
-    // 10 MB / 1448-byte segments ≈ 7 242 ACKs, one timer reschedule each
-    let acks = 10 * 1024 * 1024 / 1448;
-    assert_eq!(churn_current(acks).0, churn_baseline(acks).0);
-    cmps.push(compare(
-        "des_timer_churn_10mb_ttcp",
-        || churn_baseline(acks).0,
-        || churn_current(acks).0,
-    ));
-    print_cmp(cmps.last().unwrap());
-
-    let (_, cur_depth) = churn_current(acks);
-    let (_, base_depth) = churn_baseline(acks);
-    println!(
-        "max queue depth over {acks} per-ACK reschedules: lazy {base_depth}, generation-checked {cur_depth}"
-    );
-    metrics.push(("ttcp_10mb_churn_max_queue_depth", cur_depth as f64));
-    metrics.push(("ttcp_10mb_churn_max_queue_depth_lazy_baseline", base_depth as f64));
-
-    // raw event throughput of the kernel (schedule + drain, no churn)
-    let mut sim: Simulator<u64> = Simulator::new();
-    for i in 0..1_000_000u64 {
-        let t = (i * 2_654_435_761) % 1_000_000;
-        sim.schedule_after(SimDuration::from_nanos(t), i);
-    }
-    let mut acc = 0u64;
-    while let Some((_, e)) = sim.next() {
-        acc = acc.wrapping_add(e);
-    }
-    std::hint::black_box(acc);
-    let eps = sim.events_per_sec();
-    println!("des kernel drain throughput: {eps:.0} events/sec");
-    metrics.push(("des_events_per_sec", eps));
-
-    if json {
-        // Unified counter snapshots from a reference DES pingpong run
-        // (deterministic: same workload, same counters every time).
-        let (_, counters) = qpip_tcp_rtt_observed(qpip::NicConfig::paper_default(), 64, 40, None);
-        // cargo runs benches with CWD = the package dir; anchor the
-        // artifact at the workspace root so its path is stable
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_datapath.json");
-        std::fs::write(path, datapath_json(&cmps, &metrics, &counters)).expect("write json");
-        println!("wrote {path}");
     }
 }

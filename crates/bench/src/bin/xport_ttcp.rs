@@ -109,17 +109,14 @@ fn main() {
     ]);
     t.print();
 
-    // the stream panics on any lost, duplicated or misordered message,
-    // so reaching here means both transfers were exactly-once in order
+    // Delivery needs no check here: `ttcp::Stream::run` panics on any
+    // lost, duplicated, misordered or corrupted message, so reaching
+    // this line means both transfers were exactly-once and in order.
     println!("\nShape checks:");
     let check = |name: &str, ok: bool| {
         println!("  [{}] {}", if ok { "ok" } else { "MISS" }, name);
     };
-    check("every direct message delivered in order", direct.bytes == messages * message as u64);
-    check(
-        "impaired stream delivered exactly-once despite drops",
-        impaired.bytes == impaired_messages * message as u64 && proxy_dropped > 0,
-    );
+    check("impaired path dropped datagrams", proxy_dropped > 0);
     check("loss recovery engaged on the impaired path", impaired.retransmissions > 0);
 
     if json {

@@ -3,7 +3,7 @@
 //! A self-contained replacement for Criterion: adaptive batch sizing so
 //! each sample runs long enough for the OS timer to resolve, a handful
 //! of samples, and the median ns/op. No external crates, no statistics
-//! beyond what a perf-trajectory JSON needs. Simulation results never
+//! beyond a median. Simulation results never
 //! depend on this module — it measures the simulator, not the model.
 
 use std::hint::black_box;
@@ -63,7 +63,8 @@ pub fn bench<R>(name: &str, mut f: impl FnMut() -> R) -> Measurement {
     Measurement { name: name.to_string(), ns_per_op: samples[SAMPLES / 2], batch_iters: iters }
 }
 
-/// A before/after pair for the perf-trajectory report.
+/// A baseline/current pair measured in the same run, so their ratio
+/// varies far less across machines than either time does.
 #[derive(Debug, Clone)]
 pub struct Comparison {
     /// Benchmark name.

@@ -2,29 +2,29 @@
 //! paper-vs-measured layout so EXPERIMENTS.md can be assembled directly
 //! from harness output.
 //!
-//! Every JSON emitter stamps [`SCHEMA_VERSION`] so downstream dashboards
-//! can detect layout changes, and none of them may embed anything
-//! host- or time-identifying (hostnames, usernames, paths, dates):
-//! measured *values* naturally vary with the machine, but the document
-//! itself must not say which machine or when.
+//! One binary also writes a JSON document: `xport_ttcp --json` renders
+//! `BENCH_xport.json` through [`xport_json`]. The document stamps
+//! [`SCHEMA_VERSION`] so downstream dashboards can detect layout
+//! changes, and it may embed nothing host- or time-identifying
+//! (hostnames, usernames, paths, dates): measured *values* naturally
+//! vary with the machine, but the document itself must not say which
+//! machine or when.
 
 use qpip_trace::snapshot::{counters_json, Snapshot};
 
 use crate::workloads::pingpong::RttResult;
 use crate::workloads::ttcp::TtcpResult;
 
-/// Version of the JSON layouts below. Bump when a field is added,
-/// renamed or removed in any emitter.
+/// Version of the [`xport_json`] layout. Bump when a field is added,
+/// renamed or removed.
 ///
-/// v3: every document gains a `counters` section — the unified
+/// v3: the document gains a `counters` section — the unified
 /// [`Snapshot`] rendering of the workload's stats structs — and the
-/// per-stream `retransmissions`/`proxy_dropped` fields of the xport
-/// report moved into it (as `<scenario>_engine.*_retransmits` and
-/// `<scenario>_proxy.dropped`).
+/// per-stream `retransmissions`/`proxy_dropped` fields moved into it
+/// (as `<scenario>_engine.*_retransmits` and `<scenario>_proxy.dropped`).
 ///
-/// v4: the xport report's `rtt` object gives the live RTT as a
-/// distribution — `p50_us`, `p99_us`, `p999_us` — in place of
-/// `min_us`.
+/// v4: the `rtt` object gives the live RTT as a distribution —
+/// `p50_us`, `p99_us`, `p999_us` — in place of `min_us`.
 pub const SCHEMA_VERSION: u32 = 4;
 
 /// A simple fixed-width table printer.
@@ -88,105 +88,6 @@ impl Table {
     pub fn print(&self) {
         print!("{}", self.render());
     }
-}
-
-/// Renders the datapath perf-trajectory report as JSON.
-///
-/// Hand-rolled serialization (no serde in the workspace): the schema is
-/// a flat list of `{name, baseline_ns, current_ns, speedup}` objects
-/// plus free-form scalar metrics and the unified counter snapshots of
-/// a reference DES run, which is all a trend dashboard needs.
-///
-/// ```json
-/// {
-///   "schema_version": 4,
-///   "benches": [
-///     {"name": "checksum/9000", "baseline_ns": 1.0, "current_ns": 0.2, "speedup": 5.0}
-///   ],
-///   "metrics": {"des_events_per_sec": 1.0e7},
-///   "counters": {"engine": {"rx_packets": 96}}
-/// }
-/// ```
-pub fn datapath_json(
-    benches: &[crate::microbench::Comparison],
-    metrics: &[(&str, f64)],
-    counters: &[Snapshot],
-) -> String {
-    let mut out = format!("{{\n  \"schema_version\": {SCHEMA_VERSION},\n  \"benches\": [\n");
-    for (i, c) in benches.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"baseline_ns\": {:.2}, \"current_ns\": {:.2}, \"speedup\": {:.3}}}{}\n",
-            c.name,
-            c.baseline_ns,
-            c.current_ns,
-            c.speedup(),
-            if i + 1 < benches.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n  \"metrics\": {\n");
-    for (i, (k, v)) in metrics.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{k}\": {v:.2}{}\n",
-            if i + 1 < metrics.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  },\n");
-    out.push_str(&format!("  \"counters\": {}\n}}\n", counters_json(counters, 2)));
-    out
-}
-
-/// Renders the many-flow fan-in report as JSON, one object per fleet
-/// size plus summary metrics.
-///
-/// ```json
-/// {
-///   "schema_version": 4,
-///   "scales": [
-///     {"flows": 64, "wall_s": 0.1, "des_events": 10000,
-///      "des_events_per_sec": 1.0e6, "events_per_flow": 156.2,
-///      "timer_scan_ns": 800.0, "timer_indexed_ns": 20.0,
-///      "timer_speedup": 40.0}
-///   ],
-///   "metrics": {"timer_speedup_at_max_flows": 40.0},
-///   "counters": {"engine": {"rx_packets": 4096}}
-/// }
-/// ```
-///
-/// `counters` carries the fleet-wide snapshots of the largest scale's
-/// world (engine + NIC summed across every node, plus the fabric).
-pub fn manyflow_json(
-    scales: &[crate::workloads::manyflow::ManyflowScale],
-    counters: &[Snapshot],
-) -> String {
-    let mut out = format!("{{\n  \"schema_version\": {SCHEMA_VERSION},\n  \"scales\": [\n");
-    for (i, s) in scales.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"flows\": {}, \"wall_s\": {:.3}, \"des_events\": {}, \
-             \"des_events_per_sec\": {:.0}, \"events_per_flow\": {:.1}, \
-             \"timer_scan_ns\": {:.1}, \"timer_indexed_ns\": {:.1}, \
-             \"timer_speedup\": {:.2}}}{}\n",
-            s.flows,
-            s.wall_s,
-            s.des_events,
-            s.des_events_per_sec,
-            s.events_per_flow,
-            s.timer.baseline_ns,
-            s.timer.current_ns,
-            s.timer.speedup(),
-            if i + 1 < scales.len() { "," } else { "" },
-        ));
-    }
-    let speedup_at_max = scales.last().map_or(0.0, |s| s.timer.speedup());
-    let flatness = match (scales.first(), scales.last()) {
-        (Some(a), Some(b)) if a.events_per_flow > 0.0 => b.events_per_flow / a.events_per_flow,
-        _ => 0.0,
-    };
-    out.push_str("  ],\n  \"metrics\": {\n");
-    out.push_str(&format!("    \"timer_speedup_at_max_flows\": {speedup_at_max:.2},\n"));
-    out.push_str(&format!("    \"events_per_flow_growth\": {flatness:.3}\n"));
-    out.push_str("  },\n");
-    out.push_str(&format!("  \"counters\": {}\n}}\n", counters_json(counters, 2)));
-    out
 }
 
 /// Renders the live-socket (xport) ttcp report as JSON: one RTT
@@ -300,28 +201,6 @@ mod tests {
         assert_eq!(pct(0.756), "75.6%");
     }
 
-    fn fixture_comparison() -> crate::microbench::Comparison {
-        crate::microbench::Comparison {
-            name: "checksum/9000".into(),
-            baseline_ns: 10.0,
-            current_ns: 2.0,
-        }
-    }
-
-    fn fixture_scale() -> crate::workloads::manyflow::ManyflowScale {
-        crate::workloads::manyflow::ManyflowScale {
-            flows: 64,
-            wall_s: 0.25,
-            sim_s: 0.001,
-            des_events: 10_000,
-            des_events_per_sec: 40_000.0,
-            events_per_flow: 156.25,
-            bytes_received: 65_536,
-            timer: fixture_comparison(),
-            counters: fixture_counters(),
-        }
-    }
-
     fn fixture_rtt() -> RttResult {
         let mut samples = qpip_sim::stats::Summary::new();
         for us in [61.2, 88.0, 88.5, 140.0] {
@@ -353,24 +232,20 @@ mod tests {
     #[test]
     fn json_emitters_stamp_schema_version_and_stay_host_independent() {
         let cnt = fixture_counters();
-        let dp = datapath_json(&[fixture_comparison()], &[("des_events_per_sec", 1e7)], &cnt);
-        let mf = manyflow_json(&[fixture_scale()], &cnt);
         let xp = xport_json(&fixture_rtt(), 64, &[fixture_stream()], 73.1, 100.0, &cnt);
         // the live RTT is a distribution: nearest-rank percentiles of
         // the four fixture samples
         assert!(xp.contains("\"p50_us\": 88.0, \"p99_us\": 140.0, \"p999_us\": 140.0"), "{xp}");
         assert!(xp.contains("\"messages\": 2000, \"message_len\": 8928"), "{xp}");
-        for json in [&dp, &mf, &xp] {
-            assert!(
-                json.contains(&format!("\"schema_version\": {SCHEMA_VERSION}")),
-                "missing schema_version: {json}"
-            );
-            assert!(
-                json.contains("\"counters\": {") && json.contains("\"rto_retransmits\": 2"),
-                "missing counters section: {json}"
-            );
-            assert_host_independent(json);
-        }
+        assert!(
+            xp.contains(&format!("\"schema_version\": {SCHEMA_VERSION}")),
+            "missing schema_version: {xp}"
+        );
+        assert!(
+            xp.contains("\"counters\": {") && xp.contains("\"rto_retransmits\": 2"),
+            "missing counters section: {xp}"
+        );
+        assert_host_independent(&xp);
     }
 
     #[test]
@@ -381,14 +256,6 @@ mod tests {
         let a = xport_json(&fixture_rtt(), 64, &[fixture_stream()], 73.1, 100.0, &cnt);
         let b = xport_json(&fixture_rtt(), 64, &[fixture_stream()], 73.1, 100.0, &cnt);
         assert_eq!(a, b);
-        assert_eq!(
-            manyflow_json(&[fixture_scale()], &cnt),
-            manyflow_json(&[fixture_scale()], &cnt)
-        );
-        assert_eq!(
-            datapath_json(&[fixture_comparison()], &[("m", 1.0)], &cnt),
-            datapath_json(&[fixture_comparison()], &[("m", 1.0)], &cnt),
-        );
     }
 
     #[test]

@@ -2,16 +2,17 @@
 //! over Myrinet, exercising the engine's timer index and connection
 //! tables at fleet scale (64 → 4096 flows).
 //!
-//! Two measurements per scale:
+//! Two measurements:
 //!
-//! 1. **Fan-in run** — the full simulated workload; reports wall time,
-//!    DES events, and events/sec. With the O(1) timer index and slab
-//!    tables, events/sec should stay roughly flat per flow as the fleet
-//!    grows; with the old scan-based timers it degraded quadratically.
-//! 2. **Timer tick** — a microbenchmark of `next_deadline` + `on_timer`
-//!    on a real [`Engine`] holding N armed connections, against
-//!    [`ScanReplica`], an in-bench replica of the old O(n)
-//!    scan-all-connections timer path.
+//! 1. **Fan-in run** ([`run_scale`]) — the full simulated workload;
+//!    reports wall time, DES events, and events/sec. With the O(1)
+//!    timer index and slab tables, events per flow should stay roughly
+//!    flat as the fleet grows; with the old scan-based timers the cost
+//!    grew quadratically.
+//! 2. **Timer tick** ([`timer_tick`]) — a microbenchmark of
+//!    `next_deadline` + `on_timer` on a real [`Engine`] holding N armed
+//!    connections. Compared across fleet sizes it should stay flat; a
+//!    per-tick scan of every connection would grow with N.
 
 use std::time::Instant;
 
@@ -19,12 +20,10 @@ use qpip::world::QpipWorld;
 use qpip::{CompletionKind, NicConfig, RecvWr, SendWr, ServiceType};
 use qpip_fabric::FabricConfig;
 use qpip_netstack::engine::Engine;
-use qpip_netstack::tcp::Tcb;
-use qpip_netstack::types::{Endpoint, NetConfig, OpCounters};
+use qpip_netstack::types::{Endpoint, NetConfig};
 use qpip_sim::time::SimTime;
-use qpip_wire::tcp::SeqNum;
 
-use crate::microbench::{compare, Comparison};
+use crate::microbench::{bench, Measurement};
 
 /// One fan-in run at a fixed fleet size.
 #[derive(Debug, Clone)]
@@ -33,8 +32,6 @@ pub struct ManyflowScale {
     pub flows: usize,
     /// Host wall-clock seconds for the whole run (setup + stream).
     pub wall_s: f64,
-    /// Simulated seconds the run covered.
-    pub sim_s: f64,
     /// DES events delivered by the kernel.
     pub des_events: u64,
     /// DES events per wall-clock second (kernel meter).
@@ -43,10 +40,8 @@ pub struct ManyflowScale {
     pub events_per_flow: f64,
     /// Application bytes delivered to the server.
     pub bytes_received: u64,
-    /// Timer-tick cost: scan replica (baseline) vs timer index (current).
-    pub timer: Comparison,
-    /// Fleet-wide counter snapshots of the world at end of run
-    /// (engine + NIC summed across all nodes, plus the fabric).
+    /// Fleet-wide counter snapshots of the world once it is idle after
+    /// the run (engine + NIC summed across all nodes, plus the fabric).
     pub counters: Vec<qpip_trace::Snapshot>,
 }
 
@@ -114,59 +109,17 @@ pub fn run_scale(flows: usize, messages_per_flow: usize, message: usize) -> Many
 
     let wall_s = wall_start.elapsed().as_secs_f64();
     let des_events = w.events_processed();
+    let des_events_per_sec = w.events_per_sec();
+    // let the last ACKs land so the counters describe a quiet fabric
+    w.run_until_idle();
     ManyflowScale {
         flows,
         wall_s,
-        sim_s: w.now().as_secs_f64(),
         des_events,
-        des_events_per_sec: w.events_per_sec(),
+        des_events_per_sec,
         events_per_flow: des_events as f64 / flows as f64,
         bytes_received,
-        timer: timer_tick_comparison(flows),
         counters: w.counter_snapshots(),
-    }
-}
-
-/// The old engine's timer path, replicated in-bench: every deadline
-/// query scans all connections for the minimum, and every tick walks the
-/// whole table looking for due timers. O(n) per tick where the indexed
-/// engine is O(1).
-pub struct ScanReplica {
-    cfg: NetConfig,
-    tcbs: Vec<Tcb>,
-    ops: OpCounters,
-}
-
-impl ScanReplica {
-    /// Builds `flows` connections in SYN-SENT (retransmit timer armed),
-    /// mirroring [`armed_engine`].
-    pub fn new(flows: usize, now: SimTime) -> Self {
-        let cfg = NetConfig::qpip(NicConfig::paper_default().segment_mtu());
-        let local_addr = std::net::Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, 1);
-        let remote = Endpoint::new(std::net::Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, 2), 80);
-        let tcbs = (0..flows)
-            .map(|i| {
-                let local = Endpoint::new(local_addr, 1024 + i as u16);
-                Tcb::connect(&cfg, local, remote, SeqNum(0x1000 + i as u32), now, &mut Vec::new())
-            })
-            .collect();
-        ScanReplica { cfg, tcbs, ops: OpCounters::default() }
-    }
-
-    /// One timer tick, the way the pre-index engine did it: scan every
-    /// connection for the minimum deadline, then scan again firing any
-    /// that are due.
-    pub fn tick(&mut self, now: SimTime) -> Option<SimTime> {
-        let next = self.tcbs.iter().filter_map(Tcb::next_deadline).min();
-        if next.is_some_and(|d| d <= now) {
-            let (mut segs, mut events) = (Vec::new(), Vec::new());
-            for tcb in &mut self.tcbs {
-                if tcb.next_deadline().is_some_and(|d| d <= now) {
-                    tcb.on_timer(&self.cfg, now, &mut self.ops, &mut segs, &mut events);
-                }
-            }
-        }
-        next
     }
 }
 
@@ -183,28 +136,24 @@ pub fn armed_engine(flows: usize, now: SimTime) -> Engine {
     engine
 }
 
-/// Benchmarks one idle timer tick (`next_deadline` + `on_timer` with
-/// nothing due) at `flows` armed connections: scan replica as baseline,
-/// the engine's timer index as current.
-pub fn timer_tick_comparison(flows: usize) -> Comparison {
-    let t0 = SimTime::from_micros(1);
+/// Measures one idle timer tick (`next_deadline` + `on_timer` with
+/// nothing due) on an engine holding `flows` armed connections. The
+/// tick pops only due connections from the timer index, so its cost
+/// should not grow with `flows`; the `manyflow` binary compares two
+/// fleet sizes to check that.
+pub fn timer_tick(flows: usize) -> Measurement {
     // Tick just after arming: every RTO is hundreds of ms away, so the
     // tick is pure bookkeeping — exactly the per-event cost the worlds
     // pay when they refresh the timer after absorbing NIC output.
+    let mut engine = armed_engine(flows, SimTime::from_micros(1));
     let tick_at = SimTime::from_micros(2);
-    let mut replica = ScanReplica::new(flows, t0);
-    let mut engine = armed_engine(flows, t0);
-    compare(
-        &format!("timer_tick/{flows}"),
-        move || replica.tick(tick_at),
-        move || {
-            let next = engine.next_deadline();
-            let mut emits = Vec::new();
-            engine.on_timer(tick_at, &mut emits);
-            debug_assert!(emits.is_empty());
-            (next, emits.len())
-        },
-    )
+    let mut emits = Vec::new();
+    bench(&format!("timer_tick/{flows}"), move || {
+        let next = engine.next_deadline();
+        engine.on_timer(tick_at, &mut emits);
+        debug_assert!(emits.is_empty());
+        next
+    })
 }
 
 #[cfg(test)]
@@ -219,14 +168,5 @@ mod tests {
         assert!(r.events_per_flow > 0.0);
         let engine = r.counters.iter().find(|s| s.scope() == "engine").expect("engine counters");
         assert!(engine.get("rx_packets").expect("rx_packets counter") > 0);
-    }
-
-    #[test]
-    fn scan_replica_matches_engine_deadline() {
-        let t0 = SimTime::from_micros(1);
-        let mut replica = ScanReplica::new(32, t0);
-        let engine = armed_engine(32, t0);
-        assert_eq!(replica.tick(SimTime::from_micros(2)), engine.next_deadline());
-        assert_eq!(engine.timer_index_len(), 32);
     }
 }

@@ -485,6 +485,10 @@ mod tests {
     /// The timer-churn pattern: one long-lived event plus a timer that is
     /// cancelled and rescheduled once per "ACK". The heap must stay
     /// bounded instead of accreting one tombstone per reschedule.
+    ///
+    /// This is the guard against lazy deletion (cancelled ids parked in
+    /// a set, dead entries riding the heap until popped): such a kernel
+    /// reaches a depth of 100,001 here and never compacts.
     #[test]
     fn per_ack_rescheduling_does_not_grow_the_heap() {
         let mut sim = Simulator::new();

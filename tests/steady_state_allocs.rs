@@ -6,15 +6,24 @@
 //! and events, engine emissions, NIC outputs, the event queue, the
 //! completion queues) is reused, so it never allocates per message.
 //!
+//! The codec underneath keeps the same budget per packet: building one
+//! allocates only the headroom `Packet` that carries it, and decoding
+//! borrows the payload in place.
+//!
 //! This file is its own test binary so that it can install a counting
 //! global allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use std::net::Ipv6Addr;
+
 use qpip::world::QpipWorld;
-use qpip_netstack::types::Endpoint;
+use qpip_netstack::codec::{build_tcp_packet, build_udp_packet, decode_packet, Decoded};
+use qpip_netstack::tcp::SegmentOut;
+use qpip_netstack::types::{Endpoint, PacketKind};
 use qpip_nic::{CompletionKind, CompletionStatus, NicConfig, RecvWr, SendWr, ServiceType};
+use qpip_wire::tcp::{SeqNum, TcpFlags, TcpOptions};
 
 thread_local! {
     // per thread, so the test harness's own threads do not count
@@ -119,4 +128,43 @@ fn warm_message_stream_allocates_only_bytes() {
         "{allocated} allocations for {MSGS} messages ({:.2} per message, budget {ALLOCS_PER_MSG})",
         allocated as f64 / MSGS as f64
     );
+}
+
+/// Allocations `f` makes on this thread, and its result.
+fn counted<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = allocs();
+    let r = f();
+    (allocs() - before, r)
+}
+
+#[test]
+fn codec_allocates_one_packet_and_decodes_in_place() {
+    let src = Endpoint::new(Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, 1), 9);
+    let dst = Endpoint::new(Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, 2), 10);
+    for size in [64usize, 1460, 8928] {
+        let payload = vec![0x42; size];
+        let seg = SegmentOut {
+            seq: SeqNum(0x1000),
+            ack: SeqNum(0x2000),
+            flags: TcpFlags { ack: true, psh: true, ..TcpFlags::NONE },
+            window: 32_000,
+            options: TcpOptions { timestamps: Some((7, 9)), ..TcpOptions::default() },
+            payload: payload.clone(),
+            kind: PacketKind::TcpData,
+            is_retransmit: false,
+            ect: false,
+        };
+
+        let (n, pkt) = counted(|| build_tcp_packet(src, dst, &seg));
+        assert_eq!(n, 1, "build_tcp_packet({size} B) made {n} allocations");
+        let (n, decoded) = counted(|| decode_packet(&pkt));
+        assert_eq!(n, 0, "decode_packet(TCP, {size} B) made {n} allocations");
+        assert!(matches!(decoded, Ok(Decoded::Tcp { payload: p, .. }) if p == &payload[..]));
+
+        let (n, pkt) = counted(|| build_udp_packet(src, dst, &payload));
+        assert_eq!(n, 1, "build_udp_packet({size} B) made {n} allocations");
+        let (n, decoded) = counted(|| decode_packet(&pkt));
+        assert_eq!(n, 0, "decode_packet(UDP, {size} B) made {n} allocations");
+        assert!(matches!(decoded, Ok(Decoded::Udp { payload: p, .. }) if p == &payload[..]));
+    }
 }
