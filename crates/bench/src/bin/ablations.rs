@@ -8,7 +8,7 @@
 //!   against conventional MSS streaming on the same hardware budget.
 
 use qpip::NicConfig;
-use qpip_bench::report::{f1, Table};
+use qpip_bench::report::{f1, Checks, Table};
 use qpip_bench::workloads::pingpong::{qpip_tcp_rtt, qpip_udp_rtt};
 use qpip_bench::workloads::ttcp::qpip_ttcp;
 use qpip_sim::params;
@@ -67,20 +67,22 @@ fn main() {
     t.print();
 
     println!("\nShape checks:");
-    let check = |name: &str, ok: bool| {
-        println!("  [{}] {}", if ok { "ok" } else { "MISS" }, name);
-    };
+    let mut checks = Checks::default();
     let sweep: Vec<f64> = [1500usize, 3000, 4500, 9000, 16 * 1024]
         .into_iter()
         .map(|mtu| {
             qpip_ttcp(NicConfig { mtu, ..NicConfig::paper_default() }, total, chunk).mbytes_per_sec
         })
         .collect();
-    check("throughput grows monotonically with MTU", sweep.windows(2).all(|w| w[1] >= w[0] * 0.98));
+    checks.check(
+        "throughput grows monotonically with MTU",
+        sweep.windows(2).all(|w| w[1] >= w[0] * 0.98),
+    );
     let hw = qpip_tcp_rtt(NicConfig { hw_multiply: true, ..NicConfig::paper_default() }, 1, 12);
     let sw = qpip_tcp_rtt(NicConfig::paper_default(), 1, 12);
-    check(
+    checks.check(
         "hardware multiply shaves the RTT (RTT-estimator math off the path)",
         hw.mean_us < sw.mean_us - 5.0,
     );
+    checks.finish();
 }

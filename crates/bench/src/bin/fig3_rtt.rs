@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use qpip::NicConfig;
-use qpip_bench::report::{f1, Table};
+use qpip_bench::report::{f1, Checks, Table};
 use qpip_bench::workloads::pingpong::{
     qpip_tcp_rtt, qpip_tcp_rtt_observed, qpip_udp_rtt, socket_tcp_rtt, socket_udp_rtt, Baseline,
 };
@@ -58,28 +58,26 @@ fn main() {
     t.print();
 
     println!("\nShape checks (paper §4.2.1):");
-    let check = |name: &str, ok: bool| {
-        println!("  [{}] {}", if ok { "ok" } else { "MISS" }, name);
-    };
-    check(
+    let mut checks = Checks::default();
+    checks.check(
         "QPIP (hw csum) TCP RTT is comparable to or better than host baselines",
         qpip_tcp.mean_us <= gige_tcp.mean_us.max(gm_tcp.mean_us) * 1.1,
     );
-    check(
+    checks.check(
         "UDP is faster than TCP on every implementation",
         gige_udp.mean_us < gige_tcp.mean_us
             && gm_udp.mean_us < gm_tcp.mean_us
             && qpip_udp.mean_us < qpip_tcp.mean_us,
     );
-    check(
+    checks.check(
         "firmware checksum costs extra latency (73→ vs hw UDP)",
         qpip_udp_fw.mean_us > qpip_udp.mean_us && qpip_tcp_fw.mean_us > qpip_tcp.mean_us,
     );
-    check(
+    checks.check(
         "QPIP fw-csum UDP within 25% of paper's 73 µs",
         (qpip_udp_fw.mean_us - 73.0).abs() / 73.0 < 0.25,
     );
-    check(
+    checks.check(
         "QPIP fw-csum TCP within 25% of paper's 113 µs",
         (qpip_tcp_fw.mean_us - 113.0).abs() / 113.0 < 0.25,
     );
@@ -92,4 +90,5 @@ fn main() {
         std::fs::write(&path, rec.export_jsonl()).expect("write trace JSONL");
         println!("\nwrote {} trace events to {path}", rec.total_recorded());
     }
+    checks.finish();
 }

@@ -8,7 +8,7 @@
 //! with the firmware checksum; the host stacks burn ½–¾ of a CPU.
 
 use qpip::NicConfig;
-use qpip_bench::report::{f1, pct, Table};
+use qpip_bench::report::{f1, pct, Checks, Table};
 use qpip_bench::workloads::pingpong::Baseline;
 use qpip_bench::workloads::ttcp::{qpip_ttcp, socket_ttcp};
 use qpip_sim::params;
@@ -49,43 +49,41 @@ fn main() {
     t.print();
 
     println!("\nShape checks (paper §4.2.1):");
-    let check = |name: &str, ok: bool| {
-        println!("  [{}] {}", if ok { "ok" } else { "MISS" }, name);
-    };
-    check(
+    let mut checks = Checks::default();
+    checks.check(
         "QPIP native beats both host baselines",
         qpip_native.mbytes_per_sec > gige.mbytes_per_sec
             && qpip_native.mbytes_per_sec > gm.mbytes_per_sec,
     );
-    check(
+    checks.check(
         "QPIP CPU utilization < 1% at native MTU and with fw checksum",
         qpip_native.sender_cpu < 0.01
             && qpip_native.receiver_cpu < 0.01
             && qpip_fw.sender_cpu < 0.01,
     );
-    check(
+    checks.check(
         "QPIP CPU stays single-digit at small MTUs (paper: <1%; our
        per-segment WR posting inflates it slightly — see EXPERIMENTS.md)",
         qpip_1500.sender_cpu < 0.06 && qpip_9000.sender_cpu < 0.03,
     );
-    check(
+    checks.check(
         "host ttcp processes consume half to three quarters of a CPU",
         (0.35..=0.85).contains(&gige.sender_cpu) && (0.35..=0.85).contains(&gm.sender_cpu),
     );
-    check(
+    checks.check(
         "QPIP @1500 loses to GigE (paper: by 22%)",
         qpip_1500.mbytes_per_sec < gige.mbytes_per_sec,
     );
-    check("QPIP @9000 beats IP/Myrinet", qpip_9000.mbytes_per_sec > gm.mbytes_per_sec);
-    check(
+    checks.check("QPIP @9000 beats IP/Myrinet", qpip_9000.mbytes_per_sec > gm.mbytes_per_sec);
+    checks.check(
         "firmware checksum limits QPIP to the mid-20s MB/s",
         (20.0..33.0).contains(&qpip_fw.mbytes_per_sec),
     );
-    check(
+    checks.check(
         "QPIP native within 25% of paper's 75.6 MB/s",
         (qpip_native.mbytes_per_sec - 75.6).abs() / 75.6 < 0.25,
     );
-    check(
+    checks.check(
         "IPv6 fragmentation restores <1% host CPU at the small MTU",
         qpip_1500_frag.sender_cpu < 0.01,
     );
@@ -93,4 +91,5 @@ fn main() {
         "\nQPIP@1500 vs GigE deficit: {:.0}% (paper: 22%)",
         (1.0 - qpip_1500.mbytes_per_sec / gige.mbytes_per_sec) * 100.0
     );
+    checks.finish();
 }

@@ -11,7 +11,7 @@
 //! 64 MB, which reaches the same steady state in a fraction of the
 //! time).
 
-use qpip_bench::report::{f1, pct, Table};
+use qpip_bench::report::{f1, pct, Checks, Table};
 use qpip_nbd::socket_impl::{self, Transport};
 use qpip_nbd::{qpip_impl, NbdConfig, NbdResult};
 use qpip_sim::params;
@@ -87,30 +87,29 @@ fn main() {
     );
 
     println!("\nShape checks (paper §4.2.3):");
-    let check = |name: &str, ok: bool| {
-        println!("  [{}] {}", if ok { "ok" } else { "MISS" }, name);
-    };
-    check(
+    let mut checks = Checks::default();
+    checks.check(
         "QPIP beats both baselines on read and write throughput",
         qpip.write.mbytes_per_sec > gige.write.mbytes_per_sec
             && qpip.write.mbytes_per_sec > gm.write.mbytes_per_sec
             && qpip.read.mbytes_per_sec > gige.read.mbytes_per_sec
             && qpip.read.mbytes_per_sec > gm.read.mbytes_per_sec,
     );
-    check("throughput improvement lands in the paper's 40–137% envelope", {
+    checks.check("throughput improvement lands in the paper's 40–137% envelope", {
         let worst = imp(qpip.read.mbytes_per_sec, gm.read.mbytes_per_sec)
             .min(imp(qpip.write.mbytes_per_sec, gm.write.mbytes_per_sec));
         let best = imp(qpip.read.mbytes_per_sec, gige.read.mbytes_per_sec)
             .max(imp(qpip.write.mbytes_per_sec, gige.write.mbytes_per_sec));
         worst > 15.0 && best < 250.0
     });
-    check(
+    checks.check(
         "QPIP is more CPU-effective than both baselines",
         qpip.read.mb_per_cpu_sec > gige.read.mb_per_cpu_sec
             && qpip.read.mb_per_cpu_sec > gm.read.mb_per_cpu_sec,
     );
-    check(
+    checks.check(
         "filesystem processing is a large share of QPIP's client CPU",
         qpip.read.fs_fraction > 0.5 * qpip.read.client_cpu,
     );
+    checks.finish();
 }

@@ -4,7 +4,7 @@
 //! messages of Figure 4?
 
 use qpip::NicConfig;
-use qpip_bench::report::{f1, Table};
+use qpip_bench::report::{f1, Checks, Table};
 use qpip_bench::workloads::pingpong::{qpip_tcp_rtt, socket_tcp_rtt, Baseline};
 
 fn main() {
@@ -26,23 +26,22 @@ fn main() {
     t.print();
 
     println!("\nShape checks:");
-    let check = |name: &str, ok: bool| {
-        println!("  [{}] {}", if ok { "ok" } else { "MISS" }, name);
-    };
-    check(
+    let mut checks = Checks::default();
+    checks.check(
         "RTT grows monotonically-ish with size on every implementation",
         series
             .windows(2)
             .all(|w| w[1].1 >= w[0].1 * 0.95 && w[1].2 >= w[0].2 * 0.95 && w[1].3 >= w[0].3 * 0.95),
     );
-    check("QPIP's size sensitivity is dominated by the PCI read path", {
+    checks.check("QPIP's size sensitivity is dominated by the PCI read path", {
         // going 1 B → 8 KB should add roughly 2 × (DMA read + wire)
         let delta = series.last().unwrap().3 - series.first().unwrap().3;
         // 8 KB at 80 MB/s ≈ 102 µs each way, plus wire ≈ 33 µs each way
         (150.0..400.0).contains(&delta)
     });
-    check(
+    checks.check(
         "QPIP beats both baselines at every size",
         series.iter().all(|&(_, ge, gm, qp)| qp <= ge.max(gm) * 1.05),
     );
+    checks.finish();
 }

@@ -12,7 +12,7 @@
 //! Flags: `--smoke` (small fan-in scales, for CI; the two timer ticks
 //! are measured at the same fleet sizes either way).
 
-use qpip_bench::report::{f1, Table};
+use qpip_bench::report::{f1, Checks, Table};
 use qpip_bench::workloads::manyflow::{run_scale, timer_tick, ManyflowScale};
 
 /// Fleet sizes of the timer-tick flatness check.
@@ -63,14 +63,12 @@ fn main() {
     let growth = last.events_per_flow / first.events_per_flow;
     let tick_growth = ticks[1].ns_per_op / ticks[0].ns_per_op;
     println!("\nShape checks:");
-    let check = |name: &str, ok: bool| {
-        println!("  [{}] {}", if ok { "ok" } else { "MISS" }, name);
-    };
-    check(
+    let mut checks = Checks::default();
+    checks.check(
         "every message delivered at every scale",
         results.iter().all(|r| r.bytes_received == (r.flows * messages * message) as u64),
     );
-    check(
+    checks.check(
         &format!(
             "events per flow roughly flat across {}x fleet growth ({:.1} -> {:.1}, x{:.2})",
             last.flows / first.flows,
@@ -80,7 +78,7 @@ fn main() {
         ),
         growth < 2.0,
     );
-    check(
+    checks.check(
         &format!(
             "timer tick flat from {} to {} flows ({:.1} -> {:.1} ns, x{:.2}, bound x{})",
             TICK_FLOWS[0],
@@ -92,4 +90,5 @@ fn main() {
         ),
         tick_growth <= TICK_GROWTH_BOUND,
     );
+    checks.finish();
 }

@@ -13,7 +13,7 @@ use qpip::world::QpipWorld;
 use qpip::{
     CompletionKind, NicConfig, NodeIdx, RdmaReadWr, RdmaWriteWr, RecvWr, SendWr, ServiceType,
 };
-use qpip_bench::report::{f1, Table};
+use qpip_bench::report::{f1, Checks, Table};
 use qpip_netstack::types::Endpoint;
 
 struct Rig {
@@ -148,9 +148,7 @@ fn main() {
     );
 
     println!("\nShape checks:");
-    let check = |name: &str, ok: bool| {
-        println!("  [{}] {}", if ok { "ok" } else { "MISS" }, name);
-    };
+    let mut checks = Checks::default();
     let rd_small = latency_us(8, 64, |r, i| {
         let t0 = r.w.app_time(r.a);
         r.w.post_rdma_read(
@@ -162,8 +160,9 @@ fn main() {
         r.w.wait_matching(r.a, r.cqa, |c| matches!(c.kind, CompletionKind::RdmaRead { .. }));
         r.w.app_time(r.a).duration_since(t0).as_micros_f64()
     });
-    check(
+    checks.check(
         "RDMA read ≈ one round trip through both NICs (tens of µs)",
         (30.0..200.0).contains(&rd_small),
     );
+    checks.finish();
 }

@@ -11,7 +11,7 @@ use std::net::Ipv6Addr;
 
 use qpip::world::QpipWorld;
 use qpip::{CompletionKind, NicConfig, RecvWr, SendWr, ServiceType};
-use qpip_bench::report::{f1, Table};
+use qpip_bench::report::{f1, Checks, Table};
 use qpip_host::stack::{HostOutput, HostStack, StackConfig};
 use qpip_host::WorkClass;
 use qpip_netstack::types::Endpoint;
@@ -137,16 +137,15 @@ fn main() {
 
     let ratio = host_cycles as f64 / qpip_cycles as f64;
     println!("\noverhead ratio host/QPIP: {ratio:.1}x (paper: 11.9x)");
-    let check = |name: &str, ok: bool| {
-        println!("  [{}] {}", if ok { "ok" } else { "MISS" }, name);
-    };
-    check(
+    let mut checks = Checks::default();
+    checks.check(
         "host-based overhead within 20% of 16 445 cycles",
         (host_cycles as f64 - 16_445.0).abs() / 16_445.0 < 0.20,
     );
-    check(
+    checks.check(
         "QPIP overhead within 20% of 1 386 cycles",
         (qpip_cycles as f64 - 1_386.0).abs() / 1_386.0 < 0.20,
     );
-    check("QPIP is an order of magnitude cheaper", ratio > 8.0);
+    checks.check("QPIP is an order of magnitude cheaper", ratio > 8.0);
+    checks.finish();
 }

@@ -13,7 +13,7 @@
 
 use qpip::world::QpipWorld;
 use qpip::{CompletionKind, NicConfig, RecvWr, SendWr, ServiceType};
-use qpip_bench::report::Table;
+use qpip_bench::report::{Checks, Table};
 use qpip_netstack::types::Endpoint;
 use qpip_nic::{PacketClass, Stage};
 
@@ -113,25 +113,26 @@ fn main() {
     t3.print();
 
     println!("\nShape checks (paper §4.2.2):");
-    let check = |name: &str, ok: bool| {
-        println!("  [{}] {}", if ok { "ok" } else { "MISS" }, name);
-    };
+    let mut checks = Checks::default();
     let parse_data = w.nic(b).occupancy().mean_us(Stage::TcpParse, PacketClass::DataRecv);
     let parse_ack = w.nic(a).occupancy().mean_us(Stage::TcpParse, PacketClass::AckRecv);
     match (parse_data, parse_ack, hw_multiply) {
         (Some(d), Some(ack), false) => {
-            check("TCP parse of an ACK costs ~2x a data parse (soft multiply)", ack > 1.6 * d);
-            check("ACK parse near the paper's 14 µs", (ack - 14.0).abs() < 2.0);
-            check("data parse near the paper's 7 µs", (d - 7.0).abs() < 1.5);
+            checks
+                .check("TCP parse of an ACK costs ~2x a data parse (soft multiply)", ack > 1.6 * d);
+            checks.check("ACK parse near the paper's 14 µs", (ack - 14.0).abs() < 2.0);
+            checks.check("data parse near the paper's 7 µs", (d - 7.0).abs() < 1.5);
         }
         (Some(d), Some(ack), true) => {
-            check("hardware multiply collapses the ACK-parse penalty", (ack - d).abs() < 2.0);
+            checks
+                .check("hardware multiply collapses the ACK-parse penalty", (ack - d).abs() < 2.0);
         }
-        _ => check("both parse cells populated", false),
+        _ => checks.check("both parse cells populated", false),
     }
     let upd_ack = w.nic(a).occupancy().mean_us(Stage::UpdateRx, PacketClass::AckRecv);
-    check(
+    checks.check(
         "ACK-receive update (WR retire + CQ) near the paper's 9 µs",
         upd_ack.is_some_and(|u| (u - 9.0).abs() < 1.5),
     );
+    checks.finish();
 }

@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use qpip_bench::report::{f1, xport_json, Table};
+use qpip_bench::report::{f1, xport_json, Checks, Table};
 use qpip_bench::workloads::pingpong::{qpip_tcp_rtt, rtt};
 use qpip_bench::workloads::ttcp::{qpip_ttcp, ttcp, TtcpResult};
 use qpip_bench::workloads::verbs::{LivePair, VerbsPair};
@@ -113,11 +113,9 @@ fn main() {
     // lost, duplicated, misordered or corrupted message, so reaching
     // this line means both transfers were exactly-once and in order.
     println!("\nShape checks:");
-    let check = |name: &str, ok: bool| {
-        println!("  [{}] {}", if ok { "ok" } else { "MISS" }, name);
-    };
-    check("impaired path dropped datagrams", proxy_dropped > 0);
-    check("loss recovery engaged on the impaired path", impaired.retransmissions > 0);
+    let mut checks = Checks::default();
+    checks.check("impaired path dropped datagrams", proxy_dropped > 0);
+    checks.check("loss recovery engaged on the impaired path", impaired.retransmissions > 0);
 
     if json {
         // one counters object for the whole document: each scenario's
@@ -139,4 +137,5 @@ fn main() {
         std::fs::write("BENCH_xport.json", &doc).expect("write BENCH_xport.json");
         println!("\nwrote BENCH_xport.json");
     }
+    checks.finish();
 }

@@ -10,6 +10,8 @@
 //! vary with the machine, but the document itself must not say which
 //! machine or when.
 
+use std::io::Write as _;
+
 use qpip_trace::snapshot::{counters_json, Snapshot};
 
 use crate::workloads::pingpong::RttResult;
@@ -87,6 +89,32 @@ impl Table {
     /// Prints the table to stdout.
     pub fn print(&self) {
         print!("{}", self.render());
+    }
+}
+
+/// The shape checks every experiment binary ends with: one
+/// `  [ok] name` or `  [MISS] name` line per check, and
+/// [`Checks::finish`] exits with status 1 if any missed, so a binary run
+/// by hand fails on its own.
+#[derive(Debug, Default)]
+pub struct Checks {
+    missed: usize,
+}
+
+impl Checks {
+    /// Prints the outcome of one check.
+    pub fn check(&mut self, name: &str, ok: bool) {
+        println!("  [{}] {}", if ok { "ok" } else { "MISS" }, name);
+        self.missed += usize::from(!ok);
+    }
+
+    /// Ends the binary with exit status 1 if any check missed. Call it
+    /// after the last line of output.
+    pub fn finish(self) {
+        if self.missed > 0 {
+            let _ = std::io::stdout().flush();
+            std::process::exit(1);
+        }
     }
 }
 

@@ -124,12 +124,26 @@ impl Stream {
         let (mut posted, mut send_done, mut recv_done) = (0u64, 0u64, 0u64);
         let t_start = p.now(A);
         let mut t_end = SimTime::ZERO;
+        let sent = |c: Completion| match c.kind {
+            CompletionKind::Send => {
+                assert_eq!(c.status, CompletionStatus::Success, "send {}", c.wr_id);
+                1
+            }
+            _ => 0,
+        };
         while recv_done < messages {
             while posted < messages && posted - send_done < WINDOW {
                 let wr =
                     SendWr { wr_id: posted, payload: message(posted, self.message), dst: None };
                 p.post_send(A, self.qps[0], wr);
                 posted += 1;
+            }
+            if recv_done == posted {
+                // every posted message has landed but the window is
+                // full of sends whose ACKs are still on their way: B
+                // would wait for a message A never sends
+                send_done += sent(p.wait(A, self.cqs[0]));
+                continue;
             }
             let c = p.wait(B, self.cqs[1]);
             if let CompletionKind::Recv { data, .. } = c.kind {
@@ -145,10 +159,7 @@ impl Stream {
             }
             // harvest sender completions without spinning
             while let Some(c) = p.try_wait(A, self.cqs[0]) {
-                if c.kind == CompletionKind::Send {
-                    assert_eq!(c.status, CompletionStatus::Success, "send {}", c.wr_id);
-                    send_done += 1;
-                }
+                send_done += sent(c);
             }
         }
         t_end.duration_since(t_start)
@@ -259,6 +270,20 @@ mod tests {
         let big = qpip_ttcp(NicConfig::paper_default(), MB, params::TTCP_CHUNK_BYTES);
         let small = qpip_ttcp(NicConfig { mtu: 1500, ..NicConfig::paper_default() }, MB, 1408);
         assert!(small.mbytes_per_sec < big.mbytes_per_sec, "{small:?} vs {big:?}");
+    }
+
+    /// On a link whose round trip outlasts the delivery of a full
+    /// window, every posted message lands before the first ACK is back;
+    /// the stream must then wait on the sender's CQ, not on a receiver
+    /// that nothing will feed.
+    #[test]
+    fn long_link_stream_waits_on_the_sender_for_a_full_window() {
+        let w = QpipWorld::new(qpip_fabric::FabricConfig {
+            cable_latency: SimDuration::from_millis(5),
+            ..qpip_fabric::FabricConfig::myrinet()
+        });
+        let mut p = DesPair::new(w, NicConfig::paper_default());
+        assert_eq!(ttcp(&mut p, 64, 1024).bytes, 64 * 1024);
     }
 
     #[test]

@@ -47,13 +47,6 @@ pub struct WireSeg {
     pub payload: Vec<u8>,
 }
 
-impl WireSeg {
-    /// Sequence space consumed by this segment (payload + SYN + FIN).
-    pub fn seg_len(&self) -> u32 {
-        self.payload.len() as u32 + u32::from(self.hdr.flags.syn) + u32::from(self.hdr.flags.fin)
-    }
-}
-
 impl std::fmt::Display for WireSeg {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let fl = &self.hdr.flags;
@@ -294,11 +287,6 @@ impl Expect {
             payload_len: Some(0),
             ..Expect::default()
         }
-    }
-
-    /// An RST.
-    pub fn rst_seg() -> Self {
-        Expect { label: "RST", rst: Some(true), ..Expect::default() }
     }
 
     /// A FIN (with ACK, as the engine always acks).

@@ -12,7 +12,6 @@
 //! Applications written against this API read like the paper's
 //! pseudo-code: post receives, connect, post a send, wait on the CQ.
 
-use std::collections::VecDeque;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 
@@ -20,8 +19,8 @@ use qpip_fabric::FabricConfig;
 use qpip_host::cpu::{CpuLedger, WorkClass};
 use qpip_netstack::types::Endpoint;
 use qpip_nic::{
-    Completion, CompletionKind, CqId, MrKey, NicConfig, NicError, NicOutput, QpId, QpipNic,
-    RdmaReadWr, RdmaWriteWr, RecvWr, SendWr, ServiceType,
+    Completion, CqId, MrKey, NicConfig, NicError, NicOutput, QpId, QpipNic, RdmaReadWr,
+    RdmaWriteWr, RecvWr, SendWr, ServiceType,
 };
 use qpip_sim::params;
 use qpip_sim::time::{SimDuration, SimTime};
@@ -34,15 +33,12 @@ use crate::des::{Net, Node, World};
 const DOORBELL_PCI_LATENCY: SimDuration = SimDuration::from_nanos(200);
 
 /// A host with a QPIP NIC: the stack runs in the NIC's firmware, the
-/// host only pays for verbs calls.
+/// host only pays for verbs calls. Its CQs are the NIC's.
 pub struct QpipNode {
     nic: QpipNic,
     cpu: CpuLedger,
     /// When this node's application thread is next free.
     app_time: SimTime,
-    /// Host-visible CQ contents, indexed by `CqId - 1` (CQ ids are
-    /// dense and start at 1).
-    cqs: Vec<VecDeque<Completion>>,
     port: qpip_fabric::NodeId,
 }
 
@@ -61,11 +57,11 @@ impl QpipNode {
         if let Some(rec) = &w.recorder {
             nic.set_tracer(Tracer::new(Arc::clone(rec), port.0));
         }
-        QpipNode { nic, cpu: CpuLedger::new(), app_time: SimTime::ZERO, cqs: Vec::new(), port }
+        QpipNode { nic, cpu: CpuLedger::new(), app_time: SimTime::ZERO, port }
     }
 
-    /// Runs one NIC call on the world's lent output buffer, then routes
-    /// what it produced.
+    /// Runs one NIC call on the world's lent output buffer, then puts
+    /// the packets it produced on the wire.
     fn drive<R>(
         &mut self,
         net: &mut Net,
@@ -73,52 +69,21 @@ impl QpipNode {
     ) -> R {
         let mut outs = std::mem::take(&mut net.nic_out);
         let r = call(&mut self.nic, &mut outs);
-        self.absorb(net, &mut outs);
+        for NicOutput { at, dst, bytes } in outs.drain(..) {
+            net.transmit(self.port, at, dst, bytes);
+        }
         net.nic_out = outs;
         r
-    }
-
-    /// Drains NIC outputs: packets onto the wire, completions into
-    /// their CQs.
-    fn absorb(&mut self, net: &mut Net, outs: &mut Vec<NicOutput>) {
-        for o in outs.drain(..) {
-            match o {
-                NicOutput::Transmit { at, dst, bytes, .. } => {
-                    net.transmit(self.port, at, dst, bytes)
-                }
-                NicOutput::Complete(cq, c) => self.cq_mut(cq).push_back(c),
-            }
-        }
-    }
-
-    /// A CQ's host-visible queue, created on first use.
-    fn cq_mut(&mut self, cq: CqId) -> &mut VecDeque<Completion> {
-        let i = cq_index(cq);
-        if i >= self.cqs.len() {
-            self.cqs.resize_with(i + 1, VecDeque::new);
-        }
-        &mut self.cqs[i]
-    }
-
-    /// The head entry of a CQ, once the NIC has produced it.
-    fn head(&self, cq: CqId) -> Option<&Completion> {
-        self.cqs.get(cq_index(cq)).and_then(|q| q.front())
     }
 
     /// Sleeps until the head entry of `cq` is visible, then pays the
     /// poll that finds it.
     fn take_head(&mut self, cq: CqId) -> Option<Completion> {
-        let visible = self.head(cq)?.visible_at;
+        let visible = self.nic.cq_head(cq)?.visible_at;
         self.app_time = self.app_time.max(visible);
         self.charge(WorkClass::Verbs, params::QPIP_POLL_HIT_CYCLES);
-        self.cq_mut(cq).pop_front()
+        self.nic.cq_pop(cq).ok().flatten()
     }
-}
-
-/// Position of a CQ in [`QpipNode`]'s table; id 0 (never issued) maps
-/// past every table.
-fn cq_index(cq: CqId) -> usize {
-    (cq.0 as usize).wrapping_sub(1)
 }
 
 impl Node for QpipNode {
@@ -267,10 +232,7 @@ impl<N: AsQpip> World<N> {
 
     /// Creates a completion queue on a node.
     pub fn create_cq(&mut self, node: NodeIdx) -> CqId {
-        let n = self.qpip_node_mut(node);
-        let cq = n.nic.create_cq();
-        n.cq_mut(cq);
-        cq
+        self.qpip_node_mut(node).nic.create_cq()
     }
 
     /// Creates a queue pair on a node.
@@ -387,7 +349,7 @@ impl<N: AsQpip> World<N> {
     pub fn poll(&mut self, node: NodeIdx, cq: CqId) -> Option<Completion> {
         self.pump_ready(node);
         let n = self.qpip_node_mut(node);
-        match n.head(cq) {
+        match n.nic.cq_head(cq) {
             Some(c) if c.visible_at <= n.app_time => n.take_head(cq),
             _ => {
                 n.charge(WorkClass::Verbs, params::QPIP_POLL_MISS_CYCLES);
@@ -433,30 +395,7 @@ impl<N: AsQpip> World<N> {
             let _ = writeln!(s, "  node {i} (addr {}):", n.addr());
             // socket hosts have no CQs or QPs to show
             let Some(n) = n.qpip() else { continue };
-            for (i, entries) in n.cqs.iter().enumerate() {
-                let id = CqId(i as u32 + 1);
-                let kinds: Vec<String> = entries
-                    .iter()
-                    .take(4)
-                    .map(|c| match &c.kind {
-                        CompletionKind::Send => "Send".into(),
-                        CompletionKind::Recv { data, .. } => format!("Recv({}B)", data.len()),
-                        CompletionKind::ConnectionEstablished => "ConnectionEstablished".into(),
-                        CompletionKind::PeerDisconnected => "PeerDisconnected".into(),
-                        CompletionKind::RdmaWrite => "RdmaWrite".into(),
-                        CompletionKind::RdmaRead { data } => format!("RdmaRead({}B)", data.len()),
-                    })
-                    .collect();
-                let more = entries.len().saturating_sub(4);
-                let suffix = if more > 0 { format!(" (+{more} more)") } else { String::new() };
-                let _ = writeln!(
-                    s,
-                    "    {id}: {} entries [{}]{suffix}",
-                    entries.len(),
-                    kinds.join(", ")
-                );
-            }
-            let _ = write!(s, "{}", n.nic.pending_summary());
+            s.push_str(&n.nic.pending_summary());
             if let Some(rec) = &self.recorder {
                 let node32 = i as u32;
                 for (_, conn) in rec.scopes().into_iter().filter(|&(nn, _)| nn == node32) {

@@ -345,16 +345,6 @@ impl Engine {
         self.conns.get(conn).map(|e| e.tcb.state())
     }
 
-    /// Smoothed RTT of a connection.
-    pub fn conn_srtt(&self, conn: ConnId) -> Option<qpip_sim::time::SimDuration> {
-        self.conns.get(conn).and_then(|e| e.tcb.srtt())
-    }
-
-    /// Bytes in flight on a connection.
-    pub fn conn_bytes_in_flight(&self, conn: ConnId) -> Option<u64> {
-        self.conns.get(conn).map(|e| e.tcb.bytes_in_flight())
-    }
-
     /// Bytes buffered (unacknowledged + unsent) on a connection — the
     /// socket layer's send-buffer occupancy.
     pub fn conn_bytes_buffered(&self, conn: ConnId) -> Option<u64> {

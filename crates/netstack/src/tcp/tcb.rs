@@ -520,11 +520,6 @@ impl Tcb {
         self.snd_wscale
     }
 
-    /// Whether RFC 1323 timestamps were negotiated.
-    pub fn ts_negotiated(&self) -> bool {
-        self.ts_on
-    }
-
     /// Whether fast recovery is in progress.
     pub fn in_recovery(&self) -> bool {
         self.congestion.in_recovery()

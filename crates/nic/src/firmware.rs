@@ -26,22 +26,16 @@ use crate::types::{
     QpId, RdmaReadWr, RdmaWriteWr, RecvWr, SendWr, ServiceType,
 };
 
-/// Something the NIC hands back to the node simulation.
+/// A packet the NIC hands to the fabric. Completions stay on the NIC's
+/// own CQs ([`QpipNic::cq_pop`]).
 #[derive(Debug)]
-pub enum NicOutput {
-    /// Put these bytes on the fabric at instant `at`.
-    Transmit {
-        /// Handoff instant (media transmit engine start).
-        at: SimTime,
-        /// Destination IPv6 address (fabric resolves the route).
-        dst: Ipv6Addr,
-        /// Complete IPv6 packet (with transmit headroom in front).
-        bytes: qpip_wire::Packet,
-        /// Cost-model classification.
-        kind: PacketKind,
-    },
-    /// A completion-queue entry became visible in host memory.
-    Complete(CqId, Completion),
+pub struct NicOutput {
+    /// Handoff instant (media transmit engine start).
+    pub at: SimTime,
+    /// Destination IPv6 address (fabric resolves the route).
+    pub dst: Ipv6Addr,
+    /// Complete IPv6 packet (with transmit headroom in front).
+    pub bytes: qpip_wire::Packet,
 }
 
 /// Aggregate NIC counters.
@@ -110,7 +104,7 @@ pub struct QpipNic {
     /// Receive-side data placement (device writes to host memory).
     dma_write: BandwidthPipe,
     engine: Engine,
-    /// QPs, CQ ids, accept pools and send tokens (the QP semantics).
+    /// QPs, CQs, accept pools and send tokens (the QP semantics).
     qps: QpTable,
     /// Registered memory regions addressable by peers (rkey → bytes).
     mrs: FxHashMap<u32, Vec<u8>>,
@@ -204,16 +198,6 @@ impl QpipNic {
         self.occupancy.reset();
     }
 
-    /// Total NIC-processor busy time so far.
-    pub fn processor_busy(&self) -> SimDuration {
-        self.proc.busy_time()
-    }
-
-    /// NIC-processor utilization over `[0, horizon]`.
-    pub fn processor_utilization(&self, horizon: SimTime) -> f64 {
-        self.proc.utilization(horizon)
-    }
-
     /// Direct access to protocol-engine statistics.
     pub fn engine_stats(&self) -> qpip_netstack::engine::EngineStats {
         self.engine.stats()
@@ -247,17 +231,12 @@ impl QpipNic {
         self.engine.ecn_reductions()
     }
 
-    /// Multi-line description of everything still in flight on this
-    /// NIC — per-QP WR/backlog state, outstanding send tokens and live
-    /// engine connections — for deadlock diagnostics ([`crate::QpipNic`]
-    /// has no view of host-side CQ contents; the caller appends those).
+    /// Multi-line description of everything still pending on this NIC
+    /// — CQ contents, per-QP WR/backlog state, outstanding send tokens
+    /// and live engine connections — for deadlock diagnostics
+    /// ([`QpTable::summary`]).
     pub fn pending_summary(&self) -> String {
-        format!(
-            "{}, engine connections: {}, retransmissions: {}\n",
-            self.qps.summary(),
-            self.engine.conn_count(),
-            self.engine.retransmissions(),
-        )
+        self.qps.summary(&self.engine)
     }
 
     // ----- management FSM ------------------------------------------------
@@ -265,6 +244,22 @@ impl QpipNic {
     /// Creates a completion queue.
     pub fn create_cq(&mut self) -> CqId {
         self.qps.create_cq()
+    }
+
+    /// The oldest entry of `cq`, left in place; `None` when the CQ is
+    /// empty or unknown. It may not be visible yet: check
+    /// [`Completion::visible_at`].
+    pub fn cq_head(&self, cq: CqId) -> Option<&Completion> {
+        self.qps.cq_head(cq)
+    }
+
+    /// Removes and returns the oldest entry of `cq`, visible or not.
+    ///
+    /// # Errors
+    ///
+    /// [`NicError::UnknownCq`] for a CQ never created.
+    pub fn cq_pop(&mut self, cq: CqId) -> Result<Option<Completion>, NicError> {
+        self.qps.cq_pop(cq)
     }
 
     /// Creates a queue pair bound to send/receive CQs.
@@ -376,7 +371,7 @@ impl QpipNic {
         // UDP send WRs complete as soon as the message is sent (§3)
         let entry =
             self.qps.send_entry(qp, wr.wr_id, CompletionKind::Send, CompletionStatus::Success);
-        out.push(complete(entry, done));
+        self.qps.complete(entry, done);
         Ok(())
     }
 
@@ -408,7 +403,7 @@ impl QpipNic {
         // drain any backlog now that a buffer exists
         let mut drained = t;
         while let Some(entry) = self.qps.pop_backlog(qp) {
-            drained = self.place(drained, entry, out);
+            drained = self.place(drained, entry);
         }
         if let Some(conn) = posted.conn {
             // read the posted space AFTER the drain: a backlogged message
@@ -689,7 +684,7 @@ impl QpipNic {
                 );
                 let kind = CompletionKind::RdmaRead { data: payload.to_vec() };
                 let entry = self.qps.send_entry(qp, wr_id, kind, CompletionStatus::Success);
-                outputs.push(complete(entry, t.max(dma)));
+                self.qps.complete(entry, t.max(dma));
                 t
             }
         }
@@ -896,7 +891,7 @@ impl QpipNic {
     fn apply(&mut self, t: SimTime, outcome: Outcome, outputs: &mut Vec<NicOutput>) -> SimTime {
         match outcome {
             Outcome::Nothing | Outcome::Backlogged | Outcome::Dropped => t,
-            Outcome::Placed(entry) => self.place(t, entry, outputs),
+            Outcome::Placed(entry) => self.place(t, entry),
             Outcome::Retired(entry) => {
                 // Table 3, ACK-receive Update row: retire the WR, write
                 // the CQ entry and roll the QP/TCB state forward (9 µs).
@@ -906,11 +901,11 @@ impl QpipNic {
                     PacketClass::AckRecv,
                     Cycles(params::NIC_STAGE_UPDATE_ACK_CYCLES),
                 );
-                outputs.push(complete(entry, t));
+                self.qps.complete(entry, t);
                 t
             }
             Outcome::Up { entry, conn, window } => {
-                outputs.push(complete(entry, t));
+                self.qps.complete(entry, t);
                 // announce the real (posted-WR) window now that we are
                 // connected
                 with_emit_buffer(|emits| {
@@ -922,11 +917,13 @@ impl QpipNic {
             }
             Outcome::Refuse(conn) => self.abort(t, conn, outputs),
             Outcome::PeerClosed(entry) => {
-                outputs.push(complete(entry, t));
+                self.qps.complete(entry, t);
                 t
             }
             Outcome::Down { qp, notice, flushed } => {
-                outputs.extend(notice.into_iter().chain(flushed).map(|e| complete(e, t)));
+                for entry in notice.into_iter().chain(flushed) {
+                    self.qps.complete(entry, t);
+                }
                 // pending reads of the dead QP fail too
                 let stale_reads: Vec<u64> = self
                     .pending_reads
@@ -938,7 +935,8 @@ impl QpipNic {
                     let Some((_, wr_id)) = self.pending_reads.remove(&ctx) else { continue };
                     let kind = CompletionKind::RdmaRead { data: Vec::new() };
                     let status = CompletionStatus::ConnectionError;
-                    outputs.push(complete(self.qps.send_entry(qp, wr_id, kind, status), t));
+                    let entry = self.qps.send_entry(qp, wr_id, kind, status);
+                    self.qps.complete(entry, t);
                 }
                 t
             }
@@ -1055,11 +1053,10 @@ impl QpipNic {
                     wire_at = wire_at.max(proc_done);
                 }
                 self.stats.tx_packets += 1;
-                outputs.push(NicOutput::Transmit {
+                outputs.push(NicOutput {
                     at: wire_at,
                     dst: pkt.dst,
                     bytes: qpip_wire::Packet::from_vec(f),
-                    kind: pkt.kind,
                 });
             }
             return self.charge(
@@ -1070,19 +1067,14 @@ impl QpipNic {
             );
         }
         self.stats.tx_packets += 1;
-        outputs.push(NicOutput::Transmit {
-            at: wire_at,
-            dst: pkt.dst,
-            bytes: pkt.bytes,
-            kind: pkt.kind,
-        });
+        outputs.push(NicOutput { at: wire_at, dst: pkt.dst, bytes: pkt.bytes });
         // post-send status update (processor-side, overlaps the wire)
         self.charge(proc_done, Stage::UpdateTx, class, Cycles(params::NIC_STAGE_UPDATE_TX_CYCLES))
     }
 
     /// GetWr + PutData(+DMA) + UpdateRx for one in-order message
     /// (Table 3's data-receive column).
-    fn place(&mut self, t: SimTime, entry: CqEntry, outputs: &mut Vec<NicOutput>) -> SimTime {
+    fn place(&mut self, t: SimTime, entry: CqEntry) -> SimTime {
         let CompletionKind::Recv { data, src } = &entry.kind else {
             unreachable!("placements are receive entries")
         };
@@ -1094,15 +1086,9 @@ impl QpipNic {
         let dma_done =
             self.dma_write.transfer(t, len) + SimDuration::from_nanos(params::PCI_DMA_SETUP_NS);
         let t = self.charge(t, Stage::UpdateRx, class, Cycles(params::NIC_STAGE_UPDATE_RX_CYCLES));
-        outputs.push(complete(entry, t.max(dma_done)));
+        self.qps.complete(entry, t.max(dma_done));
         t
     }
-}
-
-/// A QP-table entry as a NIC output, visible at `at`.
-fn complete(entry: CqEntry, at: SimTime) -> NicOutput {
-    let (cq, c) = entry.stamp(at);
-    NicOutput::Complete(cq, c)
 }
 
 /// Cheap pre-classification of an incoming packet for occupancy
@@ -1160,51 +1146,39 @@ mod tests {
         out
     }
 
-    /// `on_packet` with its output collected into a fresh vector.
-    fn receive(nic: &mut QpipNic, now: SimTime, bytes: &[u8]) -> Vec<NicOutput> {
-        let mut out = Vec::new();
-        nic.on_packet(now, bytes, &mut out);
-        out
+    /// `on_packet` with its transmits discarded.
+    fn receive(nic: &mut QpipNic, now: SimTime, bytes: &[u8]) {
+        nic.on_packet(now, bytes, &mut Vec::new());
     }
 
-    fn transmits(outputs: &[NicOutput]) -> Vec<&NicOutput> {
-        outputs.iter().filter(|o| matches!(o, NicOutput::Transmit { .. })).collect()
-    }
-
-    fn completions(outputs: &[NicOutput]) -> Vec<&Completion> {
-        outputs
-            .iter()
-            .filter_map(|o| match o {
-                NicOutput::Complete(_, c) => Some(c),
-                _ => None,
-            })
-            .collect()
+    /// Drains `cq` of `nic`.
+    fn completions(nic: &mut QpipNic, cq: CqId) -> Vec<Completion> {
+        std::iter::from_fn(|| nic.cq_pop(cq).unwrap()).collect()
     }
 
     #[test]
     fn udp_send_produces_packet_and_immediate_completion() {
-        let (mut a, qp, _cq) = udp_nic(1, 7000);
+        let (mut a, qp, cq) = udp_nic(1, 7000);
         let out = send(
             &mut a,
             SimTime::ZERO,
             qp,
             SendWr { wr_id: 42, payload: vec![1, 2, 3], dst: Some(Endpoint::new(addr(2), 7001)) },
         );
-        assert_eq!(transmits(&out).len(), 1);
-        let comps = completions(&out);
+        assert_eq!(out.len(), 1);
+        let comps = completions(&mut a, cq);
         assert_eq!(comps.len(), 1);
         assert_eq!(comps[0].wr_id, 42);
         assert_eq!(comps[0].kind, CompletionKind::Send);
         // handoff happens after the Table-2 stage budget (~16 us for udp)
-        let NicOutput::Transmit { at, .. } = out[0] else { panic!() };
-        let us = at.as_micros_f64();
+        let us = out[0].at.as_micros_f64();
         assert!((10.0..25.0).contains(&us), "{us}");
     }
 
     #[test]
     fn udp_roundtrip_between_two_nics_with_posted_wr() {
         let (mut a, qa, _) = udp_nic(1, 7000);
-        let (mut b, qb, _) = udp_nic(2, 7001);
+        let (mut b, qb, cqb) = udp_nic(2, 7001);
         b.post_recv(SimTime::ZERO, qb, RecvWr { wr_id: 9, capacity: 64 }, &mut Vec::new()).unwrap();
         let out = send(
             &mut a,
@@ -1212,9 +1186,8 @@ mod tests {
             qa,
             SendWr { wr_id: 1, payload: b"ping".to_vec(), dst: Some(Endpoint::new(addr(2), 7001)) },
         );
-        let NicOutput::Transmit { at, bytes, .. } = &out[0] else { panic!() };
-        let out_b = receive(&mut b, *at, bytes);
-        let comps = completions(&out_b);
+        receive(&mut b, out[0].at, &out[0].bytes);
+        let comps = completions(&mut b, cqb);
         assert_eq!(comps.len(), 1);
         assert_eq!(comps[0].wr_id, 9);
         match &comps[0].kind {
@@ -1229,23 +1202,22 @@ mod tests {
     #[test]
     fn udp_without_recv_wr_is_dropped() {
         let (mut a, qa, _) = udp_nic(1, 7000);
-        let (mut b, _qb, _) = udp_nic(2, 7001);
+        let (mut b, _qb, cqb) = udp_nic(2, 7001);
         let out = send(
             &mut a,
             SimTime::ZERO,
             qa,
             SendWr { wr_id: 1, payload: b"lost".to_vec(), dst: Some(Endpoint::new(addr(2), 7001)) },
         );
-        let NicOutput::Transmit { at, bytes, .. } = &out[0] else { panic!() };
-        let out_b = receive(&mut b, *at, bytes);
-        assert!(completions(&out_b).is_empty());
+        receive(&mut b, out[0].at, &out[0].bytes);
+        assert!(completions(&mut b, cqb).is_empty());
         assert_eq!(b.stats().udp_no_wr_drops, 1);
     }
 
     #[test]
     fn recv_larger_than_buffer_is_length_error() {
         let (mut a, qa, _) = udp_nic(1, 7000);
-        let (mut b, qb, _) = udp_nic(2, 7001);
+        let (mut b, qb, cqb) = udp_nic(2, 7001);
         b.post_recv(SimTime::ZERO, qb, RecvWr { wr_id: 9, capacity: 2 }, &mut Vec::new()).unwrap();
         let out = send(
             &mut a,
@@ -1253,9 +1225,8 @@ mod tests {
             qa,
             SendWr { wr_id: 1, payload: b"four".to_vec(), dst: Some(Endpoint::new(addr(2), 7001)) },
         );
-        let NicOutput::Transmit { at, bytes, .. } = &out[0] else { panic!() };
-        let out_b = receive(&mut b, *at, bytes);
-        let comps = completions(&out_b);
+        receive(&mut b, out[0].at, &out[0].bytes);
+        let comps = completions(&mut b, cqb);
         assert_eq!(comps[0].status, CompletionStatus::LocalLengthError { len: 4, capacity: 2 });
         assert_eq!(b.stats().length_errors, 1);
     }
@@ -1301,8 +1272,7 @@ mod tests {
                     dst: Some(Endpoint::new(addr(2), 7001)),
                 },
             );
-            let NicOutput::Transmit { at, .. } = out[0] else { panic!() };
-            at
+            out[0].at
         };
         let hw = mk(ChecksumMode::Hardware).as_micros_f64();
         let fw = mk(ChecksumMode::Firmware).as_micros_f64();
@@ -1318,9 +1288,7 @@ mod tests {
             |wr_id| SendWr { wr_id, payload: vec![0; 16], dst: Some(Endpoint::new(addr(2), 7001)) };
         let o1 = send(&mut a, SimTime::ZERO, qp, mk(1));
         let o2 = send(&mut a, SimTime::ZERO, qp, mk(2));
-        let NicOutput::Transmit { at: t1, .. } = o1[0] else { panic!() };
-        let NicOutput::Transmit { at: t2, .. } = o2[0] else { panic!() };
-        assert!(t2 > t1, "second send queues behind the first on the processor");
+        assert!(o2[0].at > o1[0].at, "second send queues behind the first on the processor");
     }
 
     #[test]

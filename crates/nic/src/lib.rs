@@ -10,8 +10,8 @@
 //!   a per-stage [`occupancy::Occupancy`] table, which is how Tables 2
 //!   and 3 are regenerated.
 //! * [`qp_table::QpTable`] — the QP semantics with no time or cost:
-//!   ids, receive queues, backlog, windows, accept pools and send
-//!   tokens. The firmware and the live-socket transport (`qpip-xport`)
+//!   ids, completion queues, receive queues, backlog, windows, accept
+//!   pools and send tokens. The firmware and the live-socket transport (`qpip-xport`)
 //!   both drive it.
 //! * [`conventional::ConventionalNic`] — the **dumb NICs** of the
 //!   baselines (Intel Pro/1000 GigE, Myrinet+GM as an IP link): frame
@@ -19,9 +19,10 @@
 //!   stack stays on the host (`qpip-host`).
 //!
 //! The QPIP NIC exposes the queue-pair verbs backend — create QP/CQ,
-//! post send/receive, connection management — used by the `qpip` core
-//! crate. Outputs are time-stamped so the node simulation can schedule
-//! fabric deliveries and host completions.
+//! post send/receive, poll a CQ, connection management — used by the
+//! `qpip` core crate. Transmits are time-stamped so the node simulation
+//! can schedule fabric deliveries; completions carry the instant they
+//! become visible to the host.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -62,11 +62,6 @@ impl SerialResource {
         self.next_free
     }
 
-    /// Whether a job arriving at `now` would start immediately.
-    pub fn is_free_at(&self, now: SimTime) -> bool {
-        self.next_free <= now
-    }
-
     /// Total busy time accumulated so far.
     pub fn busy_time(&self) -> SimDuration {
         self.busy

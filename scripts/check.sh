@@ -27,7 +27,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # Smoke-run every experiment binary: each must exit cleanly and report
 # zero [MISS] shape checks. fig7_nbd without --full and manyflow with
-# --smoke are the quick configurations; the rest are already fast.
+# --smoke are the quick configurations; the rest are already fast. A
+# binary with a missed check exits 1 after its last line; the gate
+# prints its output before failing on that status.
 #
 # The five paper binaries and the three extra experiments (ablations,
 # latency_sweep, rdma_bench: the firmware-checksum, multiplier and MTU
@@ -41,10 +43,11 @@ paper_out="$(mktemp -d)"
 for bin in fig3_rtt fig4_throughput table1_overhead tables23_occupancy fig7_nbd \
     ablations latency_sweep rdma_bench; do
     echo "==> smoke: $bin"
-    ./target/release/$bin >"$paper_out/$bin"
-    if grep -q '\[MISS\]' "$paper_out/$bin"; then
+    status=0
+    ./target/release/$bin >"$paper_out/$bin" || status=$?
+    if grep -q '\[MISS\]' "$paper_out/$bin" || [[ $status -ne 0 ]]; then
         cat "$paper_out/$bin"
-        echo "FAIL: $bin reported a missed shape check"
+        echo "FAIL: $bin reported a missed shape check or exited $status"
         exit 1
     fi
 done
@@ -55,10 +58,11 @@ if ! (cd "$paper_out" && md5sum --check --quiet "$OLDPWD/scripts/paper_outputs.m
 fi
 rm -rf "$paper_out"
 echo "==> smoke: manyflow --smoke"
-out="$(./target/release/manyflow --smoke)"
-if grep -q '\[MISS\]' <<<"$out"; then
+status=0
+out="$(./target/release/manyflow --smoke)" || status=$?
+if grep -q '\[MISS\]' <<<"$out" || [[ $status -ne 0 ]]; then
     echo "$out"
-    echo "FAIL: manyflow reported a missed shape check"
+    echo "FAIL: manyflow reported a missed shape check or exited $status"
     exit 1
 fi
 # The debug build runs the per-event TCB invariant oracle
@@ -67,10 +71,11 @@ fi
 # with every debug-only check switched on (~1 s).
 echo "==> smoke: manyflow --smoke (debug build: per-event oracle)"
 cargo build -q -p qpip-bench --bin manyflow
-out="$(./target/debug/manyflow --smoke)"
-if grep -q '\[MISS\]' <<<"$out"; then
+status=0
+out="$(./target/debug/manyflow --smoke)" || status=$?
+if grep -q '\[MISS\]' <<<"$out" || [[ $status -ne 0 ]]; then
     echo "$out"
-    echo "FAIL: debug manyflow reported a missed shape check"
+    echo "FAIL: debug manyflow reported a missed shape check or exited $status"
     exit 1
 fi
 
