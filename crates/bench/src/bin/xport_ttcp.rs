@@ -18,16 +18,24 @@ use qpip_bench::workloads::ttcp::{qpip_ttcp, ttcp, TtcpResult};
 use qpip_bench::workloads::verbs::{LivePair, VerbsPair};
 use qpip_nic::types::{NicConfig, ServiceType};
 use qpip_trace::Snapshot;
-use qpip_xport::ImpairConfig;
+use qpip_xport::{ImpairConfig, XportNode};
 
-/// ttcp on a live pair, then the sender's counters (`engine`, `xport`,
-/// and `proxy` when impaired) once the pair has settled.
-fn live_ttcp(mut p: LivePair, messages: u64, message: usize) -> (TtcpResult, Vec<Snapshot>) {
+/// ttcp on a live pair, then, once the pair has settled, the sender's
+/// counters (`engine`, `xport`), the receiver's (`receiver_xport`) and
+/// the proxy's when impaired, and whether each node read every datagram
+/// the other sent.
+fn live_ttcp(mut p: LivePair, messages: u64, message: usize) -> (TtcpResult, Vec<Snapshot>, bool) {
     let r = ttcp(&mut p, messages, message);
     p.settle();
-    let mut counters = vec![p.nodes[0].engine().stats().snapshot(), p.nodes[0].stats().snapshot()];
+    let [a, b] = p.nodes.each_ref().map(XportNode::stats);
+    let lossless = a.datagrams_tx == b.datagrams_rx && b.datagrams_tx == a.datagrams_rx;
+    let mut counters = vec![
+        p.nodes[0].engine().stats().snapshot(),
+        a.snapshot(),
+        b.snapshot().rescoped("receiver_xport"),
+    ];
     counters.extend(p.proxy.map(|proxy| proxy.stats().snapshot()));
-    (r, counters)
+    (r, counters, lossless)
 }
 
 fn main() {
@@ -46,14 +54,15 @@ fn main() {
     let des_ttcp = qpip_ttcp(NicConfig::paper_default(), messages * message as u64, 16 * 1024);
 
     let rtt = rtt(&mut LivePair::direct(), ServiceType::ReliableTcp, 64, rounds);
-    let (direct, direct_counters) = live_ttcp(LivePair::direct(), messages, message);
+    let (direct, direct_counters, direct_lossless) =
+        live_ttcp(LivePair::direct(), messages, message);
     let impair = ImpairConfig {
         seed: 42,
         drop_per_mille: 20, // 2% loss
         reorder_per_mille: 30,
         hold_at_most: Duration::from_millis(15),
     };
-    let (impaired, impaired_counters) =
+    let (impaired, impaired_counters, _) =
         live_ttcp(LivePair::impaired(impair), impaired_messages, message);
     let proxy_dropped =
         impaired_counters.iter().find_map(|s| s.get("dropped")).expect("proxy counters");
@@ -114,6 +123,7 @@ fn main() {
     // this line means both transfers were exactly-once and in order.
     println!("\nShape checks:");
     let mut checks = Checks::default();
+    checks.check("direct path lost no datagram to the kernel", direct_lossless);
     checks.check("impaired path dropped datagrams", proxy_dropped > 0);
     checks.check("loss recovery engaged on the impaired path", impaired.retransmissions > 0);
 

@@ -15,13 +15,35 @@ use std::time::Duration;
 use qpip_bench::workloads::ttcp::ttcp;
 use qpip_bench::workloads::verbs::LivePair;
 use qpip_trace::{FlightRecorder, TraceEvent, Tracer};
-use qpip_xport::ImpairConfig;
+use qpip_xport::{quiesce, ImpairConfig};
 
 #[test]
 fn tcp_transfer_direct() {
     // returning at all means all 100 messages arrived exactly once, in
     // order and intact
     ttcp(&mut LivePair::direct(), 100, 1024);
+}
+
+/// A direct 8 KB stream fits in the receiver's socket: the node never
+/// advertises more window than the kernel buffer holds, so every
+/// datagram either end sends is read by the other and no loss is
+/// repaired. RTOs are not asserted: a scheduler stall can still fire
+/// one, and the go-back-N after it re-sends delivered segments whose
+/// duplicate ACKs may draw a fast retransmit, so fast retransmits are
+/// asserted only on a run without an RTO.
+#[test]
+fn direct_8k_stream_loses_nothing_to_the_kernel() {
+    let mut pair = LivePair::direct();
+    ttcp(&mut pair, 2000, 8192);
+    let [a, b] = &mut pair.nodes;
+    quiesce(a, b).unwrap();
+    let (sa, sb) = (a.stats(), b.stats());
+    assert_eq!(sa.datagrams_tx, sb.datagrams_rx, "a -> b lost datagrams: {sa:?} {sb:?}");
+    assert_eq!(sb.datagrams_tx, sa.datagrams_rx, "b -> a lost datagrams: {sa:?} {sb:?}");
+    let e = a.engine().stats();
+    if e.rto_retransmits == 0 {
+        assert_eq!(e.fast_retransmits, 0, "{e:?}");
+    }
 }
 
 /// The acceptance test: a transfer through the impairment proxy at 2%

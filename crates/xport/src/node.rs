@@ -10,10 +10,12 @@
 //! cycle charges, the node stamps it with the wall clock: on real
 //! hardware the cost model *is* the hardware.
 //!
-//! The event loop is [`XportNode::pump`]: fire due engine timers, block
-//! on the socket until the budget or the next engine deadline, feed any
-//! datagram to [`Engine::on_packet`], and transmit whatever the engine
-//! emits through the peer table. Every protocol timer — retransmission,
+//! The event loop is [`XportNode::pump`]: block on the socket until the
+//! budget or the next engine deadline, feed any datagram to
+//! [`Engine::on_packet`], transmit whatever the engine emits through the
+//! peer table, then fire due engine timers. Reading first means an ACK
+//! already waiting in the socket beats its own retransmission timer
+//! after the thread stalled. Every protocol timer — retransmission,
 //! delayed ACK, TIME-WAIT and the persist timer that recovers a lost
 //! window update — lives in the engine; the node adds none.
 //! [`XportNode::wait`] layers a completion-queue wait on top with a hard
@@ -21,11 +23,27 @@
 //! [`XportNode::wait_pumping`] is the same wait for two nodes driven
 //! from one thread, and [`quiesce`] pumps two nodes until both fall
 //! silent.
+//!
+//! **Flow control.** The window a node advertises is
+//! `min(posted-WR space, socket capacity)`. The paper's NIC places data
+//! straight into the posted buffers (§5.1), so posted space is all the
+//! room there is. A live node has a kernel UDP receive buffer between
+//! the wire and the engine, and a datagram that finds it full is
+//! dropped. The node never sets `SO_RCVBUF`, so every socket starts at
+//! `net.core.rmem_default`; a quarter of that is the payload capacity,
+//! because socket(7) reserves half the buffer for bookkeeping and the
+//! kernel charges each datagram about twice its length. The capacity is
+//! never below one full-size segment, since a message cannot be split.
+//! Two limits remain, and no current workload reaches either: the
+//! kernel charges at least ~0.8 KB per datagram, so a flood of messages
+//! under ~300 B can still overrun the socket; and every connection on a
+//! node shares its one socket, while the clamp applies per connection.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::net::{Ipv6Addr, SocketAddr, UdpSocket};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use crate::clock::WallClock;
@@ -43,12 +61,38 @@ use qpip_trace::{Snapshot, TraceEvent, Tracer};
 /// fits comfortably.
 const RECV_BUF: usize = 65536;
 
+/// Payload bytes a freshly bound UDP socket can hold: a quarter of
+/// `net.core.rmem_default` (see the module docs), read once per
+/// process. `None` when the size cannot be read; no clamp applies then.
+fn socket_capacity() -> Option<u64> {
+    static CAPACITY: OnceLock<Option<u64>> = OnceLock::new();
+    *CAPACITY.get_or_init(|| {
+        let rmem = std::fs::read_to_string("/proc/sys/net/core/rmem_default").ok()?;
+        Some(rmem.trim().parse::<u64>().ok()? / 4)
+    })
+}
+
+/// The largest receive window a node with engine config `net` may
+/// advertise: its socket's capacity, but never less than one full-size
+/// segment; unbounded when the capacity is unknown.
+fn window_cap(net: &NetConfig) -> u64 {
+    socket_capacity().map_or(u64::MAX, |c| c.max(net.max_tcp_payload() as u64))
+}
+
 /// Configuration for one live node.
 #[derive(Debug, Clone)]
 pub struct XportConfig {
     /// Protocol-engine configuration. Defaults to the paper's QPIP
     /// profile ([`NetConfig::qpip`]) at a 9000-byte MTU: one message per
-    /// segment, immediate ACKs, 10 ms minimum RTO.
+    /// segment, immediate ACKs, 10 ms minimum RTO. Every window the node
+    /// advertises, `recv_buffer` included, is clamped to what its UDP
+    /// socket holds: `min(posted-WR space, socket capacity)`, where the
+    /// capacity is a quarter of `net.core.rmem_default` and at least one
+    /// full-size segment. The paper's NIC has no buffer between the wire
+    /// and the posted WRs; a live node's socket is one. The clamp does
+    /// not cover a flood of messages under ~300 B (the kernel charges
+    /// each datagram at least ~0.8 KB), nor several connections, which
+    /// share the node's one socket.
     pub net: NetConfig,
     /// Local socket address to bind. Port 0 lets the OS pick.
     pub bind: SocketAddr,
@@ -157,6 +201,9 @@ pub struct XportNode {
     /// timeout. Changed only when `pump` wants the other one.
     nonblocking: bool,
     engine: Engine,
+    /// Upper bound on every advertised receive window: what the socket
+    /// holds.
+    window_cap: u64,
     clock: WallClock,
     peers: HashMap<Ipv6Addr, SocketAddr>,
     qps: QpTable,
@@ -185,9 +232,13 @@ impl XportNode {
     /// # Errors
     ///
     /// Propagates socket bind/configuration failures.
-    pub fn bind(fabric_addr: Ipv6Addr, cfg: XportConfig) -> io::Result<XportNode> {
+    pub fn bind(fabric_addr: Ipv6Addr, mut cfg: XportConfig) -> io::Result<XportNode> {
         let sock = UdpSocket::bind(cfg.bind)?;
         sock.set_read_timeout(Some(Duration::from_millis(1)))?;
+        let window_cap = window_cap(&cfg.net);
+        // the SYN and SYN-ACK advertise the default buffer: clamp it too
+        cfg.net.recv_buffer =
+            cfg.net.recv_buffer.min(usize::try_from(window_cap).unwrap_or(usize::MAX));
         let engine = Engine::new(cfg.net.clone(), fabric_addr);
         let qps = QpTable::new(cfg.net.mtu);
         Ok(XportNode {
@@ -195,6 +246,7 @@ impl XportNode {
             sock,
             nonblocking: false,
             engine,
+            window_cap,
             clock: WallClock::start(),
             peers: HashMap::new(),
             qps,
@@ -331,7 +383,7 @@ impl XportNode {
         let now = self.clock.now();
         with_emit_buffer(|emits| {
             let conn = self.engine.tcp_connect(now, local_port, remote, emits);
-            let window = self.qps.attach(qp, conn);
+            let window = self.qps.attach(qp, conn).min(self.window_cap);
             // announce the posted-WR window so the SYN-ACK peer sees real
             // space as soon as the handshake completes (§5.1)
             self.engine.set_recv_space(now, conn, window, emits)?;
@@ -375,7 +427,7 @@ impl XportNode {
 
     /// Posts a receive work request, draining any backlog it can now
     /// absorb and growing the advertised window (§5.1: the window *is*
-    /// the posted receive-WR space).
+    /// the posted receive-WR space, up to what the socket holds).
     ///
     /// # Errors
     ///
@@ -389,7 +441,7 @@ impl XportNode {
             // read the posted space AFTER the drain: a backlogged
             // message may have consumed the WR just posted, and the
             // advertised window must equal the space actually available
-            let window = self.qps.window(qp);
+            let window = self.qps.window(qp).min(self.window_cap);
             let now = self.clock.now();
             with_emit_buffer(|emits| {
                 self.engine.set_recv_space(now, conn, window, emits)?;
@@ -492,17 +544,19 @@ impl XportNode {
         }
     }
 
-    /// Services the node once: fires due timers, blocks on the socket
-    /// for at most `max_wait` — cut short by the next engine deadline —
-    /// and processes one datagram if one arrived. Returns whether a
-    /// datagram was processed. Call in a loop to run the node without
-    /// waiting on a specific CQ (e.g. a server between requests).
+    /// Services the node once: blocks on the socket for at most
+    /// `max_wait` — cut short by the next engine deadline, so an overdue
+    /// timer makes the read nonblocking — processes the datagrams that
+    /// arrived, then fires due timers. Returns whether a datagram was
+    /// processed. Call in a loop to run the node without waiting on a
+    /// specific CQ (e.g. a server between requests).
     ///
     /// # Errors
     ///
     /// Socket errors other than timeout/would-block.
     pub fn pump(&mut self, max_wait: Duration) -> Result<bool, XportError> {
-        self.fire_due_timers()?;
+        // read before firing timers: an ACK already in the socket must
+        // cancel its retransmission timer, not lose to it
         let mut budget = max_wait;
         if let Some(d) = self.engine.next_deadline() {
             budget = budget.min(self.clock.until(d));
@@ -607,6 +661,7 @@ impl XportNode {
                     self.qps.complete(entry, self.clock.now());
                     // announce the real (posted-WR) window now that we
                     // are connected
+                    let window = window.min(self.window_cap);
                     let now = self.clock.now();
                     with_emit_buffer(|upd| {
                         let _ = self.engine.set_recv_space(now, conn, window, upd);
@@ -675,4 +730,40 @@ pub fn quiesce(a: &mut XportNode, b: &mut XportNode) -> Result<(), XportError> {
         idle = if got { 0 } else { idle + 1 };
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The clamp is only as good as the kernel's charge per datagram: a
+    /// socket nobody reads must keep a full clamped window of messages,
+    /// each in a datagram of its length plus IPv6, TCP and timestamp
+    /// headers (72 B), at every message size a workload uses.
+    #[test]
+    fn an_unread_socket_holds_a_full_clamped_window() {
+        let net = XportConfig::default().net;
+        let cap = window_cap(&net);
+        assert_ne!(cap, u64::MAX, "net.core.rmem_default unreadable");
+        for m in [1024, 8192, net.max_tcp_payload()] {
+            let count = cap / m as u64;
+            let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
+            let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+            let to = rx.local_addr().unwrap();
+            let datagram = vec![0x5a; m + 72];
+            for _ in 0..count {
+                tx.send_to(&datagram, to).unwrap();
+            }
+            // a timeout, not nonblocking: the last read waits out any
+            // datagram still on its way through the loopback device
+            rx.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+            let mut buf = vec![0; RECV_BUF];
+            let mut held = 0;
+            while let Ok((n, _)) = rx.recv_from(&mut buf) {
+                assert_eq!(n, m + 72);
+                held += 1;
+            }
+            assert_eq!(held, count, "{m} B messages: the socket dropped {}", count - held);
+        }
+    }
 }

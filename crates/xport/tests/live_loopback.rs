@@ -167,8 +167,8 @@ fn lost_window_update_is_recovered_by_a_persist_probe() {
     quiesce(&mut a, &mut b).unwrap();
     a.post_send(aqp, SendWr { wr_id: 1, payload: vec![1; 1000], dst: None }).unwrap();
 
-    // post 4 KB (a 100-byte WR rounds to a zero window under the
-    // negotiated window scale) while the route to `a` leads into a hole
+    // post 4 KB, room for the 1000-byte message, while the route to
+    // `a` leads into a hole
     let hole = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
     b.add_peer(FABRIC_A, hole.local_addr().unwrap());
     b.post_recv(bqp, RecvWr { wr_id: 7, capacity: 4096 }).unwrap();
@@ -191,6 +191,41 @@ fn lost_window_update_is_recovered_by_a_persist_probe() {
         }
         other => panic!("hole holds a non-TCP datagram: {other:?}"),
     }
+}
+
+/// After the thread stalls past the RTO, a pump must read the ACK that
+/// is already waiting before it fires timers: the ACK cancels the
+/// retransmission timer instead of losing to it.
+#[test]
+fn an_ack_waiting_in_the_socket_beats_an_overdue_rto() {
+    let mut a = node(FABRIC_A);
+    let mut b = node(FABRIC_B);
+    a.add_peer(FABRIC_B, b.local_addr().unwrap());
+    b.add_peer(FABRIC_A, a.local_addr().unwrap());
+
+    let bcq = b.create_cq();
+    let bqp = b.create_qp(ServiceType::ReliableTcp, bcq, bcq).unwrap();
+    b.post_recv(bqp, RecvWr { wr_id: 1, capacity: 4096 }).unwrap();
+    b.tcp_listen(bqp, 5001).unwrap();
+    let acq = a.create_cq();
+    let aqp = a.create_qp(ServiceType::ReliableTcp, acq, acq).unwrap();
+    a.tcp_connect(aqp, 5000, Endpoint::new(FABRIC_B, 5001)).unwrap();
+    assert_eq!(a.wait_pumping(acq, &mut b).unwrap().kind, CompletionKind::ConnectionEstablished);
+    assert_eq!(b.wait_pumping(bcq, &mut a).unwrap().kind, CompletionKind::ConnectionEstablished);
+    quiesce(&mut a, &mut b).unwrap();
+
+    // b reads the message and ACKs it; the ACK waits in a's socket
+    a.post_send(aqp, SendWr { wr_id: 2, payload: vec![3; 100], dst: None }).unwrap();
+    assert!(matches!(b.wait(bcq).unwrap().kind, CompletionKind::Recv { .. }));
+    // stall a past its retransmission deadline
+    let rto = a.engine().next_deadline().expect("the send armed the RTO");
+    while a.now() <= rto {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    a.pump(Duration::ZERO).unwrap();
+    assert_eq!(a.engine().stats().rto_retransmits, 0, "{:?}", a.engine().stats());
+    let c = a.poll(acq).unwrap().expect("the ACK completed the send");
+    assert_eq!(c.kind, CompletionKind::Send);
 }
 
 #[test]
