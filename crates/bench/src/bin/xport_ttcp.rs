@@ -126,6 +126,13 @@ fn main() {
     checks.check("direct path lost no datagram to the kernel", direct_lossless);
     checks.check("impaired path dropped datagrams", proxy_dropped > 0);
     checks.check("loss recovery engaged on the impaired path", impaired.retransmissions > 0);
+    // the ping carries the last pong's ACK and the pong the ping's; a
+    // stall can let the final pong's delayed ACK fire before the count
+    let round_packets = 2 * rounds as u64;
+    checks.check(
+        "live RTT leg costs 2 datagrams per round after set-up",
+        rtt.packets.is_some_and(|n| (round_packets..=round_packets + 1).contains(&n)),
+    );
 
     if json {
         // one counters object for the whole document: each scenario's

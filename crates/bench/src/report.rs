@@ -234,7 +234,7 @@ mod tests {
         for us in [61.2, 88.0, 88.5, 140.0] {
             samples.record(us);
         }
-        RttResult { mean_us: samples.mean(), samples }
+        RttResult { mean_us: samples.mean(), samples, packets: None }
     }
 
     fn fixture_stream() -> (&'static str, usize, TtcpResult) {

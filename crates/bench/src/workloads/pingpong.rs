@@ -22,6 +22,10 @@ pub struct RttResult {
     pub mean_us: f64,
     /// Sample summary.
     pub samples: Summary,
+    /// Packets both ends put on the wire over the measured rounds, when
+    /// the harness counts them (the QPIP verbs pairs do, the host-stack
+    /// baselines do not).
+    pub packets: Option<u64>,
 }
 
 impl RttResult {
@@ -67,7 +71,8 @@ pub fn qpip_udp_rtt(nic: NicConfig, payload: usize, rounds: usize) -> RttResult 
 /// posted so reposting stays off the critical path. Samples are end
 /// A's application-clock round trips. UDP resends nothing, so on live
 /// sockets a dropped datagram stalls the round until the wait times
-/// out.
+/// out. Each round trip should cost two packets: the ping carries the
+/// ACK of the previous pong, and the pong the ACK of the ping.
 pub fn rtt<P: VerbsPair>(
     p: &mut P,
     service: ServiceType,
@@ -101,7 +106,12 @@ pub fn rtt<P: VerbsPair>(
     let mut samples = Summary::new();
     let warmup = 4;
     let is_recv = |c: &Completion| matches!(c.kind, CompletionKind::Recv { .. });
+    let sent = |p: &P| p.packets_sent(A) + p.packets_sent(B);
+    let mut sent_before = 0;
     for round in 0..rounds + warmup {
+        if round == warmup {
+            sent_before = sent(p);
+        }
         post_recv(p, 900 + round as u64);
         let t0 = p.now(A);
         p.post_send(A, qps[0], SendWr { wr_id: 1, payload: vec![0x5a; payload], dst: to_b });
@@ -112,7 +122,7 @@ pub fn rtt<P: VerbsPair>(
             samples.record(p.now(A).duration_since(t0).as_micros_f64());
         }
     }
-    RttResult { mean_us: samples.mean(), samples }
+    RttResult { mean_us: samples.mean(), samples, packets: Some(sent(p) - sent_before) }
 }
 
 /// Which host baseline fabric to measure.
@@ -154,7 +164,7 @@ pub fn socket_tcp_rtt(which: Baseline, payload: usize, rounds: usize) -> RttResu
             samples.record(w.app_time(a).duration_since(t0).as_micros_f64());
         }
     }
-    RttResult { mean_us: samples.mean(), samples }
+    RttResult { mean_us: samples.mean(), samples, packets: None }
 }
 
 /// Measures socket-to-socket UDP RTT on a host baseline.
@@ -180,7 +190,7 @@ pub fn socket_udp_rtt(which: Baseline, payload: usize, rounds: usize) -> RttResu
             samples.record(w.app_time(a).duration_since(t0).as_micros_f64());
         }
     }
-    RttResult { mean_us: samples.mean(), samples }
+    RttResult { mean_us: samples.mean(), samples, packets: None }
 }
 
 #[cfg(test)]

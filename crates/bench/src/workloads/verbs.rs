@@ -73,6 +73,9 @@ pub trait VerbsPair {
     fn now(&self, end: End) -> SimTime;
     /// TCP retransmissions the end's engine has issued.
     fn retransmissions(&self, end: End) -> u64;
+    /// Packets the end has put on the wire: NIC transmits on the DES,
+    /// datagrams on live sockets.
+    fn packets_sent(&self, end: End) -> u64;
     /// The end's fabric address (a UDP send's destination).
     fn addr(&self, end: End) -> Ipv6Addr;
     /// Runs both ends until neither has anything left to do.
@@ -160,6 +163,10 @@ impl VerbsPair for DesPair {
 
     fn retransmissions(&self, end: End) -> u64 {
         self.world.nic(self.node(end)).retransmissions()
+    }
+
+    fn packets_sent(&self, end: End) -> u64 {
+        self.world.nic(self.node(end)).stats().tx_packets
     }
 
     fn addr(&self, end: End) -> Ipv6Addr {
@@ -267,6 +274,10 @@ impl VerbsPair for LivePair {
 
     fn retransmissions(&self, end: End) -> u64 {
         self.nodes[end.index()].engine().retransmissions()
+    }
+
+    fn packets_sent(&self, end: End) -> u64 {
+        self.nodes[end.index()].stats().datagrams_tx
     }
 
     fn addr(&self, end: End) -> Ipv6Addr {

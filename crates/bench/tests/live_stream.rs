@@ -12,8 +12,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use qpip::{Completion, CompletionKind, RecvWr, SendWr, ServiceType};
 use qpip_bench::workloads::ttcp::ttcp;
-use qpip_bench::workloads::verbs::LivePair;
+use qpip_bench::workloads::verbs::End::{A, B};
+use qpip_bench::workloads::verbs::{wait_for, LivePair, VerbsPair};
+use qpip_sim::params::NIC_DELAYED_ACK;
 use qpip_trace::{FlightRecorder, TraceEvent, Tracer};
 use qpip_xport::{quiesce, ImpairConfig};
 
@@ -43,6 +46,90 @@ fn direct_8k_stream_loses_nothing_to_the_kernel() {
     let e = a.engine().stats();
     if e.rto_retransmits == 0 {
         assert_eq!(e.fast_retransmits, 0, "{e:?}");
+    }
+}
+
+/// The engine builds a packet only when the node sends it: every
+/// packet either engine counts went out as a datagram, window updates
+/// included.
+#[test]
+fn every_engine_packet_becomes_a_datagram() {
+    let mut pair = LivePair::direct();
+    ttcp(&mut pair, 2000, 8192);
+    let [a, b] = &mut pair.nodes;
+    quiesce(a, b).unwrap();
+    for n in &pair.nodes {
+        assert_eq!(n.engine().stats().tx_packets, n.stats().datagrams_tx, "{n:?}");
+    }
+}
+
+/// Lockstep 64 B request-response in `live_rpc`'s shape: each end keeps
+/// 8 × 64 B receive WRs posted and reposts before it answers. Every
+/// datagram after set-up carries a message: the pong carries the
+/// ping's ACK, the next ping the pong's, and a one-WR repost onto an
+/// open window announces nothing. A stall longer than the delayed-ACK
+/// timeout can let a pure ACK out, so the count is exact only when no
+/// round trip took that long.
+#[test]
+fn a_lockstep_rpc_costs_two_datagrams() {
+    const RPCS: u64 = 1000;
+    const LEN: usize = 64;
+    let mut p = LivePair::direct();
+    let cqs = [p.create_cq(A), p.create_cq(B)];
+    let qps = [
+        p.create_qp(A, ServiceType::ReliableTcp, cqs[0], cqs[0]),
+        p.create_qp(B, ServiceType::ReliableTcp, cqs[1], cqs[1]),
+    ];
+    for (end, qp) in [(A, qps[0]), (B, qps[1])] {
+        for wr_id in 0..8 {
+            p.post_recv(end, qp, RecvWr { wr_id, capacity: LEN });
+        }
+    }
+    p.tcp_listen(B, qps[1], 5000);
+    p.tcp_connect(A, qps[0], 4000, 5000);
+    let up = |c: &Completion| c.kind == CompletionKind::ConnectionEstablished;
+    wait_for(&mut p, A, cqs[0], up);
+    wait_for(&mut p, B, cqs[1], up);
+
+    let sent = |p: &LivePair| p.packets_sent(A) + p.packets_sent(B);
+    let before = sent(&p);
+    let mut sends = [0; 2];
+    let mut slowest = Duration::ZERO;
+    let mut recv = |p: &mut LivePair, i: usize| loop {
+        let end = [A, B][i];
+        let c = p.wait(end, cqs[i]);
+        match c.kind {
+            CompletionKind::Send => sends[i] += 1,
+            CompletionKind::Recv { data, .. } => {
+                assert_eq!(data.len(), LEN);
+                p.post_recv(end, qps[i], RecvWr { wr_id: c.wr_id, capacity: LEN });
+                return;
+            }
+            other => panic!("{end:?}: unexpected {other:?}"),
+        }
+    };
+    for i in 0..RPCS {
+        let t0 = std::time::Instant::now();
+        p.post_send(A, qps[0], SendWr { wr_id: i, payload: vec![1; LEN], dst: None });
+        recv(&mut p, 1);
+        p.post_send(B, qps[1], SendWr { wr_id: i, payload: vec![2; LEN], dst: None });
+        recv(&mut p, 0);
+        slowest = slowest.max(t0.elapsed());
+    }
+    let datagrams = sent(&p) - before;
+    if slowest < Duration::from_nanos(NIC_DELAYED_ACK.as_nanos()) {
+        assert_eq!(datagrams, 2 * RPCS, "slowest round trip {slowest:?}");
+    } else {
+        assert!(datagrams < 3 * RPCS, "{datagrams} datagrams, slowest round trip {slowest:?}");
+    }
+
+    // the last pong's send completes once a's delayed ACK fires
+    for (i, end) in [A, B].into_iter().enumerate() {
+        while sends[i] < RPCS {
+            let c = p.wait(end, cqs[i]);
+            assert_eq!(c.kind, CompletionKind::Send, "{end:?}");
+            sends[i] += 1;
+        }
     }
 }
 

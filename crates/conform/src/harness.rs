@@ -583,11 +583,15 @@ impl Harness {
     }
 
     /// Updates the receive-window backing space of the tracked
-    /// connection.
+    /// connection and announces the new window with a pure ACK.
     #[track_caller]
     pub fn set_recv_space(&mut self, bytes: u64) {
         let conn = self.conn.expect("set_recv_space: no connection yet");
-        self.drive(|e, now, out| e.set_recv_space(now, conn, bytes, out)).expect("set_recv_space");
+        self.drive(|e, now, out| {
+            e.set_recv_space(conn, bytes)?;
+            e.announce_window(now, conn, out)
+        })
+        .expect("set_recv_space");
     }
 
     // ----- observation ----------------------------------------------

@@ -650,28 +650,41 @@ impl Engine {
         Ok(())
     }
 
-    /// Updates the receive-window backing space of a connection (QPIP:
-    /// total posted receive-WR bytes) and appends a window-update ACK to
-    /// `out`.
+    /// Sets the receive-window backing space of a connection (QPIP:
+    /// total posted receive-WR bytes). Every segment the connection
+    /// sends from now on advertises it; [`Engine::announce_window`]
+    /// sends it at once.
     ///
     /// # Errors
     ///
     /// [`EngineError::UnknownConn`] if the connection is gone.
-    pub fn set_recv_space(
+    pub fn set_recv_space(&mut self, conn: ConnId, bytes: u64) -> Result<(), EngineError> {
+        let entry = self.conns.get_mut(conn).ok_or(EngineError::UnknownConn(conn))?;
+        entry.tcb.set_recv_space(bytes);
+        self.debug_check_conn(conn);
+        Ok(())
+    }
+
+    /// Appends a pure ACK announcing the connection's current receive
+    /// window to `out`, if the connection is synchronized (a SYN or
+    /// SYN-ACK already carries the window).
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::UnknownConn`] if the connection is gone.
+    pub fn announce_window(
         &mut self,
         now: SimTime,
         conn: ConnId,
-        bytes: u64,
         out: &mut Vec<Emit>,
     ) -> Result<(), EngineError> {
         let entry = self.conns.get_mut(conn).ok_or(EngineError::UnknownConn(conn))?;
-        entry.tcb.set_recv_space(bytes);
         let upd = entry.tcb.window_update(now);
         self.sync_timer(now, conn);
-        if let (Some(tr), Some(u)) = (&self.tracer, upd.as_ref()) {
-            tr.emit(now, conn.0, TraceEvent::WindowRefresh { wnd: u32::from(u.window) });
-        }
         if let Some(u) = upd {
+            if let Some(tr) = &self.tracer {
+                tr.emit(now, conn.0, TraceEvent::WindowRefresh { wnd: u32::from(u.window) });
+            }
             let entry = self.conns.get(conn).expect("resolved above");
             let (local, remote) = (entry.tcb.local(), entry.tcb.remote());
             out.push(self.encode_one(now, conn, local, remote, &u));

@@ -86,8 +86,9 @@ pub enum SegmentationPolicy {
 /// When acknowledgments are generated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AckPolicy {
-    /// ACK every data segment immediately (QPIP firmware behaviour —
-    /// keeps the NIC pipeline busy and WR completion latency low).
+    /// ACK every data segment immediately: the simplest policy, and the
+    /// one the conformance scripts exercise. The QPIP firmware delays
+    /// its ACKs (`qpip_nic::endpoint_net`).
     Immediate,
     /// Standard delayed ACK: ack every second segment, or after the
     /// given timeout, whichever first.
@@ -123,7 +124,11 @@ pub struct NetConfig {
 }
 
 impl NetConfig {
-    /// The QPIP firmware configuration for a given fabric MTU.
+    /// The paper's QPIP protocol profile for a given fabric MTU: one
+    /// message per segment, immediate ACKs, a 10 ms minimum RTO. A QPIP
+    /// endpoint runs it with the firmware's delayed ACK
+    /// (`qpip_nic::endpoint_net`); the conformance and engine scripts
+    /// run it as is.
     pub fn qpip(mtu: usize) -> Self {
         NetConfig {
             mtu,

@@ -87,6 +87,7 @@ impl Collect for Engine {
         bytes: u64,
     ) -> Result<Vec<Emit>, EngineError> {
         let mut out = Vec::new();
-        self.set_recv_space(now, conn, bytes, &mut out).map(|()| out)
+        self.set_recv_space(conn, bytes)?;
+        self.announce_window(now, conn, &mut out).map(|()| out)
     }
 }

@@ -12,7 +12,7 @@ use std::net::Ipv6Addr;
 
 use qpip_netstack::engine::{with_emit_buffer, Engine};
 use qpip_netstack::hash::FxHashMap;
-use qpip_netstack::types::{ConnId, Emit, Endpoint, NetConfig, PacketKind, PacketOut};
+use qpip_netstack::types::{ConnId, Emit, Endpoint, PacketKind, PacketOut};
 use qpip_sim::params;
 use qpip_sim::resource::{BandwidthPipe, SerialResource};
 use qpip_sim::time::{Clock, Cycles, SimDuration, SimTime};
@@ -22,8 +22,8 @@ use crate::occupancy::{Occupancy, PacketClass, Stage};
 use crate::qp_table::{CqEntry, Outcome, QpTable, TokenUse};
 use crate::rdma::{RdmaFrame, RdmaOpcode};
 use crate::types::{
-    ChecksumMode, Completion, CompletionKind, CompletionStatus, CqId, MrKey, NicConfig, NicError,
-    QpId, RdmaReadWr, RdmaWriteWr, RecvWr, SendWr, ServiceType,
+    endpoint_net, ChecksumMode, Completion, CompletionKind, CompletionStatus, CqId, MrKey,
+    NicConfig, NicError, QpId, RdmaReadWr, RdmaWriteWr, RecvWr, SendWr, ServiceType,
 };
 
 /// A packet the NIC hands to the fabric. Completions stay on the NIC's
@@ -124,16 +124,10 @@ pub struct QpipNic {
 impl QpipNic {
     /// Creates a NIC with the given configuration at IPv6 `addr`.
     pub fn new(cfg: NicConfig, addr: Ipv6Addr) -> Self {
-        let mut net = NetConfig::qpip(cfg.segment_mtu());
+        let mut net = endpoint_net(cfg.segment_mtu());
         // QPIP semantics: the advertised window is the posted receive-WR
         // space (§5.1), which starts at zero.
         net.recv_buffer = 0;
-        // The firmware's BSD-derived TCP acknowledges every second
-        // segment (standard delayed ACK with a SAN-scale timeout); in
-        // request-response traffic the ACK piggybacks on the echo. This
-        // is what Tables 2/3's stage sums imply for the 1500-byte-MTU
-        // throughput of Figure 4.
-        net.ack_policy = qpip_netstack::types::AckPolicy::Delayed(SimDuration::from_micros(300));
         net.ecn = cfg.ecn;
         let mul_cycles =
             if cfg.hw_multiply { params::NIC_HW_MUL_CYCLES } else { params::NIC_SOFT_MUL_CYCLES };
@@ -321,7 +315,7 @@ impl QpipNic {
             let conn = self.engine.tcp_connect(t, local_port, remote, emits);
             let window = self.qps.attach(qp, conn);
             // QPIP window semantics: advertise exactly the posted space
-            let _ = self.engine.set_recv_space(t, conn, window, emits);
+            let _ = self.engine.set_recv_space(conn, window);
             self.process_emits(t, emits, out);
         });
         Ok(())
@@ -409,12 +403,13 @@ impl QpipNic {
             // read the posted space AFTER the drain: a backlogged message
             // may have consumed the WR just posted, and the advertised
             // window must equal the space actually available (§5.1)
+            let _ = self.engine.set_recv_space(conn, self.qps.window(qp));
             with_emit_buffer(|emits| {
-                let _ = self.engine.set_recv_space(t, conn, self.qps.window(qp), emits);
-                let _ = self.engine.take_ops();
                 if posted.announce {
-                    self.process_emits(t, emits, out);
+                    let _ = self.engine.announce_window(t, conn, emits);
                 }
+                let _ = self.engine.take_ops();
+                self.process_emits(t, emits, out);
             });
         }
         Ok(())
@@ -908,8 +903,9 @@ impl QpipNic {
                 self.qps.complete(entry, t);
                 // announce the real (posted-WR) window now that we are
                 // connected
+                let _ = self.engine.set_recv_space(conn, window);
                 with_emit_buffer(|emits| {
-                    let _ = self.engine.set_recv_space(t, conn, window, emits);
+                    let _ = self.engine.announce_window(t, conn, emits);
                     let _ = self.engine.take_ops();
                     self.process_emits(t, emits, outputs);
                 });

@@ -39,6 +39,6 @@ pub use firmware::{NicOutput, NicStats, QpipNic};
 pub use occupancy::{Occupancy, PacketClass, Stage};
 pub use rdma::{RdmaFrame, RdmaOpcode};
 pub use types::{
-    ChecksumMode, Completion, CompletionKind, CompletionStatus, CqId, MrKey, NicConfig, NicError,
-    QpId, RdmaReadWr, RdmaWriteWr, RecvWr, SendWr, ServiceType,
+    endpoint_net, ChecksumMode, Completion, CompletionKind, CompletionStatus, CqId, MrKey,
+    NicConfig, NicError, QpId, RdmaReadWr, RdmaWriteWr, RecvWr, SendWr, ServiceType,
 };

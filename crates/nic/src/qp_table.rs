@@ -14,7 +14,11 @@
 //!   with no WR wait in the SRAM backlog, datagrams with none are
 //!   dropped (§3);
 //! * the advertised TCP window is exactly the posted receive-WR space
-//!   (§5.1);
+//!   (§5.1), and a post sends a pure window update only when it can
+//!   unblock the sender (receiver SWS avoidance, RFC 1122 §4.2.3.3):
+//!   the window was under one MTU, and the post reopens it from zero or
+//!   grows it by at least min(half the new window, one MTU). Any other
+//!   growth rides on the next data segment or ACK;
 //! * a send WR retires when its bytes are acknowledged, and a dead
 //!   connection flushes its QP's outstanding send WRs.
 //!
@@ -181,9 +185,9 @@ pub enum Outcome {
 pub struct Posted {
     /// The QP's connection, whose window is now [`QpTable::window`].
     pub conn: Option<ConnId>,
-    /// Transmit the window update: the QP is established and its
-    /// window had collapsed below one MTU. Otherwise the new window
-    /// rides on normal ACKs.
+    /// Transmit the window update: the QP is established and the post
+    /// can unblock the sender (see [`QpTable::post_recv`]). Otherwise
+    /// the new window rides on the next data segment or ACK.
     pub announce: bool,
 }
 
@@ -202,8 +206,8 @@ pub struct QpCounters {
 /// node.
 #[derive(Debug)]
 pub struct QpTable {
-    /// Window floor: posting into a window below this many bytes
-    /// announces the update (the wire MTU).
+    /// Window floor: only a post into a window below this many bytes
+    /// may announce the update (the wire MTU).
     mtu: u64,
     qps: FxHashMap<QpId, Qp>,
     /// CQ contents, indexed by `CqId - 1` (CQ ids are dense and start
@@ -220,8 +224,8 @@ pub struct QpTable {
 }
 
 impl QpTable {
-    /// An empty table whose window updates are announced once the
-    /// posted space had fallen below `mtu` bytes.
+    /// An empty table whose window updates are announced only once
+    /// the posted space has fallen below `mtu` bytes.
     pub fn new(mtu: usize) -> QpTable {
         QpTable {
             mtu: mtu as u64,
@@ -469,17 +473,24 @@ impl QpTable {
         self.tokens.remove(&token.0);
     }
 
-    /// Appends a receive WR to `qp`'s queue, growing its window.
+    /// Appends a receive WR to `qp`'s queue, growing its window. The
+    /// growth is announced only when the connection is established, the
+    /// window was under one MTU before the post, and the post reopens a
+    /// zero window or grows it by at least min(half the new window, one
+    /// MTU). A smaller step rides on the next data segment or ACK, and
+    /// a sender the window has stopped finds it with its persist timer.
     ///
     /// # Errors
     ///
     /// [`NicError::UnknownQp`].
     pub fn post_recv(&mut self, qp: QpId, wr: RecvWr) -> Result<Posted, NicError> {
         let q = self.qps.get_mut(&qp).ok_or(NicError::UnknownQp(qp))?;
-        let was_small = q.posted_bytes < self.mtu;
+        let before = q.posted_bytes;
         q.recv_queue.push_back(wr);
         q.posted_bytes += wr.capacity as u64;
-        let announce = was_small && matches!(q.link, Link::Established(_));
+        let after = q.posted_bytes;
+        let grows = after > before && (before == 0 || after - before >= (after / 2).min(self.mtu));
+        let announce = matches!(q.link, Link::Established(_)) && before < self.mtu && grows;
         Ok(Posted { conn: q.link.conn(), announce })
     }
 
@@ -867,5 +878,65 @@ mod tests {
         assert!(s.contains(&format!("{y}: 1 entries [Recv(1024B)]")), "{s}");
         assert!(s.contains(&format!("{z}: 0 entries []")), "{s}");
         assert!(s.contains("(no QPs)") && s.contains("engine connections: 0"), "{s}");
+    }
+
+    /// A TCP QP holding `wrs` receive WRs of `capacity` bytes, its
+    /// connection up when `up`, and a post onto it.
+    fn post_onto(wrs: u64, capacity: usize, up: bool) -> (QpTable, QpId) {
+        let mut t = QpTable::new(1500);
+        let cq = t.create_cq();
+        let qp = t.create_qp(TCP, cq, cq).unwrap();
+        for wr_id in 0..wrs {
+            t.post_recv(qp, RecvWr { wr_id, capacity }).unwrap();
+        }
+        t.attach(qp, ConnId(3));
+        if up {
+            let outcome = t.handle(Emit::TcpConnected { conn: ConnId(3) });
+            assert!(matches!(outcome, Outcome::Up { .. }), "{outcome:?}");
+        }
+        (t, qp)
+    }
+
+    fn announced(t: &mut QpTable, qp: QpId, capacity: usize) -> bool {
+        t.post_recv(qp, RecvWr { wr_id: 99, capacity }).unwrap().announce
+    }
+
+    #[test]
+    fn a_small_repost_onto_an_open_window_is_not_announced() {
+        // live_rpc's shape: one 64 B WR back onto seven
+        let (mut t, qp) = post_onto(7, 64, true);
+        assert!(!announced(&mut t, qp, 64));
+        assert_eq!(t.window(qp), 512);
+        // a window of one MTU or more never needs a pure update
+        let (mut t, qp) = post_onto(1, 1500, true);
+        assert!(!announced(&mut t, qp, 4096));
+    }
+
+    #[test]
+    fn a_post_onto_a_zero_window_is_announced() {
+        let (mut t, qp) = post_onto(0, 0, true);
+        assert!(announced(&mut t, qp, 64));
+    }
+
+    #[test]
+    fn a_post_that_doubles_the_window_is_announced() {
+        let (mut t, qp) = post_onto(4, 64, true);
+        assert!(announced(&mut t, qp, 256));
+        assert_eq!(t.window(qp), 512);
+    }
+
+    #[test]
+    fn nothing_is_announced_before_the_connection_is_up() {
+        let (mut t, qp) = post_onto(0, 0, false);
+        assert_eq!(
+            t.post_recv(qp, RecvWr { wr_id: 1, capacity: 4096 }),
+            Ok(Posted { conn: Some(ConnId(3)), announce: false })
+        );
+        let cq = t.create_cq();
+        let idle = t.create_qp(TCP, cq, cq).unwrap();
+        assert_eq!(
+            t.post_recv(idle, RecvWr { wr_id: 1, capacity: 4096 }),
+            Ok(Posted { conn: None, announce: false })
+        );
     }
 }

@@ -3,7 +3,7 @@
 
 use core::fmt;
 
-use qpip_netstack::types::Endpoint;
+use qpip_netstack::types::{AckPolicy, Endpoint, NetConfig};
 use qpip_sim::time::SimTime;
 
 /// Handle to a queue pair inside one NIC.
@@ -242,6 +242,19 @@ impl NicConfig {
     /// Paper defaults plus the RDMA transaction class.
     pub fn with_rdma() -> Self {
         NicConfig { rdma_framing: true, ..NicConfig::paper_default() }
+    }
+}
+
+/// The protocol-engine configuration of a QPIP endpoint whose TCP
+/// segments are at most `mtu` bytes: the paper's profile
+/// ([`NetConfig::qpip`]) with the firmware's delayed ACK
+/// ([`NIC_DELAYED_ACK`](qpip_sim::params::NIC_DELAYED_ACK)). The
+/// simulated NIC and the live node both start from it; each then sets
+/// its own window source (`recv_buffer`).
+pub fn endpoint_net(mtu: usize) -> NetConfig {
+    NetConfig {
+        ack_policy: AckPolicy::Delayed(qpip_sim::params::NIC_DELAYED_ACK),
+        ..NetConfig::qpip(mtu)
     }
 }
 

@@ -7,7 +7,7 @@
 //! All downstream crates pull their costs from this module so that a
 //! single model produces *all* figures — nothing is tuned per-figure.
 
-use crate::time::Clock;
+use crate::time::{Clock, SimDuration};
 
 // ---------------------------------------------------------------------
 // Host platform: Dell PowerEdge 6350 (§4.2)
@@ -181,6 +181,13 @@ pub const NIC_SOFT_MUL_CYCLES: u64 = 155;
 
 /// Hardware multiply cost used by the `--hw-multiply` ablation.
 pub const NIC_HW_MUL_CYCLES: u64 = 5;
+
+/// The firmware's delayed-ACK timeout. Its BSD-derived TCP acknowledges
+/// every second segment, or this long after an unacknowledged one: a
+/// SAN-scale timeout, so in request-response traffic the ACK rides on
+/// the answer. This is what Tables 2/3's stage sums imply for the
+/// 1500-byte-MTU throughput of Figure 4.
+pub const NIC_DELAYED_ACK: SimDuration = SimDuration::from_micros(300);
 
 /// Firmware (software) internet checksum on the NIC, cycles per byte.
 /// 5 cycles/byte at 133 MHz over a 16 KB segment ≈ 616 µs, which is what

@@ -38,6 +38,16 @@
 //! kernel charges at least ~0.8 KB per datagram, so a flood of messages
 //! under ~300 B can still overrun the socket; and every connection on a
 //! node shares its one socket, while the clamp applies per connection.
+//!
+//! **ACKs and window updates.** The node runs the simulated NIC's
+//! engine configuration ([`endpoint_net`], the default
+//! [`XportConfig::net`]): a delayed ACK that rides on the answer in
+//! request-response traffic. A posted receive WR always updates the
+//! window the engine advertises on its next segment, but a pure window
+//! update goes out only when [`QpTable::post_recv`] says it can unblock
+//! the sender: the window was under one MTU and the post reopens it from
+//! zero or grows it by at least min(half the new window, one MTU). So a
+//! lockstep 64 B round trip costs two datagrams, one message each way.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -49,6 +59,7 @@ use std::time::{Duration, Instant};
 use crate::clock::WallClock;
 use qpip_netstack::engine::{with_emit_buffer, Engine, EngineError};
 use qpip_netstack::types::{Emit, Endpoint, NetConfig, PacketOut};
+use qpip_nic::endpoint_net;
 use qpip_nic::qp_table::{Outcome, QpTable, TokenUse};
 use qpip_nic::types::{
     Completion, CompletionKind, CompletionStatus, CqId, NicError, QpId, RecvWr, SendWr, ServiceType,
@@ -82,10 +93,11 @@ fn window_cap(net: &NetConfig) -> u64 {
 /// Configuration for one live node.
 #[derive(Debug, Clone)]
 pub struct XportConfig {
-    /// Protocol-engine configuration. Defaults to the paper's QPIP
-    /// profile ([`NetConfig::qpip`]) at a 9000-byte MTU: one message per
-    /// segment, immediate ACKs, 10 ms minimum RTO. Every window the node
-    /// advertises, `recv_buffer` included, is clamped to what its UDP
+    /// Protocol-engine configuration. Defaults to the simulated NIC's
+    /// configuration ([`endpoint_net`]) at a 9000-byte MTU: one message
+    /// per segment, a 300 µs delayed ACK that rides on the answer in
+    /// request-response traffic, 10 ms minimum RTO. Every window the
+    /// node advertises, `recv_buffer` included, is clamped to what its UDP
     /// socket holds: `min(posted-WR space, socket capacity)`, where the
     /// capacity is a quarter of `net.core.rmem_default` and at least one
     /// full-size segment. The paper's NIC has no buffer between the wire
@@ -104,7 +116,7 @@ pub struct XportConfig {
 impl Default for XportConfig {
     fn default() -> Self {
         XportConfig {
-            net: NetConfig::qpip(9000),
+            net: endpoint_net(9000),
             bind: "127.0.0.1:0".parse().expect("literal addr"),
             wait_timeout: Duration::from_secs(30),
         }
@@ -384,9 +396,9 @@ impl XportNode {
         with_emit_buffer(|emits| {
             let conn = self.engine.tcp_connect(now, local_port, remote, emits);
             let window = self.qps.attach(qp, conn).min(self.window_cap);
-            // announce the posted-WR window so the SYN-ACK peer sees real
-            // space as soon as the handshake completes (§5.1)
-            self.engine.set_recv_space(now, conn, window, emits)?;
+            // the posted-WR window rides on the handshake's final ACK
+            // (§5.1)
+            self.engine.set_recv_space(conn, window)?;
             self.dispatch(emits)
         })
     }
@@ -442,14 +454,14 @@ impl XportNode {
             // message may have consumed the WR just posted, and the
             // advertised window must equal the space actually available
             let window = self.qps.window(qp).min(self.window_cap);
-            let now = self.clock.now();
-            with_emit_buffer(|emits| {
-                self.engine.set_recv_space(now, conn, window, emits)?;
-                if posted.announce {
-                    self.dispatch(emits)?;
-                }
-                Ok::<_, XportError>(())
-            })?;
+            self.engine.set_recv_space(conn, window)?;
+            if posted.announce {
+                let now = self.clock.now();
+                with_emit_buffer(|emits| {
+                    self.engine.announce_window(now, conn, emits)?;
+                    self.dispatch(emits)
+                })?;
+            }
         }
         Ok(())
     }
@@ -663,8 +675,9 @@ impl XportNode {
                     // are connected
                     let window = window.min(self.window_cap);
                     let now = self.clock.now();
+                    let _ = self.engine.set_recv_space(conn, window);
                     with_emit_buffer(|upd| {
-                        let _ = self.engine.set_recv_space(now, conn, window, upd);
+                        let _ = self.engine.announce_window(now, conn, upd);
                         self.dispatch(upd)
                     })?;
                 }

@@ -214,9 +214,14 @@ fn an_ack_waiting_in_the_socket_beats_an_overdue_rto() {
     assert_eq!(b.wait_pumping(bcq, &mut a).unwrap().kind, CompletionKind::ConnectionEstablished);
     quiesce(&mut a, &mut b).unwrap();
 
-    // b reads the message and ACKs it; the ACK waits in a's socket
+    // b reads the message and ACKs it once its delayed-ACK timer fires;
+    // the ACK waits in a's socket
     a.post_send(aqp, SendWr { wr_id: 2, payload: vec![3; 100], dst: None }).unwrap();
     assert!(matches!(b.wait(bcq).unwrap().kind, CompletionKind::Recv { .. }));
+    let sent = b.stats().datagrams_tx;
+    while b.stats().datagrams_tx == sent {
+        b.pump(Duration::from_millis(1)).unwrap();
+    }
     // stall a past its retransmission deadline
     let rto = a.engine().next_deadline().expect("the send armed the RTO");
     while a.now() <= rto {

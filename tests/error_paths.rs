@@ -252,7 +252,8 @@ fn stale_conn_id_generation_is_rejected_after_slot_reuse() {
         eng.tcp_send(now, stale, vec![0], SendToken(1), out),
         Err(EngineError::UnknownConn(c)) if c == stale
     ));
-    assert!(matches!(eng.set_recv_space(now, stale, 4096, out), Err(EngineError::UnknownConn(_))));
+    assert!(matches!(eng.set_recv_space(stale, 4096), Err(EngineError::UnknownConn(_))));
+    assert!(matches!(eng.announce_window(now, stale, out), Err(EngineError::UnknownConn(_))));
     assert!(matches!(eng.tcp_close(now, stale, out), Err(EngineError::UnknownConn(_))));
     assert!(matches!(eng.tcp_abort(now, stale, out), Err(EngineError::UnknownConn(_))));
 
