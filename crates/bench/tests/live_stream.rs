@@ -31,9 +31,10 @@ fn tcp_transfer_direct() {
 /// advertises more window than the kernel buffer holds, so every
 /// datagram either end sends is read by the other and no loss is
 /// repaired. RTOs are not asserted: a scheduler stall can still fire
-/// one, and the go-back-N after it re-sends delivered segments whose
-/// duplicate ACKs may draw a fast retransmit, so fast retransmits are
-/// asserted only on a run without an RTO.
+/// one, and what it re-sends (the first segment, or go-back-N when a
+/// duplicate ACK came first) the receiver already holds, so duplicate
+/// ACKs may draw a fast retransmit; fast retransmits are asserted only
+/// on a run without an RTO.
 #[test]
 fn direct_8k_stream_loses_nothing_to_the_kernel() {
     let mut pair = LivePair::direct();

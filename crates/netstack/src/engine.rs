@@ -137,13 +137,18 @@ pub struct EngineStats {
     /// Zero-window probes sent by persist timers, summed over live and
     /// reaped connections. Never counted as retransmissions.
     pub persist_probes: u64,
-    /// RTO retransmissions that Eifel detection (RFC 3522) found
-    /// spurious, summed over live and reaped connections.
+    /// RTO episodes that Eifel detection (RFC 3522) found spurious,
+    /// summed over live and reaped connections.
     pub spurious_rtos: u64,
     /// RTO episodes — first RTO retransmissions since SND.UNA last
     /// advanced — summed over live and reaped connections.
     /// `spurious_rtos / rto_episodes` is the share Eifel found needless.
     pub rto_episodes: u64,
+    /// Segments sent again below SND.MAX by the output path after a
+    /// timeout rewound it (go-back-N), summed over live and reaped
+    /// connections. Counted apart from `rto_retransmits`, which holds
+    /// only the timer's own first resend.
+    pub gobackn_resends: u64,
 }
 
 impl EngineStats {
@@ -162,7 +167,8 @@ impl EngineStats {
             .push("zero_window_events", self.zero_window_events)
             .push("persist_probes", self.persist_probes)
             .push("spurious_rtos", self.spurious_rtos)
-            .push("rto_episodes", self.rto_episodes);
+            .push("rto_episodes", self.rto_episodes)
+            .push("gobackn_resends", self.gobackn_resends);
         s
     }
 }
@@ -325,6 +331,7 @@ impl Engine {
             s.persist_probes += e.tcb.persist_probes();
             s.spurious_rtos += e.tcb.spurious_rtos();
             s.rto_episodes += e.tcb.rto_episodes();
+            s.gobackn_resends += e.tcb.gobackn_resends();
         }
         s
     }
@@ -913,6 +920,7 @@ impl Engine {
         self.stats.persist_probes += tcb.persist_probes();
         self.stats.spurious_rtos += tcb.spurious_rtos();
         self.stats.rto_episodes += tcb.rto_episodes();
+        self.stats.gobackn_resends += tcb.gobackn_resends();
     }
 
     /// Emits a [`TraceEvent::SegRx`] for a parsed inbound segment.

@@ -229,6 +229,15 @@ impl SendBuffer {
         self.nxt = self.una;
     }
 
+    /// Moves the transmit point back up to SND.MAX, undoing a rewind:
+    /// after a timeout found spurious the data sent before it is still
+    /// in flight, so it is not sent again (RFC 4015 §3.2 step 4).
+    pub fn resume_at_max(&mut self) {
+        if self.nxt.lt(self.max_sent) {
+            self.nxt = self.max_sent;
+        }
+    }
+
     fn chunk_containing(&self, seq: SeqNum) -> Option<&Chunk> {
         self.chunks.iter().find(|c| c.start.le(seq) && seq.lt(c.end()))
     }
@@ -428,6 +437,24 @@ mod tests {
         b.rewind_to_una();
         assert_eq!(b.nxt(), seq(1000));
         assert_eq!(b.max_sent(), seq(1200), "SND.MAX never rewinds");
+    }
+
+    #[test]
+    fn resume_at_max_skips_what_is_still_in_flight() {
+        let mut b = msg_buf();
+        for t in 1..=3 {
+            b.push(vec![t as u8; 100], SendToken(t));
+        }
+        b.next_segment(16_384, u64::MAX);
+        b.next_segment(16_384, u64::MAX);
+        b.rewind_to_una();
+        b.next_segment(16_384, u64::MAX); // the retransmission
+        assert_eq!(acked(&mut b, seq(1100)), vec![SendToken(1)]);
+        b.resume_at_max();
+        assert_eq!(b.nxt(), seq(1200));
+        assert_eq!(b.bytes_in_flight(), 100, "the second message is still out");
+        let s = b.next_segment(16_384, u64::MAX).unwrap();
+        assert_eq!(s.seq, seq(1200), "the next segment is new data");
     }
 
     #[test]
