@@ -215,10 +215,11 @@ fn an_ack_waiting_in_the_socket_beats_an_overdue_rto() {
     quiesce(&mut a, &mut b).unwrap();
 
     // b reads the message and ACKs it once its delayed-ACK timer fires;
-    // the ACK waits in a's socket
+    // the ACK waits in a's socket. The count is taken before the send:
+    // a stall inside `wait` can let the timer fire before it returns.
+    let sent = b.stats().datagrams_tx;
     a.post_send(aqp, SendWr { wr_id: 2, payload: vec![3; 100], dst: None }).unwrap();
     assert!(matches!(b.wait(bcq).unwrap().kind, CompletionKind::Recv { .. }));
-    let sent = b.stats().datagrams_tx;
     while b.stats().datagrams_tx == sent {
         b.pump(Duration::from_millis(1)).unwrap();
     }
