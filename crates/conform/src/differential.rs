@@ -7,16 +7,13 @@
 //! transitions and wire segments — stripped of everything that
 //! legitimately differs between simulated and wall-clock execution:
 //! timestamps, timer arms/fires, RTT samples, congestion-window moves
-//! and socket-level events. Two window artifacts go too: the
-//! advertised-window field itself, and pure ACKs that do not advance
-//! the cumulative acknowledgment point. Both reflect *when* each
-//! substrate pushes posted-WR byte counts into the engine and
-//! re-advertises them (the DES NIC batches per event, the live
-//! transport pushes at establishment and per pump) and when those
-//! in-flight updates land relative to application sends — substrate
-//! scheduling, not protocol behaviour. Every data segment, every
-//! retransmission, every flag-bearing segment and every ack-advancing
-//! ACK survives.
+//! and socket-level events. Pure ACKs that do not advance the
+//! cumulative acknowledgment point go too: a window re-advertisement
+//! lands wherever the substrate's scheduling puts it relative to
+//! application sends. Every data segment, every retransmission, every
+//! flag-bearing segment and every ack-advancing ACK survives, with the
+//! window it advertises: both substrates run one firmware, so the
+//! posted-WR window on each surviving segment must match.
 //!
 //! The actual differential runs live in this crate's test suite
 //! (`tests/differential.rs`): they drive a two-node `QpipWorld` and a
@@ -63,23 +60,25 @@ pub fn normalize(events: &[Rec], node: u32) -> Vec<Vec<String>> {
         };
         let line = match r.ev {
             TraceEvent::TcpState { from, to } => format!("state {from}->{to}"),
-            TraceEvent::SegTx { seq, ack, len, flags, retransmit, .. } => {
+            TraceEvent::SegTx { seq, ack, len, wnd, flags, retransmit } => {
                 if flags == ACK && len == 0 && !s.max_tx_ack.is_none_or(|m| seq_gt(ack, m)) {
                     continue; // window re-advertisement
                 }
                 if flags & ACK != 0 && s.max_tx_ack.is_none_or(|m| seq_gt(ack, m)) {
                     s.max_tx_ack = Some(ack);
                 }
-                format!("tx seq={seq} ack={ack} len={len} flags={flags:#04x} rtx={retransmit}")
+                format!(
+                    "tx seq={seq} ack={ack} len={len} wnd={wnd} flags={flags:#04x} rtx={retransmit}"
+                )
             }
-            TraceEvent::SegRx { seq, ack, len, flags, .. } => {
+            TraceEvent::SegRx { seq, ack, len, wnd, flags } => {
                 if flags == ACK && len == 0 && !s.max_rx_ack.is_none_or(|m| seq_gt(ack, m)) {
                     continue; // peer window re-advertisement
                 }
                 if flags & ACK != 0 && s.max_rx_ack.is_none_or(|m| seq_gt(ack, m)) {
                     s.max_rx_ack = Some(ack);
                 }
-                format!("rx seq={seq} ack={ack} len={len} flags={flags:#04x}")
+                format!("rx seq={seq} ack={ack} len={len} wnd={wnd} flags={flags:#04x}")
             }
             _ => continue,
         };

@@ -30,17 +30,27 @@
 //! random and the live wire crossing the impairment proxy. Retransmit
 //! timing legitimately differs there, so only the completion streams
 //! are compared: loss recovery must be invisible above the verbs.
+//!
+//! The two other workloads written once against the verbs seam, the
+//! ping-pong of `pingpong::rtt` (TCP and UDP) and the ttcp stream of
+//! `ttcp::Stream`, run through a [`Recorded`] pair that logs every
+//! completion they pop, and their completion streams are compared the
+//! same way.
 
+use std::net::Ipv6Addr;
 use std::sync::Arc;
 use std::time::Duration;
 
 use qpip::world::QpipWorld;
-use qpip::NicConfig;
+use qpip::{Completion, CqId, NicConfig, QpId, RecvWr, SendWr, ServiceType};
 use qpip_bench::workloads::lockstep::{run, CqStreams, Exchange};
+use qpip_bench::workloads::pingpong::rtt;
+use qpip_bench::workloads::ttcp::Stream;
 use qpip_bench::workloads::verbs::End::{self, A, B};
-use qpip_bench::workloads::verbs::{DesPair, LivePair};
+use qpip_bench::workloads::verbs::{DesPair, LivePair, VerbsPair};
 use qpip_conform::differential::{first_divergence, normalize};
 use qpip_fabric::FaultPlan;
+use qpip_sim::time::SimTime;
 use qpip_trace::{FlightRecorder, Rec, TraceEvent, Tracer};
 use qpip_xport::ImpairConfig;
 
@@ -111,6 +121,9 @@ fn des_and_live_transport_drive_the_engine_identically() {
     let (des, _) = des_trace(&script, Exchange::OneWay, FaultPlan::None);
     let (live, _) = live_trace(&script, Exchange::OneWay, &mut LivePair::direct());
     assert_same_traces(&des, &live);
+    // the live NIC's stages take no time, so none is traced
+    let fw_stage = |r: &Rec| matches!(r.ev, TraceEvent::FwFsm { .. });
+    assert!(des.iter().any(fw_stage) && !live.iter().any(fw_stage));
 }
 
 /// The request-response leg: every message is answered before either
@@ -162,4 +175,147 @@ fn lossy_des_and_live_pop_identical_completion_streams() {
     assert!(proxy.dropped > 0, "the proxy dropped nothing: {proxy:?}");
     assert_eq!(des.values().map(Vec::len).sum::<usize>(), 2 + 2 * script.len());
     assert_same_streams(&des, &live);
+}
+
+/// A pair that logs every completion a workload pops from it, per end
+/// and CQ, in pop order.
+struct Recorded<P> {
+    pair: P,
+    cqs: Vec<(End, CqId)>,
+    streams: CqStreams,
+}
+
+impl<P: VerbsPair> Recorded<P> {
+    fn new(pair: P) -> Self {
+        Recorded { pair, cqs: Vec::new(), streams: CqStreams::new() }
+    }
+
+    fn log(&mut self, end: End, cq: CqId, c: &Completion) {
+        let popped = (c.qp, c.wr_id, c.kind.clone(), c.status.clone());
+        self.streams.entry((end, cq)).or_default().push(popped);
+    }
+
+    /// Waits until every CQ the workload created has yielded `each`
+    /// entries, so completions a workload leaves behind (the last
+    /// ACKs' send completions) are compared too, then returns the
+    /// streams.
+    fn drained(mut self, each: usize) -> CqStreams {
+        for (end, cq) in self.cqs.clone() {
+            while self.streams.get(&(end, cq)).map_or(0, Vec::len) < each {
+                self.wait(end, cq);
+            }
+        }
+        self.streams
+    }
+}
+
+impl<P: VerbsPair> VerbsPair for Recorded<P> {
+    fn create_cq(&mut self, end: End) -> CqId {
+        let cq = self.pair.create_cq(end);
+        self.cqs.push((end, cq));
+        cq
+    }
+
+    fn create_qp(&mut self, end: End, service: ServiceType, send_cq: CqId, recv_cq: CqId) -> QpId {
+        self.pair.create_qp(end, service, send_cq, recv_cq)
+    }
+
+    fn udp_bind(&mut self, end: End, qp: QpId, port: u16) {
+        self.pair.udp_bind(end, qp, port);
+    }
+
+    fn tcp_listen(&mut self, end: End, qp: QpId, port: u16) {
+        self.pair.tcp_listen(end, qp, port);
+    }
+
+    fn tcp_connect(&mut self, end: End, qp: QpId, local_port: u16, remote_port: u16) {
+        self.pair.tcp_connect(end, qp, local_port, remote_port);
+    }
+
+    fn post_send(&mut self, end: End, qp: QpId, wr: SendWr) {
+        self.pair.post_send(end, qp, wr);
+    }
+
+    fn post_recv(&mut self, end: End, qp: QpId, wr: RecvWr) {
+        self.pair.post_recv(end, qp, wr);
+    }
+
+    fn wait(&mut self, end: End, cq: CqId) -> Completion {
+        let c = self.pair.wait(end, cq);
+        self.log(end, cq, &c);
+        c
+    }
+
+    fn try_wait(&mut self, end: End, cq: CqId) -> Option<Completion> {
+        let c = self.pair.try_wait(end, cq)?;
+        self.log(end, cq, &c);
+        Some(c)
+    }
+
+    fn now(&self, end: End) -> SimTime {
+        self.pair.now(end)
+    }
+
+    fn retransmissions(&self, end: End) -> u64 {
+        self.pair.retransmissions(end)
+    }
+
+    fn packets_sent(&self, end: End) -> u64 {
+        self.pair.packets_sent(end)
+    }
+
+    fn addr(&self, end: End) -> Ipv6Addr {
+        self.pair.addr(end)
+    }
+
+    fn settle(&mut self) {
+        self.pair.settle();
+    }
+}
+
+fn des_pair() -> Recorded<DesPair> {
+    Recorded::new(DesPair::new(QpipWorld::myrinet(), NicConfig::paper_default()))
+}
+
+fn live_pair() -> Recorded<LivePair> {
+    Recorded::new(LivePair::direct())
+}
+
+/// Ping-pong rounds, after the workload's four warm-up rounds.
+const ROUNDS: usize = 12;
+
+/// `pingpong::rtt` on both substrates: each end's one CQ carries its
+/// handshake (TCP only), then a send and a receive entry per round.
+fn rtt_streams_match(service: ServiceType) {
+    let tcp = usize::from(service == ServiceType::ReliableTcp);
+    let each = tcp + 2 * (ROUNDS + 4);
+    let mut des = des_pair();
+    rtt(&mut des, service, 64, ROUNDS);
+    let mut live = live_pair();
+    rtt(&mut live, service, 64, ROUNDS);
+    assert_same_streams(&des.drained(each), &live.drained(each));
+}
+
+#[test]
+fn des_and_live_tcp_ping_pong_pop_identical_completion_streams() {
+    rtt_streams_match(ServiceType::ReliableTcp);
+}
+
+#[test]
+fn des_and_live_udp_ping_pong_pop_identical_completion_streams() {
+    rtt_streams_match(ServiceType::UnreliableUdp);
+}
+
+/// `ttcp::Stream` on both substrates: the sender's CQ carries its
+/// handshake and a send entry per message, the receiver's its
+/// handshake and a receive entry per message.
+#[test]
+fn des_and_live_ttcp_streams_pop_identical_completion_streams() {
+    const MESSAGES: u64 = 200;
+    let each = 1 + MESSAGES as usize;
+    let mut des = des_pair();
+    Stream::connect(&mut des, 1024).run(&mut des, MESSAGES);
+    let mut live = live_pair();
+    Stream::connect(&mut live, 1024).run(&mut live, MESSAGES);
+    assert_same_streams(&des.drained(each), &live.drained(each));
 }

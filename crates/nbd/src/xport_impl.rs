@@ -65,11 +65,6 @@ impl From<ParseWireError> for NbdXportError {
     }
 }
 
-/// Largest data message: one engine segment.
-fn data_msg_len(cfg: &XportConfig) -> usize {
-    cfg.net.max_tcp_payload()
-}
-
 fn msgs_for(len: usize, data_msg: usize) -> usize {
     len.div_ceil(data_msg)
 }
@@ -108,8 +103,9 @@ impl XportNbdServer {
     ///
     /// Transport bind/listen failures.
     pub fn start(fabric: Ipv6Addr, cfg: XportConfig) -> Result<XportNbdServer, NbdXportError> {
-        let data_msg = data_msg_len(&cfg);
         let mut node = XportNode::bind(fabric, cfg).map_err(XportError::Io)?;
+        // largest data message: one engine segment
+        let data_msg = node.max_tcp_message();
         let cq = node.create_cq();
         let send_cq = node.create_cq();
         let qp = node.create_qp(ServiceType::ReliableTcp, send_cq, cq)?;
@@ -238,8 +234,9 @@ impl XportNbdClient {
     ///
     /// Transport bind failures.
     pub fn bind(fabric: Ipv6Addr, cfg: XportConfig) -> Result<XportNbdClient, NbdXportError> {
-        let data_msg = data_msg_len(&cfg);
         let mut node = XportNode::bind(fabric, cfg).map_err(XportError::Io)?;
+        // largest data message: one engine segment
+        let data_msg = node.max_tcp_message();
         let recv_cq = node.create_cq();
         let send_cq = node.create_cq();
         let qp = node.create_qp(ServiceType::ReliableTcp, send_cq, recv_cq)?;

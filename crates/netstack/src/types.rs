@@ -87,8 +87,8 @@ pub enum SegmentationPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AckPolicy {
     /// ACK every data segment immediately: the simplest policy, and the
-    /// one the conformance scripts exercise. The QPIP firmware delays
-    /// its ACKs (`qpip_nic::endpoint_net`).
+    /// one the conformance scripts exercise. The QPIP firmware
+    /// (`qpip_nic::QpipNic`) delays its ACKs.
     Immediate,
     /// Standard delayed ACK: ack every second segment, or after the
     /// given timeout, whichever first.
@@ -125,10 +125,9 @@ pub struct NetConfig {
 
 impl NetConfig {
     /// The paper's QPIP protocol profile for a given fabric MTU: one
-    /// message per segment, immediate ACKs, a 10 ms minimum RTO. A QPIP
-    /// endpoint runs it with the firmware's delayed ACK
-    /// (`qpip_nic::endpoint_net`); the conformance and engine scripts
-    /// run it as is.
+    /// message per segment, immediate ACKs, a 10 ms minimum RTO. The
+    /// QPIP firmware (`qpip_nic::QpipNic`) runs it with a delayed ACK;
+    /// the conformance and engine scripts run it as is.
     pub fn qpip(mtu: usize) -> Self {
         NetConfig {
             mtu,

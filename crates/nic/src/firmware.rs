@@ -3,10 +3,16 @@
 //! Implements the organization of Figures 1 and 2: a doorbell FSM fed by
 //! host PIO writes, a management FSM for QP/CQ/connection commands, and
 //! the transmit/receive FSMs that run the offloaded TCP/UDP/IPv6 engine
-//! against the QP state table. Every stage charges cycles on the 133 MHz
-//! NIC processor ([`qpip_sim::params`]), data crosses the 64-bit/33 MHz
-//! PCI bus through a shared DMA pipe, and each stage execution is
-//! recorded in the [`Occupancy`] table that regenerates Tables 2 and 3.
+//! against the QP state table.
+//!
+//! The firmware is written once and priced by a [`CostModel`]. The
+//! default, [`Lanai`], charges every stage in cycles on the 133 MHz NIC
+//! processor ([`qpip_sim::params`]), moves data across the 64-bit/33 MHz
+//! PCI bus through two DMA pipes, and records each stage execution in
+//! the [`Occupancy`] table that regenerates Tables 2 and 3. [`ZeroCost`]
+//! charges nothing: the live-socket transport (`qpip-xport`) runs the
+//! same firmware on real hardware, where the cost model *is* the
+//! hardware.
 
 use std::net::Ipv6Addr;
 
@@ -25,6 +31,94 @@ use crate::types::{
     endpoint_net, ChecksumMode, Completion, CompletionKind, CompletionStatus, CqId, MrKey,
     NicConfig, NicError, QpId, RdmaReadWr, RdmaWriteWr, RecvWr, SendWr, ServiceType,
 };
+
+/// What the firmware's work costs. Every processor stage and both DMA
+/// directions go through the model, and each returns the instant the
+/// work is done.
+pub trait CostModel {
+    /// Runs `cycles` of `stage` work for a `class` packet on the NIC
+    /// processor, from `start` or once the processor is free; returns
+    /// when it is free again.
+    fn charge(
+        &mut self,
+        start: SimTime,
+        stage: Stage,
+        class: PacketClass,
+        cycles: Cycles,
+    ) -> SimTime;
+    /// Fetches `bytes` from host memory from `start` (transmit side);
+    /// returns when the last byte has arrived.
+    fn dma_read(&mut self, start: SimTime, bytes: u64) -> SimTime;
+    /// Places `bytes` in host memory from `start` (receive side);
+    /// returns when the last byte has landed.
+    fn dma_write(&mut self, start: SimTime, bytes: u64) -> SimTime;
+}
+
+/// The prototype's LANai-9-class NIC: a 133 MHz processor that runs one
+/// stage at a time, a 64-bit/33 MHz PCI bus with a DMA pipe each way,
+/// and the per-stage occupancy table (Tables 2 and 3).
+#[derive(Debug)]
+pub struct Lanai {
+    clock: Clock,
+    proc: SerialResource,
+    /// Transmit-side data fetch (device reads of host memory).
+    dma_read: BandwidthPipe,
+    /// Receive-side data placement (device writes to host memory).
+    dma_write: BandwidthPipe,
+    occupancy: Occupancy,
+}
+
+impl Default for Lanai {
+    fn default() -> Self {
+        Lanai {
+            clock: params::nic_clock(),
+            proc: SerialResource::new("nic-proc"),
+            dma_read: BandwidthPipe::new("pci-dma-rd", params::PCI_DMA_READ_BYTES_PER_SEC),
+            dma_write: BandwidthPipe::new("pci-dma-wr", params::PCI_DMA_WRITE_BYTES_PER_SEC),
+            occupancy: Occupancy::new(),
+        }
+    }
+}
+
+impl CostModel for Lanai {
+    fn charge(&mut self, start: SimTime, stage: Stage, class: PacketClass, c: Cycles) -> SimTime {
+        if c.count() == 0 {
+            return start;
+        }
+        let d = self.clock.cycles_to_duration(c);
+        let end = self.proc.acquire(start, d);
+        self.occupancy.record(stage, class, d);
+        end
+    }
+
+    fn dma_read(&mut self, start: SimTime, bytes: u64) -> SimTime {
+        self.dma_read.transfer(start, bytes) + SimDuration::from_nanos(params::PCI_DMA_SETUP_NS)
+    }
+
+    fn dma_write(&mut self, start: SimTime, bytes: u64) -> SimTime {
+        self.dma_write.transfer(start, bytes) + SimDuration::from_nanos(params::PCI_DMA_SETUP_NS)
+    }
+}
+
+/// A NIC whose work takes no time: every stage and transfer ends the
+/// instant it starts. The live-socket transport runs the firmware on
+/// this model.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ZeroCost;
+
+impl CostModel for ZeroCost {
+    fn charge(&mut self, start: SimTime, _: Stage, _: PacketClass, _: Cycles) -> SimTime {
+        start
+    }
+
+    fn dma_read(&mut self, start: SimTime, _: u64) -> SimTime {
+        start
+    }
+
+    fn dma_write(&mut self, start: SimTime, _: u64) -> SimTime {
+        start
+    }
+}
 
 /// A packet the NIC hands to the fabric. Completions stay on the NIC's
 /// own CQs ([`QpipNic::cq_pop`]).
@@ -92,17 +186,12 @@ enum TxOrigin {
     Deferred,
 }
 
-/// The QPIP intelligent NIC: LANai-9-class processor + DMA + the
-/// offloaded protocol engine.
+/// The QPIP intelligent NIC: the firmware and its offloaded protocol
+/// engine, priced by cost model `M` ([`Lanai`] unless named).
 #[derive(Debug)]
-pub struct QpipNic {
+pub struct QpipNic<M = Lanai> {
     cfg: NicConfig,
-    clock: Clock,
-    proc: SerialResource,
-    /// Transmit-side data fetch (device reads of host memory).
-    dma_read: BandwidthPipe,
-    /// Receive-side data placement (device writes to host memory).
-    dma_write: BandwidthPipe,
+    model: M,
     engine: Engine,
     /// QPs, CQs, accept pools and send tokens (the QP semantics).
     qps: QpTable,
@@ -112,7 +201,6 @@ pub struct QpipNic {
     /// Outstanding RDMA Read requests, by echoed context.
     pending_reads: FxHashMap<u64, (QpId, u64)>,
     next_read_ctx: u64,
-    occupancy: Occupancy,
     stats: NicStats,
     mul_cycles: u64,
     reassembler: qpip_netstack::frag::Reassembler,
@@ -122,8 +210,28 @@ pub struct QpipNic {
 }
 
 impl QpipNic {
-    /// Creates a NIC with the given configuration at IPv6 `addr`.
+    /// Creates a LANai-costed NIC with the given configuration at IPv6
+    /// `addr`.
     pub fn new(cfg: NicConfig, addr: Ipv6Addr) -> Self {
+        QpipNic::with_model(cfg, addr, Lanai::default(), u64::MAX)
+    }
+
+    /// The per-stage occupancy table (Tables 2 & 3).
+    pub fn occupancy(&self) -> &Occupancy {
+        &self.model.occupancy
+    }
+
+    /// Clears occupancy samples (between benchmark phases).
+    pub fn reset_occupancy(&mut self) {
+        self.model.occupancy.reset();
+    }
+}
+
+impl<M: CostModel> QpipNic<M> {
+    /// Creates a NIC with the given configuration at IPv6 `addr`, priced
+    /// by `model`, that never advertises a receive window above
+    /// `window_cap` bytes.
+    pub fn with_model(cfg: NicConfig, addr: Ipv6Addr, model: M, window_cap: u64) -> Self {
         let mut net = endpoint_net(cfg.segment_mtu());
         // QPIP semantics: the advertised window is the posted receive-WR
         // space (§5.1), which starts at zero.
@@ -131,20 +239,16 @@ impl QpipNic {
         net.ecn = cfg.ecn;
         let mul_cycles =
             if cfg.hw_multiply { params::NIC_HW_MUL_CYCLES } else { params::NIC_SOFT_MUL_CYCLES };
-        let qps = QpTable::new(cfg.mtu);
+        let qps = QpTable::new(cfg.mtu, window_cap);
         QpipNic {
             cfg,
-            clock: params::nic_clock(),
-            proc: SerialResource::new("nic-proc"),
-            dma_read: BandwidthPipe::new("pci-dma-rd", params::PCI_DMA_READ_BYTES_PER_SEC),
-            dma_write: BandwidthPipe::new("pci-dma-wr", params::PCI_DMA_WRITE_BYTES_PER_SEC),
+            model,
             engine: Engine::new(net, addr),
             qps,
             mrs: FxHashMap::default(),
             next_rkey: 1,
             pending_reads: FxHashMap::default(),
             next_read_ctx: 1,
-            occupancy: Occupancy::new(),
             stats: NicStats::default(),
             mul_cycles,
             reassembler: qpip_netstack::frag::Reassembler::new(),
@@ -182,14 +286,9 @@ impl QpipNic {
         }
     }
 
-    /// The per-stage occupancy table (Tables 2 & 3).
-    pub fn occupancy(&self) -> &Occupancy {
-        &self.occupancy
-    }
-
-    /// Clears occupancy samples (between benchmark phases).
-    pub fn reset_occupancy(&mut self) {
-        self.occupancy.reset();
+    /// Read-only view of the embedded protocol engine.
+    pub fn engine(&self) -> &Engine {
+        &self.engine
     }
 
     /// Direct access to protocol-engine statistics.
@@ -227,8 +326,7 @@ impl QpipNic {
 
     /// Multi-line description of everything still pending on this NIC
     /// — CQ contents, per-QP WR/backlog state, outstanding send tokens
-    /// and live engine connections — for deadlock diagnostics
-    /// ([`QpTable::summary`]).
+    /// and live engine connections — for deadlock diagnostics.
     pub fn pending_summary(&self) -> String {
         self.qps.summary(&self.engine)
     }
@@ -238,6 +336,15 @@ impl QpipNic {
     /// Creates a completion queue.
     pub fn create_cq(&mut self) -> CqId {
         self.qps.create_cq()
+    }
+
+    /// Checks that `cq` exists, without touching it.
+    ///
+    /// # Errors
+    ///
+    /// [`NicError::UnknownCq`] for id 0 or an id never created.
+    pub fn check_cq(&self, cq: CqId) -> Result<(), NicError> {
+        self.qps.check_cq(cq)
     }
 
     /// The oldest entry of `cq`, left in place; `None` when the CQ is
@@ -274,7 +381,8 @@ impl QpipNic {
     ///
     /// # Errors
     ///
-    /// As for [`QpTable::udp_bind`].
+    /// [`NicError::UnknownQp`], [`NicError::InvalidState`] for a TCP QP,
+    /// or the engine's error if the port is taken.
     pub fn udp_bind(&mut self, qp: QpId, port: u16) -> Result<(), NicError> {
         self.qps.udp_bind(&mut self.engine, qp, port)
     }
@@ -284,7 +392,8 @@ impl QpipNic {
     ///
     /// # Errors
     ///
-    /// As for [`QpTable::tcp_listen`].
+    /// [`NicError::UnknownQp`]; [`NicError::InvalidState`] for a UDP QP
+    /// or one already pooled or connected.
     pub fn tcp_listen(&mut self, port: u16, qp: QpId) -> Result<(), NicError> {
         self.qps.tcp_listen(&mut self.engine, qp, port)
     }
@@ -319,6 +428,36 @@ impl QpipNic {
             self.process_emits(t, emits, out);
         });
         Ok(())
+    }
+
+    /// Begins a graceful close of a connected TCP QP, appending what it
+    /// produces to `out`. The peer sees
+    /// [`CompletionKind::PeerDisconnected`]; send WRs that can no longer
+    /// complete are flushed with [`CompletionStatus::ConnectionError`]
+    /// once the connection dies.
+    ///
+    /// # Errors
+    ///
+    /// [`NicError::UnknownQp`] / [`NicError::InvalidState`] unless `qp`
+    /// has a connection.
+    pub fn tcp_close(
+        &mut self,
+        now: SimTime,
+        qp: QpId,
+        out: &mut Vec<NicOutput>,
+    ) -> Result<(), NicError> {
+        let conn = self.qps.conn(qp)?;
+        let t = self.charge(
+            now,
+            Stage::DoorbellProcess,
+            PacketClass::Control,
+            Cycles(params::NIC_STAGE_DOORBELL_CYCLES),
+        );
+        with_emit_buffer(|emits| {
+            self.engine.tcp_close(t, conn, emits)?;
+            self.process_emits(t, emits, out);
+            Ok(())
+        })
     }
 
     // ----- doorbell + transmit FSMs ---------------------------------------
@@ -601,8 +740,7 @@ impl QpipNic {
                     PacketClass::DataRecv,
                     Cycles(params::NIC_STAGE_PUT_DATA_CYCLES),
                 );
-                let _dma = self.dma_write.transfer(t, payload.len() as u64)
-                    + SimDuration::from_nanos(params::PCI_DMA_SETUP_NS);
+                let _dma = self.model.dma_write(t, payload.len() as u64);
                 self.charge(
                     t,
                     Stage::UpdateRx,
@@ -626,8 +764,7 @@ impl QpipNic {
                     PacketClass::DataSend,
                     Cycles(params::NIC_STAGE_GET_DATA_CYCLES),
                 );
-                let _dma = self.dma_read.transfer(t, data.len() as u64)
-                    + SimDuration::from_nanos(params::PCI_DMA_SETUP_NS);
+                let _dma = self.model.dma_read(t, data.len() as u64);
                 let token = self.qps.issue_token(TokenUse::Internal);
                 let mut msg = RdmaFrame {
                     opcode: RdmaOpcode::ReadResponse,
@@ -669,8 +806,7 @@ impl QpipNic {
                     PacketClass::DataRecv,
                     Cycles(params::NIC_STAGE_PUT_DATA_CYCLES),
                 );
-                let dma = self.dma_write.transfer(t, payload.len() as u64)
-                    + SimDuration::from_nanos(params::PCI_DMA_SETUP_NS);
+                let dma = self.model.dma_write(t, payload.len() as u64);
                 let t = self.charge(
                     t,
                     Stage::UpdateRx,
@@ -821,19 +957,16 @@ impl QpipNic {
 
     // ----- internals ---------------------------------------------------------
 
+    /// Runs one stage through the cost model, tracing it when it held
+    /// the processor.
     fn charge(&mut self, start: SimTime, stage: Stage, class: PacketClass, c: Cycles) -> SimTime {
-        if c.count() == 0 {
-            return start;
-        }
-        if let Some(tr) = &self.tracer {
+        let end = self.model.charge(start, stage, class, c);
+        if let Some(tr) = self.tracer.as_ref().filter(|_| end > start) {
             tr.emit_node(
                 start,
                 TraceEvent::FwFsm { stage: stage.trace_name(), class: class.trace_name() },
             );
         }
-        let d = self.clock.cycles_to_duration(c);
-        let end = self.proc.acquire(start, d);
-        self.occupancy.record(stage, class, d);
         end
     }
 
@@ -986,9 +1119,7 @@ impl QpipNic {
         let mut data_ready = t;
         if matches!(pkt.kind, PacketKind::TcpData | PacketKind::Udp) && payload_len > 0 {
             t = self.charge(t, Stage::GetData, class, Cycles(params::NIC_STAGE_GET_DATA_CYCLES));
-            let dma_done = self.dma_read.transfer(t, payload_len as u64)
-                + SimDuration::from_nanos(params::PCI_DMA_SETUP_NS);
-            data_ready = dma_done;
+            data_ready = self.model.dma_read(t, payload_len as u64);
         }
         // header construction
         t = match pkt.kind {
@@ -1079,8 +1210,7 @@ impl QpipNic {
         let len = data.len() as u64;
         let t = self.charge(t, Stage::GetWr, class, Cycles(params::NIC_STAGE_GET_WR_CYCLES));
         let t = self.charge(t, Stage::PutData, class, Cycles(params::NIC_STAGE_PUT_DATA_CYCLES));
-        let dma_done =
-            self.dma_write.transfer(t, len) + SimDuration::from_nanos(params::PCI_DMA_SETUP_NS);
+        let dma_done = self.model.dma_write(t, len);
         let t = self.charge(t, Stage::UpdateRx, class, Cycles(params::NIC_STAGE_UPDATE_RX_CYCLES));
         self.qps.complete(entry, t.max(dma_done));
         t

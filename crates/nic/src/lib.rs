@@ -2,17 +2,18 @@
 //!
 //! Two adapters, matching the paper's testbed (§4.1–4.2):
 //!
-//! * [`firmware::QpipNic`] — the prototype's **intelligent NIC**: a
-//!   LANai-9-class 133 MHz processor, doorbell FIFO and PCI DMA engines
-//!   running the QPIP firmware — doorbell, management, transmit and
-//!   receive FSMs (Figures 1–2) over the offloaded TCP/UDP/IPv6 engine
-//!   from `qpip-netstack`. Every stage charges cycles and is recorded in
-//!   a per-stage [`occupancy::Occupancy`] table, which is how Tables 2
-//!   and 3 are regenerated.
-//! * [`qp_table::QpTable`] — the QP semantics with no time or cost:
-//!   ids, completion queues, receive queues, backlog, windows, accept
-//!   pools and send tokens. The firmware and the live-socket transport (`qpip-xport`)
-//!   both drive it.
+//! * [`firmware::QpipNic`] — the prototype's **intelligent NIC**: the
+//!   QPIP firmware — doorbell, management, transmit and receive FSMs
+//!   (Figures 1–2) over the offloaded TCP/UDP/IPv6 engine from
+//!   `qpip-netstack` — keeping its QPs, CQs, receive queues, backlog,
+//!   windows, accept pools and send tokens in one QP table. A
+//!   [`CostModel`] prices the firmware's work. The default, [`Lanai`],
+//!   is the prototype's LANai-9-class 133 MHz processor with its PCI DMA
+//!   engines: every stage charges cycles and is recorded in a per-stage
+//!   [`occupancy::Occupancy`] table, which is how Tables 2 and 3 are
+//!   regenerated. [`ZeroCost`] charges nothing; the live-socket
+//!   transport (`qpip-xport`) runs the same firmware on it, so the verbs
+//!   are written once for both substrates.
 //! * [`conventional::ConventionalNic`] — the **dumb NICs** of the
 //!   baselines (Intel Pro/1000 GigE, Myrinet+GM as an IP link): frame
 //!   DMA, descriptor rings and interrupt moderation only; the protocol
@@ -30,15 +31,15 @@
 pub mod conventional;
 pub mod firmware;
 pub mod occupancy;
-pub mod qp_table;
+mod qp_table;
 pub mod rdma;
 pub mod types;
 
 pub use conventional::{ConvNicConfig, ConventionalNic, RxOutcome};
-pub use firmware::{NicOutput, NicStats, QpipNic};
+pub use firmware::{CostModel, Lanai, NicOutput, NicStats, QpipNic, ZeroCost};
 pub use occupancy::{Occupancy, PacketClass, Stage};
 pub use rdma::{RdmaFrame, RdmaOpcode};
 pub use types::{
-    endpoint_net, ChecksumMode, Completion, CompletionKind, CompletionStatus, CqId, MrKey,
-    NicConfig, NicError, QpId, RdmaReadWr, RdmaWriteWr, RecvWr, SendWr, ServiceType,
+    ChecksumMode, Completion, CompletionKind, CompletionStatus, CqId, MrKey, NicConfig, NicError,
+    QpId, RdmaReadWr, RdmaWriteWr, RecvWr, SendWr, ServiceType,
 };

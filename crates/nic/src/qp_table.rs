@@ -1,12 +1,10 @@
 //! The queue-pair table: every QP-semantics decision, with no notion
 //! of time or cost.
 //!
-//! Two drivers run the offloaded protocol engine: the simulated
-//! firmware ([`crate::QpipNic`]), which charges Table 2/3 stage cycles
-//! and DMA around each step, and the live-socket transport
-//! (`qpip-xport`), which stamps completions with the wall clock. Both
-//! keep their queue pairs here, so the paper's QP semantics are
-//! written once:
+//! The firmware ([`crate::QpipNic`]) keeps its queue pairs here and
+//! prices each step through its cost model, so the paper's QP
+//! semantics are written once for the simulated NIC and the live-socket
+//! transport alike:
 //!
 //! * an incoming connection is mated to an idle QP from the listening
 //!   port's accept pool, or refused when the pool is empty (§3);
@@ -14,22 +12,29 @@
 //!   with no WR wait in the SRAM backlog, datagrams with none are
 //!   dropped (§3);
 //! * the advertised TCP window is exactly the posted receive-WR space
-//!   (§5.1), and a post sends a pure window update only when it can
-//!   unblock the sender (receiver SWS avoidance, RFC 1122 §4.2.3.3):
-//!   the window was under one MTU, and the post reopens it from zero or
-//!   grows it by at least min(half the new window, one MTU). Any other
-//!   growth rides on the next data segment or ACK;
+//!   (§5.1), up to the table's window cap, and a post sends a pure
+//!   window update only when it can unblock the sender (receiver SWS
+//!   avoidance, RFC 1122 §4.2.3.3): the window was under one MTU, and
+//!   the post reopens it from zero or grows it by at least min(half the
+//!   new window, one MTU). Any other growth rides on the next data
+//!   segment or ACK;
 //! * a send WR retires when its bytes are acknowledged, and a dead
 //!   connection flushes its QP's outstanding send WRs.
 //!
-//! The table decides; the driver does the work. [`QpTable::handle`]
+//! The window cap is the one thing the substrate adds. The paper's NIC
+//! places data straight into the posted buffers, so it has none
+//! (`u64::MAX`). A live node has a kernel UDP receive buffer between
+//! the wire and the engine, and caps every window at what that socket
+//! holds.
+//!
+//! The table decides; the firmware does the work. [`QpTable::handle`]
 //! consumes one non-packet engine [`Emit`] and reports an [`Outcome`]:
 //! which WR and CQ a message lands on, whether it was backlogged or
 //! dropped, which send token retired, which QP came up with which
 //! window to announce, which connection to refuse, and what a dead QP
 //! flushes.
 //!
-//! The completion queues live here too. The driver charges whatever
+//! The completion queues live here too. The firmware charges whatever
 //! work an outcome costs and hands each [`CqEntry`] back through
 //! [`QpTable::complete`] with the instant it becomes visible; the
 //! verbs library then pops it with [`QpTable::cq_pop`]. So one module
@@ -161,7 +166,7 @@ pub enum Outcome {
         entry: CqEntry,
         /// The connection to announce the window on.
         conn: ConnId,
-        /// The QP's posted receive-WR bytes.
+        /// The QP's posted receive-WR bytes, up to the window cap.
         window: u64,
     },
     /// An incoming connection found its accept pool empty: abort it.
@@ -209,11 +214,12 @@ pub struct QpTable {
     /// Window floor: only a post into a window below this many bytes
     /// may announce the update (the wire MTU).
     mtu: u64,
+    /// Upper bound on every advertised window.
+    window_cap: u64,
     qps: FxHashMap<QpId, Qp>,
     /// CQ contents, indexed by `CqId - 1` (CQ ids are dense and start
     /// at 1).
     cqs: Vec<VecDeque<Completion>>,
-    qp_count: u32,
     conn_to_qp: FxHashMap<ConnId, QpId>,
     udp_port_to_qp: FxHashMap<u16, QpId>,
     /// Idle QPs awaiting an incoming connection, per listening port.
@@ -225,13 +231,14 @@ pub struct QpTable {
 
 impl QpTable {
     /// An empty table whose window updates are announced only once
-    /// the posted space has fallen below `mtu` bytes.
-    pub fn new(mtu: usize) -> QpTable {
+    /// the posted space has fallen below `mtu` bytes, and whose windows
+    /// never exceed `window_cap` bytes.
+    pub fn new(mtu: usize, window_cap: u64) -> QpTable {
         QpTable {
             mtu: mtu as u64,
+            window_cap,
             qps: FxHashMap::default(),
             cqs: Vec::new(),
-            qp_count: 0,
             conn_to_qp: FxHashMap::default(),
             udp_port_to_qp: FxHashMap::default(),
             accept_pool: FxHashMap::default(),
@@ -315,8 +322,8 @@ impl QpTable {
                 return Err(NicError::UnknownCq(cq));
             }
         }
-        self.qp_count += 1;
-        let id = QpId(self.qp_count);
+        // QPs are never removed, so ids are dense
+        let id = QpId(self.qps.len() as u32 + 1);
         let qp = Qp {
             service,
             send_cq,
@@ -359,13 +366,14 @@ impl QpTable {
         self.conn_to_qp.get(&conn).copied()
     }
 
-    /// The posted receive-WR bytes of `qp`: its advertised window.
+    /// The advertised window of `qp`: its posted receive-WR bytes, up
+    /// to the window cap.
     ///
     /// # Panics
     ///
     /// On an unknown QP.
     pub fn window(&self, qp: QpId) -> u64 {
-        self.qps[&qp].posted_bytes
+        self.qps[&qp].posted_bytes.min(self.window_cap)
     }
 
     /// Binds a UDP QP to a local port in `engine`.
@@ -447,8 +455,8 @@ impl QpTable {
         Ok(())
     }
 
-    /// Mates `qp` to the connection it just opened. Returns the posted
-    /// window to announce (§5.1).
+    /// Mates `qp` to the connection it just opened. Returns the window
+    /// to announce (§5.1).
     ///
     /// # Panics
     ///
@@ -457,7 +465,7 @@ impl QpTable {
         let q = self.qps.get_mut(&qp).expect("checked by check_connect");
         q.link = Link::Connecting(conn);
         self.conn_to_qp.insert(conn, qp);
-        q.posted_bytes
+        q.posted_bytes.min(self.window_cap)
     }
 
     /// Issues a send token for one message handed to the engine.
@@ -590,7 +598,7 @@ impl QpTable {
             kind: CompletionKind::ConnectionEstablished,
             status: CompletionStatus::Success,
         };
-        Outcome::Up { entry, conn, window: q.posted_bytes }
+        Outcome::Up { entry, conn, window: q.posted_bytes.min(self.window_cap) }
     }
 
     fn notice(&self, qp: QpId, status: CompletionStatus) -> CqEntry {
@@ -721,7 +729,7 @@ mod tests {
 
     #[test]
     fn ids_start_at_one_and_zero_is_unknown() {
-        let mut t = QpTable::new(1500);
+        let mut t = QpTable::new(1500, u64::MAX);
         let cq = t.create_cq();
         assert_eq!(cq, CqId(1));
         assert_eq!(t.create_qp(TCP, CqId(0), cq), Err(NicError::UnknownCq(CqId(0))));
@@ -732,7 +740,7 @@ mod tests {
 
     #[test]
     fn a_qp_is_mated_at_most_once() {
-        let (mut t, mut e) = (QpTable::new(1500), engine());
+        let (mut t, mut e) = (QpTable::new(1500, u64::MAX), engine());
         let cq = t.create_cq();
         let qp = t.create_qp(TCP, cq, cq).unwrap();
         t.post_recv(qp, RecvWr { wr_id: 1, capacity: 4096 }).unwrap();
@@ -763,7 +771,7 @@ mod tests {
 
     #[test]
     fn messages_take_wrs_in_order_else_wait_in_the_backlog() {
-        let mut t = QpTable::new(1500);
+        let mut t = QpTable::new(1500, u64::MAX);
         let cq = t.create_cq();
         let qp = t.create_qp(TCP, cq, cq).unwrap();
         t.attach(qp, ConnId(3));
@@ -794,7 +802,7 @@ mod tests {
 
     #[test]
     fn a_dead_qp_flushes_only_its_own_send_wrs() {
-        let mut t = QpTable::new(1500);
+        let mut t = QpTable::new(1500, u64::MAX);
         let cq = t.create_cq();
         let (a, b) = (t.create_qp(TCP, cq, cq).unwrap(), t.create_qp(TCP, cq, cq).unwrap());
         t.attach(a, ConnId(1));
@@ -833,7 +841,7 @@ mod tests {
 
     #[test]
     fn each_cq_pops_its_own_entries_in_completion_order() {
-        let mut t = QpTable::new(1500);
+        let mut t = QpTable::new(1500, u64::MAX);
         let (x, y) = (t.create_cq(), t.create_cq());
         for wr_id in 0..6 {
             let cq = if wr_id % 2 == 0 { x } else { y };
@@ -852,7 +860,7 @@ mod tests {
 
     #[test]
     fn cq_zero_and_never_created_cqs_are_unknown() {
-        let mut t = QpTable::new(1500);
+        let mut t = QpTable::new(1500, u64::MAX);
         let cq = t.create_cq();
         t.complete(send_entry(cq, 7), SimTime::ZERO);
         for bad in [CqId(0), CqId(2), CqId(u32::MAX)] {
@@ -865,7 +873,7 @@ mod tests {
 
     #[test]
     fn summary_lists_each_cq_with_its_depth() {
-        let mut t = QpTable::new(1500);
+        let mut t = QpTable::new(1500, u64::MAX);
         let (x, y, z) = (t.create_cq(), t.create_cq(), t.create_cq());
         for wr_id in 0..6 {
             t.complete(send_entry(x, wr_id), SimTime::ZERO);
@@ -883,7 +891,7 @@ mod tests {
     /// A TCP QP holding `wrs` receive WRs of `capacity` bytes, its
     /// connection up when `up`, and a post onto it.
     fn post_onto(wrs: u64, capacity: usize, up: bool) -> (QpTable, QpId) {
-        let mut t = QpTable::new(1500);
+        let mut t = QpTable::new(1500, u64::MAX);
         let cq = t.create_cq();
         let qp = t.create_qp(TCP, cq, cq).unwrap();
         for wr_id in 0..wrs {
@@ -938,5 +946,21 @@ mod tests {
             t.post_recv(idle, RecvWr { wr_id: 1, capacity: 4096 }),
             Ok(Posted { conn: None, announce: false })
         );
+    }
+
+    #[test]
+    fn every_advertised_window_stops_at_the_cap() {
+        let mut t = QpTable::new(1500, 5000);
+        let cq = t.create_cq();
+        let qp = t.create_qp(TCP, cq, cq).unwrap();
+        t.post_recv(qp, RecvWr { wr_id: 1, capacity: 4096 }).unwrap();
+        assert_eq!(t.window(qp), 4096, "under the cap the window is the posted space");
+        t.post_recv(qp, RecvWr { wr_id: 2, capacity: 4096 }).unwrap();
+        assert_eq!(t.window(qp), 5000);
+        assert_eq!(t.attach(qp, ConnId(3)), 5000);
+        let Outcome::Up { window, .. } = t.handle(Emit::TcpConnected { conn: ConnId(3) }) else {
+            panic!("connected QP not up")
+        };
+        assert_eq!(window, 5000);
     }
 }

@@ -248,10 +248,9 @@ impl NicConfig {
 /// The protocol-engine configuration of a QPIP endpoint whose TCP
 /// segments are at most `mtu` bytes: the paper's profile
 /// ([`NetConfig::qpip`]) with the firmware's delayed ACK
-/// ([`NIC_DELAYED_ACK`](qpip_sim::params::NIC_DELAYED_ACK)). The
-/// simulated NIC and the live node both start from it; each then sets
-/// its own window source (`recv_buffer`).
-pub fn endpoint_net(mtu: usize) -> NetConfig {
+/// ([`NIC_DELAYED_ACK`](qpip_sim::params::NIC_DELAYED_ACK)), from which
+/// every [`QpipNic`](crate::QpipNic) builds its engine.
+pub(crate) fn endpoint_net(mtu: usize) -> NetConfig {
     NetConfig {
         ack_policy: AckPolicy::Delayed(qpip_sim::params::NIC_DELAYED_ACK),
         ..NetConfig::qpip(mtu)

@@ -3,31 +3,35 @@
 //! Everywhere else in this workspace, bytes move only inside the
 //! discrete-event worlds: the fabric is simulated, time is simulated,
 //! and the protocol engine's packets never leave the process. This
-//! crate is the bridge to real I/O. An [`XportNode`] drives the
-//! **unmodified** [`qpip_netstack::engine::Engine`] — the same IPv6/TCP/
-//! UDP bytes from `qpip-wire`, the same TCBs, RTT estimators and
-//! retransmit timers — over a `std::net::UdpSocket`:
+//! crate is the bridge to real I/O. An [`XportNode`] runs the simulated
+//! NIC's own firmware, [`qpip_nic::QpipNic`] — its verbs, QP table,
+//! completion queues and **unmodified** protocol engine, with the same
+//! IPv6/TCP/UDP bytes from `qpip-wire`, the same TCBs, RTT estimators
+//! and retransmit timers — on the [`ZeroCost`](qpip_nic::ZeroCost)
+//! model, over a `std::net::UdpSocket`. The node itself is a socket, a
+//! wall clock and a peer table:
 //!
-//! * **Frame mapping** — one engine output packet (a complete IPv6
+//! * **Frame mapping** — one NIC output packet (a complete IPv6
 //!   packet) is one UDP datagram; the fabric `Ipv6Addr` in the IPv6
 //!   header names the node, and a peer table maps it to the live
 //!   `SocketAddr` that reaches it (the role the Myrinet source routes
 //!   played in the paper's testbed).
-//! * **Clock mapping** — the engine wants a monotonically increasing
-//!   [`SimTime`](qpip_sim::time::SimTime); the runtime feeds it the
-//!   wall clock, measured from a per-node [`std::time::Instant`] epoch.
+//! * **Clock mapping** — the NIC wants a monotonically increasing
+//!   [`SimTime`](qpip_sim::time::SimTime); the runtime feeds every NIC
+//!   call the wall clock, measured from a per-node
+//!   [`std::time::Instant`] epoch.
 //! * **Timer mapping** — the socket read timeout is slaved to
-//!   [`Engine::next_deadline`](qpip_netstack::engine::Engine::next_deadline),
-//!   so retransmit, delayed-ACK and persist timers fire on time without a
+//!   [`QpipNic::next_deadline`](qpip_nic::QpipNic::next_deadline), so
+//!   retransmit, delayed-ACK and persist timers fire on time without a
 //!   dedicated timer thread.
 //!
-//! On top of the runtime sits a **verbs facade** mirroring the per-node
+//! The **verbs facade** is the NIC's own verbs, mirroring the per-node
 //! surface of `qpip::world::QpipWorld` (`create_cq`/`create_qp`/
 //! `udp_bind`/`tcp_listen`/`tcp_connect`/`post_send`/`post_recv`/
-//! `poll`/`wait`), reusing the `qpip-nic` work-request and completion
-//! types and the firmware's own [`QpTable`](qpip_nic::qp_table::QpTable),
-//! so application code written against the simulated world ports by
-//! swapping the world handle for a node handle.
+//! `poll`/`wait`) with the `qpip-nic` work-request and completion
+//! types, so application code written against the simulated world ports
+//! by swapping the world handle for a node handle, and a verb behaves
+//! the same on both substrates because it is the same code.
 //!
 //! [`proxy::ImpairProxy`] is a deterministic (SplitMix64-seeded)
 //! drop/reorder/delay forwarder that sits between two nodes' sockets,

@@ -1,23 +1,23 @@
 //! The [`XportNode`] runtime: QPIP verbs over a live UDP socket.
 //!
-//! One node owns one nonblocking-with-timeout `UdpSocket`, one
-//! **unmodified** [`Engine`], and one [`QpTable`] — the very QP table
-//! the simulated NIC firmware drives (receive-WR queues, SRAM backlog,
-//! accept pools, send-token retirement, posted-WR receive windows —
-//! §3/§5.1 of the paper) and the same completion queues. The table
-//! decides and stores; this driver adds only socket I/O, the wall clock
-//! and the peer table. Where the firmware wraps each table outcome in
-//! cycle charges, the node stamps it with the wall clock: on real
-//! hardware the cost model *is* the hardware.
+//! A node is a socket, a wall clock and a peer table around one
+//! [`QpipNic`] — the very firmware the simulated NIC runs, priced by the
+//! [`ZeroCost`] model: on real hardware the cost model *is* the
+//! hardware. The NIC owns the **unmodified** protocol engine, the QP
+//! table and the completion queues, so every verb, every datagram and
+//! every timer takes the simulated NIC's code path. The node only stamps
+//! each NIC call with the wall clock and sends what comes out through
+//! the peer table, exactly as `QpipNode::drive` puts it on the simulated
+//! fabric.
 //!
 //! The event loop is [`XportNode::pump`]: block on the socket until the
-//! budget or the next engine deadline, feed any datagram to
-//! [`Engine::on_packet`], transmit whatever the engine emits through the
-//! peer table, then fire due engine timers. Reading first means an ACK
-//! already waiting in the socket beats its own retransmission timer
-//! after the thread stalled. Every protocol timer — retransmission,
-//! delayed ACK, TIME-WAIT and the persist timer that recovers a lost
-//! window update — lives in the engine; the node adds none.
+//! budget or the next engine deadline, hand any datagram to
+//! [`QpipNic::on_packet`], send what it transmits, then fire due timers
+//! through [`QpipNic::on_timer`]. Reading first means an ACK already
+//! waiting in the socket beats its own retransmission timer after the
+//! thread stalled. Every protocol timer — retransmission, delayed ACK,
+//! TIME-WAIT and the persist timer that recovers a lost window update —
+//! lives in the engine; the node adds none.
 //! [`XportNode::wait`] layers a completion-queue wait on top with a hard
 //! timeout and a diagnostic error instead of a hang;
 //! [`XportNode::wait_pumping`] is the same wait for two nodes driven
@@ -27,27 +27,27 @@
 //! **Flow control.** The window a node advertises is
 //! `min(posted-WR space, socket capacity)`. The paper's NIC places data
 //! straight into the posted buffers (§5.1), so posted space is all the
-//! room there is. A live node has a kernel UDP receive buffer between
-//! the wire and the engine, and a datagram that finds it full is
-//! dropped. The node never sets `SO_RCVBUF`, so every socket starts at
-//! `net.core.rmem_default`; a quarter of that is the payload capacity,
-//! because socket(7) reserves half the buffer for bookkeeping and the
-//! kernel charges each datagram about twice its length. The capacity is
-//! never below one full-size segment, since a message cannot be split.
-//! Two limits remain, and no current workload reaches either: the
-//! kernel charges at least ~0.8 KB per datagram, so a flood of messages
-//! under ~300 B can still overrun the socket; and every connection on a
-//! node shares its one socket, while the clamp applies per connection.
+//! room there is, and a connection starts with a zero window: its SYN or
+//! SYN-ACK advertises the space posted so far, which is none. A live
+//! node has a kernel UDP receive buffer between the wire and the
+//! engine, and a datagram that finds it full is dropped, so the NIC's
+//! QP table caps every window at what the socket holds. The node never
+//! sets `SO_RCVBUF`, so every socket starts at `net.core.rmem_default`;
+//! a quarter of that is the payload capacity, because socket(7)
+//! reserves half the buffer for bookkeeping and the kernel charges each
+//! datagram about twice its length. The capacity is never below one
+//! full-size segment, since a message cannot be split. The window scale
+//! is 0, as on the simulated NIC, so no window exceeds 64 KB whatever the
+//! socket holds. Two limits remain, and no current workload reaches
+//! either: the kernel charges at least ~0.8 KB per datagram, so a flood
+//! of messages under ~300 B can still overrun the socket; and every
+//! connection on a node shares its one socket, while the cap applies per
+//! connection.
 //!
-//! **ACKs and window updates.** The node runs the simulated NIC's
-//! engine configuration ([`endpoint_net`], the default
-//! [`XportConfig::net`]): a delayed ACK that rides on the answer in
-//! request-response traffic. A posted receive WR always updates the
-//! window the engine advertises on its next segment, but a pure window
-//! update goes out only when [`QpTable::post_recv`] says it can unblock
-//! the sender: the window was under one MTU and the post reopens it from
-//! zero or grows it by at least min(half the new window, one MTU). So a
-//! lockstep 64 B round trip costs two datagrams, one message each way.
+//! **ACKs and window updates** are the firmware's: a 300 µs delayed ACK
+//! that rides on the answer in request-response traffic, and a pure
+//! window update only when a post can unblock the sender. So a lockstep
+//! 64 B round trip costs two datagrams, one message each way.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -57,24 +57,24 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use crate::clock::WallClock;
-use qpip_netstack::engine::{with_emit_buffer, Engine, EngineError};
-use qpip_netstack::types::{Emit, Endpoint, NetConfig, PacketOut};
-use qpip_nic::endpoint_net;
-use qpip_nic::qp_table::{Outcome, QpTable, TokenUse};
-use qpip_nic::types::{
-    Completion, CompletionKind, CompletionStatus, CqId, NicError, QpId, RecvWr, SendWr, ServiceType,
-};
+use qpip_netstack::engine::Engine;
+use qpip_netstack::types::{Endpoint, NetConfig};
+use qpip_nic::types::{Completion, CqId, NicConfig, NicError, QpId, RecvWr, SendWr, ServiceType};
+use qpip_nic::{NicOutput, QpipNic, ZeroCost};
 use qpip_trace::{Snapshot, TraceEvent, Tracer};
 
 /// Largest datagram the runtime will receive in one `recv_from`. The
-/// engine never builds a packet above the configured MTU, and the
-/// default MTU (9000, jumbo-frame class like the paper's Myrinet MTU)
-/// fits comfortably.
+/// engine never builds a packet above the node's MTU, which fits
+/// comfortably.
 const RECV_BUF: usize = 65536;
+
+/// Every node's wire MTU: jumbo-frame class, like the paper's Myrinet
+/// MTU.
+const MTU: usize = 9000;
 
 /// Payload bytes a freshly bound UDP socket can hold: a quarter of
 /// `net.core.rmem_default` (see the module docs), read once per
-/// process. `None` when the size cannot be read; no clamp applies then.
+/// process. `None` when the size cannot be read; no cap applies then.
 fn socket_capacity() -> Option<u64> {
     static CAPACITY: OnceLock<Option<u64>> = OnceLock::new();
     *CAPACITY.get_or_init(|| {
@@ -83,29 +83,19 @@ fn socket_capacity() -> Option<u64> {
     })
 }
 
-/// The largest receive window a node with engine config `net` may
-/// advertise: its socket's capacity, but never less than one full-size
-/// segment; unbounded when the capacity is unknown.
-fn window_cap(net: &NetConfig) -> u64 {
-    socket_capacity().map_or(u64::MAX, |c| c.max(net.max_tcp_payload() as u64))
+/// The largest receive window a node may advertise: its socket's
+/// capacity, but never less than one full-size segment; unbounded when
+/// the capacity is unknown.
+fn window_cap() -> u64 {
+    let segment = NetConfig::qpip(MTU).max_tcp_payload() as u64;
+    socket_capacity().map_or(u64::MAX, |c| c.max(segment))
 }
 
-/// Configuration for one live node.
+/// Configuration for one live node. The protocol configuration is the
+/// simulated NIC's at a 9000-byte MTU: one message per segment, a
+/// 300 µs delayed ACK, a 10 ms minimum RTO.
 #[derive(Debug, Clone)]
 pub struct XportConfig {
-    /// Protocol-engine configuration. Defaults to the simulated NIC's
-    /// configuration ([`endpoint_net`]) at a 9000-byte MTU: one message
-    /// per segment, a 300 µs delayed ACK that rides on the answer in
-    /// request-response traffic, 10 ms minimum RTO. Every window the
-    /// node advertises, `recv_buffer` included, is clamped to what its UDP
-    /// socket holds: `min(posted-WR space, socket capacity)`, where the
-    /// capacity is a quarter of `net.core.rmem_default` and at least one
-    /// full-size segment. The paper's NIC has no buffer between the wire
-    /// and the posted WRs; a live node's socket is one. The clamp does
-    /// not cover a flood of messages under ~300 B (the kernel charges
-    /// each datagram at least ~0.8 KB), nor several connections, which
-    /// share the node's one socket.
-    pub net: NetConfig,
     /// Local socket address to bind. Port 0 lets the OS pick.
     pub bind: SocketAddr,
     /// Hard ceiling on [`XportNode::wait`]: a CQ wait that exceeds this
@@ -116,7 +106,6 @@ pub struct XportConfig {
 impl Default for XportConfig {
     fn default() -> Self {
         XportConfig {
-            net: endpoint_net(9000),
             bind: "127.0.0.1:0".parse().expect("literal addr"),
             wait_timeout: Duration::from_secs(30),
         }
@@ -161,12 +150,6 @@ impl From<io::Error> for XportError {
     }
 }
 
-impl From<EngineError> for XportError {
-    fn from(e: EngineError) -> Self {
-        XportError::Nic(NicError::Engine(e))
-    }
-}
-
 /// Runtime counters (datapath health; all monotone).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct XportStats {
@@ -174,7 +157,7 @@ pub struct XportStats {
     pub datagrams_rx: u64,
     /// Datagrams written to the socket.
     pub datagrams_tx: u64,
-    /// Engine packets dropped because the destination fabric address
+    /// NIC packets dropped because the destination fabric address
     /// has no peer-table entry.
     pub unroutable_drops: u64,
     /// UDP messages dropped because no receive WR was posted
@@ -212,24 +195,24 @@ pub struct XportNode {
     /// The socket's current mode: nonblocking, or blocking with a read
     /// timeout. Changed only when `pump` wants the other one.
     nonblocking: bool,
-    engine: Engine,
-    /// Upper bound on every advertised receive window: what the socket
-    /// holds.
-    window_cap: u64,
+    nic: QpipNic<ZeroCost>,
     clock: WallClock,
     peers: HashMap<Ipv6Addr, SocketAddr>,
-    qps: QpTable,
+    /// What the last NIC call transmitted; reused across calls.
+    out: Vec<NicOutput>,
     buf: Vec<u8>,
     stats: XportStats,
-    /// Flight-recorder handle; also installed into the embedded engine.
-    /// Events are stamped with this node's wall-clock-mapped [`SimTime`].
+    /// Flight-recorder handle; also installed into the NIC. Events are
+    /// stamped with this node's wall-clock-mapped [`SimTime`].
+    ///
+    /// [`SimTime`]: qpip_sim::time::SimTime
     tracer: Option<Tracer>,
 }
 
 impl fmt::Debug for XportNode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("XportNode")
-            .field("fabric_addr", &self.engine.local_addr())
+            .field("fabric_addr", &self.nic.addr())
             .field("peers", &self.peers.len())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
@@ -244,36 +227,30 @@ impl XportNode {
     /// # Errors
     ///
     /// Propagates socket bind/configuration failures.
-    pub fn bind(fabric_addr: Ipv6Addr, mut cfg: XportConfig) -> io::Result<XportNode> {
+    pub fn bind(fabric_addr: Ipv6Addr, cfg: XportConfig) -> io::Result<XportNode> {
         let sock = UdpSocket::bind(cfg.bind)?;
         sock.set_read_timeout(Some(Duration::from_millis(1)))?;
-        let window_cap = window_cap(&cfg.net);
-        // the SYN and SYN-ACK advertise the default buffer: clamp it too
-        cfg.net.recv_buffer =
-            cfg.net.recv_buffer.min(usize::try_from(window_cap).unwrap_or(usize::MAX));
-        let engine = Engine::new(cfg.net.clone(), fabric_addr);
-        let qps = QpTable::new(cfg.net.mtu);
+        let nic_cfg = NicConfig { mtu: MTU, ..NicConfig::paper_default() };
         Ok(XportNode {
             cfg,
             sock,
             nonblocking: false,
-            engine,
-            window_cap,
+            nic: QpipNic::with_model(nic_cfg, fabric_addr, ZeroCost, window_cap()),
             clock: WallClock::start(),
             peers: HashMap::new(),
-            qps,
+            out: Vec::new(),
             buf: vec![0; RECV_BUF],
             stats: XportStats::default(),
             tracer: None,
         })
     }
 
-    /// Installs a flight-recorder handle on the runtime and its embedded
-    /// engine. Socket-level tx/rx are recorded node-scoped; protocol
-    /// events carry their connection. Timestamps are this node's
+    /// Installs a flight-recorder handle on the runtime and its NIC.
+    /// Socket-level tx/rx are recorded node-scoped; protocol events
+    /// carry their connection. Timestamps are this node's
     /// wall-clock-mapped simulation time.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.engine.set_tracer(tracer.clone());
+        self.nic.set_tracer(tracer.clone());
         self.tracer = Some(tracer);
     }
 
@@ -289,7 +266,12 @@ impl XportNode {
 
     /// This node's fabric IPv6 address.
     pub fn fabric_addr(&self) -> Ipv6Addr {
-        self.engine.local_addr()
+        self.nic.addr()
+    }
+
+    /// The largest message one TCP send may carry: one segment.
+    pub fn max_tcp_message(&self) -> usize {
+        self.nic.engine().config().max_tcp_payload()
     }
 
     /// Routes fabric address `fabric` to live socket `at` — the role
@@ -302,11 +284,11 @@ impl XportNode {
 
     /// Runtime counters.
     pub fn stats(&self) -> XportStats {
-        let c = self.qps.counters();
+        let n = self.nic.stats();
         XportStats {
-            udp_no_wr_drops: c.udp_no_wr_drops,
-            tcp_backlogged: c.tcp_backlogged,
-            length_errors: c.length_errors,
+            udp_no_wr_drops: n.udp_no_wr_drops,
+            tcp_backlogged: n.tcp_backlogged,
+            length_errors: n.length_errors,
             ..self.stats
         }
     }
@@ -321,7 +303,7 @@ impl XportNode {
     /// connection state — useful for asserting that loss recovery
     /// actually ran).
     pub fn engine(&self) -> &Engine {
-        &self.engine
+        self.nic.engine()
     }
 
     /// Runs the embedded engine's TCB invariant oracle (full sweep; see
@@ -331,14 +313,14 @@ impl XportNode {
     ///
     /// The first violation found.
     pub fn check_invariants(&mut self) -> Result<(), qpip_netstack::invariant::InvariantViolation> {
-        self.engine.check_invariants()
+        self.nic.check_invariants()
     }
 
     // ----- verbs ----------------------------------------------------------
 
     /// Creates a completion queue.
     pub fn create_cq(&mut self) -> CqId {
-        self.qps.create_cq()
+        self.nic.create_cq()
     }
 
     /// Creates a queue pair bound to the given service and CQs.
@@ -352,7 +334,7 @@ impl XportNode {
         send_cq: CqId,
         recv_cq: CqId,
     ) -> Result<QpId, XportError> {
-        Ok(self.qps.create_qp(service, send_cq, recv_cq)?)
+        Ok(self.nic.create_qp(service, send_cq, recv_cq)?)
     }
 
     /// Binds a UDP QP to a local port.
@@ -362,7 +344,7 @@ impl XportNode {
     /// [`NicError::InvalidState`] for a TCP QP; engine errors (e.g.
     /// port in use) via [`NicError::Engine`].
     pub fn udp_bind(&mut self, qp: QpId, port: u16) -> Result<(), XportError> {
-        Ok(self.qps.udp_bind(&mut self.engine, qp, port)?)
+        Ok(self.nic.udp_bind(qp, port)?)
     }
 
     /// Adds a TCP QP to the accept pool for `port` (and starts the
@@ -374,7 +356,7 @@ impl XportNode {
     /// [`NicError::InvalidState`] for a UDP QP or one already pooled or
     /// connected.
     pub fn tcp_listen(&mut self, qp: QpId, port: u16) -> Result<(), XportError> {
-        Ok(self.qps.tcp_listen(&mut self.engine, qp, port)?)
+        Ok(self.nic.tcp_listen(port, qp)?)
     }
 
     /// Opens a connection from a TCP QP to `remote` (a fabric
@@ -385,22 +367,17 @@ impl XportNode {
     /// # Errors
     ///
     /// [`NicError::InvalidState`] unless `qp` is an idle TCP QP.
+    ///
+    /// [`CompletionKind::ConnectionEstablished`]: qpip_nic::types::CompletionKind::ConnectionEstablished
     pub fn tcp_connect(
         &mut self,
         qp: QpId,
         local_port: u16,
         remote: Endpoint,
     ) -> Result<(), XportError> {
-        self.qps.check_connect(qp)?;
-        let now = self.clock.now();
-        with_emit_buffer(|emits| {
-            let conn = self.engine.tcp_connect(now, local_port, remote, emits);
-            let window = self.qps.attach(qp, conn).min(self.window_cap);
-            // the posted-WR window rides on the handshake's final ACK
-            // (§5.1)
-            self.engine.set_recv_space(conn, window)?;
-            self.dispatch(emits)
-        })
+        let r = self.nic.tcp_connect(self.clock.now(), qp, local_port, remote, &mut self.out);
+        self.send_out()?;
+        Ok(r?)
     }
 
     /// Posts a send work request. UDP sends complete immediately
@@ -413,28 +390,9 @@ impl XportNode {
     /// [`NicError::Engine`] for engine rejections (e.g. message larger
     /// than one segment in message-per-segment mode).
     pub fn post_send(&mut self, qp: QpId, wr: SendWr) -> Result<(), XportError> {
-        if self.qps.service(qp)? == ServiceType::ReliableTcp {
-            let conn = self.qps.conn(qp)?;
-            let token = self.qps.issue_token(TokenUse::Send(qp, wr.wr_id));
-            let now = self.clock.now();
-            return with_emit_buffer(|emits| {
-                self.engine
-                    .tcp_send(now, conn, wr.payload, token, emits)
-                    .inspect_err(|_| self.qps.cancel_token(token))?;
-                self.dispatch(emits)
-            });
-        }
-        let port = self.qps.udp_port(qp)?;
-        let dst = wr.dst.ok_or(NicError::InvalidState("UDP send needs a destination"))?;
-        let emit = self.engine.udp_send(port, dst, &wr.payload)?;
-        with_emit_buffer(|emits| {
-            emits.push(emit);
-            self.dispatch(emits)
-        })?;
-        let entry =
-            self.qps.send_entry(qp, wr.wr_id, CompletionKind::Send, CompletionStatus::Success);
-        self.qps.complete(entry, self.clock.now());
-        Ok(())
+        let r = self.nic.post_send(self.clock.now(), qp, wr, &mut self.out);
+        self.send_out()?;
+        Ok(r?)
     }
 
     /// Posts a receive work request, draining any backlog it can now
@@ -445,25 +403,9 @@ impl XportNode {
     ///
     /// [`NicError::UnknownQp`] for a bad handle.
     pub fn post_recv(&mut self, qp: QpId, wr: RecvWr) -> Result<(), XportError> {
-        let posted = self.qps.post_recv(qp, wr)?;
-        while let Some(entry) = self.qps.pop_backlog(qp) {
-            self.qps.complete(entry, self.clock.now());
-        }
-        if let Some(conn) = posted.conn {
-            // read the posted space AFTER the drain: a backlogged
-            // message may have consumed the WR just posted, and the
-            // advertised window must equal the space actually available
-            let window = self.qps.window(qp).min(self.window_cap);
-            self.engine.set_recv_space(conn, window)?;
-            if posted.announce {
-                let now = self.clock.now();
-                with_emit_buffer(|emits| {
-                    self.engine.announce_window(now, conn, emits)?;
-                    self.dispatch(emits)
-                })?;
-            }
-        }
-        Ok(())
+        let r = self.nic.post_recv(self.clock.now(), qp, wr, &mut self.out);
+        self.send_out()?;
+        Ok(r?)
     }
 
     /// Begins a graceful close of a connected TCP QP. The peer sees
@@ -474,13 +416,13 @@ impl XportNode {
     /// # Errors
     ///
     /// [`NicError::InvalidState`] if the QP has no connection.
+    ///
+    /// [`CompletionKind::PeerDisconnected`]: qpip_nic::types::CompletionKind::PeerDisconnected
+    /// [`CompletionStatus::ConnectionError`]: qpip_nic::types::CompletionStatus::ConnectionError
     pub fn tcp_close(&mut self, qp: QpId) -> Result<(), XportError> {
-        let conn = self.qps.conn(qp)?;
-        let now = self.clock.now();
-        with_emit_buffer(|emits| {
-            self.engine.tcp_close(now, conn, emits)?;
-            self.dispatch(emits)
-        })
+        let r = self.nic.tcp_close(self.clock.now(), qp, &mut self.out);
+        self.send_out()?;
+        Ok(r?)
     }
 
     /// Pops the oldest completion from a CQ, servicing the socket once
@@ -491,9 +433,9 @@ impl XportNode {
     ///
     /// [`NicError::UnknownCq`] for a bad handle; socket errors.
     pub fn poll(&mut self, cq: CqId) -> Result<Option<Completion>, XportError> {
-        self.qps.check_cq(cq)?;
+        self.nic.check_cq(cq)?;
         self.pump(Duration::ZERO)?;
-        Ok(self.qps.cq_pop(cq)?)
+        Ok(self.nic.cq_pop(cq)?)
     }
 
     /// Blocks (servicing the socket and timers) until a completion
@@ -532,7 +474,7 @@ impl XportNode {
     ) -> Result<Completion, XportError> {
         let deadline = Instant::now() + self.cfg.wait_timeout;
         loop {
-            if let Some(c) = self.qps.cq_pop(cq)? {
+            if let Some(c) = self.nic.cq_pop(cq)? {
                 return Ok(c);
             }
             let left = deadline.saturating_duration_since(Instant::now());
@@ -570,7 +512,7 @@ impl XportNode {
         // read before firing timers: an ACK already in the socket must
         // cancel its retransmission timer, not lose to it
         let mut budget = max_wait;
-        if let Some(d) = self.engine.next_deadline() {
+        if let Some(d) = self.nic.next_deadline() {
             budget = budget.min(self.clock.until(d));
         }
         if budget.is_zero() {
@@ -613,15 +555,13 @@ impl XportNode {
     fn fire_due_timers(&mut self) -> Result<(), XportError> {
         // loop: handling one batch takes real wall time, which may ripen
         // the next deadline
-        while let Some(d) = self.engine.next_deadline() {
+        while let Some(d) = self.nic.next_deadline() {
             let now = self.clock.now();
             if d > now {
                 break;
             }
-            with_emit_buffer(|emits| {
-                self.engine.on_timer(now, emits);
-                self.dispatch(emits)
-            })?;
+            self.nic.on_timer(now, &mut self.out);
+            self.send_out()?;
         }
         Ok(())
     }
@@ -634,10 +574,8 @@ impl XportNode {
                 if let Some(tr) = &self.tracer {
                     tr.emit_node(now, TraceEvent::Sock { op: "rx", bytes: n as u32 });
                 }
-                with_emit_buffer(|emits| {
-                    self.engine.on_packet(now, &self.buf[..n], emits);
-                    self.dispatch(emits)
-                })?;
+                self.nic.on_packet(now, &self.buf[..n], &mut self.out);
+                self.send_out()?;
                 Ok(true)
             }
             Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
@@ -647,69 +585,29 @@ impl XportNode {
         }
     }
 
-    /// Drains engine emissions in order, depth-first: a window update or
-    /// refusal an outcome triggers goes out (through a buffer of its
-    /// own) before the rest of the batch, exactly as in the simulated
-    /// firmware.
-    fn dispatch(&mut self, emits: &mut Vec<Emit>) -> Result<(), XportError> {
-        // debug-build oracle gate: every engine interaction funnels
-        // through here, so a latched TCB invariant violation surfaces
-        // on the very next dispatch
+    /// The drive step after every NIC call: checks the engine's TCB
+    /// invariants (debug builds), then sends what the call transmitted,
+    /// in order, through the peer table.
+    fn send_out(&mut self) -> Result<(), XportError> {
+        // debug-build oracle gate: a latched TCB invariant violation
+        // surfaces right after the NIC call that caused it
         #[cfg(debug_assertions)]
-        if let Some(v) = self.engine.take_invariant_violation() {
+        if let Some(v) = self.nic.take_invariant_violation() {
             panic!("TCB invariant `{}` violated in live transport: {}", v.invariant, v.detail);
         }
-        for e in emits.drain(..) {
-            if let Emit::Packet(p) = e {
-                self.transmit(p)?;
+        for NicOutput { dst, bytes, .. } in self.out.drain(..) {
+            let Some(&to) = self.peers.get(&dst) else {
+                self.stats.unroutable_drops += 1;
                 continue;
+            };
+            self.sock.send_to(&bytes, to)?;
+            self.stats.datagrams_tx += 1;
+            if let Some(tr) = &self.tracer {
+                tr.emit_node(
+                    self.clock.now(),
+                    TraceEvent::Sock { op: "tx", bytes: bytes.len() as u32 },
+                );
             }
-            match self.qps.handle(e) {
-                Outcome::Nothing | Outcome::Backlogged | Outcome::Dropped => {}
-                Outcome::Placed(entry) | Outcome::Retired(entry) | Outcome::PeerClosed(entry) => {
-                    self.qps.complete(entry, self.clock.now());
-                }
-                Outcome::Up { entry, conn, window } => {
-                    self.qps.complete(entry, self.clock.now());
-                    // announce the real (posted-WR) window now that we
-                    // are connected
-                    let window = window.min(self.window_cap);
-                    let now = self.clock.now();
-                    let _ = self.engine.set_recv_space(conn, window);
-                    with_emit_buffer(|upd| {
-                        let _ = self.engine.announce_window(now, conn, upd);
-                        self.dispatch(upd)
-                    })?;
-                }
-                Outcome::Refuse(conn) => {
-                    let now = self.clock.now();
-                    with_emit_buffer(|rst| {
-                        let _ = self.engine.tcp_abort(now, conn, rst);
-                        self.dispatch(rst)
-                    })?;
-                }
-                Outcome::Down { notice, flushed, .. } => {
-                    for entry in notice.into_iter().chain(flushed) {
-                        self.qps.complete(entry, self.clock.now());
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn transmit(&mut self, p: PacketOut) -> Result<(), XportError> {
-        let Some(&to) = self.peers.get(&p.dst) else {
-            self.stats.unroutable_drops += 1;
-            return Ok(());
-        };
-        self.sock.send_to(&p.bytes, to)?;
-        self.stats.datagrams_tx += 1;
-        if let Some(tr) = &self.tracer {
-            tr.emit_node(
-                self.clock.now(),
-                TraceEvent::Sock { op: "tx", bytes: p.bytes.len() as u32 },
-            );
         }
         Ok(())
     }
@@ -724,7 +622,7 @@ impl XportNode {
             self.fabric_addr(),
             self.stats.datagrams_rx,
             self.stats.datagrams_tx,
-            self.qps.summary(&self.engine),
+            self.nic.pending_summary(),
         )
     }
 }
@@ -749,16 +647,15 @@ pub fn quiesce(a: &mut XportNode, b: &mut XportNode) -> Result<(), XportError> {
 mod tests {
     use super::*;
 
-    /// The clamp is only as good as the kernel's charge per datagram: a
-    /// socket nobody reads must keep a full clamped window of messages,
+    /// The cap is only as good as the kernel's charge per datagram: a
+    /// socket nobody reads must keep a full capped window of messages,
     /// each in a datagram of its length plus IPv6, TCP and timestamp
     /// headers (72 B), at every message size a workload uses.
     #[test]
     fn an_unread_socket_holds_a_full_clamped_window() {
-        let net = XportConfig::default().net;
-        let cap = window_cap(&net);
+        let cap = window_cap();
         assert_ne!(cap, u64::MAX, "net.core.rmem_default unreadable");
-        for m in [1024, 8192, net.max_tcp_payload()] {
+        for m in [1024, 8192, NetConfig::qpip(MTU).max_tcp_payload()] {
             let count = cap / m as u64;
             let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
             let tx = UdpSocket::bind("127.0.0.1:0").unwrap();

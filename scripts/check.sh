@@ -11,8 +11,14 @@ echo "==> cargo build --release --workspace (bins + examples)"
 cargo build --release --workspace
 cargo build --release --workspace --examples
 
-echo "==> cargo test --workspace"
-cargo test --workspace -q
+# Compile the tests first, then run them under a hard timeout: the
+# live-socket tests block on real UDP sockets, so a bug there can hang
+# rather than fail, and the timeout turns a hang into a failure. The
+# build stays outside it, so a cold compile cannot eat the budget.
+echo "==> cargo test --workspace --no-run"
+cargo test --workspace --no-run -q
+echo "==> cargo test --workspace (600s timeout)"
+timeout 600 cargo test --workspace -q
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -q -- -D warnings
