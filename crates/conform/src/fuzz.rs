@@ -267,12 +267,13 @@ fn random_segment(
         } else {
             TcpOptions::default()
         },
-        payload,
+        payload: qpip_netstack::tcp::SegPayload::Buffered(payload.len() as u32),
         kind: PacketKind::TcpData,
         is_retransmit: false,
         ect: false,
     };
-    let mut bytes = codec::build_tcp_packet(peer, local, &out).to_vec();
+    let mut bytes =
+        codec::build_tcp_packet(peer, local, &out, |p| p.extend_from_slice(&payload)).to_vec();
     if rng.chance(1, 10) {
         bytes[40 + 16] ^= 0xff; // corrupt the TCP checksum
     }
@@ -303,6 +304,15 @@ impl FuzzEnv {
             FuzzStep::Inject(bytes) => {
                 with_emit_buffer(|emits| {
                     self.engine.on_packet(self.now, bytes, emits);
+                    for e in emits.iter() {
+                        if let Emit::TcpDelivered { at, .. } = e {
+                            assert!(
+                                at.start < at.end && at.end <= bytes.len(),
+                                "delivered range {at:?} outside the {}-byte packet",
+                                bytes.len()
+                            );
+                        }
+                    }
                     self.track(emits);
                 });
             }

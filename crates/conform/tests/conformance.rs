@@ -17,15 +17,11 @@ fn cfg() -> NetConfig {
     NetConfig::qpip(9000)
 }
 
-fn delivered(events: &[Emit]) -> Vec<u8> {
-    events
-        .iter()
-        .filter_map(|e| match e {
-            Emit::TcpDelivered { data, .. } => Some(data.clone()),
-            _ => None,
-        })
-        .flatten()
-        .collect()
+/// Drains the harness's events and returns the payload delivered since
+/// the last call.
+fn delivered(h: &mut Harness) -> Vec<u8> {
+    h.take_events();
+    h.take_delivered()
 }
 
 fn count_send_complete(events: &[Emit]) -> usize {
@@ -125,7 +121,7 @@ fn in_order_data_is_delivered_and_immediately_acked() {
     // AckPolicy::Immediate: every data segment is acked at once (§4.1)
     h.expect(Expect::pure_ack().ack_no(106));
     h.expect_quiet();
-    assert_eq!(delivered(&h.take_events()), b"hello");
+    assert_eq!(delivered(&mut h), b"hello");
 }
 
 #[test]
@@ -151,7 +147,7 @@ fn out_of_order_segment_is_dropped_with_duplicate_ack() {
     h.expect(Expect::pure_ack().ack_no(101));
     let conn = h.conn().unwrap();
     assert_eq!(h.engine().conn_ooo_drops(conn), Some(1));
-    assert!(delivered(&h.take_events()).is_empty());
+    assert!(delivered(&mut h).is_empty());
 }
 
 #[test]
@@ -160,11 +156,11 @@ fn duplicate_data_is_reacked_not_redelivered() {
     let iss = h.handshake(100);
     h.inject(seg().seq(101).ack(iss + 1).payload(b"abc"));
     h.expect(Expect::pure_ack().ack_no(104));
-    assert_eq!(delivered(&h.take_events()), b"abc");
+    assert_eq!(delivered(&mut h), b"abc");
     // the ACK got lost from the peer's view; it retransmits
     h.inject(seg().seq(101).ack(iss + 1).payload(b"abc"));
     h.expect(Expect::pure_ack().ack_no(104));
-    assert!(delivered(&h.take_events()).is_empty());
+    assert!(delivered(&mut h).is_empty());
 }
 
 #[test]
@@ -445,7 +441,7 @@ fn receiver_reacks_probe_with_current_window() {
     h.expect(Expect::pure_ack().ack_no(101).win(4096));
     h.inject(seg().seq(100).ack(iss + 1).payload(&[0]));
     h.expect(Expect::pure_ack().ack_no(101).win(4096));
-    assert!(delivered(&h.take_events()).is_empty(), "a probe byte is never delivered");
+    assert!(delivered(&mut h).is_empty(), "a probe byte is never delivered");
 }
 
 #[test]
@@ -625,7 +621,7 @@ fn data_piggybacked_on_handshake_ack_is_delivered() {
     h.inject(seg().seq(101).ack(sa.hdr.seq.0 + 1).payload(b"req1"));
     h.expect(Expect::pure_ack().ack_no(105));
     assert_eq!(h.state(), Some(TcpState::Established));
-    assert_eq!(delivered(&h.take_events()), b"req1");
+    assert_eq!(delivered(&mut h), b"req1");
 }
 
 // ----- malformed input ----------------------------------------------
@@ -638,7 +634,7 @@ fn corrupted_checksum_is_dropped_without_state_change() {
     h.expect_quiet();
     assert_eq!(h.stats().checksum_drops, 1);
     assert_eq!(h.state(), Some(TcpState::Established));
-    assert!(delivered(&h.take_events()).is_empty());
+    assert!(delivered(&mut h).is_empty());
 }
 
 #[test]
@@ -658,7 +654,7 @@ fn advance_between_steps_keeps_connection_stable() {
     h.advance(SimDuration::from_millis(50));
     h.inject(seg().seq(101).ack(iss + 1).payload(b"later"));
     h.expect(Expect::pure_ack().ack_no(106));
-    assert_eq!(delivered(&h.take_events()), b"later");
+    assert_eq!(delivered(&mut h), b"later");
 }
 
 // ----- regressions for bugs the suite and fuzzer exposed ------------
@@ -712,7 +708,7 @@ fn ack_beyond_snd_max_is_acked_and_dropped() {
     let iss = h.handshake(100);
     h.inject(seg().seq(101).ack(iss.wrapping_add(50_000)).payload(b"evil"));
     h.expect(Expect::pure_ack().ack_no(101));
-    assert!(delivered(&h.take_events()).is_empty());
+    assert!(delivered(&mut h).is_empty());
     assert_eq!(h.state(), Some(TcpState::Established));
 }
 

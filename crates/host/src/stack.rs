@@ -375,7 +375,7 @@ impl HostStack {
             let conn = self.engine.tcp_connect(t, local_port, remote, emits);
             self.socks.get_mut(&sock).expect("checked").conn = Some(conn);
             self.conn_to_sock.insert(conn, sock);
-            self.process_emits(t, emits, out);
+            self.process_emits(t, emits, &[], out);
         });
         Ok(())
     }
@@ -422,7 +422,7 @@ impl HostStack {
         self.next_token += 1;
         with_emit_buffer(|emits| {
             self.engine.tcp_send(t, conn, data.to_vec(), token, emits)?;
-            let done = self.process_emits(t, emits, out);
+            let done = self.process_emits(t, emits, &[], out);
             Ok(SendOutcome::Sent { done })
         })
     }
@@ -514,7 +514,7 @@ impl HostStack {
         let emit = self.engine.udp_send(port, dst, data)?;
         Ok(with_emit_buffer(|emits| {
             emits.push(emit);
-            self.process_emits(t, emits, out)
+            self.process_emits(t, emits, &[], out)
         }))
     }
 
@@ -553,7 +553,7 @@ impl HostStack {
         let t = self.cpu.charge(now, WorkClass::Syscall, params::HOST_SYSCALL_CYCLES);
         with_emit_buffer(|emits| {
             self.engine.tcp_close(t, conn, emits)?;
-            self.process_emits(t, emits, out);
+            self.process_emits(t, emits, &[], out);
             Ok(())
         })
     }
@@ -595,7 +595,7 @@ impl HostStack {
         with_emit_buffer(|emits| {
             self.engine.on_packet(t, bytes, emits);
             let _ = self.engine.take_ops();
-            self.process_emits(t, emits, out);
+            self.process_emits(t, emits, bytes, out);
         });
     }
 
@@ -610,18 +610,21 @@ impl HostStack {
     pub fn on_timer(&mut self, now: SimTime, out: &mut Vec<HostOutput>) {
         with_emit_buffer(|emits| {
             self.engine.on_timer(now, emits);
-            self.process_emits(now, emits, out);
+            self.process_emits(now, emits, &[], out);
         });
     }
 
     // ----- internals --------------------------------------------------------------
 
     /// Drains engine emissions; returns the CPU completion time of the
-    /// last charged work.
+    /// last charged work. `rx` is the packet the engine was handling
+    /// (empty for other calls): delivered payload is copied from it
+    /// once, into the socket's byte ring.
     fn process_emits(
         &mut self,
         t: SimTime,
         emits: &mut Vec<Emit>,
+        rx: &[u8],
         out: &mut Vec<HostOutput>,
     ) -> SimTime {
         let mut t = t;
@@ -666,11 +669,11 @@ impl HostStack {
                         }
                     }
                 }
-                Emit::TcpDelivered { conn, data } => {
+                Emit::TcpDelivered { conn, at } => {
                     if let Some(&sock) = self.conn_to_sock.get(&conn) {
                         let s = self.socks.get_mut(&sock).expect("mapped");
                         let was_empty = s.rx.is_empty();
-                        s.rx.extend(data);
+                        s.rx.extend(&rx[at]);
                         if was_empty {
                             t = self.cpu.charge(
                                 t,

@@ -1,10 +1,14 @@
 //! Whole-packet encoding and decoding: transport segment + IPv6 header,
 //! checksums computed and verified exactly as the wire would carry them.
 //!
-//! The encode path is zero-copy: the payload is written once into a
-//! [`Packet`] with headroom and each header is prepended in place
+//! The encode path copies each payload byte once: the payload is written
+//! into a [`Packet`] with headroom and each header is prepended in place
 //! ([`Packet::prepend_space`] + the `encode_into` slice encoders), so a
 //! full IPv6+TCP/UDP packet costs one allocation and no payload moves.
+//! A TCP segment's payload comes straight from the sender's send buffer
+//! (`build_tcp_packet`'s `payload` writer, fed by
+//! [`Tcb::read_payload`](crate::tcp::Tcb::read_payload)): no
+//! intermediate copy of it exists.
 //! The decode path borrows: [`Decoded`] carries `&[u8]` views into the
 //! received buffer instead of copied vectors.
 
@@ -32,6 +36,8 @@ pub enum Decoded<'a> {
         tcp: TcpHeader,
         /// Segment payload.
         payload: &'a [u8],
+        /// Offset of `payload` in the decoded buffer.
+        payload_at: usize,
     },
     /// A UDP datagram.
     Udp {
@@ -68,7 +74,18 @@ pub fn build_udp_packet(src: Endpoint, dst: Endpoint, payload: &[u8]) -> Packet 
 }
 
 /// Builds a complete IPv6+TCP packet from an abstract [`SegmentOut`].
-pub fn build_tcp_packet(src: Endpoint, dst: Endpoint, seg: &SegmentOut) -> Packet {
+/// `payload` appends the segment's `seg.payload.len()` payload bytes to
+/// the packet it is handed, which already has room for them.
+///
+/// # Panics
+///
+/// In debug builds, if `payload` appends a different number of bytes.
+pub fn build_tcp_packet(
+    src: Endpoint,
+    dst: Endpoint,
+    seg: &SegmentOut,
+    payload: impl FnOnce(&mut Packet),
+) -> Packet {
     let hdr = TcpHeader {
         src_port: src.port,
         dst_port: dst.port,
@@ -80,7 +97,10 @@ pub fn build_tcp_packet(src: Endpoint, dst: Endpoint, seg: &SegmentOut) -> Packe
         urgent: 0,
         options: seg.options,
     };
-    let mut pkt = Packet::with_headroom(&seg.payload, HEADROOM);
+    let len = seg.payload.len();
+    let mut pkt = Packet::reserve_headroom(HEADROOM, len);
+    payload(&mut pkt);
+    debug_assert_eq!(pkt.len(), len, "payload writer appended the wrong length");
     hdr.encode_into(pkt.prepend_space(hdr.encoded_len()));
     let ck = transport_checksum(src.addr, dst.addr, NextHeader::Tcp.code(), &pkt);
     pkt[16..18].copy_from_slice(&ck.to_be_bytes());
@@ -113,7 +133,7 @@ pub fn decode_packet(bytes: &[u8]) -> Result<Decoded<'_>, ParseWireError> {
                 return Err(ParseWireError::BadChecksum);
             }
             let (tcp, hl) = TcpHeader::parse(seg)?;
-            Ok(Decoded::Tcp { ip, tcp, payload: &seg[hl..] })
+            Ok(Decoded::Tcp { ip, tcp, payload: &seg[hl..], payload_at: n + hl })
         }
         NextHeader::Udp => {
             if !verify_transport_checksum(ip.src, ip.dst, NextHeader::Udp.code(), seg) {
@@ -130,6 +150,8 @@ pub fn decode_packet(bytes: &[u8]) -> Result<Decoded<'_>, ParseWireError> {
 mod tests {
     use super::*;
     use qpip_wire::tcp::{SeqNum, TcpFlags, TcpOptions};
+
+    use crate::tcp::SegPayload;
 
     fn ep(last: u16, port: u16) -> Endpoint {
         Endpoint::new(Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, last), port)
@@ -157,12 +179,14 @@ mod tests {
             flags: TcpFlags { ack: true, psh: true, ..TcpFlags::NONE },
             window: 4096,
             options: TcpOptions { timestamps: Some((1, 2)), ..TcpOptions::default() },
-            payload: b"payload bytes".to_vec(),
+            payload: SegPayload::Buffered(13),
             kind: crate::types::PacketKind::TcpData,
             is_retransmit: false,
             ect: false,
         };
-        let pkt = build_tcp_packet(ep(1, 4000), ep(2, 5000), &seg);
+        let pkt = build_tcp_packet(ep(1, 4000), ep(2, 5000), &seg, |p| {
+            p.extend_from_slice(b"payload bytes")
+        });
         match decode_packet(&pkt).unwrap() {
             Decoded::Tcp { tcp, payload, .. } => {
                 assert_eq!(tcp.seq, SeqNum(100));
@@ -243,12 +267,12 @@ mod tests {
             flags: TcpFlags { ack: true, ..TcpFlags::NONE },
             window: 1024,
             options: TcpOptions { timestamps: Some((9, 9)), ..TcpOptions::default() },
-            payload: payload.to_vec(),
+            payload: SegPayload::Buffered(payload.len() as u32),
             kind: crate::types::PacketKind::TcpData,
             is_retransmit: false,
             ect: false,
         };
-        build_tcp_packet(ep(1, 4000), ep(2, 5000), &seg)
+        build_tcp_packet(ep(1, 4000), ep(2, 5000), &seg, |p| p.extend_from_slice(payload))
     }
 
     #[test]

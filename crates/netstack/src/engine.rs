@@ -651,9 +651,8 @@ impl Engine {
         }
         self.timers.update(conn, None);
         self.fold_reaped_counters(&entry.tcb);
-        let remote = entry.tcb.remote();
-        let local = entry.tcb.local();
-        out.push(self.encode_one(now, conn, local, remote, &rst));
+        let (ops, stats) = (&mut self.ops, &mut self.stats);
+        out.push(encode(self.tracer.as_ref(), ops, stats, now, conn, &entry.tcb, &rst));
         Ok(())
     }
 
@@ -692,9 +691,9 @@ impl Engine {
             if let Some(tr) = &self.tracer {
                 tr.emit(now, conn.0, TraceEvent::WindowRefresh { wnd: u32::from(u.window) });
             }
-            let entry = self.conns.get(conn).expect("resolved above");
-            let (local, remote) = (entry.tcb.local(), entry.tcb.remote());
-            out.push(self.encode_one(now, conn, local, remote, &u));
+            let tcb = &self.conns.get(conn).expect("resolved above").tcb;
+            let (ops, stats) = (&mut self.ops, &mut self.stats);
+            out.push(encode(self.tracer.as_ref(), ops, stats, now, conn, tcb, &u));
         }
         self.debug_check_conn(conn);
         Ok(())
@@ -737,24 +736,28 @@ impl Engine {
                     payload: payload.to_vec(),
                 });
             }
-            Decoded::Tcp { ip, tcp, payload } => {
+            Decoded::Tcp { ip, tcp, payload, payload_at } => {
                 self.ops.csum_bytes += (usize::from(ip.payload_len)) as u64;
                 if ip.dst != self.local_addr {
                     self.stats.addr_drops += 1;
                     return;
                 }
-                with_scratch(|sc| self.on_tcp_segment(now, &ip, &tcp, payload, sc, out));
+                with_scratch(|sc| {
+                    self.on_tcp_segment(now, &ip, &tcp, payload, payload_at, sc, out);
+                });
             }
             Decoded::Other { .. } => self.stats.demux_drops += 1,
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn on_tcp_segment(
         &mut self,
         now: SimTime,
         ip: &qpip_wire::ipv6::Ipv6Header,
         tcp: &qpip_wire::tcp::TcpHeader,
         payload: &[u8],
+        payload_at: usize,
         sc: &mut TcbScratch,
         out: &mut Vec<Emit>,
     ) {
@@ -804,7 +807,7 @@ impl Engine {
         if let Some(b) = before {
             self.trace_probe_diff(now, conn, &b, &sc.segs, Some(tcp.ack.0), "ack");
         }
-        self.translate_events_into(conn, &mut sc.events, out);
+        self.translate_events_into(conn, payload_at, &mut sc.events, out);
         self.encode_segments_into(now, conn, &mut sc.segs, out);
         self.debug_check_conn(conn);
         self.reap_if_closed(conn);
@@ -844,7 +847,8 @@ impl Engine {
             if let Some(b) = before {
                 self.trace_probe_diff(now, conn, &b, &sc.segs, None, "rto");
             }
-            self.translate_events_into(conn, &mut sc.events, out);
+            // timers deliver nothing, so no packet offset applies
+            self.translate_events_into(conn, 0, &mut sc.events, out);
             self.encode_segments_into(now, conn, &mut sc.segs, out);
             self.debug_check_conn(conn);
             self.reap_if_closed(conn);
@@ -1013,9 +1017,13 @@ impl Engine {
         }
     }
 
+    /// Turns TCB events into emissions; a delivered range, relative to
+    /// the segment payload, moves by `payload_at` to point into the
+    /// packet.
     fn translate_events_into(
         &mut self,
         conn: ConnId,
+        payload_at: usize,
         events: &mut Vec<TcbEvent>,
         emits: &mut Vec<Emit>,
     ) {
@@ -1036,7 +1044,10 @@ impl Engine {
                         }),
                     }
                 }
-                TcbEvent::Delivered(data) => emits.push(Emit::TcpDelivered { conn, data }),
+                TcbEvent::Delivered(r) => emits.push(Emit::TcpDelivered {
+                    conn,
+                    at: payload_at + r.start..payload_at + r.end,
+                }),
                 TcbEvent::SendComplete(token) => emits.push(Emit::TcpSendComplete { conn, token }),
                 TcbEvent::PeerClosed => emits.push(Emit::TcpPeerClosed { conn }),
                 TcbEvent::Closed => emits.push(Emit::TcpClosed { conn }),
@@ -1045,7 +1056,9 @@ impl Engine {
         }
     }
 
-    /// Encodes and drains `segs` into `emits`.
+    /// Encodes and drains `segs` into `emits`, each data segment's
+    /// payload read from the connection's send buffer straight into its
+    /// packet.
     fn encode_segments_into(
         &mut self,
         now: SimTime,
@@ -1057,37 +1070,45 @@ impl Engine {
             segs.clear();
             return;
         };
-        let local = entry.tcb.local();
-        let remote = entry.tcb.remote();
-        emits.extend(segs.drain(..).map(|s| self.encode_one(now, conn, local, remote, &s)));
+        let (ops, stats) = (&mut self.ops, &mut self.stats);
+        emits.extend(
+            segs.drain(..)
+                .map(|s| encode(self.tracer.as_ref(), ops, stats, now, conn, &entry.tcb, &s)),
+        );
     }
+}
 
-    fn encode_one(
-        &mut self,
-        now: SimTime,
-        conn: ConnId,
-        local: Endpoint,
-        remote: Endpoint,
-        seg: &SegmentOut,
-    ) -> Emit {
-        if let Some(tr) = &self.tracer {
-            tr.emit(
-                now,
-                conn.0,
-                TraceEvent::SegTx {
-                    seq: seg.seq.0,
-                    ack: seg.ack.0,
-                    len: seg.payload.len() as u32,
-                    wnd: u32::from(seg.window),
-                    flags: flag_bits(&seg.flags),
-                    retransmit: seg.is_retransmit,
-                },
-            );
-        }
-        let bytes = build_tcp_packet(local, remote, seg);
-        self.ops.headers_built += 2; // TCP + IPv6
-        self.ops.csum_bytes += (bytes.len() - 40) as u64;
-        self.stats.tx_packets += 1;
-        Emit::Packet(PacketOut { dst: remote.addr, bytes, kind: seg.kind, conn: Some(conn) })
+/// Encodes one segment `tcb` produced, its payload read from the send
+/// buffer straight into the packet, and traces and counts it.
+fn encode(
+    tracer: Option<&Tracer>,
+    ops: &mut OpCounters,
+    stats: &mut EngineStats,
+    now: SimTime,
+    conn: ConnId,
+    tcb: &Tcb,
+    seg: &SegmentOut,
+) -> Emit {
+    if let Some(tr) = tracer {
+        tr.emit(
+            now,
+            conn.0,
+            TraceEvent::SegTx {
+                seq: seg.seq.0,
+                ack: seg.ack.0,
+                len: seg.payload.len() as u32,
+                wnd: u32::from(seg.window),
+                flags: flag_bits(&seg.flags),
+                retransmit: seg.is_retransmit,
+            },
+        );
     }
+    let remote = tcb.remote();
+    let bytes = build_tcp_packet(tcb.local(), remote, seg, |pkt| {
+        tcb.read_payload(seg, |part| pkt.extend_from_slice(part));
+    });
+    ops.headers_built += 2; // TCP + IPv6
+    ops.csum_bytes += (bytes.len() - 40) as u64;
+    stats.tx_packets += 1;
+    Emit::Packet(PacketOut { dst: remote.addr, bytes, kind: seg.kind, conn: Some(conn) })
 }

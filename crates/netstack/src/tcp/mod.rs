@@ -9,7 +9,7 @@ pub mod tcb;
 pub use congestion::Congestion;
 pub use rtt::RttEstimator;
 pub use sendbuf::{SegmentData, SendBuffer};
-pub use tcb::{SegmentOut, Tcb, TcbEvent, TcpState};
+pub use tcb::{SegPayload, SegmentOut, Tcb, TcbEvent, TcpState};
 
 #[cfg(test)]
 mod tests {
@@ -25,6 +25,35 @@ mod tests {
 
     fn ep(port: u16) -> Endpoint {
         Endpoint::new(Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, u16::from(port != 1)), port)
+    }
+
+    /// A segment as the peer receives it: the TCB's description plus
+    /// the payload bytes the engine would encode, read from the
+    /// sender's buffer before its next call. Field access finds
+    /// `payload` here (the bytes) and everything else on the segment.
+    #[derive(Debug, Clone)]
+    struct Wire {
+        seg: SegmentOut,
+        payload: Vec<u8>,
+    }
+
+    impl Wire {
+        fn of(from: &Tcb, seg: SegmentOut) -> Wire {
+            let mut payload = Vec::new();
+            from.read_payload(&seg, |part| payload.extend_from_slice(part));
+            Wire { seg, payload }
+        }
+
+        fn all(from: &Tcb, segs: Vec<SegmentOut>) -> Vec<Wire> {
+            segs.into_iter().map(|s| Wire::of(from, s)).collect()
+        }
+    }
+
+    impl std::ops::Deref for Wire {
+        type Target = SegmentOut;
+        fn deref(&self) -> &SegmentOut {
+            &self.seg
+        }
     }
 
     /// Converts a SegmentOut into the TcpHeader the peer would parse.
@@ -49,9 +78,10 @@ mod tests {
         remote: Endpoint,
         iss: SeqNum,
         now: SimTime,
-    ) -> (Tcb, Vec<SegmentOut>) {
+    ) -> (Tcb, Vec<Wire>) {
         let mut out = Vec::new();
         let tcb = Tcb::connect(cfg, local, remote, iss, now, &mut out);
+        let out = Wire::all(&tcb, out);
         (tcb, out)
     }
 
@@ -63,9 +93,10 @@ mod tests {
         syn: &TcpHeader,
         iss: SeqNum,
         now: SimTime,
-    ) -> (Tcb, Vec<SegmentOut>) {
+    ) -> (Tcb, Vec<Wire>) {
         let mut out = Vec::new();
         let tcb = Tcb::accept(cfg, local, remote, syn, iss, now, &mut out);
+        let out = Wire::all(&tcb, out);
         (tcb, out)
     }
 
@@ -79,7 +110,7 @@ mod tests {
             payload: &[u8],
             now: SimTime,
             ops: &mut OpCounters,
-        ) -> (Vec<SegmentOut>, Vec<TcbEvent>);
+        ) -> (Vec<Wire>, Vec<TcbEvent>);
         fn seg_in_marked(
             &mut self,
             cfg: &NetConfig,
@@ -88,13 +119,13 @@ mod tests {
             ce: bool,
             now: SimTime,
             ops: &mut OpCounters,
-        ) -> (Vec<SegmentOut>, Vec<TcbEvent>);
+        ) -> (Vec<Wire>, Vec<TcbEvent>);
         fn timer(
             &mut self,
             cfg: &NetConfig,
             now: SimTime,
             ops: &mut OpCounters,
-        ) -> (Vec<SegmentOut>, Vec<TcbEvent>);
+        ) -> (Vec<Wire>, Vec<TcbEvent>);
         fn send_msg(
             &mut self,
             cfg: &NetConfig,
@@ -102,13 +133,8 @@ mod tests {
             token: SendToken,
             now: SimTime,
             ops: &mut OpCounters,
-        ) -> Vec<SegmentOut>;
-        fn close_conn(
-            &mut self,
-            cfg: &NetConfig,
-            now: SimTime,
-            ops: &mut OpCounters,
-        ) -> Vec<SegmentOut>;
+        ) -> Vec<Wire>;
+        fn close_conn(&mut self, cfg: &NetConfig, now: SimTime, ops: &mut OpCounters) -> Vec<Wire>;
     }
 
     impl Collect for Tcb {
@@ -119,7 +145,7 @@ mod tests {
             payload: &[u8],
             now: SimTime,
             ops: &mut OpCounters,
-        ) -> (Vec<SegmentOut>, Vec<TcbEvent>) {
+        ) -> (Vec<Wire>, Vec<TcbEvent>) {
             self.seg_in_marked(cfg, hdr, payload, false, now, ops)
         }
 
@@ -131,10 +157,10 @@ mod tests {
             ce: bool,
             now: SimTime,
             ops: &mut OpCounters,
-        ) -> (Vec<SegmentOut>, Vec<TcbEvent>) {
+        ) -> (Vec<Wire>, Vec<TcbEvent>) {
             let (mut out, mut evs) = (Vec::new(), Vec::new());
             self.on_segment_marked(cfg, hdr, payload, ce, now, ops, &mut out, &mut evs);
-            (out, evs)
+            (Wire::all(self, out), evs)
         }
 
         fn timer(
@@ -142,10 +168,10 @@ mod tests {
             cfg: &NetConfig,
             now: SimTime,
             ops: &mut OpCounters,
-        ) -> (Vec<SegmentOut>, Vec<TcbEvent>) {
+        ) -> (Vec<Wire>, Vec<TcbEvent>) {
             let (mut out, mut evs) = (Vec::new(), Vec::new());
             self.on_timer(cfg, now, ops, &mut out, &mut evs);
-            (out, evs)
+            (Wire::all(self, out), evs)
         }
 
         fn send_msg(
@@ -155,21 +181,16 @@ mod tests {
             token: SendToken,
             now: SimTime,
             ops: &mut OpCounters,
-        ) -> Vec<SegmentOut> {
+        ) -> Vec<Wire> {
             let mut out = Vec::new();
             self.send(cfg, data, token, now, ops, &mut out);
-            out
+            Wire::all(self, out)
         }
 
-        fn close_conn(
-            &mut self,
-            cfg: &NetConfig,
-            now: SimTime,
-            ops: &mut OpCounters,
-        ) -> Vec<SegmentOut> {
+        fn close_conn(&mut self, cfg: &NetConfig, now: SimTime, ops: &mut OpCounters) -> Vec<Wire> {
             let mut out = Vec::new();
             self.close(cfg, now, ops, &mut out);
-            out
+            Wire::all(self, out)
         }
     }
 
@@ -209,10 +230,10 @@ mod tests {
             from_port: u16,
             to_port: u16,
             to: &mut Tcb,
-            segs: &[SegmentOut],
+            segs: &[Wire],
             now: SimTime,
             ops: &mut OpCounters,
-        ) -> (Vec<SegmentOut>, Vec<TcbEvent>) {
+        ) -> (Vec<Wire>, Vec<TcbEvent>) {
             let mut out = Vec::new();
             let mut evs = Vec::new();
             for s in segs {
@@ -426,6 +447,7 @@ mod tests {
         let mut p = Pair::established(qpip_cfg());
         let cfg = p.cfg.clone();
         let rst = p.client.abort();
+        let rst = Wire::of(&p.client, rst);
         assert!(rst.flags.rst);
         assert_eq!(p.client.state(), TcpState::Closed);
         let (out, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &[rst], p.now, &mut p.ops);
@@ -535,9 +557,11 @@ mod tests {
         let mut delivered = 0usize;
         for i in 0..10u64 {
             let segs = client.send_msg(&cfg, vec![i as u8; 1000], SendToken(i), now, &mut ops);
+            assert_eq!(segs.len(), 1, "a message is one segment");
             let (acks, evs) = Pair::deliver(&cfg, 1, 2, &mut server, &segs, now, &mut ops);
             for e in &evs {
                 if let TcbEvent::Delivered(d) = e {
+                    let d = &segs[0].payload[d.clone()];
                     assert_eq!(d.len(), 1000);
                     assert!(d.iter().all(|&b| b == i as u8));
                     delivered += d.len();
@@ -661,7 +685,7 @@ mod tests {
         assert!(p.client.cwnd() < cwnd_before, "window reduced");
         // next data segment announces CWR
         let segs3 = p.client.send_msg(&cfg, vec![3; 500], SendToken(3), p.now, &mut p.ops);
-        let all: Vec<&SegmentOut> =
+        let all: Vec<&Wire> =
             out.iter().chain(segs3.iter()).filter(|s| !s.payload.is_empty()).collect();
         assert!(all.iter().any(|s| s.flags.cwr), "CWR announced");
         // CWR clears the receiver's echo

@@ -18,12 +18,14 @@
 //! sends a one-byte probe at SND.UNA−1, which the receiver discards as
 //! a duplicate and answers with its current window.
 
+use std::ops::Range;
+
 use qpip_sim::time::{SimDuration, SimTime};
 use qpip_wire::tcp::{SeqNum, TcpFlags, TcpHeader, TcpOptions};
 
 use super::congestion::Congestion;
 use super::rtt::RttEstimator;
-use super::sendbuf::SendBuffer;
+use super::sendbuf::{SegmentData, SendBuffer};
 use crate::types::{Endpoint, NetConfig, OpCounters, PacketKind, SegmentationPolicy, SendToken};
 
 /// Connection states (RFC 793; LISTEN lives in the engine's listener
@@ -67,8 +69,12 @@ const MAX_RETRIES: u32 = 15;
 pub enum TcbEvent {
     /// Handshake completed; the connection is usable.
     Established,
-    /// In-order payload (one event per segment in message mode).
-    Delivered(Vec<u8>),
+    /// In-order payload (one event per segment in message mode): the
+    /// bytes at this range of the segment payload handed to the call
+    /// that returned the event. A retransmission that overlaps data
+    /// already delivered yields only its new suffix. The TCB copies
+    /// nothing; the engine points its caller at the bytes.
+    Delivered(Range<usize>),
     /// A send unit is fully acknowledged.
     SendComplete(SendToken),
     /// The peer's FIN arrived in order.
@@ -99,8 +105,43 @@ struct RtoEpisode {
     dupack_seen: bool,
 }
 
+/// What follows an outgoing segment's header.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SegPayload {
+    /// Nothing: SYN, pure ACK, FIN, RST.
+    Empty,
+    /// This many bytes of the send buffer from the segment's `seq` on.
+    /// They stay buffered until the segment is encoded
+    /// ([`Tcb::read_payload`]).
+    Buffered(u32),
+    /// A zero-window probe's one byte at SND.UNA − 1. That byte is
+    /// already acknowledged and gone from the buffer, and the receiver
+    /// discards it as a duplicate, so it is sent as 0.
+    ProbeByte,
+}
+
+impl SegPayload {
+    /// Payload length in bytes.
+    pub fn len(self) -> usize {
+        match self {
+            SegPayload::Empty => 0,
+            SegPayload::Buffered(n) => n as usize,
+            SegPayload::ProbeByte => 1,
+        }
+    }
+
+    /// `true` for a segment without payload.
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+}
+
 /// An outgoing segment described abstractly; the engine encodes it into
-/// wire bytes (it knows the IP addresses and computes checksums).
+/// wire bytes (it knows the IP addresses and computes checksums). A data
+/// segment names its payload by length, not by an owned copy: the
+/// engine reads the bytes from the send buffer into the packet, so
+/// segments must be encoded before the TCB's next call (which may
+/// release acknowledged data).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentOut {
     /// Sequence number.
@@ -114,7 +155,7 @@ pub struct SegmentOut {
     /// Options to carry.
     pub options: TcpOptions,
     /// Payload.
-    pub payload: Vec<u8>,
+    pub payload: SegPayload,
     /// Cost-model classification.
     pub kind: PacketKind,
     /// True when this transmission is a retransmission.
@@ -625,6 +666,17 @@ impl Tcb {
         self.try_output(cfg, now, ops, out);
     }
 
+    /// Passes `f` the payload of `seg`, a segment this TCB produced and
+    /// has not been called since, as one slice per send unit it spans:
+    /// the encoder copies them into the packet.
+    pub fn read_payload(&self, seg: &SegmentOut, mut f: impl FnMut(&[u8])) {
+        match seg.payload {
+            SegPayload::Empty => {}
+            SegPayload::Buffered(len) => self.sendbuf.read(seg.seq, len, f),
+            SegPayload::ProbeByte => f(&[0]),
+        }
+    }
+
     /// Aborts the connection, producing an RST.
     pub fn abort(&mut self) -> SegmentOut {
         let seq = self.sendbuf.nxt();
@@ -636,7 +688,7 @@ impl Tcb {
             flags: TcpFlags { rst: true, ack: true, ..TcpFlags::NONE },
             window: 0,
             options: TcpOptions::default(),
-            payload: Vec::new(),
+            payload: SegPayload::Empty,
             kind: PacketKind::TcpControl,
             is_retransmit: false,
             ect: false,
@@ -959,7 +1011,7 @@ impl Tcb {
                 if let Some(seg) = self.sendbuf.retransmit_front(self.max_payload(cfg)) {
                     self.retransmit_count += 1;
                     self.fast_retransmits += 1;
-                    let s = self.make_data_segment(seg.seq, seg.bytes, seg.psh, now, true);
+                    let s = self.make_data_segment(seg, now, true);
                     out.push(s);
                     self.arm_rto(now);
                 }
@@ -999,9 +1051,8 @@ impl Tcb {
         }
         // trim any already-received prefix
         let offset = (self.rcv_nxt - hdr.seq) as usize;
-        let fresh = &payload[offset..];
-        self.rcv_nxt += fresh.len() as u32;
-        events.push(TcbEvent::Delivered(fresh.to_vec()));
+        self.rcv_nxt = seg_end;
+        events.push(TcbEvent::Delivered(offset..payload.len()));
 
         // ACK generation policy
         match cfg.ack_policy {
@@ -1090,7 +1141,7 @@ impl Tcb {
                     // fetching host data, so it is a control packet.
                     let mut probe = self.make_ack(now, PacketKind::TcpControl);
                     probe.seq = SeqNum(self.sendbuf.una().0.wrapping_sub(1));
-                    probe.payload = vec![0];
+                    probe.payload = SegPayload::ProbeByte;
                     out.push(probe);
                     self.persist_probes += 1;
                     self.arm_rto(now);
@@ -1125,9 +1176,7 @@ impl Tcb {
                             {
                                 self.retransmit_count += 1;
                                 self.rto_retransmits += 1;
-                                let s =
-                                    self.make_data_segment(seg.seq, seg.bytes, seg.psh, now, true);
-                                out.push(s);
+                                out.push(self.make_data_segment(seg, now, true));
                             }
                         } else if self.fin_sent && !self.fin_acked(self.sendbuf.una()) {
                             self.retransmit_count += 1;
@@ -1188,8 +1237,7 @@ impl Tcb {
             if !self.ts_on && self.timed_seq.is_none() {
                 self.timed_seq = Some((seg.seq, now));
             }
-            let s = self.make_data_segment(seg.seq, seg.bytes, seg.psh, now, false);
-            out.push(s);
+            out.push(self.make_data_segment(seg, now, false));
             // every outgoing segment acknowledges rcv_nxt, satisfying any
             // pending delayed ACK (the piggyback rule)
             self.segs_unacked = 0;
@@ -1251,7 +1299,7 @@ impl Tcb {
             flags,
             window: self.advertised_window(),
             options,
-            payload: Vec::new(),
+            payload: SegPayload::Empty,
             kind: PacketKind::TcpControl,
             is_retransmit,
             ect: false,
@@ -1267,7 +1315,7 @@ impl Tcb {
             flags,
             window: self.advertised_window(),
             options: self.data_options(now),
-            payload: Vec::new(),
+            payload: SegPayload::Empty,
             kind,
             is_retransmit: false,
             ect: false,
@@ -1276,9 +1324,7 @@ impl Tcb {
 
     fn make_data_segment(
         &mut self,
-        seq: SeqNum,
-        payload: Vec<u8>,
-        psh: bool,
+        seg: SegmentData,
         now: SimTime,
         is_retransmit: bool,
     ) -> SegmentOut {
@@ -1288,18 +1334,18 @@ impl Tcb {
         }
         self.last_ack_sent = self.rcv_nxt;
         SegmentOut {
-            seq,
+            seq: seg.seq,
             ack: self.rcv_nxt,
             flags: TcpFlags {
                 ack: true,
-                psh,
+                psh: seg.psh,
                 ece: self.ecn_on && self.ece_pending,
                 cwr,
                 ..TcpFlags::NONE
             },
             window: self.advertised_window(),
             options: self.data_options(now),
-            payload,
+            payload: SegPayload::Buffered(seg.len),
             kind: PacketKind::TcpData,
             is_retransmit,
             // retransmissions are not ECT (RFC 3168 §6.1.5)
@@ -1315,7 +1361,7 @@ impl Tcb {
             flags: TcpFlags { fin: true, ack: true, ..TcpFlags::NONE },
             window: self.advertised_window(),
             options: self.data_options(now),
-            payload: Vec::new(),
+            payload: SegPayload::Empty,
             kind: PacketKind::TcpControl,
             is_retransmit,
             ect: false,

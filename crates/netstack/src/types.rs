@@ -3,6 +3,7 @@
 
 use core::fmt;
 use std::net::Ipv6Addr;
+use std::ops::Range;
 
 use qpip_sim::time::SimDuration;
 use qpip_wire::packet::Packet;
@@ -248,11 +249,17 @@ pub enum Emit {
     /// In-order payload arrived on a connection. With
     /// [`SegmentationPolicy::MessagePerSegment`] each event is exactly
     /// one QP message (one segment).
+    ///
+    /// The engine does not copy the payload: the bytes are
+    /// `packet[at]` of the packet handed to the
+    /// [`Engine::on_packet`](crate::engine::Engine::on_packet) call that
+    /// returned this event, and only that call returns one. The caller
+    /// copies them once, into the buffer its reader takes them from.
     TcpDelivered {
         /// The connection.
         conn: ConnId,
-        /// Payload bytes.
-        data: Vec<u8>,
+        /// Where the payload lies in the received packet.
+        at: Range<usize>,
     },
     /// Every byte of the send unit identified by `token` is now
     /// acknowledged (§3: "This WR completes when all the data for that

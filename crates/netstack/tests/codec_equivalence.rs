@@ -9,7 +9,7 @@
 use std::net::Ipv6Addr;
 
 use qpip_netstack::codec::{build_tcp_packet, build_udp_packet, decode_packet, Decoded};
-use qpip_netstack::tcp::SegmentOut;
+use qpip_netstack::tcp::{SegPayload, SegmentOut};
 use qpip_netstack::types::{Endpoint, PacketKind};
 use qpip_sim::rng::SplitMix64;
 use qpip_wire::ipv6::{Ecn, Ipv6Header, NextHeader, IPV6_HEADER_LEN};
@@ -66,7 +66,12 @@ fn legacy_build_udp_packet(src: Endpoint, dst: Endpoint, payload: &[u8]) -> Vec<
     legacy_wrap_ipv6(src.addr, dst.addr, NextHeader::Udp, seg)
 }
 
-fn legacy_build_tcp_packet(src: Endpoint, dst: Endpoint, seg: &SegmentOut) -> Vec<u8> {
+fn legacy_build_tcp_packet(
+    src: Endpoint,
+    dst: Endpoint,
+    seg: &SegmentOut,
+    payload: &[u8],
+) -> Vec<u8> {
     let hdr = TcpHeader {
         src_port: src.port,
         dst_port: dst.port,
@@ -78,9 +83,9 @@ fn legacy_build_tcp_packet(src: Endpoint, dst: Endpoint, seg: &SegmentOut) -> Ve
         urgent: 0,
         options: seg.options,
     };
-    let mut bytes = Vec::with_capacity(hdr.encoded_len() + seg.payload.len());
+    let mut bytes = Vec::with_capacity(hdr.encoded_len() + payload.len());
     hdr.encode(&mut bytes);
-    bytes.extend_from_slice(&seg.payload);
+    bytes.extend_from_slice(payload);
     let ck = scalar_transport_checksum(src.addr, dst.addr, NextHeader::Tcp.code(), &bytes);
     bytes[16..18].copy_from_slice(&ck.to_be_bytes());
     let mut pkt = legacy_wrap_ipv6(src.addr, dst.addr, NextHeader::Tcp, bytes);
@@ -100,8 +105,13 @@ fn arb_endpoint(r: &mut SplitMix64) -> Endpoint {
     Endpoint { addr: Ipv6Addr::from(o), port: r.next_u32() as u16 }
 }
 
-fn arb_segment(r: &mut SplitMix64) -> SegmentOut {
-    SegmentOut {
+/// A segment and the payload bytes it carries.
+fn arb_segment(r: &mut SplitMix64) -> (SegmentOut, Vec<u8>) {
+    let payload = {
+        let len = r.range_usize(0, 1461);
+        r.bytes(len)
+    };
+    let seg = SegmentOut {
         seq: SeqNum(r.next_u32()),
         ack: SeqNum(r.next_u32()),
         flags: TcpFlags::from_byte(r.below(64) as u8),
@@ -111,14 +121,12 @@ fn arb_segment(r: &mut SplitMix64) -> SegmentOut {
             window_scale: r.flip().then(|| r.below(15) as u8),
             timestamps: r.flip().then(|| (r.next_u32(), r.next_u32())),
         },
-        payload: {
-            let len = r.range_usize(0, 1461);
-            r.bytes(len)
-        },
+        payload: SegPayload::Buffered(payload.len() as u32),
         kind: PacketKind::TcpData,
         is_retransmit: false,
         ect: r.flip(),
-    }
+    };
+    (seg, payload)
 }
 
 // ---------------------------------------------------------------------
@@ -130,13 +138,13 @@ fn tcp_packets_match_legacy_encoding_byte_for_byte() {
     let mut r = SplitMix64::new(0xc0dec1);
     for _ in 0..CASES {
         let (src, dst) = (arb_endpoint(&mut r), arb_endpoint(&mut r));
-        let seg = arb_segment(&mut r);
-        let pkt = build_tcp_packet(src, dst, &seg);
-        let legacy = legacy_build_tcp_packet(src, dst, &seg);
+        let (seg, bytes) = arb_segment(&mut r);
+        let pkt = build_tcp_packet(src, dst, &seg, |p| p.extend_from_slice(&bytes));
+        let legacy = legacy_build_tcp_packet(src, dst, &seg, &bytes);
         assert_eq!(&pkt[..], &legacy[..], "seg {seg:?}");
         // and the borrowed decode sees the payload the legacy copy saw
         match decode_packet(&pkt).unwrap() {
-            Decoded::Tcp { payload, .. } => assert_eq!(payload, &seg.payload[..]),
+            Decoded::Tcp { payload, .. } => assert_eq!(payload, &bytes[..]),
             other => panic!("decoded as {other:?}"),
         }
     }

@@ -26,6 +26,9 @@ struct Wire {
     queue: VecDeque<(bool, qpip_wire::Packet)>,
     events_a: Vec<Emit>,
     events_b: Vec<Emit>,
+    /// Payload bytes each side delivered, in order.
+    delivered_a: Vec<u8>,
+    delivered_b: Vec<u8>,
     /// Indices of queued packets to drop (testing loss), consumed once.
     drop_next: Vec<usize>,
     sent: usize,
@@ -40,14 +43,26 @@ impl Wire {
             queue: VecDeque::new(),
             events_a: Vec::new(),
             events_b: Vec::new(),
+            delivered_a: Vec::new(),
+            delivered_b: Vec::new(),
             drop_next: Vec::new(),
             sent: 0,
         }
     }
 
     fn absorb(&mut self, from_a: bool, emits: Vec<Emit>) {
+        self.absorb_rx(from_a, emits, &[]);
+    }
+
+    /// Absorbs what an engine emitted while handling the packet `rx`,
+    /// copying delivered payload out of it.
+    fn absorb_rx(&mut self, from_a: bool, emits: Vec<Emit>, rx: &[u8]) {
         for e in emits {
             match e {
+                Emit::TcpDelivered { at, .. } => {
+                    let to = if from_a { &mut self.delivered_a } else { &mut self.delivered_b };
+                    to.extend_from_slice(&rx[at]);
+                }
                 Emit::Packet(p) => {
                     let idx = self.sent;
                     self.sent += 1;
@@ -76,10 +91,10 @@ impl Wire {
             self.now += SimDuration::from_micros(5);
             if to_b {
                 let emits = self.b.on_packet_vec(self.now, &bytes);
-                self.absorb(false, emits);
+                self.absorb_rx(false, emits, &bytes);
             } else {
                 let emits = self.a.on_packet_vec(self.now, &bytes);
-                self.absorb(true, emits);
+                self.absorb_rx(true, emits, &bytes);
             }
         }
     }
@@ -118,14 +133,7 @@ impl Wire {
     }
 
     fn delivered_to_b(&self) -> Vec<u8> {
-        self.events_b
-            .iter()
-            .filter_map(|e| match e {
-                Emit::TcpDelivered { data, .. } => Some(data.clone()),
-                _ => None,
-            })
-            .flatten()
-            .collect()
+        self.delivered_b.clone()
     }
 }
 
@@ -180,15 +188,7 @@ fn qpip_node_interoperates_with_host_stack_node() {
     w.absorb(false, emits);
     w.run();
     w.fire_timers();
-    let back: Vec<u8> = w
-        .events_a
-        .iter()
-        .filter_map(|e| match e {
-            Emit::TcpDelivered { data, .. } => Some(data.clone()),
-            _ => None,
-        })
-        .flatten()
-        .collect();
+    let back = w.delivered_a.clone();
     assert_eq!(back, vec![0xcd; 2000]);
 }
 

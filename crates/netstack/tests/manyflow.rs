@@ -67,7 +67,9 @@ impl Net {
         }
     }
 
-    fn absorb(&mut self, from_a: bool, emits: Vec<Emit>) {
+    /// Absorbs what an engine emitted; delivered payload is copied out
+    /// of `rx`, the packet the engine was handling (empty otherwise).
+    fn absorb(&mut self, from_a: bool, emits: Vec<Emit>, rx: &[u8]) {
         for e in emits {
             match e {
                 Emit::Packet(p) => {
@@ -88,10 +90,10 @@ impl Net {
                     let flow = (peer.port - BASE_PORT) as usize;
                     assert!(self.flow_of.insert(conn.0, flow).is_none(), "duplicate accept");
                 }
-                Emit::TcpDelivered { conn, data } => {
+                Emit::TcpDelivered { conn, at } => {
                     assert!(!from_a, "only the server receives data");
                     let flow = self.flow_of[&conn.0];
-                    self.delivered[flow].extend(data);
+                    self.delivered[flow].extend_from_slice(&rx[at]);
                 }
                 Emit::TcpSendComplete { token, .. } => {
                     assert!(from_a, "only the client sends");
@@ -107,10 +109,10 @@ impl Net {
             self.now += SimDuration::from_micros(3);
             if to_b {
                 let e = self.b.on_packet_vec(self.now, &bytes);
-                self.absorb(false, e);
+                self.absorb(false, e, &bytes);
             } else {
                 let e = self.a.on_packet_vec(self.now, &bytes);
-                self.absorb(true, e);
+                self.absorb(true, e, &bytes);
             }
         }
         self.assert_table_invariants();
@@ -121,9 +123,9 @@ impl Net {
         let Some(d) = next else { return false };
         self.now = self.now.max(d);
         let ea = self.a.on_timer_vec(self.now);
-        self.absorb(true, ea);
+        self.absorb(true, ea, &[]);
         let eb = self.b.on_timer_vec(self.now);
-        self.absorb(false, eb);
+        self.absorb(false, eb, &[]);
         self.drain();
         true
     }
@@ -151,7 +153,7 @@ fn many_flows_survive_loss_and_reorder_then_drain() {
         let (c, emits) =
             n.a.tcp_connect_vec(n.now, BASE_PORT + i as u16, Endpoint::new(addr(2), 80));
         conns.push(c);
-        n.absorb(true, emits);
+        n.absorb(true, emits, &[]);
     }
     n.drain();
     for _ in 0..200 {
@@ -173,7 +175,7 @@ fn many_flows_survive_loss_and_reorder_then_drain() {
             expected[i].extend(&payload);
             let token = SendToken((i * MSGS + m) as u64);
             let emits = n.a.tcp_send_vec(n.now, c, payload, token).unwrap();
-            n.absorb(true, emits);
+            n.absorb(true, emits, &[]);
         }
         // interleave flows on the wire rather than sending sequentially
         if i % 16 == 15 {
@@ -202,13 +204,13 @@ fn many_flows_survive_loss_and_reorder_then_drain() {
     // teardown: close both halves of every flow, then let timers quiesce
     for &c in &conns {
         let emits = n.a.tcp_close_vec(n.now, c).unwrap();
-        n.absorb(true, emits);
+        n.absorb(true, emits, &[]);
     }
     n.drain();
     let server_conns: Vec<u32> = n.flow_of.keys().copied().collect();
     for c in server_conns {
         let emits = n.b.tcp_close_vec(n.now, ConnId(c)).unwrap();
-        n.absorb(false, emits);
+        n.absorb(false, emits, &[]);
     }
     n.drain();
     let mut rounds = 0;

@@ -46,7 +46,9 @@ impl LossyWire {
         }
     }
 
-    fn absorb(&mut self, from_a: bool, emits: Vec<Emit>) {
+    /// Absorbs what an engine emitted; delivered payload is copied out
+    /// of `rx`, the packet the engine was handling (empty otherwise).
+    fn absorb(&mut self, from_a: bool, emits: Vec<Emit>, rx: &[u8]) {
         for e in emits {
             match e {
                 Emit::Packet(p) => {
@@ -60,13 +62,13 @@ impl LossyWire {
                         self.queue.push_back((from_a, p.bytes));
                     }
                 }
-                Emit::TcpDelivered { data, .. } => {
+                Emit::TcpDelivered { at, .. } => {
                     if !from_a {
                         // ignore: only a→b data matters here
                     } else {
                         unreachable!("a never receives data in this test");
                     }
-                    self.delivered.extend(data);
+                    self.delivered.extend_from_slice(&rx[at]);
                 }
                 Emit::TcpSendComplete { token, .. } => self.completions.push(token.0),
                 _ => {}
@@ -79,10 +81,10 @@ impl LossyWire {
             self.now += SimDuration::from_micros(3);
             if to_b {
                 let e = self.b.on_packet_vec(self.now, &bytes);
-                self.absorb(false, e);
+                self.absorb(false, e, &bytes);
             } else {
                 let e = self.a.on_packet_vec(self.now, &bytes);
-                self.absorb(true, e);
+                self.absorb(true, e, &bytes);
             }
         }
     }
@@ -92,9 +94,9 @@ impl LossyWire {
         let Some(d) = next else { return false };
         self.now = self.now.max(d);
         let ea = self.a.on_timer_vec(self.now);
-        self.absorb(true, ea);
+        self.absorb(true, ea, &[]);
         let eb = self.b.on_timer_vec(self.now);
-        self.absorb(false, eb);
+        self.absorb(false, eb, &[]);
         self.drain();
         self.assert_table_invariants();
         true
@@ -119,7 +121,7 @@ fn run_transfer(cfg: NetConfig, messages: Vec<Vec<u8>>, losses: Vec<bool>) {
     let mut w = LossyWire::new(cfg, losses);
     w.b.tcp_listen(80).unwrap();
     let (ca, emits) = w.a.tcp_connect_vec(w.now, 2000, Endpoint::new(addr(2), 80));
-    w.absorb(true, emits);
+    w.absorb(true, emits, &[]);
     w.drain();
     // handshake may itself need retries under loss
     for _ in 0..50 {
@@ -133,7 +135,7 @@ fn run_transfer(cfg: NetConfig, messages: Vec<Vec<u8>>, losses: Vec<bool>) {
     let expected: Vec<u8> = messages.iter().flatten().copied().collect();
     for (i, m) in messages.into_iter().enumerate() {
         let emits = w.a.tcp_send_vec(w.now, ca, m, SendToken(i as u64)).unwrap();
-        w.absorb(true, emits);
+        w.absorb(true, emits, &[]);
         w.drain();
     }
     // pump timers until everything is recovered (bounded)
@@ -195,11 +197,11 @@ fn lossless_transfer_never_retransmits() {
         let mut w = LossyWire::new(cfg, vec![false]);
         w.b.tcp_listen(80).unwrap();
         let (ca, emits) = w.a.tcp_connect_vec(w.now, 2000, Endpoint::new(addr(2), 80));
-        w.absorb(true, emits);
+        w.absorb(true, emits, &[]);
         w.drain();
         for (i, &s) in sizes.iter().enumerate() {
             let emits = w.a.tcp_send_vec(w.now, ca, vec![7; s], SendToken(i as u64)).unwrap();
-            w.absorb(true, emits);
+            w.absorb(true, emits, &[]);
             w.drain();
         }
         assert_eq!(w.a.retransmissions(), 0);

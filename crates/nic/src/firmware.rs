@@ -484,9 +484,7 @@ impl<M: CostModel> QpipNic<M> {
             let t = self.tx_wr_preamble(now, PacketClass::DataSend);
             let conn = self.qps.conn(qp)?;
             let payload = if self.cfg.rdma_framing {
-                let mut msg = RdmaFrame::send(wr.payload.len() as u32).encode();
-                msg.extend_from_slice(&wr.payload);
-                msg
+                RdmaFrame::send(wr.payload.len() as u32).encode_with(&wr.payload)
             } else {
                 wr.payload
             };
@@ -606,15 +604,14 @@ impl<M: CostModel> QpipNic<M> {
     ) -> Result<(), NicError> {
         let conn = self.rdma_conn(qp)?;
         let t = self.tx_wr_preamble(now, PacketClass::DataSend);
-        let mut msg = RdmaFrame {
+        let msg = RdmaFrame {
             opcode: RdmaOpcode::Write,
             rkey: wr.rkey.0,
             offset: wr.remote_offset,
             len: wr.data.len() as u32,
             context: 0,
         }
-        .encode();
-        msg.extend_from_slice(&wr.data);
+        .encode_with(&wr.data);
         self.send_posted(t, conn, msg, TokenUse::RdmaWrite(qp, wr.wr_id), out)
     }
 
@@ -690,29 +687,31 @@ impl<M: CostModel> QpipNic<M> {
                 .inspect_err(|_| self.qps.cancel_token(token))?;
             let ops = self.engine.take_ops();
             let t = self.charge_muls(t, ops.muls, PacketClass::DataSend);
-            self.process_emits_from(t, emits, TxOrigin::PostedWr, out);
+            self.process_emits_from(t, emits, TxOrigin::PostedWr, &[], out);
             Ok(())
         })
     }
 
-    /// Dispatches one framed message (RDMA-enabled QPs).
+    /// Dispatches one framed message (RDMA-enabled QPs), copying its
+    /// payload once: into a receive buffer, a registered region, or the
+    /// read response.
     fn deliver_framed(
         &mut self,
         t: SimTime,
         conn: ConnId,
-        data: Vec<u8>,
+        data: &[u8],
         outputs: &mut Vec<NicOutput>,
     ) -> SimTime {
         if self.qps.qp_of(conn).is_none() {
             return t;
         }
-        let parsed = RdmaFrame::parse(&data);
+        let parsed = RdmaFrame::parse(data);
         let Ok((frame, payload)) = parsed else {
             return self.rdma_protection_error(t, conn, outputs);
         };
         match frame.opcode {
             RdmaOpcode::Send => {
-                let outcome = self.qps.handle(Emit::TcpDelivered { conn, data: payload.to_vec() });
+                let outcome = self.qps.deliver_tcp(conn, payload);
                 self.apply(t, outcome, outputs)
             }
             RdmaOpcode::Write => {
@@ -749,10 +748,19 @@ impl<M: CostModel> QpipNic<M> {
                 )
             }
             RdmaOpcode::ReadRequest => {
-                let Some(data) = self.mrs.get(&frame.rkey).and_then(|r| {
+                // the response carries the region's bytes behind its frame
+                let Some(msg) = self.mrs.get(&frame.rkey).and_then(|r| {
                     let off = frame.offset as usize;
                     let end = off.checked_add(frame.len as usize)?;
-                    r.get(off..end).map(<[u8]>::to_vec)
+                    let data = r.get(off..end)?;
+                    let hdr = RdmaFrame {
+                        opcode: RdmaOpcode::ReadResponse,
+                        rkey: frame.rkey,
+                        offset: frame.offset,
+                        len: frame.len,
+                        context: frame.context,
+                    };
+                    Some(hdr.encode_with(data))
                 }) else {
                     return self.rdma_protection_error(t, conn, outputs);
                 };
@@ -764,23 +772,14 @@ impl<M: CostModel> QpipNic<M> {
                     PacketClass::DataSend,
                     Cycles(params::NIC_STAGE_GET_DATA_CYCLES),
                 );
-                let _dma = self.model.dma_read(t, data.len() as u64);
+                let _dma = self.model.dma_read(t, u64::from(frame.len));
                 let token = self.qps.issue_token(TokenUse::Internal);
-                let mut msg = RdmaFrame {
-                    opcode: RdmaOpcode::ReadResponse,
-                    rkey: frame.rkey,
-                    offset: frame.offset,
-                    len: data.len() as u32,
-                    context: frame.context,
-                }
-                .encode();
-                msg.extend_from_slice(&data);
                 // a nested engine call: the buffer being drained is not
                 // appended to
                 with_emit_buffer(|emits| match self.engine.tcp_send(t, conn, msg, token, emits) {
                     Ok(()) => {
                         let _ = self.engine.take_ops();
-                        self.process_emits_from(t, emits, TxOrigin::Deferred, outputs);
+                        self.process_emits_from(t, emits, TxOrigin::Deferred, &[], outputs);
                         t
                     }
                     Err(_) => self.rdma_protection_error(t, conn, outputs),
@@ -926,7 +925,7 @@ impl<M: CostModel> QpipNic<M> {
             };
             let parse = Cycles(parse_base + ops.muls * self.mul_cycles);
             let t = self.charge(t, parse_stage, class, parse);
-            self.process_emits(t, emits, out);
+            self.process_emits_from(t, emits, TxOrigin::Internal, bytes, out);
         });
     }
 
@@ -951,7 +950,7 @@ impl<M: CostModel> QpipNic<M> {
             self.engine.on_timer(t, emits);
             let ops = self.engine.take_ops();
             let t = self.charge_muls(t, ops.muls, PacketClass::Control);
-            self.process_emits_from(t, emits, TxOrigin::Deferred, out);
+            self.process_emits_from(t, emits, TxOrigin::Deferred, &[], out);
         });
     }
 
@@ -978,18 +977,22 @@ impl<M: CostModel> QpipNic<M> {
     }
 
     fn process_emits(&mut self, t: SimTime, emits: &mut Vec<Emit>, outputs: &mut Vec<NicOutput>) {
-        self.process_emits_from(t, emits, TxOrigin::Internal, outputs);
+        self.process_emits_from(t, emits, TxOrigin::Internal, &[], outputs);
     }
 
     /// Drains `emits` in order, doing the firmware's work for each.
     /// Engine calls made along the way (window announcements, read
     /// responses, aborts) use buffers of their own, so their output is
-    /// handled depth-first, before the next entry of `emits`.
+    /// handled depth-first, before the next entry of `emits`. `rx` is
+    /// the packet the engine was handling (empty for other calls):
+    /// delivered payload is copied from it once, into the buffer the
+    /// host takes it from.
     fn process_emits_from(
         &mut self,
         t: SimTime,
         emits: &mut Vec<Emit>,
         data_origin: TxOrigin,
+        rx: &[u8],
         outputs: &mut Vec<NicOutput>,
     ) {
         let mut t = t;
@@ -1002,8 +1005,12 @@ impl<M: CostModel> QpipNic<M> {
                     };
                     self.emit_one(t, pkt, origin, outputs)
                 }
-                Emit::TcpDelivered { conn, data } if self.cfg.rdma_framing => {
-                    self.deliver_framed(t, conn, data, outputs)
+                Emit::TcpDelivered { conn, at } if self.cfg.rdma_framing => {
+                    self.deliver_framed(t, conn, &rx[at], outputs)
+                }
+                Emit::TcpDelivered { conn, at } => {
+                    let outcome = self.qps.deliver_tcp(conn, &rx[at]);
+                    self.apply(t, outcome, outputs)
                 }
                 emit => {
                     let outcome = self.qps.handle(emit);

@@ -522,12 +522,16 @@ impl QpTable {
     ///
     /// # Panics
     ///
-    /// On [`Emit::Packet`]: transmitting is the driver's job.
+    /// On [`Emit::Packet`], since transmitting is the driver's job, and on
+    /// [`Emit::TcpDelivered`], whose bytes only the driver holds: it
+    /// calls [`QpTable::deliver_tcp`] instead.
     pub fn handle(&mut self, emit: Emit) -> Outcome {
         match emit {
             Emit::Packet(_) => unreachable!("the driver transmits packets"),
+            Emit::TcpDelivered { .. } => {
+                unreachable!("the driver delivers payload from the packet (deliver_tcp)")
+            }
             Emit::UdpDelivered { port, src, payload } => self.deliver_udp(port, src, payload),
-            Emit::TcpDelivered { conn, data } => self.deliver_tcp(conn, data),
             Emit::TcpSendComplete { token, .. } => self.retire(token),
             Emit::TcpConnected { conn } => match self.qp_of(conn) {
                 Some(qp) => self.up(qp, conn),
@@ -564,10 +568,14 @@ impl QpTable {
         Outcome::Placed(place(&mut self.counters, q, qp, wr, payload, Some(src)))
     }
 
-    fn deliver_tcp(&mut self, conn: ConnId, data: Vec<u8>) -> Outcome {
+    /// Decides where an in-order TCP message goes: the oldest receive
+    /// WR of its QP, or the QP's backlog. The bytes are copied once,
+    /// into the buffer the completion (or the backlog) holds.
+    pub fn deliver_tcp(&mut self, conn: ConnId, data: &[u8]) -> Outcome {
         let Some(qp) = self.qp_of(conn) else {
             return Outcome::Nothing;
         };
+        let data = data.to_vec();
         let q = self.qps.get_mut(&qp).expect("mapped conn has a QP");
         match q.take_wr() {
             Some(wr) => Outcome::Placed(place(&mut self.counters, q, qp, wr, data, None)),
@@ -775,9 +783,7 @@ mod tests {
         let cq = t.create_cq();
         let qp = t.create_qp(TCP, cq, cq).unwrap();
         t.attach(qp, ConnId(3));
-        let deliver = |t: &mut QpTable, n: usize| {
-            t.handle(Emit::TcpDelivered { conn: ConnId(3), data: vec![0; n] })
-        };
+        let deliver = |t: &mut QpTable, n: usize| t.deliver_tcp(ConnId(3), &vec![0; n]);
         assert!(matches!(deliver(&mut t, 10), Outcome::Backlogged));
         assert!(matches!(deliver(&mut t, 4), Outcome::Backlogged));
 

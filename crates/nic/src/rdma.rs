@@ -75,13 +75,19 @@ impl RdmaFrame {
 
     /// Encodes to the 28-byte wire form.
     pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(RDMA_FRAME_LEN);
+        self.encode_with(&[])
+    }
+
+    /// Encodes the frame followed by `payload`, in one allocation.
+    pub fn encode_with(&self, payload: &[u8]) -> Vec<u8> {
+        let mut b = Vec::with_capacity(RDMA_FRAME_LEN + payload.len());
         b.push(self.opcode.code());
         b.extend_from_slice(&[0u8; 3]);
         b.extend_from_slice(&self.rkey.to_be_bytes());
         b.extend_from_slice(&self.offset.to_be_bytes());
         b.extend_from_slice(&self.len.to_be_bytes());
         b.extend_from_slice(&self.context.to_be_bytes());
+        b.extend_from_slice(payload);
         b
     }
 

@@ -28,44 +28,33 @@ fn main() {
     let mut now = SimTime::ZERO;
     let mut wire: VecDeque<(bool, qpip_wire::Packet)> = VecDeque::new();
     let mut from_qp: Vec<Vec<u8>> = Vec::new();
-    let mut from_sock: Vec<u8> = Vec::new();
 
     sock_side.tcp_listen(80).unwrap();
     // one output buffer, reused by every engine call below
     let mut emits: Vec<Emit> = Vec::new();
     let conn = qp_side.tcp_connect(now, 7000, Endpoint::new(addr(2), 80), &mut emits);
-    let absorb = |to_sock: bool,
-                  emits: &mut Vec<Emit>,
-                  wire: &mut VecDeque<(bool, qpip_wire::Packet)>,
-                  from_qp: &mut Vec<Vec<u8>>,
-                  from_sock: &mut Vec<u8>| {
-        for e in emits.drain(..) {
-            match e {
-                Emit::Packet(p) => wire.push_back((to_sock, p.bytes)),
-                Emit::TcpDelivered { data, .. } => {
-                    if to_sock {
-                        // events produced by the QP side
-                        from_sock.extend(data);
-                    } else {
-                        from_qp.push(data);
+    // what a local call (connect, send) emits; data arrives only with a
+    // packet, in `pump`
+    let absorb =
+        |to_sock: bool, emits: &mut Vec<Emit>, wire: &mut VecDeque<(bool, qpip_wire::Packet)>| {
+            for e in emits.drain(..) {
+                match e {
+                    Emit::Packet(p) => wire.push_back((to_sock, p.bytes)),
+                    Emit::TcpAccepted { peer, .. } => {
+                        println!("socket side accepted a connection from {peer}");
                     }
+                    Emit::TcpConnected { .. } => println!("QP side connected"),
+                    _ => {}
                 }
-                Emit::TcpAccepted { peer, .. } => {
-                    println!("socket side accepted a connection from {peer}");
-                }
-                Emit::TcpConnected { .. } => println!("QP side connected"),
-                _ => {}
             }
-        }
-    };
-    absorb(true, &mut emits, &mut wire, &mut from_qp, &mut from_sock);
+        };
+    absorb(true, &mut emits, &mut wire);
 
     let pump = |qp_side: &mut Engine,
                 sock_side: &mut Engine,
                 now: &mut SimTime,
                 wire: &mut VecDeque<(bool, qpip_wire::Packet)>,
                 from_qp: &mut Vec<Vec<u8>>,
-                _from_sock: &mut Vec<u8>,
                 emits: &mut Vec<Emit>| {
         while let Some((to_sock, bytes)) = wire.pop_front() {
             *now += SimDuration::from_micros(5);
@@ -78,9 +67,11 @@ fn main() {
             for e in emits.drain(..) {
                 match e {
                     Emit::Packet(p) => wire.push_back((!to_sock, p.bytes)),
-                    Emit::TcpDelivered { data, .. } => {
+                    Emit::TcpDelivered { at, .. } => {
+                        // the payload is a range of the packet just handled
+                        let data = &bytes[at];
                         if to_sock {
-                            from_qp.push(data); // delivered at sock side
+                            from_qp.push(data.to_vec()); // delivered at sock side
                         } else {
                             // delivered at QP side: one event per message
                             println!(
@@ -98,32 +89,16 @@ fn main() {
             }
         }
     };
-    pump(
-        &mut qp_side,
-        &mut sock_side,
-        &mut now,
-        &mut wire,
-        &mut from_qp,
-        &mut from_sock,
-        &mut emits,
-    );
+    pump(&mut qp_side, &mut sock_side, &mut now, &mut wire, &mut from_qp, &mut emits);
 
     // QP → socket: two distinct messages; the socket sees one stream.
     for (i, msg) in
         [b"first message ".as_slice(), b"second message".as_slice()].into_iter().enumerate()
     {
         qp_side.tcp_send(now, conn, msg.to_vec(), SendToken(i as u64), &mut emits).unwrap();
-        absorb(true, &mut emits, &mut wire, &mut from_qp, &mut from_sock);
+        absorb(true, &mut emits, &mut wire);
     }
-    pump(
-        &mut qp_side,
-        &mut sock_side,
-        &mut now,
-        &mut wire,
-        &mut from_qp,
-        &mut from_sock,
-        &mut emits,
-    );
+    pump(&mut qp_side, &mut sock_side, &mut now, &mut wire, &mut from_qp, &mut emits);
     let stream: Vec<u8> = from_qp.iter().flatten().copied().collect();
     println!("socket side read the byte stream: {:?}", String::from_utf8_lossy(&stream));
     println!(
