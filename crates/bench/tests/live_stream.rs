@@ -12,7 +12,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use qpip::{Completion, CompletionKind, RecvWr, SendWr, ServiceType};
+use qpip::{Completion, CompletionKind, CqId, RecvWr, SendWr, ServiceType};
+use qpip_bench::workloads::pingpong;
 use qpip_bench::workloads::ttcp::ttcp;
 use qpip_bench::workloads::verbs::End::{A, B};
 use qpip_bench::workloads::verbs::{wait_for, LivePair, VerbsPair};
@@ -138,6 +139,25 @@ fn a_lockstep_rpc_costs_two_datagrams() {
 /// loss plus reordering completes with exactly-once, in-order delivery
 /// using the stock engine — its retransmission machinery, not the
 /// wire, provides reliability.
+/// `settle` leaves nothing owed: the last pong of a lockstep TCP
+/// ping-pong completes only when the pinger's delayed ACK (300 µs)
+/// reaches the ponger, so settling must outlast that timer, as the DES
+/// pair's settle runs until no event is left.
+#[test]
+fn settle_waits_out_the_delayed_ack() {
+    for run in 0..20 {
+        let mut pair = LivePair::direct();
+        pingpong::rtt(&mut pair, ServiceType::ReliableTcp, 64, 4);
+        pair.settle();
+        for n in &pair.nodes {
+            assert_eq!(n.engine().next_deadline(), None, "run {run}: a timer is pending\n{n:?}");
+        }
+        // end B's CQ (its first) holds its last pong's send completion
+        let last = pair.try_wait(B, CqId(1)).map(|c| (c.kind, c.wr_id));
+        assert_eq!(last, Some((CompletionKind::Send, 2)), "run {run}");
+    }
+}
+
 #[test]
 fn tcp_transfer_survives_loss_and_reordering() {
     let mut pair = LivePair::impaired(ImpairConfig {

@@ -627,20 +627,39 @@ impl XportNode {
     }
 }
 
-/// Pumps both nodes without blocking until neither has read a datagram
-/// for 50 rounds in a row, so a FIN exchange and any last ACKs are
-/// answered before the caller reads counters or drops the nodes.
+/// How long [`quiesce`] pumps before it gives up.
+const QUIESCE_CAP: Duration = Duration::from_secs(10);
+
+/// Pumps both nodes without blocking until neither has a timer pending
+/// (a delayed ACK, a retransmission, TIME-WAIT) and a round moved no
+/// datagram, so a FIN exchange, the last ACKs and the completions they
+/// retire are all done before the caller reads counters or drops the
+/// nodes: the live counterpart of running a DES world until idle.
 ///
 /// # Errors
 ///
 /// Either node's socket errors.
+///
+/// # Panics
+///
+/// When the nodes are still busy after 10 s of wall time (a persist
+/// timer facing a window that never opens never goes idle).
 pub fn quiesce(a: &mut XportNode, b: &mut XportNode) -> Result<(), XportError> {
-    let mut idle = 0;
-    while idle < 50 {
+    let cap = Instant::now() + QUIESCE_CAP;
+    loop {
+        let sent = a.stats.datagrams_tx + b.stats.datagrams_tx;
         let got = a.pump(Duration::ZERO)? | b.pump(Duration::ZERO)?;
-        idle = if got { 0 } else { idle + 1 };
+        let moved = got || a.stats.datagrams_tx + b.stats.datagrams_tx != sent;
+        if !moved && a.nic.next_deadline().is_none() && b.nic.next_deadline().is_none() {
+            return Ok(());
+        }
+        assert!(
+            Instant::now() < cap,
+            "nodes still busy after {QUIESCE_CAP:?}\n{}{}",
+            a.pending_summary(),
+            b.pending_summary()
+        );
     }
-    Ok(())
 }
 
 #[cfg(test)]
