@@ -78,6 +78,9 @@ pub trait VerbsPair {
     fn packets_sent(&self, end: End) -> u64;
     /// The end's fabric address (a UDP send's destination).
     fn addr(&self, end: End) -> Ipv6Addr;
+    /// The largest message one TCP send on the end carries: one
+    /// segment of its engine.
+    fn max_tcp_message(&self, end: End) -> usize;
     /// Runs both ends until neither has anything left to do.
     fn settle(&mut self);
 }
@@ -171,6 +174,10 @@ impl VerbsPair for DesPair {
 
     fn addr(&self, end: End) -> Ipv6Addr {
         self.world.addr(self.node(end))
+    }
+
+    fn max_tcp_message(&self, end: End) -> usize {
+        self.world.nic(self.node(end)).engine().config().max_tcp_payload()
     }
 
     fn settle(&mut self) {
@@ -282,6 +289,10 @@ impl VerbsPair for LivePair {
 
     fn addr(&self, end: End) -> Ipv6Addr {
         self.nodes[end.index()].fabric_addr()
+    }
+
+    fn max_tcp_message(&self, end: End) -> usize {
+        self.nodes[end.index()].max_tcp_message()
     }
 
     fn settle(&mut self) {

@@ -268,6 +268,10 @@ impl<P: VerbsPair> VerbsPair for Recorded<P> {
         self.pair.addr(end)
     }
 
+    fn max_tcp_message(&self, end: End) -> usize {
+        self.pair.max_tcp_message(end)
+    }
+
     fn settle(&mut self) {
         self.pair.settle();
     }

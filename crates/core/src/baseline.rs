@@ -25,7 +25,7 @@ pub struct HostNode {
     stack: HostStack,
     app_time: SimTime,
     /// Wakeups the stack produced that the application has not
-    /// consumed yet.
+    /// consumed yet, at most one per kind and socket.
     events: Vec<HostOutput>,
     port: qpip_fabric::NodeId,
 }
@@ -69,7 +69,15 @@ impl HostNode {
                     {
                         self.lift(*at);
                     }
-                    self.events.push(ev);
+                    // one buffered wakeup per kind and socket: a newer
+                    // one replaces the older in place, so a driver that
+                    // polls socket state instead of consuming wakeups
+                    // holds a handful, not one per segment
+                    let key = wakeup_key(&ev);
+                    match self.events.iter_mut().find(|e| wakeup_key(e) == key) {
+                        Some(held) => *held = ev,
+                        None => self.events.push(ev),
+                    }
                 }
             }
         }
@@ -80,6 +88,21 @@ impl HostNode {
     fn lift(&mut self, t: SimTime) {
         self.app_time = self.app_time.max(t);
     }
+}
+
+/// A buffered wakeup's identity: its kind and the socket it names. An
+/// accept names its new socket, so no two accepts merge.
+fn wakeup_key(e: &HostOutput) -> (std::mem::Discriminant<HostOutput>, Option<SockId>) {
+    let sock = match *e {
+        HostOutput::Frame { .. } => None,
+        HostOutput::Connected { sock, .. }
+        | HostOutput::Accepted { sock, .. }
+        | HostOutput::DataReady { sock, .. }
+        | HostOutput::SendSpace { sock, .. }
+        | HostOutput::PeerClosed { sock, .. }
+        | HostOutput::Reset { sock, .. } => Some(sock),
+    };
+    (std::mem::discriminant(e), sock)
 }
 
 impl Node for HostNode {
@@ -452,6 +475,30 @@ mod tests {
         w.send_blocking(a, cs, payload.clone()).unwrap();
         let got = w.recv_exact(b, ss, payload.len());
         assert_eq!(got, payload);
+    }
+
+    /// A driver that polls socket state and never consumes a wakeup
+    /// holds at most one per kind and socket, however long it runs.
+    #[test]
+    fn polling_driver_holds_a_handful_of_wakeups() {
+        let (mut w, a, b, cs, ss) = connected_gige();
+        let piece = vec![7u8; 16 * 1024];
+        let total = 4 * 1024 * 1024;
+        let (mut sent, mut got) = (0, 0);
+        while got < total {
+            let mut progress = sent < total && w.try_send(a, cs, &piece).unwrap();
+            if progress {
+                sent += piece.len();
+            }
+            let n = w.recv_available(b, ss, 64 * 1024).len();
+            got += n;
+            progress |= n > 0;
+            if !progress {
+                assert!(w.step(), "transfer deadlocked at {got}/{total}");
+            }
+        }
+        let held = w.events(a).len() + w.events(b).len();
+        assert!(held <= 4, "{held} wakeups buffered");
     }
 
     #[test]

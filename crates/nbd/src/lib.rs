@@ -2,7 +2,8 @@
 //!
 //! The storage application of §4.2.3 (Figures 5–7): a client-side block
 //! driver forwards block I/O to a server emulating a network-attached
-//! disk. Two transports are implemented:
+//! disk. Three drivers time the Figure 7 benchmark on the simulated
+//! SAN:
 //!
 //! * [`socket_impl`] — the conventional layering (Figure 5): NBD above
 //!   a kernel socket, host TCP/IP at both ends, over GigE or Myrinet/GM.
@@ -11,9 +12,11 @@
 //! * [`rdma_impl`] — an extension: reads served by one-sided RDMA
 //!   writes into the client's registered buffer (the idiom NFS/RDMA and
 //!   iSER later built on iWARP, of which QPIP is a precursor).
-//! * [`xport_impl`] — the same QP layering on **live sockets**: the
-//!   identical wire protocol over `qpip-xport` nodes, so the block
-//!   driver written against the simulated world runs against real I/O.
+//!
+//! The content-checked session, whose server keeps every written byte
+//! and whose driver reads it back, is written once over the two-node
+//! verbs seam in `qpip-bench` (`workloads::nbd`), so the same block
+//! driver and [`proto`] run on the DES and on live sockets.
 //!
 //! The benchmark is the paper's: a 409 MB sequential write (flushed with
 //! `sync`) and sequential read, reporting throughput and CPU
@@ -28,8 +31,6 @@ pub mod qpip_impl;
 pub mod rdma_impl;
 pub mod result;
 pub mod socket_impl;
-pub mod xport_impl;
 
 pub use qpip_impl::NbdConfig;
 pub use result::{NbdResult, PhaseResult};
-pub use xport_impl::{NbdXportError, XportNbdClient, XportNbdServer};

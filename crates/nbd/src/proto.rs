@@ -7,6 +7,8 @@
 
 use qpip_wire::error::ParseWireError;
 
+/// The NBD server port (Linux NBD's default).
+pub const NBD_PORT: u16 = 10809;
 /// Request magic.
 pub const NBD_REQUEST_MAGIC: u32 = 0x2560_9513;
 /// Reply magic.

@@ -80,16 +80,6 @@ impl Bench {
         self.w.charge_app(self.client, cycles);
     }
 
-    /// Discards both nodes' buffered wakeups. The phase loops poll
-    /// `readable` and retry refused writes instead of waiting on
-    /// wakeups (their clock lift has already happened), so the events
-    /// would otherwise pile up for the whole run: 65,536 per node in a
-    /// 64 MB run.
-    fn drop_wakeups(&mut self) {
-        self.w.clear_events(self.client);
-        self.w.clear_events(self.server);
-    }
-
     /// Sequential write phase over the socket pair.
     fn run_write(&mut self, cfg: NbdConfig) -> PhaseResult {
         let nblocks = cfg.total_bytes / cfg.block as u64;
@@ -106,7 +96,6 @@ impl Bench {
         let mut msg = vec![0x5au8; REQUEST_LEN + cfg.block];
         let mut pending: Pending = None;
         while done < nblocks {
-            self.drop_wakeups();
             let mut progress = false;
             // client issues requests up to the queue depth
             if pending.is_none() && sent < nblocks && sent - done < cfg.queue_depth {
@@ -185,7 +174,6 @@ impl Bench {
         let mut reply: Vec<u8> = Vec::new();
         let mut srv_pending: Pending = None;
         while done < nblocks {
-            self.drop_wakeups();
             let mut progress = false;
             if sent < nblocks && sent - done < cfg.queue_depth {
                 self.w.charge_app(self.client, params::NBD_FS_PER_REQUEST_CYCLES);
@@ -274,9 +262,10 @@ mod tests {
         assert!(r.read.mbytes_per_sec > 3.0, "{r:?}");
     }
 
-    /// The phase loops read the sockets' state, not their wakeups, so
-    /// no wakeup outlives the round it arrived in: a run holds a few
-    /// buffered events, not one per segment and window opening.
+    /// The phase loops read the sockets' state and never consume a
+    /// wakeup; the socket world keeps one per kind and socket, so a run
+    /// holds a few buffered events, not one per segment and window
+    /// opening.
     #[test]
     fn phase_loops_do_not_hoard_wakeups() {
         let mut b = Bench::new(Transport::GigE);
