@@ -27,7 +27,11 @@ use crate::workloads::ttcp::TtcpResult;
 ///
 /// v4: the `rtt` object gives the live RTT as a distribution —
 /// `p50_us`, `p99_us`, `p999_us` — in place of `min_us`.
-pub const SCHEMA_VERSION: u32 = 4;
+///
+/// v5: the `<scenario>_proxy` counters are gone; each node's fault-plan
+/// drops and holds are `injected_drops` and `injected_holds` in
+/// `<scenario>_xport` and `<scenario>_receiver_xport`.
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// A simple fixed-width table printer.
 #[derive(Debug, Default)]
@@ -124,7 +128,7 @@ impl Checks {
 ///
 /// ```json
 /// {
-///   "schema_version": 4,
+///   "schema_version": 5,
 ///   "rtt": {"rounds": 200, "payload": 64, "mean_us": 90.0, "p50_us": 85.0,
 ///           "p99_us": 140.0, "p999_us": 210.0},
 ///   "streams": [
@@ -136,8 +140,9 @@ impl Checks {
 /// }
 /// ```
 ///
-/// Retransmission and proxy-drop counts live in `counters`, scoped per
-/// scenario (`direct_engine`, `impaired_proxy`, …).
+/// Retransmission and injected drop and hold counts live in
+/// `counters`, scoped per scenario (`direct_engine`, `impaired_xport`,
+/// …).
 pub fn xport_json(
     rtt: &RttResult,
     payload: usize,

@@ -286,6 +286,25 @@ mod tests {
         assert_eq!(ttcp(&mut p, 64, 1024).bytes, 64 * 1024);
     }
 
+    /// A hold-only fault plan reorders the stream on the DES: every
+    /// message still arrives exactly once and in order (`Stream::run`
+    /// checks each one), through the receiver's out-of-order path: the
+    /// segment that overtook a held one draws a duplicate ACK.
+    #[test]
+    fn reordered_stream_delivers_exactly_once_in_order() {
+        let mut w = QpipWorld::myrinet();
+        w.set_fault_plan(qpip_fabric::FaultPlan::Impair {
+            drop_permille: 0,
+            hold_permille: 50,
+            seed: 5,
+        });
+        let mut p = DesPair::new(w, NicConfig::paper_default());
+        assert_eq!(ttcp(&mut p, 400, 1024).bytes, 400 * 1024);
+        assert!(p.world.injected_holds() > 0, "nothing was held");
+        let dupacks = p.world.engine_stats(p.nodes[0]).dupacks_rx;
+        assert!(dupacks > 0, "the sender saw no duplicate ACK");
+    }
+
     #[test]
     fn socket_gige_saturates_host_cpu_fractionally() {
         let r = socket_ttcp(Baseline::GigE, 2 * MB, 16 * 1024);

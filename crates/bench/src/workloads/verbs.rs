@@ -20,9 +20,10 @@ use std::net::Ipv6Addr;
 
 use qpip::world::{NodeIdx, QpipWorld};
 use qpip::{Completion, CqId, NicConfig, QpId, RecvWr, SendWr, ServiceType};
+use qpip_fabric::FaultPlan;
 use qpip_netstack::types::Endpoint;
 use qpip_sim::time::SimTime;
-use qpip_xport::{quiesce, ImpairConfig, ImpairProxy, ProxyHandle, XportConfig, XportNode};
+use qpip_xport::{quiesce, XportConfig, XportNode};
 
 /// One end of a two-node pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -190,34 +191,27 @@ impl VerbsPair for DesPair {
 pub struct LivePair {
     /// End A's node, then end B's.
     pub nodes: [XportNode; 2],
-    /// The impairment proxy both directions cross, if any.
-    pub proxy: Option<ProxyHandle>,
 }
 
 impl LivePair {
     /// Two nodes whose sockets reach each other directly.
     pub fn direct() -> LivePair {
-        Self::wired(None)
-    }
-
-    /// Two nodes whose datagrams, both ways, cross an impairment proxy.
-    pub fn impaired(cfg: ImpairConfig) -> LivePair {
-        Self::wired(Some(cfg))
-    }
-
-    fn wired(impair: Option<ImpairConfig>) -> LivePair {
         let mut nodes = FABRIC
             .map(|addr| XportNode::bind(addr, XportConfig::default()).expect("bind loopback"));
         let at = nodes.each_ref().map(|n| n.local_addr().expect("local addr"));
-        let proxy = impair.map(|cfg| {
-            let proxy = ImpairProxy::new(cfg).route(FABRIC[0], at[0]).route(FABRIC[1], at[1]);
-            proxy.spawn().expect("spawn impairment proxy")
-        });
-        // each node reaches the other directly or through the proxy
-        let via = proxy.as_ref().map_or(at, |p| [p.addr(); 2]);
-        nodes[0].add_peer(FABRIC[1], via[1]);
-        nodes[1].add_peer(FABRIC[0], via[0]);
-        LivePair { nodes, proxy }
+        nodes[0].add_peer(FABRIC[1], at[1]);
+        nodes[1].add_peer(FABRIC[0], at[0]);
+        LivePair { nodes }
+    }
+
+    /// Two nodes whose datagrams, both ways, go through `plan`: end A
+    /// draws from the plan's own stream and end B from its stream 1,
+    /// so B does not replay A's drops and holds.
+    pub fn impaired(plan: FaultPlan) -> LivePair {
+        let mut p = LivePair::direct();
+        p.nodes[1].set_fault_plan(plan.clone().stream(1));
+        p.nodes[0].set_fault_plan(plan);
+        p
     }
 
     /// The end's node and the other end's, both mutable.

@@ -1,18 +1,16 @@
 //! End-to-end NBD data integrity: patterned blocks written through the
 //! one NBD session ([`Session`]) into the server's content-bearing disk,
 //! read back and compared byte for byte, on the DES and on live
-//! loopback sockets, direct and through the impairment proxy. Every
-//! test also checks the server's counts: each request served once and
-//! every byte accounted for.
-
-use std::time::Duration;
+//! loopback sockets, direct and under a seeded fault plan. Every test
+//! also checks the server's counts: each request served once and every
+//! byte accounted for.
 
 use qpip::world::QpipWorld;
 use qpip::NicConfig;
 use qpip_bench::workloads::nbd::Session;
+use qpip_bench::workloads::verbs::End::{A, B};
 use qpip_bench::workloads::verbs::{DesPair, LivePair, VerbsPair};
-use qpip_fabric::FabricConfig;
-use qpip_xport::ImpairConfig;
+use qpip_fabric::{FabricConfig, FaultPlan};
 
 fn pattern(block: u64, len: usize) -> Vec<u8> {
     (0..len).map(|i| ((block as usize).wrapping_mul(131) ^ i.wrapping_mul(7)) as u8).collect()
@@ -75,13 +73,21 @@ fn nbd_round_trips_over_clean_loopback() {
     round_trip(&mut LivePair::direct(), 64 * 1024, &[0, 1, 2, 3, 4, 5, 6, 7]);
 }
 
+/// Under this seed each end drops one of its first four datagrams,
+/// holds one of its first 13 and drops at least three of its first
+/// 100, and each end sends over 100: whatever the timing, the session
+/// loses and reorders datagrams, and the engines' retransmissions
+/// repair them.
 #[test]
 fn nbd_blocks_survive_an_impaired_wire() {
-    let mut p = LivePair::impaired(ImpairConfig {
-        seed: 7,
-        drop_per_mille: 10, // 1 % loss
-        reorder_per_mille: 20,
-        hold_at_most: Duration::from_millis(10),
-    });
+    let plan = FaultPlan::Impair { drop_permille: 30, hold_permille: 30, seed: 45 };
+    let mut p = LivePair::impaired(plan);
     round_trip(&mut p, 64 * 1024, &[0, 1, 2, 3, 4, 5, 6, 7]);
+    let [a, b] = p.nodes.each_ref().map(|n| n.stats());
+    let (dropped, held) =
+        (a.injected_drops + b.injected_drops, a.injected_holds + b.injected_holds);
+    assert!(a.datagrams_tx > 100 && b.datagrams_tx > 100, "{a:?}\n{b:?}");
+    assert!(dropped > 0 && held > 0, "dropped {dropped}, held {held}");
+    let retransmissions = p.retransmissions(A) + p.retransmissions(B);
+    assert!(retransmissions > 0, "loss recovery never ran: dropped {dropped}");
 }

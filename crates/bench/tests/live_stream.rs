@@ -1,5 +1,5 @@
 //! The ttcp stream over live loopback sockets — real sockets, real wall
-//! clock — directly and through the impairment proxy.
+//! clock — directly and under a seeded fault plan.
 //!
 //! [`Stream::run`](qpip_bench::workloads::ttcp::Stream::run) checks
 //! every delivery exactly-once and in order (it panics on a lost,
@@ -17,9 +17,10 @@ use qpip_bench::workloads::pingpong;
 use qpip_bench::workloads::ttcp::ttcp;
 use qpip_bench::workloads::verbs::End::{A, B};
 use qpip_bench::workloads::verbs::{wait_for, LivePair, VerbsPair};
+use qpip_fabric::FaultPlan;
 use qpip_sim::params::NIC_DELAYED_ACK;
 use qpip_trace::{FlightRecorder, TraceEvent, Tracer};
-use qpip_xport::{quiesce, ImpairConfig};
+use qpip_xport::quiesce;
 
 #[test]
 fn tcp_transfer_direct() {
@@ -135,10 +136,6 @@ fn a_lockstep_rpc_costs_two_datagrams() {
     }
 }
 
-/// The acceptance test: a transfer through the impairment proxy at 2%
-/// loss plus reordering completes with exactly-once, in-order delivery
-/// using the stock engine — its retransmission machinery, not the
-/// wire, provides reliability.
 /// `settle` leaves nothing owed: the last pong of a lockstep TCP
 /// ping-pong completes only when the pinger's delayed ACK (300 µs)
 /// reaches the ponger, so settling must outlast that timer, as the DES
@@ -158,33 +155,32 @@ fn settle_waits_out_the_delayed_ack() {
     }
 }
 
+/// The acceptance test: a transfer under 2 % loss plus 3 % holds
+/// completes with exactly-once, in-order delivery using the stock
+/// engine — its retransmission machinery, not the wire, provides
+/// reliability. Under this seed the sender drops its 41st datagram,
+/// which is a data segment, so every run loses and repairs data; its
+/// receiver holds its 27th, an ACK, reordering the ACK stream.
 #[test]
 fn tcp_transfer_survives_loss_and_reordering() {
-    let mut pair = LivePair::impaired(ImpairConfig {
-        seed: 42,
-        drop_per_mille: 20,    // 2% loss
-        reorder_per_mille: 30, // 3% held for reordering
-        hold_at_most: Duration::from_millis(15),
-    });
+    let mut pair =
+        LivePair::impaired(FaultPlan::Impair { drop_permille: 20, hold_permille: 30, seed: 42 });
     let r = ttcp(&mut pair, 300, 1024);
-    let stats = pair.proxy.as_ref().expect("impaired pair").stats();
-    assert!(stats.dropped > 0, "the proxy never dropped anything: {stats:?}");
-    assert!(r.retransmissions > 0, "loss recovery never ran; proxy stats {stats:?}");
+    let [a, b] = pair.nodes.each_ref().map(|n| n.stats());
+    assert!(a.injected_drops > 0, "the sender's plan never dropped anything: {a:?}");
+    assert!(b.injected_holds > 0, "the receiver's plan never held anything: {b:?}");
+    assert!(r.retransmissions > 0, "loss recovery never ran; {a:?}");
 }
 
-/// Flight recorder on real wires: a lossy proxied transfer must leave
-/// ≥1 retransmit event in the sender's trace, and every retransmit's
+/// Flight recorder on real wires: a lossy transfer must leave ≥1
+/// retransmit event in the sender's trace, and every retransmit's
 /// sequence number must name a segment the trace also shows re-sent.
 /// Event ordering and counts are wall-clock-dependent; the seq linkage
 /// is not.
 #[test]
-fn lossy_proxied_transfer_traces_retransmits() {
-    let mut pair = LivePair::impaired(ImpairConfig {
-        seed: 7,
-        drop_per_mille: 30, // 3% loss
-        reorder_per_mille: 20,
-        hold_at_most: Duration::from_millis(15),
-    });
+fn lossy_transfer_traces_retransmits() {
+    let mut pair =
+        LivePair::impaired(FaultPlan::Impair { drop_permille: 30, hold_permille: 20, seed: 7 });
     let rec = Arc::new(FlightRecorder::new(65536));
     pair.nodes[0].set_tracer(Tracer::new(Arc::clone(&rec), 0));
     let r = ttcp(&mut pair, 300, 1024);

@@ -26,10 +26,12 @@
 //! out ahead of it as an ack-advancing pure ACK, which the normalized
 //! stream keeps.
 //!
-//! A lossy leg runs the same script with the DES fabric dropping at
-//! random and the live wire crossing the impairment proxy. Retransmit
-//! timing legitimately differs there, so only the completion streams
-//! are compared: loss recovery must be invisible above the verbs.
+//! A lossy leg runs the same script with one seeded fault plan on both
+//! substrates: the DES world applies it to every packet on the fabric,
+//! each live node to every datagram it sends. Which packets a plan hits
+//! follows each substrate's packet count, and retransmit timing
+//! legitimately differs, so only the completion streams are compared:
+//! loss recovery must be invisible above the verbs.
 //!
 //! The two other workloads written once against the verbs seam, the
 //! ping-pong of `pingpong::rtt` (TCP and UDP) and the ttcp stream of
@@ -39,7 +41,6 @@
 
 use std::net::Ipv6Addr;
 use std::sync::Arc;
-use std::time::Duration;
 
 use qpip::world::QpipWorld;
 use qpip::{Completion, CqId, NicConfig, QpId, RecvWr, SendWr, ServiceType};
@@ -52,7 +53,6 @@ use qpip_conform::differential::{first_divergence, normalize};
 use qpip_fabric::FaultPlan;
 use qpip_sim::time::SimTime;
 use qpip_trace::{FlightRecorder, Rec, TraceEvent, Tracer};
-use qpip_xport::ImpairConfig;
 
 /// The shared workload, `(sender, length)` per message: end A serves,
 /// end B is the client.
@@ -153,26 +153,23 @@ fn des_and_live_transport_pop_identical_completion_streams() {
     assert_same_streams(&des, &live);
 }
 
-/// The lossy leg: the DES fabric drops 5% of packets, the live proxy
-/// drops 5% of datagrams and holds 3% back. Both engines recover, and
-/// the completions above them match the lossless run's exactly.
+/// The lossy leg: both substrates run one plan, dropping 5 % of
+/// packets and holding 3 % behind their sender's next one. Under this
+/// seed the DES drops its 44th packet and live end B its 13th, and both
+/// send more than that. Both engines recover, and the completions above
+/// them match the lossless run's exactly.
 #[test]
 fn lossy_des_and_live_pop_identical_completion_streams() {
     let script: Vec<_> = workload().into_iter().cycle().take(28).collect();
-    let drop = FaultPlan::DropRandom { permille: 50, seed: 3 };
-    let (des_events, des) = des_trace(&script, Exchange::OneWay, drop);
-    let mut pair = LivePair::impaired(ImpairConfig {
-        seed: 3,
-        drop_per_mille: 50,
-        reorder_per_mille: 30,
-        hold_at_most: Duration::from_millis(10),
-    });
+    let plan = FaultPlan::Impair { drop_permille: 50, hold_permille: 30, seed: 3 };
+    let (des_events, des) = des_trace(&script, Exchange::OneWay, plan.clone());
+    let mut pair = LivePair::impaired(plan);
     let (_, live) = live_trace(&script, Exchange::OneWay, &mut pair);
 
     let retransmitted = des_events.iter().any(|r| matches!(r.ev, TraceEvent::Retransmit { .. }));
     assert!(retransmitted, "the DES fabric dropped nothing the engine had to resend");
-    let proxy = pair.proxy.as_ref().expect("impaired pair").stats();
-    assert!(proxy.dropped > 0, "the proxy dropped nothing: {proxy:?}");
+    let dropped: u64 = pair.nodes.iter().map(|n| n.stats().injected_drops).sum();
+    assert!(dropped > 0, "the live fault plans dropped nothing");
     assert_eq!(des.values().map(Vec::len).sum::<usize>(), 2 + 2 * script.len());
     assert_same_streams(&des, &live);
 }

@@ -19,7 +19,7 @@
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 
-use qpip_fabric::{Fabric, FabricConfig, TransmitOutcome};
+use qpip_fabric::{Fabric, FabricConfig, Fate, FaultInjector, FaultPlan, NodeId, TransmitOutcome};
 use qpip_host::cpu::{CpuLedger, WorkClass};
 use qpip_host::stack::HostOutput;
 use qpip_netstack::engine::EngineStats;
@@ -74,6 +74,9 @@ pub struct Net {
     /// buffers of its own and no event allocates them.
     pub(crate) nic_out: Vec<NicOutput>,
     pub(crate) host_out: Vec<HostOutput>,
+    /// The fault plan every transmission passes, and the packets it
+    /// holds back.
+    faults: FaultInjector<(Ipv6Addr, qpip_wire::Packet)>,
 }
 
 impl Net {
@@ -82,15 +85,41 @@ impl Net {
         self.nic_out.is_empty() && self.host_out.is_empty()
     }
 
-    /// Puts a packet on the wire from fabric port `from` at `at` and
-    /// schedules its arrival, unless the fabric drops it.
+    /// Transmits a packet from fabric port `from` at `at` under the
+    /// fault plan: it is put on the wire, dropped or held, and the
+    /// packets `from` held before follow it onto the wire.
     pub(crate) fn transmit(
         &mut self,
-        from: qpip_fabric::NodeId,
+        from: NodeId,
         at: SimTime,
         dst: Ipv6Addr,
-        mut bytes: qpip_wire::Packet,
+        bytes: qpip_wire::Packet,
     ) {
+        match self.faults.admit(from.0, (dst, bytes)) {
+            Fate::Pass((dst, bytes)) => self.put(from, at, dst, bytes),
+            Fate::Drop((_, bytes)) => self.fabric.drop_injected(at, from, bytes.len()),
+            Fate::Hold => return,
+        }
+        while let Some((_, (dst, bytes))) = self.faults.release(Some(from.0)) {
+            self.put(from, at, dst, bytes);
+        }
+    }
+
+    /// Puts every held packet on the wire now; `false` when none was
+    /// held.
+    fn release_held(&mut self) -> bool {
+        let now = self.sim.now();
+        let mut any = false;
+        while let Some((from, (dst, bytes))) = self.faults.release(None) {
+            self.put(NodeId(from), now, dst, bytes);
+            any = true;
+        }
+        any
+    }
+
+    /// Puts a packet on the wire from fabric port `from` at `at` and
+    /// schedules its arrival, unless the fabric drops it.
+    fn put(&mut self, from: NodeId, at: SimTime, dst: Ipv6Addr, mut bytes: qpip_wire::Packet) {
         if let TransmitOutcome::Delivered { to, at: arrive, marked } =
             self.fabric.transmit(at, from, dst, bytes.len())
         {
@@ -136,7 +165,13 @@ impl<N: Node> World<N> {
 
     pub(crate) fn with_fabric(fabric: Fabric) -> Self {
         World {
-            net: Net { sim: Simulator::new(), fabric, nic_out: Vec::new(), host_out: Vec::new() },
+            net: Net {
+                sim: Simulator::new(),
+                fabric,
+                nic_out: Vec::new(),
+                host_out: Vec::new(),
+                faults: FaultInjector::default(),
+            },
             nodes: Vec::new(),
             timers: Vec::new(),
             recorder: None,
@@ -148,7 +183,7 @@ impl<N: Node> World<N> {
         &mut self,
         addr: Ipv6Addr,
         switch: usize,
-        make: impl FnOnce(&Self, qpip_fabric::NodeId) -> N,
+        make: impl FnOnce(&Self, NodeId) -> N,
     ) -> NodeIdx {
         let port = self.net.fabric.attach_at(addr, switch);
         debug_assert_eq!(port.0 as usize, self.nodes.len(), "fabric port i is node i");
@@ -195,9 +230,16 @@ impl<N: Node> World<N> {
         &self.net.fabric
     }
 
-    /// Installs a fault plan on the fabric (tests).
-    pub fn set_fault_plan(&mut self, plan: qpip_fabric::FaultPlan) {
-        self.net.fabric.set_fault_plan(plan);
+    /// Installs a fault plan on every transmission (tests; benchmarks
+    /// run lossless per §4.1). Packets held under the previous plan
+    /// stay held.
+    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+        self.net.faults.set_plan(plan);
+    }
+
+    /// Packets the fault plan has held back so far, released or not.
+    pub fn injected_holds(&self) -> u64 {
+        self.net.faults.packets_held()
     }
 
     /// The installed flight recorder, if tracing is on.
@@ -218,11 +260,13 @@ impl<N: Node> World<N> {
 
     // ----- event loop ----------------------------------------------------------
 
-    /// Processes one simulation event; `false` when idle.
+    /// Processes one simulation event; `false` when idle. Before it
+    /// reports idle it puts any packet the fault plan still holds on
+    /// the wire, so none is silently lost.
     pub fn step(&mut self) -> bool {
         debug_assert!(self.net.lent_buffers_empty(), "lent buffers not drained before a step");
         let Some((t, ev)) = self.net.sim.next() else {
-            return false;
+            return self.net.release_held();
         };
         let node = match ev {
             Event::Packet { node, bytes } => {

@@ -635,6 +635,8 @@ mod tests {
         let c = w.wait_matching(a, cqa, |c| c.kind == CompletionKind::Send);
         assert_eq!(c.wr_id, 77);
         assert!(w.nic(a).retransmissions() >= 1, "loss forced a retransmission");
+        let fabric = w.fabric();
+        assert_eq!((fabric.injected_drops(), fabric.stats().dropped), (1, 1));
     }
 
     /// The server's only window update is lost on the fabric; the

@@ -24,8 +24,6 @@ use qpip_sim::resource::BandwidthPipe;
 use qpip_sim::time::{SimDuration, SimTime};
 use qpip_trace::{FlightRecorder, Snapshot, TraceEvent, TraceSink, NODE_SCOPE};
 
-use crate::fault::{FaultInjector, FaultPlan};
-
 /// Identifies one attached node (one NIC port on the fabric).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
@@ -113,8 +111,6 @@ pub enum DropReason {
     },
     /// No node with that address is attached.
     NoRoute,
-    /// Removed by the fault injector.
-    Injected,
 }
 
 /// The outcome of a transmit call.
@@ -175,8 +171,10 @@ pub struct Fabric {
     trunks: [Vec<BandwidthPipe>; 2],
     addrs: Vec<Ipv6Addr>,
     addr_map: FxHashMap<Ipv6Addr, NodeId>,
-    faults: FaultInjector,
     stats: FabricStats,
+    /// Packets a fault plan dropped before they reached the fabric
+    /// (also counted in `stats.dropped`).
+    injected_drops: u64,
     ecn_marks: u64,
     /// Flight recorder; drops are recorded against the transmitting
     /// node's scope.
@@ -206,8 +204,8 @@ impl Fabric {
             node_switch: Vec::new(),
             addrs: Vec::new(),
             addr_map: FxHashMap::default(),
-            faults: FaultInjector::default(),
             stats: FabricStats::default(),
+            injected_drops: 0,
             ecn_marks: 0,
             recorder: None,
         }
@@ -223,14 +221,17 @@ impl Fabric {
     /// and fault-injection counters kept outside [`FabricStats`].
     pub fn snapshot(&self) -> Snapshot {
         let mut s = self.stats.snapshot();
-        s.push("ecn_marks", self.ecn_marks).push("injected_drops", self.faults.packets_dropped());
+        s.push("ecn_marks", self.ecn_marks).push("injected_drops", self.injected_drops);
         s
     }
 
-    /// Installs a fault-injection plan (tests only; benchmarks run
-    /// lossless per §4.1).
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.faults = FaultInjector::new(plan);
+    /// Accounts for a `len`-byte packet from `from` that a fault plan
+    /// dropped at `now`: counted and traced like any other drop, so
+    /// every packet a node transmits is delivered or dropped here.
+    pub fn drop_injected(&mut self, now: SimTime, from: NodeId, len: usize) {
+        self.stats.dropped += 1;
+        self.injected_drops += 1;
+        self.trace_drop(now, from, "injected", len);
     }
 
     /// The fabric configuration.
@@ -243,9 +244,9 @@ impl Fabric {
         self.stats
     }
 
-    /// Fault-injector drop count.
+    /// Packets dropped by a fault plan.
     pub fn injected_drops(&self) -> u64 {
-        self.faults.packets_dropped()
+        self.injected_drops
     }
 
     /// Packets marked Congestion-Experienced by the RED/ECN queue.
@@ -351,11 +352,6 @@ impl Fabric {
             self.trace_drop(now, from, "no_route", len);
             return TransmitOutcome::Dropped(DropReason::NoRoute);
         };
-        if self.faults.should_drop() {
-            self.stats.dropped += 1;
-            self.trace_drop(now, from, "injected", len);
-            return TransmitOutcome::Dropped(DropReason::Injected);
-        }
         let wire = (len + self.cfg.frame_overhead) as u64;
         let up = &mut self.uplinks[from.0 as usize];
         let up_start = now.max(up.next_free());
@@ -535,20 +531,17 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_drops_selected_packets() {
+    fn injected_drops_count_as_drops() {
         let (mut f, a, _) = myrinet_pair();
-        f.set_fault_plan(FaultPlan::DropIndices(vec![1]));
         assert!(matches!(
             f.transmit(SimTime::ZERO, a, addr(2), 100),
             TransmitOutcome::Delivered { .. }
         ));
-        assert_eq!(
-            f.transmit(SimTime::ZERO, a, addr(2), 100),
-            TransmitOutcome::Dropped(DropReason::Injected)
-        );
+        f.drop_injected(SimTime::ZERO, a, 100);
         assert_eq!(f.injected_drops(), 1);
         assert_eq!(f.stats().delivered, 1);
         assert_eq!(f.stats().dropped, 1);
+        assert_eq!(f.snapshot().get("injected_drops"), Some(1));
     }
 
     #[test]

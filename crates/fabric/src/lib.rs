@@ -4,8 +4,10 @@
 //! source-routed cut-through **Myrinet** at 2 Gb/s with arbitrary MTUs,
 //! and store-and-forward **Gigabit Ethernet** at 1 Gb/s with a 1500-byte
 //! MTU. Timing is analytic — link pipes track occupancy, so contention
-//! and pipelining emerge without per-byte events — and deterministic
-//! fault injection exercises TCP's recovery machinery in tests.
+//! and pipelining emerge without per-byte events. Deterministic fault
+//! injection ([`FaultInjector`]), applied where packets are sent on
+//! the simulated fabric and on live sockets alike, exercises TCP's
+//! recovery machinery in tests.
 //!
 //! ## Example
 //!
@@ -35,4 +37,4 @@ pub mod fault;
 pub use fabric::{
     DropReason, Fabric, FabricConfig, FabricStats, NodeId, Switching, TransmitOutcome,
 };
-pub use fault::{FaultInjector, FaultPlan};
+pub use fault::{Fate, FaultInjector, FaultPlan};

@@ -1,7 +1,7 @@
 //! Unified counter snapshots: every stats struct in the workspace
-//! (engine, NIC firmware, fabric, live transport, impairment proxy)
-//! renders itself as named `(str, u64)` pairs so reports and dashboards
-//! consume one shape instead of five.
+//! (engine, NIC firmware, fabric, live transport) renders itself as
+//! named `(str, u64)` pairs so reports and dashboards consume one shape
+//! instead of four.
 
 /// A named set of monotone counters captured at one instant.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -12,7 +12,7 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Creates an empty snapshot for one scope ("engine", "nic",
-    /// "fabric", "xport", "proxy", …).
+    /// "fabric", "xport", …).
     pub fn new(scope: impl Into<String>) -> Self {
         Snapshot { scope: scope.into(), pairs: Vec::new() }
     }

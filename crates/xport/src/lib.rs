@@ -33,23 +33,24 @@
 //! by swapping the world handle for a node handle, and a verb behaves
 //! the same on both substrates because it is the same code.
 //!
-//! [`proxy::ImpairProxy`] is a deterministic (SplitMix64-seeded)
-//! drop/reorder/delay forwarder that sits between two nodes' sockets,
-//! so the engine's loss-recovery machinery is exercised on real wires.
+//! [`XportNode::set_fault_plan`] puts every datagram the node sends
+//! through the DES fabric's own seeded
+//! [`FaultInjector`](qpip_fabric::FaultInjector): dropped, held behind
+//! the node's next datagram, or sent, decided by the node's datagram
+//! count and never by time, so the engine's loss-recovery machinery is
+//! exercised on real wires.
 //!
-//! Everything here is std-only — threads and socket timeouts, no async
-//! runtime — and strictly additive: the DES worlds remain byte-identical
-//! and fully deterministic. Code in this crate asserts delivery,
-//! ordering and exactly-once semantics, never latencies, because the
-//! wall clock jitters.
+//! Everything here is std-only — socket timeouts, no thread of its own
+//! and no async runtime — and strictly additive: the DES worlds remain
+//! byte-identical and fully deterministic. Code in this crate asserts
+//! delivery, ordering and exactly-once semantics, never latencies,
+//! because the wall clock jitters.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;
 pub mod node;
-pub mod proxy;
 
 pub use clock::WallClock;
 pub use node::{quiesce, XportConfig, XportError, XportNode, XportStats};
-pub use proxy::{ImpairConfig, ImpairProxy, ProxyHandle, ProxyStats};

@@ -57,11 +57,13 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use crate::clock::WallClock;
+use qpip_fabric::{Fate, FaultInjector, FaultPlan};
 use qpip_netstack::engine::Engine;
 use qpip_netstack::types::{Endpoint, NetConfig};
 use qpip_nic::types::{Completion, CqId, NicConfig, NicError, QpId, RecvWr, SendWr, ServiceType};
 use qpip_nic::{NicOutput, QpipNic, ZeroCost};
 use qpip_trace::{Snapshot, TraceEvent, Tracer};
+use qpip_wire::Packet;
 
 /// Largest datagram the runtime will receive in one `recv_from`. The
 /// engine never builds a packet above the node's MTU, which fits
@@ -167,6 +169,10 @@ pub struct XportStats {
     pub tcp_backlogged: u64,
     /// Receive completions flagged with a length error.
     pub length_errors: u64,
+    /// Datagrams the fault plan dropped instead of sending.
+    pub injected_drops: u64,
+    /// Datagrams the fault plan held behind the node's next one.
+    pub injected_holds: u64,
 }
 
 impl XportStats {
@@ -178,7 +184,9 @@ impl XportStats {
             .push("unroutable_drops", self.unroutable_drops)
             .push("udp_no_wr_drops", self.udp_no_wr_drops)
             .push("tcp_backlogged", self.tcp_backlogged)
-            .push("length_errors", self.length_errors);
+            .push("length_errors", self.length_errors)
+            .push("injected_drops", self.injected_drops)
+            .push("injected_holds", self.injected_holds);
         s
     }
 }
@@ -200,6 +208,9 @@ pub struct XportNode {
     peers: HashMap<Ipv6Addr, SocketAddr>,
     /// What the last NIC call transmitted; reused across calls.
     out: Vec<NicOutput>,
+    /// The fault plan every outgoing datagram passes, and the
+    /// datagrams it holds back; the node is its only sender.
+    faults: FaultInjector<(Ipv6Addr, Packet)>,
     buf: Vec<u8>,
     stats: XportStats,
     /// Flight-recorder handle; also installed into the NIC. Events are
@@ -239,6 +250,7 @@ impl XportNode {
             clock: WallClock::start(),
             peers: HashMap::new(),
             out: Vec::new(),
+            faults: FaultInjector::default(),
             buf: vec![0; RECV_BUF],
             stats: XportStats::default(),
             tracer: None,
@@ -255,7 +267,7 @@ impl XportNode {
     }
 
     /// The OS socket address this node receives on (the address to hand
-    /// to peers' [`add_peer`](Self::add_peer), or to a proxy).
+    /// to peers' [`add_peer`](Self::add_peer)).
     ///
     /// # Errors
     ///
@@ -276,10 +288,18 @@ impl XportNode {
 
     /// Routes fabric address `fabric` to live socket `at` — the role
     /// the Myrinet source-route table played in the paper's testbed.
-    /// Re-adding an address overwrites the route (e.g. to interpose a
-    /// proxy).
+    /// Re-adding an address overwrites the route.
     pub fn add_peer(&mut self, fabric: Ipv6Addr, at: SocketAddr) {
         self.peers.insert(fabric, at);
+    }
+
+    /// Installs a fault plan on every datagram the node sends (tests;
+    /// the loopback wire is lossless and in order). Decisions follow
+    /// the node's own datagram count, and a held datagram goes out
+    /// right behind the node's next one. Datagrams held under the
+    /// previous plan stay held.
+    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+        self.faults.set_plan(plan);
     }
 
     /// Runtime counters.
@@ -289,6 +309,8 @@ impl XportNode {
             udp_no_wr_drops: n.udp_no_wr_drops,
             tcp_backlogged: n.tcp_backlogged,
             length_errors: n.length_errors,
+            injected_drops: self.faults.packets_dropped(),
+            injected_holds: self.faults.packets_held(),
             ..self.stats
         }
     }
@@ -587,7 +609,7 @@ impl XportNode {
 
     /// The drive step after every NIC call: checks the engine's TCB
     /// invariants (debug builds), then sends what the call transmitted,
-    /// in order, through the peer table.
+    /// in order, under the fault plan.
     fn send_out(&mut self) -> Result<(), XportError> {
         // debug-build oracle gate: a latched TCB invariant violation
         // surfaces right after the NIC call that caused it
@@ -595,19 +617,43 @@ impl XportNode {
         if let Some(v) = self.nic.take_invariant_violation() {
             panic!("TCB invariant `{}` violated in live transport: {}", v.invariant, v.detail);
         }
-        for NicOutput { dst, bytes, .. } in self.out.drain(..) {
-            let Some(&to) = self.peers.get(&dst) else {
-                self.stats.unroutable_drops += 1;
-                continue;
-            };
-            self.sock.send_to(&bytes, to)?;
-            self.stats.datagrams_tx += 1;
-            if let Some(tr) = &self.tracer {
-                tr.emit_node(
-                    self.clock.now(),
-                    TraceEvent::Sock { op: "tx", bytes: bytes.len() as u32 },
-                );
+        // take the buffer so each send may borrow the node; put it back
+        // to keep its allocation
+        let mut out = std::mem::take(&mut self.out);
+        let sent = out.drain(..).try_for_each(|o| {
+            match self.faults.admit(0, (o.dst, o.bytes)) {
+                Fate::Pass(p) => self.put(p)?,
+                Fate::Drop(_) => {}
+                Fate::Hold => return Ok(()),
             }
+            // the datagrams held before this one follow it
+            self.release_held()
+        });
+        self.out = out;
+        sent
+    }
+
+    /// Sends every datagram the fault plan holds.
+    fn release_held(&mut self) -> Result<(), XportError> {
+        while let Some((_, p)) = self.faults.release(None) {
+            self.put(p)?;
+        }
+        Ok(())
+    }
+
+    /// Sends one datagram through the peer table.
+    fn put(&mut self, (dst, bytes): (Ipv6Addr, Packet)) -> Result<(), XportError> {
+        let Some(&to) = self.peers.get(&dst) else {
+            self.stats.unroutable_drops += 1;
+            return Ok(());
+        };
+        self.sock.send_to(&bytes, to)?;
+        self.stats.datagrams_tx += 1;
+        if let Some(tr) = &self.tracer {
+            tr.emit_node(
+                self.clock.now(),
+                TraceEvent::Sock { op: "tx", bytes: bytes.len() as u32 },
+            );
         }
         Ok(())
     }
@@ -634,7 +680,9 @@ const QUIESCE_CAP: Duration = Duration::from_secs(10);
 /// (a delayed ACK, a retransmission, TIME-WAIT) and a round moved no
 /// datagram, so a FIN exchange, the last ACKs and the completions they
 /// retire are all done before the caller reads counters or drops the
-/// nodes: the live counterpart of running a DES world until idle.
+/// nodes: the live counterpart of running a DES world until idle. Like
+/// the DES world, it sends what a fault plan still holds before it
+/// calls the nodes idle.
 ///
 /// # Errors
 ///
@@ -651,7 +699,11 @@ pub fn quiesce(a: &mut XportNode, b: &mut XportNode) -> Result<(), XportError> {
         let got = a.pump(Duration::ZERO)? | b.pump(Duration::ZERO)?;
         let moved = got || a.stats.datagrams_tx + b.stats.datagrams_tx != sent;
         if !moved && a.nic.next_deadline().is_none() && b.nic.next_deadline().is_none() {
-            return Ok(());
+            a.release_held()?;
+            b.release_held()?;
+            if a.stats.datagrams_tx + b.stats.datagrams_tx == sent {
+                return Ok(());
+            }
         }
         assert!(
             Instant::now() < cap,

@@ -2,9 +2,9 @@
 //!
 //! These tests assert delivery, ordering and exactly-once semantics,
 //! never latencies: the wall clock jitters and the kernel schedules
-//! datagrams as it pleases. The streaming transfers, clean and through
-//! the loss + reordering proxy, run the shared ttcp workload and live
-//! in `qpip-bench`'s `tests/live_stream.rs`.
+//! datagrams as it pleases. The streaming transfers, clean and under a
+//! seeded drop-and-hold fault plan, run the shared ttcp workload and
+//! live in `qpip-bench`'s `tests/live_stream.rs`.
 
 use std::net::Ipv6Addr;
 use std::time::{Duration, Instant};

@@ -1,6 +1,7 @@
 //! Two live nodes on 127.0.0.1: the DES protocol engine driving real
 //! UDP sockets through `qpip-xport`, first over a clean wire and then
-//! through the deterministic impairment proxy at 2% loss + reordering.
+//! under a seeded fault plan that drops 2% of datagrams and holds 3%
+//! behind the next one.
 //!
 //! The exact same `qpip-netstack` engine that powers the Figures 3–7
 //! simulations produces every byte on the wire here — `XportNode` only
@@ -9,11 +10,9 @@
 //!
 //! Run with: `cargo run --example live_node`
 
-use std::time::Duration;
-
 use qpip_bench::workloads::ttcp::ttcp;
 use qpip_bench::workloads::verbs::LivePair;
-use qpip_xport::ImpairConfig;
+use qpip_fabric::FaultPlan;
 
 const MESSAGES: u64 = 64;
 const LEN: usize = 2048;
@@ -28,28 +27,25 @@ fn main() {
     // exactly-once and in order on arrival.
     let r = ttcp(&mut LivePair::direct(), MESSAGES, LEN);
     println!(
-        "  clean wire     : delivered in-order in {:6.1} ms, {} retransmissions",
+        "  clean wire      : delivered in-order in {:6.1} ms, {} retransmissions",
         r.elapsed_s * 1e3,
         r.retransmissions
     );
 
-    // Pass 2: same engine, but every datagram now crosses the
-    // impairment proxy — 2% dropped, 3% held back for reordering.
-    let mut pair = LivePair::impaired(ImpairConfig {
-        seed: 42,
-        drop_per_mille: 20,
-        reorder_per_mille: 30,
-        hold_at_most: Duration::from_millis(10),
-    });
+    // Pass 2: same engine, but every datagram each node sends now
+    // passes the DES fabric's fault injector — 2% dropped, 3% held
+    // behind the node's next datagram, so it arrives out of order.
+    let mut pair =
+        LivePair::impaired(FaultPlan::Impair { drop_permille: 20, hold_permille: 30, seed: 42 });
     let r = ttcp(&mut pair, MESSAGES, LEN);
-    let stats = pair.proxy.as_ref().expect("impaired pair").stats();
+    let [a, b] = pair.nodes.each_ref().map(|n| n.stats());
     println!(
-        "  2% loss proxy  : delivered in-order in {:6.1} ms, {} retransmissions \
-         ({} datagrams dropped, {} reordered)",
+        "  2% loss, 3% hold: delivered in-order in {:6.1} ms, {} retransmissions \
+         ({} datagrams dropped, {} held)",
         r.elapsed_s * 1e3,
         r.retransmissions,
-        stats.dropped,
-        stats.reordered
+        a.injected_drops + b.injected_drops,
+        a.injected_holds + b.injected_holds
     );
 
     println!("\nboth transfers exactly-once, in-order — the engine's TCP, not the wire,");

@@ -5,8 +5,9 @@
 //! Σ `nic.tx_packets` = `fabric.delivered` + `fabric.dropped`
 //! `fabric.delivered` = Σ `nic.rx_packets`
 //!
-//! Checked on a lossless many-flow fan-in and on a two-node stream
-//! losing packets to random injected drops.
+//! Checked on a lossless many-flow fan-in, on a two-node stream losing
+//! packets to random injected drops, and on datagrams a fault plan
+//! holds until the world goes idle.
 
 use qpip::world::QpipWorld;
 use qpip::{CompletionKind, NicConfig, RecvWr, SendWr, ServiceType};
@@ -78,4 +79,27 @@ fn lossy_stream_conserves_packets() {
     assert!(delivered > MESSAGES);
     assert!(dropped > 0, "loss actually happened");
     assert_eq!(dropped, w.fabric().injected_drops(), "every drop was injected");
+}
+
+/// A held packet waits for its sender's next one; UDP resends nothing,
+/// so these datagrams reach the fabric only because the world releases
+/// what is held before it reports idle.
+#[test]
+fn held_datagrams_are_released_before_idle() {
+    let mut w = QpipWorld::myrinet();
+    let [a, b] = [(); 2].map(|()| w.add_node(NicConfig::paper_default()));
+    let [cqa, cqb] = [a, b].map(|n| w.create_cq(n));
+    let qa = w.create_qp(a, ServiceType::UnreliableUdp, cqa, cqa).unwrap();
+    let qb = w.create_qp(b, ServiceType::UnreliableUdp, cqb, cqb).unwrap();
+    w.udp_bind(a, qa, 9000).unwrap();
+    w.udp_bind(b, qb, 9001).unwrap();
+    w.set_fault_plan(FaultPlan::Impair { drop_permille: 0, hold_permille: 1000, seed: 1 });
+    let dst = Some(Endpoint::new(w.addr(b), 9001));
+    for i in 0..3 {
+        w.post_recv(b, qb, RecvWr { wr_id: i, capacity: 64 }).unwrap();
+        w.post_send(a, qa, SendWr { wr_id: i, payload: vec![i as u8], dst }).unwrap();
+    }
+    w.run_until_idle();
+    let (delivered, _) = assert_conserved(&w.counter_snapshots());
+    assert_eq!((delivered, w.injected_holds()), (3, 3));
 }
