@@ -2,22 +2,27 @@
 //!
 //! Reproduces the LANai-cycle-counter measurement of §4.2.2: one-way
 //! 1-byte TCP messages from node A to node B, with the hardware-assisted
-//! receive checksum the paper's figures assume. Node A's occupancy table
-//! yields Table 2's data-send column and Table 3's ACK-receive column;
-//! node B yields Table 3's data-receive column and Table 2's ACK-send
-//! column.
+//! receive checksum the paper's figures assume. A flight recorder
+//! installed after the handshake captures every firmware stage charge;
+//! node A's charges yield Table 2's data-send column and Table 3's
+//! ACK-receive column, node B's yield Table 3's data-receive column and
+//! Table 2's ACK-send column.
 //!
 //! Pass `--hw-multiply` to ablate the software-multiply penalty the
 //! paper calls out ("A more specialized interface design would
 //! dramatically reduce these costs").
 
+use std::sync::Arc;
+
 use qpip::world::QpipWorld;
 use qpip::{CompletionKind, NicConfig, RecvWr, SendWr, ServiceType};
 use qpip_bench::report::{Checks, Table};
 use qpip_netstack::types::Endpoint;
-use qpip_nic::{PacketClass, Stage};
+use qpip_nic::{Occupancy, PacketClass, Stage};
+use qpip_trace::{FlightRecorder, NODE_SCOPE};
 
-fn run(hw_multiply: bool) -> (QpipWorld, qpip::NodeIdx, qpip::NodeIdx) {
+/// Node A's and node B's occupancy over the steady-state data flow.
+fn run(hw_multiply: bool) -> (Occupancy, Occupancy) {
     let cfg = NicConfig { hw_multiply, ..NicConfig::paper_default() };
     let mut w = QpipWorld::myrinet();
     let a = w.add_node(cfg.clone());
@@ -35,8 +40,8 @@ fn run(hw_multiply: bool) -> (QpipWorld, qpip::NodeIdx, qpip::NodeIdx) {
     w.wait_matching(a, cqa, |c| c.kind == CompletionKind::ConnectionEstablished);
     w.wait_matching(b, cqb, |c| c.kind == CompletionKind::ConnectionEstablished);
     // instrument only the steady-state data flow
-    w.nic_mut(a).reset_occupancy();
-    w.nic_mut(b).reset_occupancy();
+    let rec = Arc::new(FlightRecorder::new(4096));
+    w.install_recorder(Arc::clone(&rec));
     for i in 0..32u64 {
         w.post_recv(b, qb, RecvWr { wr_id: 100 + i, capacity: 4096 }).unwrap();
         w.post_send(a, qa, SendWr { wr_id: i, payload: vec![0x5a], dst: None }).unwrap();
@@ -45,11 +50,16 @@ fn run(hw_multiply: bool) -> (QpipWorld, qpip::NodeIdx, qpip::NodeIdx) {
         while w.try_wait(a, cqa).is_some() {}
     }
     w.run_until_idle();
-    (w, a, b)
+    let (a, b) = (a.0 as u32, b.0 as u32);
+    for node in [a, b] {
+        assert_eq!(rec.overwritten(node, NODE_SCOPE), 0, "recorder ring too small");
+    }
+    let events = rec.events();
+    (Occupancy::from_trace(&events, a), Occupancy::from_trace(&events, b))
 }
 
-fn cell(w: &QpipWorld, node: qpip::NodeIdx, stage: Stage, class: PacketClass) -> String {
-    match w.nic(node).occupancy().mean_us(stage, class) {
+fn cell(occ: &Occupancy, stage: Stage, class: PacketClass) -> String {
+    match occ.mean_us(stage, class) {
         Some(us) => format!("{us:.1}"),
         None => "-".into(),
     }
@@ -57,7 +67,7 @@ fn cell(w: &QpipWorld, node: qpip::NodeIdx, stage: Stage, class: PacketClass) ->
 
 fn main() {
     let hw_multiply = std::env::args().any(|a| a == "--hw-multiply");
-    let (w, a, b) = run(hw_multiply);
+    let (a, b) = run(hw_multiply);
     let title_suffix = if hw_multiply { " [ablation: hardware multiply]" } else { "" };
 
     println!("Tables 2 & 3: NIC per-stage processing costs, 1-byte TCP messages{title_suffix}\n");
@@ -79,9 +89,9 @@ fn main() {
     for (label, stage, p_data, p_ack) in rows2 {
         t2.row(&[
             label.to_string(),
-            cell(&w, a, *stage, PacketClass::DataSend),
+            cell(&a, *stage, PacketClass::DataSend),
             p_data.to_string(),
-            cell(&w, b, *stage, PacketClass::AckSend),
+            cell(&b, *stage, PacketClass::AckSend),
             p_ack.to_string(),
         ]);
     }
@@ -104,9 +114,9 @@ fn main() {
     for (label, stage, p_data, p_ack) in rows3 {
         t3.row(&[
             label.to_string(),
-            cell(&w, b, *stage, PacketClass::DataRecv),
+            cell(&b, *stage, PacketClass::DataRecv),
             p_data.to_string(),
-            cell(&w, a, *stage, PacketClass::AckRecv),
+            cell(&a, *stage, PacketClass::AckRecv),
             p_ack.to_string(),
         ]);
     }
@@ -114,8 +124,8 @@ fn main() {
 
     println!("\nShape checks (paper §4.2.2):");
     let mut checks = Checks::default();
-    let parse_data = w.nic(b).occupancy().mean_us(Stage::TcpParse, PacketClass::DataRecv);
-    let parse_ack = w.nic(a).occupancy().mean_us(Stage::TcpParse, PacketClass::AckRecv);
+    let parse_data = b.mean_us(Stage::TcpParse, PacketClass::DataRecv);
+    let parse_ack = a.mean_us(Stage::TcpParse, PacketClass::AckRecv);
     match (parse_data, parse_ack, hw_multiply) {
         (Some(d), Some(ack), false) => {
             checks
@@ -129,7 +139,7 @@ fn main() {
         }
         _ => checks.check("both parse cells populated", false),
     }
-    let upd_ack = w.nic(a).occupancy().mean_us(Stage::UpdateRx, PacketClass::AckRecv);
+    let upd_ack = a.mean_us(Stage::UpdateRx, PacketClass::AckRecv);
     checks.check(
         "ACK-receive update (WR retire + CQ) near the paper's 9 µs",
         upd_ack.is_some_and(|u| (u - 9.0).abs() < 1.5),

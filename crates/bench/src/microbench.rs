@@ -25,13 +25,6 @@ pub struct Measurement {
     pub batch_iters: u64,
 }
 
-impl Measurement {
-    /// Operations per second implied by the median.
-    pub fn ops_per_sec(&self) -> f64 {
-        1e9 / self.ns_per_op
-    }
-}
-
 fn time_batch<R>(iters: u64, f: &mut impl FnMut() -> R) -> u128 {
     let start = Instant::now();
     for _ in 0..iters {
@@ -102,7 +95,6 @@ mod tests {
         let m = bench("noop_add", || black_box(1u64) + black_box(2u64));
         assert!(m.ns_per_op > 0.0);
         assert!(m.batch_iters >= 1);
-        assert!(m.ops_per_sec() > 0.0);
     }
 
     #[test]

@@ -218,14 +218,9 @@ impl<N: AsQpip> World<N> {
         self.nodes[node.0].qpip_mut().unwrap_or_else(|| panic!("node {} is a socket host", node.0))
     }
 
-    /// NIC access for instrumentation (occupancy tables, stats).
+    /// NIC access for instrumentation (stats, counters).
     pub fn nic(&self, node: NodeIdx) -> &QpipNic {
         &self.qpip_node(node).nic
-    }
-
-    /// Mutable NIC access (resetting occupancy between phases).
-    pub fn nic_mut(&mut self, node: NodeIdx) -> &mut QpipNic {
-        &mut self.qpip_node_mut(node).nic
     }
 
     // ----- management verbs ------------------------------------------------

@@ -22,7 +22,7 @@ use qpip_sim::hash::FxHashMap;
 use qpip_sim::params;
 use qpip_sim::resource::BandwidthPipe;
 use qpip_sim::time::{SimDuration, SimTime};
-use qpip_trace::{FlightRecorder, Snapshot, TraceEvent, TraceSink, NODE_SCOPE};
+use qpip_trace::{FlightRecorder, Snapshot, TraceEvent, NODE_SCOPE};
 
 /// Identifies one attached node (one NIC port on the fabric).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -279,22 +279,6 @@ impl Fabric {
         self.addrs.push(addr);
         self.addr_map.insert(addr, id);
         id
-    }
-
-    /// Number of switches in the chain.
-    pub fn switch_count(&self) -> usize {
-        self.trunks[0].len() + 1
-    }
-
-    /// Switch hops between two attached nodes.
-    pub fn hops_between(&self, a: NodeId, b: NodeId) -> usize {
-        let (sa, sb) = (self.node_switch[a.0 as usize], self.node_switch[b.0 as usize]);
-        sa.abs_diff(sb) + 1
-    }
-
-    /// Number of attached nodes.
-    pub fn node_count(&self) -> usize {
-        self.uplinks.len()
     }
 
     /// Resolves an address to its attached node.
@@ -596,7 +580,6 @@ mod tests {
         assert_eq!(f.resolve(addr(1)), Some(a));
         assert_eq!(f.resolve(addr(2)), Some(b));
         assert_eq!(f.addr_of(a), addr(1));
-        assert_eq!(f.node_count(), 2);
     }
 }
 
@@ -619,12 +602,14 @@ mod multiswitch_tests {
     #[test]
     fn chain_attachment_and_hop_counts() {
         let mut f = Fabric::with_switches(FabricConfig::myrinet(), 3);
-        assert_eq!(f.switch_count(), 3);
         let a = f.attach_at(addr(1), 0);
         let b = f.attach_at(addr(2), 2);
         let c = f.attach_at(addr(3), 0);
-        assert_eq!(f.hops_between(a, b), 3);
-        assert_eq!(f.hops_between(a, c), 1);
+        // three switches to b, one to c: the far end of the chain is later
+        let t_far = arrival(f.transmit(SimTime::ZERO, a, addr(2), 64));
+        let t_near = arrival(f.transmit(SimTime::ZERO, c, addr(1), 64));
+        assert!(t_far > t_near, "{t_far} vs {t_near}");
+        assert_eq!(f.resolve(addr(2)), Some(b));
     }
 
     #[test]

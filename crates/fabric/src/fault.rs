@@ -151,11 +151,6 @@ impl<P> FaultInjector<P> {
         Some(self.held.remove(at))
     }
 
-    /// Packets inspected so far.
-    pub fn packets_seen(&self) -> u64 {
-        self.index
-    }
-
     /// Packets dropped so far.
     pub fn packets_dropped(&self) -> u64 {
         self.dropped
@@ -187,7 +182,6 @@ mod tests {
         let mut f = FaultInjector::new(FaultPlan::None);
         assert!((0..1000).all(|_| !drops(&mut f)));
         assert_eq!(f.packets_dropped(), 0);
-        assert_eq!(f.packets_seen(), 1000);
     }
 
     #[test]

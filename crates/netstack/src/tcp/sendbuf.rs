@@ -112,11 +112,6 @@ impl SendBuffer {
         u64::from(self.end() - self.una)
     }
 
-    /// `true` when everything pushed has been acknowledged.
-    pub fn is_fully_acked(&self) -> bool {
-        self.chunks.is_empty()
-    }
-
     /// Appends one send unit.
     ///
     /// # Panics
@@ -370,7 +365,7 @@ mod tests {
         b.next_segment(16_384, u64::MAX);
         assert_eq!(acked(&mut b, seq(1100)), vec![SendToken(7)]);
         assert_eq!(acked(&mut b, seq(1200)), vec![SendToken(8)]);
-        assert!(b.is_fully_acked());
+        assert_eq!(b.bytes_buffered(), 0);
         assert_eq!(b.bytes_in_flight(), 0);
     }
 

@@ -8,8 +8,10 @@
 //! The firmware is written once and priced by a [`CostModel`]. The
 //! default, [`Lanai`], charges every stage in cycles on the 133 MHz NIC
 //! processor ([`qpip_sim::params`]), moves data across the 64-bit/33 MHz
-//! PCI bus through two DMA pipes, and records each stage execution in
-//! the [`Occupancy`] table that regenerates Tables 2 and 3. [`ZeroCost`]
+//! PCI bus through two DMA pipes. Each stage that holds the processor
+//! is traced as a [`TraceEvent::FwFsm`] with its cycles, the sample
+//! [`Occupancy::from_trace`](crate::Occupancy::from_trace) folds into
+//! Tables 2 and 3. [`ZeroCost`]
 //! charges nothing: the live-socket transport (`qpip-xport`) runs the
 //! same firmware on real hardware, where the cost model *is* the
 //! hardware.
@@ -24,7 +26,7 @@ use qpip_sim::resource::{BandwidthPipe, SerialResource};
 use qpip_sim::time::{Clock, Cycles, SimDuration, SimTime};
 use qpip_trace::{Snapshot, TraceEvent, Tracer};
 
-use crate::occupancy::{Occupancy, PacketClass, Stage};
+use crate::occupancy::{PacketClass, Stage};
 use crate::qp_table::{CqEntry, Outcome, QpTable, TokenUse};
 use crate::rdma::{RdmaFrame, RdmaOpcode};
 use crate::types::{
@@ -55,8 +57,9 @@ pub trait CostModel {
 }
 
 /// The prototype's LANai-9-class NIC: a 133 MHz processor that runs one
-/// stage at a time, a 64-bit/33 MHz PCI bus with a DMA pipe each way,
-/// and the per-stage occupancy table (Tables 2 and 3).
+/// stage at a time and a 64-bit/33 MHz PCI bus with a DMA pipe each way.
+/// It keeps no per-stage table: Tables 2 and 3 are folded from the
+/// trace ([`Occupancy::from_trace`](crate::Occupancy::from_trace)).
 #[derive(Debug)]
 pub struct Lanai {
     clock: Clock,
@@ -65,7 +68,6 @@ pub struct Lanai {
     dma_read: BandwidthPipe,
     /// Receive-side data placement (device writes to host memory).
     dma_write: BandwidthPipe,
-    occupancy: Occupancy,
 }
 
 impl Default for Lanai {
@@ -75,20 +77,16 @@ impl Default for Lanai {
             proc: SerialResource::new("nic-proc"),
             dma_read: BandwidthPipe::new("pci-dma-rd", params::PCI_DMA_READ_BYTES_PER_SEC),
             dma_write: BandwidthPipe::new("pci-dma-wr", params::PCI_DMA_WRITE_BYTES_PER_SEC),
-            occupancy: Occupancy::new(),
         }
     }
 }
 
 impl CostModel for Lanai {
-    fn charge(&mut self, start: SimTime, stage: Stage, class: PacketClass, c: Cycles) -> SimTime {
+    fn charge(&mut self, start: SimTime, _: Stage, _: PacketClass, c: Cycles) -> SimTime {
         if c.count() == 0 {
             return start;
         }
-        let d = self.clock.cycles_to_duration(c);
-        let end = self.proc.acquire(start, d);
-        self.occupancy.record(stage, class, d);
-        end
+        self.proc.acquire(start, self.clock.cycles_to_duration(c))
     }
 
     fn dma_read(&mut self, start: SimTime, bytes: u64) -> SimTime {
@@ -214,16 +212,6 @@ impl QpipNic {
     /// `addr`.
     pub fn new(cfg: NicConfig, addr: Ipv6Addr) -> Self {
         QpipNic::with_model(cfg, addr, Lanai::default(), u64::MAX)
-    }
-
-    /// The per-stage occupancy table (Tables 2 & 3).
-    pub fn occupancy(&self) -> &Occupancy {
-        &self.model.occupancy
-    }
-
-    /// Clears occupancy samples (between benchmark phases).
-    pub fn reset_occupancy(&mut self) {
-        self.model.occupancy.reset();
     }
 }
 
@@ -956,15 +944,17 @@ impl<M: CostModel> QpipNic<M> {
 
     // ----- internals ---------------------------------------------------------
 
-    /// Runs one stage through the cost model, tracing it when it held
-    /// the processor.
+    /// Runs one stage through the cost model, tracing it with its
+    /// cycles when it held the processor.
     fn charge(&mut self, start: SimTime, stage: Stage, class: PacketClass, c: Cycles) -> SimTime {
         let end = self.model.charge(start, stage, class, c);
         if let Some(tr) = self.tracer.as_ref().filter(|_| end > start) {
-            tr.emit_node(
-                start,
-                TraceEvent::FwFsm { stage: stage.trace_name(), class: class.trace_name() },
-            );
+            let ev = TraceEvent::FwFsm {
+                stage: stage.trace_name(),
+                class: class.trace_name(),
+                cycles: u32::try_from(c.count()).unwrap_or(u32::MAX),
+            };
+            tr.emit_node(start, ev);
         }
         end
     }
@@ -1257,7 +1247,12 @@ fn classify_incoming(bytes: &[u8]) -> PacketClass {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use qpip_trace::{FlightRecorder, NODE_SCOPE};
+
     use super::*;
+    use crate::occupancy::Occupancy;
 
     fn addr(n: u16) -> Ipv6Addr {
         Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, n)
@@ -1427,13 +1422,16 @@ mod tests {
     #[test]
     fn occupancy_records_table2_stages_for_data_send() {
         let (mut a, qp, _) = udp_nic(1, 7000);
+        let rec = Arc::new(FlightRecorder::new(64));
+        a.set_tracer(Tracer::new(Arc::clone(&rec), 0));
         send(
             &mut a,
             SimTime::ZERO,
             qp,
             SendWr { wr_id: 1, payload: vec![0; 100], dst: Some(Endpoint::new(addr(2), 7001)) },
         );
-        let occ = a.occupancy();
+        assert_eq!(rec.overwritten(0, NODE_SCOPE), 0);
+        let occ = Occupancy::from_trace(&rec.events(), 0);
         for stage in [
             Stage::DoorbellProcess,
             Stage::Schedule,

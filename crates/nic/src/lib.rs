@@ -9,9 +9,10 @@
 //!   windows, accept pools and send tokens in one QP table. A
 //!   [`CostModel`] prices the firmware's work. The default, [`Lanai`],
 //!   is the prototype's LANai-9-class 133 MHz processor with its PCI DMA
-//!   engines: every stage charges cycles and is recorded in a per-stage
-//!   [`occupancy::Occupancy`] table, which is how Tables 2 and 3 are
-//!   regenerated. [`ZeroCost`] charges nothing; the live-socket
+//!   engines: every stage charges cycles, and a traced run's
+//!   `FwFsm` events fold into a per-stage [`occupancy::Occupancy`]
+//!   table, which is how Tables 2 and 3 are regenerated. [`ZeroCost`]
+//!   charges nothing; the live-socket
 //!   transport (`qpip-xport`) runs the same firmware on it, so the verbs
 //!   are written once for both substrates.
 //! * [`conventional::ConventionalNic`] — the **dumb NICs** of the

@@ -1,11 +1,15 @@
-//! Per-stage NIC-processor occupancy instrumentation.
+//! Per-stage NIC-processor occupancy, folded from a flight-recorder
+//! trace.
 //!
 //! Reproduces the measurement the paper made with the LANai 9 cycle
-//! counter (§4.2.2, Tables 2 & 3): every firmware stage records how long
-//! the NIC processor was occupied, bucketed by what kind of packet was
-//! being handled.
+//! counter (§4.2.2, Tables 2 & 3): every firmware stage that holds the
+//! NIC processor is traced as a [`TraceEvent::FwFsm`] carrying its
+//! cycles, and [`Occupancy::from_trace`] buckets those charges by stage
+//! and by what kind of packet was being handled.
 
-use qpip_sim::time::SimDuration;
+use qpip_sim::params;
+use qpip_sim::time::Cycles;
+use qpip_trace::{Rec, TraceEvent};
 
 /// A firmware processing stage (the rows of Tables 2 and 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -182,21 +186,29 @@ impl Cell {
 #[derive(Debug, Default)]
 pub struct Occupancy {
     cells: [[Cell; CLASSES]; STAGES],
-    total_busy: SimDuration,
 }
 
 impl Occupancy {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Occupancy::default()
-    }
-
-    /// Records one stage execution.
-    pub fn record(&mut self, stage: Stage, class: PacketClass, d: SimDuration) {
-        let cell = &mut self.cells[stage as usize][class as usize];
-        cell.count += 1;
-        cell.sum_us += d.as_micros_f64();
-        self.total_busy += d;
+    /// Folds `node`'s [`TraceEvent::FwFsm`] charges in `events`, in the
+    /// order given (recording order, for [`FlightRecorder::events`]).
+    /// Each charge's cycles are priced on the NIC clock, as the `Lanai`
+    /// cost model prices them. Other nodes' events, other event kinds
+    /// and stage or class names this crate does not define are skipped.
+    ///
+    /// [`FlightRecorder::events`]: qpip_trace::FlightRecorder::events
+    pub fn from_trace(events: &[Rec], node: u32) -> Occupancy {
+        let clock = params::nic_clock();
+        let mut o = Occupancy::default();
+        for r in events.iter().filter(|r| r.node == node) {
+            let TraceEvent::FwFsm { stage, class, cycles } = r.ev else { continue };
+            let stage = ALL_STAGES.iter().find(|s| s.trace_name() == stage);
+            let class = ALL_CLASSES.iter().find(|c| c.trace_name() == class);
+            let (Some(&stage), Some(&class)) = (stage, class) else { continue };
+            let cell = &mut o.cells[stage as usize][class as usize];
+            cell.count += 1;
+            cell.sum_us += clock.cycles_to_duration(Cycles(u64::from(cycles))).as_micros_f64();
+        }
+        o
     }
 
     fn cell(&self, stage: Stage, class: PacketClass) -> Cell {
@@ -214,11 +226,6 @@ impl Occupancy {
         self.cell(stage, class).count
     }
 
-    /// Total processor busy time recorded.
-    pub fn total_busy(&self) -> SimDuration {
-        self.total_busy
-    }
-
     /// All populated cells with their mean and count, in (stage, class)
     /// order.
     pub fn cells(&self) -> Vec<((Stage, PacketClass), f64, usize)> {
@@ -230,63 +237,76 @@ impl Occupancy {
             .map(|(k, cell)| (k, cell.mean_us(), cell.count))
             .collect()
     }
-
-    /// Clears all recorded samples.
-    pub fn reset(&mut self) {
-        *self = Occupancy::default();
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use qpip_sim::time::SimTime;
+    use qpip_trace::NODE_SCOPE;
+
     use super::*;
+
+    /// A node-scoped stage charge, as the firmware traces it.
+    fn fw(node: u32, stage: Stage, class: PacketClass, cycles: u32) -> Rec {
+        let ev = TraceEvent::FwFsm { stage: stage.trace_name(), class: class.trace_name(), cycles };
+        Rec { index: 0, t: SimTime::ZERO, node, conn: NODE_SCOPE, ev }
+    }
+
+    fn us(cycles: u32) -> f64 {
+        params::nic_clock().cycles_to_duration(Cycles(u64::from(cycles))).as_micros_f64()
+    }
 
     #[test]
     fn records_and_averages() {
-        let mut o = Occupancy::new();
-        o.record(Stage::GetWr, PacketClass::DataSend, SimDuration::from_micros(5));
-        o.record(Stage::GetWr, PacketClass::DataSend, SimDuration::from_micros(6));
+        let events = [
+            fw(0, Stage::GetWr, PacketClass::DataSend, 665),
+            fw(0, Stage::GetWr, PacketClass::DataSend, 798),
+        ];
+        let o = Occupancy::from_trace(&events, 0);
         assert_eq!(o.mean_us(Stage::GetWr, PacketClass::DataSend), Some(5.5));
         assert_eq!(o.count(Stage::GetWr, PacketClass::DataSend), 2);
         assert_eq!(o.mean_us(Stage::GetWr, PacketClass::AckSend), None);
-        assert_eq!(o.total_busy(), SimDuration::from_micros(11));
     }
 
     #[test]
     fn means_are_an_in_order_fold_bit_for_bit() {
-        // irregular durations whose µs values are inexact in binary, so
-        // the mean depends on the order the sum is folded in
-        let nanos = [7_519u64, 1, 133_333, 5_500, 999_999, 42, 3_758, 61_003, 17, 2_000_001];
-        let mut o = Occupancy::new();
+        // irregular cycle counts whose µs values are inexact in binary,
+        // so the mean depends on the order the sum is folded in
+        let cycles = [1_000u32, 1, 17_733, 731, 132_999, 6, 499, 8_113, 3, 266_000];
+        let mut events = Vec::new();
         let mut fold = 0.0f64;
-        let mut busy = SimDuration::ZERO;
-        for &n in &nanos {
-            let d = SimDuration::from_nanos(n);
-            o.record(Stage::TcpParse, PacketClass::AckRecv, d);
-            fold += d.as_micros_f64();
-            busy += d;
+        for (i, &c) in cycles.iter().enumerate() {
+            events.push(fw(1, Stage::TcpParse, PacketClass::AckRecv, c));
+            fold += us(c);
+            // interleaved: another node's charge and a connection event
+            events.push(fw(2, Stage::TcpParse, PacketClass::AckRecv, 7 + c));
+            let ev = TraceEvent::DupAck { ack: i as u32, count: 1 };
+            events.push(Rec { index: 0, t: SimTime::ZERO, node: 1, conn: 3, ev });
         }
-        let mean = fold / nanos.len() as f64;
+        let mean = fold / cycles.len() as f64;
+        let o = Occupancy::from_trace(&events, 1);
         assert!(o.mean_us(Stage::TcpParse, PacketClass::AckRecv) == Some(mean));
-        assert_eq!(o.count(Stage::TcpParse, PacketClass::AckRecv), nanos.len());
-        assert_eq!(o.total_busy(), busy);
-        assert!(o.cells() == vec![((Stage::TcpParse, PacketClass::AckRecv), mean, nanos.len())]);
+        assert_eq!(o.count(Stage::TcpParse, PacketClass::AckRecv), cycles.len());
+        assert!(o.cells() == vec![((Stage::TcpParse, PacketClass::AckRecv), mean, cycles.len())]);
         // a neighbouring cell that never ran
         assert_eq!(o.mean_us(Stage::TcpParse, PacketClass::DataRecv), None);
         assert_eq!(o.count(Stage::TcpParse, PacketClass::DataRecv), 0);
+        // a node with no charges folds to an empty table
+        assert!(Occupancy::from_trace(&events, 5).cells().is_empty());
     }
 
     #[test]
-    fn cells_sorted_and_reset() {
-        let mut o = Occupancy::new();
+    fn cells_come_out_in_stage_class_order() {
+        let mut events = Vec::new();
         // two cells in three, recorded back to front
         for (i, &stage) in ALL_STAGES.iter().enumerate().rev() {
             for &class in ALL_CLASSES.iter().rev() {
                 if !(i + class as usize).is_multiple_of(3) {
-                    o.record(stage, class, SimDuration::from_nanos(1 + i as u64));
+                    events.push(fw(0, stage, class, 1 + i as u32));
                 }
             }
         }
+        let o = Occupancy::from_trace(&events, 0);
         let cells = o.cells();
         assert!(cells.windows(2).all(|w| w[0].0 < w[1].0), "cells not in (stage, class) order");
         assert!(cells.iter().all(|&(_, _, n)| n > 0));
@@ -296,17 +316,15 @@ mod tests {
             .filter(|&(s, c)| o.count(s, c) > 0)
             .count();
         assert_eq!(cells.len(), populated);
+        assert_eq!(populated, events.len());
         assert!(populated > 0 && populated < STAGES * CLASSES);
+    }
 
-        o.reset();
-        assert!(o.cells().is_empty());
-        assert_eq!(o.total_busy(), SimDuration::ZERO);
-        for &stage in &ALL_STAGES {
-            for &class in &ALL_CLASSES {
-                assert_eq!(o.count(stage, class), 0);
-                assert_eq!(o.mean_us(stage, class), None);
-            }
-        }
+    #[test]
+    fn unknown_trace_names_are_skipped() {
+        let ev = TraceEvent::FwFsm { stage: "doorbell", class: "bogus", cycles: 9 };
+        let events = [Rec { index: 0, t: SimTime::ZERO, node: 0, conn: NODE_SCOPE, ev }];
+        assert!(Occupancy::from_trace(&events, 0).cells().is_empty());
     }
 
     #[test]
@@ -316,6 +334,13 @@ mod tests {
         }
         for (i, &class) in ALL_CLASSES.iter().enumerate() {
             assert_eq!(class as usize, i);
+        }
+        // trace names are distinct, so each maps back to its variant
+        for (i, a) in ALL_STAGES.iter().enumerate() {
+            assert!(ALL_STAGES[..i].iter().all(|b| b.trace_name() != a.trace_name()));
+        }
+        for (i, a) in ALL_CLASSES.iter().enumerate() {
+            assert!(ALL_CLASSES[..i].iter().all(|b| b.trace_name() != a.trace_name()));
         }
     }
 

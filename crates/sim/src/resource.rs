@@ -131,11 +131,6 @@ impl BandwidthPipe {
         self.inner.acquire(now, SimDuration::for_bytes(bytes, self.bytes_per_sec))
     }
 
-    /// Serialization delay for `bytes` without occupying the pipe.
-    pub fn latency_for(&self, bytes: u64) -> SimDuration {
-        SimDuration::for_bytes(bytes, self.bytes_per_sec)
-    }
-
     /// The instant at which the pipe next becomes free.
     pub fn next_free(&self) -> SimTime {
         self.inner.next_free()
@@ -200,13 +195,6 @@ mod tests {
         let done = link.transfer(SimTime::ZERO, 2500);
         assert_eq!(done, SimTime::from_micros(10));
         assert_eq!(link.bytes_moved(), 2500);
-    }
-
-    #[test]
-    fn pipe_latency_for_does_not_occupy() {
-        let link = BandwidthPipe::new("l", 1_000_000);
-        assert_eq!(link.latency_for(1000), SimDuration::from_millis(1));
-        assert_eq!(link.next_free(), SimTime::ZERO);
     }
 
     #[test]

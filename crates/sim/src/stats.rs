@@ -1,41 +1,7 @@
-//! Measurement primitives: counters, running summaries and histograms.
+//! Measurement primitive: a running summary of samples.
 //!
-//! Every experiment harness reports through these so that the tables and
+//! Every experiment harness reports through it so that the tables and
 //! figures are produced from one consistent measurement path.
-
-use std::fmt;
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// The current count.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// Streaming summary of a series of samples: count, min, max, mean and
 /// (exactly, by retention) percentiles.
@@ -123,79 +89,11 @@ impl Summary {
     pub fn median(&mut self) -> Option<f64> {
         self.percentile(50.0)
     }
-
-    /// Population standard deviation, or 0.0 with < 2 samples.
-    pub fn std_dev(&self) -> f64 {
-        if self.samples.len() < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var =
-            self.samples.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / self.samples.len() as f64;
-        var.sqrt()
-    }
-}
-
-/// A fixed-width-bucket histogram over `[0, width * buckets)` with an
-/// overflow bucket; useful for latency distributions.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    width: f64,
-    buckets: Vec<u64>,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram of `buckets` buckets each `width` wide.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width <= 0` or `buckets == 0`.
-    pub fn new(width: f64, buckets: usize) -> Self {
-        assert!(width > 0.0 && buckets > 0);
-        Histogram { width, buckets: vec![0; buckets], overflow: 0, count: 0 }
-    }
-
-    /// Records a sample (negative samples land in bucket 0).
-    pub fn record(&mut self, v: f64) {
-        self.count += 1;
-        let idx = (v.max(0.0) / self.width) as usize;
-        if idx < self.buckets.len() {
-            self.buckets[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Samples beyond the last bucket.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Iterator over `(bucket_lower_bound, count)`.
-    pub fn iter(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.buckets.iter().enumerate().map(move |(i, &c)| (i as f64 * self.width, c))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        assert_eq!(c.to_string(), "5");
-    }
 
     #[test]
     fn summary_basic_moments() {
@@ -205,7 +103,6 @@ mod tests {
         }
         assert_eq!(s.count(), 8);
         assert_eq!(s.mean(), 5.0);
-        assert_eq!(s.std_dev(), 2.0);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
     }
@@ -229,17 +126,5 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.median(), None);
         assert_eq!(s.min(), None);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(10.0, 3); // [0,10) [10,20) [20,30)
-        for v in [0.0, 5.0, 15.0, 25.0, 99.0, -1.0] {
-            h.record(v);
-        }
-        let counts: Vec<u64> = h.iter().map(|(_, c)| c).collect();
-        assert_eq!(counts, vec![3, 1, 1]);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.count(), 6);
     }
 }

@@ -74,9 +74,10 @@ pub fn to_jsonl(events: &[Rec]) -> String {
             TraceEvent::WindowRefresh { wnd } => {
                 out.push_str(&format!(", \"ev\": \"window_refresh\", \"wnd\": {wnd}"));
             }
-            TraceEvent::FwFsm { stage, class } => {
+            TraceEvent::FwFsm { stage, class, cycles } => {
                 out.push_str(&format!(
-                    ", \"ev\": \"fw_fsm\", \"stage\": \"{stage}\", \"class\": \"{class}\""
+                    ", \"ev\": \"fw_fsm\", \"stage\": \"{stage}\", \"class\": \"{class}\", \
+                     \"cycles\": {cycles}"
                 ));
             }
             TraceEvent::FabricDrop { reason, len } => {
@@ -219,7 +220,9 @@ pub fn parse_jsonl(text: &str) -> Vec<Rec> {
             "zero_window" => TraceEvent::ZeroWindow,
             "window_refresh" => TraceEvent::WindowRefresh { wnd: num("wnd").unwrap_or(0) as u32 },
             "fw_fsm" => match (text_field("stage"), text_field("class")) {
-                (Some(stage), Some(class)) => TraceEvent::FwFsm { stage, class },
+                (Some(stage), Some(class)) => {
+                    TraceEvent::FwFsm { stage, class, cycles: num("cycles").unwrap_or(0) as u32 }
+                }
                 _ => continue,
             },
             "fabric_drop" => TraceEvent::FabricDrop {
@@ -303,7 +306,9 @@ pub fn dump(events: &[Rec]) -> String {
             }
             TraceEvent::ZeroWindow => "zero-window".to_string(),
             TraceEvent::WindowRefresh { wnd } => format!("window-refresh wnd {wnd}"),
-            TraceEvent::FwFsm { stage, class } => format!("fw {stage}/{class}"),
+            TraceEvent::FwFsm { stage, class, cycles } => {
+                format!("fw {stage}/{class} {cycles} cycles")
+            }
             TraceEvent::FabricDrop { reason, len } => format!("fabric drop {reason} len {len}"),
             TraceEvent::Sock { op, bytes } => format!("sock {op} {bytes} B"),
         };
@@ -534,7 +539,14 @@ mod tests {
 
     #[test]
     fn jsonl_roundtrips() {
-        let evs = sample_events();
+        let mut evs = sample_events();
+        evs.push(Rec {
+            index: 6,
+            t: SimTime::from_micros(700),
+            node: 1,
+            conn: NODE_SCOPE,
+            ev: TraceEvent::FwFsm { stage: "tcp_parse", class: "ack_recv", cycles: 1_862 },
+        });
         let text = to_jsonl(&evs);
         let back = parse_jsonl(&text);
         assert_eq!(evs.len(), back.len());
@@ -544,6 +556,7 @@ mod tests {
             assert_eq!(a.conn, b.conn);
             assert_eq!(a.ev, b.ev);
         }
+        assert!(text.contains("\"cycles\": 1862"), "{text}");
         // identical input, identical bytes
         assert_eq!(text, to_jsonl(&evs));
     }

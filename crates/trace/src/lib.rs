@@ -5,10 +5,9 @@
 //! 1–3, Figures 3–7); this crate gives the reproduction the same
 //! introspection at event granularity. Three pieces:
 //!
-//! 1. **[`TraceSink`] / [`Tracer`]** — layers hold an `Option<Tracer>`
-//!    and emit typed [`TraceEvent`]s through it. `None` (the default
-//!    everywhere) costs one branch on the datapath; [`NoopSink`] exists
-//!    for generic call sites. Timestamps are [`SimTime`]: picosecond
+//! 1. **[`Tracer`]** — layers hold an `Option<Tracer>` and emit typed
+//!    [`TraceEvent`]s through it. `None` (the default everywhere) costs
+//!    one branch on the datapath. Timestamps are [`SimTime`]: picosecond
 //!    simulated time in the DES worlds (same seed ⇒ byte-identical
 //!    trace) and `WallClock`-mapped time in `qpip-xport`.
 //! 2. **[`FlightRecorder`]** — a per-connection ring buffer (fixed
@@ -127,12 +126,22 @@ pub enum TraceEvent {
         /// Window field advertised (scaled down for the wire).
         wnd: u32,
     },
-    /// Firmware FSM stage executed a charge.
+    /// A firmware stage held the NIC processor: one
+    /// `CostModel::charge` in `qpip-nic`, the sample Tables 2 and 3
+    /// are folded from.
     FwFsm {
-        /// FSM stage: "doorbell", "management", "transmit", "receive".
+        /// Stage (`Stage::trace_name`): "doorbell", "schedule",
+        /// "get_wr", "get_data", "build_tcp_hdr", "build_udp_hdr",
+        /// "build_ip_hdr", "fw_checksum", "media_xmt", "wr_status_tx",
+        /// "media_rcv", "ip_parse", "tcp_parse", "udp_parse",
+        /// "put_data" or "wr_status_rx".
         stage: &'static str,
-        /// Work class within the stage.
+        /// Packet class (`PacketClass::trace_name`): "data_send",
+        /// "ack_send", "data_recv", "ack_recv", "udp_send", "udp_recv"
+        /// or "control".
         class: &'static str,
+        /// NIC-processor cycles charged.
+        cycles: u32,
     },
     /// The fabric dropped a packet.
     FabricDrop {
@@ -178,34 +187,6 @@ pub struct Rec {
     pub conn: u32,
     /// The event.
     pub ev: TraceEvent,
-}
-
-/// Destination for trace events. Implementations take `&self` so one
-/// sink can be shared by every layer of a node (and across nodes).
-pub trait TraceSink {
-    /// Whether events should be generated at all. Callers are expected
-    /// to skip event construction when this is false.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Records one event.
-    fn record(&self, t: SimTime, node: u32, conn: u32, ev: TraceEvent);
-}
-
-/// A sink that drops everything; `enabled()` is `false` and both
-/// methods compile to nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn record(&self, _t: SimTime, _node: u32, _conn: u32, _ev: TraceEvent) {}
 }
 
 struct Ring {
@@ -305,10 +286,9 @@ impl FlightRecorder {
     pub fn export_jsonl(&self) -> String {
         export::to_jsonl(&self.events())
     }
-}
 
-impl TraceSink for FlightRecorder {
-    fn record(&self, t: SimTime, node: u32, conn: u32, ev: TraceEvent) {
+    /// Records one event in the `(node, conn)` ring.
+    pub fn record(&self, t: SimTime, node: u32, conn: u32, ev: TraceEvent) {
         let mut inner = self.inner.lock().expect("recorder lock");
         let index = inner.next_index;
         inner.next_index += 1;
@@ -408,12 +388,6 @@ mod tests {
         rec.record(SimTime::from_micros(3), 0, 1, ev(30));
         let idx: Vec<u64> = rec.events().iter().map(|r| r.index).collect();
         assert_eq!(idx, [0, 1, 2]);
-    }
-
-    #[test]
-    fn noop_sink_is_disabled() {
-        assert!(!NoopSink.enabled());
-        NoopSink.record(SimTime::ZERO, 0, 0, ev(0));
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! * [`ipv6`] — the IPv6 header (the paper's network layer, §4.1)
 //! * [`tcp`] — TCP header, RFC 1323 options, sequence arithmetic
 //! * [`udp`] — UDP header
-//! * [`link`] — Myrinet source-route framing and Ethernet II
 //! * [`checksum`] — the internet checksum and IPv6 pseudo-header
 //! * [`packet`] — the owned packet buffer
 //!
@@ -25,7 +24,6 @@ pub mod checksum;
 pub mod error;
 pub mod frag;
 pub mod ipv6;
-pub mod link;
 pub mod packet;
 pub mod tcp;
 pub mod udp;

@@ -27,7 +27,7 @@ pub const HEADROOM: usize = 128;
 /// use qpip_wire::packet::Packet;
 ///
 /// let mut p = Packet::with_headroom(b"payload", 8);
-/// p.prepend(&[0xAA, 0xBB]);
+/// p.prepend_space(2).copy_from_slice(&[0xAA, 0xBB]);
 /// assert_eq!(&p[..2], &[0xAA, 0xBB]);
 /// assert_eq!(p.len(), 9);
 /// assert_eq!(p.headroom(), 6);
@@ -101,11 +101,6 @@ impl Packet {
         }
         let head = self.head;
         &mut self.buf[head..head + n]
-    }
-
-    /// Prepends `bytes` in front of the live region.
-    pub fn prepend(&mut self, bytes: &[u8]) {
-        self.prepend_space(bytes.len()).copy_from_slice(bytes);
     }
 
     /// Appends bytes after the live region.
@@ -206,7 +201,7 @@ mod tests {
         let mut p = Packet::with_headroom(&[4, 5, 6], 8);
         assert_eq!(p.headroom(), 8);
         assert_eq!(p.len(), 3);
-        p.prepend(&[1, 2, 3]);
+        p.prepend_space(3).copy_from_slice(&[1, 2, 3]);
         assert_eq!(p.headroom(), 5);
         assert_eq!(p.as_slice(), &[1, 2, 3, 4, 5, 6]);
     }
@@ -215,7 +210,7 @@ mod tests {
     fn prepend_beyond_headroom_reallocates_with_fresh_headroom() {
         let mut p = Packet::with_headroom(&[9], 2);
         let hdr: Vec<u8> = (0..10).collect();
-        p.prepend(&hdr);
+        p.prepend_space(hdr.len()).copy_from_slice(&hdr);
         assert_eq!(p.headroom(), HEADROOM);
         assert_eq!(&p[..10], &hdr[..]);
         assert_eq!(p[10], 9);
@@ -226,7 +221,7 @@ mod tests {
     fn into_vec_drops_headroom() {
         let mut p = Packet::reserve_headroom(16, 4);
         p.extend_from_slice(&[1, 2, 3, 4]);
-        p.prepend(&[0]);
+        p.prepend_space(1)[0] = 0;
         assert_eq!(p.into_vec(), vec![0, 1, 2, 3, 4]);
     }
 

@@ -10,7 +10,6 @@ use std::net::Ipv6Addr;
 use qpip_sim::rng::SplitMix64;
 use qpip_wire::checksum::{checksum, transport_checksum, verify_transport_checksum, Checksum};
 use qpip_wire::ipv6::{Ipv6Header, NextHeader};
-use qpip_wire::link::{MyrinetHeader, SourceRoute, ETHERTYPE_IPV6, MYRINET_MAX_HOPS};
 use qpip_wire::tcp::{SeqNum, TcpFlags, TcpHeader, TcpOptions};
 use qpip_wire::udp::UdpHeader;
 
@@ -113,22 +112,6 @@ fn udp_header_roundtrips() {
         let (back, used) = UdpHeader::parse(&buf).unwrap();
         assert_eq!(back, h);
         assert_eq!(used, 8);
-    }
-}
-
-#[test]
-fn myrinet_header_roundtrips() {
-    let mut r = SplitMix64::new(0x7c9_0005);
-    for _ in 0..CASES {
-        let nhops = r.range_usize(0, MYRINET_MAX_HOPS + 1);
-        let hops = r.bytes(nhops);
-        let h =
-            MyrinetHeader { route: SourceRoute::new(&hops).unwrap(), packet_type: ETHERTYPE_IPV6 };
-        let mut buf = Vec::new();
-        h.encode(&mut buf);
-        let (back, used) = MyrinetHeader::parse(&buf).unwrap();
-        assert_eq!(back, h);
-        assert_eq!(used, buf.len());
     }
 }
 

@@ -41,22 +41,37 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # latency_sweep, rdma_bench: the firmware-checksum, multiplier and MTU
 # paths the paper binaries leave out) are deterministic simulations,
 # so their stdout is also an oracle: a refactor must leave it
-# byte-identical. scripts/paper_outputs.md5 pins the md5 of each
-# binary's stdout; a change that is meant to move a simulated figure
-# updates it in the same commit (`md5sum fig3_rtt ... > scripts/paper_outputs.md5`
-# run in a directory holding the new outputs).
+# byte-identical. scripts/paper_outputs/ holds each run's stdout (the
+# debug build is compared with it, line by line, by the qpip-bench
+# test paper_outputs under `cargo test`); scripts/paper_outputs.md5
+# pins the md5 of each golden file, and the release outputs here must
+# match both. A change that is meant to move a simulated figure
+# updates the golden file and the md5 in the same commit
+# (`md5sum *.txt > ../paper_outputs.md5` run in scripts/paper_outputs).
 paper_out="$(mktemp -d)"
-for bin in fig3_rtt fig4_throughput table1_overhead tables23_occupancy fig7_nbd \
-    ablations latency_sweep rdma_bench; do
-    echo "==> smoke: $bin"
-    status=0
-    ./target/release/$bin >"$paper_out/$bin" || status=$?
-    if grep -q '\[MISS\]' "$paper_out/$bin" || [[ $status -ne 0 ]]; then
-        cat "$paper_out/$bin"
-        echo "FAIL: $bin reported a missed shape check or exited $status"
+gated_run() {
+    local name=$1
+    shift
+    echo "==> smoke: $*"
+    local status=0
+    "./target/release/$1" "${@:2}" >"$paper_out/$name.txt" || status=$?
+    if grep -q '\[MISS\]' "$paper_out/$name.txt" || [[ $status -ne 0 ]]; then
+        cat "$paper_out/$name.txt"
+        echo "FAIL: $* reported a missed shape check or exited $status"
         exit 1
     fi
+}
+for bin in fig3_rtt fig4_throughput table1_overhead tables23_occupancy fig7_nbd \
+    ablations latency_sweep rdma_bench; do
+    gated_run "$bin" "$bin"
 done
+gated_run tables23_occupancy_hw_multiply tables23_occupancy --hw-multiply
+echo "==> gate: golden outputs md5-identical to scripts/paper_outputs.md5"
+if ! (cd scripts/paper_outputs && md5sum --check --quiet ../paper_outputs.md5) ||
+    [[ $(ls scripts/paper_outputs | wc -l) -ne $(wc -l <scripts/paper_outputs.md5) ]]; then
+    echo "FAIL: scripts/paper_outputs/ and scripts/paper_outputs.md5 disagree"
+    exit 1
+fi
 echo "==> gate: experiment binary outputs md5-identical to scripts/paper_outputs.md5"
 if ! (cd "$paper_out" && md5sum --check --quiet "$OLDPWD/scripts/paper_outputs.md5"); then
     echo "FAIL: an experiment binary's output changed (outputs kept in $paper_out)"

@@ -311,13 +311,18 @@ fn reset_flushes_in_flight_send_wrs_with_connection_error() {
 
 #[test]
 fn occupancy_media_counts_conserve_with_nic_packet_counters() {
+    use std::sync::Arc;
+
     use qpip_fabric::FabricConfig;
-    use qpip_nic::{PacketClass, Stage};
+    use qpip_nic::{Occupancy, PacketClass, Stage};
+    use qpip_trace::{FlightRecorder, NODE_SCOPE};
 
     // 8 KB messages over a 1,500-byte wire: data moves as IPv6
     // fragments, handshakes and ACKs as whole packets
     let cfg = NicConfig::fragmented(1500);
     let mut w = QpipWorld::new(FabricConfig { mtu: 1500, ..FabricConfig::myrinet() });
+    let rec = Arc::new(FlightRecorder::new(4096));
+    w.install_recorder(Arc::clone(&rec));
     let server = w.add_node(cfg.clone());
     let cq_s = w.create_cq(server);
     let flows = 4;
@@ -353,12 +358,17 @@ fn occupancy_media_counts_conserve_with_nic_packet_counters() {
     }
     assert_eq!(received, flows * 3);
 
+    let events = rec.events();
+    let occupancy = |node: NodeIdx| {
+        assert_eq!(rec.overwritten(node.0 as u32, NODE_SCOPE), 0, "node {node:?} ring overflowed");
+        Occupancy::from_trace(&events, node.0 as u32)
+    };
     // a stage's executions summed over every packet class
     let media = |node: NodeIdx, stage: Stage| -> u64 {
-        let cells = w.nic(node).occupancy().cells();
+        let cells = occupancy(node).cells();
         cells.iter().filter(|((s, _), _, _)| *s == stage).map(|&(_, _, n)| n as u64).sum()
     };
-    let server_occ = w.nic(server).occupancy();
+    let server_occ = occupancy(server);
     assert!(server_occ.count(Stage::MediaRcv, PacketClass::DataRecv) > 0, "no fragments arrived");
     assert!(
         server_occ.count(Stage::MediaRcv, PacketClass::Control) > 0,

@@ -12,6 +12,7 @@ use std::mem::size_of;
 use qpip::world::QpipNode;
 use qpip_netstack::tcp::Tcb;
 use qpip_nic::QpipNic;
+use qpip_trace::TraceEvent;
 
 #[test]
 fn tcb_does_not_grow() {
@@ -20,10 +21,16 @@ fn tcb_does_not_grow() {
 
 #[test]
 fn qpip_nic_does_not_grow() {
-    assert!(size_of::<QpipNic>() <= 2968, "QpipNic is {} B", size_of::<QpipNic>());
+    assert!(size_of::<QpipNic>() <= 1168, "QpipNic is {} B", size_of::<QpipNic>());
 }
 
 #[test]
 fn qpip_node_does_not_grow() {
-    assert!(size_of::<QpipNode>() <= 3096, "QpipNode is {} B", size_of::<QpipNode>());
+    assert!(size_of::<QpipNode>() <= 1296, "QpipNode is {} B", size_of::<QpipNode>());
+}
+
+#[test]
+fn trace_event_does_not_grow() {
+    // every recorder ring holds its capacity of these
+    assert!(size_of::<TraceEvent>() <= 40, "TraceEvent is {} B", size_of::<TraceEvent>());
 }
