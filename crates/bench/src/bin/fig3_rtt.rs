@@ -14,10 +14,11 @@
 
 use std::sync::Arc;
 
+use qpip::baseline::Transport;
 use qpip::NicConfig;
 use qpip_bench::report::{f1, Checks, Table};
 use qpip_bench::workloads::pingpong::{
-    qpip_tcp_rtt, qpip_tcp_rtt_observed, qpip_udp_rtt, socket_tcp_rtt, socket_udp_rtt, Baseline,
+    qpip_tcp_rtt, qpip_tcp_rtt_observed, qpip_udp_rtt, socket_tcp_rtt, socket_udp_rtt,
 };
 use qpip_trace::FlightRecorder;
 
@@ -30,10 +31,10 @@ fn main() {
     let rounds = 40;
     println!("Figure 3: application-to-application RTT, 1-byte message\n");
 
-    let gige_udp = socket_udp_rtt(Baseline::GigE, 1, rounds);
-    let gige_tcp = socket_tcp_rtt(Baseline::GigE, 1, rounds);
-    let gm_udp = socket_udp_rtt(Baseline::GmMyrinet, 1, rounds);
-    let gm_tcp = socket_tcp_rtt(Baseline::GmMyrinet, 1, rounds);
+    let gige_udp = socket_udp_rtt(Transport::GigE, 1, rounds);
+    let gige_tcp = socket_tcp_rtt(Transport::GigE, 1, rounds);
+    let gm_udp = socket_udp_rtt(Transport::GmMyrinet, 1, rounds);
+    let gm_tcp = socket_tcp_rtt(Transport::GmMyrinet, 1, rounds);
     let qpip_udp = qpip_udp_rtt(NicConfig::paper_default(), 1, rounds);
     let qpip_tcp = qpip_tcp_rtt(NicConfig::paper_default(), 1, rounds);
     let qpip_udp_fw = qpip_udp_rtt(NicConfig::firmware_checksum(), 1, rounds);

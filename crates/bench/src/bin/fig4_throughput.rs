@@ -7,9 +7,9 @@
 //! 35.4 MB/s at 1500 (22% below GigE); 70.1 MB/s at 9000; 26.4 MB/s
 //! with the firmware checksum; the host stacks burn ½–¾ of a CPU.
 
+use qpip::baseline::Transport;
 use qpip::NicConfig;
 use qpip_bench::report::{f1, pct, Checks, Table};
-use qpip_bench::workloads::pingpong::Baseline;
 use qpip_bench::workloads::ttcp::{qpip_ttcp, socket_ttcp};
 use qpip_sim::params;
 
@@ -18,8 +18,8 @@ fn main() {
     let chunk = params::TTCP_CHUNK_BYTES; // 16 KB
     println!("Figure 4: ttcp throughput & CPU utilization (10 MB / 16 KB writes)\n");
 
-    let gige = socket_ttcp(Baseline::GigE, total, chunk);
-    let gm = socket_ttcp(Baseline::GmMyrinet, total, chunk);
+    let gige = socket_ttcp(Transport::GigE, total, chunk);
+    let gm = socket_ttcp(Transport::GmMyrinet, total, chunk);
     let qpip_native = qpip_ttcp(NicConfig::paper_default(), total, chunk);
     let qpip_1500 = qpip_ttcp(NicConfig { mtu: 1500, ..NicConfig::paper_default() }, total, chunk);
     let qpip_9000 = qpip_ttcp(NicConfig { mtu: 9000, ..NicConfig::paper_default() }, total, chunk);

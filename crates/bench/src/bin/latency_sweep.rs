@@ -3,9 +3,10 @@
 //! payload grows from the 1-byte point of Figure 3 toward the 16 KB
 //! messages of Figure 4?
 
+use qpip::baseline::Transport;
 use qpip::NicConfig;
 use qpip_bench::report::{f1, Checks, Table};
-use qpip_bench::workloads::pingpong::{qpip_tcp_rtt, socket_tcp_rtt, Baseline};
+use qpip_bench::workloads::pingpong::{qpip_tcp_rtt, socket_tcp_rtt};
 
 fn main() {
     println!("Latency sweep: TCP request-response RTT vs message size\n");
@@ -17,8 +18,8 @@ fn main() {
     for &s in &sizes {
         // GigE cannot carry >1428 in one segment; the stream splits it —
         // still a valid RTT, just more packets
-        let ge = socket_tcp_rtt(Baseline::GigE, s, rounds).mean_us;
-        let gm = socket_tcp_rtt(Baseline::GmMyrinet, s, rounds).mean_us;
+        let ge = socket_tcp_rtt(Transport::GigE, s, rounds).mean_us;
+        let gm = socket_tcp_rtt(Transport::GmMyrinet, s, rounds).mean_us;
         let qp = qpip_tcp_rtt(NicConfig::paper_default(), s, rounds).mean_us;
         series.push((s, ge, gm, qp));
         t.row(&[s.to_string(), f1(ge), f1(gm), f1(qp)]);

@@ -31,7 +31,10 @@ use crate::workloads::ttcp::TtcpResult;
 /// v5: the `<scenario>_proxy` counters are gone; each node's fault-plan
 /// drops and holds are `injected_drops` and `injected_holds` in
 /// `<scenario>_xport` and `<scenario>_receiver_xport`.
-pub const SCHEMA_VERSION: u32 = 5;
+///
+/// v6: `<scenario>_engine` gains `ooo_drops` and `ecn_reductions`, the
+/// two TCP counters it did not report before.
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// A simple fixed-width table printer.
 #[derive(Debug, Default)]
@@ -208,6 +211,8 @@ pub fn pct(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qpip_netstack::tcp::TcpCounters;
+    use qpip_netstack::EngineStats;
 
     #[test]
     fn renders_aligned_columns() {
@@ -255,8 +260,9 @@ mod tests {
     }
 
     fn fixture_counters() -> Vec<Snapshot> {
-        let mut engine = Snapshot::new("engine");
-        engine.push("rx_packets", 96).push("rto_retransmits", 2);
+        let tcp = TcpCounters { rto_retransmits: 2, ooo_drops: 1, ..TcpCounters::default() };
+        let engine = EngineStats { rx_packets: 96, tcp, ..EngineStats::default() };
+        let engine = engine.snapshot().rescoped("direct_engine");
         let mut fabric = Snapshot::new("fabric");
         fabric.push("delivered", 96).push("dropped", 1);
         vec![engine, fabric]
@@ -277,6 +283,13 @@ mod tests {
         assert!(
             xp.contains("\"counters\": {") && xp.contains("\"rto_retransmits\": 2"),
             "missing counters section: {xp}"
+        );
+        // the engine record renders every TCP counter, the last two
+        // new in v6
+        assert!(
+            xp.contains("\"direct_engine\": {\"rx_packets\": 96, ")
+                && xp.contains("\"gobackn_resends\": 0, \"ooo_drops\": 1, \"ecn_reductions\": 0}"),
+            "engine counters: {xp}"
         );
         assert_host_independent(&xp);
     }

@@ -4,10 +4,9 @@
 
 use std::sync::Arc;
 
-use qpip::baseline::SocketWorld;
+use qpip::baseline::{SocketWorld, Transport};
 use qpip::world::QpipWorld;
 use qpip::{Completion, CompletionKind, NicConfig, RecvWr, SendWr, ServiceType};
-use qpip_host::stack::StackConfig;
 use qpip_netstack::types::Endpoint;
 use qpip_sim::stats::Summary;
 use qpip_trace::{FlightRecorder, Snapshot};
@@ -125,25 +124,9 @@ pub fn rtt<P: VerbsPair>(
     RttResult { mean_us: samples.mean(), samples, packets: Some(sent(p) - sent_before) }
 }
 
-/// Which host baseline fabric to measure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Baseline {
-    /// IP over Gigabit Ethernet.
-    GigE,
-    /// IP over Myrinet (GM).
-    GmMyrinet,
-}
-
-fn baseline_world(which: Baseline) -> (SocketWorld, StackConfig) {
-    match which {
-        Baseline::GigE => (SocketWorld::gige(), StackConfig::gige()),
-        Baseline::GmMyrinet => (SocketWorld::gm_myrinet(), StackConfig::gm_myrinet()),
-    }
-}
-
 /// Measures socket-to-socket TCP RTT on a host baseline.
-pub fn socket_tcp_rtt(which: Baseline, payload: usize, rounds: usize) -> RttResult {
-    let (mut w, cfg) = baseline_world(which);
+pub fn socket_tcp_rtt(which: Transport, payload: usize, rounds: usize) -> RttResult {
+    let (mut w, cfg) = SocketWorld::testbed(which);
     let a = w.add_node(cfg.clone());
     let b = w.add_node(cfg);
     let ls = w.tcp_socket(b);
@@ -168,8 +151,8 @@ pub fn socket_tcp_rtt(which: Baseline, payload: usize, rounds: usize) -> RttResu
 }
 
 /// Measures socket-to-socket UDP RTT on a host baseline.
-pub fn socket_udp_rtt(which: Baseline, payload: usize, rounds: usize) -> RttResult {
-    let (mut w, cfg) = baseline_world(which);
+pub fn socket_udp_rtt(which: Transport, payload: usize, rounds: usize) -> RttResult {
+    let (mut w, cfg) = SocketWorld::testbed(which);
     let a = w.add_node(cfg.clone());
     let b = w.add_node(cfg);
     let sa = w.udp_socket(a);
@@ -220,8 +203,8 @@ mod tests {
 
     #[test]
     fn socket_rtts_measure() {
-        let t = socket_tcp_rtt(Baseline::GigE, 1, 6);
-        let u = socket_udp_rtt(Baseline::GigE, 1, 6);
+        let t = socket_tcp_rtt(Transport::GigE, 1, 6);
+        let u = socket_udp_rtt(Transport::GigE, 1, 6);
         assert!(t.mean_us > 0.0 && u.mean_us > 0.0);
         assert!(u.mean_us < t.mean_us);
     }

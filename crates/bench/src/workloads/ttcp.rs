@@ -2,15 +2,14 @@
 //! transfer in 16 KB application writes with TCP_NODELAY, reporting
 //! goodput and host CPU utilization on each implementation (§4.2.1).
 
-use qpip::baseline::SocketWorld;
+use qpip::baseline::{SocketWorld, Transport};
 use qpip::world::QpipWorld;
 use qpip::ServiceType;
 use qpip::{Completion, CompletionKind, CompletionStatus, CqId, NicConfig, QpId, RecvWr, SendWr};
-use qpip_host::stack::{HostOutput, StackConfig};
+use qpip_host::stack::HostOutput;
 use qpip_netstack::types::Endpoint;
 use qpip_sim::time::{SimDuration, SimTime};
 
-use super::pingpong::Baseline;
 use super::verbs::End::{A, B};
 use super::verbs::{wait_for, DesPair, VerbsPair};
 
@@ -177,11 +176,8 @@ fn message(seq: u64, len: usize) -> Vec<u8> {
 
 /// Runs ttcp over a host-based socket baseline: 16 KB blocking writes,
 /// 16 KB reads, exactly like ttcp -t/-r.
-pub fn socket_ttcp(which: Baseline, total_bytes: u64, chunk: usize) -> TtcpResult {
-    let (mut w, cfg) = match which {
-        Baseline::GigE => (SocketWorld::gige(), StackConfig::gige()),
-        Baseline::GmMyrinet => (SocketWorld::gm_myrinet(), StackConfig::gm_myrinet()),
-    };
+pub fn socket_ttcp(which: Transport, total_bytes: u64, chunk: usize) -> TtcpResult {
+    let (mut w, cfg) = SocketWorld::testbed(which);
     let a = w.add_node(cfg.clone());
     let b = w.add_node(cfg);
     let ls = w.tcp_socket(b);
@@ -246,7 +242,7 @@ pub fn socket_ttcp(which: Baseline, total_bytes: u64, chunk: usize) -> TtcpResul
     let elapsed = t_end.duration_since(t_start);
     let busy =
         [(a, a_busy0), (b, b_busy0)].map(|(n, b0)| (w.cpu(n).busy_time() - b0).as_secs_f64());
-    TtcpResult::priced(total as u64, elapsed, busy, w.stack(a).retransmissions())
+    TtcpResult::priced(total as u64, elapsed, busy, w.stack(a).engine_stats().tcp.retransmissions())
 }
 
 #[cfg(test)]
@@ -301,13 +297,13 @@ mod tests {
         let mut p = DesPair::new(w, NicConfig::paper_default());
         assert_eq!(ttcp(&mut p, 400, 1024).bytes, 400 * 1024);
         assert!(p.world.injected_holds() > 0, "nothing was held");
-        let dupacks = p.world.engine_stats(p.nodes[0]).dupacks_rx;
+        let dupacks = p.world.engine_stats(p.nodes[0]).tcp.dupacks_rx;
         assert!(dupacks > 0, "the sender saw no duplicate ACK");
     }
 
     #[test]
     fn socket_gige_saturates_host_cpu_fractionally() {
-        let r = socket_ttcp(Baseline::GigE, 2 * MB, 16 * 1024);
+        let r = socket_ttcp(Transport::GigE, 2 * MB, 16 * 1024);
         assert!(r.mbytes_per_sec > 10.0, "{r:?}");
         let peak = r.sender_cpu.max(r.receiver_cpu);
         assert!(peak > 0.2, "host stack should burn real CPU: {r:?}");

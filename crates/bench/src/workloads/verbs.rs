@@ -166,7 +166,7 @@ impl VerbsPair for DesPair {
     }
 
     fn retransmissions(&self, end: End) -> u64 {
-        self.world.nic(self.node(end)).retransmissions()
+        self.world.engine_stats(self.node(end)).tcp.retransmissions()
     }
 
     fn packets_sent(&self, end: End) -> u64 {
@@ -274,7 +274,7 @@ impl VerbsPair for LivePair {
     }
 
     fn retransmissions(&self, end: End) -> u64 {
-        self.nodes[end.index()].engine().retransmissions()
+        self.nodes[end.index()].engine().stats().tcp.retransmissions()
     }
 
     fn packets_sent(&self, end: End) -> u64 {

@@ -47,8 +47,8 @@ fn direct_8k_stream_loses_nothing_to_the_kernel() {
     assert_eq!(sa.datagrams_tx, sb.datagrams_rx, "a -> b lost datagrams: {sa:?} {sb:?}");
     assert_eq!(sb.datagrams_tx, sa.datagrams_rx, "b -> a lost datagrams: {sa:?} {sb:?}");
     let e = a.engine().stats();
-    if e.rto_retransmits == 0 {
-        assert_eq!(e.fast_retransmits, 0, "{e:?}");
+    if e.tcp.rto_retransmits == 0 {
+        assert_eq!(e.tcp.fast_retransmits, 0, "{e:?}");
     }
 }
 

@@ -65,7 +65,7 @@ fn syn_retransmits_on_rto_with_same_iss() {
     let again = h.expect(Expect::any());
     assert!(again.hdr.flags.syn);
     assert_eq!(again.hdr.seq, syn.hdr.seq);
-    assert_eq!(h.stats().rto_retransmits, 1);
+    assert_eq!(h.stats().tcp.rto_retransmits, 1);
 }
 
 #[test]
@@ -145,8 +145,7 @@ fn out_of_order_segment_is_dropped_with_duplicate_ack() {
     // (§4.1) — the segment is dropped and a duplicate ACK goes out.
     h.inject(seg().seq(201).ack(iss + 1).payload(&[0xaa; 50]));
     h.expect(Expect::pure_ack().ack_no(101));
-    let conn = h.conn().unwrap();
-    assert_eq!(h.engine().conn_ooo_drops(conn), Some(1));
+    assert_eq!(h.stats().tcp.ooo_drops, 1);
     assert!(delivered(&mut h).is_empty());
 }
 
@@ -171,7 +170,7 @@ fn retransmit_on_rto_uses_same_sequence_number() {
     h.expect(Expect::data(&[0x42; 200]).seq(iss + 1));
     h.fire_timer();
     h.expect(Expect::data(&[0x42; 200]).seq(iss + 1));
-    assert_eq!(h.stats().rto_retransmits, 1);
+    assert_eq!(h.stats().tcp.rto_retransmits, 1);
 }
 
 /// A handshake whose SYN (TSval 500) and ACK (TSval 510) carry
@@ -206,7 +205,7 @@ fn rto_retransmitted_with_timestamps(h: &mut Harness, messages: u32, len: u32) -
     h.fire_timer();
     let retx = h.expect(Expect::data(&data).seq(iss + 1).ts_present(true));
     h.expect_quiet();
-    assert_eq!(h.stats().rto_retransmits, 1);
+    assert_eq!(h.stats().tcp.rto_retransmits, 1);
     assert!(tsval(&retx) > tsval(&orig), "the retransmission carries a later TSval");
     (iss, tsval(&orig), tsval(&retx))
 }
@@ -218,13 +217,13 @@ fn eifel_ack_echoing_the_original_marks_the_rto_spurious() {
     // the original was only late: the first ACK for it echoes its TSval
     h.inject(seg().seq(101).ack(iss + 201).ts(520, orig_ts));
     assert_eq!(count_send_complete(&h.take_events()), 1);
-    assert_eq!(h.stats().spurious_rtos, 1);
+    assert_eq!(h.stats().tcp.spurious_rtos, 1);
     // the episode is over: a later ACK echoing an old TSval counts nothing
     h.send(&[0x43; 100]);
     h.expect(Expect::data(&[0x43; 100]).seq(iss + 201));
     h.inject(seg().seq(101).ack(iss + 301).ts(530, orig_ts));
-    assert_eq!(h.stats().spurious_rtos, 1);
-    assert_eq!(h.stats().rto_episodes, 1);
+    assert_eq!(h.stats().tcp.spurious_rtos, 1);
+    assert_eq!(h.stats().tcp.rto_episodes, 1);
 }
 
 #[test]
@@ -234,13 +233,13 @@ fn eifel_ack_echoing_the_retransmit_counts_nothing() {
     // the first original was lost: the ACK answers the retransmission
     h.inject(seg().seq(101).ack(iss + 201).ts(520, retx_ts));
     assert_eq!(count_send_complete(&h.take_events()), 1);
-    assert_eq!(h.stats().spurious_rtos, 0);
-    assert_eq!(h.stats().rto_retransmits, 1);
-    assert_eq!(h.stats().rto_episodes, 1);
+    assert_eq!(h.stats().tcp.spurious_rtos, 0);
+    assert_eq!(h.stats().tcp.rto_retransmits, 1);
+    assert_eq!(h.stats().tcp.rto_episodes, 1);
     // nothing is undone: the timeout's go-back-N resends the second
     h.expect(Expect::data(&[0x42; 200]).seq(iss + 201));
     h.expect_quiet();
-    assert_eq!(h.stats().gobackn_resends, 1);
+    assert_eq!(h.stats().tcp.gobackn_resends, 1);
 }
 
 #[test]
@@ -252,7 +251,7 @@ fn eifel_response_resumes_at_snd_max_after_a_spurious_rto() {
     h.inject(seg().seq(101).ack(iss + 201).ts(520, orig_ts));
     assert_eq!(count_send_complete(&h.take_events()), 1);
     h.expect_quiet();
-    assert_eq!(h.stats().spurious_rtos, 1);
+    assert_eq!(h.stats().tcp.spurious_rtos, 1);
     // new data flows under the restored window: 200 B in flight plus
     // 200 B acked would not admit 1,000 B, the one-MSS floor does
     h.send(&[0x43; 1000]);
@@ -260,8 +259,8 @@ fn eifel_response_resumes_at_snd_max_after_a_spurious_rto() {
     h.inject(seg().seq(101).ack(iss + 1401).ts(530, tsval(&new)));
     assert_eq!(count_send_complete(&h.take_events()), 2);
     h.expect_quiet();
-    assert_eq!(h.stats().gobackn_resends, 0);
-    assert_eq!(h.stats().rto_retransmits, 1);
+    assert_eq!(h.stats().tcp.gobackn_resends, 0);
+    assert_eq!(h.stats().tcp.rto_retransmits, 1);
 }
 
 #[test]
@@ -275,11 +274,11 @@ fn eifel_response_goes_back_n_after_a_duplicate_ack() {
     h.inject(seg().seq(101).ack(iss + 1).ts(515, orig_ts));
     h.expect_quiet();
     h.inject(seg().seq(101).ack(iss + 8001).ts(520, orig_ts));
-    assert_eq!(h.stats().spurious_rtos, 1);
+    assert_eq!(h.stats().tcp.spurious_rtos, 1);
     h.expect(Expect::data(&[0x42; 8000]).seq(iss + 8001));
     h.expect_quiet();
-    assert_eq!(h.stats().gobackn_resends, 1);
-    assert_eq!(h.stats().dupacks_rx, 1);
+    assert_eq!(h.stats().tcp.gobackn_resends, 1);
+    assert_eq!(h.stats().tcp.dupacks_rx, 1);
 }
 
 #[test]
@@ -303,11 +302,11 @@ fn eifel_response_goes_back_n_after_a_duplicate_ack_before_the_timeout() {
     // the late original ends the episode as spurious, but the second
     // segment is gone: go-back-N must resend it
     h.inject(seg().seq(101).ack(iss + 201).ts(520, tsval(&orig)));
-    assert_eq!(h.stats().spurious_rtos, 1);
+    assert_eq!(h.stats().tcp.spurious_rtos, 1);
     h.expect(Expect::data(&data).seq(iss + 201));
     h.expect_quiet();
-    assert_eq!(h.stats().gobackn_resends, 1);
-    assert_eq!(h.stats().dupacks_rx, 1);
+    assert_eq!(h.stats().tcp.gobackn_resends, 1);
+    assert_eq!(h.stats().tcp.dupacks_rx, 1);
 }
 
 #[test]
@@ -327,8 +326,8 @@ fn third_duplicate_ack_triggers_fast_retransmit() {
     h.expect_quiet();
     h.inject(seg().seq(101).ack(iss + 1));
     h.expect(Expect::data(&[0x55; 100]).seq(iss + 1));
-    assert_eq!(h.stats().fast_retransmits, 1);
-    assert_eq!(h.stats().dupacks_rx, 3);
+    assert_eq!(h.stats().tcp.fast_retransmits, 1);
+    assert_eq!(h.stats().tcp.dupacks_rx, 3);
     // full cumulative ACK completes all five units
     h.inject(seg().seq(101).ack(iss + 501));
     assert_eq!(count_send_complete(&h.take_events()), 5);
@@ -358,8 +357,8 @@ fn fire_probe(h: &mut Harness, iss: u32) -> SimDuration {
     let armed_at = h.now();
     h.fire_timer();
     h.expect(Expect::data(&[0]).seq(iss).ack_no(101).win(65535));
-    assert_eq!(h.engine().retransmissions(), 0, "a probe is not a retransmission");
-    assert_eq!(h.stats().rto_retransmits, 0, "a probe is not an RTO retransmission");
+    assert_eq!(h.stats().tcp.retransmissions(), 0, "a probe is not a retransmission");
+    assert_eq!(h.stats().tcp.rto_retransmits, 0, "a probe is not an RTO retransmission");
     h.now().duration_since(armed_at)
 }
 
@@ -369,7 +368,7 @@ fn zero_window_first_probe_after_one_rto() {
     let iss = window_blocked_sender(&mut h);
     assert_eq!(h.next_deadline(), Some(h.now() + RTO), "persist armed at one RTO");
     assert_eq!(fire_probe(&mut h, iss), RTO);
-    assert_eq!(h.stats().persist_probes, 1);
+    assert_eq!(h.stats().tcp.persist_probes, 1);
     assert_eq!(h.state(), Some(TcpState::Established));
 }
 
@@ -385,7 +384,7 @@ fn zero_window_probes_back_off_with_the_rto() {
     h.inject(seg().seq(101).ack(iss + 1).win(0));
     h.expect_quiet();
     assert_eq!(fire_probe(&mut h, iss), RTO.saturating_mul(16));
-    assert_eq!(h.stats().persist_probes, 5);
+    assert_eq!(h.stats().tcp.persist_probes, 5);
 }
 
 #[test]
@@ -403,7 +402,7 @@ fn zero_window_probe_reply_opens_window_and_releases_data() {
     h.inject(seg().seq(101).ack(iss + 101).win(65535));
     assert_eq!(count_send_complete(&h.take_events()), 1);
     assert!(h.next_deadline().is_none(), "nothing outstanding, nothing blocked");
-    assert_eq!(h.stats().persist_probes, 1);
+    assert_eq!(h.stats().tcp.persist_probes, 1);
 }
 
 #[test]
@@ -415,15 +414,32 @@ fn zero_window_that_never_opens_ends_in_reset() {
         fire_probe(&mut h, iss);
     }
     assert_eq!(h.state(), Some(TcpState::Established));
+    let before = h.stats().tcp;
     // the sixteenth expiry exhausts the retries
     h.fire_timer();
     h.expect_quiet();
     assert!(h.take_events().iter().any(|e| matches!(e, Emit::TcpReset { .. })));
     assert_eq!(h.state(), None, "reset connection is reaped");
-    assert_eq!(h.stats().persist_probes, 15, "probe count survives the reap");
-    assert_eq!(h.stats().rto_retransmits, 0);
+    assert_eq!(h.stats().tcp, before, "every counter survives the reap");
+    assert_eq!(h.stats().tcp.persist_probes, 15);
+    assert_eq!(h.stats().tcp.rto_retransmits, 0);
     // 100 ms doubling to the 4 s cap: 0.1+0.2+…+3.2 + 10×4 s
     assert_eq!(h.now().duration_since(start), SimDuration::from_millis(46_300));
+}
+
+#[test]
+fn every_counter_survives_an_abort() {
+    let mut h = Harness::server(cfg(), PORT);
+    let iss = window_blocked_sender(&mut h);
+    fire_probe(&mut h, iss);
+    // a gap: dropped, and re-acknowledged
+    h.inject(seg().seq(201).ack(iss + 1).win(0).payload(&[0xaa; 50]));
+    h.expect(Expect::pure_ack().ack_no(101));
+    let before = h.stats().tcp;
+    assert_eq!((before.zero_window_events, before.persist_probes, before.ooo_drops), (1, 1, 1));
+    h.abort();
+    assert_eq!(h.state(), None, "aborted connection is reaped");
+    assert_eq!(h.stats().tcp, before, "every counter survives the reap");
 }
 
 #[test]
@@ -575,7 +591,7 @@ fn unacked_fin_retransmits_on_rto() {
     h.expect(Expect::fin_seg().seq(iss + 1));
     h.fire_timer();
     h.expect(Expect::fin_seg().seq(iss + 1));
-    assert_eq!(h.stats().rto_retransmits, 1);
+    assert_eq!(h.stats().tcp.rto_retransmits, 1);
     assert_eq!(h.state(), Some(TcpState::FinWait1));
 }
 

@@ -165,7 +165,25 @@ impl AsHost for HostNode {
 /// A simulated network of conventional socket hosts.
 pub type SocketWorld = World<HostNode>;
 
+/// Which host baseline carries the traffic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Transport {
+    /// IP over Gigabit Ethernet.
+    GigE,
+    /// IP over Myrinet (GM).
+    GmMyrinet,
+}
+
 impl SocketWorld {
+    /// An empty `transport` testbed, with the stack configuration its
+    /// hosts take.
+    pub fn testbed(transport: Transport) -> (Self, StackConfig) {
+        match transport {
+            Transport::GigE => (SocketWorld::gige(), StackConfig::gige()),
+            Transport::GmMyrinet => (SocketWorld::gm_myrinet(), StackConfig::gm_myrinet()),
+        }
+    }
+
     /// The IP-over-Gigabit-Ethernet testbed (§4.2.1).
     pub fn gige() -> Self {
         SocketWorld::new(FabricConfig::gigabit_ethernet())

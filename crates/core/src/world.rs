@@ -271,6 +271,15 @@ impl<N: AsQpip> World<N> {
         self.doorbell(node, |nic, db, out| nic.tcp_connect(db, qp, local_port, remote, out))
     }
 
+    /// Begins a graceful close of a node's connected TCP QP.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`NicError`].
+    pub fn tcp_close(&mut self, node: NodeIdx, qp: QpId) -> Result<(), NicError> {
+        self.doorbell(node, |nic, db, out| nic.tcp_close(db, qp, out))
+    }
+
     // ----- data verbs ---------------------------------------------------------
 
     /// Posts a send work request (Table 1: build WR + ring doorbell on
@@ -629,9 +638,9 @@ mod tests {
         }
         let c = w.wait_matching(a, cqa, |c| c.kind == CompletionKind::Send);
         assert_eq!(c.wr_id, 77);
-        assert!(w.nic(a).retransmissions() >= 1, "loss forced a retransmission");
+        assert!(w.nic(a).engine_stats().tcp.retransmissions() >= 1, "loss forced a retransmission");
         let fabric = w.fabric();
-        assert_eq!((fabric.injected_drops(), fabric.stats().dropped), (1, 1));
+        assert_eq!((fabric.stats().injected_drops, fabric.stats().dropped), (1, 1));
     }
 
     /// The server's only window update is lost on the fabric; the
@@ -650,9 +659,34 @@ mod tests {
         let c = w.wait_matching(a, cqa, |c| c.kind == CompletionKind::Send);
         assert_eq!(c.wr_id, 1);
         let stats = w.nic(a).engine_stats();
-        assert_eq!(stats.persist_probes, 1, "{stats:?}");
-        assert_eq!(stats.rto_retransmits, 0, "a probe is not a retransmission");
-        assert_eq!(w.nic(a).retransmissions(), 0, "a probe is not a retransmission");
+        assert_eq!(stats.tcp.persist_probes, 1, "{stats:?}");
+        assert_eq!(stats.tcp.rto_retransmits, 0, "a probe is not a retransmission");
+        assert_eq!(stats.tcp.retransmissions(), 0, "a probe is not a retransmission");
+    }
+
+    /// Retransmissions are an engine total: they survive both ends
+    /// closing and their connections being reaped.
+    #[test]
+    fn retransmissions_survive_the_close() {
+        let (mut w, a, b, qa, qb, cqa, cqb) = connected_world();
+        let plan = qpip_fabric::FaultPlan::Impair { drop_permille: 200, hold_permille: 0, seed: 7 };
+        w.set_fault_plan(plan);
+        for i in 0..8 {
+            w.post_send(a, qa, SendWr { wr_id: i, payload: vec![3; 4096], dst: None }).unwrap();
+        }
+        for _ in 0..8 {
+            w.wait_matching(b, cqb, |c| matches!(c.kind, CompletionKind::Recv { .. }));
+            w.wait_matching(a, cqa, |c| c.kind == CompletionKind::Send);
+        }
+        let open = w.engine_stats(a).tcp.retransmissions();
+        assert!(open > 0, "loss forced a retransmission");
+        w.tcp_close(a, qa).unwrap();
+        w.tcp_close(b, qb).unwrap();
+        w.run_until_idle();
+        assert_eq!((w.nic(a).engine().conn_count(), w.nic(b).engine().conn_count()), (0, 0));
+        let tcp = w.engine_stats(a).tcp;
+        assert_eq!(tcp.retransmissions(), tcp.rto_retransmits + tcp.fast_retransmits);
+        assert!(tcp.retransmissions() >= open, "{tcp:?}");
     }
 
     /// A window that never opens ends the connection after the retry
@@ -666,7 +700,7 @@ mod tests {
         let c = w.wait_matching(a, cqa, |c| c.status == CompletionStatus::ConnectionError);
         assert_eq!(c.status, CompletionStatus::ConnectionError);
         w.run_until_idle();
-        assert_eq!(w.nic(a).engine_stats().persist_probes, 15);
+        assert_eq!(w.nic(a).engine_stats().tcp.persist_probes, 15);
         let gave_up = w.now().duration_since(SimTime::ZERO);
         assert!(gave_up > SimDuration::from_secs(46), "gave up at {gave_up:?}");
     }

@@ -114,9 +114,9 @@ fn trace_summary_matches_engine_counters_exactly() {
     for node in 0..2u32 {
         let stats = w.engine_stats(qpip::world::NodeIdx(node as usize));
         let (rto, fast, dupacks, zerowin) = per_node.get(&node).copied().unwrap_or_default();
-        assert_eq!(stats.rto_retransmits, rto, "node {node} rto_retransmits");
-        assert_eq!(stats.fast_retransmits, fast, "node {node} fast_retransmits");
-        assert_eq!(stats.dupacks_rx, dupacks, "node {node} dupacks_rx");
-        assert_eq!(stats.zero_window_events, zerowin, "node {node} zero_window_events");
+        assert_eq!(stats.tcp.rto_retransmits, rto, "node {node} rto_retransmits");
+        assert_eq!(stats.tcp.fast_retransmits, fast, "node {node} fast_retransmits");
+        assert_eq!(stats.tcp.dupacks_rx, dupacks, "node {node} dupacks_rx");
+        assert_eq!(stats.tcp.zero_window_events, zerowin, "node {node} zero_window_events");
     }
 }

@@ -130,23 +130,20 @@ pub enum TransmitOutcome {
     Dropped(DropReason),
 }
 
-/// Aggregate fabric counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FabricStats {
-    /// Packets delivered.
-    pub delivered: u64,
-    /// Packets dropped (any reason).
-    pub dropped: u64,
-    /// Payload bytes delivered (excluding frame overhead).
-    pub bytes: u64,
-}
-
-impl FabricStats {
-    /// Renders the counters as a named snapshot (scope `"fabric"`).
-    pub fn snapshot(&self) -> Snapshot {
-        let mut s = Snapshot::new("fabric");
-        s.push("delivered", self.delivered).push("dropped", self.dropped).push("bytes", self.bytes);
-        s
+qpip_trace::counters! {
+    /// Aggregate fabric counters.
+    pub struct FabricStats in "fabric" {
+        /// Packets delivered.
+        pub delivered: u64,
+        /// Packets dropped (any reason).
+        pub dropped: u64,
+        /// Payload bytes delivered (excluding frame overhead).
+        pub bytes: u64,
+        /// Packets marked Congestion-Experienced by the RED/ECN queue.
+        pub ecn_marks: u64,
+        /// Packets a fault plan dropped before they reached the fabric
+        /// (also counted in `dropped`).
+        pub injected_drops: u64,
     }
 }
 
@@ -169,13 +166,8 @@ pub struct Fabric {
     /// Inter-switch trunks: `trunks[d][i]` carries traffic from switch
     /// `i` to switch `i+1` (`d = 0`) or from `i+1` to `i` (`d = 1`).
     trunks: [Vec<BandwidthPipe>; 2],
-    addrs: Vec<Ipv6Addr>,
     addr_map: FxHashMap<Ipv6Addr, NodeId>,
     stats: FabricStats,
-    /// Packets a fault plan dropped before they reached the fabric
-    /// (also counted in `stats.dropped`).
-    injected_drops: u64,
-    ecn_marks: u64,
     /// Flight recorder; drops are recorded against the transmitting
     /// node's scope.
     recorder: Option<Arc<FlightRecorder>>,
@@ -202,11 +194,8 @@ impl Fabric {
             uplinks: Vec::new(),
             downlinks: Vec::new(),
             node_switch: Vec::new(),
-            addrs: Vec::new(),
             addr_map: FxHashMap::default(),
             stats: FabricStats::default(),
-            injected_drops: 0,
-            ecn_marks: 0,
             recorder: None,
         }
     }
@@ -217,12 +206,9 @@ impl Fabric {
         self.recorder = Some(recorder);
     }
 
-    /// Full counter snapshot (scope `"fabric"`), including the ECN-mark
-    /// and fault-injection counters kept outside [`FabricStats`].
+    /// The counters as a named snapshot (scope `"fabric"`).
     pub fn snapshot(&self) -> Snapshot {
-        let mut s = self.stats.snapshot();
-        s.push("ecn_marks", self.ecn_marks).push("injected_drops", self.injected_drops);
-        s
+        self.stats.snapshot()
     }
 
     /// Accounts for a `len`-byte packet from `from` that a fault plan
@@ -230,7 +216,7 @@ impl Fabric {
     /// every packet a node transmits is delivered or dropped here.
     pub fn drop_injected(&mut self, now: SimTime, from: NodeId, len: usize) {
         self.stats.dropped += 1;
-        self.injected_drops += 1;
+        self.stats.injected_drops += 1;
         self.trace_drop(now, from, "injected", len);
     }
 
@@ -242,16 +228,6 @@ impl Fabric {
     /// Counters.
     pub fn stats(&self) -> FabricStats {
         self.stats
-    }
-
-    /// Packets dropped by a fault plan.
-    pub fn injected_drops(&self) -> u64 {
-        self.injected_drops
-    }
-
-    /// Packets marked Congestion-Experienced by the RED/ECN queue.
-    pub fn ecn_marks(&self) -> u64 {
-        self.ecn_marks
     }
 
     /// Attaches a node with the given IPv6 address, returning its port.
@@ -276,7 +252,6 @@ impl Fabric {
         self.uplinks.push(BandwidthPipe::new("uplink", self.cfg.bytes_per_sec));
         self.downlinks.push(BandwidthPipe::new("downlink", self.cfg.bytes_per_sec));
         self.node_switch.push(switch);
-        self.addrs.push(addr);
         self.addr_map.insert(addr, id);
         id
     }
@@ -284,11 +259,6 @@ impl Fabric {
     /// Resolves an address to its attached node.
     pub fn resolve(&self, addr: Ipv6Addr) -> Option<NodeId> {
         self.addr_map.get(&addr).copied()
-    }
-
-    /// Address of an attached node.
-    pub fn addr_of(&self, node: NodeId) -> Ipv6Addr {
-        self.addrs[node.0 as usize]
     }
 
     /// Serialization time of a packet of `len` IP bytes on one link.
@@ -390,7 +360,7 @@ impl Fabric {
         };
         let marked = self.cfg.ecn_mark_threshold.is_some_and(|thresh| queue_delay > thresh);
         if marked {
-            self.ecn_marks += 1;
+            self.stats.ecn_marks += 1;
         }
         self.stats.delivered += 1;
         self.stats.bytes += len as u64;
@@ -522,7 +492,7 @@ mod tests {
             TransmitOutcome::Delivered { .. }
         ));
         f.drop_injected(SimTime::ZERO, a, 100);
-        assert_eq!(f.injected_drops(), 1);
+        assert_eq!(f.stats().injected_drops, 1);
         assert_eq!(f.stats().delivered, 1);
         assert_eq!(f.stats().dropped, 1);
         assert_eq!(f.snapshot().get("injected_drops"), Some(1));
@@ -575,11 +545,10 @@ mod tests {
     }
 
     #[test]
-    fn resolve_and_addr_of_are_inverses() {
+    fn resolve_finds_attached_nodes() {
         let (f, a, b) = myrinet_pair();
         assert_eq!(f.resolve(addr(1)), Some(a));
         assert_eq!(f.resolve(addr(2)), Some(b));
-        assert_eq!(f.addr_of(a), addr(1));
     }
 }
 

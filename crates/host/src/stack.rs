@@ -270,11 +270,6 @@ impl HostStack {
         self.nic.as_ref().map_or(0, ConventionalNic::interrupts)
     }
 
-    /// TCP retransmissions performed.
-    pub fn retransmissions(&self) -> u64 {
-        self.engine.retransmissions()
-    }
-
     /// Traffic/drop counters of the embedded protocol engine.
     pub fn engine_stats(&self) -> qpip_netstack::engine::EngineStats {
         self.engine.stats()

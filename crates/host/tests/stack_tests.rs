@@ -157,7 +157,7 @@ fn bulk_send_recv_delivers_all_bytes() {
     assert_eq!(received.len(), total);
     let first_bad = received.iter().zip(&payload).position(|(got, want)| got != want);
     assert_eq!(first_bad, None, "received bytes differ from the payload");
-    assert_eq!(n.a.retransmissions(), 0);
+    assert_eq!(n.a.engine_stats().tcp.retransmissions(), 0);
 }
 
 #[test]

@@ -14,7 +14,7 @@ use qpip_netstack::types::Endpoint;
 use qpip_sim::params;
 
 use crate::disk::ServerDisk;
-use crate::proto::{NbdOp, NbdRequest};
+use crate::proto::{NbdOp, NbdRequest, NBD_PORT};
 use crate::result::{NbdResult, PhaseMeter, PhaseResult};
 
 /// Benchmark configuration.
@@ -89,8 +89,8 @@ impl Bench {
             b.post_recv(b.server, b.qs);
             b.post_recv(b.client, b.qc);
         }
-        b.w.tcp_listen(b.server, 10809, qs).expect("idle QP listens");
-        let remote = Endpoint::new(b.w.addr(b.server), 10809);
+        b.w.tcp_listen(b.server, NBD_PORT, qs).expect("idle QP listens");
+        let remote = Endpoint::new(b.w.addr(b.server), NBD_PORT);
         b.w.tcp_connect(b.client, qc, 40000, remote).expect("idle QP connects");
         b.w.wait_matching(b.client, cqc, |c| c.kind == CompletionKind::ConnectionEstablished);
         b.w.wait_matching(b.server, cqs, |c| c.kind == CompletionKind::ConnectionEstablished);

@@ -2,26 +2,18 @@
 //! block driver above a kernel socket, user-level server, TCP/IP on the
 //! host at both ends.
 
+pub use qpip::baseline::Transport;
+
 use qpip::baseline::SocketWorld;
 use qpip::NodeIdx;
-use qpip_host::stack::StackConfig;
 use qpip_host::SockId;
 use qpip_netstack::types::Endpoint;
 use qpip_sim::params;
 
 use crate::disk::ServerDisk;
-use crate::proto::{NbdOp, NbdReply, NbdRequest, REPLY_LEN, REQUEST_LEN};
+use crate::proto::{NbdOp, NbdReply, NbdRequest, NBD_PORT, REPLY_LEN, REQUEST_LEN};
 use crate::qpip_impl::NbdConfig;
 use crate::result::{NbdResult, PhaseMeter, PhaseResult};
-
-/// Which host baseline carries the NBD traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transport {
-    /// IP over Gigabit Ethernet.
-    GigE,
-    /// IP over Myrinet (GM).
-    GmMyrinet,
-}
 
 /// While a driver writes a message to its socket in ≤16 KB pieces, like
 /// the kernel socket path does: the offset of its first unaccepted byte.
@@ -59,16 +51,13 @@ struct Bench {
 
 impl Bench {
     fn new(transport: Transport) -> Bench {
-        let (mut w, cfg) = match transport {
-            Transport::GigE => (SocketWorld::gige(), StackConfig::gige()),
-            Transport::GmMyrinet => (SocketWorld::gm_myrinet(), StackConfig::gm_myrinet()),
-        };
+        let (mut w, cfg) = SocketWorld::testbed(transport);
         let client = w.add_node(cfg.clone());
         let server = w.add_node(cfg);
         let ls = w.tcp_socket(server);
-        w.listen(server, ls, 10809).unwrap();
+        w.listen(server, ls, NBD_PORT).unwrap();
         let cs = w.tcp_socket(client);
-        let remote = Endpoint::new(w.addr(server), 10809);
+        let remote = Endpoint::new(w.addr(server), NBD_PORT);
         w.connect_blocking(client, cs, 40000, remote).unwrap();
         let ss = w.accept_blocking(server, ls);
         Bench { w, client, server, cs, ss, disk: ServerDisk::new() }

@@ -13,13 +13,13 @@ use std::cell::Cell;
 use std::net::Ipv6Addr;
 
 use qpip_sim::time::SimTime;
-use qpip_trace::{flags as tflags, Snapshot, TraceEvent, Tracer};
+use qpip_trace::{flags as tflags, TraceEvent, Tracer};
 
 use crate::codec::{build_tcp_packet, build_udp_packet, decode_packet, Decoded};
 use crate::hash::FxHashMap;
 use crate::invariant::{self, InvariantViolation, TcbSnapshot};
 use crate::slab::ConnSlab;
-use crate::tcp::tcb::{SegmentOut, Tcb, TcbEvent, TcpState};
+use crate::tcp::tcb::{SegmentOut, Tcb, TcbEvent, TcpCounters, TcpState};
 use crate::timer_index::TimerIndex;
 use crate::types::{
     ConnId, Emit, Endpoint, NetConfig, OpCounters, PacketKind, PacketOut, SendToken,
@@ -106,70 +106,29 @@ impl core::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Traffic and error counters for one engine.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EngineStats {
-    /// Packets handed to `on_packet`.
-    pub rx_packets: u64,
-    /// Packets produced.
-    pub tx_packets: u64,
-    /// Packets dropped for checksum failure.
-    pub checksum_drops: u64,
-    /// Packets dropped because no port/connection matched.
-    pub demux_drops: u64,
-    /// Packets dropped because the IPv6 destination was not ours.
-    pub addr_drops: u64,
-    /// Packets dropped because they did not parse (truncated or
-    /// malformed headers — distinct from a checksum failure and from a
-    /// well-formed packet that matched no port).
-    pub parse_drops: u64,
-    /// Retransmissions triggered by RTO expiry (including SYN/FIN
-    /// retries), summed over live and reaped connections.
-    pub rto_retransmits: u64,
-    /// Fast retransmissions (third duplicate ACK), summed over live and
-    /// reaped connections.
-    pub fast_retransmits: u64,
-    /// Duplicate ACKs received, summed over live and reaped connections.
-    pub dupacks_rx: u64,
-    /// Peer-window transitions to zero, summed over live and reaped
-    /// connections.
-    pub zero_window_events: u64,
-    /// Zero-window probes sent by persist timers, summed over live and
-    /// reaped connections. Never counted as retransmissions.
-    pub persist_probes: u64,
-    /// RTO episodes that Eifel detection (RFC 3522) found spurious,
-    /// summed over live and reaped connections.
-    pub spurious_rtos: u64,
-    /// RTO episodes — first RTO retransmissions since SND.UNA last
-    /// advanced — summed over live and reaped connections.
-    /// `spurious_rtos / rto_episodes` is the share Eifel found needless.
-    pub rto_episodes: u64,
-    /// Segments sent again below SND.MAX by the output path after a
-    /// timeout rewound it (go-back-N), summed over live and reaped
-    /// connections. Counted apart from `rto_retransmits`, which holds
-    /// only the timer's own first resend.
-    pub gobackn_resends: u64,
-}
-
-impl EngineStats {
-    /// Renders the counters as a named snapshot (scope `"engine"`).
-    pub fn snapshot(&self) -> Snapshot {
-        let mut s = Snapshot::new("engine");
-        s.push("rx_packets", self.rx_packets)
-            .push("tx_packets", self.tx_packets)
-            .push("checksum_drops", self.checksum_drops)
-            .push("demux_drops", self.demux_drops)
-            .push("addr_drops", self.addr_drops)
-            .push("parse_drops", self.parse_drops)
-            .push("rto_retransmits", self.rto_retransmits)
-            .push("fast_retransmits", self.fast_retransmits)
-            .push("dupacks_rx", self.dupacks_rx)
-            .push("zero_window_events", self.zero_window_events)
-            .push("persist_probes", self.persist_probes)
-            .push("spurious_rtos", self.spurious_rtos)
-            .push("rto_episodes", self.rto_episodes)
-            .push("gobackn_resends", self.gobackn_resends);
-        s
+qpip_trace::counters! {
+    /// Traffic and error counters for one engine: the packet counters
+    /// the engine keeps itself, then the TCP event counters of every
+    /// connection, live or reaped. A new packet counter is a field
+    /// here; a new TCP counter goes in [`TcpCounters`].
+    pub struct EngineStats in "engine" {
+        /// Packets handed to `on_packet`.
+        pub rx_packets: u64,
+        /// Packets produced.
+        pub tx_packets: u64,
+        /// Packets dropped for checksum failure.
+        pub checksum_drops: u64,
+        /// Packets dropped because no port/connection matched.
+        pub demux_drops: u64,
+        /// Packets dropped because the IPv6 destination was not ours.
+        pub addr_drops: u64,
+        /// Packets dropped because they did not parse (truncated or
+        /// malformed headers — distinct from a checksum failure and from
+        /// a well-formed packet that matched no port).
+        pub parse_drops: u64,
+        /// The TCP event counters, summed over live and reaped
+        /// connections.
+        pub tcp: TcpCounters,
     }
 }
 
@@ -205,10 +164,7 @@ struct Probe {
     state: TcpState,
     cwnd: u64,
     ssthresh: u64,
-    rto_retransmits: u64,
-    fast_retransmits: u64,
-    dupacks_rx: u64,
-    zero_window_events: u64,
+    counters: TcpCounters,
     rtt_samples: u64,
 }
 
@@ -218,10 +174,7 @@ impl Probe {
             state: tcb.state(),
             cwnd: tcb.cwnd(),
             ssthresh: tcb.ssthresh(),
-            rto_retransmits: tcb.rto_retransmits(),
-            fast_retransmits: tcb.fast_retransmits(),
-            dupacks_rx: tcb.dupacks_rx(),
-            zero_window_events: tcb.zero_window_events(),
+            counters: tcb.counters(),
             rtt_samples: tcb.rtt_samples(),
         }
     }
@@ -317,21 +270,13 @@ impl Engine {
         &self.cfg
     }
 
-    /// Traffic counters. Retransmit/dup-ACK/zero-window/probe/Eifel counters folded
-    /// into the base stats at reap time are completed with the live
-    /// connections' TCB counters, so the totals never regress when a
-    /// connection closes.
+    /// Traffic counters. The TCP counters of reaped connections, added
+    /// at reap time, are completed with the live connections', so the
+    /// totals never regress when a connection closes.
     pub fn stats(&self) -> EngineStats {
         let mut s = self.stats;
         for e in self.conns.values() {
-            s.rto_retransmits += e.tcb.rto_retransmits();
-            s.fast_retransmits += e.tcb.fast_retransmits();
-            s.dupacks_rx += e.tcb.dupacks_rx();
-            s.zero_window_events += e.tcb.zero_window_events();
-            s.persist_probes += e.tcb.persist_probes();
-            s.spurious_rtos += e.tcb.spurious_rtos();
-            s.rto_episodes += e.tcb.rto_episodes();
-            s.gobackn_resends += e.tcb.gobackn_resends();
+            s.tcp += e.tcb.counters();
         }
         s
     }
@@ -370,25 +315,9 @@ impl Engine {
         self.demux.len()
     }
 
-    /// Total retransmissions across live connections.
-    pub fn retransmissions(&self) -> u64 {
-        self.conns.values().map(|e| e.tcb.retransmit_count()).sum()
-    }
-
-    /// Total ECN-triggered window reductions across live connections.
-    pub fn ecn_reductions(&self) -> u64 {
-        self.conns.values().map(|e| e.tcb.ecn_reductions()).sum()
-    }
-
     /// Peer's advertised send window on a connection, in bytes.
     pub fn conn_snd_wnd(&self, conn: ConnId) -> Option<u64> {
         self.conns.get(conn).map(|e| e.tcb.snd_wnd())
-    }
-
-    /// Out-of-order segments dropped on a connection (the subset has no
-    /// reassembly; each drop produced a duplicate ACK).
-    pub fn conn_ooo_drops(&self, conn: ConnId) -> Option<u64> {
-        self.conns.get(conn).map(|e| e.tcb.ooo_drops())
     }
 
     // ----- invariant oracle ---------------------------------------------
@@ -650,7 +579,7 @@ impl Engine {
             );
         }
         self.timers.update(conn, None);
-        self.fold_reaped_counters(&entry.tcb);
+        self.stats.tcp += entry.tcb.counters();
         let (ops, stats) = (&mut self.ops, &mut self.stats);
         out.push(encode(self.tracer.as_ref(), ops, stats, now, conn, &entry.tcb, &rst));
         Ok(())
@@ -909,22 +838,9 @@ impl Engine {
             let entry = self.conns.remove(conn).expect("just resolved");
             self.demux.remove(&(entry.tcb.local(), entry.tcb.remote()));
             self.timers.update(conn, None);
-            self.fold_reaped_counters(&entry.tcb);
+            self.stats.tcp += entry.tcb.counters();
             debug_assert_eq!(self.demux.len(), self.conns.len());
         }
-    }
-
-    /// Folds a departing connection's TCB counters into the engine base
-    /// stats so [`Engine::stats`] totals survive the reap.
-    fn fold_reaped_counters(&mut self, tcb: &Tcb) {
-        self.stats.rto_retransmits += tcb.rto_retransmits();
-        self.stats.fast_retransmits += tcb.fast_retransmits();
-        self.stats.dupacks_rx += tcb.dupacks_rx();
-        self.stats.zero_window_events += tcb.zero_window_events();
-        self.stats.persist_probes += tcb.persist_probes();
-        self.stats.spurious_rtos += tcb.spurious_rtos();
-        self.stats.rto_episodes += tcb.rto_episodes();
-        self.stats.gobackn_resends += tcb.gobackn_resends();
     }
 
     /// Emits a [`TraceEvent::SegRx`] for a parsed inbound segment.
@@ -967,6 +883,7 @@ impl Engine {
         let Some(tr) = &self.tracer else { return };
         let Some(entry) = self.conns.get(conn) else { return };
         let tcb = &entry.tcb;
+        let counters = tcb.counters();
         let c = conn.0;
         if tcb.state() != before.state {
             tr.emit(
@@ -978,14 +895,14 @@ impl Engine {
                 },
             );
         }
-        if tcb.dupacks_rx() > before.dupacks_rx {
+        if counters.dupacks_rx > before.counters.dupacks_rx {
             tr.emit(now, c, TraceEvent::DupAck { ack: ack.unwrap_or(0), count: tcb.dup_acks() });
         }
         let retx_seq = segs.iter().find(|s| s.is_retransmit).map_or(0, |s| s.seq.0);
-        if tcb.fast_retransmits() > before.fast_retransmits {
+        if counters.fast_retransmits > before.counters.fast_retransmits {
             tr.emit(now, c, TraceEvent::Retransmit { seq: retx_seq, fast: true });
         }
-        if tcb.rto_retransmits() > before.rto_retransmits {
+        if counters.rto_retransmits > before.counters.rto_retransmits {
             tr.emit(now, c, TraceEvent::Retransmit { seq: retx_seq, fast: false });
         }
         if tcb.rtt_samples() > before.rtt_samples {
@@ -1012,7 +929,7 @@ impl Engine {
                 },
             );
         }
-        if tcb.zero_window_events() > before.zero_window_events {
+        if counters.zero_window_events > before.counters.zero_window_events {
             tr.emit(now, c, TraceEvent::ZeroWindow);
         }
     }

@@ -128,12 +128,13 @@ pub fn check_tcb(tcb: &Tcb, prev: Option<&TcbSnapshot>) -> Result<(), InvariantV
     }
 
     // -- retransmission taxonomy is exhaustive
-    if tcb.rto_retransmits() + tcb.fast_retransmits() != tcb.retransmit_count() {
+    let c = tcb.counters();
+    if c.retransmissions() != tcb.retransmit_count() {
         fail!(
             "retransmit_split",
             "rto={} + fast={} != total={}",
-            tcb.rto_retransmits(),
-            tcb.fast_retransmits(),
+            c.rto_retransmits,
+            c.fast_retransmits,
             tcb.retransmit_count()
         );
     }

@@ -9,7 +9,7 @@ pub mod tcb;
 pub use congestion::Congestion;
 pub use rtt::RttEstimator;
 pub use sendbuf::{SegmentData, SendBuffer};
-pub use tcb::{SegPayload, SegmentOut, Tcb, TcbEvent, TcpState};
+pub use tcb::{SegPayload, SegmentOut, Tcb, TcbEvent, TcpCounters, TcpState};
 
 #[cfg(test)]
 mod tests {
@@ -350,7 +350,7 @@ mod tests {
         // deliver only the second segment: out of order
         let (acks, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &segs[1..], p.now, &mut p.ops);
         assert!(evs.is_empty(), "no delivery without reassembly (§4.1)");
-        assert_eq!(p.server.ooo_drops(), 1);
+        assert_eq!(p.server.counters().ooo_drops, 1);
         assert_eq!(acks.len(), 1, "duplicate ack");
         // now the first arrives; only its bytes are delivered
         let (_, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &segs[..1], p.now, &mut p.ops);
@@ -681,7 +681,7 @@ mod tests {
 
         // sender reacts exactly once and schedules CWR
         let (out, _) = Pair::deliver(&cfg, 2, 1, &mut p.client, &acks, p.now, &mut p.ops);
-        assert_eq!(p.client.ecn_reductions(), 1);
+        assert_eq!(p.client.counters().ecn_reductions, 1);
         assert!(p.client.cwnd() < cwnd_before, "window reduced");
         // next data segment announces CWR
         let segs3 = p.client.send_msg(&cfg, vec![3; 500], SendToken(3), p.now, &mut p.ops);
@@ -713,7 +713,7 @@ mod tests {
             p.server.seg_in_marked(&cfg, &hdr, &segs[0].payload, true, p.now, &mut p.ops);
         assert!(acks.iter().all(|a| !a.flags.ece));
         Pair::deliver(&cfg, 2, 1, &mut p.client, &acks, p.now, &mut p.ops);
-        assert_eq!(p.client.ecn_reductions(), 0);
+        assert_eq!(p.client.counters().ecn_reductions, 0);
     }
 
     /// After our FIN is sent, late-arriving data from the peer is still

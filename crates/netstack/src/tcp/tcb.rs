@@ -165,6 +165,57 @@ pub struct SegmentOut {
     pub ect: bool,
 }
 
+qpip_trace::counters! {
+    /// One connection's event counters. [`EngineStats`] embeds the same
+    /// record, summed over live and reaped connections, and the
+    /// `engine` snapshot reports each field under its own name. A new
+    /// counter is its field here and its increment in the TCB.
+    ///
+    /// [`EngineStats`]: crate::engine::EngineStats
+    pub struct TcpCounters {
+        /// Retransmissions triggered by RTO expiry, SYN, SYN-ACK and
+        /// FIN retransmissions included.
+        pub rto_retransmits: u64,
+        /// Retransmissions triggered by the third duplicate ACK.
+        pub fast_retransmits: u64,
+        /// Duplicate ACKs received (same ack, data in flight, no
+        /// payload).
+        pub dupacks_rx: u64,
+        /// Transitions of the peer's advertised window into zero.
+        pub zero_window_events: u64,
+        /// Zero-window probes sent by the persist timer (never counted
+        /// as retransmissions).
+        pub persist_probes: u64,
+        /// RTO episodes found spurious by Eifel detection (RFC 3522):
+        /// the first ACK to advance SND.UNA afterwards echoed a
+        /// timestamp older than the retransmission, so the original got
+        /// through. A data episode's timeout is then undone (RFC 4015).
+        pub spurious_rtos: u64,
+        /// RTO episodes: first RTO retransmissions since SND.UNA last
+        /// advanced, with or without timestamps. `spurious_rtos / rto_episodes`
+        /// is the share Eifel found needless; the backed-off retries
+        /// inside an episode count only as `rto_retransmits`.
+        pub rto_episodes: u64,
+        /// Segments `try_output` sent below SND.MAX: go-back-N resends
+        /// of data a timeout rewound over. Not counted as
+        /// retransmissions (only the timer's first resend is), and never
+        /// marked so on the wire.
+        pub gobackn_resends: u64,
+        /// Out-of-order segments dropped (no reassembly in the subset);
+        /// each produced a duplicate ACK.
+        pub ooo_drops: u64,
+        /// Window reductions performed in response to ECN-Echo.
+        pub ecn_reductions: u64,
+    }
+}
+
+impl TcpCounters {
+    /// Retransmissions of either kind: RTO-triggered plus fast.
+    pub fn retransmissions(&self) -> u64 {
+        self.rto_retransmits + self.fast_retransmits
+    }
+}
+
 /// The transmission control block for one connection.
 #[derive(Debug)]
 pub struct Tcb {
@@ -225,8 +276,6 @@ pub struct Tcb {
     /// React to ECE at most once per window: ACKs at or below this
     /// marker belong to the already-reduced window.
     ecn_reduced_at: SeqNum,
-    /// Window reductions performed in response to ECN-Echo.
-    ecn_reductions: u64,
 
     // --- RFC 1323 ---
     ts_on: bool,
@@ -246,16 +295,11 @@ pub struct Tcb {
     timewait_deadline: Option<SimTime>,
 
     // --- counters ---
+    /// Retransmissions counted apart from `counters`, which the
+    /// invariant oracle checks against
+    /// [`TcpCounters::retransmissions`].
     retransmit_count: u64,
-    ooo_drops: u64,
-    rto_retransmits: u64,
-    fast_retransmits: u64,
-    dupacks_rx: u64,
-    zero_window_events: u64,
-    persist_probes: u64,
-    spurious_rtos: u64,
-    rto_episodes: u64,
-    gobackn_resends: u64,
+    counters: TcpCounters,
 }
 
 impl Tcb {
@@ -271,7 +315,7 @@ impl Tcb {
     ) -> Tcb {
         let mut tcb = Tcb::new_common(cfg, local, remote, iss);
         tcb.state = TcpState::SynSent;
-        out.push(tcb.make_syn(cfg, now, false));
+        out.push(tcb.make_syn(cfg, now, false, false));
         tcb.arm_rto(now);
         tcb
     }
@@ -294,7 +338,7 @@ impl Tcb {
         tcb.absorb_syn_options(syn);
         // ECN negotiation (RFC 3168): the SYN offers with ECE+CWR
         tcb.ecn_on = cfg.ecn && syn.flags.ece && syn.flags.cwr;
-        out.push(tcb.make_syn(cfg, now, true));
+        out.push(tcb.make_syn(cfg, now, true, false));
         tcb.arm_rto(now);
         tcb
     }
@@ -331,7 +375,6 @@ impl Tcb {
             ece_pending: false,
             cwr_due: false,
             ecn_reduced_at: iss,
-            ecn_reductions: 0,
             ts_on: false,
             ts_recent: 0,
             last_ack_sent: SeqNum(0),
@@ -341,15 +384,7 @@ impl Tcb {
             delack_deadline: None,
             timewait_deadline: None,
             retransmit_count: 0,
-            ooo_drops: 0,
-            rto_retransmits: 0,
-            fast_retransmits: 0,
-            dupacks_rx: 0,
-            zero_window_events: 0,
-            persist_probes: 0,
-            spurious_rtos: 0,
-            rto_episodes: 0,
-            gobackn_resends: 0,
+            counters: TcpCounters::default(),
         }
     }
 
@@ -380,66 +415,15 @@ impl Tcb {
         self.sendbuf.bytes_buffered()
     }
 
-    /// Total retransmissions performed.
+    /// Total retransmissions performed, counted apart from
+    /// [`Tcb::counters`].
     pub fn retransmit_count(&self) -> u64 {
         self.retransmit_count
     }
 
-    /// Out-of-order segments dropped (no reassembly in the subset).
-    pub fn ooo_drops(&self) -> u64 {
-        self.ooo_drops
-    }
-
-    /// Retransmissions triggered by RTO expiry (including SYN/SYN-ACK
-    /// and FIN retransmissions). `rto_retransmits + fast_retransmits ==
-    /// retransmit_count` by construction.
-    pub fn rto_retransmits(&self) -> u64 {
-        self.rto_retransmits
-    }
-
-    /// Retransmissions triggered by the third duplicate ACK.
-    pub fn fast_retransmits(&self) -> u64 {
-        self.fast_retransmits
-    }
-
-    /// Duplicate ACKs received (same ack, data in flight, no payload).
-    pub fn dupacks_rx(&self) -> u64 {
-        self.dupacks_rx
-    }
-
-    /// Transitions of the peer's advertised window into zero.
-    pub fn zero_window_events(&self) -> u64 {
-        self.zero_window_events
-    }
-
-    /// Zero-window probes sent by the persist timer (never counted as
-    /// retransmissions).
-    pub fn persist_probes(&self) -> u64 {
-        self.persist_probes
-    }
-
-    /// RTO episodes found spurious by Eifel detection (RFC 3522): the
-    /// first ACK to advance SND.UNA afterwards echoed a timestamp older
-    /// than the retransmission, so the original got through. A data
-    /// episode's timeout is then undone (RFC 4015).
-    pub fn spurious_rtos(&self) -> u64 {
-        self.spurious_rtos
-    }
-
-    /// RTO episodes: first RTO retransmissions since SND.UNA last
-    /// advanced, with or without timestamps. `spurious_rtos` counts a
-    /// subset of them; the backed-off retries inside an episode count
-    /// only as `rto_retransmits`.
-    pub fn rto_episodes(&self) -> u64 {
-        self.rto_episodes
-    }
-
-    /// Segments `try_output` sent below SND.MAX: go-back-N resends of
-    /// data a timeout rewound over. Not counted as retransmissions
-    /// (only the timer's first resend is), and never marked so on the
-    /// wire.
-    pub fn gobackn_resends(&self) -> u64 {
-        self.gobackn_resends
+    /// The connection's event counters.
+    pub fn counters(&self) -> TcpCounters {
+        self.counters
     }
 
     /// Consecutive duplicate ACKs currently counted by the congestion
@@ -476,11 +460,6 @@ impl Tcb {
     /// Whether ECN was negotiated on the handshake.
     pub fn ecn_negotiated(&self) -> bool {
         self.ecn_on
-    }
-
-    /// Window reductions performed in response to ECN-Echo.
-    pub fn ecn_reductions(&self) -> u64 {
-        self.ecn_reductions
     }
 
     /// Smoothed RTT estimate, if any sample was taken.
@@ -861,7 +840,7 @@ impl Tcb {
 
         // -- payload processing
         if !payload.is_empty() {
-            self.process_payload(cfg, hdr, payload, now, out, events, ops);
+            self.process_payload(cfg, hdr, payload, now, out, events);
         }
 
         // -- FIN processing (only when it arrives in order, and only in
@@ -877,7 +856,7 @@ impl Tcb {
             self.rcv_nxt += 1;
             self.peer_fin_rcvd = true;
             events.push(TcbEvent::PeerClosed);
-            self.transition_on_peer_fin(now, events);
+            self.transition_on_peer_fin(now);
             out.push(self.make_ack(now, PacketKind::TcpAck));
             self.segs_unacked = 0;
             self.delack_deadline = None;
@@ -916,7 +895,7 @@ impl Tcb {
         if self.ecn_on && hdr.flags.ece && !hdr.flags.syn && self.ecn_reduced_at.lt(hdr.ack) {
             self.congestion.on_ecn();
             self.cwr_due = true;
-            self.ecn_reductions += 1;
+            self.counters.ecn_reductions += 1;
             self.ecn_reduced_at = self.sendbuf.nxt();
         }
 
@@ -1002,7 +981,7 @@ impl Tcb {
             }
         } else if hdr.ack == una_before && self.sendbuf.bytes_in_flight() > 0 && payload_empty {
             // duplicate ACK
-            self.dupacks_rx += 1;
+            self.counters.dupacks_rx += 1;
             if let Some(episode) = &mut self.rto_episode {
                 episode.dupack_seen = true;
             }
@@ -1010,7 +989,7 @@ impl Tcb {
                 // fast retransmit
                 if let Some(seg) = self.sendbuf.retransmit_front(self.max_payload(cfg)) {
                     self.retransmit_count += 1;
-                    self.fast_retransmits += 1;
+                    self.counters.fast_retransmits += 1;
                     let s = self.make_data_segment(seg, now, true);
                     out.push(s);
                     self.arm_rto(now);
@@ -1022,7 +1001,6 @@ impl Tcb {
         true
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn process_payload(
         &mut self,
         cfg: &NetConfig,
@@ -1031,7 +1009,6 @@ impl Tcb {
         now: SimTime,
         out: &mut Vec<SegmentOut>,
         events: &mut Vec<TcbEvent>,
-        _ops: &mut OpCounters,
     ) {
         if !matches!(self.state, TcpState::Established | TcpState::FinWait1 | TcpState::FinWait2) {
             return;
@@ -1045,7 +1022,7 @@ impl Tcb {
         if self.rcv_nxt.lt(hdr.seq) {
             // out of order: the subset has no reassembly (§4.1); drop and
             // send a duplicate ACK to trigger the peer's fast retransmit.
-            self.ooo_drops += 1;
+            self.counters.ooo_drops += 1;
             out.push(self.make_ack(now, PacketKind::TcpAck));
             return;
         }
@@ -1074,7 +1051,7 @@ impl Tcb {
         }
     }
 
-    fn transition_on_peer_fin(&mut self, now: SimTime, _events: &mut [TcbEvent]) {
+    fn transition_on_peer_fin(&mut self, now: SimTime) {
         match self.state {
             TcpState::Established => self.state = TcpState::CloseWait,
             TcpState::FinWait1 => {
@@ -1143,7 +1120,7 @@ impl Tcb {
                     probe.seq = SeqNum(self.sendbuf.una().0.wrapping_sub(1));
                     probe.payload = SegPayload::ProbeByte;
                     out.push(probe);
-                    self.persist_probes += 1;
+                    self.counters.persist_probes += 1;
                     self.arm_rto(now);
                     return;
                 }
@@ -1154,17 +1131,17 @@ impl Tcb {
                 let pipe_prev = if flight > 0 { flight.max(self.congestion.ssthresh()) } else { 0 };
                 let dupack_seen = self.congestion.dup_acks() > 0;
                 self.congestion.on_timeout();
-                let rto_before = self.rto_retransmits;
+                let rto_before = self.counters.rto_retransmits;
                 match self.state {
                     TcpState::SynSent => {
                         self.retransmit_count += 1;
-                        self.rto_retransmits += 1;
-                        out.push(self.make_syn_raw(cfg, now, false, true));
+                        self.counters.rto_retransmits += 1;
+                        out.push(self.make_syn(cfg, now, false, true));
                     }
                     TcpState::SynRcvd => {
                         self.retransmit_count += 1;
-                        self.rto_retransmits += 1;
-                        out.push(self.make_syn_raw(cfg, now, true, true));
+                        self.counters.rto_retransmits += 1;
+                        out.push(self.make_syn(cfg, now, true, true));
                     }
                     _ => {
                         if self.sendbuf.bytes_in_flight() > 0 {
@@ -1175,18 +1152,18 @@ impl Tcb {
                                 self.sendbuf.next_segment(self.max_payload(cfg), u64::MAX)
                             {
                                 self.retransmit_count += 1;
-                                self.rto_retransmits += 1;
+                                self.counters.rto_retransmits += 1;
                                 out.push(self.make_data_segment(seg, now, true));
                             }
                         } else if self.fin_sent && !self.fin_acked(self.sendbuf.una()) {
                             self.retransmit_count += 1;
-                            self.rto_retransmits += 1;
+                            self.counters.rto_retransmits += 1;
                             out.push(self.make_fin(now, true));
                         }
                     }
                 }
-                if self.rto_retransmits > rto_before && self.rto_episode.is_none() {
-                    self.rto_episodes += 1;
+                if self.counters.rto_retransmits > rto_before && self.rto_episode.is_none() {
+                    self.counters.rto_episodes += 1;
                     // a SYN always carries a timestamp; later segments
                     // only when both ends negotiated them
                     let stamped = self.ts_on || self.state == TcpState::SynSent;
@@ -1231,7 +1208,7 @@ impl Tcb {
                 break;
             };
             if seg.seq.lt(snd_max) {
-                self.gobackn_resends += 1;
+                self.counters.gobackn_resends += 1;
             }
             ops.headers_built += 1;
             if !self.ts_on && self.timed_seq.is_none() {
@@ -1265,11 +1242,7 @@ impl Tcb {
 
     // ----- segment builders -------------------------------------------
 
-    fn make_syn(&mut self, cfg: &NetConfig, now: SimTime, is_syn_ack: bool) -> SegmentOut {
-        self.make_syn_raw(cfg, now, is_syn_ack, false)
-    }
-
-    fn make_syn_raw(
+    fn make_syn(
         &mut self,
         cfg: &NetConfig,
         now: SimTime,
@@ -1310,7 +1283,7 @@ impl Tcb {
         let flags = TcpFlags { ece: self.ecn_on && self.ece_pending, ..TcpFlags::ACK };
         self.last_ack_sent = self.rcv_nxt;
         SegmentOut {
-            seq: self.sendbuf.nxt() + u32::from(self.fin_sent_and_counted()),
+            seq: self.sendbuf.nxt() + u32::from(self.fin_sent),
             ack: self.rcv_nxt,
             flags,
             window: self.advertised_window(),
@@ -1412,7 +1385,7 @@ impl Tcb {
         };
         // serial-number comparison: the 32-bit clock wraps
         let spurious = (tsecr.wrapping_sub(retx_ts) as i32) < 0;
-        self.spurious_rtos += u64::from(spurious);
+        self.counters.spurious_rtos += u64::from(spurious);
         spurious.then_some(episode)
     }
 
@@ -1447,7 +1420,7 @@ impl Tcb {
             self.snd_wl1 = hdr.seq;
             self.snd_wl2 = hdr.ack;
             if self.snd_wnd == 0 && before != 0 {
-                self.zero_window_events += 1;
+                self.counters.zero_window_events += 1;
             }
         }
     }
@@ -1473,10 +1446,6 @@ impl Tcb {
         // (una stops at the last data byte) but keeps the definition
         // aligned with RFC 793's SND.UNA reading.
         self.fin_is_acked || (self.fin_sent && self.fin_seq.lt(una))
-    }
-
-    fn fin_sent_and_counted(&self) -> bool {
-        self.fin_sent
     }
 
     fn arm_rto(&mut self, now: SimTime) {

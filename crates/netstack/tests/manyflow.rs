@@ -242,22 +242,22 @@ fn many_flows_survive_loss_and_reorder_then_drain() {
     };
     for (node, stats) in [(0u32, n.a.stats()), (1u32, n.b.stats())] {
         assert_eq!(
-            stats.rto_retransmits,
+            stats.tcp.rto_retransmits,
             count(node, &|ev| matches!(ev, TraceEvent::Retransmit { fast: false, .. })),
             "node {node}: rto_retransmits vs traced RTO retransmit events"
         );
         assert_eq!(
-            stats.fast_retransmits,
+            stats.tcp.fast_retransmits,
             count(node, &|ev| matches!(ev, TraceEvent::Retransmit { fast: true, .. })),
             "node {node}: fast_retransmits vs traced fast-retransmit events"
         );
         assert_eq!(
-            stats.dupacks_rx,
+            stats.tcp.dupacks_rx,
             count(node, &|ev| matches!(ev, TraceEvent::DupAck { .. })),
             "node {node}: dupacks_rx vs traced dupack events"
         );
         assert_eq!(
-            stats.zero_window_events,
+            stats.tcp.zero_window_events,
             count(node, &|ev| matches!(ev, TraceEvent::ZeroWindow)),
             "node {node}: zero_window_events vs traced zero-window events"
         );
@@ -266,7 +266,7 @@ fn many_flows_survive_loss_and_reorder_then_drain() {
     // counters are proven non-vacuous
     let a_stats = n.a.stats();
     assert!(
-        a_stats.rto_retransmits + a_stats.fast_retransmits > 0,
+        a_stats.tcp.rto_retransmits + a_stats.tcp.fast_retransmits > 0,
         "2% loss over {FLOWS} flows must force at least one retransmit"
     );
 }

@@ -204,7 +204,7 @@ fn lossless_transfer_never_retransmits() {
             w.absorb(true, emits, &[]);
             w.drain();
         }
-        assert_eq!(w.a.retransmissions(), 0);
+        assert_eq!(w.a.stats().tcp.retransmissions(), 0);
         assert_eq!(w.completions.len(), sizes.len());
     }
 }

@@ -24,7 +24,7 @@ use qpip_netstack::types::{ConnId, Emit, Endpoint, PacketKind, PacketOut};
 use qpip_sim::params;
 use qpip_sim::resource::{BandwidthPipe, SerialResource};
 use qpip_sim::time::{Clock, Cycles, SimDuration, SimTime};
-use qpip_trace::{Snapshot, TraceEvent, Tracer};
+use qpip_trace::{TraceEvent, Tracer};
 
 use crate::occupancy::{PacketClass, Stage};
 use crate::qp_table::{CqEntry, Outcome, QpTable, TokenUse};
@@ -130,43 +130,39 @@ pub struct NicOutput {
     pub bytes: qpip_wire::Packet,
 }
 
-/// Aggregate NIC counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NicStats {
-    /// Packets handed to the fabric.
-    pub tx_packets: u64,
-    /// Packets received from the fabric.
-    pub rx_packets: u64,
-    /// UDP messages dropped because no receive WR was posted (§3:
-    /// unreliable delivery consumes a WR; none posted means the datagram
-    /// is gone).
-    pub udp_no_wr_drops: u64,
-    /// TCP messages parked in SRAM awaiting a receive WR.
-    pub tcp_backlogged: u64,
-    /// Receive completions flagged with a length error.
-    pub length_errors: u64,
-    /// RDMA Writes placed into local registered regions.
-    pub rdma_writes: u64,
-    /// RDMA Reads served from local registered regions.
-    pub rdma_reads_served: u64,
-    /// RDMA operations rejected for bad keys/bounds (each tears the
-    /// connection down, as Infiniband protection errors do).
-    pub rdma_protection_errors: u64,
+qpip_trace::counters! {
+    /// What became of the messages the engine delivered to QPs: the
+    /// only declaration of these three, which [`NicStats`] and the live
+    /// node's stats embed.
+    pub struct QpCounters {
+        /// UDP messages dropped for want of a bound QP or a receive WR
+        /// (§3: unreliable delivery consumes a WR; none posted means the
+        /// datagram is gone).
+        pub udp_no_wr_drops: u64,
+        /// TCP messages parked in SRAM awaiting a receive WR.
+        pub tcp_backlogged: u64,
+        /// Receive completions flagged with a length error.
+        pub length_errors: u64,
+    }
 }
 
-impl NicStats {
-    /// Renders the counters as a named snapshot (scope `"nic"`).
-    pub fn snapshot(&self) -> Snapshot {
-        let mut s = Snapshot::new("nic");
-        s.push("tx_packets", self.tx_packets)
-            .push("rx_packets", self.rx_packets)
-            .push("udp_no_wr_drops", self.udp_no_wr_drops)
-            .push("tcp_backlogged", self.tcp_backlogged)
-            .push("length_errors", self.length_errors)
-            .push("rdma_writes", self.rdma_writes)
-            .push("rdma_reads_served", self.rdma_reads_served)
-            .push("rdma_protection_errors", self.rdma_protection_errors);
-        s
+qpip_trace::counters! {
+    /// Aggregate NIC counters, with the QP delivery counters embedded.
+    /// A new NIC counter is a field here or in [`QpCounters`].
+    pub struct NicStats in "nic" {
+        /// Packets handed to the fabric.
+        pub tx_packets: u64,
+        /// Packets received from the fabric.
+        pub rx_packets: u64,
+        /// What became of the messages delivered to QPs.
+        pub qp: QpCounters,
+        /// RDMA Writes placed into local registered regions.
+        pub rdma_writes: u64,
+        /// RDMA Reads served from local registered regions.
+        pub rdma_reads_served: u64,
+        /// RDMA operations rejected for bad keys/bounds (each tears the
+        /// connection down, as Infiniband protection errors do).
+        pub rdma_protection_errors: u64,
     }
 }
 
@@ -265,13 +261,7 @@ impl<M: CostModel> QpipNic<M> {
 
     /// Counters.
     pub fn stats(&self) -> NicStats {
-        let c = self.qps.counters();
-        NicStats {
-            udp_no_wr_drops: c.udp_no_wr_drops,
-            tcp_backlogged: c.tcp_backlogged,
-            length_errors: c.length_errors,
-            ..self.stats
-        }
+        self.stats
     }
 
     /// Read-only view of the embedded protocol engine.
@@ -300,16 +290,6 @@ impl<M: CostModel> QpipNic<M> {
         &mut self,
     ) -> Option<qpip_netstack::invariant::InvariantViolation> {
         self.engine.take_invariant_violation()
-    }
-
-    /// TCP retransmissions performed by the offloaded stack.
-    pub fn retransmissions(&self) -> u64 {
-        self.engine.retransmissions()
-    }
-
-    /// ECN-triggered window reductions performed by the offloaded stack.
-    pub fn ecn_reductions(&self) -> u64 {
-        self.engine.ecn_reductions()
     }
 
     /// Multi-line description of everything still pending on this NIC
@@ -1015,7 +995,15 @@ impl<M: CostModel> QpipNic<M> {
     /// queue flushes. Returns when the processor is free again.
     fn apply(&mut self, t: SimTime, outcome: Outcome, outputs: &mut Vec<NicOutput>) -> SimTime {
         match outcome {
-            Outcome::Nothing | Outcome::Backlogged | Outcome::Dropped => t,
+            Outcome::Nothing => t,
+            Outcome::Backlogged => {
+                self.stats.qp.tcp_backlogged += 1;
+                t
+            }
+            Outcome::Dropped => {
+                self.stats.qp.udp_no_wr_drops += 1;
+                t
+            }
             Outcome::Placed(entry) => self.place(t, entry),
             Outcome::Retired(entry) => {
                 // Table 3, ACK-receive Update row: retire the WR, write
@@ -1202,6 +1190,9 @@ impl<M: CostModel> QpipNic<M> {
         let CompletionKind::Recv { data, src } = &entry.kind else {
             unreachable!("placements are receive entries")
         };
+        if matches!(entry.status, CompletionStatus::LocalLengthError { .. }) {
+            self.stats.qp.length_errors += 1;
+        }
         // only datagrams carry their sender
         let class = if src.is_some() { PacketClass::UdpRecv } else { PacketClass::DataRecv };
         let len = data.len() as u64;
@@ -1339,7 +1330,7 @@ mod tests {
         );
         receive(&mut b, out[0].at, &out[0].bytes);
         assert!(completions(&mut b, cqb).is_empty());
-        assert_eq!(b.stats().udp_no_wr_drops, 1);
+        assert_eq!(b.stats().qp.udp_no_wr_drops, 1);
     }
 
     #[test]
@@ -1356,7 +1347,7 @@ mod tests {
         receive(&mut b, out[0].at, &out[0].bytes);
         let comps = completions(&mut b, cqb);
         assert_eq!(comps[0].status, CompletionStatus::LocalLengthError { len: 4, capacity: 2 });
-        assert_eq!(b.stats().length_errors, 1);
+        assert_eq!(b.stats().qp.length_errors, 1);
     }
 
     #[test]

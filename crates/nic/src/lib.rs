@@ -37,7 +37,7 @@ pub mod rdma;
 pub mod types;
 
 pub use conventional::{ConvNicConfig, ConventionalNic, RxOutcome};
-pub use firmware::{CostModel, Lanai, NicOutput, NicStats, QpipNic, ZeroCost};
+pub use firmware::{CostModel, Lanai, NicOutput, NicStats, QpCounters, QpipNic, ZeroCost};
 pub use occupancy::{Occupancy, PacketClass, Stage};
 pub use rdma::{RdmaFrame, RdmaOpcode};
 pub use types::{

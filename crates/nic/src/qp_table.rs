@@ -196,17 +196,6 @@ pub struct Posted {
     pub announce: bool,
 }
 
-/// Counters of the table's delivery decisions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QpCounters {
-    /// UDP messages dropped for want of a bound QP or a receive WR.
-    pub udp_no_wr_drops: u64,
-    /// TCP messages parked in the backlog awaiting a receive WR.
-    pub tcp_backlogged: u64,
-    /// Receive completions flagged with a length error.
-    pub length_errors: u64,
-}
-
 /// Queue pairs, completion queues, accept pools and send tokens of one
 /// node.
 #[derive(Debug)]
@@ -226,7 +215,6 @@ pub struct QpTable {
     accept_pool: FxHashMap<u16, VecDeque<QpId>>,
     next_token: u64,
     tokens: FxHashMap<u64, TokenUse>,
-    counters: QpCounters,
 }
 
 impl QpTable {
@@ -244,13 +232,7 @@ impl QpTable {
             accept_pool: FxHashMap::default(),
             next_token: 1,
             tokens: FxHashMap::default(),
-            counters: QpCounters::default(),
         }
-    }
-
-    /// Delivery counters.
-    pub fn counters(&self) -> QpCounters {
-        self.counters
     }
 
     /// Creates an empty completion queue. Ids start at 1.
@@ -515,7 +497,7 @@ impl QpTable {
         }
         let data = q.backlog.pop_front().expect("nonempty");
         let wr = q.take_wr().expect("nonempty");
-        Some(place(&mut self.counters, q, qp, wr, data, None))
+        Some(place(q, qp, wr, data, None))
     }
 
     /// Decides what one engine emission means for the host.
@@ -556,16 +538,14 @@ impl QpTable {
 
     fn deliver_udp(&mut self, port: u16, src: Endpoint, payload: Vec<u8>) -> Outcome {
         let Some(&qp) = self.udp_port_to_qp.get(&port) else {
-            self.counters.udp_no_wr_drops += 1;
             return Outcome::Dropped;
         };
         let q = self.qps.get_mut(&qp).expect("bound port has a QP");
         let Some(wr) = q.take_wr() else {
             // no WR posted: the datagram is dropped (unreliable service)
-            self.counters.udp_no_wr_drops += 1;
             return Outcome::Dropped;
         };
-        Outcome::Placed(place(&mut self.counters, q, qp, wr, payload, Some(src)))
+        Outcome::Placed(place(q, qp, wr, payload, Some(src)))
     }
 
     /// Decides where an in-order TCP message goes: the oldest receive
@@ -578,11 +558,10 @@ impl QpTable {
         let data = data.to_vec();
         let q = self.qps.get_mut(&qp).expect("mapped conn has a QP");
         match q.take_wr() {
-            Some(wr) => Outcome::Placed(place(&mut self.counters, q, qp, wr, data, None)),
+            Some(wr) => Outcome::Placed(place(q, qp, wr, data, None)),
             None => {
                 // reliable service: park in SRAM until the host posts a WR
                 q.backlog.push_back(data);
-                self.counters.tcp_backlogged += 1;
                 Outcome::Backlogged
             }
         }
@@ -679,7 +658,7 @@ impl QpTable {
             "    send tokens outstanding: {}, engine connections: {}, retransmissions: {}",
             self.tokens.len(),
             engine.conn_count(),
-            engine.retransmissions(),
+            engine.stats().tcp.retransmissions(),
         );
         s
     }
@@ -700,16 +679,8 @@ fn label(kind: &CompletionKind) -> String {
 
 /// Consumes `wr` for one in-order message, flagging a message larger
 /// than the posted buffer.
-fn place(
-    counters: &mut QpCounters,
-    q: &Qp,
-    qp: QpId,
-    wr: RecvWr,
-    data: Vec<u8>,
-    src: Option<Endpoint>,
-) -> CqEntry {
+fn place(q: &Qp, qp: QpId, wr: RecvWr, data: Vec<u8>, src: Option<Endpoint>) -> CqEntry {
     let status = if data.len() > wr.capacity {
-        counters.length_errors += 1;
         CompletionStatus::LocalLengthError { len: data.len(), capacity: wr.capacity }
     } else {
         CompletionStatus::Success
@@ -799,10 +770,6 @@ mod tests {
         assert_eq!(
             t.pop_backlog(qp).map(|e| (e.wr_id, e.status)),
             Some((2, CompletionStatus::Success))
-        );
-        assert_eq!(
-            t.counters(),
-            QpCounters { udp_no_wr_drops: 0, tcp_backlogged: 2, length_errors: 1 }
         );
     }
 

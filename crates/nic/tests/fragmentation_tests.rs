@@ -51,7 +51,7 @@ fn fragment_loss_is_recovered_by_tcp_retransmission() {
     }
     assert_eq!(p.received().len(), 1);
     assert_eq!(p.received()[0], &payload);
-    assert!(p.a.retransmissions() >= 1);
+    assert!(p.a.engine_stats().tcp.retransmissions() >= 1);
 }
 
 #[test]

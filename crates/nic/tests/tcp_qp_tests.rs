@@ -114,7 +114,7 @@ fn all_completions_are_success_in_clean_run() {
     for c in p.comps_a.iter().chain(p.comps_b.iter()) {
         assert_eq!(c.status, CompletionStatus::Success, "{c:?}");
     }
-    assert_eq!(p.a.retransmissions(), 0);
+    assert_eq!(p.a.engine_stats().tcp.retransmissions(), 0);
 }
 
 #[test]
@@ -166,5 +166,5 @@ fn window_after_backlog_drain_reflects_real_posted_space() {
     assert_eq!(p.received().len(), 1, "no second delivery without posted space");
     // backlog is bounded by the (now correct) window: at most one
     // message can be in flight/backlogged beyond the posted space
-    assert!(p.b.stats().tcp_backlogged <= 2, "{:?}", p.b.stats());
+    assert!(p.b.stats().qp.tcp_backlogged <= 2, "{:?}", p.b.stats());
 }

@@ -15,8 +15,9 @@
 //!    [`NODE_SCOPE`] for events that belong to a node rather than a
 //!    connection (firmware FSM charges, fabric drops, socket I/O).
 //! 3. **[`Snapshot`]** — named `(str, u64)` counter pairs; every stats
-//!    struct in the workspace renders itself through one of these so
-//!    `bench/report.rs` can emit a `counters` section generically.
+//!    struct in the workspace is a record declared with [`counters!`],
+//!    which renders it through one of these so `bench/report.rs` can
+//!    emit a `counters` section generically.
 //!
 //! Exports live in [`export`]: JSONL (one flat object per event),
 //! a tcpdump-style one-line dump, and a tcptrace-style per-connection

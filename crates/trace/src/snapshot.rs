@@ -1,6 +1,7 @@
 //! Unified counter snapshots: every stats struct in the workspace
-//! (engine, NIC firmware, fabric, live transport) renders itself as
-//! named `(str, u64)` pairs so reports and dashboards consume one shape
+//! (engine, NIC firmware, fabric, live transport) is a record declared
+//! with [`counters!`](crate::counters), which renders it as named
+//! `(str, u64)` pairs so reports and dashboards consume one shape
 //! instead of four.
 
 /// A named set of monotone counters captured at one instant.
@@ -61,6 +62,73 @@ impl Snapshot {
     pub fn get(&self, name: &str) -> Option<u64> {
         self.pairs.iter().find(|(n, _)| *n == name).map(|&(_, v)| v)
     }
+
+    /// Renders a counter record (see [`counters!`](crate::counters))
+    /// under `scope`.
+    pub fn of(scope: impl Into<String>, record: &impl Counters) -> Self {
+        let mut s = Snapshot::new(scope);
+        record.push_into("", &mut s);
+        s
+    }
+}
+
+/// What a counter-record field holds: one counter, or a record whose
+/// counters are flattened into the enclosing snapshot.
+pub trait Counters {
+    /// Appends this value to `s`; `name` is the field that holds it,
+    /// which a flattened record ignores.
+    fn push_into(&self, name: &'static str, s: &mut Snapshot);
+}
+
+impl Counters for u64 {
+    fn push_into(&self, name: &'static str, s: &mut Snapshot) {
+        s.push(name, *self);
+    }
+}
+
+/// Declares a counter record: a `Copy` struct whose fields are `u64`
+/// counters or embedded records. Its `+=` adds field by field, and its
+/// snapshot ([`Snapshot::of`]) holds each counter under its field's
+/// name, in declaration order, with embedded records flattened in
+/// place. A new counter is its field line and nothing else.
+///
+/// `pub struct Name in "scope" { … }` also gives the record a
+/// `snapshot()` method rendering it under that scope.
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident $(in $scope:literal)? {
+            $( $(#[$fmeta:meta])* pub $field:ident: $ty:ty, )*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $name {
+            $( $(#[$fmeta])* pub $field: $ty, )*
+        }
+
+        impl ::core::ops::AddAssign for $name {
+            fn add_assign(&mut self, other: Self) {
+                $( self.$field += other.$field; )*
+            }
+        }
+
+        impl $crate::snapshot::Counters for $name {
+            fn push_into(&self, _: &'static str, s: &mut $crate::Snapshot) {
+                $( $crate::snapshot::Counters::push_into(&self.$field, stringify!($field), s); )*
+            }
+        }
+
+        $(
+            impl $name {
+                #[doc = concat!("Renders the counters as a named snapshot (scope `\"", $scope, "\"`).")]
+                pub fn snapshot(&self) -> $crate::Snapshot {
+                    $crate::Snapshot::of($scope, self)
+                }
+            }
+        )?
+    };
 }
 
 /// Renders snapshots as one JSON object — `{"scope": {"name": value,
@@ -122,6 +190,38 @@ mod tests {
         let r = s.clone().rescoped("direct_engine");
         assert_eq!(r.scope(), "direct_engine");
         assert_eq!(r.pairs(), s.pairs());
+    }
+
+    crate::counters! {
+        /// A record for the tests.
+        pub struct Inner {
+            /// One.
+            pub b: u64,
+            /// Two.
+            pub c: u64,
+        }
+    }
+
+    crate::counters! {
+        /// A record embedding another.
+        pub struct Outer in "outer" {
+            /// First.
+            pub a: u64,
+            /// Flattened in place.
+            pub inner: Inner,
+            /// Last.
+            pub d: u64,
+        }
+    }
+
+    #[test]
+    fn records_add_fieldwise_and_flatten_in_declaration_order() {
+        let mut o = Outer { a: 1, inner: Inner { b: 2, c: 3 }, d: 4 };
+        o += o;
+        assert_eq!(o.inner, Inner { b: 4, c: 6 });
+        let s = o.snapshot();
+        assert_eq!(s.scope(), "outer");
+        assert_eq!(s.pairs(), [("a", 2), ("b", 4), ("c", 6), ("d", 8)]);
     }
 
     #[test]

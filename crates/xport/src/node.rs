@@ -61,8 +61,8 @@ use qpip_fabric::{Fate, FaultInjector, FaultPlan};
 use qpip_netstack::engine::Engine;
 use qpip_netstack::types::{Endpoint, NetConfig};
 use qpip_nic::types::{Completion, CqId, NicConfig, NicError, QpId, RecvWr, SendWr, ServiceType};
-use qpip_nic::{NicOutput, QpipNic, ZeroCost};
-use qpip_trace::{Snapshot, TraceEvent, Tracer};
+use qpip_nic::{NicOutput, QpCounters, QpipNic, ZeroCost};
+use qpip_trace::{TraceEvent, Tracer};
 use qpip_wire::Packet;
 
 /// Largest datagram the runtime will receive in one `recv_from`. The
@@ -152,42 +152,24 @@ impl From<io::Error> for XportError {
     }
 }
 
-/// Runtime counters (datapath health; all monotone).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct XportStats {
-    /// Datagrams read off the socket.
-    pub datagrams_rx: u64,
-    /// Datagrams written to the socket.
-    pub datagrams_tx: u64,
-    /// NIC packets dropped because the destination fabric address
-    /// has no peer-table entry.
-    pub unroutable_drops: u64,
-    /// UDP messages dropped because no receive WR was posted
-    /// (unreliable service — §3).
-    pub udp_no_wr_drops: u64,
-    /// TCP messages parked in the backlog awaiting a receive WR.
-    pub tcp_backlogged: u64,
-    /// Receive completions flagged with a length error.
-    pub length_errors: u64,
-    /// Datagrams the fault plan dropped instead of sending.
-    pub injected_drops: u64,
-    /// Datagrams the fault plan held behind the node's next one.
-    pub injected_holds: u64,
-}
-
-impl XportStats {
-    /// Renders the counters as a named snapshot (scope `"xport"`).
-    pub fn snapshot(&self) -> Snapshot {
-        let mut s = Snapshot::new("xport");
-        s.push("datagrams_rx", self.datagrams_rx)
-            .push("datagrams_tx", self.datagrams_tx)
-            .push("unroutable_drops", self.unroutable_drops)
-            .push("udp_no_wr_drops", self.udp_no_wr_drops)
-            .push("tcp_backlogged", self.tcp_backlogged)
-            .push("length_errors", self.length_errors)
-            .push("injected_drops", self.injected_drops)
-            .push("injected_holds", self.injected_holds);
-        s
+qpip_trace::counters! {
+    /// Runtime counters (datapath health; all monotone): the socket's,
+    /// the NIC's QP delivery counters embedded, and the fault plan's.
+    /// A new socket counter is a field here.
+    pub struct XportStats in "xport" {
+        /// Datagrams read off the socket.
+        pub datagrams_rx: u64,
+        /// Datagrams written to the socket.
+        pub datagrams_tx: u64,
+        /// NIC packets dropped because the destination fabric address
+        /// has no peer-table entry.
+        pub unroutable_drops: u64,
+        /// The NIC's QP delivery counters.
+        pub qp: QpCounters,
+        /// Datagrams the fault plan dropped instead of sending.
+        pub injected_drops: u64,
+        /// Datagrams the fault plan held behind the node's next one.
+        pub injected_holds: u64,
     }
 }
 
@@ -304,11 +286,8 @@ impl XportNode {
 
     /// Runtime counters.
     pub fn stats(&self) -> XportStats {
-        let n = self.nic.stats();
         XportStats {
-            udp_no_wr_drops: n.udp_no_wr_drops,
-            tcp_backlogged: n.tcp_backlogged,
-            length_errors: n.length_errors,
+            qp: self.nic.stats().qp,
             injected_drops: self.faults.packets_dropped(),
             injected_holds: self.faults.packets_held(),
             ..self.stats

@@ -108,7 +108,7 @@ fn messages_backlog_until_recv_wrs_are_posted() {
     // both WRs are consumed but 1848 bytes of window remain: the
     // other six messages arrive and must park
     let deadline = Instant::now() + Duration::from_secs(10);
-    while server.stats().tcp_backlogged == 0 {
+    while server.stats().qp.tcp_backlogged == 0 {
         assert!(Instant::now() < deadline, "backlog never formed: {:?}", server.stats());
         server.pump(Duration::ZERO).unwrap();
         client.pump(Duration::ZERO).unwrap();
@@ -137,7 +137,7 @@ fn messages_backlog_until_recv_wrs_are_posted() {
         assert_eq!(data, &vec![i as u8; 100], "message {i} misordered");
     }
     let sstats = server.stats();
-    assert!(sstats.tcp_backlogged > 0, "nothing ever backlogged: {sstats:?}");
+    assert!(sstats.qp.tcp_backlogged > 0, "nothing ever backlogged: {sstats:?}");
 }
 
 /// A window update lost on the wire is recovered by the sender's
@@ -179,7 +179,7 @@ fn lost_window_update_is_recovered_by_a_persist_probe() {
         CompletionKind::Recv { data, .. } => assert_eq!(data, vec![1; 1000]),
         other => panic!("expected Recv, got {other:?}"),
     }
-    assert!(a.engine().stats().persist_probes >= 1, "{:?}", a.engine().stats());
+    assert!(a.engine().stats().tcp.persist_probes >= 1, "{:?}", a.engine().stats());
 
     // the hole holds the lost update: a pure ACK with an open window
     hole.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
@@ -229,7 +229,7 @@ fn an_ack_waiting_in_the_socket_beats_an_overdue_rto() {
         std::thread::sleep(Duration::from_millis(1));
     }
     a.pump(Duration::ZERO).unwrap();
-    assert_eq!(a.engine().stats().rto_retransmits, 0, "{:?}", a.engine().stats());
+    assert_eq!(a.engine().stats().tcp.rto_retransmits, 0, "{:?}", a.engine().stats());
     let c = a.poll(acq).unwrap().expect("the ACK completed the send");
     assert_eq!(c.kind, CompletionKind::Send);
 }
@@ -371,6 +371,6 @@ fn oversized_message_completes_with_length_error() {
     };
     assert_eq!(got.wr_id, 1);
     assert_eq!(got.status, CompletionStatus::LocalLengthError { len: 100, capacity: 16 });
-    assert_eq!(server.stats().length_errors, 1);
+    assert_eq!(server.stats().qp.length_errors, 1);
     assert_eq!(server.stats().snapshot().get("length_errors"), Some(1));
 }

@@ -50,8 +50,9 @@ fn main() {
     println!("elapsed (simulated): {:.2} ms", elapsed.as_secs_f64() * 1e3);
     println!(
         "fabric dropped {} packets; the NIC's TCP retransmitted {} segments",
-        world.fabric().injected_drops(),
-        world.nic(a).retransmissions() + world.nic(b).retransmissions(),
+        world.fabric().stats().injected_drops,
+        world.nic(a).engine_stats().tcp.retransmissions()
+            + world.nic(b).engine_stats().tcp.retransmissions(),
     );
     println!("the application never noticed: reliability lives below the QP.");
 }

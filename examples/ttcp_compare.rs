@@ -3,8 +3,8 @@
 //!
 //! Run with: `cargo run --release --example ttcp_compare`
 
+use qpip::baseline::Transport;
 use qpip::NicConfig;
-use qpip_bench::workloads::pingpong::Baseline;
 use qpip_bench::workloads::ttcp::{qpip_ttcp, socket_ttcp, TtcpResult};
 
 fn show(name: &str, r: &TtcpResult) {
@@ -22,8 +22,8 @@ fn main() {
     let chunk = 16 * 1024;
     println!("ttcp: {total} bytes in 16 KB writes, TCP_NODELAY (§4.2.1)\n");
 
-    show("IP over GigE", &socket_ttcp(Baseline::GigE, total, chunk));
-    show("IP over Myrinet/GM", &socket_ttcp(Baseline::GmMyrinet, total, chunk));
+    show("IP over GigE", &socket_ttcp(Transport::GigE, total, chunk));
+    show("IP over Myrinet/GM", &socket_ttcp(Transport::GmMyrinet, total, chunk));
     show("QPIP (native 16K)", &qpip_ttcp(NicConfig::paper_default(), total, chunk));
     show(
         "QPIP (1500 MTU)",

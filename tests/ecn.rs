@@ -11,6 +11,7 @@
 use qpip::world::QpipWorld;
 use qpip::{CompletionKind, NicConfig, NodeIdx, RecvWr, SendWr, ServiceType};
 use qpip_fabric::FabricConfig;
+use qpip_netstack::tcp::TcpCounters;
 use qpip_netstack::types::Endpoint;
 use qpip_sim::time::SimDuration;
 
@@ -95,16 +96,24 @@ fn drive(rig: &mut Incast, messages: u64) -> u64 {
     delivered
 }
 
+/// The senders' TCP counters, summed.
+fn senders_tcp(rig: &Incast) -> TcpCounters {
+    let mut sum = TcpCounters::default();
+    for (n, _, _) in &rig.senders {
+        sum += rig.w.nic(*n).engine_stats().tcp;
+    }
+    sum
+}
+
 #[test]
 fn incast_with_ecn_signals_congestion_without_loss() {
     let mut rig = incast(true, Some(SimDuration::from_micros(150)));
     let delivered = drive(&mut rig, 40);
     assert_eq!(delivered, 80, "every message arrived");
-    assert!(rig.w.fabric().ecn_marks() > 0, "the switch marked packets");
-    let reductions: u64 = rig.senders.iter().map(|(n, _, _)| rig.w.nic(*n).ecn_reductions()).sum();
-    assert!(reductions >= 1, "senders reduced their windows");
-    let retx: u64 = rig.senders.iter().map(|(n, _, _)| rig.w.nic(*n).retransmissions()).sum();
-    assert_eq!(retx, 0, "congestion handled without a single retransmission");
+    assert!(rig.w.fabric().stats().ecn_marks > 0, "the switch marked packets");
+    let tcp = senders_tcp(&rig);
+    assert!(tcp.ecn_reductions >= 1, "senders reduced their windows");
+    assert_eq!(tcp.retransmissions(), 0, "congestion handled without a single retransmission");
 }
 
 #[test]
@@ -113,8 +122,7 @@ fn incast_without_ecn_never_marks_or_reduces() {
     let delivered = drive(&mut rig, 20);
     assert_eq!(delivered, 40);
     // the switch marks only ECN-capable packets; none were ECT
-    let reductions: u64 = rig.senders.iter().map(|(n, _, _)| rig.w.nic(*n).ecn_reductions()).sum();
-    assert_eq!(reductions, 0);
+    assert_eq!(senders_tcp(&rig).ecn_reductions, 0);
 }
 
 #[test]
@@ -122,5 +130,5 @@ fn marking_disabled_means_no_marks_even_with_ecn_endpoints() {
     let mut rig = incast(true, None);
     let delivered = drive(&mut rig, 20);
     assert_eq!(delivered, 40);
-    assert_eq!(rig.w.fabric().ecn_marks(), 0);
+    assert_eq!(rig.w.fabric().stats().ecn_marks, 0);
 }

@@ -54,8 +54,8 @@ fn bidirectional_traffic_on_one_queue_pair() {
         let c = p.w.wait_matching(p.a, p.cqa, |c| matches!(c.kind, CompletionKind::Recv { .. }));
         assert!(matches!(c.kind, CompletionKind::Recv { ref data, .. } if data.len() == 1024));
     }
-    assert_eq!(p.w.nic(p.a).retransmissions(), 0);
-    assert_eq!(p.w.nic(p.b).retransmissions(), 0);
+    assert_eq!(p.w.nic(p.a).engine_stats().tcp.retransmissions(), 0);
+    assert_eq!(p.w.nic(p.b).engine_stats().tcp.retransmissions(), 0);
 }
 
 #[test]
@@ -98,8 +98,8 @@ fn heavy_loss_does_not_break_reliability_or_ordering() {
         }
     }
     assert_eq!(received, (0..40).map(|i| i as u8).collect::<Vec<_>>(), "in order");
-    assert!(p.w.fabric().injected_drops() > 0, "loss actually happened");
-    assert!(p.w.nic(p.a).retransmissions() > 0);
+    assert!(p.w.fabric().stats().injected_drops > 0, "loss actually happened");
+    assert!(p.w.nic(p.a).engine_stats().tcp.retransmissions() > 0);
 }
 
 #[test]
@@ -149,7 +149,7 @@ fn udp_qps_are_unreliable_but_preserve_datagram_boundaries() {
         }
     }
     assert_eq!(sizes, vec![100, 101], "first two consumed WRs, rest dropped");
-    assert_eq!(w.nic(b).stats().udp_no_wr_drops, 2);
+    assert_eq!(w.nic(b).stats().qp.udp_no_wr_drops, 2);
 }
 
 #[test]

@@ -78,7 +78,7 @@ fn lossy_stream_conserves_packets() {
     let (delivered, dropped) = assert_conserved(&w.counter_snapshots());
     assert!(delivered > MESSAGES);
     assert!(dropped > 0, "loss actually happened");
-    assert_eq!(dropped, w.fabric().injected_drops(), "every drop was injected");
+    assert_eq!(dropped, w.fabric().stats().injected_drops, "every drop was injected");
 }
 
 /// A held packet waits for its sender's next one; UDP resends nothing,

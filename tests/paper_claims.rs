@@ -4,10 +4,9 @@
 //! the reproduction — who wins, by roughly what factor, and where the
 //! crossovers fall.
 
+use qpip::baseline::Transport;
 use qpip::NicConfig;
-use qpip_bench::workloads::pingpong::{
-    qpip_tcp_rtt, qpip_udp_rtt, socket_tcp_rtt, socket_udp_rtt, Baseline,
-};
+use qpip_bench::workloads::pingpong::{qpip_tcp_rtt, qpip_udp_rtt, socket_tcp_rtt, socket_udp_rtt};
 use qpip_bench::workloads::ttcp::{qpip_ttcp, socket_ttcp};
 
 const MB: u64 = 1024 * 1024;
@@ -27,11 +26,11 @@ fn figure3_qpip_firmware_checksum_rtt_near_paper_values() {
 #[test]
 fn figure3_qpip_latency_competitive_with_baselines() {
     let q = qpip_tcp_rtt(NicConfig::paper_default(), 1, 12).mean_us;
-    let ge = socket_tcp_rtt(Baseline::GigE, 1, 12).mean_us;
-    let gm = socket_tcp_rtt(Baseline::GmMyrinet, 1, 12).mean_us;
+    let ge = socket_tcp_rtt(Transport::GigE, 1, 12).mean_us;
+    let gm = socket_tcp_rtt(Transport::GmMyrinet, 1, 12).mean_us;
     assert!(q <= ge.max(gm) * 1.1, "qpip {q} vs gige {ge} / gm {gm}");
     let qu = qpip_udp_rtt(NicConfig::paper_default(), 1, 12).mean_us;
-    let geu = socket_udp_rtt(Baseline::GigE, 1, 12).mean_us;
+    let geu = socket_udp_rtt(Transport::GigE, 1, 12).mean_us;
     assert!(qu < geu, "qpip udp {qu} vs gige udp {geu}");
 }
 
@@ -43,7 +42,7 @@ fn figure4_native_throughput_and_cpu_shape() {
     assert!((q.mbytes_per_sec - 75.6).abs() / 75.6 < 0.25, "{q:?}");
     assert!(q.sender_cpu < 0.01 && q.receiver_cpu < 0.01, "{q:?}");
 
-    let ge = socket_ttcp(Baseline::GigE, 4 * MB, 16 * 1024);
+    let ge = socket_ttcp(Transport::GigE, 4 * MB, 16 * 1024);
     assert!(q.mbytes_per_sec > ge.mbytes_per_sec, "QPIP wins: {q:?} vs {ge:?}");
     assert!((0.35..=0.85).contains(&ge.sender_cpu), "{ge:?}");
 }
@@ -54,11 +53,11 @@ fn figure4_native_throughput_and_cpu_shape() {
 #[test]
 fn figure4_mtu_crossover_shape() {
     let q1500 = qpip_ttcp(NicConfig { mtu: 1500, ..NicConfig::paper_default() }, 4 * MB, 16 * 1024);
-    let ge = socket_ttcp(Baseline::GigE, 4 * MB, 16 * 1024);
+    let ge = socket_ttcp(Transport::GigE, 4 * MB, 16 * 1024);
     assert!(q1500.mbytes_per_sec < ge.mbytes_per_sec, "{q1500:?} vs {ge:?}");
 
     let q9000 = qpip_ttcp(NicConfig { mtu: 9000, ..NicConfig::paper_default() }, 4 * MB, 16 * 1024);
-    let gm = socket_ttcp(Baseline::GmMyrinet, 4 * MB, 16 * 1024);
+    let gm = socket_ttcp(Transport::GmMyrinet, 4 * MB, 16 * 1024);
     assert!(q9000.mbytes_per_sec > gm.mbytes_per_sec, "{q9000:?} vs {gm:?}");
 }
 
