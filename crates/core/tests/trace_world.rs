@@ -85,7 +85,7 @@ fn lossy_transfer_traces_retransmits_with_matching_seq() {
     }
 
     // the fabric attributed every injected drop to a node-scoped event
-    let injected = w.fabric().snapshot().get("injected_drops").unwrap();
+    let injected = w.fabric().stats().snapshot().get("injected_drops").unwrap();
     let traced_drops = events
         .iter()
         .filter(|r| matches!(r.ev, TraceEvent::FabricDrop { reason: "injected", .. }))

@@ -22,7 +22,7 @@ use qpip_sim::hash::FxHashMap;
 use qpip_sim::params;
 use qpip_sim::resource::BandwidthPipe;
 use qpip_sim::time::{SimDuration, SimTime};
-use qpip_trace::{FlightRecorder, Snapshot, TraceEvent, NODE_SCOPE};
+use qpip_trace::{FlightRecorder, TraceEvent, NODE_SCOPE};
 
 /// Identifies one attached node (one NIC port on the fabric).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -204,11 +204,6 @@ impl Fabric {
     /// fault-injected) is recorded node-scoped against the transmitter.
     pub fn set_recorder(&mut self, recorder: Arc<FlightRecorder>) {
         self.recorder = Some(recorder);
-    }
-
-    /// The counters as a named snapshot (scope `"fabric"`).
-    pub fn snapshot(&self) -> Snapshot {
-        self.stats.snapshot()
     }
 
     /// Accounts for a `len`-byte packet from `from` that a fault plan
@@ -492,10 +487,9 @@ mod tests {
             TransmitOutcome::Delivered { .. }
         ));
         f.drop_injected(SimTime::ZERO, a, 100);
-        assert_eq!(f.stats().injected_drops, 1);
-        assert_eq!(f.stats().delivered, 1);
-        assert_eq!(f.stats().dropped, 1);
-        assert_eq!(f.snapshot().get("injected_drops"), Some(1));
+        let s = f.stats();
+        assert_eq!((s.injected_drops, s.delivered, s.dropped), (1, 1, 1));
+        assert_eq!(s.snapshot().get("injected_drops"), Some(1));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! firmware level (connection mating, message exchange, completions,
 //! window semantics from posted receive WRs).
 
-use qpip_nic::{CompletionKind, CompletionStatus, NicConfig, RecvWr, SendWr};
+use qpip_nic::{CompletionKind, CompletionStatus, NicConfig, QpCounters, RecvWr, SendWr};
 use qpip_sim::time::SimTime;
 
 mod common;
@@ -167,4 +167,23 @@ fn window_after_backlog_drain_reflects_real_posted_space() {
     // backlog is bounded by the (now correct) window: at most one
     // message can be in flight/backlogged beyond the posted space
     assert!(p.b.stats().qp.tcp_backlogged <= 2, "{:?}", p.b.stats());
+}
+
+/// Each message parked for want of a receive WR counts once, and a
+/// parked message too large for the WR that drains it counts a length
+/// error.
+#[test]
+fn backlogged_messages_and_length_errors_count_exactly_once() {
+    let mut p = Pair::new(NicConfig::paper_default());
+    establish(&mut p, 1, 16 * 1024);
+    // the first message takes the one WR; the next two wait in SRAM
+    for i in 0..3 {
+        p.send(true, SendWr { wr_id: i, payload: vec![0; 10], dst: None });
+    }
+    // the backlog drains into each new WR: the first is too small
+    p.post_recv(false, RecvWr { wr_id: 101, capacity: 8 });
+    p.post_recv(false, RecvWr { wr_id: 102, capacity: 16 });
+    assert_eq!(p.received().len(), 3);
+    let qp = QpCounters { udp_no_wr_drops: 0, tcp_backlogged: 2, length_errors: 1 };
+    assert_eq!(p.b.stats().qp, qp);
 }
