@@ -4,7 +4,6 @@
 //! rollup must agree exactly with the engine's own counters — the
 //! recorder and `EngineStats` are two views of one history.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use qpip::world::QpipWorld;
@@ -101,22 +100,18 @@ fn trace_summary_matches_engine_counters_exactly() {
         assert_eq!(rec.overwritten(node, conn), 0, "ring ({node},{conn}) overwrote");
     }
 
-    // per-node rollup of the per-connection summaries the CLI prints
-    let mut per_node: HashMap<u32, (u64, u64, u64, u64)> = HashMap::new();
-    for s in summarize(&rec.events()) {
-        let e = per_node.entry(s.node).or_default();
-        e.0 += s.rto_retransmits;
-        e.1 += s.fast_retransmits;
-        e.2 += s.dupacks;
-        e.3 += s.zero_windows;
-    }
-
+    // the per-connection summaries the CLI prints, summed per node, use
+    // the engine's counter names, so each field is compared by name
+    let summaries = summarize(&rec.events());
     for node in 0..2u32 {
-        let stats = w.engine_stats(qpip::world::NodeIdx(node as usize));
-        let (rto, fast, dupacks, zerowin) = per_node.get(&node).copied().unwrap_or_default();
-        assert_eq!(stats.tcp.rto_retransmits, rto, "node {node} rto_retransmits");
-        assert_eq!(stats.tcp.fast_retransmits, fast, "node {node} fast_retransmits");
-        assert_eq!(stats.tcp.dupacks_rx, dupacks, "node {node} dupacks_rx");
-        assert_eq!(stats.tcp.zero_window_events, zerowin, "node {node} zero_window_events");
+        let tcp = w.engine_stats(qpip::world::NodeIdx(node as usize)).tcp;
+        let conns = summaries.iter().filter(|s| s.node == node);
+        macro_rules! same_totals {
+            ($($field:ident),*) => {$(
+                let traced: u64 = conns.clone().map(|s| s.$field).sum();
+                assert_eq!(traced, tcp.$field, "node {node} {}", stringify!($field));
+            )*};
+        }
+        same_totals!(rto_retransmits, fast_retransmits, dupacks_rx, zero_window_events);
     }
 }

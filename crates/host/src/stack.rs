@@ -589,7 +589,6 @@ impl HostStack {
         );
         with_emit_buffer(|emits| {
             self.engine.on_packet(t, bytes, emits);
-            let _ = self.engine.take_ops();
             self.process_emits(t, emits, bytes, out);
         });
     }

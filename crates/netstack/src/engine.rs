@@ -19,19 +19,11 @@ use crate::codec::{build_tcp_packet, build_udp_packet, decode_packet, Decoded};
 use crate::hash::FxHashMap;
 use crate::invariant::{self, InvariantViolation, TcbSnapshot};
 use crate::slab::ConnSlab;
-use crate::tcp::tcb::{SegmentOut, Tcb, TcbEvent, TcpCounters, TcpState};
+use crate::tcp::tcb::{SegmentOut, Tcb, TcbEvent, TcbOutput, TcpCounters, TcpState};
 use crate::timer_index::TimerIndex;
 use crate::types::{
     ConnId, Emit, Endpoint, NetConfig, OpCounters, PacketKind, PacketOut, SendToken,
 };
-
-/// What one TCB call appends: segments to encode and events to
-/// translate, both consumed before the engine call returns.
-#[derive(Default)]
-struct TcbScratch {
-    segs: Vec<SegmentOut>,
-    events: Vec<TcbEvent>,
-}
 
 // Scratch buffers are per thread rather than per engine or per node: a
 // fan-in world runs thousands of engines, and buffers that keep their
@@ -40,17 +32,21 @@ struct TcbScratch {
 // and starts from an empty one: a buffer being drained is never
 // appended to.
 thread_local! {
-    static SCRATCH: Cell<TcbScratch> =
-        const { Cell::new(TcbScratch { segs: Vec::new(), events: Vec::new() }) };
+    static SCRATCH: Cell<TcbOutput> = const {
+        Cell::new(TcbOutput { segs: Vec::new(), events: Vec::new(), ops: OpCounters { muls: 0 } })
+    };
     static EMITS: Cell<Vec<Emit>> = const { Cell::new(Vec::new()) };
 }
 
-/// Runs `f` on the thread's TCB scratch, leaving it empty for the next
-/// call.
-fn with_scratch<R>(f: impl FnOnce(&mut TcbScratch) -> R) -> R {
+/// Runs `f` on the thread's TCB output buffer, which `f` drains
+/// ([`Engine::drain_output`]) for the next call.
+fn with_scratch<R>(f: impl FnOnce(&mut TcbOutput) -> R) -> R {
     let mut scratch = SCRATCH.take();
     let r = f(&mut scratch);
-    debug_assert!(scratch.segs.is_empty() && scratch.events.is_empty(), "scratch not drained");
+    debug_assert!(
+        scratch.segs.is_empty() && scratch.events.is_empty() && scratch.ops.muls == 0,
+        "scratch not drained"
+    );
     SCRATCH.set(scratch);
     r
 }
@@ -242,7 +238,7 @@ impl Engine {
             listeners: FxHashMap::default(),
             udp_ports: FxHashMap::default(),
             iss_counter: 0x1000,
-            ops: OpCounters::new(),
+            ops: OpCounters::default(),
             stats: EngineStats::default(),
             tracer: None,
             poisoned: None,
@@ -253,11 +249,6 @@ impl Engine {
     /// action emits trace events through it.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = Some(tracer);
-    }
-
-    /// The installed tracer, if any.
-    pub fn tracer(&self) -> Option<&Tracer> {
-        self.tracer.as_ref()
     }
 
     /// This node's IPv6 address.
@@ -281,8 +272,9 @@ impl Engine {
         s
     }
 
-    /// Returns and resets the accumulated operation counters (the cost
-    /// model drains these after every call).
+    /// Returns and resets the multiplies counted since the last call.
+    /// Only segment arrivals and timers multiply, so the NIC cost model
+    /// drains them after `on_packet` and `on_timer`.
     pub fn take_ops(&mut self) -> OpCounters {
         self.ops.take()
     }
@@ -446,8 +438,6 @@ impl Engine {
         }
         let src = Endpoint::new(self.local_addr, local_port);
         let bytes = build_udp_packet(src, dst, payload);
-        self.ops.headers_built += 2; // UDP + IPv6
-        self.ops.csum_bytes += (bytes.len() - 40) as u64;
         self.stats.tx_packets += 1;
         Ok(Emit::Packet(PacketOut { dst: dst.addr, bytes, kind: PacketKind::Udp, conn: None }))
     }
@@ -483,7 +473,7 @@ impl Engine {
         with_scratch(|sc| {
             let tcb = Tcb::connect(&self.cfg, local, remote, iss, now, &mut sc.segs);
             let id = self.insert_conn(now, tcb, ConnOrigin::Active);
-            self.encode_segments_into(now, id, &mut sc.segs, out);
+            self.drain_output(now, id, 0, sc, out);
             self.debug_check_conn(id);
             id
         })
@@ -518,9 +508,9 @@ impl Engine {
         }
         with_scratch(|sc| {
             let entry = self.conns.get_mut(conn).expect("checked above");
-            entry.tcb.send(&self.cfg, data, token, now, &mut self.ops, &mut sc.segs);
+            entry.tcb.send(&self.cfg, data, token, now, &mut sc.segs);
             self.sync_timer(now, conn);
-            self.encode_segments_into(now, conn, &mut sc.segs, out);
+            self.drain_output(now, conn, 0, sc, out);
         });
         self.debug_check_conn(conn);
         Ok(())
@@ -541,12 +531,12 @@ impl Engine {
         let before = self.tracer.is_some().then(|| Probe::capture(&entry.tcb));
         with_scratch(|sc| {
             let entry = self.conns.get_mut(conn).expect("checked above");
-            entry.tcb.close(&self.cfg, now, &mut self.ops, &mut sc.segs);
+            entry.tcb.close(&self.cfg, now, &mut sc.segs);
             self.sync_timer(now, conn);
             if let Some(b) = before {
                 self.trace_probe_diff(now, conn, &b, &sc.segs, None, "ack");
             }
-            self.encode_segments_into(now, conn, &mut sc.segs, out);
+            self.drain_output(now, conn, 0, sc, out);
         });
         self.debug_check_conn(conn);
         Ok(())
@@ -580,8 +570,7 @@ impl Engine {
         }
         self.timers.update(conn, None);
         self.stats.tcp += entry.tcb.counters();
-        let (ops, stats) = (&mut self.ops, &mut self.stats);
-        out.push(encode(self.tracer.as_ref(), ops, stats, now, conn, &entry.tcb, &rst));
+        out.push(encode(self.tracer.as_ref(), &mut self.stats, now, conn, &entry.tcb, &rst));
         Ok(())
     }
 
@@ -621,8 +610,7 @@ impl Engine {
                 tr.emit(now, conn.0, TraceEvent::WindowRefresh { wnd: u32::from(u.window) });
             }
             let tcb = &self.conns.get(conn).expect("resolved above").tcb;
-            let (ops, stats) = (&mut self.ops, &mut self.stats);
-            out.push(encode(self.tracer.as_ref(), ops, stats, now, conn, tcb, &u));
+            out.push(encode(self.tracer.as_ref(), &mut self.stats, now, conn, tcb, &u));
         }
         self.debug_check_conn(conn);
         Ok(())
@@ -645,10 +633,8 @@ impl Engine {
                 return;
             }
         };
-        self.ops.headers_parsed += 1; // IP parse
         match decoded {
             Decoded::Udp { ip, udp, payload } => {
-                self.ops.csum_bytes += (usize::from(udp.length)) as u64;
                 if ip.dst != self.local_addr {
                     self.stats.addr_drops += 1;
                     return;
@@ -666,20 +652,16 @@ impl Engine {
                 });
             }
             Decoded::Tcp { ip, tcp, payload, payload_at } => {
-                self.ops.csum_bytes += (usize::from(ip.payload_len)) as u64;
                 if ip.dst != self.local_addr {
                     self.stats.addr_drops += 1;
                     return;
                 }
-                with_scratch(|sc| {
-                    self.on_tcp_segment(now, &ip, &tcp, payload, payload_at, sc, out);
-                });
+                self.on_tcp_segment(now, &ip, &tcp, payload, payload_at, out);
             }
             Decoded::Other { .. } => self.stats.demux_drops += 1,
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn on_tcp_segment(
         &mut self,
         now: SimTime,
@@ -687,7 +669,6 @@ impl Engine {
         tcp: &qpip_wire::tcp::TcpHeader,
         payload: &[u8],
         payload_at: usize,
-        sc: &mut TcbScratch,
         out: &mut Vec<Emit>,
     ) {
         let ce = ip.ecn() == qpip_wire::ipv6::Ecn::CongestionExperienced;
@@ -703,15 +684,15 @@ impl Engine {
                     && self.listeners.contains_key(&tcp.dst_port)
                 {
                     let iss = self.next_iss();
-                    let tcb = Tcb::accept(&self.cfg, local, remote, tcp, iss, now, &mut sc.segs);
-                    let id = self.insert_conn(
-                        now,
-                        tcb,
-                        ConnOrigin::Passive { listener_port: tcp.dst_port },
-                    );
-                    self.trace_seg_rx(now, id, tcp, payload.len());
-                    self.encode_segments_into(now, id, &mut sc.segs, out);
-                    self.debug_check_conn(id);
+                    with_scratch(|sc| {
+                        let tcb =
+                            Tcb::accept(&self.cfg, local, remote, tcp, iss, now, &mut sc.segs);
+                        let origin = ConnOrigin::Passive { listener_port: tcp.dst_port };
+                        let id = self.insert_conn(now, tcb, origin);
+                        self.trace_seg_rx(now, id, tcp, payload.len());
+                        self.drain_output(now, id, 0, sc, out);
+                        self.debug_check_conn(id);
+                    });
                     return;
                 }
                 self.stats.demux_drops += 1;
@@ -720,24 +701,16 @@ impl Engine {
         };
 
         self.trace_seg_rx(now, conn, tcp, payload.len());
-        let entry = self.conns.get_mut(conn).expect("demux points at live conn");
-        let before = self.tracer.is_some().then(|| Probe::capture(&entry.tcb));
-        entry.tcb.on_segment_marked(
-            &self.cfg,
-            tcp,
-            payload,
-            ce,
-            now,
-            &mut self.ops,
-            &mut sc.segs,
-            &mut sc.events,
-        );
-        self.sync_timer(now, conn);
-        if let Some(b) = before {
-            self.trace_probe_diff(now, conn, &b, &sc.segs, Some(tcp.ack.0), "ack");
-        }
-        self.translate_events_into(conn, payload_at, &mut sc.events, out);
-        self.encode_segments_into(now, conn, &mut sc.segs, out);
+        with_scratch(|sc| {
+            let entry = self.conns.get_mut(conn).expect("demux points at live conn");
+            let before = self.tracer.is_some().then(|| Probe::capture(&entry.tcb));
+            entry.tcb.on_segment_marked(&self.cfg, tcp, payload, ce, now, sc);
+            self.sync_timer(now, conn);
+            if let Some(b) = before {
+                self.trace_probe_diff(now, conn, &b, &sc.segs, Some(tcp.ack.0), "ack");
+            }
+            self.drain_output(now, conn, payload_at, sc, out);
+        });
         self.debug_check_conn(conn);
         self.reap_if_closed(conn);
     }
@@ -758,7 +731,7 @@ impl Engine {
         with_scratch(|sc| self.fire_due(now, sc, out));
     }
 
-    fn fire_due(&mut self, now: SimTime, sc: &mut TcbScratch, out: &mut Vec<Emit>) {
+    fn fire_due(&mut self, now: SimTime, sc: &mut TcbOutput, out: &mut Vec<Emit>) {
         while let Some((deadline, conn)) = self.timers.peek() {
             if deadline > now {
                 break;
@@ -768,7 +741,7 @@ impl Engine {
             }
             let entry = self.conns.get_mut(conn).expect("timer index points at live conn");
             let before = self.tracer.is_some().then(|| Probe::capture(&entry.tcb));
-            entry.tcb.on_timer(&self.cfg, now, &mut self.ops, &mut sc.segs, &mut sc.events);
+            entry.tcb.on_timer(&self.cfg, now, sc);
             // a fired TCB either disarms or re-arms strictly past `now`
             // (min_rto > 0), so this loop pops each due entry once
             debug_assert!(entry.tcb.next_deadline().is_none_or(|d| d > now));
@@ -777,8 +750,7 @@ impl Engine {
                 self.trace_probe_diff(now, conn, &b, &sc.segs, None, "rto");
             }
             // timers deliver nothing, so no packet offset applies
-            self.translate_events_into(conn, 0, &mut sc.events, out);
-            self.encode_segments_into(now, conn, &mut sc.segs, out);
+            self.drain_output(now, conn, 0, sc, out);
             self.debug_check_conn(conn);
             self.reap_if_closed(conn);
         }
@@ -934,17 +906,21 @@ impl Engine {
         }
     }
 
-    /// Turns TCB events into emissions; a delivered range, relative to
-    /// the segment payload, moves by `payload_at` to point into the
-    /// packet.
-    fn translate_events_into(
+    /// Drains one TCB call's output into `emits`: its events first (a
+    /// delivered range, relative to the segment payload, moves by
+    /// `payload_at` to point into the packet), then its segments, each
+    /// payload read from the send buffer straight into its packet. Its
+    /// multiplies join the engine's count.
+    fn drain_output(
         &mut self,
+        now: SimTime,
         conn: ConnId,
         payload_at: usize,
-        events: &mut Vec<TcbEvent>,
+        sc: &mut TcbOutput,
         emits: &mut Vec<Emit>,
     ) {
-        for ev in events.drain(..) {
+        self.ops.muls += sc.ops.take().muls;
+        for ev in sc.events.drain(..) {
             match ev {
                 TcbEvent::Established => {
                     let entry = self.conns.get_mut(conn).expect("live conn");
@@ -971,26 +947,15 @@ impl Engine {
                 TcbEvent::Reset => emits.push(Emit::TcpReset { conn }),
             }
         }
-    }
-
-    /// Encodes and drains `segs` into `emits`, each data segment's
-    /// payload read from the connection's send buffer straight into its
-    /// packet.
-    fn encode_segments_into(
-        &mut self,
-        now: SimTime,
-        conn: ConnId,
-        segs: &mut Vec<SegmentOut>,
-        emits: &mut Vec<Emit>,
-    ) {
         let Some(entry) = self.conns.get(conn) else {
-            segs.clear();
+            sc.segs.clear();
             return;
         };
-        let (ops, stats) = (&mut self.ops, &mut self.stats);
+        let stats = &mut self.stats;
         emits.extend(
-            segs.drain(..)
-                .map(|s| encode(self.tracer.as_ref(), ops, stats, now, conn, &entry.tcb, &s)),
+            sc.segs
+                .drain(..)
+                .map(|s| encode(self.tracer.as_ref(), stats, now, conn, &entry.tcb, &s)),
         );
     }
 }
@@ -999,7 +964,6 @@ impl Engine {
 /// buffer straight into the packet, and traces and counts it.
 fn encode(
     tracer: Option<&Tracer>,
-    ops: &mut OpCounters,
     stats: &mut EngineStats,
     now: SimTime,
     conn: ConnId,
@@ -1024,8 +988,6 @@ fn encode(
     let bytes = build_tcp_packet(tcb.local(), remote, seg, |pkt| {
         tcb.read_payload(seg, |part| pkt.extend_from_slice(part));
     });
-    ops.headers_built += 2; // TCP + IPv6
-    ops.csum_bytes += (bytes.len() - 40) as u64;
     stats.tx_packets += 1;
     Emit::Packet(PacketOut { dst: remote.addr, bytes, kind: seg.kind, conn: Some(conn) })
 }

@@ -6,8 +6,8 @@
 //! * **TCP** — RFC 793 connection management via the sockets rendezvous
 //!   model, Jacobson/Karels RTT estimation with Karn's rule, window
 //!   management, Reno congestion control with fast retransmit, RFC 1323
-//!   timestamps + window scaling, header-prediction accounting, and the
-//!   paper's *message-per-segment* mapping for QP messages. No
+//!   timestamps + window scaling, and the paper's
+//!   *message-per-segment* mapping for QP messages. No
 //!   out-of-order reassembly and no urgent data, exactly like the
 //!   prototype.
 //! * **UDP** — one QP message per datagram.
@@ -22,9 +22,10 @@
 //! the host socket layer (`qpip-host`) — only the surrounding cost model
 //! differs, which is precisely the comparison the paper makes.
 //!
-//! Every operation additionally reports the arithmetic it performed
-//! ([`types::OpCounters`]) so the LANai cost model can charge software
-//! multiplies and firmware checksums (§4.2.2).
+//! Every operation additionally counts the multiplies it performed
+//! ([`types::OpCounters`]) so the LANai cost model can charge them in
+//! software (§4.2.2); the firmware prices checksums from the packet
+//! length.
 //!
 //! ## Example: two engines wired back to back
 //!

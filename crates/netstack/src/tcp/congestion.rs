@@ -153,7 +153,7 @@ mod tests {
     const MSS: usize = 1460;
 
     fn ops() -> OpCounters {
-        OpCounters::new()
+        OpCounters::default()
     }
 
     #[test]

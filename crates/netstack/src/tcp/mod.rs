@@ -9,7 +9,7 @@ pub mod tcb;
 pub use congestion::Congestion;
 pub use rtt::RttEstimator;
 pub use sendbuf::{SegmentData, SendBuffer};
-pub use tcb::{SegPayload, SegmentOut, Tcb, TcbEvent, TcpCounters, TcpState};
+pub use tcb::{SegPayload, SegmentOut, Tcb, TcbEvent, TcbOutput, TcpCounters, TcpState};
 
 #[cfg(test)]
 mod tests {
@@ -19,8 +19,8 @@ mod tests {
     use qpip_sim::time::{SimDuration, SimTime};
     use qpip_wire::tcp::{SeqNum, TcpHeader, TcpOptions};
 
-    use super::tcb::{SegmentOut, Tcb, TcbEvent, TcpState};
-    use crate::types::{Endpoint, NetConfig, OpCounters, PacketKind, SendToken};
+    use super::tcb::{SegmentOut, Tcb, TcbEvent, TcbOutput, TcpState};
+    use crate::types::{Endpoint, NetConfig, PacketKind, SendToken};
     use std::net::Ipv6Addr;
 
     fn ep(port: u16) -> Endpoint {
@@ -109,7 +109,6 @@ mod tests {
             hdr: &TcpHeader,
             payload: &[u8],
             now: SimTime,
-            ops: &mut OpCounters,
         ) -> (Vec<Wire>, Vec<TcbEvent>);
         fn seg_in_marked(
             &mut self,
@@ -118,23 +117,16 @@ mod tests {
             payload: &[u8],
             ce: bool,
             now: SimTime,
-            ops: &mut OpCounters,
         ) -> (Vec<Wire>, Vec<TcbEvent>);
-        fn timer(
-            &mut self,
-            cfg: &NetConfig,
-            now: SimTime,
-            ops: &mut OpCounters,
-        ) -> (Vec<Wire>, Vec<TcbEvent>);
+        fn timer(&mut self, cfg: &NetConfig, now: SimTime) -> (Vec<Wire>, Vec<TcbEvent>);
         fn send_msg(
             &mut self,
             cfg: &NetConfig,
             data: Vec<u8>,
             token: SendToken,
             now: SimTime,
-            ops: &mut OpCounters,
         ) -> Vec<Wire>;
-        fn close_conn(&mut self, cfg: &NetConfig, now: SimTime, ops: &mut OpCounters) -> Vec<Wire>;
+        fn close_conn(&mut self, cfg: &NetConfig, now: SimTime) -> Vec<Wire>;
     }
 
     impl Collect for Tcb {
@@ -144,9 +136,8 @@ mod tests {
             hdr: &TcpHeader,
             payload: &[u8],
             now: SimTime,
-            ops: &mut OpCounters,
         ) -> (Vec<Wire>, Vec<TcbEvent>) {
-            self.seg_in_marked(cfg, hdr, payload, false, now, ops)
+            self.seg_in_marked(cfg, hdr, payload, false, now)
         }
 
         fn seg_in_marked(
@@ -156,22 +147,16 @@ mod tests {
             payload: &[u8],
             ce: bool,
             now: SimTime,
-            ops: &mut OpCounters,
         ) -> (Vec<Wire>, Vec<TcbEvent>) {
-            let (mut out, mut evs) = (Vec::new(), Vec::new());
-            self.on_segment_marked(cfg, hdr, payload, ce, now, ops, &mut out, &mut evs);
-            (Wire::all(self, out), evs)
+            let mut out = TcbOutput::default();
+            self.on_segment_marked(cfg, hdr, payload, ce, now, &mut out);
+            (Wire::all(self, out.segs), out.events)
         }
 
-        fn timer(
-            &mut self,
-            cfg: &NetConfig,
-            now: SimTime,
-            ops: &mut OpCounters,
-        ) -> (Vec<Wire>, Vec<TcbEvent>) {
-            let (mut out, mut evs) = (Vec::new(), Vec::new());
-            self.on_timer(cfg, now, ops, &mut out, &mut evs);
-            (Wire::all(self, out), evs)
+        fn timer(&mut self, cfg: &NetConfig, now: SimTime) -> (Vec<Wire>, Vec<TcbEvent>) {
+            let mut out = TcbOutput::default();
+            self.on_timer(cfg, now, &mut out);
+            (Wire::all(self, out.segs), out.events)
         }
 
         fn send_msg(
@@ -180,16 +165,15 @@ mod tests {
             data: Vec<u8>,
             token: SendToken,
             now: SimTime,
-            ops: &mut OpCounters,
         ) -> Vec<Wire> {
             let mut out = Vec::new();
-            self.send(cfg, data, token, now, ops, &mut out);
+            self.send(cfg, data, token, now, &mut out);
             Wire::all(self, out)
         }
 
-        fn close_conn(&mut self, cfg: &NetConfig, now: SimTime, ops: &mut OpCounters) -> Vec<Wire> {
+        fn close_conn(&mut self, cfg: &NetConfig, now: SimTime) -> Vec<Wire> {
             let mut out = Vec::new();
-            self.close(cfg, now, ops, &mut out);
+            self.close(cfg, now, &mut out);
             Wire::all(self, out)
         }
     }
@@ -199,25 +183,23 @@ mod tests {
         client: Tcb,
         server: Tcb,
         now: SimTime,
-        ops: OpCounters,
     }
 
     impl Pair {
         /// Creates a connected pair (handshake already driven).
         fn established(cfg: NetConfig) -> Pair {
             let now = SimTime::ZERO;
-            let mut ops = OpCounters::new();
             let (mut client, syns) = connect(&cfg, ep(1), ep(2), SeqNum(1000), now);
             assert_eq!(syns.len(), 1);
             let syn_hdr = to_header(&syns[0], 1, 2);
             let (mut server, synacks) = accept(&cfg, ep(2), ep(1), &syn_hdr, SeqNum(5000), now);
-            let (acks, ev) = client.seg_in(&cfg, &to_header(&synacks[0], 2, 1), &[], now, &mut ops);
+            let (acks, ev) = client.seg_in(&cfg, &to_header(&synacks[0], 2, 1), &[], now);
             assert!(ev.contains(&TcbEvent::Established));
-            let (_, ev) = server.seg_in(&cfg, &to_header(&acks[0], 1, 2), &[], now, &mut ops);
+            let (_, ev) = server.seg_in(&cfg, &to_header(&acks[0], 1, 2), &[], now);
             assert!(ev.contains(&TcbEvent::Established));
             assert_eq!(client.state(), TcpState::Established);
             assert_eq!(server.state(), TcpState::Established);
-            Pair { cfg, client, server, now, ops }
+            Pair { cfg, client, server, now }
         }
 
         fn tick(&mut self, d: SimDuration) {
@@ -232,13 +214,12 @@ mod tests {
             to: &mut Tcb,
             segs: &[Wire],
             now: SimTime,
-            ops: &mut OpCounters,
         ) -> (Vec<Wire>, Vec<TcbEvent>) {
             let mut out = Vec::new();
             let mut evs = Vec::new();
             for s in segs {
                 let hdr = to_header(s, from_port, to_port);
-                let (o, e) = to.seg_in(cfg, &hdr, &s.payload, now, ops);
+                let (o, e) = to.seg_in(cfg, &hdr, &s.payload, now);
                 out.extend(o);
                 evs.extend(e);
             }
@@ -272,14 +253,14 @@ mod tests {
     fn message_send_delivers_one_event_per_message_and_completes() {
         let mut p = Pair::established(qpip_cfg());
         let cfg = p.cfg.clone();
-        let segs = p.client.send_msg(&cfg, vec![7u8; 4096], SendToken(42), p.now, &mut p.ops);
+        let segs = p.client.send_msg(&cfg, vec![7u8; 4096], SendToken(42), p.now);
         assert_eq!(segs.len(), 1, "one message, one segment");
         assert_eq!(segs[0].payload.len(), 4096);
-        let (acks, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &segs, p.now, &mut p.ops);
+        let (acks, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &segs, p.now);
         assert!(matches!(&evs[..], [TcbEvent::Delivered(d)] if d.len() == 4096));
         assert_eq!(acks.len(), 1, "immediate ack policy");
         assert_eq!(acks[0].kind, PacketKind::TcpAck);
-        let (_, evs) = Pair::deliver(&cfg, 2, 1, &mut p.client, &acks, p.now, &mut p.ops);
+        let (_, evs) = Pair::deliver(&cfg, 2, 1, &mut p.client, &acks, p.now);
         assert_eq!(evs, vec![TcbEvent::SendComplete(SendToken(42))]);
         assert_eq!(p.client.bytes_in_flight(), 0);
     }
@@ -288,9 +269,9 @@ mod tests {
     fn multiple_messages_preserve_boundaries() {
         let mut p = Pair::established(qpip_cfg());
         let cfg = p.cfg.clone();
-        let mut segs = p.client.send_msg(&cfg, vec![1u8; 100], SendToken(1), p.now, &mut p.ops);
-        segs.extend(p.client.send_msg(&cfg, vec![2u8; 200], SendToken(2), p.now, &mut p.ops));
-        let (_, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &segs, p.now, &mut p.ops);
+        let mut segs = p.client.send_msg(&cfg, vec![1u8; 100], SendToken(1), p.now);
+        segs.extend(p.client.send_msg(&cfg, vec![2u8; 200], SendToken(2), p.now));
+        let (_, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &segs, p.now);
         let sizes: Vec<usize> = evs
             .iter()
             .filter_map(|e| match e {
@@ -307,7 +288,7 @@ mod tests {
         cfg.recv_buffer = 1 << 20;
         let mut p = Pair::established(cfg.clone());
         let mss = cfg.max_tcp_payload();
-        let segs = p.client.send_msg(&cfg, vec![0u8; 4 * mss], SendToken(1), p.now, &mut p.ops);
+        let segs = p.client.send_msg(&cfg, vec![0u8; 4 * mss], SendToken(1), p.now);
         assert!(segs.len() >= 2, "initial cwnd limits the burst");
         assert!(segs.iter().all(|s| s.payload.len() <= mss));
     }
@@ -319,13 +300,13 @@ mod tests {
         let mut p = Pair::established(cfg.clone());
         let mss = cfg.max_tcp_payload();
         let total = 64 * mss;
-        let mut segs = p.client.send_msg(&cfg, vec![0u8; total], SendToken(1), p.now, &mut p.ops);
+        let mut segs = p.client.send_msg(&cfg, vec![0u8; total], SendToken(1), p.now);
         let mut delivered = 0usize;
         let mut rounds = 0;
         while delivered < total && rounds < 100 {
             rounds += 1;
             p.tick(SimDuration::from_micros(100));
-            let (acks, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &segs, p.now, &mut p.ops);
+            let (acks, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &segs, p.now);
             delivered += evs
                 .iter()
                 .map(|e| match e {
@@ -334,7 +315,7 @@ mod tests {
                 })
                 .sum::<usize>();
             p.tick(SimDuration::from_micros(100));
-            let (next, _) = Pair::deliver(&cfg, 2, 1, &mut p.client, &acks, p.now, &mut p.ops);
+            let (next, _) = Pair::deliver(&cfg, 2, 1, &mut p.client, &acks, p.now);
             segs = next;
         }
         assert_eq!(delivered, total, "after {rounds} rounds");
@@ -345,15 +326,15 @@ mod tests {
     fn out_of_order_segment_is_dropped_and_reacked() {
         let mut p = Pair::established(qpip_cfg());
         let cfg = p.cfg.clone();
-        let mut segs = p.client.send_msg(&cfg, vec![1u8; 100], SendToken(1), p.now, &mut p.ops);
-        segs.extend(p.client.send_msg(&cfg, vec![2u8; 100], SendToken(2), p.now, &mut p.ops));
+        let mut segs = p.client.send_msg(&cfg, vec![1u8; 100], SendToken(1), p.now);
+        segs.extend(p.client.send_msg(&cfg, vec![2u8; 100], SendToken(2), p.now));
         // deliver only the second segment: out of order
-        let (acks, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &segs[1..], p.now, &mut p.ops);
+        let (acks, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &segs[1..], p.now);
         assert!(evs.is_empty(), "no delivery without reassembly (§4.1)");
         assert_eq!(p.server.counters().ooo_drops, 1);
         assert_eq!(acks.len(), 1, "duplicate ack");
         // now the first arrives; only its bytes are delivered
-        let (_, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &segs[..1], p.now, &mut p.ops);
+        let (_, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &segs[..1], p.now);
         assert!(matches!(&evs[..], [TcbEvent::Delivered(d)] if d.len() == 100));
     }
 
@@ -361,21 +342,21 @@ mod tests {
     fn rto_retransmits_lost_segment_and_recovers() {
         let mut p = Pair::established(qpip_cfg());
         let cfg = p.cfg.clone();
-        let segs = p.client.send_msg(&cfg, vec![9u8; 256], SendToken(5), p.now, &mut p.ops);
+        let segs = p.client.send_msg(&cfg, vec![9u8; 256], SendToken(5), p.now);
         assert_eq!(segs.len(), 1);
         // segment lost: fire the retransmission timer
         let deadline = p.client.next_deadline().expect("rto armed");
         p.now = deadline;
-        let (rexmit, evs) = p.client.timer(&cfg, p.now, &mut p.ops);
+        let (rexmit, evs) = p.client.timer(&cfg, p.now);
         assert!(evs.is_empty());
         assert_eq!(rexmit.len(), 1);
         assert!(rexmit[0].is_retransmit);
         assert_eq!(rexmit[0].payload, segs[0].payload);
         assert_eq!(p.client.retransmit_count(), 1);
         // retransmission arrives and completes the exchange
-        let (acks, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &rexmit, p.now, &mut p.ops);
+        let (acks, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &rexmit, p.now);
         assert!(matches!(&evs[..], [TcbEvent::Delivered(_)]));
-        let (_, evs) = Pair::deliver(&cfg, 2, 1, &mut p.client, &acks, p.now, &mut p.ops);
+        let (_, evs) = Pair::deliver(&cfg, 2, 1, &mut p.client, &acks, p.now);
         assert_eq!(evs, vec![TcbEvent::SendComplete(SendToken(5))]);
     }
 
@@ -386,15 +367,14 @@ mod tests {
         cfg.initial_cwnd_segments = 16;
         let mut p = Pair::established(cfg.clone());
         let mss = cfg.max_tcp_payload();
-        let segs = p.client.send_msg(&cfg, vec![0u8; 8 * mss], SendToken(1), p.now, &mut p.ops);
+        let segs = p.client.send_msg(&cfg, vec![0u8; 8 * mss], SendToken(1), p.now);
         assert!(segs.len() >= 5, "{}", segs.len());
         // first segment lost; deliver the rest -> server emits dup ACKs
-        let (dup_acks, evs) =
-            Pair::deliver(&cfg, 1, 2, &mut p.server, &segs[1..], p.now, &mut p.ops);
+        let (dup_acks, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &segs[1..], p.now);
         assert!(evs.is_empty());
         assert!(dup_acks.len() >= 3);
         // feed dup ACKs back: the third triggers fast retransmit
-        let (out, _) = Pair::deliver(&cfg, 2, 1, &mut p.client, &dup_acks, p.now, &mut p.ops);
+        let (out, _) = Pair::deliver(&cfg, 2, 1, &mut p.client, &dup_acks, p.now);
         let rexmit: Vec<_> = out.iter().filter(|s| s.is_retransmit).collect();
         assert_eq!(rexmit.len(), 1);
         assert_eq!(rexmit[0].seq, segs[0].seq);
@@ -404,27 +384,27 @@ mod tests {
     fn graceful_close_walks_fin_states_both_ways() {
         let mut p = Pair::established(qpip_cfg());
         let cfg = p.cfg.clone();
-        let fins = p.client.close_conn(&cfg, p.now, &mut p.ops);
+        let fins = p.client.close_conn(&cfg, p.now);
         assert_eq!(fins.len(), 1);
         assert_eq!(p.client.state(), TcpState::FinWait1);
-        let (acks, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &fins, p.now, &mut p.ops);
+        let (acks, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &fins, p.now);
         assert!(evs.contains(&TcbEvent::PeerClosed));
         assert_eq!(p.server.state(), TcpState::CloseWait);
-        let (_, _) = Pair::deliver(&cfg, 2, 1, &mut p.client, &acks, p.now, &mut p.ops);
+        let (_, _) = Pair::deliver(&cfg, 2, 1, &mut p.client, &acks, p.now);
         assert_eq!(p.client.state(), TcpState::FinWait2);
         // server closes its half
-        let fins2 = p.server.close_conn(&cfg, p.now, &mut p.ops);
+        let fins2 = p.server.close_conn(&cfg, p.now);
         assert_eq!(p.server.state(), TcpState::LastAck);
-        let (acks2, evs) = Pair::deliver(&cfg, 2, 1, &mut p.client, &fins2, p.now, &mut p.ops);
+        let (acks2, evs) = Pair::deliver(&cfg, 2, 1, &mut p.client, &fins2, p.now);
         assert!(evs.contains(&TcbEvent::PeerClosed));
         assert_eq!(p.client.state(), TcpState::TimeWait);
-        let (_, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &acks2, p.now, &mut p.ops);
+        let (_, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &acks2, p.now);
         assert!(evs.contains(&TcbEvent::Closed));
         assert_eq!(p.server.state(), TcpState::Closed);
         // client reaps after TIME-WAIT
         let dl = p.client.next_deadline().unwrap();
         p.now = dl;
-        let (_, evs) = p.client.timer(&cfg, p.now, &mut p.ops);
+        let (_, evs) = p.client.timer(&cfg, p.now);
         assert!(evs.contains(&TcbEvent::Closed));
         assert_eq!(p.client.state(), TcpState::Closed);
     }
@@ -433,8 +413,8 @@ mod tests {
     fn close_flushes_pending_data_before_fin() {
         let mut p = Pair::established(qpip_cfg());
         let cfg = p.cfg.clone();
-        let mut segs = p.client.send_msg(&cfg, vec![3u8; 64], SendToken(1), p.now, &mut p.ops);
-        segs.extend(p.client.close_conn(&cfg, p.now, &mut p.ops));
+        let mut segs = p.client.send_msg(&cfg, vec![3u8; 64], SendToken(1), p.now);
+        segs.extend(p.client.close_conn(&cfg, p.now));
         // data segment then FIN
         assert_eq!(segs.len(), 2);
         assert_eq!(segs[0].kind, PacketKind::TcpData);
@@ -450,7 +430,7 @@ mod tests {
         let rst = Wire::of(&p.client, rst);
         assert!(rst.flags.rst);
         assert_eq!(p.client.state(), TcpState::Closed);
-        let (out, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &[rst], p.now, &mut p.ops);
+        let (out, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &[rst], p.now);
         assert!(out.is_empty());
         assert_eq!(evs, vec![TcbEvent::Reset]);
         assert_eq!(p.server.state(), TcpState::Closed);
@@ -462,7 +442,7 @@ mod tests {
         cfg.recv_buffer = 512; // tiny posted space
         let mut p = Pair::established(cfg.clone());
         // 1 KB message cannot be sent into a 512-byte window in message mode
-        let segs = p.client.send_msg(&cfg, vec![0u8; 1024], SendToken(1), p.now, &mut p.ops);
+        let segs = p.client.send_msg(&cfg, vec![0u8; 1024], SendToken(1), p.now);
         assert!(segs.is_empty(), "blocked by peer window");
         // peer posts more receive space and window-updates via an ACK
         p.server.set_recv_space(4096);
@@ -470,16 +450,16 @@ mod tests {
             // server sends a window-update ack by timer path: emulate by
             // having the server deliver a pure ack through make-shift: a
             // zero-data ACK from its current state.
-            let (acks, _) = p.server.timer(&cfg, p.now, &mut p.ops);
+            let (acks, _) = p.server.timer(&cfg, p.now);
             if acks.is_empty() {
                 // no delack pending: craft the update by sending data
                 // ack from server side instead
-                p.server.send_msg(&cfg, vec![1u8; 1], SendToken(99), p.now, &mut p.ops)
+                p.server.send_msg(&cfg, vec![1u8; 1], SendToken(99), p.now)
             } else {
                 acks
             }
         };
-        let (out, _) = Pair::deliver(&cfg, 2, 1, &mut p.client, &upd, p.now, &mut p.ops);
+        let (out, _) = Pair::deliver(&cfg, 2, 1, &mut p.client, &upd, p.now);
         let data: Vec<_> = out.iter().filter(|s| !s.payload.is_empty()).collect();
         assert_eq!(data.len(), 1, "window update unblocked the message");
         assert_eq!(data[0].payload.len(), 1024);
@@ -490,11 +470,11 @@ mod tests {
         let mut p = Pair::established(qpip_cfg());
         let cfg = p.cfg.clone();
         for i in 0..20u64 {
-            let segs = p.client.send_msg(&cfg, vec![0u8; 64], SendToken(i), p.now, &mut p.ops);
+            let segs = p.client.send_msg(&cfg, vec![0u8; 64], SendToken(i), p.now);
             p.tick(SimDuration::from_micros(50));
-            let (acks, _) = Pair::deliver(&cfg, 1, 2, &mut p.server, &segs, p.now, &mut p.ops);
+            let (acks, _) = Pair::deliver(&cfg, 1, 2, &mut p.server, &segs, p.now);
             p.tick(SimDuration::from_micros(50));
-            let (_, evs) = Pair::deliver(&cfg, 2, 1, &mut p.client, &acks, p.now, &mut p.ops);
+            let (_, evs) = Pair::deliver(&cfg, 2, 1, &mut p.client, &acks, p.now);
             assert!(evs.iter().any(|e| matches!(e, TcbEvent::SendComplete(_))));
         }
         let srtt = p.client.srtt().expect("sampled").as_micros_f64();
@@ -505,12 +485,12 @@ mod tests {
     fn retry_exhaustion_resets_connection() {
         let mut p = Pair::established(qpip_cfg());
         let cfg = p.cfg.clone();
-        p.client.send_msg(&cfg, vec![0u8; 10], SendToken(1), p.now, &mut p.ops);
+        p.client.send_msg(&cfg, vec![0u8; 10], SendToken(1), p.now);
         let mut evs_all = Vec::new();
         for _ in 0..40 {
             let Some(dl) = p.client.next_deadline() else { break };
             p.now = dl;
-            let (_, evs) = p.client.timer(&cfg, p.now, &mut p.ops);
+            let (_, evs) = p.client.timer(&cfg, p.now);
             evs_all.extend(evs);
         }
         assert!(evs_all.contains(&TcbEvent::Reset), "gives up eventually");
@@ -523,17 +503,17 @@ mod tests {
         cfg.initial_cwnd_segments = 8;
         let mut p = Pair::established(cfg.clone());
         let mss = cfg.max_tcp_payload();
-        let segs = p.client.send_msg(&cfg, vec![0u8; 4 * mss], SendToken(1), p.now, &mut p.ops);
+        let segs = p.client.send_msg(&cfg, vec![0u8; 4 * mss], SendToken(1), p.now);
         assert_eq!(segs.len(), 4);
-        let (acks, _) = Pair::deliver(&cfg, 1, 2, &mut p.server, &segs, p.now, &mut p.ops);
+        let (acks, _) = Pair::deliver(&cfg, 1, 2, &mut p.server, &segs, p.now);
         assert_eq!(acks.len(), 2, "one ack per two segments");
         // an odd tail is acked by the delayed-ack timer
-        let segs = p.client.send_msg(&cfg, vec![0u8; mss], SendToken(2), p.now, &mut p.ops);
-        let (acks, _) = Pair::deliver(&cfg, 1, 2, &mut p.server, &segs, p.now, &mut p.ops);
+        let segs = p.client.send_msg(&cfg, vec![0u8; mss], SendToken(2), p.now);
+        let (acks, _) = Pair::deliver(&cfg, 1, 2, &mut p.server, &segs, p.now);
         assert!(acks.is_empty());
         let dl = p.server.next_deadline().expect("delack timer");
         p.now = dl;
-        let (acks, _) = p.server.timer(&cfg, p.now, &mut p.ops);
+        let (acks, _) = p.server.timer(&cfg, p.now);
         assert_eq!(acks.len(), 1);
     }
 
@@ -543,22 +523,21 @@ mod tests {
     fn sequence_space_wraparound_mid_transfer() {
         let cfg = qpip_cfg();
         let now = SimTime::ZERO;
-        let mut ops = OpCounters::new();
         // ISS close to the top of the sequence space
         let (mut client, syns) = connect(&cfg, ep(1), ep(2), SeqNum(u32::MAX - 2000), now);
         let syn_hdr = to_header(&syns[0], 1, 2);
         let (mut server, synacks) =
             accept(&cfg, ep(2), ep(1), &syn_hdr, SeqNum(u32::MAX - 5000), now);
-        let (acks, _) = client.seg_in(&cfg, &to_header(&synacks[0], 2, 1), &[], now, &mut ops);
-        server.seg_in(&cfg, &to_header(&acks[0], 1, 2), &[], now, &mut ops);
+        let (acks, _) = client.seg_in(&cfg, &to_header(&synacks[0], 2, 1), &[], now);
+        server.seg_in(&cfg, &to_header(&acks[0], 1, 2), &[], now);
         assert_eq!(client.state(), TcpState::Established);
 
         // ten 1 KB messages walk the window across the wrap point
         let mut delivered = 0usize;
         for i in 0..10u64 {
-            let segs = client.send_msg(&cfg, vec![i as u8; 1000], SendToken(i), now, &mut ops);
+            let segs = client.send_msg(&cfg, vec![i as u8; 1000], SendToken(i), now);
             assert_eq!(segs.len(), 1, "a message is one segment");
-            let (acks, evs) = Pair::deliver(&cfg, 1, 2, &mut server, &segs, now, &mut ops);
+            let (acks, evs) = Pair::deliver(&cfg, 1, 2, &mut server, &segs, now);
             for e in &evs {
                 if let TcbEvent::Delivered(d) = e {
                     let d = &segs[0].payload[d.clone()];
@@ -567,7 +546,7 @@ mod tests {
                     delivered += d.len();
                 }
             }
-            Pair::deliver(&cfg, 2, 1, &mut client, &acks, now, &mut ops);
+            Pair::deliver(&cfg, 2, 1, &mut client, &acks, now);
         }
         assert_eq!(delivered, 10_000);
         assert_eq!(client.bytes_in_flight(), 0, "all acked across the wrap");
@@ -579,49 +558,28 @@ mod tests {
     fn simultaneous_close_crosses_fins() {
         let mut p = Pair::established(qpip_cfg());
         let cfg = p.cfg.clone();
-        let fin_c = p.client.close_conn(&cfg, p.now, &mut p.ops);
-        let fin_s = p.server.close_conn(&cfg, p.now, &mut p.ops);
+        let fin_c = p.client.close_conn(&cfg, p.now);
+        let fin_s = p.server.close_conn(&cfg, p.now);
         assert_eq!(p.client.state(), TcpState::FinWait1);
         assert_eq!(p.server.state(), TcpState::FinWait1);
         // FINs cross
-        let (acks_c, evs) = Pair::deliver(&cfg, 2, 1, &mut p.client, &fin_s, p.now, &mut p.ops);
+        let (acks_c, evs) = Pair::deliver(&cfg, 2, 1, &mut p.client, &fin_s, p.now);
         assert!(evs.contains(&TcbEvent::PeerClosed));
         assert_eq!(p.client.state(), TcpState::Closing);
-        let (acks_s, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &fin_c, p.now, &mut p.ops);
+        let (acks_s, evs) = Pair::deliver(&cfg, 1, 2, &mut p.server, &fin_c, p.now);
         assert!(evs.contains(&TcbEvent::PeerClosed));
         assert_eq!(p.server.state(), TcpState::Closing);
         // each side's ACK of the other's FIN finishes the close
-        Pair::deliver(&cfg, 2, 1, &mut p.client, &acks_s, p.now, &mut p.ops);
-        Pair::deliver(&cfg, 1, 2, &mut p.server, &acks_c, p.now, &mut p.ops);
+        Pair::deliver(&cfg, 2, 1, &mut p.client, &acks_s, p.now);
+        Pair::deliver(&cfg, 1, 2, &mut p.server, &acks_c, p.now);
         assert_eq!(p.client.state(), TcpState::TimeWait);
         assert_eq!(p.server.state(), TcpState::TimeWait);
         // both reap after 2×MSL
         for tcb in [&mut p.client, &mut p.server] {
             let dl = tcb.next_deadline().unwrap();
-            let (_, evs) = tcb.timer(&cfg, dl, &mut p.ops);
+            let (_, evs) = tcb.timer(&cfg, dl);
             assert!(evs.contains(&TcbEvent::Closed));
         }
-    }
-
-    /// Header prediction: in-order established-state traffic with an
-    /// unchanged window takes the fast path; handshake and FIN traffic
-    /// does not.
-    #[test]
-    fn header_prediction_counts_fast_path_hits() {
-        let mut p = Pair::established(qpip_cfg());
-        let cfg = p.cfg.clone();
-        let before = p.ops.fast_path_hits;
-        for i in 0..5u64 {
-            let segs = p.client.send_msg(&cfg, vec![0; 100], SendToken(i), p.now, &mut p.ops);
-            let (acks, _) = Pair::deliver(&cfg, 1, 2, &mut p.server, &segs, p.now, &mut p.ops);
-            Pair::deliver(&cfg, 2, 1, &mut p.client, &acks, p.now, &mut p.ops);
-        }
-        assert!(
-            p.ops.fast_path_hits >= before + 5,
-            "steady-state segments predicted: {} -> {}",
-            before,
-            p.ops.fast_path_hits
-        );
     }
 
     /// ECN negotiation: offered on the SYN with ECE+CWR, confirmed on
@@ -645,8 +603,7 @@ mod tests {
         assert!(synacks[0].flags.ece && !synacks[0].flags.cwr);
         assert!(srv.ecn_negotiated());
         let (mut client, _) = connect(&on, ep(1), ep(2), SeqNum(0), SimTime::ZERO);
-        let mut ops = OpCounters::new();
-        client.seg_in(&on, &to_header(&synacks[0], 2, 1), &[], SimTime::ZERO, &mut ops);
+        client.seg_in(&on, &to_header(&synacks[0], 2, 1), &[], SimTime::ZERO);
         assert!(client.ecn_negotiated());
     }
 
@@ -662,17 +619,15 @@ mod tests {
         let cwnd_before = p.client.cwnd();
 
         // client sends a marked data segment (the fabric set CE)
-        let segs = p.client.send_msg(&cfg, vec![1; 500], SendToken(1), p.now, &mut p.ops);
+        let segs = p.client.send_msg(&cfg, vec![1; 500], SendToken(1), p.now);
         assert!(segs[0].ect, "negotiated data segments are ECT");
         let hdr = to_header(&segs[0], 1, 2);
-        let (acks, _) =
-            p.server.seg_in_marked(&cfg, &hdr, &segs[0].payload, true, p.now, &mut p.ops);
+        let (acks, _) = p.server.seg_in_marked(&cfg, &hdr, &segs[0].payload, true, p.now);
         // delayed-ack policy may withhold: force with a second segment
         let acks = if acks.is_empty() {
-            let segs2 = p.client.send_msg(&cfg, vec![2; 500], SendToken(2), p.now, &mut p.ops);
+            let segs2 = p.client.send_msg(&cfg, vec![2; 500], SendToken(2), p.now);
             let hdr2 = to_header(&segs2[0], 1, 2);
-            let (a, _) =
-                p.server.seg_in_marked(&cfg, &hdr2, &segs2[0].payload, false, p.now, &mut p.ops);
+            let (a, _) = p.server.seg_in_marked(&cfg, &hdr2, &segs2[0].payload, false, p.now);
             a
         } else {
             acks
@@ -680,22 +635,21 @@ mod tests {
         assert!(acks[0].flags.ece, "receiver echoes ECE");
 
         // sender reacts exactly once and schedules CWR
-        let (out, _) = Pair::deliver(&cfg, 2, 1, &mut p.client, &acks, p.now, &mut p.ops);
+        let (out, _) = Pair::deliver(&cfg, 2, 1, &mut p.client, &acks, p.now);
         assert_eq!(p.client.counters().ecn_reductions, 1);
         assert!(p.client.cwnd() < cwnd_before, "window reduced");
         // next data segment announces CWR
-        let segs3 = p.client.send_msg(&cfg, vec![3; 500], SendToken(3), p.now, &mut p.ops);
+        let segs3 = p.client.send_msg(&cfg, vec![3; 500], SendToken(3), p.now);
         let all: Vec<&Wire> =
             out.iter().chain(segs3.iter()).filter(|s| !s.payload.is_empty()).collect();
         assert!(all.iter().any(|s| s.flags.cwr), "CWR announced");
         // CWR clears the receiver's echo
         let cwr_seg = all.iter().find(|s| s.flags.cwr).unwrap();
         let hdr = to_header(cwr_seg, 1, 2);
-        p.server.seg_in_marked(&cfg, &hdr, &cwr_seg.payload, false, p.now, &mut p.ops);
-        let segs4 = p.client.send_msg(&cfg, vec![4; 500], SendToken(4), p.now, &mut p.ops);
+        p.server.seg_in_marked(&cfg, &hdr, &cwr_seg.payload, false, p.now);
+        let segs4 = p.client.send_msg(&cfg, vec![4; 500], SendToken(4), p.now);
         let hdr4 = to_header(&segs4[0], 1, 2);
-        let (acks, _) =
-            p.server.seg_in_marked(&cfg, &hdr4, &segs4[0].payload, false, p.now, &mut p.ops);
+        let (acks, _) = p.server.seg_in_marked(&cfg, &hdr4, &segs4[0].payload, false, p.now);
         if let Some(a) = acks.first() {
             assert!(!a.flags.ece, "echo stopped after CWR");
         }
@@ -706,13 +660,12 @@ mod tests {
     fn ce_marks_ignored_without_negotiation() {
         let mut p = Pair::established(qpip_cfg());
         let cfg = p.cfg.clone();
-        let segs = p.client.send_msg(&cfg, vec![1; 100], SendToken(1), p.now, &mut p.ops);
+        let segs = p.client.send_msg(&cfg, vec![1; 100], SendToken(1), p.now);
         assert!(!segs[0].ect);
         let hdr = to_header(&segs[0], 1, 2);
-        let (acks, _) =
-            p.server.seg_in_marked(&cfg, &hdr, &segs[0].payload, true, p.now, &mut p.ops);
+        let (acks, _) = p.server.seg_in_marked(&cfg, &hdr, &segs[0].payload, true, p.now);
         assert!(acks.iter().all(|a| !a.flags.ece));
-        Pair::deliver(&cfg, 2, 1, &mut p.client, &acks, p.now, &mut p.ops);
+        Pair::deliver(&cfg, 2, 1, &mut p.client, &acks, p.now);
         assert_eq!(p.client.counters().ecn_reductions, 0);
     }
 
@@ -722,11 +675,11 @@ mod tests {
     fn half_close_still_receives_peer_data() {
         let mut p = Pair::established(qpip_cfg());
         let cfg = p.cfg.clone();
-        let fins = p.client.close_conn(&cfg, p.now, &mut p.ops);
-        Pair::deliver(&cfg, 1, 2, &mut p.server, &fins, p.now, &mut p.ops);
+        let fins = p.client.close_conn(&cfg, p.now);
+        Pair::deliver(&cfg, 1, 2, &mut p.server, &fins, p.now);
         // the server (CLOSE-WAIT) keeps sending
-        let segs = p.server.send_msg(&cfg, vec![5; 300], SendToken(9), p.now, &mut p.ops);
-        let (_, evs) = Pair::deliver(&cfg, 2, 1, &mut p.client, &segs, p.now, &mut p.ops);
+        let segs = p.server.send_msg(&cfg, vec![5; 300], SendToken(9), p.now);
+        let (_, evs) = Pair::deliver(&cfg, 2, 1, &mut p.client, &segs, p.now);
         assert!(
             evs.iter().any(|e| matches!(e, TcbEvent::Delivered(d) if d.len() == 300)),
             "{evs:?}"

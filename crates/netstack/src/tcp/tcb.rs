@@ -5,10 +5,22 @@
 //! inter-network protocol specific information, namely the TCP
 //! transmission control block"). It implements the prototype's subset
 //! (§4.1): RFC 793 connection management, RTT estimation, window
-//! management, congestion and flow control, RFC 1323 timestamps and
-//! window scaling, and header prediction. Out-of-order reassembly and
-//! urgent data are intentionally absent, as in the paper: out-of-order
-//! segments are dropped and re-acknowledged.
+//! management, congestion and flow control, and RFC 1323 timestamps and
+//! window scaling. Out-of-order reassembly and urgent data are
+//! intentionally absent, as in the paper: out-of-order segments are
+//! dropped and re-acknowledged.
+//!
+//! A [`Tcb`] is three parts. Its `Sender` owns the RFC 793 send
+//! sequence space and what paces it: the send buffer, the peer's
+//! window, congestion control, the RTT estimator and the retransmission
+//! timer. It applies ACKs and window updates and picks the next segment
+//! to send. Its `Receiver` owns the receive sequence space and what
+//! this end owes the peer: RCV.NXT, the advertised window, the delayed
+//! ACK, TS.Recent and the ECN echo. It classifies each payload as in
+//! order, duplicate or out of order and says whether an ACK is due. The
+//! `Tcb` itself keeps the state machine, the negotiated options,
+//! TIME-WAIT and the counters, and builds every outgoing segment from
+//! both halves.
 //!
 //! Zero-window probing (RFC 1122 §4.2.2.17) is the retransmission
 //! timer in a second role, as in 4.4BSD: the two are mutually
@@ -26,7 +38,9 @@ use qpip_wire::tcp::{SeqNum, TcpFlags, TcpHeader, TcpOptions};
 use super::congestion::Congestion;
 use super::rtt::RttEstimator;
 use super::sendbuf::{SegmentData, SendBuffer};
-use crate::types::{Endpoint, NetConfig, OpCounters, PacketKind, SegmentationPolicy, SendToken};
+use crate::types::{
+    AckPolicy, Endpoint, NetConfig, OpCounters, PacketKind, SegmentationPolicy, SendToken,
+};
 
 /// Connection states (RFC 793; LISTEN lives in the engine's listener
 /// table, not in a TCB).
@@ -216,90 +230,124 @@ impl TcpCounters {
     }
 }
 
-/// The transmission control block for one connection.
+/// What a segment arrival or a timer produces, each part in order. The
+/// caller drains `segs` and `events` before the TCB's next call (a data
+/// segment's payload stays in the send buffer, which that call may
+/// release) and adds `ops` to its own count.
+#[derive(Debug, Default)]
+pub struct TcbOutput {
+    /// Segments to transmit.
+    pub segs: Vec<SegmentOut>,
+    /// Protocol events.
+    pub events: Vec<TcbEvent>,
+    /// Multiplies performed, which the firmware prices (§4.2.2).
+    pub ops: OpCounters,
+}
+
+/// The transmission control block for one connection: the state
+/// machine over a `Sender` and a `Receiver`.
 #[derive(Debug)]
 pub struct Tcb {
     state: TcpState,
     local: Endpoint,
     remote: Endpoint,
-
-    // --- send side ---
-    iss: SeqNum,
-    sendbuf: SendBuffer,
-    /// Peer receive window in bytes (already scaled).
-    snd_wnd: u64,
-    /// Segment/ack that last updated `snd_wnd` (RFC 793 WL1/WL2).
-    snd_wl1: SeqNum,
-    snd_wl2: SeqNum,
-    /// Shift the peer asked us to apply to its window field.
-    snd_wscale: u8,
-    /// Peer's MSS from its SYN.
-    peer_mss: usize,
-    congestion: Congestion,
-    rtt: RttEstimator,
-    /// FIN requested by the application.
-    fin_queued: bool,
-    /// FIN transmitted (consumes sequence number `sendbuf.end()`).
-    fin_sent: bool,
-    /// Our FIN's sequence number, once sent.
-    fin_seq: SeqNum,
-    /// The peer acknowledged our FIN. Latched here because `sendbuf`'s
-    /// `una` only covers buffered data and can never advance over the
-    /// FIN's sequence slot.
-    fin_is_acked: bool,
-    retries: u32,
-    /// Untimed-segment RTT sampling (when timestamps are off).
-    timed_seq: Option<(SeqNum, SimTime)>,
-
-    // --- receive side ---
-    irs: SeqNum,
-    rcv_nxt: SeqNum,
-    /// Receive buffer space backing the advertised window. For QPIP this
-    /// is the total posted receive-WR space (§5.1: "the more receive
-    /// buffer space posted, the larger the TCP receive window").
-    rcv_space: u64,
-    /// Shift we apply to the window field we advertise.
-    rcv_wscale: u8,
-    /// Window scaling negotiated on the SYN exchange (both sides
+    snd: Sender,
+    rcv: Receiver,
+    /// RFC 1323 timestamps, negotiated on the SYN exchange.
+    ts_on: bool,
+    /// ECN (RFC 3168, §5.2's "network-based mechanisms"), negotiated on
+    /// the SYN exchange.
+    ecn_on: bool,
+    /// Window scaling, negotiated on the SYN exchange (both sides
     /// offered it); gates the option on our SYN-ACK.
     ws_negotiated: bool,
-    /// Peer FIN consumed (sequence-wise).
-    peer_fin_rcvd: bool,
-
-    // --- ECN (RFC 3168, §5.2's "network-based mechanisms") ---
-    /// Negotiated on the SYN exchange.
-    ecn_on: bool,
-    /// CE was seen; echo ECE on outgoing ACKs until the peer sets CWR.
-    ece_pending: bool,
-    /// Announce CWR on the next data segment.
-    cwr_due: bool,
-    /// React to ECE at most once per window: ACKs at or below this
-    /// marker belong to the already-reduced window.
-    ecn_reduced_at: SeqNum,
-
-    // --- RFC 1323 ---
-    ts_on: bool,
-    ts_recent: u32,
-    /// RCV.NXT as last acknowledged on the wire (RFC 7323's
-    /// Last.ACK.sent), which gates `ts_recent` updates.
-    last_ack_sent: SeqNum,
-    /// The open RTO episode, awaiting the ACK that tells whether the
-    /// timeout was spurious.
-    rto_episode: Option<RtoEpisode>,
-    /// Segments received since the last ACK we sent (delayed ACK).
-    segs_unacked: u32,
-
-    // --- timers ---
-    rto_deadline: Option<SimTime>,
-    delack_deadline: Option<SimTime>,
     timewait_deadline: Option<SimTime>,
-
-    // --- counters ---
     /// Retransmissions counted apart from `counters`, which the
     /// invariant oracle checks against
     /// [`TcpCounters::retransmissions`].
     retransmit_count: u64,
     counters: TcpCounters,
+}
+
+/// The send side: RFC 793's send sequence space and what paces it.
+#[derive(Debug)]
+struct Sender {
+    /// Our SYN's sequence number.
+    iss: SeqNum,
+    /// SND.UNA, SND.NXT, SND.MAX and the data they cover.
+    sendbuf: SendBuffer,
+    /// SND.WND: the peer's receive window in bytes (already scaled).
+    wnd: u64,
+    /// Segment and ack that last updated `wnd` (SND.WL1/WL2).
+    wl1: SeqNum,
+    wl2: SeqNum,
+    /// Shift the peer asked us to apply to its window field.
+    wscale: u8,
+    /// Peer's MSS from its SYN.
+    peer_mss: usize,
+    congestion: Congestion,
+    rtt: RttEstimator,
+    /// Timer expiries since SND.UNA last advanced.
+    retries: u32,
+    /// Untimed-segment RTT sampling (when timestamps are off).
+    timed_seq: Option<(SeqNum, SimTime)>,
+    /// The open RTO episode, awaiting the ACK that tells whether the
+    /// timeout was spurious.
+    rto_episode: Option<RtoEpisode>,
+    /// The retransmission timer, in its RTO or persist role.
+    rto_deadline: Option<SimTime>,
+    /// FIN requested by the application.
+    fin_queued: bool,
+    /// FIN transmitted: it takes the sequence number after the last
+    /// data byte, which no send can move once a FIN is queued.
+    fin_sent: bool,
+    /// The peer acknowledged our FIN. Latched here because SND.UNA only
+    /// covers buffered data and never advances over the FIN's slot.
+    fin_is_acked: bool,
+    /// Announce CWR on the next data segment.
+    cwr_due: bool,
+    /// React to ECN-Echo at most once per window: ACKs at or below this
+    /// marker belong to the already-reduced window.
+    ecn_reduced_at: SeqNum,
+}
+
+/// The receive side: RFC 793's receive sequence space and what this
+/// end owes the peer.
+#[derive(Debug)]
+struct Receiver {
+    /// RCV.NXT.
+    nxt: SeqNum,
+    /// Receive buffer space backing the advertised window. For QPIP this
+    /// is the total posted receive-WR space (§5.1: "the more receive
+    /// buffer space posted, the larger the TCP receive window").
+    space: u64,
+    /// Shift we apply to the window field we advertise.
+    wscale: u8,
+    /// The peer's FIN consumed (sequence-wise).
+    fin_rcvd: bool,
+    /// Segments received since the last ACK we sent (delayed ACK).
+    segs_unacked: u32,
+    delack_deadline: Option<SimTime>,
+    /// TS.Recent: the TSval our segments echo (RFC 7323).
+    ts_recent: u32,
+    /// RCV.NXT as last acknowledged on the wire (RFC 7323's
+    /// Last.ACK.sent), which gates `ts_recent` updates.
+    last_ack_sent: SeqNum,
+    /// A CE mark arrived: echo ECE on outgoing ACKs until the peer sets
+    /// CWR.
+    ece_pending: bool,
+}
+
+/// What the receiver made of a segment's payload.
+enum Arrival {
+    /// All of it was received before.
+    Duplicate,
+    /// It starts past RCV.NXT: dropped, as the subset has no reassembly
+    /// (§4.1).
+    OutOfOrder,
+    /// The `new` bytes of the payload are in order and accepted;
+    /// `ack_due` when the ACK policy wants an ACK now.
+    InOrder { new: Range<usize>, ack_due: bool },
 }
 
 impl Tcb {
@@ -313,10 +361,9 @@ impl Tcb {
         now: SimTime,
         out: &mut Vec<SegmentOut>,
     ) -> Tcb {
-        let mut tcb = Tcb::new_common(cfg, local, remote, iss);
-        tcb.state = TcpState::SynSent;
+        let mut tcb = Tcb::new(cfg, TcpState::SynSent, local, remote, iss);
         out.push(tcb.make_syn(cfg, now, false, false));
-        tcb.arm_rto(now);
+        tcb.snd.arm_rto(now);
         tcb
     }
 
@@ -331,57 +378,31 @@ impl Tcb {
         now: SimTime,
         out: &mut Vec<SegmentOut>,
     ) -> Tcb {
-        let mut tcb = Tcb::new_common(cfg, local, remote, iss);
-        tcb.state = TcpState::SynRcvd;
-        tcb.irs = syn.seq;
-        tcb.rcv_nxt = syn.seq + 1;
-        tcb.absorb_syn_options(syn);
+        let mut tcb = Tcb::new(cfg, TcpState::SynRcvd, local, remote, iss);
+        tcb.absorb_syn(syn);
         // ECN negotiation (RFC 3168): the SYN offers with ECE+CWR
         tcb.ecn_on = cfg.ecn && syn.flags.ece && syn.flags.cwr;
         out.push(tcb.make_syn(cfg, now, true, false));
-        tcb.arm_rto(now);
+        tcb.snd.arm_rto(now);
         tcb
     }
 
-    fn new_common(cfg: &NetConfig, local: Endpoint, remote: Endpoint, iss: SeqNum) -> Tcb {
-        let rcv_space = cfg.recv_buffer as u64;
-        let rcv_wscale = wscale_for(rcv_space);
+    fn new(
+        cfg: &NetConfig,
+        state: TcpState,
+        local: Endpoint,
+        remote: Endpoint,
+        iss: SeqNum,
+    ) -> Tcb {
         Tcb {
-            state: TcpState::Closed,
+            state,
             local,
             remote,
-            iss,
-            sendbuf: SendBuffer::new(cfg.segmentation, iss + 1),
-            snd_wnd: 0,
-            snd_wl1: SeqNum(0),
-            snd_wl2: SeqNum(0),
-            snd_wscale: 0,
-            peer_mss: 536,
-            congestion: Congestion::new(cfg.max_tcp_payload(), cfg.initial_cwnd_segments),
-            rtt: RttEstimator::new(cfg.min_rto),
-            fin_queued: false,
-            fin_sent: false,
-            fin_seq: SeqNum(0),
-            fin_is_acked: false,
-            retries: 0,
-            timed_seq: None,
-            irs: SeqNum(0),
-            rcv_nxt: SeqNum(0),
-            rcv_space,
-            rcv_wscale,
-            ws_negotiated: false,
-            peer_fin_rcvd: false,
-            ecn_on: false,
-            ece_pending: false,
-            cwr_due: false,
-            ecn_reduced_at: iss,
+            snd: Sender::new(cfg, iss),
+            rcv: Receiver::new(cfg.recv_buffer as u64),
             ts_on: false,
-            ts_recent: 0,
-            last_ack_sent: SeqNum(0),
-            rto_episode: None,
-            segs_unacked: 0,
-            rto_deadline: None,
-            delack_deadline: None,
+            ecn_on: false,
+            ws_negotiated: false,
             timewait_deadline: None,
             retransmit_count: 0,
             counters: TcpCounters::default(),
@@ -407,12 +428,12 @@ impl Tcb {
 
     /// Bytes in flight (sent, unacknowledged).
     pub fn bytes_in_flight(&self) -> u64 {
-        self.sendbuf.bytes_in_flight()
+        self.snd.sendbuf.bytes_in_flight()
     }
 
     /// Bytes buffered for sending (in flight + unsent).
     pub fn bytes_buffered(&self) -> u64 {
-        self.sendbuf.bytes_buffered()
+        self.snd.sendbuf.bytes_buffered()
     }
 
     /// Total retransmissions performed, counted apart from
@@ -429,32 +450,32 @@ impl Tcb {
     /// Consecutive duplicate ACKs currently counted by the congestion
     /// controller.
     pub fn dup_acks(&self) -> u32 {
-        self.congestion.dup_acks()
+        self.snd.congestion.dup_acks()
     }
 
     /// Current slow-start threshold in bytes.
     pub fn ssthresh(&self) -> u64 {
-        self.congestion.ssthresh()
+        self.snd.congestion.ssthresh()
     }
 
     /// RTT samples folded into the estimator.
     pub fn rtt_samples(&self) -> u64 {
-        self.rtt.samples()
+        self.snd.rtt.samples()
     }
 
     /// The most recent raw RTT sample, if any.
     pub fn last_rtt_sample(&self) -> Option<SimDuration> {
-        self.rtt.last_sample()
+        self.snd.rtt.last_sample()
     }
 
     /// Current retransmission timeout.
     pub fn rto(&self) -> SimDuration {
-        self.rtt.rto()
+        self.snd.rtt.rto()
     }
 
     /// Oldest unacknowledged sequence number.
     pub fn snd_una(&self) -> SeqNum {
-        self.sendbuf.una()
+        self.snd.sendbuf.una()
     }
 
     /// Whether ECN was negotiated on the handshake.
@@ -464,23 +485,23 @@ impl Tcb {
 
     /// Smoothed RTT estimate, if any sample was taken.
     pub fn srtt(&self) -> Option<SimDuration> {
-        self.rtt.srtt()
+        self.snd.rtt.srtt()
     }
 
     /// Current congestion window in bytes.
     pub fn cwnd(&self) -> u64 {
-        self.congestion.cwnd()
+        self.snd.congestion.cwnd()
     }
 
     /// Peer's usable send window in bytes.
     pub fn snd_wnd(&self) -> u64 {
-        self.snd_wnd
+        self.snd.wnd
     }
 
     /// Sets the receive buffer space that backs the advertised window
     /// (QPIP: total bytes of posted receive WRs).
     pub fn set_recv_space(&mut self, bytes: u64) {
-        self.rcv_space = bytes;
+        self.rcv.space = bytes;
     }
 
     /// Announces the current receive window with a pure ACK — sent when
@@ -498,42 +519,32 @@ impl Tcb {
 
     /// Next sequence number to send (SND.NXT).
     pub fn snd_nxt(&self) -> SeqNum {
-        self.sendbuf.nxt()
+        self.snd.sendbuf.nxt()
     }
 
     /// One past the last byte buffered for sending.
     pub fn snd_buffered_end(&self) -> SeqNum {
-        self.sendbuf.end()
+        self.snd.sendbuf.end()
     }
 
     /// Next expected receive sequence number (RCV.NXT).
     pub fn rcv_nxt(&self) -> SeqNum {
-        self.rcv_nxt
-    }
-
-    /// Initial send sequence number.
-    pub fn iss(&self) -> SeqNum {
-        self.iss
+        self.rcv.nxt
     }
 
     /// Whether our FIN has been handed to the wire.
     pub fn fin_sent(&self) -> bool {
-        self.fin_sent
-    }
-
-    /// Our FIN's sequence number, once sent.
-    pub fn fin_seq(&self) -> Option<SeqNum> {
-        self.fin_sent.then_some(self.fin_seq)
+        self.snd.fin_sent
     }
 
     /// Whether the peer's FIN has been consumed in order.
     pub fn peer_fin_rcvd(&self) -> bool {
-        self.peer_fin_rcvd
+        self.rcv.fin_rcvd
     }
 
     /// Whether the retransmission timer is armed, in either role.
     pub fn rto_armed(&self) -> bool {
-        self.rto_deadline.is_some()
+        self.snd.rto_deadline.is_some()
     }
 
     /// Whether sending is blocked on the peer's window with nothing
@@ -543,7 +554,7 @@ impl Tcb {
     /// arming condition.
     pub fn window_blocked(&self) -> bool {
         matches!(self.state, TcpState::Established | TcpState::CloseWait)
-            && self.sendbuf.bytes_unsent() > 0
+            && self.snd.sendbuf.bytes_unsent() > 0
             && !self.has_outstanding()
     }
 
@@ -555,35 +566,13 @@ impl Tcb {
     /// Whether anything needs the retransmission timer in its RTO role:
     /// unacked data, an unacked FIN, or an unanswered SYN/SYN-ACK.
     pub fn has_outstanding(&self) -> bool {
-        self.sendbuf.bytes_in_flight() > 0
-            || (self.fin_sent && !self.fin_acked(self.sendbuf.una()))
-            || matches!(self.state, TcpState::SynSent | TcpState::SynRcvd)
-    }
-
-    /// Window-scale shift applied to windows we advertise.
-    pub fn rcv_wscale(&self) -> u8 {
-        self.rcv_wscale
-    }
-
-    /// Window-scale shift the peer asked us to apply to its windows.
-    pub fn snd_wscale(&self) -> u8 {
-        self.snd_wscale
-    }
-
-    /// Whether fast recovery is in progress.
-    pub fn in_recovery(&self) -> bool {
-        self.congestion.in_recovery()
-    }
-
-    /// Receive-buffer space backing the advertised window.
-    pub fn rcv_space(&self) -> u64 {
-        self.rcv_space
+        self.snd.has_outstanding() || matches!(self.state, TcpState::SynSent | TcpState::SynRcvd)
     }
 
     /// Whether the application may still queue data (not closed and no
     /// FIN queued).
     pub fn can_send(&self) -> bool {
-        !self.fin_queued
+        !self.snd.fin_queued
             && matches!(
                 self.state,
                 TcpState::SynSent | TcpState::SynRcvd | TcpState::Established | TcpState::CloseWait
@@ -592,7 +581,7 @@ impl Tcb {
 
     /// Earliest pending timer deadline.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        [self.rto_deadline, self.delack_deadline, self.timewait_deadline]
+        [self.snd.rto_deadline, self.rcv.delack_deadline, self.timewait_deadline]
             .into_iter()
             .flatten()
             .min()
@@ -605,7 +594,7 @@ impl Tcb {
     ///
     /// # Panics
     ///
-    /// Panics if called on a closed/closing connection or with empty
+    /// Panics if called when [`Tcb::can_send`] is false or with empty
     /// data (callers gate both).
     pub fn send(
         &mut self,
@@ -613,36 +602,21 @@ impl Tcb {
         data: Vec<u8>,
         token: SendToken,
         now: SimTime,
-        ops: &mut OpCounters,
         out: &mut Vec<SegmentOut>,
     ) {
-        assert!(
-            matches!(
-                self.state,
-                TcpState::SynSent | TcpState::SynRcvd | TcpState::Established | TcpState::CloseWait
-            ),
-            "send on connection in {:?}",
-            self.state
-        );
-        assert!(!self.fin_queued, "send after close");
-        self.sendbuf.push(data, token);
-        self.try_output(cfg, now, ops, out);
+        assert!(self.can_send(), "send in {:?} or after close", self.state);
+        self.snd.sendbuf.push(data, token);
+        self.try_output(cfg, now, out);
     }
 
     /// Initiates a graceful close; any queued data is sent first, then a
     /// FIN. Segments are appended to `out`.
-    pub fn close(
-        &mut self,
-        cfg: &NetConfig,
-        now: SimTime,
-        ops: &mut OpCounters,
-        out: &mut Vec<SegmentOut>,
-    ) {
-        if self.fin_queued || matches!(self.state, TcpState::Closed | TcpState::TimeWait) {
+    pub fn close(&mut self, cfg: &NetConfig, now: SimTime, out: &mut Vec<SegmentOut>) {
+        if self.snd.fin_queued || matches!(self.state, TcpState::Closed | TcpState::TimeWait) {
             return;
         }
-        self.fin_queued = true;
-        self.try_output(cfg, now, ops, out);
+        self.snd.fin_queued = true;
+        self.try_output(cfg, now, out);
     }
 
     /// Passes `f` the payload of `seg`, a segment this TCB produced and
@@ -651,36 +625,27 @@ impl Tcb {
     pub fn read_payload(&self, seg: &SegmentOut, mut f: impl FnMut(&[u8])) {
         match seg.payload {
             SegPayload::Empty => {}
-            SegPayload::Buffered(len) => self.sendbuf.read(seg.seq, len, f),
+            SegPayload::Buffered(len) => self.snd.sendbuf.read(seg.seq, len, f),
             SegPayload::ProbeByte => f(&[0]),
         }
     }
 
     /// Aborts the connection, producing an RST.
     pub fn abort(&mut self) -> SegmentOut {
-        let seq = self.sendbuf.nxt();
         self.state = TcpState::Closed;
         self.clear_timers();
-        SegmentOut {
-            seq,
-            ack: self.rcv_nxt,
-            flags: TcpFlags { rst: true, ack: true, ..TcpFlags::NONE },
-            window: 0,
-            options: TcpOptions::default(),
-            payload: SegPayload::Empty,
-            kind: PacketKind::TcpControl,
-            is_retransmit: false,
-            ect: false,
-        }
+        let flags = TcpFlags { rst: true, ack: true, ..TcpFlags::NONE };
+        let rst =
+            self.segment(self.snd.sendbuf.nxt(), flags, PacketKind::TcpControl, SimTime::ZERO);
+        // an RST advertises no window and carries no options
+        SegmentOut { window: 0, options: TcpOptions::default(), ..rst }
     }
 
     // ----- segment arrival -------------------------------------------
 
     /// Processes one incoming segment whose IP header may carry the
     /// Congestion-Experienced codepoint (set by a RED/ECN queue in the
-    /// fabric, §5.2). Segments to transmit are appended to `out` and
-    /// protocol events to `events`, each in order.
-    #[allow(clippy::too_many_arguments)]
+    /// fabric, §5.2), appending what it produces to `out`.
     pub fn on_segment_marked(
         &mut self,
         cfg: &NetConfig,
@@ -688,28 +653,21 @@ impl Tcb {
         payload: &[u8],
         congestion_experienced: bool,
         now: SimTime,
-        ops: &mut OpCounters,
-        out: &mut Vec<SegmentOut>,
-        events: &mut Vec<TcbEvent>,
+        out: &mut TcbOutput,
     ) {
-        if congestion_experienced && self.ecn_on {
-            // echo ECE until the sender announces CWR (RFC 3168 §6.1.3)
-            self.ece_pending = true;
+        // echo ECE from a CE mark until the sender announces CWR (RFC
+        // 3168 §6.1.3)
+        if self.ecn_on && (congestion_experienced || hdr.flags.cwr) {
+            self.rcv.ece_pending = !hdr.flags.cwr;
         }
-        if hdr.flags.cwr && self.ecn_on {
-            self.ece_pending = false;
-        }
-        ops.headers_parsed += 1;
-
         if hdr.flags.rst {
-            self.on_rst(hdr, now, out, events);
+            self.on_rst(hdr, now, out);
             return;
         }
-
         match self.state {
-            TcpState::SynSent => self.on_segment_syn_sent(cfg, hdr, now, out, events, ops),
+            TcpState::SynSent => self.on_segment_syn_sent(cfg, hdr, now, out),
             TcpState::Closed => { /* stray segment; a real stack would RST */ }
-            _ => self.on_segment_synchronized(cfg, hdr, payload, now, out, events, ops),
+            _ => self.on_segment_synchronized(cfg, hdr, payload, now, out),
         }
     }
 
@@ -719,29 +677,18 @@ impl Tcb {
     /// in-window but inexact RST draws a challenge ACK so a legitimate
     /// peer can resend with the right number, while a blind attacker's
     /// guess does nothing. Everything else is dropped silently.
-    fn on_rst(
-        &mut self,
-        hdr: &TcpHeader,
-        now: SimTime,
-        out: &mut Vec<SegmentOut>,
-        events: &mut Vec<TcbEvent>,
-    ) {
+    fn on_rst(&mut self, hdr: &TcpHeader, now: SimTime, out: &mut TcbOutput) {
         match self.state {
             TcpState::Closed => {}
             TcpState::SynSent => {
-                if hdr.flags.ack && hdr.ack == self.iss + 1 {
-                    self.state = TcpState::Closed;
-                    self.clear_timers();
-                    events.push(TcbEvent::Reset);
+                if hdr.flags.ack && hdr.ack == self.snd.iss + 1 {
+                    self.close_with(TcbEvent::Reset, &mut out.events);
                 }
             }
+            _ if hdr.seq == self.rcv.nxt => self.close_with(TcbEvent::Reset, &mut out.events),
             _ => {
-                if hdr.seq == self.rcv_nxt {
-                    self.state = TcpState::Closed;
-                    self.clear_timers();
-                    events.push(TcbEvent::Reset);
-                } else if u64::from(hdr.seq - self.rcv_nxt) < self.rcv_space.max(1) {
-                    out.push(self.make_ack(now, PacketKind::TcpAck));
+                if u64::from(hdr.seq - self.rcv.nxt) < self.rcv.space.max(1) {
+                    out.segs.push(self.make_ack(now, PacketKind::TcpAck));
                 }
             }
         }
@@ -752,85 +699,45 @@ impl Tcb {
         cfg: &NetConfig,
         hdr: &TcpHeader,
         now: SimTime,
-        out: &mut Vec<SegmentOut>,
-        events: &mut Vec<TcbEvent>,
-        ops: &mut OpCounters,
+        out: &mut TcbOutput,
     ) {
-        if !(hdr.flags.syn && hdr.flags.ack) || hdr.ack != self.iss + 1 {
+        if !(hdr.flags.syn && hdr.flags.ack) || hdr.ack != self.snd.iss + 1 {
             return; // not our SYN-ACK; ignore (subset: no simultaneous open)
         }
-        self.irs = hdr.seq;
-        self.rcv_nxt = hdr.seq + 1;
-        self.eifel_check(hdr);
-        self.absorb_syn_options(hdr);
+        self.snd.on_handshake_ack(hdr, &mut self.counters);
+        self.absorb_syn(hdr);
         // the SYN-ACK confirms ECN with ECE alone (RFC 3168)
         self.ecn_on = cfg.ecn && hdr.flags.ece && !hdr.flags.cwr;
-        self.sendbuf.on_ack(hdr.ack, |_| {}); // no data, but aligns una bookkeeping
-        self.update_snd_wnd(hdr);
+        self.snd.update_window(hdr, &mut self.counters);
         self.state = TcpState::Established;
-        self.retries = 0;
-        self.rto_deadline = None;
-        events.push(TcbEvent::Established);
+        out.events.push(TcbEvent::Established);
         // ACK the SYN-ACK (third step of the rendezvous, §3)
-        out.push(self.make_ack(now, PacketKind::TcpAck));
+        out.segs.push(self.make_ack(now, PacketKind::TcpAck));
         // flush anything queued while connecting
-        self.try_output(cfg, now, ops, out);
+        self.try_output(cfg, now, &mut out.segs);
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn on_segment_synchronized(
         &mut self,
         cfg: &NetConfig,
         hdr: &TcpHeader,
         payload: &[u8],
         now: SimTime,
-        out: &mut Vec<SegmentOut>,
-        events: &mut Vec<TcbEvent>,
-        ops: &mut OpCounters,
+        out: &mut TcbOutput,
     ) {
-        // -- header prediction (Stevens V2 §28.4): in ESTABLISHED, with
-        // plain ACK/PSH flags, the next expected sequence number and an
-        // unchanged send window, take the fast path. Everything else
-        // falls to the slow path. The NIC cost model charges the same
-        // parse cost either way (Table 3 folds it into "TCP Parse"); the
-        // counters feed the ablation bench.
-        let plain_flags = {
-            let f = hdr.flags;
-            f.ack && !f.syn && !f.fin && !f.rst && !f.urg
-        };
-        let window_unchanged = (u64::from(hdr.window) << self.snd_wscale) == self.snd_wnd;
-        if self.state == TcpState::Established
-            && plain_flags
-            && hdr.seq == self.rcv_nxt
-            && window_unchanged
-        {
-            ops.fast_path_hits += 1;
-        } else {
-            ops.slow_path_hits += 1;
-        }
-
-        // -- ts_recent maintenance (RFC 7323 §4.3): a newer TSval on a
-        // segment that starts at or before the last ACK we sent, so a
-        // delayed ACK echoes the earliest segment it acknowledges
         if self.ts_on {
-            if let Some((tsval, _)) = hdr.options.timestamps {
-                // serial-number comparison: the 32-bit clock wraps
-                if tsval.wrapping_sub(self.ts_recent) as i32 >= 0 && hdr.seq.le(self.last_ack_sent)
-                {
-                    self.ts_recent = tsval;
-                }
-            }
+            self.rcv.note_tsval(hdr);
         }
 
         // -- SYN-ACK retransmission while in SynRcvd: re-ack
         if hdr.flags.syn {
-            out.push(self.make_ack(now, PacketKind::TcpAck));
+            out.segs.push(self.make_ack(now, PacketKind::TcpAck));
             return;
         }
 
         // -- ACK processing
         if hdr.flags.ack {
-            if !self.process_ack(cfg, hdr, payload.is_empty(), now, out, events, ops) {
+            if !self.process_ack(cfg, hdr, payload.is_empty(), now, out) {
                 return; // unacceptable ACK: segment dropped wholesale
             }
             if self.state == TcpState::Closed {
@@ -840,7 +747,7 @@ impl Tcb {
 
         // -- payload processing
         if !payload.is_empty() {
-            self.process_payload(cfg, hdr, payload, now, out, events);
+            self.process_payload(cfg, hdr.seq, payload.len(), now, out);
         }
 
         // -- FIN processing (only when it arrives in order, and only in
@@ -850,333 +757,158 @@ impl Tcb {
         // before FIN processing; the subset drops it instead)
         if hdr.flags.fin
             && matches!(self.state, TcpState::Established | TcpState::FinWait1 | TcpState::FinWait2)
-            && hdr.seq + payload.len() as u32 == self.rcv_nxt
-            && !self.peer_fin_rcvd
+            && self.rcv.on_fin(hdr.seq + payload.len() as u32)
         {
-            self.rcv_nxt += 1;
-            self.peer_fin_rcvd = true;
-            events.push(TcbEvent::PeerClosed);
-            self.transition_on_peer_fin(now);
-            out.push(self.make_ack(now, PacketKind::TcpAck));
-            self.segs_unacked = 0;
-            self.delack_deadline = None;
+            out.events.push(TcbEvent::PeerClosed);
+            match self.state {
+                TcpState::Established => self.state = TcpState::CloseWait,
+                // our FIN not yet acked: simultaneous close
+                TcpState::FinWait1 => self.state = TcpState::Closing,
+                _ => self.enter_time_wait(now),
+            }
+            out.segs.push(self.make_ack(now, PacketKind::TcpAck));
         }
 
         // -- send whatever the ACK/window opened up
-        self.try_output(cfg, now, ops, out);
+        self.try_output(cfg, now, &mut out.segs);
     }
 
     /// Returns `false` when the ACK acknowledges data we never sent
     /// (RFC 793: "send an ACK, drop the segment, and return") — the
     /// caller must discard the rest of the segment too.
-    #[allow(clippy::too_many_arguments)]
     fn process_ack(
         &mut self,
         cfg: &NetConfig,
         hdr: &TcpHeader,
         payload_empty: bool,
         now: SimTime,
-        out: &mut Vec<SegmentOut>,
-        events: &mut Vec<TcbEvent>,
-        ops: &mut OpCounters,
+        out: &mut TcbOutput,
     ) -> bool {
-        let snd_max = if self.fin_sent { self.fin_seq + 1 } else { self.sendbuf.max_sent() };
-        if snd_max.lt(hdr.ack) {
-            out.push(self.make_ack(now, PacketKind::TcpAck));
+        if self.snd.max().lt(hdr.ack) {
+            out.segs.push(self.make_ack(now, PacketKind::TcpAck));
             return false;
         }
-
-        let una_before = self.sendbuf.una();
-        let fin_outstanding = self.fin_sent && !self.fin_acked(una_before);
-        let advances = una_before.lt(hdr.ack)
-            && (hdr.ack.le(self.sendbuf.end()) || (fin_outstanding && hdr.ack == self.fin_seq + 1));
-
-        // ECN-Echo: reduce once per window (RFC 3168 §6.1.2)
-        if self.ecn_on && hdr.flags.ece && !hdr.flags.syn && self.ecn_reduced_at.lt(hdr.ack) {
-            self.congestion.on_ecn();
-            self.cwr_due = true;
-            self.counters.ecn_reductions += 1;
-            self.ecn_reduced_at = self.sendbuf.nxt();
+        if self.ecn_on && hdr.flags.ece && !hdr.flags.syn {
+            self.snd.on_ece(hdr.ack, &mut self.counters);
         }
 
-        if self.state == TcpState::SynRcvd && hdr.ack == self.iss + 1 {
-            self.eifel_check(hdr);
+        if self.state == TcpState::SynRcvd && hdr.ack == self.snd.iss + 1 {
+            self.snd.on_handshake_ack(hdr, &mut self.counters);
             self.state = TcpState::Established;
-            self.retries = 0;
-            self.rto_deadline = None;
-            events.push(TcbEvent::Established);
-            self.update_snd_wnd(hdr);
-            return true;
-        }
-
-        if advances {
-            let spurious = self.eifel_check(hdr);
-            // RTT sampling: timestamps give an unambiguous echo (Karn's
-            // rule satisfied by construction); otherwise use the timed
-            // segment if it was not retransmitted.
-            if self.ts_on {
-                if let Some((_, tsecr)) = hdr.options.timestamps {
-                    if tsecr != 0 {
-                        let now_us = ts_now(now);
-                        let sample_us = now_us.wrapping_sub(tsecr);
-                        if sample_us < 60_000_000 {
-                            let sent = SimTime::from_picos(
-                                now.as_picos().saturating_sub(u64::from(sample_us) * 1_000_000),
-                            );
-                            self.rtt.sample(sent, now, ops);
-                        }
-                    }
-                }
-            } else if let Some((seq, sent)) = self.timed_seq {
-                if seq.lt(hdr.ack) {
-                    self.rtt.sample(sent, now, ops);
-                    self.timed_seq = None;
-                }
-            }
-
-            let acked_bytes = u64::from(hdr.ack - una_before);
-            // An ACK covering our FIN points one past the last data byte;
-            // clamp it so the send buffer still marks all data acked.
-            let data_ack =
-                if self.fin_sent && hdr.ack == self.fin_seq + 1 { self.fin_seq } else { hdr.ack };
-            self.sendbuf.on_ack(data_ack, |token| events.push(TcbEvent::SendComplete(token)));
-            self.congestion.on_ack(acked_bytes, ops);
-            if let Some(episode) = spurious {
-                self.eifel_respond(cfg, episode, hdr.flags.ece, acked_bytes);
-            }
-            self.retries = 0;
-
-            // FIN acknowledged?
-            if self.fin_sent && hdr.ack == self.fin_seq + 1 {
-                self.fin_is_acked = true;
+            out.events.push(TcbEvent::Established);
+        } else if self.snd.advances(hdr.ack) {
+            let fin_acked = self.snd.on_new_ack(cfg, hdr, self.ts_on, now, out, &mut self.counters);
+            if fin_acked {
                 match self.state {
-                    TcpState::FinWait1 => {
-                        self.state = if self.peer_fin_rcvd {
-                            self.enter_time_wait(now);
-                            TcpState::TimeWait
-                        } else {
-                            TcpState::FinWait2
-                        };
-                    }
-                    TcpState::Closing => {
-                        self.enter_time_wait(now);
-                        self.state = TcpState::TimeWait;
-                    }
+                    TcpState::FinWait1 if !self.rcv.fin_rcvd => self.state = TcpState::FinWait2,
+                    TcpState::FinWait1 | TcpState::Closing => self.enter_time_wait(now),
                     TcpState::LastAck => {
-                        self.state = TcpState::Closed;
-                        self.clear_timers();
-                        events.push(TcbEvent::Closed);
+                        self.close_with(TcbEvent::Closed, &mut out.events);
                         return true;
                     }
                     _ => {}
                 }
             }
-
-            // restart or clear the retransmission timer (`try_output`
-            // re-arms it as a persist timer if the window blocks)
-            if self.has_outstanding() {
-                self.arm_rto(now);
-            } else {
-                self.rto_deadline = None;
-            }
-        } else if hdr.ack == una_before && self.sendbuf.bytes_in_flight() > 0 && payload_empty {
-            // duplicate ACK
+        } else if hdr.ack == self.snd.sendbuf.una()
+            && self.snd.sendbuf.bytes_in_flight() > 0
+            && payload_empty
+        {
             self.counters.dupacks_rx += 1;
-            if let Some(episode) = &mut self.rto_episode {
-                episode.dupack_seen = true;
-            }
-            if self.congestion.on_dup_ack() {
-                // fast retransmit
-                if let Some(seg) = self.sendbuf.retransmit_front(self.max_payload(cfg)) {
-                    self.retransmit_count += 1;
-                    self.counters.fast_retransmits += 1;
-                    let s = self.make_data_segment(seg, now, true);
-                    out.push(s);
-                    self.arm_rto(now);
-                }
+            if let Some(seg) = self.snd.on_dup_ack(cfg) {
+                self.count_retransmit(true);
+                out.segs.push(self.make_data_segment(seg, now, true));
+                self.snd.arm_rto(now);
             }
         }
 
-        self.update_snd_wnd(hdr);
+        self.snd.update_window(hdr, &mut self.counters);
         true
     }
 
     fn process_payload(
         &mut self,
         cfg: &NetConfig,
-        hdr: &TcpHeader,
-        payload: &[u8],
+        seq: SeqNum,
+        len: usize,
         now: SimTime,
-        out: &mut Vec<SegmentOut>,
-        events: &mut Vec<TcbEvent>,
+        out: &mut TcbOutput,
     ) {
         if !matches!(self.state, TcpState::Established | TcpState::FinWait1 | TcpState::FinWait2) {
             return;
         }
-        let seg_end = hdr.seq + payload.len() as u32;
-        if seg_end.le(self.rcv_nxt) {
-            // pure duplicate: re-ACK so the peer's retransmission stops
-            out.push(self.make_ack(now, PacketKind::TcpAck));
-            return;
-        }
-        if self.rcv_nxt.lt(hdr.seq) {
-            // out of order: the subset has no reassembly (§4.1); drop and
-            // send a duplicate ACK to trigger the peer's fast retransmit.
-            self.counters.ooo_drops += 1;
-            out.push(self.make_ack(now, PacketKind::TcpAck));
-            return;
-        }
-        // trim any already-received prefix
-        let offset = (self.rcv_nxt - hdr.seq) as usize;
-        self.rcv_nxt = seg_end;
-        events.push(TcbEvent::Delivered(offset..payload.len()));
-
-        // ACK generation policy
-        match cfg.ack_policy {
-            crate::types::AckPolicy::Immediate => {
-                out.push(self.make_ack(now, PacketKind::TcpAck));
-                self.segs_unacked = 0;
-                self.delack_deadline = None;
+        let ack_due = match self.rcv.on_payload(cfg.ack_policy, seq, len, now) {
+            // re-ACK so the peer's retransmission stops
+            Arrival::Duplicate => true,
+            // the duplicate ACK triggers the peer's fast retransmit
+            Arrival::OutOfOrder => {
+                self.counters.ooo_drops += 1;
+                true
             }
-            crate::types::AckPolicy::Delayed(timeout) => {
-                self.segs_unacked += 1;
-                if self.segs_unacked >= 2 {
-                    out.push(self.make_ack(now, PacketKind::TcpAck));
-                    self.segs_unacked = 0;
-                    self.delack_deadline = None;
-                } else {
-                    self.delack_deadline = Some(now + timeout);
-                }
+            Arrival::InOrder { new, ack_due } => {
+                out.events.push(TcbEvent::Delivered(new));
+                ack_due
             }
-        }
-    }
-
-    fn transition_on_peer_fin(&mut self, now: SimTime) {
-        match self.state {
-            TcpState::Established => self.state = TcpState::CloseWait,
-            TcpState::FinWait1 => {
-                // our FIN not yet acked: simultaneous close
-                self.state = TcpState::Closing;
-            }
-            TcpState::FinWait2 => {
-                self.enter_time_wait(now);
-                self.state = TcpState::TimeWait;
-            }
-            _ => {}
+        };
+        if ack_due {
+            out.segs.push(self.make_ack(now, PacketKind::TcpAck));
         }
     }
 
     // ----- timers ------------------------------------------------------
 
     /// Advances timer state to `now`, appending retransmissions,
-    /// zero-window probes and delayed ACKs to `out` and TIME-WAIT
-    /// reaping and abort events to `events`.
-    pub fn on_timer(
-        &mut self,
-        cfg: &NetConfig,
-        now: SimTime,
-        ops: &mut OpCounters,
-        out: &mut Vec<SegmentOut>,
-        events: &mut Vec<TcbEvent>,
-    ) {
-        if let Some(dl) = self.timewait_deadline {
-            if dl <= now {
-                self.timewait_deadline = None;
-                self.state = TcpState::Closed;
-                self.clear_timers();
-                events.push(TcbEvent::Closed);
-                return;
-            }
+    /// zero-window probes, delayed ACKs and TIME-WAIT reaping and abort
+    /// events to `out`.
+    pub fn on_timer(&mut self, cfg: &NetConfig, now: SimTime, out: &mut TcbOutput) {
+        if self.timewait_deadline.is_some_and(|dl| dl <= now) {
+            self.close_with(TcbEvent::Closed, &mut out.events);
+            return;
         }
-
-        if let Some(dl) = self.delack_deadline {
-            if dl <= now {
-                self.delack_deadline = None;
-                self.segs_unacked = 0;
-                out.push(self.make_ack(now, PacketKind::TcpAck));
-            }
+        if self.rcv.delack_due(now) {
+            out.segs.push(self.make_ack(now, PacketKind::TcpAck));
         }
-
-        if let Some(dl) = self.rto_deadline {
-            if dl <= now {
-                self.rto_deadline = None;
-                self.retries += 1;
-                if self.retries > MAX_RETRIES {
-                    self.state = TcpState::Closed;
-                    self.clear_timers();
-                    events.push(TcbEvent::Reset);
-                    return;
-                }
-                self.rtt.backoff();
-                ops.muls += 1; // backoff shift/clamp arithmetic
-                if self.window_blocked() {
-                    // persist role, congestion state untouched: one byte
-                    // at SND.UNA−1, already acknowledged, so the receiver
-                    // discards it as a duplicate and re-ACKs with its
-                    // current window. It works even when the head message
-                    // cannot be split, and the NIC builds it without
-                    // fetching host data, so it is a control packet.
-                    let mut probe = self.make_ack(now, PacketKind::TcpControl);
-                    probe.seq = SeqNum(self.sendbuf.una().0.wrapping_sub(1));
-                    probe.payload = SegPayload::ProbeByte;
-                    out.push(probe);
-                    self.counters.persist_probes += 1;
-                    self.arm_rto(now);
-                    return;
-                }
-                // RFC 4015's pipe_prev, for data episodes, and the
-                // duplicate ACKs since SND.UNA last advanced, both read
-                // before the timeout collapses the window and clears them
-                let flight = self.sendbuf.bytes_in_flight();
-                let pipe_prev = if flight > 0 { flight.max(self.congestion.ssthresh()) } else { 0 };
-                let dupack_seen = self.congestion.dup_acks() > 0;
-                self.congestion.on_timeout();
-                let rto_before = self.counters.rto_retransmits;
-                match self.state {
-                    TcpState::SynSent => {
-                        self.retransmit_count += 1;
-                        self.counters.rto_retransmits += 1;
-                        out.push(self.make_syn(cfg, now, false, true));
-                    }
-                    TcpState::SynRcvd => {
-                        self.retransmit_count += 1;
-                        self.counters.rto_retransmits += 1;
-                        out.push(self.make_syn(cfg, now, true, true));
-                    }
-                    _ => {
-                        if self.sendbuf.bytes_in_flight() > 0 {
-                            self.sendbuf.rewind_to_una();
-                            // Karn: do not time retransmitted data
-                            self.timed_seq = None;
-                            if let Some(seg) =
-                                self.sendbuf.next_segment(self.max_payload(cfg), u64::MAX)
-                            {
-                                self.retransmit_count += 1;
-                                self.counters.rto_retransmits += 1;
-                                out.push(self.make_data_segment(seg, now, true));
-                            }
-                        } else if self.fin_sent && !self.fin_acked(self.sendbuf.una()) {
-                            self.retransmit_count += 1;
-                            self.counters.rto_retransmits += 1;
-                            out.push(self.make_fin(now, true));
-                        }
-                    }
-                }
-                if self.counters.rto_retransmits > rto_before && self.rto_episode.is_none() {
-                    self.counters.rto_episodes += 1;
-                    // a SYN always carries a timestamp; later segments
-                    // only when both ends negotiated them
-                    let stamped = self.ts_on || self.state == TcpState::SynSent;
-                    self.rto_episode = Some(RtoEpisode {
-                        retransmit_ts: stamped.then(|| ts_now(now)),
-                        pipe_prev,
-                        dupack_seen,
-                    });
-                }
-                if self.has_outstanding() {
-                    self.arm_rto(now);
-                }
+        if self.snd.rto_deadline.take_if(|dl| *dl <= now).is_none() {
+            return;
+        }
+        if !self.snd.back_off(&mut out.ops) {
+            self.close_with(TcbEvent::Reset, &mut out.events);
+            return;
+        }
+        if self.window_blocked() {
+            // persist role, congestion state untouched: one byte at
+            // SND.UNA−1, already acknowledged, so the receiver discards
+            // it as a duplicate and re-ACKs with its current window. It
+            // works even when the head message cannot be split, and the
+            // NIC builds it without fetching host data, so it is a
+            // control packet.
+            let probe = self.make_ack(now, PacketKind::TcpControl);
+            let seq = SeqNum(self.snd.sendbuf.una().0.wrapping_sub(1));
+            out.segs.push(SegmentOut { seq, payload: SegPayload::ProbeByte, ..probe });
+            self.counters.persist_probes += 1;
+            self.snd.arm_rto(now);
+            return;
+        }
+        let episode = self.snd.on_timeout();
+        let retransmit = match self.state {
+            TcpState::SynSent => Some(self.make_syn(cfg, now, false, true)),
+            TcpState::SynRcvd => Some(self.make_syn(cfg, now, true, true)),
+            _ if self.snd.sendbuf.bytes_in_flight() > 0 => {
+                self.snd.rewind(cfg).map(|seg| self.make_data_segment(seg, now, true))
             }
+            _ if self.snd.fin_outstanding() => Some(self.make_fin(now, true)),
+            _ => None,
+        };
+        if let Some(seg) = retransmit {
+            self.count_retransmit(false);
+            out.segs.push(seg);
+            // a SYN always carries a timestamp; later segments only
+            // when both ends negotiated them
+            let stamped = self.ts_on || self.state == TcpState::SynSent;
+            let episode = RtoEpisode { retransmit_ts: stamped.then(|| ts_now(now)), ..episode };
+            self.snd.open_episode(episode, &mut self.counters);
+        }
+        if self.has_outstanding() {
+            self.snd.arm_rto(now);
         }
     }
 
@@ -1187,43 +919,21 @@ impl Tcb {
     /// drained, and arms the retransmission timer in the role that fits:
     /// RTO while anything is outstanding, persist while the window
     /// blocks.
-    pub fn try_output(
-        &mut self,
-        cfg: &NetConfig,
-        now: SimTime,
-        ops: &mut OpCounters,
-        out: &mut Vec<SegmentOut>,
-    ) {
+    pub fn try_output(&mut self, cfg: &NetConfig, now: SimTime, out: &mut Vec<SegmentOut>) {
         // new data (and a first FIN) flow only in these states; FIN
         // retransmission is handled by the timer path.
         if !matches!(self.state, TcpState::Established | TcpState::CloseWait) {
             return;
         }
-        let persisting = self.rto_deadline.is_some() && !self.has_outstanding();
-        loop {
-            let in_flight = self.sendbuf.bytes_in_flight();
-            let wnd = self.usable_window(in_flight);
-            let snd_max = self.sendbuf.max_sent();
-            let Some(seg) = self.sendbuf.next_segment(self.max_payload(cfg), wnd) else {
-                break;
-            };
-            if seg.seq.lt(snd_max) {
-                self.counters.gobackn_resends += 1;
-            }
-            ops.headers_built += 1;
-            if !self.ts_on && self.timed_seq.is_none() {
-                self.timed_seq = Some((seg.seq, now));
-            }
+        let persisting = self.snd.rto_deadline.is_some() && !self.has_outstanding();
+        while let Some(seg) = self.snd.next_segment(cfg, self.ts_on, now, &mut self.counters) {
             out.push(self.make_data_segment(seg, now, false));
             // every outgoing segment acknowledges rcv_nxt, satisfying any
             // pending delayed ACK (the piggyback rule)
-            self.segs_unacked = 0;
-            self.delack_deadline = None;
+            self.rcv.acked();
         }
-        // FIN once everything queued has been handed to the wire
-        if self.fin_queued && !self.fin_sent && self.sendbuf.bytes_unsent() == 0 {
-            self.fin_seq = self.sendbuf.end();
-            self.fin_sent = true;
+        if self.snd.fin_due() {
+            self.snd.fin_sent = true;
             out.push(self.make_fin(now, false));
             self.state = match self.state {
                 TcpState::CloseWait => TcpState::LastAck,
@@ -1233,15 +943,45 @@ impl Tcb {
         if persisting && self.has_outstanding() {
             // the first segment to leave an open window gets a fresh
             // RTO, not what remains of the persist interval
-            self.rto_deadline = None;
+            self.snd.rto_deadline = None;
         }
-        if (self.has_outstanding() || self.window_blocked()) && self.rto_deadline.is_none() {
-            self.arm_rto(now);
+        if (self.has_outstanding() || self.window_blocked()) && self.snd.rto_deadline.is_none() {
+            self.snd.arm_rto(now);
         }
     }
 
     // ----- segment builders -------------------------------------------
 
+    /// The one segment constructor: acknowledges RCV.NXT (noting it as
+    /// Last.ACK.sent), advertises the receive window and carries
+    /// timestamps when negotiated. Callers override the rest.
+    fn segment(
+        &mut self,
+        seq: SeqNum,
+        flags: TcpFlags,
+        kind: PacketKind,
+        now: SimTime,
+    ) -> SegmentOut {
+        self.rcv.last_ack_sent = self.rcv.nxt;
+        SegmentOut {
+            seq,
+            ack: self.rcv.nxt,
+            flags,
+            window: self.rcv.window(),
+            options: TcpOptions {
+                mss: None,
+                window_scale: None,
+                timestamps: self.ts_on.then(|| (ts_now(now), self.rcv.ts_recent)),
+            },
+            payload: SegPayload::Empty,
+            kind,
+            is_retransmit: false,
+            ect: false,
+        }
+    }
+
+    /// Our SYN or SYN-ACK. A SYN is sent before anything is received,
+    /// so it acknowledges RCV.NXT's initial 0.
     fn make_syn(
         &mut self,
         cfg: &NetConfig,
@@ -1255,44 +995,23 @@ impl Tcb {
         // the initiator did).
         let options = TcpOptions {
             mss: Some(cfg.max_tcp_payload().min(usize::from(u16::MAX)) as u16),
-            window_scale: (!is_syn_ack || self.ws_negotiated).then_some(self.rcv_wscale),
-            timestamps: (!is_syn_ack || self.ts_on).then(|| (ts_now(now), self.ts_recent)),
+            window_scale: (!is_syn_ack || self.ws_negotiated).then_some(self.rcv.wscale),
+            timestamps: (!is_syn_ack || self.ts_on).then(|| (ts_now(now), self.rcv.ts_recent)),
         };
         let mut flags = if is_syn_ack { TcpFlags::SYN_ACK } else { TcpFlags::SYN };
         if is_syn_ack {
             flags.ece = self.ecn_on; // confirm (RFC 3168)
-            self.last_ack_sent = self.rcv_nxt;
         } else if cfg.ecn {
             flags.ece = true; // offer
             flags.cwr = true;
         }
-        SegmentOut {
-            seq: self.iss,
-            ack: if is_syn_ack { self.rcv_nxt } else { SeqNum(0) },
-            flags,
-            window: self.advertised_window(),
-            options,
-            payload: SegPayload::Empty,
-            kind: PacketKind::TcpControl,
-            is_retransmit,
-            ect: false,
-        }
+        let syn = self.segment(self.snd.iss, flags, PacketKind::TcpControl, now);
+        SegmentOut { options, is_retransmit, ..syn }
     }
 
     fn make_ack(&mut self, now: SimTime, kind: PacketKind) -> SegmentOut {
-        let flags = TcpFlags { ece: self.ecn_on && self.ece_pending, ..TcpFlags::ACK };
-        self.last_ack_sent = self.rcv_nxt;
-        SegmentOut {
-            seq: self.sendbuf.nxt() + u32::from(self.fin_sent),
-            ack: self.rcv_nxt,
-            flags,
-            window: self.advertised_window(),
-            options: self.data_options(now),
-            payload: SegPayload::Empty,
-            kind,
-            is_retransmit: false,
-            ect: false,
-        }
+        let flags = TcpFlags { ece: self.ece(), ..TcpFlags::ACK };
+        self.segment(self.snd.sendbuf.nxt() + u32::from(self.snd.fin_sent), flags, kind, now)
     }
 
     fn make_data_segment(
@@ -1301,83 +1020,309 @@ impl Tcb {
         now: SimTime,
         is_retransmit: bool,
     ) -> SegmentOut {
-        let cwr = self.ecn_on && self.cwr_due;
-        if cwr {
-            self.cwr_due = false;
-        }
-        self.last_ack_sent = self.rcv_nxt;
+        let cwr = self.ecn_on && std::mem::take(&mut self.snd.cwr_due);
+        let flags = TcpFlags { ack: true, psh: seg.psh, ece: self.ece(), cwr, ..TcpFlags::NONE };
         SegmentOut {
-            seq: seg.seq,
-            ack: self.rcv_nxt,
-            flags: TcpFlags {
-                ack: true,
-                psh: seg.psh,
-                ece: self.ecn_on && self.ece_pending,
-                cwr,
-                ..TcpFlags::NONE
-            },
-            window: self.advertised_window(),
-            options: self.data_options(now),
             payload: SegPayload::Buffered(seg.len),
-            kind: PacketKind::TcpData,
             is_retransmit,
             // retransmissions are not ECT (RFC 3168 §6.1.5)
             ect: self.ecn_on && !is_retransmit,
+            ..self.segment(seg.seq, flags, PacketKind::TcpData, now)
         }
     }
 
     fn make_fin(&mut self, now: SimTime, is_retransmit: bool) -> SegmentOut {
-        self.last_ack_sent = self.rcv_nxt;
-        SegmentOut {
-            seq: self.fin_seq,
-            ack: self.rcv_nxt,
-            flags: TcpFlags { fin: true, ack: true, ..TcpFlags::NONE },
-            window: self.advertised_window(),
-            options: self.data_options(now),
-            payload: SegPayload::Empty,
-            kind: PacketKind::TcpControl,
-            is_retransmit,
-            ect: false,
-        }
+        let flags = TcpFlags { fin: true, ack: true, ..TcpFlags::NONE };
+        let fin = self.segment(self.snd.fin_seq(), flags, PacketKind::TcpControl, now);
+        SegmentOut { is_retransmit, ..fin }
     }
 
-    fn data_options(&self, now: SimTime) -> TcpOptions {
-        TcpOptions {
-            mss: None,
-            window_scale: None,
-            timestamps: self.ts_on.then(|| (ts_now(now), self.ts_recent)),
-        }
+    /// Whether our ACKs echo ECN-Echo.
+    fn ece(&self) -> bool {
+        self.ecn_on && self.rcv.ece_pending
     }
 
     // ----- helpers -----------------------------------------------------
 
-    fn absorb_syn_options(&mut self, syn: &TcpHeader) {
+    /// Takes in the options and initial window of the peer's SYN (or
+    /// SYN-ACK).
+    fn absorb_syn(&mut self, syn: &TcpHeader) {
+        self.snd.on_syn(syn);
+        self.rcv.on_syn(syn);
+        self.ws_negotiated = syn.options.window_scale.is_some();
+        self.ts_on = syn.options.timestamps.is_some();
+    }
+
+    /// Counts one retransmission in both tallies the oracle compares.
+    fn count_retransmit(&mut self, fast: bool) {
+        self.retransmit_count += 1;
+        let c = &mut self.counters;
+        *(if fast { &mut c.fast_retransmits } else { &mut c.rto_retransmits }) += 1;
+    }
+
+    fn enter_time_wait(&mut self, now: SimTime) {
+        self.state = TcpState::TimeWait;
+        self.snd.rto_deadline = None;
+        self.rcv.delack_deadline = None;
+        self.timewait_deadline = Some(now + TIME_WAIT_DURATION);
+    }
+
+    /// Moves to CLOSED, disarming every timer, and reports `event`.
+    fn close_with(&mut self, event: TcbEvent, events: &mut Vec<TcbEvent>) {
+        self.state = TcpState::Closed;
+        self.clear_timers();
+        events.push(event);
+    }
+
+    fn clear_timers(&mut self) {
+        self.snd.rto_deadline = None;
+        self.rcv.delack_deadline = None;
+        self.timewait_deadline = None;
+    }
+}
+
+impl Sender {
+    fn new(cfg: &NetConfig, iss: SeqNum) -> Sender {
+        Sender {
+            iss,
+            sendbuf: SendBuffer::new(cfg.segmentation, iss + 1),
+            wnd: 0,
+            wl1: SeqNum(0),
+            wl2: SeqNum(0),
+            wscale: 0,
+            peer_mss: 536,
+            congestion: Congestion::new(cfg.max_tcp_payload(), cfg.initial_cwnd_segments),
+            rtt: RttEstimator::new(cfg.min_rto),
+            retries: 0,
+            timed_seq: None,
+            rto_episode: None,
+            rto_deadline: None,
+            fin_queued: false,
+            fin_sent: false,
+            fin_is_acked: false,
+            cwr_due: false,
+            ecn_reduced_at: iss,
+        }
+    }
+
+    /// Takes in the peer's MSS, window scale and (unscaled) SYN window.
+    fn on_syn(&mut self, syn: &TcpHeader) {
         if let Some(mss) = syn.options.mss {
             self.peer_mss = usize::from(mss);
         }
-        self.ws_negotiated = syn.options.window_scale.is_some();
-        self.snd_wscale = match syn.options.window_scale {
-            Some(ws) => ws.min(14),
-            None => {
-                self.rcv_wscale = 0;
-                0
-            }
-        };
-        self.ts_on = syn.options.timestamps.is_some();
-        if let Some((tsval, _)) = syn.options.timestamps {
-            self.ts_recent = tsval;
+        self.wscale = syn.options.window_scale.map_or(0, |ws| ws.min(14));
+        self.wnd = u64::from(syn.window);
+        self.wl1 = syn.seq;
+        self.wl2 = SeqNum(0);
+    }
+
+    /// Our FIN's sequence number: the one after the last data byte.
+    fn fin_seq(&self) -> SeqNum {
+        self.sendbuf.end()
+    }
+
+    /// SND.MAX: one past the highest sequence number sent, our FIN's
+    /// included.
+    fn max(&self) -> SeqNum {
+        if self.fin_sent {
+            self.fin_seq() + 1
+        } else {
+            self.sendbuf.max_sent()
         }
-        // SYN windows are never scaled
-        self.snd_wnd = u64::from(syn.window);
-        self.snd_wl1 = syn.seq;
-        self.snd_wl2 = SeqNum(0);
+    }
+
+    fn fin_outstanding(&self) -> bool {
+        self.fin_sent && !self.fin_is_acked
+    }
+
+    /// Unacked data or an unacked FIN.
+    fn has_outstanding(&self) -> bool {
+        self.sendbuf.bytes_in_flight() > 0 || self.fin_outstanding()
+    }
+
+    /// Whether an acceptable `ack` advances SND.UNA, over data or our
+    /// FIN.
+    fn advances(&self, ack: SeqNum) -> bool {
+        self.sendbuf.una().lt(ack)
+            && (ack.le(self.sendbuf.end()) || (self.fin_outstanding() && ack == self.fin_seq() + 1))
+    }
+
+    /// The ACK of our SYN or SYN-ACK: the handshake's retransmissions
+    /// are over.
+    fn on_handshake_ack(&mut self, hdr: &TcpHeader, counters: &mut TcpCounters) {
+        self.eifel_check(hdr, counters);
+        self.retries = 0;
+        self.rto_deadline = None;
+    }
+
+    /// ECN-Echo: reduce once per window (RFC 3168 §6.1.2).
+    fn on_ece(&mut self, ack: SeqNum, counters: &mut TcpCounters) {
+        if self.ecn_reduced_at.lt(ack) {
+            self.congestion.on_ecn();
+            self.cwr_due = true;
+            counters.ecn_reductions += 1;
+            self.ecn_reduced_at = self.sendbuf.nxt();
+        }
+    }
+
+    /// Applies an ACK that advances SND.UNA: judges and ends the RTO
+    /// episode, samples the RTT, releases the acknowledged send units
+    /// (reporting each as [`TcbEvent::SendComplete`]), opens the
+    /// congestion window and restarts or clears the retransmission
+    /// timer (`try_output` re-arms it as a persist timer if the window
+    /// blocks). Returns whether it acknowledged our FIN.
+    fn on_new_ack(
+        &mut self,
+        cfg: &NetConfig,
+        hdr: &TcpHeader,
+        ts_on: bool,
+        now: SimTime,
+        out: &mut TcbOutput,
+        counters: &mut TcpCounters,
+    ) -> bool {
+        let spurious = self.eifel_check(hdr, counters);
+        self.sample_rtt(hdr, ts_on, now, &mut out.ops);
+        let acked = u64::from(hdr.ack - self.sendbuf.una());
+        let fin_acked = self.fin_sent && hdr.ack == self.fin_seq() + 1;
+        // An ACK covering our FIN points one past the last data byte;
+        // clamp it so the send buffer still marks all data acked.
+        let data_ack = if fin_acked { self.fin_seq() } else { hdr.ack };
+        self.sendbuf.on_ack(data_ack, |token| out.events.push(TcbEvent::SendComplete(token)));
+        self.congestion.on_ack(acked, &mut out.ops);
+        if let Some(episode) = spurious {
+            self.eifel_respond(cfg, episode, hdr.flags.ece, acked);
+        }
+        self.retries = 0;
+        self.fin_is_acked |= fin_acked;
+        if self.has_outstanding() {
+            self.arm_rto(now);
+        } else {
+            self.rto_deadline = None;
+        }
+        fin_acked
+    }
+
+    /// RTT sampling: timestamps give an unambiguous echo (Karn's rule
+    /// satisfied by construction); otherwise use the timed segment if
+    /// it was not retransmitted.
+    fn sample_rtt(&mut self, hdr: &TcpHeader, ts_on: bool, now: SimTime, ops: &mut OpCounters) {
+        if ts_on {
+            if let Some((_, tsecr)) = hdr.options.timestamps {
+                let sample_us = ts_now(now).wrapping_sub(tsecr);
+                if tsecr != 0 && sample_us < 60_000_000 {
+                    let sent = SimTime::from_picos(
+                        now.as_picos().saturating_sub(u64::from(sample_us) * 1_000_000),
+                    );
+                    self.rtt.sample(sent, now, ops);
+                }
+            }
+        } else if let Some((seq, sent)) = self.timed_seq {
+            if seq.lt(hdr.ack) {
+                self.rtt.sample(sent, now, ops);
+                self.timed_seq = None;
+            }
+        }
+    }
+
+    /// A duplicate ACK: marks the open RTO episode and, on the third,
+    /// returns the segment to fast-retransmit.
+    fn on_dup_ack(&mut self, cfg: &NetConfig) -> Option<SegmentData> {
+        if let Some(episode) = &mut self.rto_episode {
+            episode.dupack_seen = true;
+        }
+        if !self.congestion.on_dup_ack() {
+            return None;
+        }
+        self.sendbuf.retransmit_front(self.max_payload(cfg))
+    }
+
+    /// Takes the window an ACK advertises, unless an older segment than
+    /// the one that last updated it carries it (RFC 793 SND.WL1/WL2).
+    fn update_window(&mut self, hdr: &TcpHeader, counters: &mut TcpCounters) {
+        if self.wl1.lt(hdr.seq) || (self.wl1 == hdr.seq && self.wl2.le(hdr.ack)) {
+            let before = self.wnd;
+            self.wnd = u64::from(hdr.window) << self.wscale;
+            self.wl1 = hdr.seq;
+            self.wl2 = hdr.ack;
+            if self.wnd == 0 && before != 0 {
+                counters.zero_window_events += 1;
+            }
+        }
+    }
+
+    /// The next segment of new data the congestion and peer windows
+    /// allow, timed for an RTT sample when timestamps are off.
+    fn next_segment(
+        &mut self,
+        cfg: &NetConfig,
+        ts_on: bool,
+        now: SimTime,
+        counters: &mut TcpCounters,
+    ) -> Option<SegmentData> {
+        let in_flight = self.sendbuf.bytes_in_flight();
+        let wnd = self.wnd.min(self.congestion.cwnd()).saturating_sub(in_flight);
+        let snd_max = self.sendbuf.max_sent();
+        let seg = self.sendbuf.next_segment(self.max_payload(cfg), wnd)?;
+        if seg.seq.lt(snd_max) {
+            counters.gobackn_resends += 1;
+        }
+        if !ts_on && self.timed_seq.is_none() {
+            self.timed_seq = Some((seg.seq, now));
+        }
+        Some(seg)
+    }
+
+    /// Whether our FIN goes out now: the application closed and all its
+    /// data has been handed to the wire.
+    fn fin_due(&self) -> bool {
+        self.fin_queued && !self.fin_sent && self.sendbuf.bytes_unsent() == 0
+    }
+
+    /// The retransmission timer expired: counts the retry and backs the
+    /// RTO off. `false` once the retries are exhausted.
+    fn back_off(&mut self, ops: &mut OpCounters) -> bool {
+        self.retries += 1;
+        if self.retries > MAX_RETRIES {
+            return false;
+        }
+        self.rtt.backoff();
+        ops.muls += 1; // backoff shift/clamp arithmetic
+        true
+    }
+
+    /// An RTO in its retransmission role: collapses the congestion
+    /// window and returns the episode it would open, with RFC 4015's
+    /// `pipe_prev` for data and the duplicate ACKs since SND.UNA last
+    /// advanced, both read before the collapse clears them.
+    fn on_timeout(&mut self) -> RtoEpisode {
+        let flight = self.sendbuf.bytes_in_flight();
+        let pipe_prev = if flight > 0 { flight.max(self.congestion.ssthresh()) } else { 0 };
+        let dupack_seen = self.congestion.dup_acks() > 0;
+        self.congestion.on_timeout();
+        RtoEpisode { retransmit_ts: None, pipe_prev, dupack_seen }
+    }
+
+    /// Go-back-N from SND.UNA: the first segment to resend.
+    fn rewind(&mut self, cfg: &NetConfig) -> Option<SegmentData> {
+        self.sendbuf.rewind_to_una();
+        // Karn: do not time retransmitted data
+        self.timed_seq = None;
+        self.sendbuf.next_segment(self.max_payload(cfg), u64::MAX)
+    }
+
+    /// Opens an RTO episode unless one is open already.
+    fn open_episode(&mut self, episode: RtoEpisode, counters: &mut TcpCounters) {
+        if self.rto_episode.is_none() {
+            counters.rto_episodes += 1;
+            self.rto_episode = Some(episode);
+        }
     }
 
     /// SND.UNA advanced: any RTO episode is over. Eifel detection (RFC
     /// 3522 §3.2) judges it on this first advancing ACK: an echoed TSval
     /// older than the retransmission's can only come from the original,
     /// so the timeout was spurious. Returns the episode when it was.
-    fn eifel_check(&mut self, hdr: &TcpHeader) -> Option<RtoEpisode> {
+    fn eifel_check(&mut self, hdr: &TcpHeader, counters: &mut TcpCounters) -> Option<RtoEpisode> {
         let episode = self.rto_episode.take()?;
         let (Some(retx_ts), Some((_, tsecr))) = (episode.retransmit_ts, hdr.options.timestamps)
         else {
@@ -1385,7 +1330,7 @@ impl Tcb {
         };
         // serial-number comparison: the 32-bit clock wraps
         let spurious = (tsecr.wrapping_sub(retx_ts) as i32) < 0;
-        self.counters.spurious_rtos += u64::from(spurious);
+        counters.spurious_rtos += u64::from(spurious);
         spurious.then_some(episode)
     }
 
@@ -1413,27 +1358,6 @@ impl Tcb {
         }
     }
 
-    fn update_snd_wnd(&mut self, hdr: &TcpHeader) {
-        if self.snd_wl1.lt(hdr.seq) || (self.snd_wl1 == hdr.seq && self.snd_wl2.le(hdr.ack)) {
-            let before = self.snd_wnd;
-            self.snd_wnd = u64::from(hdr.window) << self.snd_wscale;
-            self.snd_wl1 = hdr.seq;
-            self.snd_wl2 = hdr.ack;
-            if self.snd_wnd == 0 && before != 0 {
-                self.counters.zero_window_events += 1;
-            }
-        }
-    }
-
-    fn usable_window(&self, in_flight: u64) -> u64 {
-        self.snd_wnd.min(self.congestion.cwnd()).saturating_sub(in_flight)
-    }
-
-    fn advertised_window(&self) -> u16 {
-        let w = self.rcv_space >> self.rcv_wscale;
-        w.min(u64::from(u16::MAX)) as u16
-    }
-
     fn max_payload(&self, cfg: &NetConfig) -> usize {
         match cfg.segmentation {
             SegmentationPolicy::MessagePerSegment => cfg.max_tcp_payload(),
@@ -1441,27 +1365,112 @@ impl Tcb {
         }
     }
 
-    fn fin_acked(&self, una: SeqNum) -> bool {
-        // The latch is authoritative; the una comparison can never fire
-        // (una stops at the last data byte) but keeps the definition
-        // aligned with RFC 793's SND.UNA reading.
-        self.fin_is_acked || (self.fin_sent && self.fin_seq.lt(una))
-    }
-
     fn arm_rto(&mut self, now: SimTime) {
         self.rto_deadline = Some(now + self.rtt.rto());
     }
+}
 
-    fn enter_time_wait(&mut self, now: SimTime) {
-        self.rto_deadline = None;
-        self.delack_deadline = None;
-        self.timewait_deadline = Some(now + TIME_WAIT_DURATION);
+impl Receiver {
+    fn new(space: u64) -> Receiver {
+        Receiver {
+            nxt: SeqNum(0),
+            space,
+            wscale: wscale_for(space),
+            fin_rcvd: false,
+            segs_unacked: 0,
+            delack_deadline: None,
+            ts_recent: 0,
+            last_ack_sent: SeqNum(0),
+            ece_pending: false,
+        }
     }
 
-    fn clear_timers(&mut self) {
-        self.rto_deadline = None;
+    /// Synchronizes on the peer's SYN (or SYN-ACK): RCV.NXT follows it,
+    /// our window goes unscaled unless the peer offered scaling, and its
+    /// TSval is the first to echo.
+    fn on_syn(&mut self, syn: &TcpHeader) {
+        self.nxt = syn.seq + 1;
+        if syn.options.window_scale.is_none() {
+            self.wscale = 0;
+        }
+        if let Some((tsval, _)) = syn.options.timestamps {
+            self.ts_recent = tsval;
+        }
+    }
+
+    /// TS.Recent maintenance (RFC 7323 §4.3): a newer TSval on a segment
+    /// that starts at or before the last ACK we sent, so a delayed ACK
+    /// echoes the earliest segment it acknowledges.
+    fn note_tsval(&mut self, hdr: &TcpHeader) {
+        if let Some((tsval, _)) = hdr.options.timestamps {
+            // serial-number comparison: the 32-bit clock wraps
+            if tsval.wrapping_sub(self.ts_recent) as i32 >= 0 && hdr.seq.le(self.last_ack_sent) {
+                self.ts_recent = tsval;
+            }
+        }
+    }
+
+    /// Classifies `len` payload bytes at `seq`, accepting them when in
+    /// order and applying the ACK policy to them.
+    fn on_payload(&mut self, policy: AckPolicy, seq: SeqNum, len: usize, now: SimTime) -> Arrival {
+        let end = seq + len as u32;
+        if end.le(self.nxt) {
+            return Arrival::Duplicate;
+        }
+        if self.nxt.lt(seq) {
+            return Arrival::OutOfOrder;
+        }
+        // trim any already-received prefix
+        let new = (self.nxt - seq) as usize..len;
+        self.nxt = end;
+        let ack_due = match policy {
+            AckPolicy::Immediate => true,
+            AckPolicy::Delayed(timeout) => {
+                self.segs_unacked += 1;
+                if self.segs_unacked < 2 {
+                    self.delack_deadline = Some(now + timeout);
+                }
+                self.segs_unacked >= 2
+            }
+        };
+        if ack_due {
+            self.acked();
+        }
+        Arrival::InOrder { new, ack_due }
+    }
+
+    /// Consumes the peer's FIN if it is next in sequence after a
+    /// segment ending at `end`; its ACK goes out at once.
+    fn on_fin(&mut self, end: SeqNum) -> bool {
+        if end != self.nxt || self.fin_rcvd {
+            return false;
+        }
+        self.nxt += 1;
+        self.fin_rcvd = true;
+        self.acked();
+        true
+    }
+
+    /// Whether the delayed-ACK timer is due at `now`; settles it when
+    /// it is.
+    fn delack_due(&mut self, now: SimTime) -> bool {
+        let due = self.delack_deadline.is_some_and(|dl| dl <= now);
+        if due {
+            self.acked();
+        }
+        due
+    }
+
+    /// An ACK of RCV.NXT is going out: nothing is owed any more.
+    fn acked(&mut self) {
+        self.segs_unacked = 0;
         self.delack_deadline = None;
-        self.timewait_deadline = None;
+    }
+
+    /// The window field we advertise: the posted space, scaled down.
+    fn window(&self) -> u16 {
+        let w = self.space >> self.wscale;
+        w.min(u64::from(u16::MAX)) as u16
     }
 }
 

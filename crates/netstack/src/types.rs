@@ -287,44 +287,16 @@ pub enum Emit {
     },
 }
 
-/// Counters of the arithmetic and data-touching work a protocol
-/// operation performed; the NIC/host cost models convert these to cycles.
+/// The multiplies and divides a protocol operation performed. The
+/// LANai has no hardware multiply (§4.2.2), so the NIC cost model
+/// charges each one in software.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounters {
-    /// 32-bit multiply/divide operations (expensive on the LANai, which
-    /// has no hardware multiply — §4.2.2).
+    /// 32-bit multiply/divide operations.
     pub muls: u64,
-    /// Bytes run through the internet checksum.
-    pub csum_bytes: u64,
-    /// Transport/IP headers built.
-    pub headers_built: u64,
-    /// Transport/IP headers parsed.
-    pub headers_parsed: u64,
-    /// RTT estimator updates performed.
-    pub rtt_updates: u64,
-    /// Header-prediction fast-path hits on receive.
-    pub fast_path_hits: u64,
-    /// Receive segments that took the slow path.
-    pub slow_path_hits: u64,
 }
 
 impl OpCounters {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        OpCounters::default()
-    }
-
-    /// Adds another counter set into this one.
-    pub fn absorb(&mut self, other: OpCounters) {
-        self.muls += other.muls;
-        self.csum_bytes += other.csum_bytes;
-        self.headers_built += other.headers_built;
-        self.headers_parsed += other.headers_parsed;
-        self.rtt_updates += other.rtt_updates;
-        self.fast_path_hits += other.fast_path_hits;
-        self.slow_path_hits += other.slow_path_hits;
-    }
-
     /// Returns the counters and resets them to zero.
     pub fn take(&mut self) -> OpCounters {
         std::mem::take(self)
@@ -353,18 +325,5 @@ mod tests {
         let c = NetConfig::host(1500);
         assert_eq!(c.max_tcp_payload(), 1500 - 40 - 32);
         assert_eq!(c.max_udp_payload(), 1500 - 48);
-    }
-
-    #[test]
-    fn op_counters_absorb_and_take() {
-        let mut a = OpCounters { muls: 2, csum_bytes: 10, ..OpCounters::new() };
-        let b = OpCounters { muls: 3, headers_built: 1, ..OpCounters::new() };
-        a.absorb(b);
-        assert_eq!(a.muls, 5);
-        assert_eq!(a.csum_bytes, 10);
-        assert_eq!(a.headers_built, 1);
-        let taken = a.take();
-        assert_eq!(taken.muls, 5);
-        assert_eq!(a, OpCounters::new());
     }
 }

@@ -355,9 +355,7 @@ fn ops_counters_accumulate_and_reset() {
     w.absorb(true, emits);
     w.run();
     let ops = w.a.take_ops();
-    assert!(ops.headers_built >= 2);
-    assert!(ops.csum_bytes > 100);
-    assert!(ops.rtt_updates >= 1, "ack sampled rtt");
+    assert!(ops.muls >= 6, "the ACK's RTT sample multiplies");
     let ops2 = w.a.take_ops();
     assert_eq!(ops2.muls, 0, "take resets");
 }

@@ -464,7 +464,6 @@ impl<M: CostModel> QpipNic<M> {
             return Err(NicError::InvalidState("UDP send WR without destination"));
         };
         let emit = self.engine.udp_send(port, dst, &wr.payload)?;
-        let _ = self.engine.take_ops();
         let Emit::Packet(pkt) = emit else { unreachable!("udp_send emits a packet") };
         let done = self.emit_one(t, pkt, TxOrigin::PostedWr, out);
         // UDP send WRs complete as soon as the message is sent (§3)
@@ -513,7 +512,6 @@ impl<M: CostModel> QpipNic<M> {
                 if posted.announce {
                     let _ = self.engine.announce_window(t, conn, emits);
                 }
-                let _ = self.engine.take_ops();
                 self.process_emits(t, emits, out);
             });
         }
@@ -653,8 +651,6 @@ impl<M: CostModel> QpipNic<M> {
             self.engine
                 .tcp_send(t, conn, msg, token, emits)
                 .inspect_err(|_| self.qps.cancel_token(token))?;
-            let ops = self.engine.take_ops();
-            let t = self.charge_muls(t, ops.muls, PacketClass::DataSend);
             self.process_emits_from(t, emits, TxOrigin::PostedWr, &[], out);
             Ok(())
         })
@@ -746,7 +742,6 @@ impl<M: CostModel> QpipNic<M> {
                 // appended to
                 with_emit_buffer(|emits| match self.engine.tcp_send(t, conn, msg, token, emits) {
                     Ok(()) => {
-                        let _ = self.engine.take_ops();
                         self.process_emits_from(t, emits, TxOrigin::Deferred, &[], outputs);
                         t
                     }
@@ -1024,7 +1019,6 @@ impl<M: CostModel> QpipNic<M> {
                 let _ = self.engine.set_recv_space(conn, window);
                 with_emit_buffer(|emits| {
                     let _ = self.engine.announce_window(t, conn, emits);
-                    let _ = self.engine.take_ops();
                     self.process_emits(t, emits, outputs);
                 });
                 t

@@ -339,9 +339,9 @@ pub struct ConnSummary {
     /// Retransmissions triggered by duplicate ACKs.
     pub fast_retransmits: u64,
     /// Duplicate ACKs received.
-    pub dupacks: u64,
+    pub dupacks_rx: u64,
     /// Zero-window transitions observed.
-    pub zero_windows: u64,
+    pub zero_window_events: u64,
     /// RTT samples folded into the estimator.
     pub rtt_samples: u64,
     /// Minimum sampled RTT, microseconds (0 when no samples).
@@ -400,8 +400,8 @@ pub fn summarize(events: &[Rec]) -> Vec<ConnSummary> {
                     acc.s.rto_retransmits += 1;
                 }
             }
-            TraceEvent::DupAck { .. } => acc.s.dupacks += 1,
-            TraceEvent::ZeroWindow => acc.s.zero_windows += 1,
+            TraceEvent::DupAck { .. } => acc.s.dupacks_rx += 1,
+            TraceEvent::ZeroWindow => acc.s.zero_window_events += 1,
             TraceEvent::RttSample { rtt_us, .. } => acc.rtts.push(rtt_us),
             TraceEvent::TcpState { from, to } => {
                 let since = if acc.cur_state.is_some() { acc.state_since } else { acc.first_t };
@@ -458,8 +458,8 @@ pub fn render_summary(summaries: &[ConnSummary]) -> String {
             s.rto_retransmits + s.fast_retransmits,
             s.rto_retransmits,
             s.fast_retransmits,
-            s.dupacks,
-            s.zero_windows
+            s.dupacks_rx,
+            s.zero_window_events
         ));
         if s.rtt_samples > 0 {
             out.push_str(&format!(

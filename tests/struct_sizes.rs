@@ -21,12 +21,12 @@ fn tcb_does_not_grow() {
 
 #[test]
 fn qpip_nic_does_not_grow() {
-    assert!(size_of::<QpipNic>() <= 1160, "QpipNic is {} B", size_of::<QpipNic>());
+    assert!(size_of::<QpipNic>() <= 1112, "QpipNic is {} B", size_of::<QpipNic>());
 }
 
 #[test]
 fn qpip_node_does_not_grow() {
-    assert!(size_of::<QpipNode>() <= 1288, "QpipNode is {} B", size_of::<QpipNode>());
+    assert!(size_of::<QpipNode>() <= 1240, "QpipNode is {} B", size_of::<QpipNode>());
 }
 
 #[test]
