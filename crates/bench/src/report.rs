@@ -34,7 +34,11 @@ use crate::workloads::ttcp::TtcpResult;
 ///
 /// v6: `<scenario>_engine` gains `ooo_drops` and `ecn_reductions`, the
 /// two TCP counters it did not report before.
-pub const SCHEMA_VERSION: u32 = 6;
+///
+/// v7: `<scenario>_xport` and `<scenario>_receiver_xport` gain
+/// `empty_reads` and `sockopt_calls`, so every socket call is counted:
+/// reads that returned data are `datagrams_rx`, sends `datagrams_tx`.
+pub const SCHEMA_VERSION: u32 = 7;
 
 /// A simple fixed-width table printer.
 #[derive(Debug, Default)]
@@ -131,7 +135,7 @@ impl Checks {
 ///
 /// ```json
 /// {
-///   "schema_version": 5,
+///   "schema_version": 7,
 ///   "rtt": {"rounds": 200, "payload": 64, "mean_us": 90.0, "p50_us": 85.0,
 ///           "p99_us": 140.0, "p999_us": 210.0},
 ///   "streams": [

@@ -306,15 +306,6 @@ impl<M: CostModel> QpipNic<M> {
         self.qps.create_cq()
     }
 
-    /// Checks that `cq` exists, without touching it.
-    ///
-    /// # Errors
-    ///
-    /// [`NicError::UnknownCq`] for id 0 or an id never created.
-    pub fn check_cq(&self, cq: CqId) -> Result<(), NicError> {
-        self.qps.check_cq(cq)
-    }
-
     /// The oldest entry of `cq`, left in place; `None` when the CQ is
     /// empty or unknown. It may not be visible yet: check
     /// [`Completion::visible_at`].

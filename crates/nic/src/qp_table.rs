@@ -246,15 +246,6 @@ impl QpTable {
         self.cqs.get((cq.0 as usize).wrapping_sub(1))
     }
 
-    /// Checks that `cq` exists, without touching it.
-    ///
-    /// # Errors
-    ///
-    /// [`NicError::UnknownCq`] for id 0 or an id never created.
-    pub fn check_cq(&self, cq: CqId) -> Result<(), NicError> {
-        self.cq(cq).map(drop).ok_or(NicError::UnknownCq(cq))
-    }
-
     fn cq_mut(&mut self, cq: CqId) -> Result<&mut VecDeque<Completion>, NicError> {
         self.cqs.get_mut((cq.0 as usize).wrapping_sub(1)).ok_or(NicError::UnknownCq(cq))
     }

@@ -46,6 +46,8 @@ fn snapshot_keys_are_pinned() {
     let xport = vec![
         "datagrams_rx",
         "datagrams_tx",
+        "empty_reads",
+        "sockopt_calls",
         "unroutable_drops",
         "udp_no_wr_drops",
         "tcp_backlogged",
