@@ -13,6 +13,14 @@
 //!   writes into the client's registered buffer (the idiom NFS/RDMA and
 //!   iSER later built on iWARP, of which QPIP is a precursor).
 //!
+//! The drivers share the block layer in [`result`]: one phase that
+//! owns the block queue (how many requests are sent and done, the next
+//! request while the queue depth allows it) and meters the client, and
+//! one rule for what filesystem and server work cost in CPU cycles. The
+//! two QP reads are one loop: a read request that carries the client's
+//! region key and a slot is answered with RDMA writes into that slot
+//! plus a short reply, any other with data messages.
+//!
 //! The content-checked session, whose server keeps every written byte
 //! and whose driver reads it back, is written once over the two-node
 //! verbs seam in `qpip-bench` (`workloads::nbd`), so the same block
@@ -32,5 +40,4 @@ pub mod rdma_impl;
 pub mod result;
 pub mod socket_impl;
 
-pub use qpip_impl::NbdConfig;
-pub use result::{NbdResult, PhaseResult};
+pub use result::{NbdConfig, NbdResult, PhaseResult};

@@ -7,54 +7,54 @@
 //! calls and OS specific wrappers" (§4.2.3). Block requests are carried
 //! as one header message plus MTU-sized data messages (9000-byte MTU,
 //! per the paper's NBD configuration).
+//!
+//! The read loop here is also the one [`rdma_impl`](crate::rdma_impl)
+//! runs: a read request that names a slot in the client's registered
+//! region is answered with RDMA writes into it, any other with data
+//! messages.
 
 use qpip::world::QpipWorld;
-use qpip::{CompletionKind, NicConfig, NodeIdx, RecvWr, SendWr, ServiceType};
+use qpip::{
+    CompletionKind, CqId, MrKey, NicConfig, NodeIdx, QpId, RdmaWriteWr, RecvWr, SendWr, ServiceType,
+};
 use qpip_netstack::types::Endpoint;
 use qpip_sim::params;
 
 use crate::disk::ServerDisk;
-use crate::proto::{NbdOp, NbdRequest, NBD_PORT};
-use crate::result::{NbdResult, PhaseMeter, PhaseResult};
+use crate::proto::{NbdOp, NbdReply, NbdRequest, NBD_PORT, REQUEST_LEN};
+use crate::result::{fs_cycles, serve_cycles, NbdConfig, NbdResult, Phase, PhaseResult};
 
-/// Benchmark configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct NbdConfig {
-    /// Total file bytes (the paper uses 409 MB).
-    pub total_bytes: u64,
-    /// Logical block size per request.
-    pub block: usize,
-    /// Outstanding block requests (block-layer queue depth).
-    pub queue_depth: u64,
+/// Largest payload one data message carries at `nic`'s MTU: a TCP
+/// segment's, less the RDMA frame header when the NIC frames RDMA.
+fn data_msg(nic: &NicConfig) -> usize {
+    let frame = if nic.rdma_framing { qpip_nic::rdma::RDMA_FRAME_LEN } else { 0 };
+    qpip_netstack::types::NetConfig::qpip(nic.mtu).max_tcp_payload() - frame
 }
 
-impl Default for NbdConfig {
-    fn default() -> Self {
-        NbdConfig { total_bytes: params::NBD_TRANSFER_BYTES, block: 64 * 1024, queue_depth: 4 }
-    }
-}
-
-/// Largest TCP payload one message carries at `nic`'s MTU.
-pub(crate) fn data_msg(nic: &NicConfig) -> usize {
-    qpip_netstack::types::NetConfig::qpip(nic.mtu).max_tcp_payload()
+/// Where a read request asks its data to be placed: the client's
+/// region and the offset of the block's slot in it, after the header.
+fn placement(tail: &[u8]) -> Option<(MrKey, u64)> {
+    let (rkey, slot) = tail.split_first_chunk::<4>()?;
+    Some((MrKey(u32::from_be_bytes(*rkey)), u64::from_be_bytes(slot.try_into().ok()?)))
 }
 
 /// A connected QPIP client/server pair with receive WRs posted on both
-/// sides; [`rdma_impl`](crate::rdma_impl) runs on the same set-up.
+/// sides.
 pub(crate) struct Bench {
     pub(crate) w: QpipWorld,
     pub(crate) client: NodeIdx,
-    pub(crate) server: NodeIdx,
-    pub(crate) cqc: qpip::CqId,
-    pub(crate) cqs: qpip::CqId,
-    pub(crate) qc: qpip::QpId,
-    pub(crate) qs: qpip::QpId,
-    /// Largest TCP payload at the NIC's MTU: one data message.
-    data_msg: usize,
+    server: NodeIdx,
+    cqc: CqId,
+    cqs: CqId,
+    qc: QpId,
+    qs: QpId,
+    /// Largest payload of one data message.
+    pub(crate) data_msg: usize,
     /// Capacity of every receive WR posted.
     recv_cap: usize,
-    pub(crate) disk: ServerDisk,
-    recv_seq: u64,
+    disk: ServerDisk,
+    /// Receive WRs posted so far, on either side.
+    pub(crate) recv_seq: u64,
 }
 
 impl Bench {
@@ -72,19 +72,10 @@ impl Bench {
         let cqs = w.create_cq(server);
         let qc = w.create_qp(client, ServiceType::ReliableTcp, cqc, cqc).expect("client QP");
         let qs = w.create_qp(server, ServiceType::ReliableTcp, cqs, cqs).expect("server QP");
-        let mut b = Bench {
-            w,
-            client,
-            server,
-            cqc,
-            cqs,
-            qc,
-            qs,
-            data_msg: data_msg(&nic),
-            recv_cap,
-            disk: ServerDisk::new(),
-            recv_seq: 0,
-        };
+        let data_msg = data_msg(&nic);
+        let disk = ServerDisk::new();
+        let mut b =
+            Bench { w, client, server, cqc, cqs, qc, qs, data_msg, recv_cap, disk, recv_seq: 0 };
         for _ in 0..recv_wrs {
             b.post_recv(b.server, b.qs);
             b.post_recv(b.client, b.qc);
@@ -97,132 +88,104 @@ impl Bench {
         b
     }
 
-    pub(crate) fn post_recv(&mut self, node: NodeIdx, qp: qpip::QpId) {
+    fn post_recv(&mut self, node: NodeIdx, qp: QpId) {
         self.recv_seq += 1;
         let wr = RecvWr { wr_id: self.recv_seq, capacity: self.recv_cap };
         self.w.post_recv(node, qp, wr).expect("QP exists");
     }
 
-    fn msgs_per_block(&self, block: usize) -> u64 {
-        block.div_ceil(self.data_msg) as u64
+    fn send(&mut self, node: NodeIdx, qp: QpId, wr_id: u64, payload: Vec<u8>) {
+        self.w.post_send(node, qp, SendWr { wr_id, payload, dst: None }).expect("QP takes sends");
     }
 
-    /// Client-side filesystem work for one block (ext2 + block layer).
-    fn charge_fs(&mut self, node: NodeIdx, block: usize) {
-        let cycles = params::NBD_FS_PER_REQUEST_CYCLES
-            + (block as u64 * params::NBD_FS_CYCLES_PER_BYTE_X100) / 100;
-        self.w.charge_app(node, cycles);
+    /// Posts `len` bytes of block data as data messages: sends, or RDMA
+    /// writes from the slot `place` names on.
+    fn post_data(
+        &mut self,
+        node: NodeIdx,
+        qp: QpId,
+        wr_id: u64,
+        len: usize,
+        place: Option<(MrKey, u64)>,
+    ) {
+        let mut off = 0;
+        while off < len {
+            let data = vec![0x5a; (len - off).min(self.data_msg)];
+            let n = data.len();
+            match place {
+                None => self.send(node, qp, wr_id, data),
+                Some((rkey, slot)) => {
+                    let wr = RdmaWriteWr { wr_id, data, rkey, remote_offset: slot + off as u64 };
+                    self.w
+                        .post_rdma_write(node, qp, wr)
+                        .expect("RDMA write to a registered region");
+                }
+            }
+            off += n;
+        }
     }
 
     /// Sequential write phase: client streams blocks, server commits to
     /// the page cache/disk and acknowledges; ends with `sync`.
     fn run_write(&mut self, cfg: NbdConfig) -> PhaseResult {
-        let nblocks = cfg.total_bytes / cfg.block as u64;
-        let msgs = self.msgs_per_block(cfg.block);
-        let meter = PhaseMeter::start(&self.w, self.client);
-        let mut sent = 0u64;
-        let mut done = 0u64;
-        let mut srv_msgs_pending = 0u64; // messages of the in-progress block
-        while done < nblocks {
-            while sent < nblocks && sent - done < cfg.queue_depth {
-                self.charge_fs(self.client, cfg.block);
-                let req = NbdRequest {
-                    op: NbdOp::Write,
-                    handle: sent,
-                    offset: sent * cfg.block as u64,
-                    len: cfg.block as u32,
-                };
-                self.w
-                    .post_send(
-                        self.client,
-                        self.qc,
-                        SendWr { wr_id: sent * 100, payload: req.encode(), dst: None },
-                    )
-                    .unwrap();
-                let mut left = cfg.block;
-                for m in 0..msgs {
-                    let n = left.min(self.data_msg);
-                    left -= n;
-                    self.w
-                        .post_send(
-                            self.client,
-                            self.qc,
-                            SendWr { wr_id: sent * 100 + 1 + m, payload: vec![0x5a; n], dst: None },
-                        )
-                        .unwrap();
-                }
-                sent += 1;
+        let msgs = 1 + cfg.block.div_ceil(self.data_msg) as u64;
+        let mut phase = Phase::start(&self.w, self.client, cfg);
+        let mut srv_msgs = 0u64; // messages of the in-progress block
+        while phase.running() {
+            while let Some(req) = phase.next(NbdOp::Write) {
+                self.w.charge_app(self.client, fs_cycles(cfg.block));
+                self.send(self.client, self.qc, req.handle, req.encode());
+                self.post_data(self.client, self.qc, req.handle, cfg.block, None);
+                phase.sent += 1;
             }
             // server consumes one message at a time; a block is committed
             // when its header + all data messages arrived
             let c = self.w.wait(self.server, self.cqs);
             if matches!(c.kind, CompletionKind::Recv { .. }) {
                 self.post_recv(self.server, self.qs);
-                srv_msgs_pending += 1;
-                if srv_msgs_pending == 1 + msgs {
-                    srv_msgs_pending = 0;
-                    self.w.charge_app(
-                        self.server,
-                        params::NBD_SERVER_PER_REQUEST_CYCLES
-                            + (cfg.block as u64 * params::HOST_COPY_CYCLES_PER_BYTE_X100) / 100,
-                    );
+                srv_msgs += 1;
+                if srv_msgs == msgs {
+                    srv_msgs = 0;
+                    self.w.charge_app(self.server, serve_cycles(cfg.block));
                     let now = self.w.app_time(self.server);
                     self.disk.write(now, cfg.block);
-                    self.w
-                        .post_send(
-                            self.server,
-                            self.qs,
-                            SendWr {
-                                wr_id: done,
-                                payload: crate::proto::NbdReply { error: 0, handle: done }.encode(),
-                                dst: None,
-                            },
-                        )
-                        .unwrap();
+                    let reply = NbdReply { error: 0, handle: phase.done }.encode();
+                    self.send(self.server, self.qs, phase.done, reply);
                 }
             }
             // client reaps replies without spinning
             while let Some(c) = self.w.try_wait(self.client, self.cqc) {
                 if matches!(c.kind, CompletionKind::Recv { .. }) {
                     self.post_recv(self.client, self.qc);
-                    done += 1;
+                    phase.done += 1;
                 }
             }
         }
         // sync: wait for the server's writeback tail
-        let sync_done = self.disk.sync_done();
-        let t1 = self.w.app_time(self.client).max(sync_done);
-        meter.finish(&self.w, nblocks * cfg.block as u64, t1)
+        phase.finish(&self.w, self.w.app_time(self.client).max(self.disk.sync_done()))
     }
 
-    /// Sequential read phase: cache-warm server streams blocks back.
-    fn run_read(&mut self, cfg: NbdConfig) -> PhaseResult {
-        let nblocks = cfg.total_bytes / cfg.block as u64;
-        let msgs = self.msgs_per_block(cfg.block);
-        let meter = PhaseMeter::start(&self.w, self.client);
-        let mut sent = 0u64;
-        let mut done = 0u64;
-        let mut cli_msgs_pending = 0u64;
-        while done < nblocks {
-            while sent < nblocks && sent - done < cfg.queue_depth {
+    /// Sequential read phase: the cache-warm server streams blocks back,
+    /// as data messages, or as RDMA writes into the client's `arena`
+    /// (one block-sized slot per queued request) plus a short reply.
+    pub(crate) fn run_read(&mut self, cfg: NbdConfig, arena: Option<MrKey>) -> PhaseResult {
+        // client receive completions per block
+        let msgs = if arena.is_some() { 1 } else { cfg.block.div_ceil(self.data_msg) as u64 };
+        let mut phase = Phase::start(&self.w, self.client, cfg);
+        let mut cli_msgs = 0u64;
+        while phase.running() {
+            while let Some(req) = phase.next(NbdOp::Read) {
                 // the block layer submits the read request
                 self.w.charge_app(self.client, params::NBD_FS_PER_REQUEST_CYCLES);
-                let req = NbdRequest {
-                    op: NbdOp::Read,
-                    handle: sent,
-                    offset: sent * cfg.block as u64,
-                    len: cfg.block as u32,
-                };
-                self.w
-                    .post_send(
-                        self.client,
-                        self.qc,
-                        SendWr { wr_id: sent, payload: req.encode(), dst: None },
-                    )
-                    .unwrap();
-                sent += 1;
+                let mut payload = req.encode();
+                if let Some(rkey) = arena {
+                    let slot = (req.handle % cfg.queue_depth) * cfg.block as u64;
+                    payload.extend_from_slice(&rkey.0.to_be_bytes());
+                    payload.extend_from_slice(&slot.to_be_bytes());
+                }
+                self.send(self.client, self.qc, req.handle, payload);
+                phase.sent += 1;
             }
-            // server answers each request with the data messages
             if let Some(c) = self.w.try_wait(self.server, self.cqs) {
                 if let CompletionKind::Recv { data, .. } = c.kind {
                     self.post_recv(self.server, self.qs);
@@ -230,27 +193,16 @@ impl Bench {
                     assert_eq!(req.op, NbdOp::Read);
                     let now = self.w.app_time(self.server);
                     self.disk.read(now, req.len as usize);
-                    self.w.charge_app(
-                        self.server,
-                        params::NBD_SERVER_PER_REQUEST_CYCLES
-                            + (u64::from(req.len) * params::HOST_COPY_CYCLES_PER_BYTE_X100) / 100,
-                    );
-                    let mut left = req.len as usize;
-                    for m in 0..msgs {
-                        let n = left.min(self.data_msg);
-                        left -= n;
-                        self.w
-                            .post_send(
-                                self.server,
-                                self.qs,
-                                SendWr {
-                                    wr_id: req.handle * 100 + m,
-                                    payload: vec![0xc3; n],
-                                    dst: None,
-                                },
-                            )
-                            .unwrap();
+                    self.w.charge_app(self.server, serve_cycles(req.len as usize));
+                    let place = placement(&data[REQUEST_LEN..]);
+                    self.post_data(self.server, self.qs, req.handle, req.len as usize, place);
+                    // an RDMA read completes on an ordinary send, which TCP
+                    // orders behind the data it placed
+                    if place.is_some() {
+                        let reply = req.handle.to_be_bytes().to_vec();
+                        self.send(self.server, self.qs, req.handle, reply);
                     }
+                    // a send-receive read has no reply header (ROADMAP item 8)
                 }
                 continue;
             }
@@ -258,15 +210,19 @@ impl Bench {
             let c = self.w.wait(self.client, self.cqc);
             if matches!(c.kind, CompletionKind::Recv { .. }) {
                 self.post_recv(self.client, self.qc);
-                cli_msgs_pending += 1;
-                if cli_msgs_pending == msgs {
-                    cli_msgs_pending = 0;
-                    self.charge_fs(self.client, cfg.block);
-                    done += 1;
+                cli_msgs += 1;
+                if cli_msgs == msgs {
+                    cli_msgs = 0;
+                    let fs = fs_cycles(cfg.block);
+                    // a send-receive read charges the per-request cycles twice (ROADMAP item 8)
+                    let fs =
+                        if arena.is_some() { fs - params::NBD_FS_PER_REQUEST_CYCLES } else { fs };
+                    self.w.charge_app(self.client, fs);
+                    phase.done += 1;
                 }
             }
         }
-        meter.finish(&self.w, nblocks * cfg.block as u64, self.w.app_time(self.client))
+        phase.finish(&self.w, self.w.app_time(self.client))
     }
 }
 
@@ -279,7 +235,7 @@ pub fn run(cfg: NbdConfig) -> NbdResult {
     let recv_cap = data_msg(&nic);
     let mut b = Bench::new(nic, 64, recv_cap);
     let write = b.run_write(cfg);
-    let read = b.run_read(cfg);
+    let read = b.run_read(cfg, None);
     NbdResult { write, read }
 }
 

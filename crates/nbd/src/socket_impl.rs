@@ -12,8 +12,7 @@ use qpip_sim::params;
 
 use crate::disk::ServerDisk;
 use crate::proto::{NbdOp, NbdReply, NbdRequest, NBD_PORT, REPLY_LEN, REQUEST_LEN};
-use crate::qpip_impl::NbdConfig;
-use crate::result::{NbdResult, PhaseMeter, PhaseResult};
+use crate::result::{fs_cycles, NbdConfig, NbdResult, Phase, PhaseResult};
 
 /// While a driver writes a message to its socket in ≤16 KB pieces, like
 /// the kernel socket path does: the offset of its first unaccepted byte.
@@ -63,19 +62,10 @@ impl Bench {
         Bench { w, client, server, cs, ss, disk: ServerDisk::new() }
     }
 
-    fn charge_fs(&mut self, block: usize) {
-        let cycles = params::NBD_FS_PER_REQUEST_CYCLES
-            + (block as u64 * params::NBD_FS_CYCLES_PER_BYTE_X100) / 100;
-        self.w.charge_app(self.client, cycles);
-    }
-
     /// Sequential write phase over the socket pair.
     fn run_write(&mut self, cfg: NbdConfig) -> PhaseResult {
-        let nblocks = cfg.total_bytes / cfg.block as u64;
-        let meter = PhaseMeter::start(&self.w, self.client);
-        let mut sent = 0u64; // blocks fully handed to the socket
-        let mut done = 0u64; // replies received
-                             // server-side in-progress request state
+        let mut phase = Phase::start(&self.w, self.client, cfg);
+        // server-side in-progress request state
         let mut srv_need = REQUEST_LEN; // bytes still needed for this step
         let mut srv_have: Vec<u8> = Vec::new();
         let mut srv_reading_data = false;
@@ -84,20 +74,14 @@ impl Bench {
         // block, its header rewritten in place
         let mut msg = vec![0x5au8; REQUEST_LEN + cfg.block];
         let mut pending: Pending = None;
-        while done < nblocks {
+        while phase.running() {
             let mut progress = false;
             // client issues requests up to the queue depth
-            if pending.is_none() && sent < nblocks && sent - done < cfg.queue_depth {
-                self.charge_fs(cfg.block);
-                let req = NbdRequest {
-                    op: NbdOp::Write,
-                    handle: sent,
-                    offset: sent * cfg.block as u64,
-                    len: cfg.block as u32,
-                };
+            if let Some(req) = phase.next(NbdOp::Write).filter(|_| pending.is_none()) {
+                self.w.charge_app(self.client, fs_cycles(cfg.block));
                 msg[..REQUEST_LEN].copy_from_slice(&req.encode());
                 pending = Some(0);
-                sent += 1;
+                phase.sent += 1;
             }
             progress |= write_piece(&mut self.w, self.client, self.cs, &msg, &mut pending);
             // server consumes the stream
@@ -138,42 +122,32 @@ impl Bench {
             while self.w.readable(self.client, self.cs) >= REPLY_LEN {
                 let data = self.w.recv_available(self.client, self.cs, REPLY_LEN);
                 let _ = NbdReply::parse(&data).expect("reply");
-                done += 1;
+                phase.done += 1;
                 progress = true;
             }
             if !progress {
-                assert!(self.w.step(), "nbd write deadlocked at {done}/{nblocks}");
+                assert!(self.w.step(), "nbd write deadlocked at {}/{}", phase.done, phase.nblocks);
             }
         }
-        let sync_done = self.disk.sync_done();
-        let t1 = self.w.app_time(self.client).max(sync_done);
-        meter.finish(&self.w, nblocks * cfg.block as u64, t1)
+        phase.finish(&self.w, self.w.app_time(self.client).max(self.disk.sync_done()))
     }
 
     /// Sequential read phase over the socket pair.
     fn run_read(&mut self, cfg: NbdConfig) -> PhaseResult {
-        let nblocks = cfg.total_bytes / cfg.block as u64;
-        let meter = PhaseMeter::start(&self.w, self.client);
-        let mut sent = 0u64;
-        let mut done = 0u64;
+        let mut phase = Phase::start(&self.w, self.client, cfg);
         let mut srv_have: Vec<u8> = Vec::new();
         let mut cli_block_left = 0usize; // data bytes outstanding for current reply
         let mut cli_seen_reply = false;
         // one reply buffer serves every block, its header rewritten in place
         let mut reply: Vec<u8> = Vec::new();
         let mut srv_pending: Pending = None;
-        while done < nblocks {
+        while phase.running() {
             let mut progress = false;
-            if sent < nblocks && sent - done < cfg.queue_depth {
+            // a refused request is charged again when it is offered again (ROADMAP item 8)
+            if let Some(req) = phase.next(NbdOp::Read) {
                 self.w.charge_app(self.client, params::NBD_FS_PER_REQUEST_CYCLES);
-                let req = NbdRequest {
-                    op: NbdOp::Read,
-                    handle: sent,
-                    offset: sent * cfg.block as u64,
-                    len: cfg.block as u32,
-                };
                 if self.w.try_send(self.client, self.cs, &req.encode()).unwrap() {
-                    sent += 1;
+                    phase.sent += 1;
                     progress = true;
                 }
             }
@@ -214,17 +188,18 @@ impl Bench {
                         progress = true;
                         if cli_block_left == 0 {
                             cli_seen_reply = false;
-                            self.charge_fs(cfg.block);
-                            done += 1;
+                            // a send-receive read charges the per-request cycles twice (ROADMAP item 8)
+                            self.w.charge_app(self.client, fs_cycles(cfg.block));
+                            phase.done += 1;
                         }
                     }
                 }
             }
             if !progress {
-                assert!(self.w.step(), "nbd read deadlocked at {done}/{nblocks}");
+                assert!(self.w.step(), "nbd read deadlocked at {}/{}", phase.done, phase.nblocks);
             }
         }
-        meter.finish(&self.w, nblocks * cfg.block as u64, self.w.app_time(self.client))
+        phase.finish(&self.w, self.w.app_time(self.client))
     }
 }
 

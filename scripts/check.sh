@@ -86,19 +86,6 @@ if grep -q '\[MISS\]' <<<"$out" || [[ $status -ne 0 ]]; then
     echo "FAIL: manyflow reported a missed shape check or exited $status"
     exit 1
 fi
-# The debug build runs the per-event TCB invariant oracle
-# (World::enforce_oracle) and the lent-buffer checks in World::step, so
-# its smoke run is the one multi-flow fan-in through the world loop
-# with every debug-only check switched on (~1 s).
-echo "==> smoke: manyflow --smoke (debug build: per-event oracle)"
-cargo build -q -p qpip-bench --bin manyflow
-status=0
-out="$(./target/debug/manyflow --smoke)" || status=$?
-if grep -q '\[MISS\]' <<<"$out" || [[ $status -ne 0 ]]; then
-    echo "$out"
-    echo "FAIL: debug manyflow reported a missed shape check or exited $status"
-    exit 1
-fi
 
 # The benchmark (qpbench/, a Cargo workspace of its own) drives the
 # public world API (QpipWorld::step, events_processed, SocketWorld::gige,
